@@ -18,6 +18,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -37,10 +38,12 @@ from .thermal import canonical_correlator, gibbs_state, kms_function, \
 from .dynamics import locality_scan, lr_commutator_scan
 from .verify import contour_decomposition, residue_identity, theorem_check
 
-_TASKS = ("lr_scan", "locality_scan", "correlators", "contour",
-          "theorem_check", "residue_identity")
 _DEFAULT_OUTDIR = "correlab_runs"
 _MONO_SLACK = 1e-12
+
+# A runner's result: (passed, summary, {csv name: (header, rows)}).
+_Tables = Dict[str, Tuple[List[str], List[List[str]]]]
+_Outcome = Tuple[bool, dict, _Tables]
 
 
 class ConfigError(Exception):
@@ -111,7 +114,23 @@ def _check_keys(mapping: dict, required: set, optional: set, where: str):
 def _num(x, where: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ConfigError(f"{where} must be a number, got {x!r}")
+    if not math.isfinite(x):
+        raise ConfigError(f"{where} must be finite, got {x!r}")
     return float(x)
+
+
+def _positive(x, where: str) -> float:
+    v = _num(x, where)
+    if v <= 0:
+        raise ConfigError(f"{where} must be positive")
+    return v
+
+
+def _optional_positive(data: dict, key: str, out: dict) -> dict:
+    """Copy data[key] into out, checked positive, when it is given."""
+    if key in data:
+        out[key] = _positive(data[key], key)
+    return out
 
 
 def _intval(x, where: str) -> int:
@@ -122,7 +141,7 @@ def _intval(x, where: str) -> int:
 
 def _num_list(x, where: str) -> List[float]:
     if isinstance(x, (int, float)) and not isinstance(x, bool):
-        return [float(x)]
+        return [_num(x, where)]
     if not isinstance(x, list) or not x:
         raise ConfigError(f"{where} must be a number or a nonempty list")
     return [_num(v, f"{where}[{i}]") for i, v in enumerate(x)]
@@ -150,26 +169,32 @@ def _time_grid(raw, where: str) -> Tuple[object, List[float]]:
     return canon, [start + i * step for i in range(count + 1)]
 
 
-def _site_value(x, where: str):
+def _site(x, where: str, lat: Lattice):
+    """(canonical value, lattice label) of a site on the lattice."""
     if isinstance(x, int) and not isinstance(x, bool):
-        return x, x
-    if isinstance(x, list) and len(x) == 2:
-        r = _intval(x[0], f"{where}[0]")
-        c = _intval(x[1], f"{where}[1]")
-        return [r, c], (r, c)
-    raise ConfigError(f"{where} must be an integer or a [row, col] pair")
+        canon, site = x, x
+    elif isinstance(x, list) and len(x) == 2:
+        canon = [_intval(x[0], f"{where}[0]"), _intval(x[1], f"{where}[1]")]
+        site = tuple(canon)
+    else:
+        raise ConfigError(f"{where} must be an integer or a [row, col] pair")
+    try:
+        lat.index(site)
+    except KeyError:
+        raise ConfigError(f"{where} {site!r} is not on the lattice") from None
+    return canon, site
+
+
+def _pauli(x, where: str) -> str:
+    if not isinstance(x, str) or x not in PAULI:
+        raise ConfigError(f"{where} must be one of {sorted(PAULI)}")
+    return x
 
 
 def _operator_section(raw, where: str, lat: Lattice) -> Tuple[dict, LocalOperator]:
     _check_keys(raw, {"site", "op"}, set(), where)
-    canon_site, site = _site_value(raw["site"], f"{where}.site")
-    name = raw["op"]
-    if not isinstance(name, str) or name not in PAULI:
-        raise ConfigError(f"{where}.op must be one of {sorted(PAULI)}")
-    try:
-        lat.index(site)
-    except KeyError:
-        raise ConfigError(f"{where}.site {site!r} is not on the lattice") from None
+    canon_site, site = _site(raw["site"], f"{where}.site", lat)
+    name = _pauli(raw["op"], f"{where}.op")
     return {"site": canon_site, "op": name}, single_site(site, name)
 
 
@@ -192,7 +217,7 @@ def _model_section(raw, where: str = "model"):
             raise ConfigError(f"{where}: a grid needs both nx and ny")
         nx = _intval(raw["nx"], f"{where}.nx")
         ny = _intval(raw["ny"], f"{where}.ny")
-        lat = grid_lattice(nx, ny)
+        size, build = nx * ny, lambda: grid_lattice(nx, ny)
         canon.update(nx=nx, ny=ny)
         geom = {"name", "nx", "ny"}
     elif "n" in keys:
@@ -200,7 +225,7 @@ def _model_section(raw, where: str = "model"):
         if n < 1:
             raise ConfigError(f"{where}.n must be positive")
         spacing = _num(raw["spacing"], f"{where}.spacing") if "spacing" in keys else 1.0
-        lat = chain_lattice(n, spacing=spacing)
+        size, build = n, lambda: chain_lattice(n, spacing=spacing)
         canon["n"] = n
         if "spacing" in keys:
             canon["spacing"] = spacing
@@ -208,10 +233,15 @@ def _model_section(raw, where: str = "model"):
     else:
         raise ConfigError(f"{where}: needs n (chain) or nx/ny (grid)")
 
-    dim = lat.window_dim(lat.sites)
-    if dim > DIM_CAP:
+    # checked before building: the lattice itself costs O(size^3)
+    if size > math.log2(DIM_CAP):
+        dim = 2 ** size if size <= 64 else f"2**{size}"
         raise ConfigError(
             f"{where}: window dimension {dim} exceeds the cap {DIM_CAP}")
+    try:
+        lat = build()
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
     params = {}
     for k in sorted(keys - geom, key=str):
@@ -220,6 +250,8 @@ def _model_section(raw, where: str = "model"):
             raise ConfigError(f"{where}: parameter names must be strings")
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ConfigError(f"{where}.{k} must be a number")
+        if not math.isfinite(v):
+            raise ConfigError(f"{where}.{k} must be finite, got {v!r}")
         params[k] = v
     try:
         inter = build_model(name, lat, **params)
@@ -243,7 +275,7 @@ def _validate_residue_identity(data: dict) -> dict:
                       "height_fractions")
     if any(not 0.0 <= f <= 1.0 for f in fracs):
         raise ConfigError("height_fractions must lie in [0, 1]")
-    hw = _num(data.get("half_width", 10.0), "half_width")
+    hw = _positive(data.get("half_width", 10.0), "half_width")
     tol = _num(data.get("tolerance", 1e-8), "tolerance")
     return {"task": "residue_identity", "beta": betas,
             "height_fractions": fracs, "half_width": hw, "tolerance": tol}
@@ -268,9 +300,7 @@ def _validate_contour(data: dict) -> dict:
     _check_keys(data, {"task", "model", "beta", "a", "b", "heights"},
                 {"nodes", "half_width", "tolerance"}, "config")
     model, lat, _ = _model_section(data["model"])
-    beta = _num(data["beta"], "beta")
-    if beta <= 0:
-        raise ConfigError("beta must be positive")
+    beta = _positive(data["beta"], "beta")
     a_c, _ = _operator_section(data["a"], "a", lat)
     b_c, _ = _operator_section(data["b"], "b", lat)
     heights = _num_list(data["heights"], "heights")
@@ -282,41 +312,27 @@ def _validate_contour(data: dict) -> dict:
     out = {"task": "contour", "model": model, "beta": beta, "a": a_c,
            "b": b_c, "heights": heights, "nodes": nodes,
            "tolerance": _num(data.get("tolerance", 1e-6), "tolerance")}
-    if "half_width" in data:
-        hw = _num(data["half_width"], "half_width")
-        if hw <= 0:
-            raise ConfigError("half_width must be positive")
-        out["half_width"] = hw
-    return out
+    return _optional_positive(data, "half_width", out)
 
 
 def _validate_lr_scan(data: dict) -> dict:
     _check_keys(data, {"task", "model", "mu", "a", "b", "times"},
                 {"velocity"}, "config")
     model, lat, _ = _model_section(data["model"])
-    mu = _num(data["mu"], "mu")
-    if mu <= 0:
-        raise ConfigError("mu must be positive")
+    mu = _positive(data["mu"], "mu")
     a_c, _ = _operator_section(data["a"], "a", lat)
     b_c, _ = _operator_section(data["b"], "b", lat)
     times_c, _ = _time_grid(data["times"], "times")
     out = {"task": "lr_scan", "model": model, "mu": mu, "a": a_c, "b": b_c,
            "times": times_c}
-    if "velocity" in data:
-        v = _num(data["velocity"], "velocity")
-        if v <= 0:
-            raise ConfigError("velocity must be positive")
-        out["velocity"] = v
-    return out
+    return _optional_positive(data, "velocity", out)
 
 
 def _validate_locality_scan(data: dict) -> dict:
     _check_keys(data, {"task", "model", "mu", "a", "radii", "times"},
                 {"velocity", "exponent_multiplier"}, "config")
     model, lat, _ = _model_section(data["model"])
-    mu = _num(data["mu"], "mu")
-    if mu <= 0:
-        raise ConfigError("mu must be positive")
+    mu = _positive(data["mu"], "mu")
     a_c, _ = _operator_section(data["a"], "a", lat)
     radii = _num_list(data["radii"], "radii")
     if any(r < 0 for r in radii):
@@ -328,50 +344,23 @@ def _validate_locality_scan(data: dict) -> dict:
            "radii": radii, "times": times_c,
            "exponent_multiplier": _num(data.get("exponent_multiplier", 1.0),
                                        "exponent_multiplier")}
-    if "velocity" in data:
-        v = _num(data["velocity"], "velocity")
-        if v <= 0:
-            raise ConfigError("velocity must be positive")
-        out["velocity"] = v
-    return out
+    return _optional_positive(data, "velocity", out)
 
 
 def _validate_theorem_check(data: dict) -> dict:
     _check_keys(data, {"task", "model", "beta", "mu", "distances"},
                 {"base_site", "op"}, "config")
     model, lat, _ = _model_section(data["model"])
-    beta = _num(data["beta"], "beta")
-    if beta <= 0:
-        raise ConfigError("beta must be positive")
-    mu = _num(data["mu"], "mu")
-    if mu <= 0:
-        raise ConfigError("mu must be positive")
+    beta = _positive(data["beta"], "beta")
+    mu = _positive(data["mu"], "mu")
     dists = _num_list(data["distances"], "distances")
     if len(dists) < 2:
         raise ConfigError("need at least two distances")
-    op = data.get("op", "Z")
-    if not isinstance(op, str) or op not in PAULI:
-        raise ConfigError(f"op must be one of {sorted(PAULI)}")
     out = {"task": "theorem_check", "model": model, "beta": beta, "mu": mu,
-           "distances": dists, "op": op}
+           "distances": dists, "op": _pauli(data.get("op", "Z"), "op")}
     if "base_site" in data:
-        canon_site, site = _site_value(data["base_site"], "base_site")
-        try:
-            lat.index(site)
-        except KeyError:
-            raise ConfigError(f"base_site {site!r} is not on the lattice") from None
-        out["base_site"] = canon_site
+        out["base_site"], _ = _site(data["base_site"], "base_site", lat)
     return out
-
-
-_VALIDATORS: Dict[str, Callable[[dict], dict]] = {
-    "residue_identity": _validate_residue_identity,
-    "correlators": _validate_correlators,
-    "contour": _validate_contour,
-    "lr_scan": _validate_lr_scan,
-    "locality_scan": _validate_locality_scan,
-    "theorem_check": _validate_theorem_check,
-}
 
 
 def validate_config(data: dict) -> Tuple[str, dict, str]:
@@ -379,10 +368,10 @@ def validate_config(data: dict) -> Tuple[str, dict, str]:
     if "task" not in data:
         raise ConfigError("config is missing the required key 'task'")
     task = data["task"]
-    if task not in _VALIDATORS:
+    if task not in _TASKS:
         raise ConfigError(f"unknown task {task!r}; available tasks: "
                           f"{', '.join(_TASKS)}")
-    canonical = _VALIDATORS[task](data)
+    canonical = _TASKS[task][0](data)
     blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
     return task, canonical, digest
@@ -410,28 +399,16 @@ def _parallel(fn, jobs, workers: int) -> list:
         return list(ex.map(fn, jobs))
 
 
-class TaskOutcome:
-    def __init__(self, passed: bool, summary: dict, files: List[str]):
-        self.passed = passed
-        self.summary = summary
-        self.files = files
-
-
-def _site_from_canon(x):
-    return tuple(x) if isinstance(x, list) else x
-
-
-def _rebuild(canonical: dict):
-    model, lat, inter = _model_section(canonical["model"])
-    return lat, inter
+def _operators(cfg: dict, lat: Lattice, *keys: str) -> List[LocalOperator]:
+    """The local operators named by cfg[key] for each key."""
+    return [_operator_section(cfg[k], k, lat)[1] for k in keys]
 
 
 # ---------------------------------------------------------------------------
 # Task runners
 # ---------------------------------------------------------------------------
 
-def _run_residue_identity(cfg: dict, out: Path, workers: int,
-                          verbose: bool) -> TaskOutcome:
+def _run_residue_identity(cfg: dict, workers: int, verbose: bool) -> _Outcome:
     jobs = [(b, f) for b in cfg["beta"] for f in cfg["height_fractions"]]
 
     def one(job):
@@ -450,20 +427,16 @@ def _run_residue_identity(cfg: dict, out: Path, workers: int,
                      _f(res.tail_bound), str(int(res.endpoint_corrected))])
     max_defect = max(r.defect for r in results)
     passed = max_defect <= cfg["tolerance"]
-    _write_csv(out / "residue_identity.csv",
-               ["beta", "fraction", "height", "value_re", "value_im",
-                "defect", "nodes", "tail_bound", "endpoint_corrected"], rows)
-    return TaskOutcome(passed, {"max_defect": max_defect,
-                                "tolerance": cfg["tolerance"]},
-                       ["residue_identity.csv"])
+    return passed, {"max_defect": max_defect, "tolerance": cfg["tolerance"]}, {
+        "residue_identity.csv": (
+            ["beta", "fraction", "height", "value_re", "value_im",
+             "defect", "nodes", "tail_bound", "endpoint_corrected"], rows)}
 
 
-def _run_correlators(cfg: dict, out: Path, workers: int,
-                     verbose: bool) -> TaskOutcome:
-    lat, inter = _rebuild(cfg)
+def _run_correlators(cfg: dict, workers: int, verbose: bool) -> _Outcome:
+    _, lat, inter = _model_section(cfg["model"])
     dec = eig_hermitian(build_hamiltonian(inter).matrix)
-    a = embed(single_site(_site_from_canon(cfg["a"]["site"]), cfg["a"]["op"]), lat)
-    b = embed(single_site(_site_from_canon(cfg["b"]["site"]), cfg["b"]["op"]), lat)
+    a, b = (embed(op, lat) for op in _operators(cfg, lat, "a", "b"))
     _, ts = _time_grid(cfg["times"], "times")
     tarr = np.asarray(ts)
     tol = cfg["tolerance"]
@@ -505,24 +478,22 @@ def _run_correlators(cfg: dict, out: Path, workers: int,
         sum_rows.append([_f(beta), _f(ordv.real), _f(ordv.imag),
                          _f(closed.real), _f(closed.imag),
                          _f(quad.real), _f(quad.imag), _f(route), _f(gap)])
-    _write_csv(out / "correlators.csv",
-               ["beta", "time", "f_re", "f_im", "g_re", "g_im",
-                "f_boundary_re", "f_boundary_im"], grid_rows)
-    _write_csv(out / "correlators_summary.csv",
-               ["beta", "ordinary_re", "ordinary_im", "canonical_closed_re",
-                "canonical_closed_im", "canonical_quadrature_re",
-                "canonical_quadrature_im", "route_gap", "kms_gap"], sum_rows)
-    return TaskOutcome(passed, {"max_route_gap": max_route,
-                                "max_kms_gap": max_kms, "tolerance": tol},
-                       ["correlators.csv", "correlators_summary.csv"])
+    summary = {"max_route_gap": max_route, "max_kms_gap": max_kms,
+               "tolerance": tol}
+    return passed, summary, {
+        "correlators.csv": (
+            ["beta", "time", "f_re", "f_im", "g_re", "g_im",
+             "f_boundary_re", "f_boundary_im"], grid_rows),
+        "correlators_summary.csv": (
+            ["beta", "ordinary_re", "ordinary_im", "canonical_closed_re",
+             "canonical_closed_im", "canonical_quadrature_re",
+             "canonical_quadrature_im", "route_gap", "kms_gap"], sum_rows)}
 
 
-def _run_contour(cfg: dict, out: Path, workers: int,
-                 verbose: bool) -> TaskOutcome:
-    lat, inter = _rebuild(cfg)
+def _run_contour(cfg: dict, workers: int, verbose: bool) -> _Outcome:
+    _, lat, inter = _model_section(cfg["model"])
     st = gibbs_state(build_hamiltonian(inter).matrix, cfg["beta"])
-    a = embed(single_site(_site_from_canon(cfg["a"]["site"]), cfg["a"]["op"]), lat)
-    b = embed(single_site(_site_from_canon(cfg["b"]["site"]), cfg["b"]["op"]), lat)
+    a, b = (embed(op, lat) for op in _operators(cfg, lat, "a", "b"))
     tol = cfg["tolerance"]
 
     def one(height):
@@ -547,21 +518,18 @@ def _run_contour(cfg: dict, out: Path, workers: int,
                      _f(dec.term_top.real), _f(dec.term_top.imag),
                      _f(dec.reconstruction.real), _f(dec.reconstruction.imag),
                      _f(dec.direct.real), _f(dec.direct.imag), _f(dec.defect)])
-    _write_csv(out / "contour.csv",
-               ["height", "effective_height", "offset", "subtracted", "nodes",
-                "term_commutator_re", "term_commutator_im", "term_bottom_re",
-                "term_bottom_im", "term_top_re", "term_top_im",
-                "reconstruction_re", "reconstruction_im", "direct_re",
-                "direct_im", "defect"], rows)
-    return TaskOutcome(passed, {"max_relative_defect": worst,
-                                "tolerance": tol}, ["contour.csv"])
+    return passed, {"max_relative_defect": worst, "tolerance": tol}, {
+        "contour.csv": (
+            ["height", "effective_height", "offset", "subtracted", "nodes",
+             "term_commutator_re", "term_commutator_im", "term_bottom_re",
+             "term_bottom_im", "term_top_re", "term_top_im",
+             "reconstruction_re", "reconstruction_im", "direct_re",
+             "direct_im", "defect"], rows)}
 
 
-def _run_lr_scan(cfg: dict, out: Path, workers: int,
-                 verbose: bool) -> TaskOutcome:
-    lat, inter = _rebuild(cfg)
-    a = single_site(_site_from_canon(cfg["a"]["site"]), cfg["a"]["op"])
-    b = single_site(_site_from_canon(cfg["b"]["site"]), cfg["b"]["op"])
+def _run_lr_scan(cfg: dict, workers: int, verbose: bool) -> _Outcome:
+    _, lat, inter = _model_section(cfg["model"])
+    a, b = _operators(cfg, lat, "a", "b")
     _, ts = _time_grid(cfg["times"], "times")
     scan = lr_commutator_scan(inter, a, b, ts, cfg["mu"],
                               velocity=cfg.get("velocity"))
@@ -575,19 +543,16 @@ def _run_lr_scan(cfg: dict, out: Path, workers: int,
         print(f"  distance={scan.distance:g} velocity={scan.velocity:.6g} "
               f"c_empirical={c:.6g}")
     passed = bool(np.isfinite(c)) and scan.violations() == 0
-    _write_csv(out / "lr_scan.csv",
-               ["time", "distance", "commutator_norm", "envelope", "bound"],
-               rows)
-    return TaskOutcome(passed, {"c_empirical": c, "velocity": scan.velocity,
-                                "distance": scan.distance, "mu": scan.mu,
-                                "violations": scan.violations()},
-                       ["lr_scan.csv"])
+    summary = {"c_empirical": c, "velocity": scan.velocity,
+               "distance": scan.distance, "mu": scan.mu,
+               "violations": scan.violations()}
+    return passed, summary, {"lr_scan.csv": (
+        ["time", "distance", "commutator_norm", "envelope", "bound"], rows)}
 
 
-def _run_locality_scan(cfg: dict, out: Path, workers: int,
-                       verbose: bool) -> TaskOutcome:
-    lat, inter = _rebuild(cfg)
-    a = single_site(_site_from_canon(cfg["a"]["site"]), cfg["a"]["op"])
+def _run_locality_scan(cfg: dict, workers: int, verbose: bool) -> _Outcome:
+    _, lat, inter = _model_section(cfg["model"])
+    a, = _operators(cfg, lat, "a")
     _, ts = _time_grid(cfg["times"], "times")
     scan = locality_scan(inter, a, cfg["radii"], ts, cfg["mu"],
                          velocity=cfg.get("velocity"),
@@ -602,20 +567,17 @@ def _run_locality_scan(cfg: dict, out: Path, workers: int,
         for r in radii:
             print(f"  r={r:g} max_error={maxes[r]:.6e}")
     passed = monotone and bool(np.isfinite(scan.c_empirical))
-    _write_csv(out / "locality_scan.csv",
-               ["radius", "time", "error", "envelope"], rows)
-    return TaskOutcome(passed,
-                       {"c_empirical": scan.c_empirical,
-                        "velocity": scan.velocity,
-                        "max_error_by_radius": {str(r): maxes[r] for r in radii},
-                        "monotone_in_radius": monotone},
-                       ["locality_scan.csv"])
+    summary = {"c_empirical": scan.c_empirical, "velocity": scan.velocity,
+               "max_error_by_radius": {str(r): maxes[r] for r in radii},
+               "monotone_in_radius": monotone}
+    return passed, summary, {"locality_scan.csv": (
+        ["radius", "time", "error", "envelope"], rows)}
 
 
-def _run_theorem_check(cfg: dict, out: Path, workers: int,
-                       verbose: bool) -> TaskOutcome:
-    lat, inter = _rebuild(cfg)
-    base = _site_from_canon(cfg["base_site"]) if "base_site" in cfg else None
+def _run_theorem_check(cfg: dict, workers: int, verbose: bool) -> _Outcome:
+    _, lat, inter = _model_section(cfg["model"])
+    base = (_site(cfg["base_site"], "base_site", lat)[1]
+            if "base_site" in cfg else None)
     res = theorem_check(inter, cfg["beta"], cfg["mu"], cfg["distances"],
                         base_site=base, op_name=cfg["op"])
     rows = []
@@ -626,61 +588,51 @@ def _run_theorem_check(cfg: dict, out: Path, workers: int,
     if verbose:
         print(f"  xi={res.xi:.6g} xi'={res.xi_prime:.6g} "
               f"xi'_emp={res.xi_prime_empirical:.6g} c'={res.c_prime:.6g}")
-    _write_csv(out / "theorem_check.csv",
-               ["distance", "site", "ordinary_re", "ordinary_im",
-                "canonical_re", "canonical_im"], rows)
     summary = {"xi": res.xi, "xi_prime": res.xi_prime,
                "xi_prime_empirical": res.xi_prime_empirical,
                "c_ordinary": res.c_ordinary, "c_prime": res.c_prime,
-               "c_prime_product": res.c_prime_product,
                "ordinary_fit_residual": res.ordinary_fit.residual,
                "canonical_fit_residual": res.canonical_fit.residual}
-    return TaskOutcome(res.passed, summary, ["theorem_check.csv"])
-
-
-_RUNNERS: Dict[str, Callable[[dict, Path, int, bool], TaskOutcome]] = {
-    "residue_identity": _run_residue_identity,
-    "correlators": _run_correlators,
-    "contour": _run_contour,
-    "lr_scan": _run_lr_scan,
-    "locality_scan": _run_locality_scan,
-    "theorem_check": _run_theorem_check,
-}
+    return res.passed, summary, {"theorem_check.csv": (
+        ["distance", "site", "ordinary_re", "ordinary_im",
+         "canonical_re", "canonical_im"], rows)}
 
 
 # ---------------------------------------------------------------------------
-# Plot scripts
+# The task table: validator, runner and gnuplot script of each task
 # ---------------------------------------------------------------------------
 
 _PLOT_HEAD = ('set datafile separator ","\n'
               'set key autotitle columnhead\n'
               'set grid\n')
 
-_PLOTS: Dict[str, str] = {
-    "residue_identity": _PLOT_HEAD + (
-        'set logscale y\nset xlabel "height b"\nset ylabel "|value - 1|"\n'
-        'plot "residue_identity.csv" using 3:6 with points pt 7\n'),
-    "correlators": _PLOT_HEAD + (
-        'set xlabel "t"\nset ylabel "Re F, Re G"\n'
-        'plot "correlators.csv" using 2:3 with lines title "Re F(t)", \\\n'
-        '     "correlators.csv" using 2:5 with lines title "Re G(t)"\n'),
-    "contour": _PLOT_HEAD + (
-        'set logscale y\nset xlabel "height b"\nset ylabel "defect"\n'
-        'plot "contour.csv" using 1:16 with linespoints pt 7\n'),
-    "lr_scan": _PLOT_HEAD + (
+_TASKS: Dict[str, Tuple[Callable[[dict], dict],
+                        Callable[[dict, int, bool], _Outcome], str]] = {
+    "lr_scan": (_validate_lr_scan, _run_lr_scan, _PLOT_HEAD + (
         'set logscale y\nset xlabel "t"\nset ylabel "norm"\n'
         'plot "lr_scan.csv" using 1:3 with linespoints title "commutator", \\\n'
-        '     "lr_scan.csv" using 1:5 with lines title "bound"\n'),
-    "locality_scan": _PLOT_HEAD + (
+        '     "lr_scan.csv" using 1:5 with lines title "bound"\n')),
+    "locality_scan": (_validate_locality_scan, _run_locality_scan, _PLOT_HEAD + (
         'set logscale y\nset xlabel "t"\nset ylabel "approximation error"\n'
         'plot "locality_scan.csv" using 2:3:1 with points palette '
-        'title "error (palette = radius)"\n'),
-    "theorem_check": _PLOT_HEAD + (
+        'title "error (palette = radius)"\n')),
+    "correlators": (_validate_correlators, _run_correlators, _PLOT_HEAD + (
+        'set xlabel "t"\nset ylabel "Re F, Re G"\n'
+        'plot "correlators.csv" using 2:3 with lines title "Re F(t)", \\\n'
+        '     "correlators.csv" using 2:5 with lines title "Re G(t)"\n')),
+    "contour": (_validate_contour, _run_contour, _PLOT_HEAD + (
+        'set logscale y\nset xlabel "height b"\nset ylabel "defect"\n'
+        'plot "contour.csv" using 1:16 with linespoints pt 7\n')),
+    "theorem_check": (_validate_theorem_check, _run_theorem_check, _PLOT_HEAD + (
         'set logscale y\nset xlabel "distance"\nset ylabel "|correlator|"\n'
         'plot "theorem_check.csv" using 1:(sqrt($3**2+$4**2)) '
         'with linespoints title "ordinary", \\\n'
         '     "theorem_check.csv" using 1:(sqrt($5**2+$6**2)) '
-        'with linespoints title "canonical"\n'),
+        'with linespoints title "canonical"\n')),
+    "residue_identity": (_validate_residue_identity, _run_residue_identity,
+                         _PLOT_HEAD + (
+        'set logscale y\nset xlabel "height b"\nset ylabel "|value - 1|"\n'
+        'plot "residue_identity.csv" using 3:6 with points pt 7\n')),
 }
 
 
@@ -701,26 +653,29 @@ def _cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if args.verbose:
         print(f"task {task} -> {out}")
+    _, runner, plot = _TASKS[task]
     t0 = time.perf_counter()
-    outcome = _RUNNERS[task](canonical, out, args.workers, args.verbose)
+    passed, summary, tables = runner(canonical, args.workers, args.verbose)
+    for name, (header, rows) in tables.items():
+        _write_csv(out / name, header, rows)
     elapsed = time.perf_counter() - t0
-    (out / "plot.gp").write_text(_PLOTS[task], encoding="utf-8")
+    (out / "plot.gp").write_text(plot, encoding="utf-8")
     record = {
         "task": task,
         "config": canonical,
         "config_hash": digest,
         "version": __version__,
-        "passed": outcome.passed,
-        "summary": outcome.summary,
-        "files": sorted(outcome.files + ["plot.gp"]),
+        "passed": passed,
+        "summary": summary,
+        "files": sorted([*tables, "plot.gp"]),
         "elapsed_seconds": elapsed,
     }
     with open(out / "record.json", "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    status = "passed" if outcome.passed else "FAILED"
+    status = "passed" if passed else "FAILED"
     print(f"{task} {digest} {status} ({elapsed:.2f}s) -> {out}")
-    return 0 if outcome.passed else 1
+    return 0 if passed else 1
 
 
 def _cmd_validate(args) -> int:
@@ -742,11 +697,11 @@ def _cmd_plot(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read record {path}: {exc}") from None
     kind = args.kind or record.get("task")
-    if kind not in _PLOTS:
+    if kind not in _TASKS:
         raise ConfigError(f"no plot template for kind {kind!r}; "
-                          f"available: {', '.join(sorted(_PLOTS))}")
+                          f"available: {', '.join(sorted(_TASKS))}")
     target = path.parent / "plot.gp"
-    target.write_text(_PLOTS[kind], encoding="utf-8")
+    target.write_text(_TASKS[kind][2], encoding="utf-8")
     print(str(target))
     return 0
 
@@ -773,7 +728,7 @@ def main(argv=None) -> int:
 
     p_plot = sub.add_parser("plot", help="write a gnuplot script for a run")
     p_plot.add_argument("record", help="path to a run's record.json")
-    p_plot.add_argument("--kind", default=None, choices=sorted(_PLOTS),
+    p_plot.add_argument("--kind", default=None, choices=sorted(_TASKS),
                         help="plot template (default: the run's task)")
 
     args = parser.parse_args(argv)

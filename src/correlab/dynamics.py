@@ -18,9 +18,9 @@ from .lattice import Interaction, Lattice, Site, ball, certify_locality, shell_c
 from .operators import (EmbeddedOperator, LocalOperator, commutator,
                         conditional_expectation, embed, spectral_norm)
 from .spectral import SpectralDecomposition, build_hamiltonian, eig_hermitian
+from .thermal import _EXP_CAP
 
 _TINY = 1e-12
-_EXP_CAP = 700.0
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,15 @@ import numpy as np
 
 Site = object  # hashable site label: int on chains, (row, col) on grids
 
-_PX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_PY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_PZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+PAULI_I = np.eye(2, dtype=complex)
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+PAULI = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 _METRIC_TOL = 1e-9
+_HERM_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +210,6 @@ def certify_growth(lattice: Lattice, dimension: float,
 # interactions
 # ---------------------------------------------------------------------------
 
-_HERM_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class Interaction:
     """Finite family of Hermitian terms keyed by their support.
@@ -254,9 +255,6 @@ class Interaction:
         if not self.terms:
             return 0.0
         return max(self.lattice.diameter(sup) for sup in self.terms)
-
-    def terms_at(self, site: Site) -> List[Tuple[Site, ...]]:
-        return [sup for sup in self.terms if site in sup]
 
 
 def interaction_to_canonical(interaction: Interaction) -> List[Tuple[Tuple[Site, ...], List[float]]]:
@@ -348,12 +346,12 @@ def transverse_field_ising(lattice: Lattice, J: float = 1.0, h: float = 1.0) -> 
     _require_qubits(lattice, "transverse_field_ising")
     terms = {}
     if J != 0.0:
-        zz = np.kron(_PZ, _PZ)
+        zz = np.kron(PAULI_Z, PAULI_Z)
         for (a, b) in nearest_neighbor_pairs(lattice):
             terms[(a, b)] = -J * zz
     if h != 0.0:
         for site in lattice.sites:
-            terms[(site,)] = -h * _PX
+            terms[(site,)] = -h * PAULI_X
     return Interaction(lattice, terms, "transverse_field_ising")
 
 
@@ -362,14 +360,15 @@ def heisenberg_xxz(lattice: Lattice, J: float = 1.0, delta: float = 1.0,
     """H = sum [J (X_i X_j + Y_i Y_j) + delta Z_i Z_j] - h sum Z_i."""
     _require_qubits(lattice, "heisenberg_xxz")
     terms = {}
-    bond = J * (np.kron(_PX, _PX) + np.kron(_PY, _PY)).real.astype(complex) \
-        + delta * np.kron(_PZ, _PZ)
+    bond = J * (np.kron(PAULI_X, PAULI_X)
+                + np.kron(PAULI_Y, PAULI_Y)).real.astype(complex) \
+        + delta * np.kron(PAULI_Z, PAULI_Z)
     if J != 0.0 or delta != 0.0:
         for (a, b) in nearest_neighbor_pairs(lattice):
             terms[(a, b)] = bond
     if h != 0.0:
         for site in lattice.sites:
-            terms[(site,)] = -h * _PZ
+            terms[(site,)] = -h * PAULI_Z
     return Interaction(lattice, terms, "heisenberg_xxz")
 
 
@@ -384,13 +383,13 @@ def random_bond_ising(lattice: Lattice, J: float = 1.0, h: float = 1.0,
     _require_qubits(lattice, "random_bond_ising")
     rng = np.random.default_rng(seed)
     terms = {}
-    zz = np.kron(_PZ, _PZ)
+    zz = np.kron(PAULI_Z, PAULI_Z)
     if J != 0.0:
         for (a, b) in nearest_neighbor_pairs(lattice):
             terms[(a, b)] = -J * rng.uniform(0.5, 1.5) * zz
     if h != 0.0:
         for site in lattice.sites:
-            terms[(site,)] = -h * _PX
+            terms[(site,)] = -h * PAULI_X
     return Interaction(lattice, terms, "random_bond_ising")
 
 

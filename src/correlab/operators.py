@@ -14,16 +14,8 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .lattice import Lattice, Site
-
-PAULI_I = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-PAULI = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
-
-_HERM_TOL = 1e-12
+from .lattice import (_HERM_TOL, PAULI, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z,
+                      Lattice, Site)
 
 
 # ---------------------------------------------------------------------------
@@ -95,9 +87,8 @@ def single_site(site: Site, matrix_or_name) -> LocalOperator:
 
 
 def _as_matrix(op) -> np.ndarray:
-    if isinstance(op, (LocalOperator, EmbeddedOperator)):
-        return op.matrix
-    return np.asarray(op, dtype=complex)
+    m = getattr(op, "matrix", op)
+    return np.asarray(m, dtype=complex)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,11 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .lattice import Interaction, Site
+from .lattice import _HERM_TOL, Interaction, Site
 from .operators import EmbeddedOperator, LocalOperator, commutator, embed
 
 DIM_CAP = 4096  # largest window dimension we agree to diagonalize (2^12)
 
-_HERM_TOL = 1e-12
 _RECON_TOL = 1e-10
 
 

@@ -19,7 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from .operators import EmbeddedOperator, LocalOperator
+from .operators import EmbeddedOperator, LocalOperator, _as_matrix
 from .quadrature import gauss_legendre
 from .spectral import SpectralDecomposition, eig_hermitian
 
@@ -30,11 +30,6 @@ _QUAD_MAX = 512
 _QUAD_TOL = 1e-10
 
 OperatorLike = Union[EmbeddedOperator, LocalOperator, np.ndarray]
-
-
-def _as_matrix(op) -> np.ndarray:
-    m = getattr(op, "matrix", op)
-    return np.asarray(m, dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +215,16 @@ def _duhamel_kernel(beta: float, energies: np.ndarray) -> np.ndarray:
     wm = np.exp(-beta * e)
     delta_deg = 1e-10 * max(float(e[-1]), 1.0)
 
-    # small |x|: exp(-beta Em) * expm1(x)/x, with the x -> 0 limit equal to 1
+    # small |x|: exp(-beta Em) * expm1(x)/x, with the x -> 0 limit equal to 1;
+    # expm1 sees 0 in place of the large |x| it would overflow on
+    near = np.abs(x) < 1.0
     ratio = np.ones_like(x)
-    np.divide(np.expm1(x), x, out=ratio, where=(x != 0.0))
+    np.divide(np.expm1(np.where(near, x, 0.0)), x, out=ratio, where=(x != 0.0))
     small = wm[:, None] * ratio
     # large |x|: difference quotient, safe because |x| >= 1 there
     with np.errstate(divide="ignore", invalid="ignore"):
         large = (wm[None, :] - wm[:, None]) / x
-    kern = np.where(np.abs(x) < 1.0, small, large)
+    kern = np.where(near, small, large)
     return np.where(np.abs(de) < delta_deg, wm[:, None], kern)
 
 

@@ -297,7 +297,6 @@ class TheoremCheckResult:
     xi_prime_empirical: float # canonical decay length, from the fit
     c_ordinary: float
     c_prime: float            # canonical prefactor, min(|X|,|Y|)^2 weighting
-    c_prime_product: float    # same with |X| |Y| weighting, for reference
     passed: bool
 
 
@@ -364,8 +363,7 @@ def theorem_check(interaction: Interaction, beta: float, mu: float,
     size_min = 1  # single-site supports
     c_ord = float(np.max(ovals / (na * nb * size_min * g)))
     c_pr = float(np.max(cvals / (na * nb * size_min ** 2 * g_prime)))
-    c_pp = float(np.max(cvals / (na * nb * 1 * 1 * g_prime)))
 
     return TheoremCheckResult(float(beta), float(mu), base, rows, ofit, cfit,
-                              xi, xi_prime, cfit.length, c_ord, c_pr, c_pp,
+                              xi, xi_prime, cfit.length, c_ord, c_pr,
                               bool(np.isfinite(c_pr)))

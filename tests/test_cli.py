@@ -11,6 +11,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
+import yaml
 
 from correlab import cli
 
@@ -62,6 +63,48 @@ def test_validate_config_canonicalizes_and_hashes():
     assert other != digest
 
 
+# Digests computed before the validators were folded into shared checks.
+# A change here renames every run directory, so it must be deliberate.
+GOLDEN_HASHES = [
+    ({"task": "lr_scan",
+      "model": {"name": "random_bond_ising", "n": 5, "spacing": 2.0,
+                "seed": 7},
+      "mu": 2, "a": {"site": 0, "op": "Z"}, "b": {"site": 3, "op": "X"},
+      "times": [0, 1], "velocity": 3}, "7f7a3b663fce"),
+    ({"task": "locality_scan",
+      "model": {"name": "transverse_field_ising", "n": 4, "J": 1, "h": 1.0},
+      "mu": 1.0, "a": {"site": 0, "op": "Z"}, "radii": [0, 1.0],
+      "times": {"start": 0.0, "stop": 1.0, "step": 0.5}}, "f1fa7f472107"),
+    ({"task": "correlators",
+      "model": {"name": "heisenberg_xxz", "nx": 2, "ny": 2, "J": 1,
+                "delta": 0.5},
+      "beta": 1.0, "a": {"site": [0, 1], "op": "Y"},
+      "b": {"site": [1, 0], "op": "Z"}, "times": [0, 0.5],
+      "tolerance": 1.0e-6}, "acb9fc264b3e"),
+    ({"task": "contour",
+      "model": {"name": "random_bond_ising", "n": 5, "spacing": 2.0,
+                "seed": 7},
+      "beta": 2, "a": {"site": 0, "op": "Z"}, "b": {"site": 3, "op": "X"},
+      "heights": [0, 2], "nodes": 64, "half_width": 3}, "dd16362b04af"),
+    ({"task": "theorem_check",
+      "model": {"name": "transverse_field_ising", "n": 4, "J": 1, "h": 2.0},
+      "beta": 0.5, "mu": 1, "distances": [1, 2]}, "23c0a3e6083b"),
+    ({"task": "theorem_check",
+      "model": {"name": "heisenberg_xxz", "nx": 2, "ny": 2, "J": 1,
+                "delta": 0.5},
+      "beta": 1, "mu": 2, "distances": [1.0, 2.0], "base_site": [1, 1],
+      "op": "X"}, "e7015b54df25"),
+    ({"task": "residue_identity", "beta": [0.5, 2],
+      "height_fractions": [0, 1]}, "d534c7726146"),
+]
+
+
+@pytest.mark.parametrize("raw,digest", GOLDEN_HASHES,
+                         ids=[f"{raw['task']}-{d}" for raw, d in GOLDEN_HASHES])
+def test_canonical_hash_is_pinned(raw, digest):
+    assert cli.validate_config(raw)[2] == digest
+
+
 def test_validate_config_rejects_unknown_task():
     with pytest.raises(cli.ConfigError, match="unknown task"):
         cli.validate_config({"task": "frobnicate"})
@@ -91,12 +134,14 @@ def test_time_grid_divisibility():
 
 
 def test_model_dimension_cap():
-    with pytest.raises(cli.ConfigError, match="exceeds the cap"):
-        cli.validate_config({
-            "task": "theorem_check",
-            "model": {"name": "transverse_field_ising", "n": 20,
-                      "J": 1.0, "h": 1.0},
-            "beta": 1.0, "mu": 1.0, "distances": [1.0, 2.0]})
+    # n = 100000 must be refused before an n x n lattice is built
+    for n in (20, 100000):
+        with pytest.raises(cli.ConfigError, match="exceeds the cap"):
+            cli.validate_config({
+                "task": "theorem_check",
+                "model": {"name": "transverse_field_ising", "n": n,
+                          "J": 1.0, "h": 1.0},
+                "beta": 1.0, "mu": 1.0, "distances": [1.0, 2.0]})
 
 
 def test_model_rejects_unknown_parameter():
@@ -212,7 +257,31 @@ def test_run_exit_one_when_invariant_fails(tmp_path, capsys):
 
 
 def test_run_exit_two_on_config_error(tmp_path, capsys):
-    cfg = write_config(tmp_path, "task: residue_identity\nbeta: [-1.0]\n")
+    for text in ("beta: [-1.0]\n", "beta: [1.0]\nhalf_width: 0.0\n"):
+        cfg = write_config(tmp_path, "task: residue_identity\n" + text)
+        assert run_cli(["run", cfg, "--outdir", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+CHAIN = {"name": "transverse_field_ising", "n": 3}
+
+
+@pytest.mark.parametrize("override", [
+    {"model": {"name": "transverse_field_ising", "nx": 0, "ny": 2}},
+    {"model": dict(CHAIN, spacing=0.0)},
+    {"model": dict(CHAIN, spacing=-1.0)},
+    {"model": dict(CHAIN, h=float("nan"))},
+    {"beta": float("inf")},
+    {"distances": [1.0, float("nan")]},
+    {"mu": float("inf")},
+], ids=["grid-nx-0", "spacing-0", "spacing-negative", "h-nan", "beta-inf",
+        "distance-nan", "mu-inf"])
+def test_run_exit_two_on_degenerate_or_non_finite_config(tmp_path, capsys,
+                                                         override):
+    raw = {"task": "theorem_check", "model": CHAIN, "beta": 1.0, "mu": 1.0,
+           "distances": [1.0, 2.0], **override}
+    cfg = write_config(tmp_path, yaml.safe_dump(raw))
     assert run_cli(["run", cfg, "--outdir", str(tmp_path / "out")]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

@@ -1,4 +1,6 @@
 """Gibbs states, the KMS function on its strip, and the two correlator routes."""
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,6 +9,7 @@ from correlab import (chain_lattice, transverse_field_ising, embed,
                       single_site, build_hamiltonian, eig_hermitian,
                       gibbs_state, kms_function, ordinary_correlator,
                       canonical_correlator)
+from correlab.thermal import _duhamel_kernel
 
 
 def setup_chain(n=3, J=1.0, h=0.9, beta=1.2):
@@ -213,3 +216,20 @@ def test_canonical_rejects_unknown_method():
     _, ham, st = setup_chain()
     with pytest.raises(ValueError, match="method"):
         canonical_correlator(st, np.eye(8), np.eye(8), method="series")
+
+
+def test_duhamel_kernel_is_silent_at_low_temperature():
+    # beta * (Em - En) reaches past 700 here; expm1 must not see those
+    # entries, whose difference-quotient branch is the one kept
+    lat = chain_lattice(6)
+    st = gibbs_state(build_hamiltonian(transverse_field_ising(lat)).matrix,
+                     50.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kern = _duhamel_kernel(st.beta, st.energies)
+        a = embed(single_site(0, "Z"), lat)
+        b = embed(single_site(5, "Z"), lat)
+        closed = canonical_correlator(st, a, b, method="closed_form")
+        quad = canonical_correlator(st, a, b, method="quadrature")
+    assert np.isfinite(kern).all()
+    assert abs(closed - quad) < 1e-8

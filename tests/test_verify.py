@@ -198,8 +198,6 @@ def test_theorem_check_small_chain():
     assert res.passed
     assert np.isfinite(res.xi)
     assert res.xi_prime == pytest.approx(max(4 * res.xi, 2.0))
-    # single-site pairs: both prefactor normalizations coincide
-    assert res.c_prime == pytest.approx(res.c_prime_product)
     assert res.c_prime > 0
     assert res.ordinary_fit.residual < 0.5
 
