@@ -545,7 +545,9 @@ def _run_lr_scan(cfg: dict, workers: int, verbose: bool) -> _Outcome:
     passed = bool(np.isfinite(c)) and scan.violations() == 0
     summary = {"c_empirical": c, "velocity": scan.velocity,
                "distance": scan.distance, "mu": scan.mu,
-               "violations": scan.violations()}
+               "violations": scan.violations(),
+               "noise_floor": scan.noise_floor, "floor_rows": scan.floor_rows,
+               "c_empirical_resolved": scan.c_empirical_resolved}
     return passed, summary, {"lr_scan.csv": (
         ["time", "distance", "commutator_norm", "envelope", "bound"], rows)}
 

@@ -6,6 +6,12 @@ over a time grid reuses one diagonalization.  On top of that sit the
 commutator scans against an exponential light-cone envelope and the local
 approximants obtained by conditional expectation onto a ball around the
 support of A.
+
+The commutator scan never comes back to the site basis: the spectral norm
+is unitarily invariant, so ||[B, tau_t(A)]|| is measured on the
+energy-basis matrices, one product per time point.  For Hermitian A and B
+the commutator is handed to the norm as an exactly Hermitian matrix, which
+keeps it on the eigensolver instead of the SVD.
 """
 from __future__ import annotations
 
@@ -14,9 +20,10 @@ from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .lattice import Interaction, Lattice, Site, ball, certify_locality, shell_count
-from .operators import (EmbeddedOperator, LocalOperator, commutator,
-                        conditional_expectation, embed, spectral_norm)
+from .lattice import (_HERM_TOL, Interaction, Lattice, Site, ball,
+                      certify_locality, shell_count)
+from .operators import (EmbeddedOperator, commutator, conditional_expectation,
+                        embed, spectral_norm)
 from .spectral import SpectralDecomposition, build_hamiltonian, eig_hermitian
 from .thermal import _EXP_CAP
 
@@ -51,14 +58,32 @@ def evolution_context(source: Union[Interaction, EmbeddedOperator],
                             eig_hermitian(ham.matrix))
 
 
-def _evolve_energy(dec: SpectralDecomposition, a_energy: np.ndarray,
-                   z: complex) -> np.ndarray:
-    """Site-basis matrix of tau_z(A) given A already in the eigenbasis."""
+def _on_window(context: EvolutionContext, op) -> EmbeddedOperator:
+    """op as an operator on the context window: a local operator is
+    embedded there, an embedded one must already live there."""
+    if not isinstance(op, EmbeddedOperator):
+        return embed(op, context.lattice, context.window)
+    if tuple(op.window) != context.window:
+        raise ValueError("operator window does not match the context window")
+    return op
+
+
+def _tau_energy(dec: SpectralDecomposition, a_energy: np.ndarray, z: complex,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Eigenbasis matrix of tau_z(A), e^{izE_m} A_mn e^{-izE_n}, given A in
+    the eigenbasis; written into out when given."""
     e = dec.eigenvalues
     u = np.exp(1j * z * e)
     uinv = np.exp(-1j * z * e)
+    phase = np.multiply(u[:, None], uinv[None, :], out=out)
+    return np.multiply(phase, a_energy, out=phase)
+
+
+def _evolve_energy(dec: SpectralDecomposition, a_energy: np.ndarray,
+                   z: complex) -> np.ndarray:
+    """Site-basis matrix of tau_z(A) given A already in the eigenbasis."""
     v = dec.eigenvectors
-    return v @ ((u[:, None] * uinv[None, :]) * a_energy) @ v.conj().T
+    return v @ _tau_energy(dec, a_energy, z) @ v.conj().T
 
 
 def evolve(context: EvolutionContext, op, time,
@@ -74,10 +99,7 @@ def evolve(context: EvolutionContext, op, time,
     e = context.decomposition.eigenvalues
     if abs(z.imag) * max(abs(float(e[0])), abs(float(e[-1]))) > _EXP_CAP:
         raise FloatingPointError("imaginary time too large for this spectrum")
-    a = op if isinstance(op, EmbeddedOperator) else embed(op, context.lattice,
-                                                          context.window)
-    if tuple(a.window) != context.window:
-        raise ValueError("operator window does not match the context window")
+    a = _on_window(context, op)
     abar = context.decomposition.transform(a.matrix)
     mat = _evolve_energy(context.decomposition, abar, z)
     return EmbeddedOperator(context.window, context.window, mat)
@@ -102,6 +124,9 @@ class LRScanResult:
     distance: float
     measurements: List[LRMeasurement]
     c_empirical: float
+    noise_floor: float           # eps * D * ||A|| ||B||
+    floor_rows: int              # rows whose commutator norm is below it
+    c_empirical_resolved: float  # c_empirical over the other rows only
 
     def violations(self, prefactor: Optional[float] = None) -> int:
         c = self.c_empirical if prefactor is None else prefactor
@@ -128,6 +153,12 @@ def _empirical_prefactor(pairs) -> float:
     return best
 
 
+def _is_hermitian(m: np.ndarray) -> bool:
+    """Hermitian within _HERM_TOL relative; embedding keeps the answer, so
+    a local operator is checked on its own small matrix."""
+    return np.abs(m - m.conj().T).max() <= _HERM_TOL * float(np.abs(m).max())
+
+
 def lr_commutator_scan(interaction: Interaction, a, b,
                        times: Sequence[float], mu: float,
                        velocity: Optional[float] = None,
@@ -138,7 +169,16 @@ def lr_commutator_scan(interaction: Interaction, a, b,
 
     The velocity defaults to the one certified from the interaction at the
     same mu.  The returned c_empirical is the smallest prefactor that makes
-    the envelope an upper bound for the whole scan.
+    the envelope an upper bound for the whole scan; c_empirical_resolved is
+    the same over the rows at or above the round-off floor eps * D * ||A||
+    ||B||, and floor_rows counts the rows below it.
+
+    The norm is taken in the energy basis, where B and A are transformed
+    once and tau_t(A) is an elementwise phase.  Per time point that costs
+    one product X = B tau_t(A).  When A and B are Hermitian the commutator
+    is X - X*, and i(X - X*) is passed on: it is Hermitian to the last bit,
+    so its norm comes from the eigensolver.  Otherwise the commutator is
+    X - tau_t(A) B.
     """
     if context is None:
         context = evolution_context(interaction, window)
@@ -146,25 +186,48 @@ def lr_commutator_scan(interaction: Interaction, a, b,
     if velocity is None:
         velocity = certify_locality(interaction, mu).velocity
 
-    a_loc = a if isinstance(a, LocalOperator) else None
-    aemb = embed(a, lat, context.window) if a_loc is not None else a
-    bemb = embed(b, lat, context.window) if isinstance(b, LocalOperator) else b
+    aemb = _on_window(context, a)
+    bemb = _on_window(context, b)
     xs, ys = aemb.support, bemb.support
     dist = min(lat.distance(x, y) for x in xs for y in ys)
-    na = spectral_norm(aemb.matrix if a_loc is None else a_loc.matrix)
+    na = spectral_norm(a.matrix)
     nb = spectral_norm(b.matrix)
     size = min(len(xs), len(ys))
 
-    abar = context.decomposition.transform(aemb.matrix)
+    hermitian = _is_hermitian(a.matrix) and _is_hermitian(b.matrix)
+    dec = context.decomposition
+    abar = dec.transform(aemb.matrix)
+    bbar = dec.transform(bemb.matrix)
+    del aemb, bemb  # site-basis matrices are not needed past this point
+    tau = np.empty((dec.dim, dec.dim), dtype=complex)
+    x = np.empty_like(tau)
     rows = []
     for t in times:
         t = float(t)
-        tau = _evolve_energy(context.decomposition, abar, t)
-        lhs = spectral_norm(bemb.matrix @ tau - tau @ bemb.matrix)
+        _tau_energy(dec, abar, t, out=tau)
+        if np.isrealobj(bbar):
+            # a real left factor acts alike on real and imaginary parts:
+            # one real product on the interleaved (D, 2D) views
+            np.matmul(bbar, tau.view(float), out=x.view(float))
+        else:
+            np.matmul(bbar, tau, out=x)
+        if hermitian:
+            # tau is not read again before the next time point refills it
+            comm = np.conjugate(x.T, out=tau)
+            np.subtract(x, comm, out=comm)
+            comm *= 1j
+        else:
+            comm = np.subtract(x, tau @ bbar, out=x)
+        lhs = spectral_norm(comm)
         env = na * nb * size * np.exp(-mu * dist) * np.expm1(velocity * abs(t))
         rows.append(LRMeasurement(t, dist, float(lhs), float(env)))
     c_emp = _empirical_prefactor((m.commutator_norm, m.envelope) for m in rows)
-    return LRScanResult(mu, float(velocity), float(dist), rows, c_emp)
+    floor = float(np.finfo(float).eps) * dec.dim * na * nb
+    resolved = [m for m in rows if m.commutator_norm >= floor]
+    c_res = _empirical_prefactor((m.commutator_norm, m.envelope)
+                                 for m in resolved)
+    return LRScanResult(mu, float(velocity), float(dist), rows, c_emp,
+                        floor, len(rows) - len(resolved), c_res)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +286,7 @@ def locality_scan(interaction: Interaction, a, radii: Sequence[float],
     if velocity is None:
         velocity = certify_locality(interaction, mu).velocity
 
-    aemb = embed(a, lat, context.window) if isinstance(a, LocalOperator) else a
+    aemb = _on_window(context, a)
     xs = a.support
     na = spectral_norm(a.matrix)
     abar = context.decomposition.transform(aemb.matrix)

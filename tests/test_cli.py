@@ -351,6 +351,11 @@ def test_run_lr_scan_task(tmp_path, capsys):
     record = json.loads((rundir / "record.json").read_text())
     assert record["summary"]["violations"] == 0
     assert record["summary"]["distance"] == 4.0
+    # eps * D * ||A|| ||B||; the t = 0 row (disjoint supports) lies below it
+    assert record["summary"]["noise_floor"] == 2.0 ** -52 * 32
+    assert record["summary"]["floor_rows"] == 1
+    assert (0.0 < record["summary"]["c_empirical_resolved"]
+            <= record["summary"]["c_empirical"])
     rows = (rundir / "lr_scan.csv").read_text().splitlines()
     assert len(rows) == 1 + 2
 

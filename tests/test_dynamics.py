@@ -9,7 +9,9 @@ from correlab import (chain_lattice, transverse_field_ising, embed,
                       lr_commutator_scan, locality_scan, local_approximant,
                       approximant_derivative, approximant_derivative_fd,
                       commutator_derivative_bound, certify_locality,
-                      conditional_expectation)
+                      conditional_expectation, random_bond_ising,
+                      LocalOperator)
+from correlab.dynamics import _evolve_energy
 
 
 def setup(n=4, J=1.0, h=1.0):
@@ -117,6 +119,97 @@ def test_lr_scan_explicit_velocity_changes_envelope_only():
     assert abs(s1.measurements[0].commutator_norm
                - s2.measurements[0].commutator_norm) < 1e-13
     assert s1.measurements[0].envelope != s2.measurements[0].envelope
+
+
+def test_lr_scan_noise_floor():
+    # the rows with t <= 0.3 are round-off (about 1e-14), the row at t = 0.4
+    # is the first one that carries signal
+    lat = chain_lattice(8)
+    inter = transverse_field_ising(lat, 1.0, 1.0)
+    times = [0.1 * k for k in range(11)]
+    scan = lr_commutator_scan(inter, single_site(0, "Z"), single_site(7, "Z"),
+                              times, mu=1.0)
+    assert scan.noise_floor == np.finfo(float).eps * 256
+    norms = [m.commutator_norm for m in scan.measurements]
+    assert max(norms[:4]) < scan.noise_floor < norms[4]
+    assert scan.floor_rows == 4
+    resolved = max(m.commutator_norm / m.envelope
+                   for m in scan.measurements[4:])
+    assert scan.c_empirical_resolved == resolved
+    # c_empirical keeps its definition: the floor rows still enter it
+    everything = max(m.commutator_norm / m.envelope
+                     for m in scan.measurements[1:])
+    assert scan.c_empirical == everything > resolved
+
+
+def _site_basis_norms(ctx, a, b, times):
+    """The scan's norms by the site-basis route: tau_t(A) brought back from
+    the eigenbasis, then the commutator with B and a general norm."""
+    lat = ctx.lattice
+    abar = ctx.decomposition.transform(embed(a, lat).matrix)
+    bmat = embed(b, lat).matrix
+    out = []
+    for t in times:
+        tau = _evolve_energy(ctx.decomposition, abar, t)
+        out.append(spectral_norm(bmat @ tau - tau @ bmat))
+    return out
+
+
+SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("a, b", [
+    (single_site(0, "Z"), single_site(5, "Z")),
+    (single_site(1, "X"), single_site(4, "Y")),
+    (LocalOperator((0,), SIGMA_PLUS), LocalOperator((3,), SIGMA_PLUS.T)),
+], ids=["pauli_real", "pauli_complex", "sigma_plus_minus"])
+def test_lr_scan_matches_site_basis_route(a, b):
+    lat = chain_lattice(6)
+    inter = random_bond_ising(lat, 1.0, 1.0, seed=3)
+    ctx = evolution_context(inter)
+    times = [0.0, 0.1, 0.35, 0.8, 1.5, 2.0, 3.0]
+    scan = lr_commutator_scan(inter, a, b, times, mu=1.0, context=ctx)
+    ref = _site_basis_norms(ctx, a, b, times)
+    got = [m.commutator_norm for m in scan.measurements]
+    assert max(ref) > 0.1  # the commutator has grown well past round-off
+    assert np.abs(np.array(got) - ref).max() < 1e-12
+
+
+def test_lr_scan_hermitian_pair_never_reaches_svd(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("spectral_norm fell through to the SVD")
+
+    lat = chain_lattice(6)
+    inter = random_bond_ising(lat, 1.0, 1.0, seed=1)
+    monkeypatch.setattr(np.linalg, "norm", no_svd)
+    scan = lr_commutator_scan(inter, single_site(0, "Z"), single_site(5, "X"),
+                              [0.1 * k for k in range(21)], mu=1.0)
+    assert len(scan.measurements) == 21
+
+
+def _foreign_window_setup():
+    # a context on sites 0-3 and Z_5 embedded on 2-5: same dimension, wrong
+    # operator
+    lat = chain_lattice(6)
+    inter = transverse_field_ising(lat, 1.0, 1.0)
+    ctx = evolution_context(inter, window=[0, 1, 2, 3])
+    z5 = embed(single_site(5, "Z"), lat, window=[2, 3, 4, 5])
+    return inter, ctx, z5
+
+
+def test_lr_scan_rejects_foreign_window():
+    inter, ctx, z5 = _foreign_window_setup()
+    for a, b in ((single_site(0, "Z"), z5), (z5, single_site(0, "Z"))):
+        with pytest.raises(ValueError, match="operator window does not "
+                                             "match the context window"):
+            lr_commutator_scan(inter, a, b, [0.5], mu=1.0, context=ctx)
+
+
+def test_locality_scan_rejects_foreign_window():
+    inter, ctx, z5 = _foreign_window_setup()
+    with pytest.raises(ValueError, match="operator window does not match "
+                                         "the context window"):
+        locality_scan(inter, z5, [1.0], [0.5], mu=1.0, context=ctx)
 
 
 # ---------------------------------------------------------------------------
