@@ -27,8 +27,6 @@ from .operators import (EmbeddedOperator, commutator, conditional_expectation,
 from .spectral import SpectralDecomposition, build_hamiltonian, eig_hermitian
 from .thermal import _EXP_CAP
 
-_TINY = 1e-12
-
 
 # ---------------------------------------------------------------------------
 # Evolution
@@ -129,26 +127,28 @@ class LRScanResult:
     c_empirical_resolved: float  # c_empirical over the other rows only
 
     def violations(self, prefactor: Optional[float] = None) -> int:
+        """Rows the envelope times the prefactor does not cover, with the
+        noise floor as slack; a zero envelope covers only round-off."""
         c = self.c_empirical if prefactor is None else prefactor
+        floor = self.noise_floor
         bad = 0
         for m in self.measurements:
             if m.envelope == 0.0:
-                # nothing can cover a nonzero commutator here
-                if m.commutator_norm > _TINY:
+                if m.commutator_norm > floor:
                     bad += 1
-            elif m.commutator_norm > c * m.envelope * (1 + 1e-9) + _TINY:
+            elif m.commutator_norm > c * m.envelope * (1 + 1e-9) + floor:
                 bad += 1
         return bad
 
 
-def _empirical_prefactor(pairs) -> float:
+def _empirical_prefactor(pairs, floor: float) -> float:
     """Smallest c with lhs <= c * envelope on every row; inf when some row
-    has zero envelope but a genuinely nonzero lhs."""
+    has zero envelope but an lhs above the round-off floor."""
     best = 0.0
     for lhs, env in pairs:
         if env > 0.0 and np.isfinite(env):
             best = max(best, lhs / env)
-        elif env == 0.0 and lhs > _TINY:
+        elif env == 0.0 and lhs > floor:
             return float("inf")
     return best
 
@@ -182,14 +182,13 @@ def lr_commutator_scan(interaction: Interaction, a, b,
     """
     if context is None:
         context = evolution_context(interaction, window)
-    lat = context.lattice
     if velocity is None:
         velocity = certify_locality(interaction, mu).velocity
 
     aemb = _on_window(context, a)
     bemb = _on_window(context, b)
     xs, ys = aemb.support, bemb.support
-    dist = min(lat.distance(x, y) for x in xs for y in ys)
+    dist = context.lattice.set_distance(xs, ys)
     na = spectral_norm(a.matrix)
     nb = spectral_norm(b.matrix)
     size = min(len(xs), len(ys))
@@ -221,11 +220,12 @@ def lr_commutator_scan(interaction: Interaction, a, b,
         lhs = spectral_norm(comm)
         env = na * nb * size * np.exp(-mu * dist) * np.expm1(velocity * abs(t))
         rows.append(LRMeasurement(t, dist, float(lhs), float(env)))
-    c_emp = _empirical_prefactor((m.commutator_norm, m.envelope) for m in rows)
     floor = float(np.finfo(float).eps) * dec.dim * na * nb
+    c_emp = _empirical_prefactor(
+        ((m.commutator_norm, m.envelope) for m in rows), floor)
     resolved = [m for m in rows if m.commutator_norm >= floor]
-    c_res = _empirical_prefactor((m.commutator_norm, m.envelope)
-                                 for m in resolved)
+    c_res = _empirical_prefactor(
+        ((m.commutator_norm, m.envelope) for m in resolved), floor)
     return LRScanResult(mu, float(velocity), float(dist), rows, c_emp,
                         floor, len(rows) - len(resolved), c_res)
 
@@ -303,7 +303,8 @@ def locality_scan(interaction: Interaction, a, radii: Sequence[float],
             env = na * np.exp(-mu * exponent_multiplier * float(r)) \
                 * np.expm1(velocity * abs(t))
             rows.append(LocalityMeasurement(float(r), t, float(err), float(env)))
-    c_emp = _empirical_prefactor((m.error, m.envelope) for m in rows)
+    floor = float(np.finfo(float).eps) * context.decomposition.dim * na
+    c_emp = _empirical_prefactor(((m.error, m.envelope) for m in rows), floor)
     return LocalityScanResult(mu, float(velocity), float(exponent_multiplier),
                               rows, c_emp)
 

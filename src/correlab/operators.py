@@ -55,9 +55,6 @@ class LocalOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def dagger(self) -> "LocalOperator":
-        return LocalOperator(self.support, self.matrix.conj().T)
-
 
 @dataclass(frozen=True)
 class EmbeddedOperator:

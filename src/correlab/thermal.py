@@ -8,9 +8,11 @@ partition sum never overflows.  The analytic continuation
 
 is evaluated directly in the energy eigenbasis; the conjugate function
 G(t) = phi(tau_t(B) A) lives on the strip -beta <= s <= 0, and the KMS
-boundary condition F(t + i beta) = G(t) ties the two together.  Both
-evaluators tolerate a bounded excursion outside their native strip (needed
-by the contour pipeline) and refuse to produce overflowed garbage.
+boundary condition F(t + i beta) = G(t) ties the two together.  G is F of
+the swapped pair at the mirrored point, G_{A,B}(z) = F_{B,A}(-z), so one
+evaluator serves both.  It tolerates a bounded excursion outside the native
+strip (needed by the contour pipeline) and refuses to produce overflowed
+garbage.
 """
 from __future__ import annotations
 
@@ -59,8 +61,18 @@ class ThermalState:
         return self.decomposition.transform(_as_matrix(op))
 
     def expectation(self, op: OperatorLike, basis: str = "site") -> complex:
-        m = _as_matrix(op) if basis == "energy" else self.to_eigenbasis(op)
-        return complex(np.sum(self.weights * np.diag(m)))
+        return complex(_gibbs_mean(self.weights, _energy_matrix(self, op, basis)))
+
+
+def _energy_matrix(state: ThermalState, op: OperatorLike,
+                   basis: str) -> np.ndarray:
+    """op as an eigenbasis matrix; basis="energy" says it already is one."""
+    return _as_matrix(op) if basis == "energy" else state.to_eigenbasis(op)
+
+
+def _gibbs_mean(weights: np.ndarray, m: np.ndarray):
+    """sum_m p_m M_mm, the Gibbs expectation of an eigenbasis matrix."""
+    return np.sum(weights * np.diag(m))
 
 
 def gibbs_state(hamiltonian, beta: float) -> ThermalState:
@@ -96,42 +108,38 @@ class KMSFunction:
 
     @property
     def phi_a(self) -> complex:
-        return complex(np.sum(self.state.weights * np.diag(self.a_energy)))
+        return complex(_gibbs_mean(self.state.weights, self.a_energy))
 
     @property
     def phi_b(self) -> complex:
-        return complex(np.sum(self.state.weights * np.diag(self.b_energy)))
+        return complex(_gibbs_mean(self.state.weights, self.b_energy))
 
-    # -- strip bookkeeping --------------------------------------------------
+    def _kms(self, ts, s: float, conjugate: bool) -> np.ndarray:
+        """F(t + is) on the grid ts, or G(t + is) when conjugate is set.
 
-    def _check_strip(self, s: float) -> None:
-        beta = self.state.beta
+        Both are sum_mn p_m e^{-izE_m} X_mn e^{izE_n} Y_nm: F for
+        (X, Y) = (A, B) at z, G for (B, A) at -z.  Below the real axis
+        (after the swap) e^{-sE_n} grows; past the overflow cap the call
+        fails rather than return inf.
+        """
+        st = self.state
+        beta = st.beta
         if not -beta - _STRIP_TOL * (1 + beta) <= s <= beta + _STRIP_TOL * (1 + beta):
             raise ValueError(
                 f"imaginary part {s:.6g} outside the strip [-beta, beta]")
-
-    def _f_weights(self, s: float):
-        """Row/column Boltzmann factors of F at height s, 1/Z' folded in."""
-        st = self.state
-        self._check_strip(s)
+        ts = np.asarray(ts, dtype=float)
+        x, y = self.a_energy, self.b_energy
+        if conjugate:
+            x, y, ts, s = y, x, -ts, -s
         if s < 0 and -s * st.energies[-1] > _EXP_CAP:
             raise FloatingPointError(
-                "continuation of F below the real axis would overflow")
-        row = np.exp(-(st.beta - s) * st.energies - st.log_partition)
+                f"continuation of {'G above' if conjugate else 'F below'}"
+                " the real axis would overflow")
+        row = np.exp(-(beta - s) * st.energies - st.log_partition)
         col = np.exp(-s * st.energies)
-        return row, col
-
-    def _g_weights(self, s: float):
-        st = self.state
-        self._check_strip(s)
-        if s > 0 and s * st.energies[-1] > _EXP_CAP:
-            raise FloatingPointError(
-                "continuation of G above the real axis would overflow")
-        row = np.exp(-(st.beta + s) * st.energies - st.log_partition)
-        col = np.exp(s * st.energies)
-        return row, col
-
-    # -- pointwise evaluation ----------------------------------------------
+        m = (row[:, None] * col[None, :]) * x * y.T
+        u = np.exp(1j * np.outer(st.energies, ts))
+        return np.sum(u.conj() * (m @ u), axis=0)
 
     def eval(self, z: complex) -> complex:
         """F(z) = phi(A tau_z(B)) for z in the closed strip 0 <= Im z <= beta.
@@ -140,35 +148,19 @@ class KMSFunction:
         stay below the overflow cap.
         """
         z = complex(z)
-        row, col = self._f_weights(z.imag)
-        m = (row[:, None] * col[None, :]) * self.a_energy * self.b_energy.T
-        u = np.exp(1j * z.real * self.state.energies)
-        return complex(u.conj() @ (m @ u))
+        return complex(self._kms(z.real, z.imag, conjugate=False)[0])
 
     def conjugate_eval(self, z: complex) -> complex:
         """G(z) = phi(tau_z(B) A) for -beta <= Im z <= 0 (continuation above
         the axis subject to the same overflow cap)."""
         z = complex(z)
-        row, col = self._g_weights(z.imag)
-        m = (row[:, None] * col[None, :]) * self.b_energy * self.a_energy.T
-        u = np.exp(1j * z.real * self.state.energies)
-        return complex(u @ (m @ u.conj()))
-
-    # -- grids at fixed height ---------------------------------------------
+        return complex(self._kms(z.real, z.imag, conjugate=True)[0])
 
     def eval_grid(self, ts: np.ndarray, imag: float = 0.0) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        row, col = self._f_weights(imag)
-        m = (row[:, None] * col[None, :]) * self.a_energy * self.b_energy.T
-        u = np.exp(1j * np.outer(self.state.energies, ts))
-        return np.sum(u.conj() * (m @ u), axis=0)
+        return self._kms(ts, imag, conjugate=False)
 
     def conjugate_eval_grid(self, ts: np.ndarray, imag: float = 0.0) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        row, col = self._g_weights(imag)
-        m = (row[:, None] * col[None, :]) * self.b_energy * self.a_energy.T
-        u = np.exp(1j * np.outer(self.state.energies, ts))
-        return np.sum(u * (m @ u.conj()), axis=0)
+        return self._kms(ts, imag, conjugate=True)
 
     def boundary_gap(self, ts: np.ndarray) -> np.ndarray:
         """F(t + i beta) - G(t) on a real grid; zero is the KMS condition."""
@@ -178,9 +170,8 @@ class KMSFunction:
 
 def kms_function(state: ThermalState, a: OperatorLike, b: OperatorLike,
                  basis: str = "site") -> KMSFunction:
-    if basis == "energy":
-        return KMSFunction(state, _as_matrix(a), _as_matrix(b))
-    return KMSFunction(state, state.to_eigenbasis(a), state.to_eigenbasis(b))
+    return KMSFunction(state, _energy_matrix(state, a, basis),
+                       _energy_matrix(state, b, basis))
 
 
 # ---------------------------------------------------------------------------
@@ -190,15 +181,10 @@ def kms_function(state: ThermalState, a: OperatorLike, b: OperatorLike,
 def ordinary_correlator(state: ThermalState, a: OperatorLike, b: OperatorLike,
                         basis: str = "site") -> complex:
     """Truncated correlation phi(AB) - phi(A) phi(B)."""
-    if basis == "energy":
-        am, bm = _as_matrix(a), _as_matrix(b)
-    else:
-        am, bm = state.to_eigenbasis(a), state.to_eigenbasis(b)
+    am, bm = _energy_matrix(state, a, basis), _energy_matrix(state, b, basis)
     p = state.weights
     phi_ab = np.einsum("m,mn,nm->", p, am, bm)
-    phi_a = np.sum(p * np.diag(am))
-    phi_b = np.sum(p * np.diag(bm))
-    return complex(phi_ab - phi_a * phi_b)
+    return complex(phi_ab - _gibbs_mean(p, am) * _gibbs_mean(p, bm))
 
 
 def _duhamel_kernel(beta: float, energies: np.ndarray) -> np.ndarray:
@@ -240,14 +226,9 @@ def canonical_correlator(state: ThermalState, a: OperatorLike, b: OperatorLike,
     doubled from 64 until two refinements agree to 1e-10 (or 512 nodes).
     The two routes are kept deliberately independent.
     """
-    if basis == "energy":
-        am, bm = _as_matrix(a), _as_matrix(b)
-    else:
-        am, bm = state.to_eigenbasis(a), state.to_eigenbasis(b)
+    am, bm = _energy_matrix(state, a, basis), _energy_matrix(state, b, basis)
     p = state.weights
-    phi_a = np.sum(p * np.diag(am))
-    phi_b = np.sum(p * np.diag(bm))
-    disconnected = complex(phi_a * phi_b)
+    disconnected = complex(_gibbs_mean(p, am) * _gibbs_mean(p, bm))
 
     if method == "closed_form":
         kern = _duhamel_kernel(state.beta, state.energies)

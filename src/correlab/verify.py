@@ -152,10 +152,7 @@ class ContourDecomposition:
 
 def contour_decomposition(state: ThermalState, a, b, height: float,
                           nodes: int = 1024,
-                          half_width: Optional[float] = None,
-                          lattice: Optional[Lattice] = None,
-                          mu: Optional[float] = None,
-                          velocity: Optional[float] = None) -> ContourDecomposition:
+                          half_width: Optional[float] = None) -> ContourDecomposition:
     """Split 2 pi i (F(ib) - phi(A)phi(B)) into commutator and correlator
     contour terms and evaluate each by quadrature.
 
@@ -178,15 +175,7 @@ def contour_decomposition(state: ThermalState, a, b, height: float,
         raise ValueError("beta too small to hold the offset contour")
     offset = abs(beff - height)
 
-    if half_width is None:
-        half_width = 8.0
-        if lattice is not None and mu is not None and velocity is not None:
-            xs = getattr(a, "support", None)
-            ys = getattr(b, "support", None)
-            if xs and ys:
-                dist = min(lattice.distance(x, y) for x in xs for y in ys)
-                half_width = max(8.0, mu * dist / (2.0 * velocity) + 4.0)
-
+    half_width = 8.0 if half_width is None else half_width
     fn = kms_function(state, a, b)
     phi = fn.phi_a * fn.phi_b
 
@@ -205,21 +194,18 @@ def contour_decomposition(state: ThermalState, a, b, height: float,
                           + c_bottom * 1j * math.pi * math.erfc(beff))
     direct = 2j * math.pi * c_bottom
 
+    # top edge: pole values need F continued below the strip; plain
+    # quadrature is the same formula with them and their closed form at zero
     emax = float(state.energies[-1])
     subtract = (beta - beff) * emax <= _SUBTRACT_CAP
+    c_comm = c_top = closed_top = 0.0
     if subtract:
-        below = fn.eval(1j * (beff - beta))          # continued below strip
-        g_below = fn.conjugate_eval(1j * (beff - beta))
-        c_comm = below - g_below
+        below = fn.eval(1j * (beff - beta))
+        c_comm = below - fn.conjugate_eval(1j * (beff - beta))
         c_top = below - phi
         closed_top = -1j * math.pi * math.erfc(-beff)
-        term_comm = complex(np.sum(wq * (comm - c_comm) * kt)
-                            + c_comm * closed_top)
-        term_top = complex(-(np.sum(wq * (corr - c_top) * kt)
-                             + c_top * closed_top))
-    else:
-        term_comm = complex(np.sum(wq * comm * kt))
-        term_top = complex(-np.sum(wq * corr * kt))
+    term_comm = complex(np.sum(wq * (comm - c_comm) * kt) + c_comm * closed_top)
+    term_top = complex(-(np.sum(wq * (corr - c_top) * kt) + c_top * closed_top))
 
     return ContourDecomposition(beta, float(height), beff, float(offset),
                                 float(half_width), int(nodes), bool(subtract),

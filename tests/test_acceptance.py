@@ -242,7 +242,7 @@ def test_criterion_08_commutator_term_envelope():
     for l in ls:
         a = embed(single_site(0, "Z"), lat)
         b = embed(single_site(l, "Z"), lat)
-        d = contour_decomposition(state, a, b, 0.5, lattice=lat, mu=mu)
+        d = contour_decomposition(state, a, b, 0.5)
         mags.append(abs(d.term_commutator))
     slope = float(np.polyfit(ls, np.log(mags), 1)[0])
 

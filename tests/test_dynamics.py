@@ -142,6 +142,22 @@ def test_lr_scan_noise_floor():
     assert scan.c_empirical == everything > resolved
 
 
+def test_lr_scan_zero_envelope_row_judged_against_noise_floor():
+    # ||A|| ||B|| = 900 lifts the t = 0 round-off past 1e-12 but not past
+    # the scan's own floor eps * D * ||A|| ||B||; that row is no violation
+    lat = chain_lattice(8)
+    inter = transverse_field_ising(lat, 1.0, 1.0)
+    a, b = single_site(0, "Z"), single_site(7, "Z")
+    scan = lr_commutator_scan(inter, LocalOperator(a.support, 30 * a.matrix),
+                              LocalOperator(b.support, 30 * b.matrix),
+                              [0.0, 0.5, 1.0], mu=1.0)
+    first = scan.measurements[0]
+    assert first.envelope == 0.0
+    assert 1e-12 < first.commutator_norm < scan.noise_floor
+    assert np.isfinite(scan.c_empirical)
+    assert scan.violations() == 0
+
+
 def _site_basis_norms(ctx, a, b, times):
     """The scan's norms by the site-basis route: tau_t(A) brought back from
     the eigenbasis, then the commutator with B and a general norm."""

@@ -146,6 +146,88 @@ def test_strip_guard_and_overflow_guard():
         fw.conjugate_eval(0.5j)
 
 
+def test_grid_guards_match_point_guards():
+    lat, ham, st = setup_chain()
+    a = embed(single_site(0, "Z"), lat)
+    fn = kms_function(st, a, a)
+    ts = np.array([-0.5, 0.0, 0.5])
+    with pytest.raises(ValueError, match="outside the strip"):
+        fn.eval_grid(ts, imag=2 * st.beta)
+    with pytest.raises(ValueError, match="outside the strip"):
+        fn.conjugate_eval_grid(ts, imag=-2 * st.beta)
+    wide = gibbs_state(np.diag([0.0, 2000.0]), 1.0)
+    fw = kms_function(wide, np.eye(2), np.eye(2), basis="energy")
+    with pytest.raises(FloatingPointError,
+                       match="^continuation of F below the real axis would overflow$"):
+        fw.eval_grid(ts, imag=-0.5)
+    with pytest.raises(FloatingPointError,
+                       match="^continuation of G above the real axis would overflow$"):
+        fw.conjugate_eval_grid(ts, imag=0.5)
+
+
+def _reference_f_grid(st, a_e, b_e, ts, s):
+    """F(t + is) written out on its own: row and column Boltzmann factors,
+    then the phases on both sides."""
+    row = np.exp(-(st.beta - s) * st.energies - st.log_partition)
+    col = np.exp(-s * st.energies)
+    m = (row[:, None] * col[None, :]) * a_e * b_e.T
+    u = np.exp(1j * np.outer(st.energies, ts))
+    return np.sum(u.conj() * (m @ u), axis=0)
+
+
+def _reference_g_grid(st, a_e, b_e, ts, s):
+    """G(t + is) written out on its own, without going through F."""
+    row = np.exp(-(st.beta + s) * st.energies - st.log_partition)
+    col = np.exp(s * st.energies)
+    m = (row[:, None] * col[None, :]) * b_e * a_e.T
+    u = np.exp(1j * np.outer(st.energies, ts))
+    return np.sum(u * (m @ u.conj()), axis=0)
+
+
+def _random_pair(dim, seed):
+    rng = np.random.default_rng(seed)
+    a, b = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            for _ in range(2))
+    return a, b
+
+
+def _close(values, ref, tol=1e-13):
+    """Within tol relative to the scale of ref: continued past the native
+    strip, F and G reach a few thousand."""
+    return np.abs(np.asarray(values) - ref).max() <= tol * (1 + np.abs(ref).max())
+
+
+def test_evaluators_match_written_out_formulas():
+    # random complex, non-Hermitian A and B; heights on the real axis,
+    # inside the strip and at +-beta, on grids and pointwise
+    lat, ham, st = setup_chain(n=4, beta=0.9)
+    a, b = _random_pair(16, 23)
+    fn = kms_function(st, a, b)
+    ts = np.linspace(-2.5, 2.5, 11)
+    beta = st.beta
+    for s in (0.0, 0.3 * beta, 0.7 * beta, beta, -beta):
+        ref = _reference_f_grid(st, fn.a_energy, fn.b_energy, ts, s)
+        assert _close(fn.eval_grid(ts, imag=s), ref)
+        assert _close([fn.eval(t + 1j * s) for t in ts], ref)
+    for s in (0.0, -0.3 * beta, -0.7 * beta, -beta, beta):
+        ref = _reference_g_grid(st, fn.a_energy, fn.b_energy, ts, s)
+        assert _close(fn.conjugate_eval_grid(ts, imag=s), ref)
+        assert _close([fn.conjugate_eval(t + 1j * s) for t in ts], ref)
+
+
+def test_g_is_f_of_swapped_pair_at_minus_z():
+    lat, ham, st = setup_chain(n=4, beta=0.9)
+    a, b = _random_pair(16, 29)
+    fn = kms_function(st, a, b)
+    swapped = kms_function(st, b, a)
+    ts = np.linspace(-2.0, 2.0, 9)
+    for s in (0.0, -0.5 * st.beta, -st.beta, 0.4 * st.beta):
+        f = swapped.eval_grid(-ts, imag=-s)
+        assert _close(fn.conjugate_eval_grid(ts, imag=s), f)
+        z = 0.6 + 1j * s
+        assert _close(fn.conjugate_eval(z), swapped.eval(-z))
+
+
 def test_phi_properties():
     lat, ham, st = setup_chain()
     a = embed(single_site(0, "Z"), lat)
