@@ -10,7 +10,7 @@ the normalized partial trace over the complement re-tensored with identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -92,46 +92,59 @@ def _as_matrix(op) -> np.ndarray:
 # embedding
 # ---------------------------------------------------------------------------
 
-def _basis_permutation(dims: Sequence[int], order: Sequence[int]) -> np.ndarray:
-    """pos[i] = index of basis state i (dims order) in the basis whose factor
-    order[0] varies slowest."""
-    dims = [int(k) for k in dims]
-    total = int(np.prod(dims))
-    idx = np.arange(total)
-    digits: List[np.ndarray] = []
-    rest = idx
-    for k in reversed(dims):
-        digits.append(rest % k)
-        rest = rest // k
-    digits.reverse()  # digits[s] = letter of factor s
-    pos = np.zeros(total, dtype=np.int64)
-    for s in order:
-        pos = pos * dims[s] + digits[s]
-    return pos
-
-
 def _window_dims(lattice: Lattice, win: Sequence[Site]) -> Tuple[int, ...]:
     return tuple(lattice.local_dims[lattice.index(s)] for s in win)
 
 
-def _embed_ordered(matrix: np.ndarray, factor_sites: Sequence[Site],
-                   lattice: Lattice, win: Tuple[Site, ...]) -> np.ndarray:
-    """Embed a matrix whose tensor factors follow factor_sites (its own
-    order) into the window, identity on the complement, canonical order."""
+def _offsets(positions: Sequence[int], dims: Sequence[int],
+             strides: Sequence[int]) -> np.ndarray:
+    """Window basis offsets of the factors at positions, first slowest."""
+    off = np.zeros(1, dtype=np.intp)
+    for p in positions:
+        off = (off[:, None] + strides[p] * np.arange(dims[p])).ravel()
+    return off
+
+
+def _add_embedded(out: np.ndarray, matrix: np.ndarray,
+                  factor_sites: Sequence[Site], lattice: Lattice,
+                  win: Tuple[Site, ...]) -> None:
+    """Add into out the embedding of a matrix whose tensor factors follow
+    factor_sites (its own order): identity on the complement, canonical
+    window order.
+
+    Only the d*D entries that can be nonzero are touched, d being the
+    support dimension and D the window dimension: entry (r, s) of the
+    matrix lands at (o_r + c, o_s + c), o being the window offsets of the
+    support basis states and c running over those of the complement.
+    """
     dims = _window_dims(lattice, win)
     pos_of = {s: i for i, s in enumerate(win)}
-    comp = [s for s in win if s not in set(factor_sites)]
-    dim_comp = 1
-    for s in comp:
-        dim_comp *= dims[pos_of[s]]
-    big = np.kron(matrix, np.eye(dim_comp, dtype=complex))
+    sup = [pos_of[s] for s in factor_sites]
+    comp = [i for i in range(len(win)) if i not in set(sup)]
     if not comp:
-        order = [pos_of[s] for s in factor_sites]
-        if order == sorted(order):
-            return big
-    order = [pos_of[s] for s in factor_sites] + [pos_of[s] for s in comp]
-    pos = _basis_permutation(dims, order)
-    return big[np.ix_(pos, pos)]
+        # the whole window: permute the tensor factors, no index arrays
+        order = list(np.argsort(sup))
+        k = len(sup)
+        tensor = matrix.reshape([dims[p] for p in sup] * 2).transpose(
+            order + [k + i for i in order])
+        view = out.reshape(dims * 2)
+        np.add(view, tensor, out=view)
+        return
+    strides = [int(np.prod(dims[i + 1:])) for i in range(len(dims))]
+    sup_off = _offsets(sup, dims, strides)
+    comp_off = _offsets(comp, dims, strides)
+    rows = sup_off[:, None, None] + comp_off
+    flat = rows * out.shape[0] + (sup_off[:, None] + comp_off)
+    out.reshape(-1)[flat] += matrix[:, :, None]
+
+
+def _embed_ordered(matrix: np.ndarray, factor_sites: Sequence[Site],
+                   lattice: Lattice, win: Tuple[Site, ...]) -> np.ndarray:
+    """Embedding of matrix (factors in factor_sites order) into the window."""
+    dim = lattice.window_dim(win)
+    out = np.zeros((dim, dim), dtype=complex)
+    _add_embedded(out, matrix, factor_sites, lattice, win)
+    return out
 
 
 def embed(op: LocalOperator, lattice: Lattice,

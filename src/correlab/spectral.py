@@ -13,7 +13,8 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .lattice import _HERM_TOL, Interaction, Site
-from .operators import EmbeddedOperator, LocalOperator, commutator, embed
+from .operators import (EmbeddedOperator, LocalOperator, _add_embedded,
+                        commutator, embed)
 
 DIM_CAP = 4096  # largest window dimension we agree to diagonalize (2^12)
 
@@ -102,7 +103,9 @@ def build_hamiltonian(interaction: Interaction,
                       dim_cap: int = DIM_CAP) -> EmbeddedOperator:
     """Sum of the embedded interaction terms whose support lies in the window.
 
-    Refuses windows whose tensor dimension exceeds dim_cap.
+    Each term adds only the entries its embedding can make nonzero, in
+    term order; no window-sized matrix is built per term.  Refuses windows
+    whose tensor dimension exceeds dim_cap.
     """
     lat = interaction.lattice
     win = lat.sort_sites(window) if window is not None else lat.sites
@@ -116,7 +119,7 @@ def build_hamiltonian(interaction: Interaction,
     used = []
     for sup, m in interaction.terms.items():
         if set(sup) <= win_set:
-            np.add(h, embed(LocalOperator(sup, m), lat, win).matrix, out=h)
+            _add_embedded(h, m, sup, lat, win)
             used.append(sup)
     sup_sites = tuple(s for s in win if any(s in u for u in used))
     return EmbeddedOperator(win, sup_sites, h)

@@ -16,8 +16,8 @@ garbage.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
+from typing import Optional, Union
 
 import numpy as np
 
@@ -30,6 +30,8 @@ _STRIP_TOL = 1e-9
 _QUAD_START = 64
 _QUAD_MAX = 512
 _QUAD_TOL = 1e-10
+_PAIR_TILE = 64           # side of the tiles A * B^T is reduced over
+_KERNEL_BLOCK = 1 << 18   # entries per row block of the Duhamel kernel
 
 OperatorLike = Union[EmbeddedOperator, LocalOperator, np.ndarray]
 
@@ -44,7 +46,8 @@ class ThermalState:
 
     energies are shifted so energies[0] == 0; weights are the Gibbs
     probabilities; log_partition is log sum_n exp(-beta * energies[n])
-    for the shifted spectrum.
+    for the shifted spectrum.  The Duhamel kernel divided by the partition
+    sum is built on first use and kept.
     """
 
     beta: float
@@ -52,6 +55,8 @@ class ThermalState:
     energies: np.ndarray
     weights: np.ndarray
     log_partition: float
+    _kernel: Optional[np.ndarray] = field(default=None, init=False,
+                                          repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -63,16 +68,48 @@ class ThermalState:
     def expectation(self, op: OperatorLike, basis: str = "site") -> complex:
         return complex(_gibbs_mean(self.weights, _energy_matrix(self, op, basis)))
 
+    def _duhamel_weights(self) -> np.ndarray:
+        """K_mn / Z, the weights of the closed-form canonical correlator."""
+        if self._kernel is None:
+            kern = _duhamel_kernel(self.beta, self.energies)
+            kern /= np.exp(self.log_partition)
+            object.__setattr__(self, "_kernel", kern)
+        return self._kernel
+
 
 def _energy_matrix(state: ThermalState, op: OperatorLike,
                    basis: str) -> np.ndarray:
-    """op as an eigenbasis matrix; basis="energy" says it already is one."""
-    return _as_matrix(op) if basis == "energy" else state.to_eigenbasis(op)
+    """op as an eigenbasis matrix; basis="energy" says it already is one,
+    and a real one stays real."""
+    if basis != "energy":
+        return state.to_eigenbasis(op)
+    m = np.asarray(getattr(op, "matrix", op))
+    return m.astype(np.result_type(m, float), copy=False)
 
 
 def _gibbs_mean(weights: np.ndarray, m: np.ndarray):
     """sum_m p_m M_mm, the Gibbs expectation of an eigenbasis matrix."""
     return np.sum(weights * np.diag(m))
+
+
+def _paired_sum(weights: np.ndarray, am: np.ndarray, bm: np.ndarray) -> complex:
+    """sum_mn W_mn A_mn B_nm, with W_mn = p_m when weights is a vector.
+
+    Reduced over square tiles of A * B^T, so no D x D pairing is allocated,
+    the transposed read of B stays in cache, and real operands stay in real
+    arithmetic.
+    """
+    dim = am.shape[0]
+    w = weights if weights.ndim == 2 else np.broadcast_to(weights[:, None], am.shape)
+    total = 0.0
+    for i in range(0, dim, _PAIR_TILE):
+        rows = slice(i, i + _PAIR_TILE)
+        for j in range(0, dim, _PAIR_TILE):
+            cols = slice(j, j + _PAIR_TILE)
+            tile = am[rows, cols] * bm[cols, rows].T
+            tile *= w[rows, cols]
+            total += tile.sum()
+    return complex(total)
 
 
 def gibbs_state(hamiltonian, beta: float) -> ThermalState:
@@ -139,7 +176,11 @@ class KMSFunction:
         col = np.exp(-s * st.energies)
         m = (row[:, None] * col[None, :]) * x * y.T
         u = np.exp(1j * np.outer(st.energies, ts))
-        return np.sum(u.conj() * (m @ u), axis=0)
+        mu = m @ u
+        # conj(u) * mu in place, operand order kept: the products are
+        # bit-identical to the out-of-place form
+        np.multiply(np.conjugate(u, out=u), mu, out=mu)
+        return np.sum(mu, axis=0)
 
     def eval(self, z: complex) -> complex:
         """F(z) = phi(A tau_z(B)) for z in the closed strip 0 <= Im z <= beta.
@@ -183,8 +224,7 @@ def ordinary_correlator(state: ThermalState, a: OperatorLike, b: OperatorLike,
     """Truncated correlation phi(AB) - phi(A) phi(B)."""
     am, bm = _energy_matrix(state, a, basis), _energy_matrix(state, b, basis)
     p = state.weights
-    phi_ab = np.einsum("m,mn,nm->", p, am, bm)
-    return complex(phi_ab - _gibbs_mean(p, am) * _gibbs_mean(p, bm))
+    return _paired_sum(p, am, bm) - complex(_gibbs_mean(p, am) * _gibbs_mean(p, bm))
 
 
 def _duhamel_kernel(beta: float, energies: np.ndarray) -> np.ndarray:
@@ -194,24 +234,30 @@ def _duhamel_kernel(beta: float, energies: np.ndarray) -> np.ndarray:
     x = beta (Em - En), switching to the difference quotient
     (exp(-beta En) - exp(-beta Em))/x for |x| >= 1 and to the exact
     degenerate limit exp(-beta Em) when Em and En coincide numerically.
+    Built in row blocks, so its temporaries stay small beside the result.
     """
     e = energies
-    de = e[:, None] - e[None, :]
-    x = beta * de
     wm = np.exp(-beta * e)
     delta_deg = 1e-10 * max(float(e[-1]), 1.0)
-
-    # small |x|: exp(-beta Em) * expm1(x)/x, with the x -> 0 limit equal to 1;
-    # expm1 sees 0 in place of the large |x| it would overflow on
-    near = np.abs(x) < 1.0
-    ratio = np.ones_like(x)
-    np.divide(np.expm1(np.where(near, x, 0.0)), x, out=ratio, where=(x != 0.0))
-    small = wm[:, None] * ratio
-    # large |x|: difference quotient, safe because |x| >= 1 there
-    with np.errstate(divide="ignore", invalid="ignore"):
-        large = (wm[None, :] - wm[:, None]) / x
-    kern = np.where(near, small, large)
-    return np.where(np.abs(de) < delta_deg, wm[:, None], kern)
+    kern = np.empty((e.size, e.size))
+    rows = max(1, _KERNEL_BLOCK // e.size)
+    for i in range(0, e.size, rows):
+        de = e[i:i + rows, None] - e[None, :]
+        x = beta * de
+        wr = wm[i:i + rows, None]
+        # small |x|: exp(-beta Em) * expm1(x)/x, with the x -> 0 limit
+        # equal to 1; expm1 sees 0 in place of the large |x| it would
+        # overflow on
+        near = np.abs(x) < 1.0
+        ratio = np.ones_like(x)
+        np.divide(np.expm1(np.where(near, x, 0.0)), x, out=ratio,
+                  where=(x != 0.0))
+        # large |x|: difference quotient, safe because |x| >= 1 there
+        with np.errstate(divide="ignore", invalid="ignore"):
+            large = (wm[None, :] - wr) / x
+        blk = np.where(near, wr * ratio, large)
+        kern[i:i + rows] = np.where(np.abs(de) < delta_deg, wr, blk)
+    return kern
 
 
 def canonical_correlator(state: ThermalState, a: OperatorLike, b: OperatorLike,
@@ -231,9 +277,7 @@ def canonical_correlator(state: ThermalState, a: OperatorLike, b: OperatorLike,
     disconnected = complex(_gibbs_mean(p, am) * _gibbs_mean(p, bm))
 
     if method == "closed_form":
-        kern = _duhamel_kernel(state.beta, state.energies)
-        zshift = np.exp(state.log_partition)
-        return complex(np.einsum("mn,mn,nm->", kern, am, bm) / zshift) - disconnected
+        return _paired_sum(state._duhamel_weights(), am, bm) - disconnected
 
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")

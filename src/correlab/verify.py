@@ -313,6 +313,8 @@ def theorem_check(interaction: Interaction, beta: float, mu: float,
         state = gibbs_state(build_hamiltonian(interaction).matrix, beta)
     if state.dim != lat.window_dim(lat.sites):
         raise ValueError("state must be built on the full lattice window")
+    if state.beta != beta:
+        raise ValueError(f"state is at beta={state.beta!r}, not beta={float(beta)!r}")
 
     a_loc = single_site(base, op_name)
     na = spectral_norm(a_loc.matrix)

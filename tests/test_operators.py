@@ -1,13 +1,17 @@
 """Embedding, norms, partial traces, twirls, and golden files."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from correlab import (Lattice, chain_lattice, LocalOperator, EmbeddedOperator,
+from correlab import (Interaction, Lattice, chain_lattice, grid_lattice,
+                      LocalOperator, EmbeddedOperator,
                       single_site, embed, spectral_norm, commutator,
                       operator_product, partial_trace,
                       conditional_expectation, haar_unitaries, sampled_twirl,
-                      save_operator, load_operator,
-                      PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
+                      save_operator, load_operator, build_hamiltonian,
+                      transverse_field_ising, random_bond_ising,
+                      heisenberg_xxz, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
 
 CNOT = np.array([[1, 0, 0, 0],
                  [0, 1, 0, 0],
@@ -101,6 +105,111 @@ def test_embed_preserves_norm_product_commutator():
     assert np.allclose(prod.matrix, kron(m1, PAULI_I, m2))
     # disjoint supports commute
     assert spectral_norm(commutator(e1, e2)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# embedding and assembly against the dense kron-and-permute route
+# ---------------------------------------------------------------------------
+
+def kron_embedding(matrix, factor_sites, lat, win):
+    """Reference embedding: kron with the complement identity, then permute
+    the basis into window order with one fancy index per axis."""
+    dims = [lat.local_dims[lat.index(s)] for s in win]
+    pos_of = {s: i for i, s in enumerate(win)}
+    comp = [s for s in win if s not in set(factor_sites)]
+    dim_comp = int(np.prod([dims[pos_of[s]] for s in comp]))
+    big = np.kron(matrix, np.eye(dim_comp, dtype=complex))
+    order = [pos_of[s] for s in factor_sites] + [pos_of[s] for s in comp]
+    digits = np.indices(dims).reshape(len(dims), -1)
+    pos = np.zeros(digits.shape[1], dtype=np.int64)
+    for s in order:
+        pos = pos * dims[s] + digits[s]
+    return big[np.ix_(pos, pos)]
+
+
+def _random_matrix(rng, dim):
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+@pytest.mark.parametrize("lat, support, window", [
+    (chain_lattice(5), (0,), None),
+    (chain_lattice(5), (4,), None),
+    (chain_lattice(5), (3, 1), None),
+    (chain_lattice(5), (4, 1), [1, 2, 4]),
+    (chain_lattice(5), (3, 1), [1, 3]),
+    (chain_lattice(3), (2, 0, 1), None),
+    (chain_lattice(4, local_dim=3), (2, 0), None),
+    (chain_lattice(4, local_dim=3), (3,), [1, 3]),
+    (grid_lattice(2, 3), ((1, 0), (0, 2)), None),
+    (grid_lattice(2, 3), ((1, 1),), None),
+    (Lattice(("b", "a"), np.array([[0.0, 1.0], [1.0, 0.0]]), (2, 3)),
+     ("a", "b"), None),
+])
+def test_embedding_matches_kron_reference(lat, support, window):
+    rng = np.random.default_rng(41)
+    m = _random_matrix(rng, lat.window_dim(support))
+    win = lat.sort_sites(window) if window is not None else lat.sites
+    op = LocalOperator(support, m)  # sorts the support, matrix as given
+    emb = embed(op, lat, window)
+    assert np.array_equal(emb.matrix, kron_embedding(m, op.support, lat, win))
+    full = EmbeddedOperator(win, win, _random_matrix(rng, emb.dim))
+    for region in (support[:1], support, win, ()):
+        ce = conditional_expectation(full, region, lat)
+        reg = lat.sort_sites(region)
+        comp_dim = emb.dim // lat.window_dim(reg)
+        keep = [win.index(s) for s in reg]
+        dims = [lat.local_dims[lat.index(s)] for s in win]
+        reduced = partial_trace(full.matrix, dims, keep) / comp_dim
+        assert np.array_equal(ce.matrix, kron_embedding(reduced, reg, lat, win))
+
+
+@pytest.mark.parametrize("inter, window", [
+    (transverse_field_ising(chain_lattice(6), J=0.8, h=1.3), None),
+    (random_bond_ising(chain_lattice(6), J=1.0, h=2.0, seed=5), None),
+    (heisenberg_xxz(chain_lattice(5), J=1.0, delta=0.5, h=0.3), None),
+    (random_bond_ising(chain_lattice(7), seed=2), [2, 3, 4, 5]),
+    (heisenberg_xxz(chain_lattice(6), delta=1.5, h=0.7), [0, 1, 2]),
+])
+def test_assembly_matches_sum_of_kron_embeddings(inter, window):
+    lat = inter.lattice
+    win = lat.sort_sites(window) if window is not None else lat.sites
+    ref = np.zeros((lat.window_dim(win),) * 2, dtype=complex)
+    for sup, m in inter.terms.items():
+        if set(sup) <= set(win):
+            ref += kron_embedding(m, sup, lat, win)
+    assert np.array_equal(build_hamiltonian(inter, window).matrix, ref)
+
+
+def test_assembly_follows_lattice_order_not_sort_order():
+    # canonical site order is ("b", "a"); a term's factors follow that order
+    lat = Lattice(("b", "a"), np.array([[0.0, 1.0], [1.0, 0.0]]), (2, 2))
+    m = np.kron(PAULI_X, PAULI_Z) + np.kron(PAULI_Z, PAULI_I)
+    ham = build_hamiltonian(Interaction(lat, {("b", "a"): m}))
+    assert np.array_equal(ham.matrix, m)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_embedding_and_assembly_allocate_little_beyond_the_output():
+    lat = chain_lattice(10)
+    op = single_site(5, "Z")
+    emb, peak = _traced_peak(lambda: embed(op, lat))
+    assert peak <= 1.25 * emb.matrix.nbytes
+    inter = random_bond_ising(lat, seed=1)
+    ham, peak = _traced_peak(lambda: build_hamiltonian(inter))
+    assert peak <= 1.25 * ham.matrix.nbytes
+    # the whole window: a tensor-axis permutation, no D^2 index arrays
+    whole = LocalOperator(lat.sites, np.diag(np.arange(1024.0)) + 0j)
+    emb, peak = _traced_peak(lambda: embed(whole, lat))
+    assert peak <= 1.25 * emb.matrix.nbytes
+    assert np.array_equal(emb.matrix, whole.matrix)
 
 
 # ---------------------------------------------------------------------------

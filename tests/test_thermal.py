@@ -9,6 +9,7 @@ from correlab import (chain_lattice, transverse_field_ising, embed,
                       single_site, build_hamiltonian, eig_hermitian,
                       gibbs_state, kms_function, ordinary_correlator,
                       canonical_correlator)
+from correlab import thermal
 from correlab.thermal import _duhamel_kernel
 
 
@@ -315,3 +316,59 @@ def test_duhamel_kernel_is_silent_at_low_temperature():
         quad = canonical_correlator(st, a, b, method="quadrature")
     assert np.isfinite(kern).all()
     assert abs(closed - quad) < 1e-8
+
+
+def reference_ordinary(st, am, bm):
+    p = st.weights
+    mean = lambda m: np.sum(p * np.diag(m))
+    return complex(np.einsum("m,mn,nm->", p, am, bm) - mean(am) * mean(bm))
+
+
+def reference_closed_form(st, am, bm):
+    p = st.weights
+    mean = lambda m: np.sum(p * np.diag(m))
+    kern = _duhamel_kernel(st.beta, st.energies)
+    return (complex(np.einsum("mn,mn,nm->", kern, am, bm)
+                    / np.exp(st.log_partition)) - mean(am) * mean(bm))
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.7, 50.0])
+@pytest.mark.parametrize("basis", ["site", "energy"])
+def test_correlators_match_written_out_formulas(beta, basis):
+    # the parent's three-operand einsum formulas, kept as test-only
+    # references; complex non-Hermitian pairs and, in the energy basis,
+    # real pairs that stay in real arithmetic
+    lat = chain_lattice(4)
+    st = gibbs_state(build_hamiltonian(transverse_field_ising(lat, h=0.8)).matrix,
+                     beta)
+    rng = np.random.default_rng(17)
+    pairs = [tuple(rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+                   for _ in range(2))]
+    if basis == "energy":
+        pairs.append(tuple(rng.normal(size=(16, 16)) for _ in range(2)))
+    for a, b in pairs:
+        am, bm = (st.to_eigenbasis(a), st.to_eigenbasis(b)) if basis == "site" \
+            else (a, b)
+        for got, ref in ((ordinary_correlator(st, a, b, basis=basis),
+                          reference_ordinary(st, am, bm)),
+                         (canonical_correlator(st, a, b, basis=basis),
+                          reference_closed_form(st, am, bm))):
+            assert abs(got - ref) <= 1e-13 * (1 + abs(ref))
+
+
+def test_duhamel_kernel_is_built_on_first_use_only(monkeypatch):
+    lat = chain_lattice(4)
+    calls = []
+    real_kernel = thermal._duhamel_kernel
+    monkeypatch.setattr(thermal, "_duhamel_kernel",
+                        lambda *args: calls.append(1) or real_kernel(*args))
+    st = gibbs_state(build_hamiltonian(transverse_field_ising(lat)).matrix, 1.0)
+    a = embed(single_site(0, "Z"), lat)
+    b = embed(single_site(3, "X"), lat)
+    ordinary_correlator(st, a, b)
+    canonical_correlator(st, a, b, method="quadrature")
+    assert calls == []
+    first = canonical_correlator(st, a, b)
+    assert canonical_correlator(st, a, b) == first
+    canonical_correlator(st, b, a)
+    assert len(calls) == 1

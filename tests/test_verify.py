@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from correlab import thermal
 from correlab import (chain_lattice, transverse_field_ising, embed,
                       single_site, build_hamiltonian, gibbs_state,
                       kms_function, weight, residue_identity,
@@ -225,3 +226,24 @@ def test_theorem_check_accepts_prebuilt_state_and_base_site():
     assert r1.base_site == 1
     assert r1.rows[0].site == 0  # first site at distance 1 in lattice order
     assert abs(r1.rows[-1].canonical - r2.rows[-1].canonical) < 1e-13
+
+
+def test_theorem_check_refuses_state_at_another_beta():
+    # before, the state's beta was used and the argument's reported
+    lat = chain_lattice(6)
+    inter = transverse_field_ising(lat)
+    st = gibbs_state(build_hamiltonian(inter).matrix, 2.0)
+    with pytest.raises(ValueError, match="beta"):
+        theorem_check(inter, 0.5, 1.0, [1, 2, 3], state=st)
+
+
+def test_theorem_check_builds_the_duhamel_kernel_once(monkeypatch):
+    lat = chain_lattice(8)
+    inter = transverse_field_ising(lat, h=1.2)
+    calls = []
+    real_kernel = thermal._duhamel_kernel
+    monkeypatch.setattr(thermal, "_duhamel_kernel",
+                        lambda *args: calls.append(1) or real_kernel(*args))
+    res = theorem_check(inter, 0.5, 1.0, [1, 2, 3, 4, 5, 6, 7])
+    assert len(res.rows) == 7
+    assert len(calls) == 1
