@@ -9,27 +9,23 @@ verification pipeline, all on windows small enough to diagonalize exactly.
 __version__ = "0.1.0"
 
 from .lattice import (Lattice, chain_lattice, grid_lattice, ball, shell_count,
-                      GrowthCertificate, certify_growth, Interaction,
-                      LocalityCertificate, certify_locality, locality_sweep,
+                      Interaction, LocalityCertificate, certify_locality,
                       interaction_to_canonical, nearest_neighbor_pairs,
                       transverse_field_ising, heisenberg_xxz,
                       random_bond_ising, build_model, BUILTIN_MODELS)
 from .operators import (PAULI, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z,
                         LocalOperator, EmbeddedOperator, single_site, embed,
-                        spectral_norm, commutator, operator_product,
-                        partial_trace, conditional_expectation,
-                        haar_unitaries, sampled_twirl, save_operator,
-                        load_operator)
+                        spectral_norm, commutator, partial_trace,
+                        conditional_expectation, haar_unitaries,
+                        sampled_twirl)
 from .quadrature import gauss_legendre
 from .spectral import (DIM_CAP, SpectralDecomposition, eig_hermitian,
-                       matrix_function, build_hamiltonian, derivation_delta)
+                       build_hamiltonian, derivation_delta)
 from .thermal import (ThermalState, gibbs_state, KMSFunction, kms_function,
                       ordinary_correlator, canonical_correlator)
 from .dynamics import (EvolutionContext, evolution_context, evolve,
                        LRMeasurement, LRScanResult, lr_commutator_scan,
-                       LocalityMeasurement, LocalityScanResult, locality_scan,
-                       local_approximant, approximant_derivative,
-                       approximant_derivative_fd, commutator_derivative_bound)
+                       LocalityMeasurement, LocalityScanResult, locality_scan)
 from .verify import (weight, ResidueCheck, residue_identity,
                      ContourDecomposition, contour_decomposition, DecayFit,
                      fit_decay, TheoremRow, TheoremCheckResult, theorem_check)

@@ -571,7 +571,8 @@ def _run_locality_scan(cfg: dict, workers: int, verbose: bool) -> _Outcome:
     passed = monotone and bool(np.isfinite(scan.c_empirical))
     summary = {"c_empirical": scan.c_empirical, "velocity": scan.velocity,
                "max_error_by_radius": {str(r): maxes[r] for r in radii},
-               "monotone_in_radius": monotone}
+               "monotone_in_radius": monotone,
+               "noise_floor": scan.noise_floor}
     return passed, summary, {"locality_scan.csv": (
         ["radius", "time", "error", "envelope"], rows)}
 

@@ -3,9 +3,9 @@
 The evolution tau_t(A) = exp(iHt) A exp(-iHt) is applied in the energy
 eigenbasis (diagonal phases, two dense products to come back), so a scan
 over a time grid reuses one diagonalization.  On top of that sit the
-commutator scans against an exponential light-cone envelope and the local
-approximants obtained by conditional expectation onto a ball around the
-support of A.
+commutator scans against an exponential light-cone envelope and the scan
+of local approximants obtained by conditional expectation onto a ball
+around the support of A.
 
 The commutator scan never comes back to the site basis: the spectral norm
 is unitarily invariant, so ||[B, tau_t(A)]|| is measured on the
@@ -21,9 +21,9 @@ from typing import Iterable, List, Optional, Sequence, Union
 import numpy as np
 
 from .lattice import (_HERM_TOL, Interaction, Lattice, Site, ball,
-                      certify_locality, shell_count)
-from .operators import (EmbeddedOperator, commutator, conditional_expectation,
-                        embed, spectral_norm)
+                      certify_locality)
+from .operators import (EmbeddedOperator, conditional_expectation, embed,
+                        spectral_norm)
 from .spectral import SpectralDecomposition, build_hamiltonian, eig_hermitian
 from .thermal import _EXP_CAP
 
@@ -239,16 +239,6 @@ def _ball_in_window(lat: Lattice, xs, radius, window) -> tuple:
     return tuple(s for s in ball(lat, xs, radius) if s in inside)
 
 
-def local_approximant(context: EvolutionContext, a, time: float,
-                      radius: float) -> EmbeddedOperator:
-    """Conditional expectation of tau_t(A) onto the ball of the given radius
-    around the original support of A."""
-    xs = a.support
-    tau = evolve(context, a, time)
-    region = _ball_in_window(context.lattice, xs, radius, context.window)
-    return conditional_expectation(tau, region, context.lattice)
-
-
 @dataclass(frozen=True)
 class LocalityMeasurement:
     radius: float
@@ -264,6 +254,7 @@ class LocalityScanResult:
     exponent_multiplier: float
     measurements: List[LocalityMeasurement]
     c_empirical: float
+    noise_floor: float  # eps * D * ||A||
 
     def max_error_by_radius(self) -> dict:
         out: dict = {}
@@ -279,7 +270,14 @@ def locality_scan(interaction: Interaction, a, radii: Sequence[float],
                   window: Optional[Iterable[Site]] = None,
                   context: Optional[EvolutionContext] = None) -> LocalityScanResult:
     """Approximation error of the ball-projected evolution over a grid of
-    radii and times, against the bare envelope exp(-mu * multiplier * r)."""
+    radii and times, against the bare envelope exp(-mu * multiplier * r).
+
+    The approximant at radius r is the conditional expectation of tau_t(A)
+    onto the ball of radius r around the support of A.  For Hermitian A the
+    error is Hermitian up to round-off; its exactly Hermitian part is passed
+    to the norm, which keeps every point on the eigensolver.  noise_floor
+    is eps * D * ||A||.
+    """
     if context is None:
         context = evolution_context(interaction, window)
     lat = context.lattice
@@ -289,6 +287,7 @@ def locality_scan(interaction: Interaction, a, radii: Sequence[float],
     aemb = _on_window(context, a)
     xs = a.support
     na = spectral_norm(a.matrix)
+    hermitian = _is_hermitian(a.matrix)
     abar = context.decomposition.transform(aemb.matrix)
 
     rows = []
@@ -299,60 +298,16 @@ def locality_scan(interaction: Interaction, a, radii: Sequence[float],
         for r in radii:
             region = _ball_in_window(lat, xs, r, context.window)
             approx = conditional_expectation(tau, region, lat)
-            err = spectral_norm(tau_mat - approx.matrix)
+            diff = tau_mat - approx.matrix
+            if hermitian:
+                diff += diff.conj().T
+                diff /= 2
+            err = spectral_norm(diff)
             env = na * np.exp(-mu * exponent_multiplier * float(r)) \
                 * np.expm1(velocity * abs(t))
             rows.append(LocalityMeasurement(float(r), t, float(err), float(env)))
     floor = float(np.finfo(float).eps) * context.decomposition.dim * na
     c_emp = _empirical_prefactor(((m.error, m.envelope) for m in rows), floor)
     return LocalityScanResult(mu, float(velocity), float(exponent_multiplier),
-                              rows, c_emp)
+                              rows, c_emp, floor)
 
-
-# ---------------------------------------------------------------------------
-# Derivatives of the approximant
-# ---------------------------------------------------------------------------
-
-def approximant_derivative(context: EvolutionContext, a, radius: float,
-                           time: float) -> EmbeddedOperator:
-    """Exact d/dt of the local approximant.
-
-    The projection commutes with d/dt, and d/dt tau_t(A) = i tau_t([H, A])
-    = i [H, tau_t(A)], so this is i times the projected commutator.
-    """
-    tau = evolve(context, a, time)
-    comm = commutator(context.hamiltonian, tau)
-    region = _ball_in_window(context.lattice, a.support, radius, context.window)
-    proj = conditional_expectation(comm, region, context.lattice)
-    return EmbeddedOperator(proj.window, proj.support, 1j * proj.matrix)
-
-
-def approximant_derivative_fd(context: EvolutionContext, a, radius: float,
-                              time: float, step: float = 1e-5) -> EmbeddedOperator:
-    """Symmetric-difference version of approximant_derivative, kept as an
-    independent route for cross-checks."""
-    plus = local_approximant(context, a, time + step, radius)
-    minus = local_approximant(context, a, time - step, radius)
-    mat = (plus.matrix - minus.matrix) / (2.0 * step)
-    return EmbeddedOperator(plus.window, plus.support, mat)
-
-
-def commutator_derivative_bound(lattice: Lattice, ys, mu: float,
-                                velocity: float, a_norm: float = 1.0,
-                                b_norm: float = 1.0,
-                                epsilon: float = 0.2) -> float:
-    """A priori bound on |d/dt ||[B, tau_t(A)]|| | used to sanity-check scan
-    grid resolution:
-
-        v ||A|| ||B|| ( |Y| + (e^{v eps} - 1) sum_{r>=1} e^{-mu r} D(r) )
-
-    with D(r) the number of sites in the half-open shell (r-1, r] around the
-    support Y of B, and eps a short burn-in time.
-    """
-    ys = tuple(ys)
-    dists = [lattice.distance(z, y) for z in lattice.sites for y in ys]
-    rmax = int(np.ceil(max(dists))) if dists else 0
-    shells = sum(np.exp(-mu * r) * shell_count(lattice, ys, float(r))
-                 for r in range(1, rmax + 1))
-    return float(velocity * a_norm * b_norm
-                 * (len(ys) + np.expm1(velocity * epsilon) * shells))

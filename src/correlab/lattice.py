@@ -2,28 +2,35 @@
 
 A lattice is a finite set of sites with a metric and a local Hilbert-space
 dimension per site.  An interaction assigns a Hermitian matrix to each member
-of a finite family of site subsets.  Two kinds of certificates are computed
-here: polynomial growth of metric balls, and the weighted interaction sum
-that yields a propagation velocity for Lieb-Robinson bounds.
+of a finite family of site subsets.  The locality certificate computed here
+is the weighted interaction sum that yields a propagation velocity for
+Lieb-Robinson bounds.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
 Site = object  # hashable site label: int on chains, (row, col) on grids
 
-PAULI_I = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+PAULI_I = np.eye(2)
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 PAULI = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 _METRIC_TOL = 1e-9
 _HERM_TOL = 1e-12
+
+
+def _as_matrix(op) -> np.ndarray:
+    """The matrix of op (or op itself) as float64 or complex128: a real
+    operand stays real, integers become float."""
+    m = np.asarray(getattr(op, "matrix", op))
+    return m.astype(np.result_type(m, float), copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -164,49 +171,6 @@ def shell_count(lattice: Lattice, ys, radius: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# growth certificate
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GrowthCertificate:
-    """Witnessed bound |B_r(X)| <= C |X| (1+r)^D over the tested pairs."""
-
-    dimension: float
-    constant: float
-    witnesses: Tuple[Tuple[Tuple[Site, ...], float, int, float], ...]
-    # rows: (site set, radius, ball size, bound value C*|X|*(1+r)^D)
-
-    def holds(self) -> bool:
-        return all(size <= bound + _METRIC_TOL for (_, _, size, bound) in self.witnesses)
-
-
-def certify_growth(lattice: Lattice, dimension: float,
-                   witness_sets: Sequence, radii: Sequence[float]) -> GrowthCertificate:
-    """Smallest C with |B_r(X)| <= C |X| (1+r)^dimension on the witnesses.
-
-    The certificate covers exactly the supplied (X, r) pairs; the reported
-    constant is the max of the per-pair ratios.
-    """
-    if dimension <= 0:
-        raise ValueError("growth dimension must be positive")
-    if not witness_sets or not len(radii):
-        raise ValueError("need at least one witness set and one radius")
-    pairs = []
-    c = 0.0
-    for xs in witness_sets:
-        base = _as_site_set(lattice, xs)
-        for r in radii:
-            if r < 0:
-                raise ValueError("radii must be nonnegative")
-            size = len(ball(lattice, base, r))
-            c = max(c, size / (len(base) * (1.0 + r) ** dimension))
-            pairs.append((base, float(r), size))
-    rows = tuple((xs, r, size, c * len(xs) * (1.0 + r) ** dimension)
-                 for (xs, r, size) in pairs)
-    return GrowthCertificate(float(dimension), c, rows)
-
-
-# ---------------------------------------------------------------------------
 # interactions
 # ---------------------------------------------------------------------------
 
@@ -235,7 +199,7 @@ class Interaction:
             sup = self.lattice.sort_sites(support)
             if len(sup) != len(tuple(support)):
                 raise ValueError(f"duplicate sites in support {support!r}")
-            m = np.asarray(m, dtype=complex)
+            m = _as_matrix(m)
             dim = self.lattice.window_dim(sup)
             if m.shape != (dim, dim):
                 raise ValueError(
@@ -308,11 +272,6 @@ def certify_locality(interaction: Interaction, mu: float) -> LocalityCertificate
     return LocalityCertificate(float(mu), v, sums, interaction.name)
 
 
-def locality_sweep(interaction: Interaction, mu_grid: Sequence[float]) -> List[LocalityCertificate]:
-    """Certificates along a mu grid; velocity grows with mu (trade-off table)."""
-    return [certify_locality(interaction, mu) for mu in mu_grid]
-
-
 # ---------------------------------------------------------------------------
 # builtin models
 # ---------------------------------------------------------------------------
@@ -360,8 +319,7 @@ def heisenberg_xxz(lattice: Lattice, J: float = 1.0, delta: float = 1.0,
     """H = sum [J (X_i X_j + Y_i Y_j) + delta Z_i Z_j] - h sum Z_i."""
     _require_qubits(lattice, "heisenberg_xxz")
     terms = {}
-    bond = J * (np.kron(PAULI_X, PAULI_X)
-                + np.kron(PAULI_Y, PAULI_Y)).real.astype(complex) \
+    bond = J * (np.kron(PAULI_X, PAULI_X) + np.kron(PAULI_Y, PAULI_Y)).real \
         + delta * np.kron(PAULI_Z, PAULI_Z)
     if J != 0.0 or delta != 0.0:
         for (a, b) in nearest_neighbor_pairs(lattice):

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from .lattice import (_HERM_TOL, PAULI, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z,
-                      Lattice, Site)
+                      Lattice, Site, _as_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +37,7 @@ class LocalOperator:
     """Matrix on the tensor product of its support sites.
 
     support is stored sorted ascending; the matrix rows/columns follow that
-    order with the first site slowest-varying.
+    order with the first site slowest-varying.  A real matrix stays real.
     """
 
     support: Tuple[Site, ...]
@@ -45,7 +45,7 @@ class LocalOperator:
 
     def __post_init__(self):
         sup = _sorted_support(self.support)
-        m = np.asarray(self.matrix, dtype=complex)
+        m = _as_matrix(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("operator matrix must be square")
         object.__setattr__(self, "support", sup)
@@ -65,7 +65,7 @@ class EmbeddedOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = _as_matrix(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("operator matrix must be square")
         object.__setattr__(self, "matrix", m)
@@ -81,11 +81,6 @@ def single_site(site: Site, matrix_or_name) -> LocalOperator:
     """Convenience constructor; accepts a matrix or a Pauli letter."""
     m = PAULI[matrix_or_name] if isinstance(matrix_or_name, str) else matrix_or_name
     return LocalOperator((site,), m)
-
-
-def _as_matrix(op) -> np.ndarray:
-    m = getattr(op, "matrix", op)
-    return np.asarray(m, dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +135,10 @@ def _add_embedded(out: np.ndarray, matrix: np.ndarray,
 
 def _embed_ordered(matrix: np.ndarray, factor_sites: Sequence[Site],
                    lattice: Lattice, win: Tuple[Site, ...]) -> np.ndarray:
-    """Embedding of matrix (factors in factor_sites order) into the window."""
+    """Embedding of matrix (factors in factor_sites order) into the window,
+    in the matrix's own dtype."""
     dim = lattice.window_dim(win)
-    out = np.zeros((dim, dim), dtype=complex)
+    out = np.zeros((dim, dim), dtype=matrix.dtype)
     _add_embedded(out, matrix, factor_sites, lattice, win)
     return out
 
@@ -202,11 +198,6 @@ def commutator(a: EmbeddedOperator, b: EmbeddedOperator) -> EmbeddedOperator:
     return EmbeddedOperator(window, sup, a.matrix @ b.matrix - b.matrix @ a.matrix)
 
 
-def operator_product(a: EmbeddedOperator, b: EmbeddedOperator) -> EmbeddedOperator:
-    window, sup = _join(a, b)
-    return EmbeddedOperator(window, sup, a.matrix @ b.matrix)
-
-
 # ---------------------------------------------------------------------------
 # partial trace and conditional expectation
 # ---------------------------------------------------------------------------
@@ -223,7 +214,7 @@ def partial_trace(matrix: np.ndarray, dims: Sequence[int], keep: Sequence[int]) 
     if keep and (keep[0] < 0 or keep[-1] >= n):
         raise ValueError("keep positions out of range")
     total = int(np.prod(dims))
-    m = np.asarray(matrix, dtype=complex)
+    m = _as_matrix(matrix)
     if m.shape != (total, total):
         raise ValueError(f"matrix shape {m.shape} does not match dims product {total}")
     tensor = m.reshape(dims + dims)
@@ -306,61 +297,3 @@ def sampled_twirl(op: EmbeddedOperator, region: Iterable[Site], lattice: Lattice
         left -= m
     return EmbeddedOperator(win, win, acc / samples)
 
-
-# ---------------------------------------------------------------------------
-# golden-file serialization
-# ---------------------------------------------------------------------------
-
-_MAGIC = "correlab-operator 1"
-
-
-def save_operator(path, op: LocalOperator, dims: Sequence[int]) -> None:
-    """Write a LocalOperator: ASCII header, then little-endian float64
-    interleaved re/im in row-major order."""
-    m = np.ascontiguousarray(op.matrix, dtype=complex)
-    dims = [int(k) for k in dims]
-    if int(np.prod(dims)) != m.shape[0]:
-        raise ValueError("dims product does not match the matrix dimension")
-    payload = np.empty(2 * m.size, dtype="<f8")
-    payload[0::2] = m.real.ravel()
-    payload[1::2] = m.imag.ravel()
-    header = (f"{_MAGIC}\n"
-              f"support {' '.join(str(s) for s in op.support)}\n"
-              f"dims {' '.join(str(k) for k in dims)}\n")
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(payload.tobytes())
-
-
-def load_operator(path) -> Tuple[LocalOperator, Tuple[int, ...]]:
-    """Read a golden operator file; returns (operator, dims)."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        head, rest = raw.split(b"\n", 1)
-        if head.decode("ascii") != _MAGIC:
-            raise ValueError
-        sup_line, rest = rest.split(b"\n", 1)
-        dims_line, blob = rest.split(b"\n", 1)
-    except ValueError:
-        raise ValueError(f"{path}: not a correlab operator file") from None
-    sup_fields = sup_line.decode("ascii").split()
-    dims_fields = dims_line.decode("ascii").split()
-    if sup_fields[:1] != ["support"] or dims_fields[:1] != ["dims"]:
-        raise ValueError(f"{path}: malformed operator header")
-    support = tuple(_parse_site(tok) for tok in sup_fields[1:])
-    dims = tuple(int(tok) for tok in dims_fields[1:])
-    total = int(np.prod(dims))
-    flat = np.frombuffer(blob, dtype="<f8")
-    if flat.size != 2 * total * total:
-        raise ValueError(f"{path}: payload holds {flat.size} floats, "
-                         f"expected {2 * total * total}")
-    matrix = (flat[0::2] + 1j * flat[1::2]).reshape(total, total)
-    return LocalOperator(support, matrix), dims
-
-
-def _parse_site(token: str) -> Site:
-    try:
-        return int(token)
-    except ValueError:
-        return token

@@ -8,17 +8,17 @@ to 1e-10 relative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .lattice import _HERM_TOL, Interaction, Site
+from .lattice import _HERM_TOL, Interaction, Site, _as_matrix
 from .operators import (EmbeddedOperator, LocalOperator, _add_embedded,
                         commutator, embed)
 
 DIM_CAP = 4096  # largest window dimension we agree to diagonalize (2^12)
 
-_RECON_TOL = 1e-10
+_SYM_BLOCK = 1 << 18  # entries per row block of the Hermiticity check
 
 
 @dataclass(frozen=True)
@@ -38,19 +38,15 @@ class SpectralDecomposition:
         return (v * self.eigenvalues[None, :]) @ v.conj().T
 
     def transform(self, matrix: np.ndarray) -> np.ndarray:
-        """V* M V, with cheap fast paths for diagonal and real M.
+        """V* M V in M's own arithmetic, with one product for diagonal M.
 
-        A complex M whose imaginary part is exactly zero is demoted to
-        float64 first; together with the real-eigenvector path in
-        eig_hermitian this keeps the common all-real pipelines (Ising-type
-        Hamiltonians, Z observables) in dgemm instead of zgemm.
+        With real eigenvectors a real M stays in dgemm; only a complex M
+        (or complex eigenvectors) pays for zgemm.
         """
         m = np.asarray(matrix)
-        if np.iscomplexobj(m) and not m.imag.any():
-            m = m.real
         v = self.eigenvectors
         d = np.diag(m)
-        if np.abs(m - np.diag(d)).max() == 0.0:
+        if np.count_nonzero(m) == np.count_nonzero(d):  # no D x D temporary
             return v.conj().T @ (d[:, None] * v)
         return v.conj().T @ (m @ v)
 
@@ -60,42 +56,29 @@ def eig_hermitian(matrix) -> SpectralDecomposition:
 
     The input may deviate from exact Hermiticity by at most 1e-12 relative;
     it is symmetrized before the solve so the result is exactly that of a
-    Hermitian matrix.
+    Hermitian matrix.  A real symmetric input is solved in real arithmetic
+    and gives real eigenvectors.  The check and the symmetrization run over
+    row blocks, so the only D x D array built beside the eigenvectors is
+    the symmetrized copy.
     """
-    m = np.asarray(getattr(matrix, "matrix", matrix), dtype=complex)
+    m = _as_matrix(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("need a square matrix")
-    scale = float(np.abs(m).max()) or 1.0
-    if np.abs(m - m.conj().T).max() > _HERM_TOL * scale:
+    dim = m.shape[0]
+    sym = np.empty_like(m)
+    scale = asym = 0.0
+    rows = max(1, _SYM_BLOCK // max(1, dim))
+    for i in range(0, dim, rows):
+        blk = m[i:i + rows]
+        adj = m[:, i:i + rows].conj().T
+        scale = max(scale, float(np.abs(blk).max()))
+        asym = max(asym, float(np.abs(blk - adj).max()))
+        out = sym[i:i + rows]
+        np.divide(np.add(blk, adj, out=out), 2, out=out)
+    if asym > _HERM_TOL * (scale or 1.0):
         raise ValueError("matrix is not Hermitian within 1e-12 relative")
-    sym = (m + m.conj().T) / 2
-    if not sym.imag.any():
-        # exactly-real symmetric input: the real solver is several times
-        # faster and returns real eigenvectors, keeping downstream
-        # similarity transforms in real arithmetic
-        e, v = np.linalg.eigh(sym.real)
-    else:
-        e, v = np.linalg.eigh(sym)
+    e, v = np.linalg.eigh(sym)
     return SpectralDecomposition(e, v)
-
-
-def matrix_function(dec: SpectralDecomposition, fn: Callable) -> np.ndarray:
-    """V f(E) V* with overflow reported rather than silently propagated."""
-    ev = dec.eigenvalues
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        try:
-            vals = np.asarray(fn(ev), dtype=complex)
-            if vals.shape != ev.shape:
-                raise TypeError
-        except (TypeError, ValueError):
-            vals = np.array([fn(x) for x in ev], dtype=complex)
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        i = int(np.nonzero(bad)[0][0])
-        raise FloatingPointError(
-            f"matrix function overflows at eigenvalue {ev[i]:.6g} (index {i})")
-    v = dec.eigenvectors
-    return (v * vals[None, :]) @ v.conj().T
 
 
 def build_hamiltonian(interaction: Interaction,
@@ -114,14 +97,15 @@ def build_hamiltonian(interaction: Interaction,
         raise ValueError(
             f"window dimension {dim} exceeds the cap {dim_cap}; "
             f"this laboratory is meant for desk-scale windows")
-    h = np.zeros((dim, dim), dtype=complex)
     win_set = set(win)
-    used = []
-    for sup, m in interaction.terms.items():
-        if set(sup) <= win_set:
-            _add_embedded(h, m, sup, lat, win)
-            used.append(sup)
-    sup_sites = tuple(s for s in win if any(s in u for u in used))
+    terms = [(sup, m) for sup, m in interaction.terms.items()
+             if set(sup) <= win_set]
+    # real when every term is real
+    h = np.zeros((dim, dim),
+                 dtype=np.result_type(float, *{m.dtype for _, m in terms}))
+    for sup, m in terms:
+        _add_embedded(h, m, sup, lat, win)
+    sup_sites = tuple(s for s in win if any(s in sup for sup, _ in terms))
     return EmbeddedOperator(win, sup_sites, h)
 
 

@@ -83,8 +83,7 @@ def _energy_matrix(state: ThermalState, op: OperatorLike,
     and a real one stays real."""
     if basis != "energy":
         return state.to_eigenbasis(op)
-    m = np.asarray(getattr(op, "matrix", op))
-    return m.astype(np.result_type(m, float), copy=False)
+    return _as_matrix(op)
 
 
 def _gibbs_mean(weights: np.ndarray, m: np.ndarray):

@@ -330,6 +330,7 @@ def theorem_check(interaction: Interaction, beta: float, mu: float,
         o = ordinary_correlator(state, a_e, b_e, basis="energy")
         c = canonical_correlator(state, a_e, b_e, basis="energy")
         rows.append(TheoremRow(float(l), partner, o, c))
+        del b_e  # else it stays alive while the next partner's is built
     if len(rows) < 2:
         raise ValueError("need at least two realizable distances")
 

@@ -376,6 +376,7 @@ def test_run_locality_scan_task(tmp_path, capsys):
     assert record["summary"]["monotone_in_radius"] is True
     errs = record["summary"]["max_error_by_radius"]
     assert errs["2.0"] <= errs["1.0"] <= errs["0.0"]
+    assert record["summary"]["noise_floor"] == 2.0 ** -52 * 32  # eps D ||A||
 
 
 def test_run_theorem_check_task(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Heisenberg evolution, commutator scans, approximants, derivatives."""
+"""Heisenberg evolution, commutator scans, locality scans."""
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,9 +6,7 @@ import scipy.linalg
 from correlab import (chain_lattice, transverse_field_ising, embed,
                       single_site, spectral_norm, build_hamiltonian,
                       derivation_delta, evolution_context, evolve,
-                      lr_commutator_scan, locality_scan, local_approximant,
-                      approximant_derivative, approximant_derivative_fd,
-                      commutator_derivative_bound, certify_locality,
+                      lr_commutator_scan, locality_scan, certify_locality,
                       conditional_expectation, random_bond_ising,
                       LocalOperator)
 from correlab.dynamics import _evolve_energy
@@ -203,6 +201,18 @@ def test_lr_scan_hermitian_pair_never_reaches_svd(monkeypatch):
     assert len(scan.measurements) == 21
 
 
+def test_locality_scan_hermitian_operator_never_reaches_svd(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("spectral_norm fell through to the SVD")
+
+    lat = chain_lattice(7)
+    inter = random_bond_ising(lat, 1.0, 1.0, seed=1)
+    monkeypatch.setattr(np.linalg, "norm", no_svd)
+    scan = locality_scan(inter, single_site(3, "Z"), [1.0, 2.0, 3.0],
+                         [0.25 * k for k in range(5)], mu=1.0)
+    assert len(scan.measurements) == 15
+
+
 def _foreign_window_setup():
     # a context on sites 0-3 and Z_5 embedded on 2-5: same dimension, wrong
     # operator
@@ -234,20 +244,20 @@ def test_locality_scan_rejects_foreign_window():
 
 def test_approximant_full_ball_reproduces_evolution():
     lat, inter, ctx = setup(3)
-    a = single_site(1, "Z")
-    tau = evolve(ctx, a, 0.5)
-    approx = local_approximant(ctx, a, 0.5, 10.0)  # ball covers everything
+    tau = evolve(ctx, single_site(1, "Z"), 0.5)
+    approx = conditional_expectation(tau, ctx.window, lat)
     assert np.abs(approx.matrix - tau.matrix).max() < 1e-12
 
 
 def test_approximant_radius_zero_projects_to_origin_site():
+    # the ball of radius 0 is the support itself
     lat, inter, ctx = setup(3)
     a = single_site(1, "Z")
-    approx = local_approximant(ctx, a, 0.4, 0.0)
+    scan = locality_scan(inter, a, [0.0], [0.4], mu=1.0, context=ctx)
     tau = evolve(ctx, a, 0.4)
     ref = conditional_expectation(tau, [1], lat)
-    assert np.abs(approx.matrix - ref.matrix).max() < 1e-13
-    assert approx.support == (1,)
+    assert abs(scan.measurements[0].error
+               - spectral_norm(tau.matrix - ref.matrix)) < 1e-13
 
 
 def test_locality_scan_error_decreases_with_radius():
@@ -270,25 +280,3 @@ def test_locality_scan_envelope_multiplier():
     assert abs(m1.error - m2.error) < 1e-13
     assert abs(m2.envelope - m1.envelope * np.exp(-1.0)) < 1e-12
 
-
-# ---------------------------------------------------------------------------
-# derivatives
-# ---------------------------------------------------------------------------
-
-def test_approximant_derivative_routes_agree():
-    lat, inter, ctx = setup(4)
-    a = single_site(1, "Z")
-    exact = approximant_derivative(ctx, a, 2.0, 0.6)
-    fd = approximant_derivative_fd(ctx, a, 2.0, 0.6)  # default step 1e-5
-    assert spectral_norm(exact.matrix - fd.matrix) < 1e-8
-    finer = approximant_derivative_fd(ctx, a, 2.0, 0.6, step=1e-6)
-    assert spectral_norm(exact.matrix - finer.matrix) < 1e-9
-
-
-def test_derivative_bound_hand_value():
-    lat = chain_lattice(3)
-    # Y = {1}: shell D(1) = 2 (sites 0 and 2), nothing farther
-    got = commutator_derivative_bound(lat, [1], mu=1.0, velocity=2.0,
-                                      a_norm=1.0, b_norm=1.0, epsilon=0.2)
-    expect = 2.0 * (1.0 + np.expm1(0.4) * 2.0 * np.exp(-1.0))
-    assert abs(got - expect) < 1e-12

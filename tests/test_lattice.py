@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from correlab import (Lattice, chain_lattice, grid_lattice, ball, shell_count,
-                      certify_growth, certify_locality, locality_sweep,
+                      certify_locality,
                       interaction_to_canonical, nearest_neighbor_pairs,
                       transverse_field_ising, heisenberg_xxz,
                       random_bond_ising, build_model, Interaction)
@@ -85,16 +85,6 @@ def test_shell_count_half_open():
         shell_count(lat, [4], 0.5)
 
 
-def test_growth_certificate_chain():
-    lat = chain_lattice(9)
-    cert = certify_growth(lat, 1.0, [[4]], [1.0, 2.0, 3.0])
-    # |B_r| <= C (1 + r)^1 on a chain: |B_r| = 2 ceil(r) - 1 for integer r
-    assert cert.dimension == 1.0
-    for _, r, size, bound in cert.witnesses:
-        assert size <= cert.constant * (1 + r) ** 1.0 + 1e-12
-    assert cert.constant >= 1.0
-
-
 # ---------------------------------------------------------------------------
 # interactions and locality certificates
 # ---------------------------------------------------------------------------
@@ -138,8 +128,7 @@ def test_locality_certificate_tfim_frozen_values():
 def test_locality_sweep_velocity_grows_with_mu():
     lat = chain_lattice(6)
     inter = transverse_field_ising(lat)
-    certs = locality_sweep(inter, [0.5, 1.0, 2.0])
-    vs = [c.velocity for c in certs]
+    vs = [certify_locality(inter, mu).velocity for mu in (0.5, 1.0, 2.0)]
     assert vs[0] < vs[1] < vs[2]
 
 

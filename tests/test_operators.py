@@ -1,4 +1,4 @@
-"""Embedding, norms, partial traces, twirls, and golden files."""
+"""Containers, embedding, norms, partial traces and twirls."""
 import tracemalloc
 
 import numpy as np
@@ -7,9 +7,8 @@ import pytest
 from correlab import (Interaction, Lattice, chain_lattice, grid_lattice,
                       LocalOperator, EmbeddedOperator,
                       single_site, embed, spectral_norm, commutator,
-                      operator_product, partial_trace,
-                      conditional_expectation, haar_unitaries, sampled_twirl,
-                      save_operator, load_operator, build_hamiltonian,
+                      partial_trace, conditional_expectation, haar_unitaries,
+                      sampled_twirl, build_hamiltonian, eig_hermitian,
                       transverse_field_ising, random_bond_ising,
                       heisenberg_xxz, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
 
@@ -48,6 +47,21 @@ def test_single_site_by_name():
     op = single_site(3, "Y")
     assert op.support == (3,)
     assert np.allclose(op.matrix, PAULI_Y)
+
+
+def test_real_operands_stay_real():
+    lat = chain_lattice(4)
+    z = embed(single_site(0, "Z"), lat)
+    assert z.matrix.dtype == PAULI_Z.dtype == np.float64
+    assert conditional_expectation(z, [0, 1], lat).matrix.dtype == np.float64
+    for inter in (transverse_field_ising(lat), random_bond_ising(lat, seed=3),
+                  heisenberg_xxz(lat, delta=0.5, h=0.3)):
+        assert build_hamiltonian(inter).matrix.dtype == np.float64
+    assert single_site(0, "Y").matrix.dtype == np.complex128
+    assert embed(single_site(0, "Y"), lat).matrix.dtype == np.complex128
+    # one complex term makes the whole assembly complex
+    ham = build_hamiltonian(Interaction(lat, {(0,): PAULI_Y, (1,): PAULI_Z}))
+    assert ham.matrix.dtype == np.complex128
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +115,7 @@ def test_embed_preserves_norm_product_commutator():
     e1 = embed(LocalOperator((0,), m1), lat)
     e2 = embed(LocalOperator((2,), m2), lat)
     assert abs(spectral_norm(e1) - spectral_norm(m1)) < 1e-12
-    prod = operator_product(e1, e2)
-    assert np.allclose(prod.matrix, kron(m1, PAULI_I, m2))
+    assert np.allclose(e1.matrix @ e2.matrix, kron(m1, PAULI_I, m2))
     # disjoint supports commute
     assert spectral_norm(commutator(e1, e2)) < 1e-12
 
@@ -205,6 +218,9 @@ def test_embedding_and_assembly_allocate_little_beyond_the_output():
     inter = random_bond_ising(lat, seed=1)
     ham, peak = _traced_peak(lambda: build_hamiltonian(inter))
     assert peak <= 1.25 * ham.matrix.nbytes
+    # the symmetrized copy and the eigenvectors, 8 D^2 bytes each when real
+    _, peak = _traced_peak(lambda: eig_hermitian(ham.matrix))
+    assert peak <= 2.25 * 8 * ham.dim ** 2
     # the whole window: a tensor-axis permutation, no D^2 index arrays
     whole = LocalOperator(lat.sites, np.diag(np.arange(1024.0)) + 0j)
     emb, peak = _traced_peak(lambda: embed(whole, lat))
@@ -238,7 +254,7 @@ def test_product_rejects_mismatched_windows():
     e1 = embed(single_site(0, "X"), lat, window=[0, 1])
     e2 = embed(single_site(2, "X"), lat, window=[1, 2])
     with pytest.raises(ValueError, match="window"):
-        operator_product(e1, e2)
+        commutator(e1, e2)
 
 
 # ---------------------------------------------------------------------------
@@ -331,27 +347,3 @@ def test_sampled_twirl_full_region_is_identity_map():
     tw = sampled_twirl(op, [0, 1], lat, samples=3, seed=0)
     assert np.allclose(tw.matrix, m)
 
-
-# ---------------------------------------------------------------------------
-# golden files
-# ---------------------------------------------------------------------------
-
-def test_save_load_roundtrip(tmp_path):
-    rng = np.random.default_rng(41)
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    op = LocalOperator((0, 2), m)
-    path = tmp_path / "op.bin"
-    save_operator(path, op, (2, 2))
-    back, dims = load_operator(path)
-    assert back.support == (0, 2)
-    assert dims == (2, 2)
-    assert np.allclose(back.matrix, m)
-
-
-def test_save_is_byte_deterministic(tmp_path):
-    m = (np.arange(16).reshape(4, 4) + 0.5j).astype(complex)
-    op = LocalOperator((1, 3), m)
-    p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-    save_operator(p1, op, (2, 2))
-    save_operator(p2, op, (2, 2))
-    assert p1.read_bytes() == p2.read_bytes()

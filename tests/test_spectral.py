@@ -1,11 +1,10 @@
-"""Eigensolver wrapper, matrix functions, Hamiltonian assembly, derivation."""
+"""Eigensolver wrapper, Hamiltonian assembly, derivation."""
 import numpy as np
 import pytest
-import scipy.linalg
 
 from correlab import (chain_lattice, transverse_field_ising, embed,
                       single_site, LocalOperator, commutator, spectral_norm,
-                      eig_hermitian, matrix_function, build_hamiltonian,
+                      eig_hermitian, build_hamiltonian,
                       derivation_delta, DIM_CAP)
 from correlab.operators import PAULI_I, PAULI_X, PAULI_Z
 
@@ -55,33 +54,6 @@ def test_transform_diagonal_fast_path_matches_general():
     d = np.diag(rng.normal(size=8).astype(complex))
     direct = dec.eigenvectors.conj().T @ d @ dec.eigenvectors
     assert np.abs(dec.transform(d) - direct).max() < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# matrix functions
-# ---------------------------------------------------------------------------
-
-def test_matrix_function_matches_expm():
-    _, inter = tfim(3)
-    h = build_hamiltonian(inter).matrix
-    dec = eig_hermitian(h)
-    for beta in (0.3, 1.0):
-        ours = matrix_function(dec, lambda e: np.exp(-beta * e))
-        ref = scipy.linalg.expm(-beta * h)
-        assert np.abs(ours - ref).max() < 1e-11
-
-
-def test_matrix_function_reports_overflow():
-    dec = eig_hermitian(np.diag([0.0, 1000.0]))
-    with pytest.raises(FloatingPointError, match="1000"):
-        matrix_function(dec, lambda e: np.exp(e))
-
-
-def test_matrix_function_accepts_scalar_callable():
-    import math
-    dec = eig_hermitian(np.diag([1.0, 4.0]))
-    out = matrix_function(dec, lambda e: math.sqrt(e))
-    assert np.allclose(out, np.diag([1.0, 2.0]))
 
 
 # ---------------------------------------------------------------------------
