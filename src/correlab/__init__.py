@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .lattice import (Lattice, chain_lattice, grid_lattice, ball, shell_count,
                       Interaction, LocalityCertificate, certify_locality,
-                      interaction_to_canonical, nearest_neighbor_pairs,
+                      nearest_neighbor_pairs,
                       transverse_field_ising, heisenberg_xxz,
                       random_bond_ising, build_model, BUILTIN_MODELS)
 from .operators import (PAULI, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z,

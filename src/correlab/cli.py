@@ -41,8 +41,9 @@ from .verify import contour_decomposition, residue_identity, theorem_check
 _DEFAULT_OUTDIR = "correlab_runs"
 _MONO_SLACK = 1e-12
 
-# A runner's result: (passed, summary, {csv name: (header, rows)}).
-_Tables = Dict[str, Tuple[List[str], List[List[str]]]]
+# A runner's result: (passed, summary, {csv name: rows}), each row a
+# {column: value} mapping whose keys give the CSV header.
+_Tables = Dict[str, List[dict]]
 _Outcome = Tuple[bool, dict, _Tables]
 
 
@@ -381,15 +382,35 @@ def validate_config(data: dict) -> Tuple[str, dict, str]:
 # Artifact helpers
 # ---------------------------------------------------------------------------
 
-def _f(x) -> str:
-    return repr(float(x))
+def _cells(row: dict) -> Dict[str, str]:
+    """CSV cells of one row: a complex value fills <col>_re and <col>_im, a
+    bool or int is written as an integer, a grid site label with str, and
+    anything else as repr(float(x))."""
+    out = {}
+    for col, x in row.items():
+        if isinstance(x, complex):
+            out[f"{col}_re"] = repr(float(x.real))
+            out[f"{col}_im"] = repr(float(x.imag))
+        elif isinstance(x, int):
+            out[col] = str(int(x))
+        elif isinstance(x, tuple):
+            out[col] = str(x)
+        else:
+            out[col] = repr(float(x))
+    return out
 
 
-def _write_csv(path: Path, header: List[str], rows: List[List[str]]) -> None:
+def _fields(obj, *names: str) -> dict:
+    """A table row of obj's attributes, in the order named."""
+    return {n: getattr(obj, n) for n in names}
+
+
+def _write_csv(path: Path, rows: List[dict]) -> None:
+    cells = [_cells(r) for r in rows]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         wr = csv.writer(fh, lineterminator="\n")
-        wr.writerow(header)
-        wr.writerows(rows)
+        wr.writerow(cells[0])
+        wr.writerows(c.values() for c in cells)
 
 
 def _parallel(fn, jobs, workers: int) -> list:
@@ -422,15 +443,13 @@ def _run_residue_identity(cfg: dict, workers: int, verbose: bool) -> _Outcome:
         if verbose:
             print(f"  beta={beta:g} height={res.height:g} "
                   f"defect={res.defect:.3e} nodes={res.nodes}")
-        rows.append([_f(beta), _f(frac), _f(res.height), _f(res.value.real),
-                     _f(res.value.imag), _f(res.defect), str(res.nodes),
-                     _f(res.tail_bound), str(int(res.endpoint_corrected))])
+        rows.append({"beta": beta, "fraction": frac, **_fields(
+            res, "height", "value", "defect", "nodes", "tail_bound",
+            "endpoint_corrected")})
     max_defect = max(r.defect for r in results)
     passed = max_defect <= cfg["tolerance"]
     return passed, {"max_defect": max_defect, "tolerance": cfg["tolerance"]}, {
-        "residue_identity.csv": (
-            ["beta", "fraction", "height", "value_re", "value_im",
-             "defect", "nodes", "tail_bound", "endpoint_corrected"], rows)}
+        "residue_identity.csv": rows}
 
 
 def _run_correlators(cfg: dict, workers: int, verbose: bool) -> _Outcome:
@@ -444,50 +463,39 @@ def _run_correlators(cfg: dict, workers: int, verbose: bool) -> _Outcome:
     def one(beta):
         st = gibbs_state(dec, beta)
         fn = kms_function(st, a, b)
-        fvals = fn.eval_grid(tarr)
-        gvals = fn.conjugate_eval_grid(tarr)
-        bvals = fn.eval_grid(tarr, imag=beta)
-        kms_gap = float(np.abs(bvals - gvals).max())
-        ordv = ordinary_correlator(st, fn.a_energy, fn.b_energy, basis="energy")
-        closed = canonical_correlator(st, fn.a_energy, fn.b_energy,
-                                      method="closed_form", basis="energy")
-        quad = canonical_correlator(st, fn.a_energy, fn.b_energy,
-                                    method="quadrature", basis="energy")
-        return fvals, gvals, bvals, kms_gap, ordv, closed, quad
+        grid = {"f": fn.eval_grid(tarr), "g": fn.conjugate_eval_grid(tarr),
+                "f_boundary": fn.eval_grid(tarr, imag=beta)}
+        am, bm = fn.a_energy, fn.b_energy
+        closed = canonical_correlator(st, am, bm, method="closed_form",
+                                      basis="energy")
+        quad = canonical_correlator(st, am, bm, method="quadrature",
+                                    basis="energy")
+        return grid, {
+            "beta": beta,
+            "ordinary": ordinary_correlator(st, am, bm, basis="energy"),
+            "canonical_closed": closed, "canonical_quadrature": quad,
+            "route_gap": abs(closed - quad),
+            "kms_gap": float(np.abs(grid["f_boundary"] - grid["g"]).max())}
 
     results = _parallel(one, cfg["beta"], workers)
-
-    grid_rows, sum_rows = [], []
+    grid_rows, sum_rows = [], [row for _, row in results]
     passed = True
-    max_route = 0.0
-    max_kms = 0.0
-    for beta, (fv, gv, bv, gap, ordv, closed, quad) in zip(cfg["beta"], results):
-        for i, t in enumerate(ts):
-            grid_rows.append([_f(beta), _f(t),
-                              _f(fv[i].real), _f(fv[i].imag),
-                              _f(gv[i].real), _f(gv[i].imag),
-                              _f(bv[i].real), _f(bv[i].imag)])
-        route = abs(closed - quad)
-        bscale = 1.0 + float(np.abs(bv).max())
-        ok = route <= tol * (1 + abs(closed)) and gap <= tol * bscale
-        passed = passed and ok
-        max_route = max(max_route, route)
-        max_kms = max(max_kms, gap)
+    for grid, row in results:
+        grid_rows += [{"beta": row["beta"], "time": t,
+                       **{k: v[i] for k, v in grid.items()}}
+                      for i, t in enumerate(ts)]
+        route, gap = row["route_gap"], row["kms_gap"]
+        bscale = 1.0 + float(np.abs(grid["f_boundary"]).max())
+        passed = (passed and route <= tol * (1 + abs(row["canonical_closed"]))
+                  and gap <= tol * bscale)
         if verbose:
-            print(f"  beta={beta:g} route_gap={route:.3e} kms_gap={gap:.3e}")
-        sum_rows.append([_f(beta), _f(ordv.real), _f(ordv.imag),
-                         _f(closed.real), _f(closed.imag),
-                         _f(quad.real), _f(quad.imag), _f(route), _f(gap)])
-    summary = {"max_route_gap": max_route, "max_kms_gap": max_kms,
+            print(f"  beta={row['beta']:g} route_gap={route:.3e} "
+                  f"kms_gap={gap:.3e}")
+    summary = {"max_route_gap": max(r["route_gap"] for r in sum_rows),
+               "max_kms_gap": max(r["kms_gap"] for r in sum_rows),
                "tolerance": tol}
-    return passed, summary, {
-        "correlators.csv": (
-            ["beta", "time", "f_re", "f_im", "g_re", "g_im",
-             "f_boundary_re", "f_boundary_im"], grid_rows),
-        "correlators_summary.csv": (
-            ["beta", "ordinary_re", "ordinary_im", "canonical_closed_re",
-             "canonical_closed_im", "canonical_quadrature_re",
-             "canonical_quadrature_im", "route_gap", "kms_gap"], sum_rows)}
+    return passed, summary, {"correlators.csv": grid_rows,
+                             "correlators_summary.csv": sum_rows}
 
 
 def _run_contour(cfg: dict, workers: int, verbose: bool) -> _Outcome:
@@ -501,30 +509,17 @@ def _run_contour(cfg: dict, workers: int, verbose: bool) -> _Outcome:
                                      half_width=cfg.get("half_width"))
 
     results = _parallel(one, cfg["heights"], workers)
-    rows = []
-    passed = True
-    worst = 0.0
-    for dec in results:
-        rel = dec.defect / (1 + abs(dec.direct))
-        worst = max(worst, rel)
-        passed = passed and rel <= tol
-        if verbose:
+    rels = [dec.defect / (1 + abs(dec.direct)) for dec in results]
+    if verbose:
+        for dec in results:
             print(f"  b={dec.height:g} defect={dec.defect:.3e} "
                   f"subtracted={dec.subtracted}")
-        rows.append([_f(dec.height), _f(dec.effective_height), _f(dec.offset),
-                     str(int(dec.subtracted)), str(dec.nodes),
-                     _f(dec.term_commutator.real), _f(dec.term_commutator.imag),
-                     _f(dec.term_bottom.real), _f(dec.term_bottom.imag),
-                     _f(dec.term_top.real), _f(dec.term_top.imag),
-                     _f(dec.reconstruction.real), _f(dec.reconstruction.imag),
-                     _f(dec.direct.real), _f(dec.direct.imag), _f(dec.defect)])
-    return passed, {"max_relative_defect": worst, "tolerance": tol}, {
-        "contour.csv": (
-            ["height", "effective_height", "offset", "subtracted", "nodes",
-             "term_commutator_re", "term_commutator_im", "term_bottom_re",
-             "term_bottom_im", "term_top_re", "term_top_im",
-             "reconstruction_re", "reconstruction_im", "direct_re",
-             "direct_im", "defect"], rows)}
+    rows = [_fields(dec, "height", "effective_height", "offset", "subtracted",
+                    "nodes", "term_commutator", "term_bottom", "term_top",
+                    "reconstruction", "direct", "defect") for dec in results]
+    passed = all(rel <= tol for rel in rels)
+    return passed, {"max_relative_defect": max(rels), "tolerance": tol}, {
+        "contour.csv": rows}
 
 
 def _run_lr_scan(cfg: dict, workers: int, verbose: bool) -> _Outcome:
@@ -534,11 +529,9 @@ def _run_lr_scan(cfg: dict, workers: int, verbose: bool) -> _Outcome:
     scan = lr_commutator_scan(inter, a, b, ts, cfg["mu"],
                               velocity=cfg.get("velocity"))
     c = scan.c_empirical
-    rows = []
-    for m in scan.measurements:
-        bound = c * m.envelope if np.isfinite(c) else float("inf")
-        rows.append([_f(m.time), _f(m.distance), _f(m.commutator_norm),
-                     _f(m.envelope), _f(bound)])
+    rows = [{**_fields(m, "time", "distance", "commutator_norm", "envelope"),
+             "bound": c * m.envelope if np.isfinite(c) else float("inf")}
+            for m in scan.measurements]
     if verbose:
         print(f"  distance={scan.distance:g} velocity={scan.velocity:.6g} "
               f"c_empirical={c:.6g}")
@@ -548,8 +541,7 @@ def _run_lr_scan(cfg: dict, workers: int, verbose: bool) -> _Outcome:
                "violations": scan.violations(),
                "noise_floor": scan.noise_floor, "floor_rows": scan.floor_rows,
                "c_empirical_resolved": scan.c_empirical_resolved}
-    return passed, summary, {"lr_scan.csv": (
-        ["time", "distance", "commutator_norm", "envelope", "bound"], rows)}
+    return passed, summary, {"lr_scan.csv": rows}
 
 
 def _run_locality_scan(cfg: dict, workers: int, verbose: bool) -> _Outcome:
@@ -559,7 +551,7 @@ def _run_locality_scan(cfg: dict, workers: int, verbose: bool) -> _Outcome:
     scan = locality_scan(inter, a, cfg["radii"], ts, cfg["mu"],
                          velocity=cfg.get("velocity"),
                          exponent_multiplier=cfg["exponent_multiplier"])
-    rows = [[_f(m.radius), _f(m.time), _f(m.error), _f(m.envelope)]
+    rows = [_fields(m, "radius", "time", "error", "envelope")
             for m in scan.measurements]
     maxes = scan.max_error_by_radius()
     radii = cfg["radii"]
@@ -573,8 +565,7 @@ def _run_locality_scan(cfg: dict, workers: int, verbose: bool) -> _Outcome:
                "max_error_by_radius": {str(r): maxes[r] for r in radii},
                "monotone_in_radius": monotone,
                "noise_floor": scan.noise_floor}
-    return passed, summary, {"locality_scan.csv": (
-        ["radius", "time", "error", "envelope"], rows)}
+    return passed, summary, {"locality_scan.csv": rows}
 
 
 def _run_theorem_check(cfg: dict, workers: int, verbose: bool) -> _Outcome:
@@ -583,11 +574,8 @@ def _run_theorem_check(cfg: dict, workers: int, verbose: bool) -> _Outcome:
             if "base_site" in cfg else None)
     res = theorem_check(inter, cfg["beta"], cfg["mu"], cfg["distances"],
                         base_site=base, op_name=cfg["op"])
-    rows = []
-    for r in res.rows:
-        rows.append([_f(r.distance), str(r.site),
-                     _f(r.ordinary.real), _f(r.ordinary.imag),
-                     _f(r.canonical.real), _f(r.canonical.imag)])
+    rows = [_fields(r, "distance", "site", "ordinary", "canonical")
+            for r in res.rows]
     if verbose:
         print(f"  xi={res.xi:.6g} xi'={res.xi_prime:.6g} "
               f"xi'_emp={res.xi_prime_empirical:.6g} c'={res.c_prime:.6g}")
@@ -596,9 +584,7 @@ def _run_theorem_check(cfg: dict, workers: int, verbose: bool) -> _Outcome:
                "c_ordinary": res.c_ordinary, "c_prime": res.c_prime,
                "ordinary_fit_residual": res.ordinary_fit.residual,
                "canonical_fit_residual": res.canonical_fit.residual}
-    return res.passed, summary, {"theorem_check.csv": (
-        ["distance", "site", "ordinary_re", "ordinary_im",
-         "canonical_re", "canonical_im"], rows)}
+    return res.passed, summary, {"theorem_check.csv": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -659,8 +645,8 @@ def _cmd_run(args) -> int:
     _, runner, plot = _TASKS[task]
     t0 = time.perf_counter()
     passed, summary, tables = runner(canonical, args.workers, args.verbose)
-    for name, (header, rows) in tables.items():
-        _write_csv(out / name, header, rows)
+    for name, rows in tables.items():
+        _write_csv(out / name, rows)
     elapsed = time.perf_counter() - t0
     (out / "plot.gp").write_text(plot, encoding="utf-8")
     record = {

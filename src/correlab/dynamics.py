@@ -16,11 +16,11 @@ keeps it on the eigensolver instead of the SVD.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from .lattice import (_HERM_TOL, Interaction, Lattice, Site, ball,
+from .lattice import (Interaction, Lattice, Site, _is_hermitian, ball,
                       certify_locality)
 from .operators import (EmbeddedOperator, conditional_expectation, embed,
                         spectral_norm)
@@ -42,17 +42,10 @@ class EvolutionContext:
     decomposition: SpectralDecomposition
 
 
-def evolution_context(source: Union[Interaction, EmbeddedOperator],
-                      window: Optional[Iterable[Site]] = None,
-                      lattice: Optional[Lattice] = None) -> EvolutionContext:
-    if isinstance(source, Interaction):
-        ham = build_hamiltonian(source, window)
-        lat = source.lattice
-    else:
-        if lattice is None:
-            raise ValueError("a bare Hamiltonian needs an explicit lattice")
-        ham, lat = source, lattice
-    return EvolutionContext(lat, tuple(ham.window), ham,
+def evolution_context(interaction: Interaction,
+                      window: Optional[Iterable[Site]] = None) -> EvolutionContext:
+    ham = build_hamiltonian(interaction, window)
+    return EvolutionContext(interaction.lattice, tuple(ham.window), ham,
                             eig_hermitian(ham.matrix))
 
 
@@ -126,10 +119,10 @@ class LRScanResult:
     floor_rows: int              # rows whose commutator norm is below it
     c_empirical_resolved: float  # c_empirical over the other rows only
 
-    def violations(self, prefactor: Optional[float] = None) -> int:
-        """Rows the envelope times the prefactor does not cover, with the
+    def violations(self) -> int:
+        """Rows the envelope times c_empirical does not cover, with the
         noise floor as slack; a zero envelope covers only round-off."""
-        c = self.c_empirical if prefactor is None else prefactor
+        c = self.c_empirical
         floor = self.noise_floor
         bad = 0
         for m in self.measurements:
@@ -151,12 +144,6 @@ def _empirical_prefactor(pairs, floor: float) -> float:
         elif env == 0.0 and lhs > floor:
             return float("inf")
     return best
-
-
-def _is_hermitian(m: np.ndarray) -> bool:
-    """Hermitian within _HERM_TOL relative; embedding keeps the answer, so
-    a local operator is checked on its own small matrix."""
-    return np.abs(m - m.conj().T).max() <= _HERM_TOL * float(np.abs(m).max())
 
 
 def lr_commutator_scan(interaction: Interaction, a, b,
@@ -193,6 +180,7 @@ def lr_commutator_scan(interaction: Interaction, a, b,
     nb = spectral_norm(b.matrix)
     size = min(len(xs), len(ys))
 
+    # embedding keeps the answer, so the local matrices are checked
     hermitian = _is_hermitian(a.matrix) and _is_hermitian(b.matrix)
     dec = context.decomposition
     abar = dec.transform(aemb.matrix)

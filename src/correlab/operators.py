@@ -14,8 +14,8 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .lattice import (_HERM_TOL, PAULI, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z,
-                      Lattice, Site, _as_matrix)
+from .lattice import (PAULI, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, Lattice,
+                      Site, _as_matrix, _is_hermitian)
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +154,7 @@ def embed(op: LocalOperator, lattice: Lattice,
     missing = set(op.support) - set(win)
     if missing:
         raise ValueError(f"support sites {sorted(map(repr, missing))} outside the window")
-    sup_dim = 1
-    for s in op.support:
-        sup_dim *= lattice.local_dims[lattice.index(s)]
-    if op.dim != sup_dim:
+    if op.dim != lattice.window_dim(op.support):
         raise ValueError("operator dimension does not match its support dims")
     full = _embed_ordered(op.matrix, op.support, lattice, win)
     return EmbeddedOperator(win, lattice.sort_sites(op.support), full)
@@ -168,17 +165,18 @@ def embed(op: LocalOperator, lattice: Lattice,
 # ---------------------------------------------------------------------------
 
 def spectral_norm(op) -> float:
-    """Largest singular value; Hermitian and anti-Hermitian inputs go through
-    the eigensolver, everything else through the SVD."""
+    """Largest singular value.
+
+    A finite matrix that is Hermitian or anti-Hermitian within 1e-12
+    relative goes through the eigensolver; anything else goes through the
+    SVD.
+    """
     m = _as_matrix(op)
     if m.size == 0:
         return 0.0
-    scale = float(np.abs(m).max())
-    if scale == 0.0:
-        return 0.0
-    if np.abs(m - m.conj().T).max() <= _HERM_TOL * scale:
+    if _is_hermitian(m):
         return float(np.abs(np.linalg.eigvalsh(m)).max())
-    if np.abs(m + m.conj().T).max() <= _HERM_TOL * scale:
+    if _is_hermitian(m, anti=True):
         return float(np.abs(np.linalg.eigvalsh(1j * m)).max())
     return float(np.linalg.norm(m, 2))
 
@@ -243,10 +241,7 @@ def conditional_expectation(op: EmbeddedOperator, region: Iterable[Site],
     dims = _window_dims(lattice, win)
     pos_of = {s: i for i, s in enumerate(win)}
     keep = [pos_of[s] for s in reg]
-    comp_dim = 1
-    for i, k in enumerate(dims):
-        if i not in set(keep):
-            comp_dim *= k
+    comp_dim = lattice.window_dim(win) // lattice.window_dim(reg)
     reduced = partial_trace(op.matrix, dims, keep) / comp_dim
     full = _embed_ordered(reduced, reg, lattice, win)
     return EmbeddedOperator(win, reg, full)

@@ -12,13 +12,11 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .lattice import _HERM_TOL, Interaction, Site, _as_matrix
+from .lattice import Interaction, Site, _as_matrix, _is_hermitian
 from .operators import (EmbeddedOperator, LocalOperator, _add_embedded,
                         commutator, embed)
 
 DIM_CAP = 4096  # largest window dimension we agree to diagonalize (2^12)
-
-_SYM_BLOCK = 1 << 18  # entries per row block of the Hermiticity check
 
 
 @dataclass(frozen=True)
@@ -54,48 +52,35 @@ class SpectralDecomposition:
 def eig_hermitian(matrix) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix (LAPACK).
 
-    The input may deviate from exact Hermiticity by at most 1e-12 relative;
-    it is symmetrized before the solve so the result is exactly that of a
-    Hermitian matrix.  A real symmetric input is solved in real arithmetic
-    and gives real eigenvectors.  The check and the symmetrization run over
-    row blocks, so the only D x D array built beside the eigenvectors is
-    the symmetrized copy.
+    The input must be finite and Hermitian within 1e-12 relative; the check
+    runs over row blocks.  The matrix is then solved as given: the solver
+    reads one triangle, so the only D x D array built is the eigenvectors.
+    A real symmetric input is solved in real arithmetic and gives real
+    eigenvectors.
     """
     m = _as_matrix(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("need a square matrix")
-    dim = m.shape[0]
-    sym = np.empty_like(m)
-    scale = asym = 0.0
-    rows = max(1, _SYM_BLOCK // max(1, dim))
-    for i in range(0, dim, rows):
-        blk = m[i:i + rows]
-        adj = m[:, i:i + rows].conj().T
-        scale = max(scale, float(np.abs(blk).max()))
-        asym = max(asym, float(np.abs(blk - adj).max()))
-        out = sym[i:i + rows]
-        np.divide(np.add(blk, adj, out=out), 2, out=out)
-    if asym > _HERM_TOL * (scale or 1.0):
-        raise ValueError("matrix is not Hermitian within 1e-12 relative")
-    e, v = np.linalg.eigh(sym)
+    if not _is_hermitian(m):
+        raise ValueError("matrix is not finite and Hermitian within 1e-12 relative")
+    e, v = np.linalg.eigh(m)
     return SpectralDecomposition(e, v)
 
 
 def build_hamiltonian(interaction: Interaction,
-                      window: Optional[Iterable[Site]] = None,
-                      dim_cap: int = DIM_CAP) -> EmbeddedOperator:
+                      window: Optional[Iterable[Site]] = None) -> EmbeddedOperator:
     """Sum of the embedded interaction terms whose support lies in the window.
 
     Each term adds only the entries its embedding can make nonzero, in
     term order; no window-sized matrix is built per term.  Refuses windows
-    whose tensor dimension exceeds dim_cap.
+    whose tensor dimension exceeds DIM_CAP.
     """
     lat = interaction.lattice
     win = lat.sort_sites(window) if window is not None else lat.sites
     dim = lat.window_dim(win)
-    if dim > dim_cap:
+    if dim > DIM_CAP:
         raise ValueError(
-            f"window dimension {dim} exceeds the cap {dim_cap}; "
+            f"window dimension {dim} exceeds the cap {DIM_CAP}; "
             f"this laboratory is meant for desk-scale windows")
     win_set = set(win)
     terms = [(sup, m) for sup, m in interaction.terms.items()

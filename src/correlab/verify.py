@@ -36,6 +36,9 @@ _ENDPOINT_EPS = 1e-12     # |b| or |b - beta| below this counts as on-contour
 _DELTA_B = 1e-6           # offset applied to on-contour heights
 _SUBTRACT_CAP = 20.0      # max (beta - b) * Emax for below-strip continuation
 _LOG_FLOOR = 1e-15
+_RESIDUE_START = 512      # residue identity: first node count
+_RESIDUE_MAX = 16384      # residue identity: last node count
+_RESIDUE_TOL = 1e-13      # residue identity: agreement of two refinements
 
 
 # ---------------------------------------------------------------------------
@@ -74,9 +77,8 @@ class ResidueCheck:
         return abs(self.value - 1.0)
 
 
-def residue_identity(beta: float, height: float, half_width: float = 10.0,
-                     start_nodes: int = 512, max_nodes: int = 16384,
-                     tol: float = 1e-13) -> ResidueCheck:
+def residue_identity(beta: float, height: float,
+                     half_width: float = 10.0) -> ResidueCheck:
     """Evaluate the combined-kernel residue identity; the exact answer is 1
     for every height b in [0, beta].
 
@@ -86,10 +88,10 @@ def residue_identity(beta: float, height: float, half_width: float = 10.0,
                        / [ (t - ib)(t + i beta - ib) ]  dt ,
 
     and integrated by symmetric Gauss-Legendre with the node count doubled
-    until two refinements agree.  At b = 0 or b = beta the pole sits on the
-    contour; symmetric quadrature then converges to the principal value,
-    which is short of the limit from the interior by half a residue, so 1/2
-    is added back.
+    from 512 until two refinements agree within 1e-13, or 16384 is reached.
+    At b = 0 or b = beta the pole sits on the contour; symmetric quadrature
+    then converges to the principal value, which is short of the limit from
+    the interior by half a residue, so 1/2 is added back.
     """
     if not 0.0 <= height <= beta + _ENDPOINT_EPS:
         raise ValueError("height must lie in [0, beta]")
@@ -103,12 +105,12 @@ def residue_identity(beta: float, height: float, half_width: float = 10.0,
         den = (t - 1j * b) * (t + 1j * beta - 1j * b)
         return complex(np.sum(wq * num / den) / (2j * np.pi))
 
-    nodes = start_nodes
+    nodes = _RESIDUE_START
     value = quad(nodes)
-    while nodes < max_nodes:
+    while nodes < _RESIDUE_MAX:
         refined = quad(2 * nodes)
         nodes *= 2
-        if abs(refined - value) <= tol:
+        if abs(refined - value) <= _RESIDUE_TOL:
             value = refined
             break
         value = refined
@@ -218,22 +220,14 @@ def contour_decomposition(state: ThermalState, a, b, height: float,
 
 @dataclass(frozen=True)
 class DecayFit:
-    kind: str            # "exponential" or "power"
     amplitude: float
-    rate: float          # exp: y ~ A exp(-rate x); power: y ~ A x^(-rate)
-    length: float        # 1/rate for exponential fits (inf if rate <= 0)
+    rate: float          # y ~ amplitude exp(-rate x)
+    length: float        # 1/rate (inf if rate <= 0)
     residual: float      # max |log y - log fit| over the data
 
-    def evaluate(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "exponential":
-            return self.amplitude * np.exp(-self.rate * x)
-        return self.amplitude * x ** (-self.rate)
 
-
-def fit_decay(xs: Sequence[float], ys: Sequence[float],
-              kind: str = "exponential") -> DecayFit:
-    """Least-squares fit of log y against x (exponential) or log x (power).
+def fit_decay(xs: Sequence[float], ys: Sequence[float]) -> DecayFit:
+    """Least-squares fit of log y against x.
 
     Values below 1e-15 are floored before taking logs; with data at that
     level the fit is reported but carries little meaning.
@@ -243,19 +237,11 @@ def fit_decay(xs: Sequence[float], ys: Sequence[float],
     if xs.shape != ys.shape or xs.size < 2:
         raise ValueError("need at least two (x, y) samples")
     logy = np.log(ys)
-    if kind == "exponential":
-        absc = xs
-    elif kind == "power":
-        if np.any(xs <= 0):
-            raise ValueError("power-law fits need positive x")
-        absc = np.log(xs)
-    else:
-        raise ValueError(f"unknown fit kind {kind!r}")
-    slope, intercept = np.polyfit(absc, logy, 1)
-    resid = float(np.max(np.abs(logy - (slope * absc + intercept))))
+    slope, intercept = np.polyfit(xs, logy, 1)
+    resid = float(np.max(np.abs(logy - (slope * xs + intercept))))
     rate = -float(slope)
-    length = 1.0 / rate if (kind == "exponential" and rate > 0) else float("inf")
-    return DecayFit(kind, float(np.exp(intercept)), rate, length, resid)
+    length = 1.0 / rate if rate > 0 else float("inf")
+    return DecayFit(float(np.exp(intercept)), rate, length, resid)
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +323,9 @@ def theorem_check(interaction: Interaction, beta: float, mu: float,
     ls = np.array([r.distance for r in rows])
     ovals = np.array([abs(r.ordinary) for r in rows])
     cvals = np.array([abs(r.canonical) for r in rows])
-    nb = na  # same single-site operator on both ends
 
-    ofit = fit_decay(ls, ovals, "exponential")
-    cfit = fit_decay(ls, cvals, "exponential")
+    ofit = fit_decay(ls, ovals)
+    cfit = fit_decay(ls, cvals)
     xi = ofit.length
     xi_prime = max(4.0 * xi, 2.0 / mu) if np.isfinite(xi) else float("inf")
 
@@ -349,9 +334,10 @@ def theorem_check(interaction: Interaction, beta: float, mu: float,
     g_prime = np.maximum(np.exp(-ls / xi_prime) if np.isfinite(xi_prime)
                          else np.ones_like(ls), np.exp(-0.5 * mu * ls))
 
-    size_min = 1  # single-site supports
-    c_ord = float(np.max(ovals / (na * nb * size_min * g)))
-    c_pr = float(np.max(cvals / (na * nb * size_min ** 2 * g_prime)))
+    # the same single-site operator on both ends: ||A|| ||B|| = na^2, and
+    # min(|X|, |Y|) = 1
+    c_ord = float(np.max(ovals / (na * na * g)))
+    c_pr = float(np.max(cvals / (na * na * g_prime)))
 
     return TheoremCheckResult(float(beta), float(mu), base, rows, ofit, cfit,
                               xi, xi_prime, cfit.length, c_ord, c_pr,

@@ -1,4 +1,5 @@
-"""The names the package exports."""
+"""The names the package exports, and the parameters of its functions."""
+import inspect
 import types
 
 import correlab
@@ -15,7 +16,7 @@ PUBLIC_NAMES = [
     "commutator", "conditional_expectation", "contour_decomposition",
     "derivation_delta", "eig_hermitian", "embed", "evolution_context",
     "evolve", "fit_decay", "gauss_legendre", "gibbs_state", "grid_lattice",
-    "haar_unitaries", "heisenberg_xxz", "interaction_to_canonical",
+    "haar_unitaries", "heisenberg_xxz",
     "kms_function", "locality_scan", "lr_commutator_scan",
     "nearest_neighbor_pairs", "ordinary_correlator", "partial_trace",
     "random_bond_ising", "residue_identity", "sampled_twirl", "shell_count",
@@ -31,3 +32,80 @@ def test_public_names_are_pinned():
                       if not name.startswith("_")
                       and not isinstance(value, types.ModuleType))
     assert exported == sorted(PUBLIC_NAMES)
+
+
+# parameter names (self left out) of every exported function and public
+# method, so an added or removed setting shows up here as a diff
+PARAMETERS = {
+    "ball": ["lattice", "xs", "radius"],
+    "build_hamiltonian": ["interaction", "window"],
+    "build_model": ["name", "lattice", "params"],
+    "canonical_correlator": ["state", "a", "b", "method", "basis"],
+    "certify_locality": ["interaction", "mu"],
+    "chain_lattice": ["n", "spacing", "local_dim"],
+    "commutator": ["a", "b"],
+    "conditional_expectation": ["op", "region", "lattice"],
+    "contour_decomposition": ["state", "a", "b", "height", "nodes",
+                              "half_width"],
+    "derivation_delta": ["a", "interaction", "hamiltonian"],
+    "eig_hermitian": ["matrix"],
+    "embed": ["op", "lattice", "window"],
+    "evolution_context": ["interaction", "window"],
+    "evolve": ["context", "op", "time", "allow_complex"],
+    "fit_decay": ["xs", "ys"],
+    "gauss_legendre": ["n"],
+    "gibbs_state": ["hamiltonian", "beta"],
+    "grid_lattice": ["nx", "ny", "local_dim"],
+    "haar_unitaries": ["rng", "dim", "count"],
+    "heisenberg_xxz": ["lattice", "J", "delta", "h"],
+    "kms_function": ["state", "a", "b", "basis"],
+    "locality_scan": ["interaction", "a", "radii", "times", "mu", "velocity",
+                      "exponent_multiplier", "window", "context"],
+    "lr_commutator_scan": ["interaction", "a", "b", "times", "mu",
+                           "velocity", "window", "context"],
+    "nearest_neighbor_pairs": ["lattice"],
+    "ordinary_correlator": ["state", "a", "b", "basis"],
+    "partial_trace": ["matrix", "dims", "keep"],
+    "random_bond_ising": ["lattice", "J", "h", "seed"],
+    "residue_identity": ["beta", "height", "half_width"],
+    "sampled_twirl": ["op", "region", "lattice", "samples", "seed"],
+    "shell_count": ["lattice", "ys", "radius"],
+    "single_site": ["site", "matrix_or_name"],
+    "spectral_norm": ["op"],
+    "theorem_check": ["interaction", "beta", "mu", "distances", "base_site",
+                      "op_name", "state"],
+    "transverse_field_ising": ["lattice", "J", "h"],
+    "weight": ["z", "height"],
+    "KMSFunction.boundary_gap": ["ts"],
+    "KMSFunction.conjugate_eval": ["z"],
+    "KMSFunction.conjugate_eval_grid": ["ts", "imag"],
+    "KMSFunction.eval": ["z"],
+    "KMSFunction.eval_grid": ["ts", "imag"],
+    "LRScanResult.violations": [],
+    "Lattice.diameter": ["xs"],
+    "Lattice.distance": ["x", "y"],
+    "Lattice.index": ["site"],
+    "Lattice.set_distance": ["xs", "ys"],
+    "Lattice.sort_sites": ["xs"],
+    "Lattice.window_dim": ["xs"],
+    "LocalityScanResult.max_error_by_radius": [],
+    "SpectralDecomposition.reconstruct": [],
+    "SpectralDecomposition.transform": ["matrix"],
+    "ThermalState.expectation": ["op", "basis"],
+    "ThermalState.to_eigenbasis": ["op"],
+}
+
+
+def test_parameter_names_are_pinned():
+    found = {}
+    for name, value in vars(correlab).items():
+        if name.startswith("_"):
+            continue
+        if inspect.isfunction(value):
+            found[name] = list(inspect.signature(value).parameters)
+        elif inspect.isclass(value):
+            for attr, fn in vars(value).items():
+                if not attr.startswith("_") and inspect.isfunction(fn):
+                    found[f"{name}.{attr}"] = \
+                        list(inspect.signature(fn).parameters)[1:]
+    assert found == PARAMETERS

@@ -47,6 +47,23 @@ def test_eig_hermitian_rejects_bad_input():
         eig_hermitian(np.ones((2, 3)))
 
 
+def _below_diagonal_nan(dim):
+    m = np.eye(dim)
+    m[dim - 10, 2] = np.nan  # in the last row block, only below the diagonal
+    return m
+
+
+@pytest.mark.parametrize("m", [
+    np.array([[np.nan, 0.0], [0.0, 1.0]]),
+    np.array([[np.inf, 0.0], [0.0, 1.0]]),
+    np.array([[1.0, 0.0], [np.nan, 1.0]]),
+    _below_diagonal_nan(600),
+], ids=["nan-diagonal", "inf", "nan-lower", "nan-lower-later-block"])
+def test_eig_hermitian_refuses_non_finite_input(m):
+    with pytest.raises(ValueError, match="finite"):
+        eig_hermitian(m)
+
+
 def test_transform_diagonal_fast_path_matches_general():
     rng = np.random.default_rng(9)
     g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
@@ -80,9 +97,10 @@ def test_build_hamiltonian_window_keeps_inside_terms_only():
 
 
 def test_build_hamiltonian_enforces_dimension_cap():
-    lat, inter = tfim(4)
+    # 2^13 states: refused before anything window-sized is allocated
+    lat, inter = tfim(13)
     with pytest.raises(ValueError, match="cap"):
-        build_hamiltonian(inter, dim_cap=8)
+        build_hamiltonian(inter)
     assert DIM_CAP == 4096
 
 

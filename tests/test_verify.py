@@ -146,20 +146,11 @@ def test_contour_explicit_half_width_is_recorded():
 def test_fit_decay_recovers_exact_exponential():
     x = np.arange(1, 9, dtype=float)
     y = 3.0 * np.exp(-0.7 * x)
-    fit = fit_decay(x, y, "exponential")
+    fit = fit_decay(x, y)
     assert fit.amplitude == pytest.approx(3.0, rel=1e-10)
     assert fit.rate == pytest.approx(0.7, rel=1e-10)
     assert fit.length == pytest.approx(1 / 0.7, rel=1e-10)
     assert fit.residual < 1e-10
-    assert np.allclose(fit.evaluate(x), y)
-
-
-def test_fit_decay_recovers_exact_power_law():
-    x = np.array([1.0, 2.0, 4.0, 8.0])
-    y = 2.0 * x ** (-1.5)
-    fit = fit_decay(x, y, "power")
-    assert fit.rate == pytest.approx(1.5, rel=1e-10)
-    assert fit.amplitude == pytest.approx(2.0, rel=1e-10)
 
 
 def test_fit_decay_floors_tiny_values():
@@ -173,10 +164,6 @@ def test_fit_decay_floors_tiny_values():
 def test_fit_decay_validates_input():
     with pytest.raises(ValueError):
         fit_decay([1.0], [1.0])
-    with pytest.raises(ValueError, match="kind"):
-        fit_decay([1.0, 2.0], [1.0, 2.0], "spline")
-    with pytest.raises(ValueError, match="positive"):
-        fit_decay([0.0, 1.0], [1.0, 2.0], "power")
 
 
 def test_fit_decay_growing_data_has_infinite_length():
