@@ -27,5 +27,6 @@ from .dynamics import (EvolutionContext, evolution_context, evolve,
                        LRMeasurement, LRScanResult, lr_commutator_scan,
                        LocalityMeasurement, LocalityScanResult, locality_scan)
 from .verify import (weight, ResidueCheck, residue_identity,
-                     ContourDecomposition, contour_decomposition, DecayFit,
+                     ContourGrid, contour_grid, ContourDecomposition,
+                     contour_decomposition, DecayFit,
                      fit_decay, TheoremRow, TheoremCheckResult, theorem_check)

@@ -36,7 +36,8 @@ from .spectral import DIM_CAP, build_hamiltonian, eig_hermitian
 from .thermal import canonical_correlator, gibbs_state, kms_function, \
     ordinary_correlator
 from .dynamics import locality_scan, lr_commutator_scan
-from .verify import contour_decomposition, residue_identity, theorem_check
+from .verify import _DELTA_B, contour_decomposition, contour_grid, \
+    residue_identity, theorem_check
 
 _DEFAULT_OUTDIR = "correlab_runs"
 _MONO_SLACK = 1e-12
@@ -302,6 +303,9 @@ def _validate_contour(data: dict) -> dict:
                 {"nodes", "half_width", "tolerance"}, "config")
     model, lat, _ = _model_section(data["model"])
     beta = _positive(data["beta"], "beta")
+    if beta <= 2 * _DELTA_B:
+        raise ConfigError(f"beta must exceed {2 * _DELTA_B:g} to hold the "
+                          "contour offset inward from the strip edges")
     a_c, _ = _operator_section(data["a"], "a", lat)
     b_c, _ = _operator_section(data["b"], "b", lat)
     heights = _num_list(data["heights"], "heights")
@@ -448,21 +452,24 @@ def _run_residue_identity(cfg: dict, workers: int, verbose: bool) -> _Outcome:
             "endpoint_corrected")})
     max_defect = max(r.defect for r in results)
     passed = max_defect <= cfg["tolerance"]
-    return passed, {"max_defect": max_defect, "tolerance": cfg["tolerance"]}, {
+    return passed, {"max_defect": max_defect, "tolerance": cfg["tolerance"],
+                    "unconverged": sum(not r.converged for r in results)}, {
         "residue_identity.csv": rows}
 
 
 def _run_correlators(cfg: dict, workers: int, verbose: bool) -> _Outcome:
     _, lat, inter = _model_section(cfg["model"])
     dec = eig_hermitian(build_hamiltonian(inter).matrix)
-    a, b = (embed(op, lat) for op in _operators(cfg, lat, "a", "b"))
+    # the energy basis does not depend on beta: one transform per operator
+    ae, be = (dec.transform(embed(op, lat).matrix)
+              for op in _operators(cfg, lat, "a", "b"))
     _, ts = _time_grid(cfg["times"], "times")
     tarr = np.asarray(ts)
     tol = cfg["tolerance"]
 
     def one(beta):
         st = gibbs_state(dec, beta)
-        fn = kms_function(st, a, b)
+        fn = kms_function(st, ae, be, basis="energy")
         grid = {"f": fn.eval_grid(tarr), "g": fn.conjugate_eval_grid(tarr),
                 "f_boundary": fn.eval_grid(tarr, imag=beta)}
         am, bm = fn.a_energy, fn.b_energy
@@ -503,12 +510,11 @@ def _run_contour(cfg: dict, workers: int, verbose: bool) -> _Outcome:
     st = gibbs_state(build_hamiltonian(inter).matrix, cfg["beta"])
     a, b = (embed(op, lat) for op in _operators(cfg, lat, "a", "b"))
     tol = cfg["tolerance"]
+    grid = contour_grid(st, a, b, nodes=cfg["nodes"],
+                        half_width=cfg.get("half_width"))
 
-    def one(height):
-        return contour_decomposition(st, a, b, height, nodes=cfg["nodes"],
-                                     half_width=cfg.get("half_width"))
-
-    results = _parallel(one, cfg["heights"], workers)
+    results = _parallel(lambda h: contour_decomposition(grid, h),
+                        cfg["heights"], workers)
     rels = [dec.defect / (1 + abs(dec.direct)) for dec in results]
     if verbose:
         for dec in results:

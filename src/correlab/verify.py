@@ -71,6 +71,7 @@ class ResidueCheck:
     nodes: int
     tail_bound: float
     endpoint_corrected: bool
+    converged: bool           # two refinements agreed before max_nodes
 
     @property
     def defect(self) -> float:
@@ -88,7 +89,8 @@ def residue_identity(beta: float, height: float,
                        / [ (t - ib)(t + i beta - ib) ]  dt ,
 
     and integrated by symmetric Gauss-Legendre with the node count doubled
-    from 512 until two refinements agree within 1e-13, or 16384 is reached.
+    from 512 until two refinements agree within 1e-13, or 16384 is reached;
+    `converged` says which of the two ended the refinement.
     At b = 0 or b = beta the pole sits on the contour; symmetric quadrature
     then converges to the principal value, which is short of the limit from
     the interior by half a residue, so 1/2 is added back.
@@ -107,12 +109,11 @@ def residue_identity(beta: float, height: float,
 
     nodes = _RESIDUE_START
     value = quad(nodes)
-    while nodes < _RESIDUE_MAX:
+    converged = False
+    while nodes < _RESIDUE_MAX and not converged:
         refined = quad(2 * nodes)
         nodes *= 2
-        if abs(refined - value) <= _RESIDUE_TOL:
-            value = refined
-            break
+        converged = abs(refined - value) <= _RESIDUE_TOL
         value = refined
 
     corrected = min(abs(b), abs(b - beta)) < _ENDPOINT_EPS
@@ -122,12 +123,56 @@ def residue_identity(beta: float, height: float,
     t2 = half_width * half_width
     tail = ((beta + 2 * half_width) / max(t2, 1.0)
             * math.exp(beta * beta - b * b - t2) / math.pi)
-    return ResidueCheck(float(beta), b, value, nodes, tail, corrected)
+    return ResidueCheck(float(beta), b, value, nodes, tail, corrected,
+                        converged)
 
 
 # ---------------------------------------------------------------------------
 # Contour decomposition of a thermal correlator
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ContourGrid:
+    """Everything in a contour decomposition that does not depend on the
+    height: the KMS function of the pair, its disconnected part phi(A)phi(B),
+    the symmetric quadrature nodes and weights on [-T, T], and F and G
+    evaluated there.  The arrays are read-only, so threads may share a grid.
+    """
+
+    fn: KMSFunction
+    phi: complex              # phi(A) phi(B)
+    half_width: float
+    t: np.ndarray             # quadrature nodes on the real axis
+    wq: np.ndarray            # quadrature weights
+    f_real: np.ndarray        # F(t)
+    g_real: np.ndarray        # G(t)
+
+    @property
+    def nodes(self) -> int:
+        return self.t.size
+
+
+def contour_grid(state: ThermalState, a, b, nodes: int = 1024,
+                 half_width: Optional[float] = None) -> ContourGrid:
+    """The height-independent part of contour_decomposition for the pair
+    (A, B) in a site-basis state: A and B are taken to the energy basis
+    once, and F and G are evaluated once on `nodes` symmetric Gauss-Legendre
+    nodes on [-T, T], with T = 8 unless half_width is given.
+
+    Refuses beta <= 2e-6, where the strip cannot hold the contour offset
+    inward from its edges.
+    """
+    if state.beta <= 2 * _DELTA_B:
+        raise ValueError("beta too small to hold the offset contour")
+    half_width = 8.0 if half_width is None else half_width
+    fn = kms_function(state, a, b)
+    t, wq = _sym_gauss(nodes, half_width)
+    arrays = (fn.a_energy, fn.b_energy, t, wq,
+              fn.eval_grid(t), fn.conjugate_eval_grid(t))
+    for arr in arrays:
+        arr.flags.writeable = False
+    return ContourGrid(fn, fn.phi_a * fn.phi_b, float(half_width), *arrays[2:])
+
 
 @dataclass(frozen=True)
 class ContourDecomposition:
@@ -152,11 +197,15 @@ class ContourDecomposition:
         return abs(self.reconstruction - self.direct)
 
 
-def contour_decomposition(state: ThermalState, a, b, height: float,
-                          nodes: int = 1024,
-                          half_width: Optional[float] = None) -> ContourDecomposition:
+def contour_decomposition(grid: ContourGrid,
+                          height: float) -> ContourDecomposition:
     """Split 2 pi i (F(ib) - phi(A)phi(B)) into commutator and correlator
     contour terms and evaluate each by quadrature.
+
+    The grid (see contour_grid) holds the energy-basis pair, the quadrature
+    nodes and weights, and F and G on the real axis; this function adds the
+    height-dependent part: the two edge kernels, the point values of F and
+    G at and below ib, and the pole subtraction.
 
     The singular factor 1/(z - ib) is handled by subtracting the pole value
     of the smooth numerator and adding its closed form back (erfc of the
@@ -169,23 +218,16 @@ def contour_decomposition(state: ThermalState, a, b, height: float,
     Heights exactly on the contour (b = 0 or b = beta) are nudged inward by
     1e-6 and the offset is recorded in the result.
     """
+    fn, phi, t, wq = grid.fn, grid.phi, grid.t, grid.wq
+    state = fn.state
     beta = state.beta
     if not -_ENDPOINT_EPS <= height <= beta + _ENDPOINT_EPS:
         raise ValueError("height must lie in [0, beta]")
     beff = float(min(max(height, _DELTA_B), beta - _DELTA_B))
-    if beta <= 2 * _DELTA_B:
-        raise ValueError("beta too small to hold the offset contour")
     offset = abs(beff - height)
 
-    half_width = 8.0 if half_width is None else half_width
-    fn = kms_function(state, a, b)
-    phi = fn.phi_a * fn.phi_b
-
-    t, wq = _sym_gauss(nodes, half_width)
-    f_real = fn.eval_grid(t)
-    g_real = fn.conjugate_eval_grid(t)
-    comm = f_real - g_real
-    corr = f_real - phi
+    comm = grid.f_real - grid.g_real
+    corr = grid.f_real - phi
 
     kb = weight(t, beff) / (t - 1j * beff)
     kt = weight(t + 1j * beta, beff) / (t + 1j * (beta - beff))
@@ -210,7 +252,7 @@ def contour_decomposition(state: ThermalState, a, b, height: float,
     term_top = complex(-(np.sum(wq * (corr - c_top) * kt) + c_top * closed_top))
 
     return ContourDecomposition(beta, float(height), beff, float(offset),
-                                float(half_width), int(nodes), bool(subtract),
+                                grid.half_width, grid.nodes, bool(subtract),
                                 term_comm, term_bottom, term_top, direct)
 
 

@@ -19,10 +19,11 @@ import pytest
 from correlab import (DIM_CAP, LocalOperator, build_hamiltonian,
                       canonical_correlator, chain_lattice, commutator,
                       conditional_expectation, contour_decomposition,
-                      eig_hermitian, embed, gibbs_state, kms_function,
-                      locality_scan, lr_commutator_scan, ordinary_correlator,
-                      residue_identity, sampled_twirl, single_site,
-                      spectral_norm, theorem_check, transverse_field_ising)
+                      contour_grid, eig_hermitian, embed, gibbs_state,
+                      kms_function, locality_scan, lr_commutator_scan,
+                      ordinary_correlator, residue_identity, sampled_twirl,
+                      single_site, spectral_norm, theorem_check,
+                      transverse_field_ising)
 from correlab import cli
 
 
@@ -215,8 +216,9 @@ def test_criterion_07_contour_reconstruction(chain6):
 
     t0 = time.perf_counter()
     worst = 0.0
+    grid = contour_grid(state, a, b)
     for height in (delta, beta / 2, beta - delta):
-        d = contour_decomposition(state, a, b, height)
+        d = contour_decomposition(grid, height)
         rel = d.defect / (1 + abs(d.direct))
         worst = max(worst, rel)
         assert d.defect <= 1e-6 * (1 + abs(d.direct))
@@ -242,7 +244,7 @@ def test_criterion_08_commutator_term_envelope():
     for l in ls:
         a = embed(single_site(0, "Z"), lat)
         b = embed(single_site(l, "Z"), lat)
-        d = contour_decomposition(state, a, b, 0.5)
+        d = contour_decomposition(contour_grid(state, a, b), 0.5)
         mags.append(abs(d.term_commutator))
     slope = float(np.polyfit(ls, np.log(mags), 1)[0])
 

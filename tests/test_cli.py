@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from correlab import cli
+from correlab import KMSFunction, SpectralDecomposition, cli
 
 
 def write_config(tmp_path: Path, text: str, name: str = "cfg.yaml") -> str:
@@ -39,6 +39,16 @@ CORRELATOR_CFG = """\
     a: {site: 0, op: Z}
     b: {site: 2, op: Z}
     times: {start: 0.0, stop: 1.0, step: 0.5}
+    """
+
+CONTOUR_CFG = """\
+    task: contour
+    model: {name: transverse_field_ising, n: 4, J: 1.0, h: 1.0}
+    beta: 1.0
+    a: {site: 0, op: Z}
+    b: {site: 3, op: Z}
+    heights: [0.5]
+    nodes: 256
     """
 
 
@@ -242,6 +252,25 @@ def test_run_residue_identity_artifacts(tmp_path, capsys):
     assert len(rows) == 2  # one beta, two fractions
 
 
+@pytest.mark.parametrize("betas, unconverged", [
+    ([8.0], 1), ([0.2, 0.5, 1.0, 2.0], 0)], ids=["beta-8", "strip-betas"])
+def test_run_residue_identity_counts_unconverged(tmp_path, capsys, betas,
+                                                 unconverged):
+    cfg = write_config(tmp_path, yaml.safe_dump(
+        {"task": "residue_identity", "beta": betas,
+         "height_fractions": [0.5] if unconverged else [0.0, 0.5, 1.0]}))
+    # at beta = 8 the defect (6.2e3) also fails the tolerance
+    expected_rc = 1 if unconverged else 0
+    assert run_cli(["run", cfg, "--outdir", str(tmp_path / "out")]) == expected_rc
+    capsys.readouterr()
+    rundir = next((tmp_path / "out").iterdir())
+    record = json.loads((rundir / "record.json").read_text())
+    assert record["summary"]["unconverged"] == unconverged
+    header = (rundir / "residue_identity.csv").read_text().splitlines()[0]
+    assert header == ("beta,fraction,height,value_re,value_im,defect,nodes,"
+                      "tail_bound,endpoint_corrected")
+
+
 def test_run_exit_one_when_invariant_fails(tmp_path, capsys):
     cfg = write_config(tmp_path, """\
         task: residue_identity
@@ -262,6 +291,17 @@ def test_run_exit_two_on_config_error(tmp_path, capsys):
         assert run_cli(["run", cfg, "--outdir", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def test_contour_beta_too_thin_for_the_offset_is_a_config_error(tmp_path,
+                                                               capsys):
+    cfg = write_config(tmp_path, CONTOUR_CFG.replace(
+        "beta: 1.0", "beta: 1.0e-7").replace("[0.5]", "[0.0]"))
+    assert run_cli(["validate", cfg]) == 2
+    assert run_cli(["run", cfg, "--outdir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("config error") == 2 and "beta" in err
+    assert not (tmp_path / "out").exists()
 
 
 CHAIN = {"name": "transverse_field_ising", "n": 3}
@@ -320,15 +360,7 @@ def test_run_correlators_task(tmp_path, capsys):
 
 
 def test_run_contour_task(tmp_path, capsys):
-    cfg = write_config(tmp_path, """\
-        task: contour
-        model: {name: transverse_field_ising, n: 4, J: 1.0, h: 1.0}
-        beta: 1.0
-        a: {site: 0, op: Z}
-        b: {site: 3, op: Z}
-        heights: [0.5]
-        nodes: 256
-        """)
+    cfg = write_config(tmp_path, CONTOUR_CFG)
     assert run_cli(["run", cfg, "--outdir", str(tmp_path / "out")]) == 0
     capsys.readouterr()
     rundir = next((tmp_path / "out").iterdir())
@@ -437,6 +469,52 @@ def test_workers_do_not_change_output(tmp_path, capsys):
     capsys.readouterr()
     seq = next((tmp_path / "seq").iterdir()) / "residue_identity.csv"
     par = next((tmp_path / "par").iterdir()) / "residue_identity.csv"
+    assert seq.read_bytes() == par.read_bytes()
+
+
+def _count_calls(monkeypatch, cls, name, calls):
+    real = getattr(cls, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+
+
+def test_contour_run_shares_one_grid_across_heights(tmp_path, capsys,
+                                                    monkeypatch):
+    calls = {}
+    _count_calls(monkeypatch, SpectralDecomposition, "transform", calls)
+    for name in ("eval_grid", "conjugate_eval_grid"):
+        _count_calls(monkeypatch, KMSFunction, name, calls)
+    cfg = write_config(tmp_path, CONTOUR_CFG.replace(
+        "heights: [0.5]", "heights: [0.0, 0.25, 0.5, 0.75, 1.0]"))
+    assert run_cli(["run", cfg, "--outdir", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert calls == {"transform": 2, "eval_grid": 1, "conjugate_eval_grid": 1}
+
+
+def test_correlators_run_transforms_each_operator_once(tmp_path, capsys,
+                                                       monkeypatch):
+    calls = {}
+    _count_calls(monkeypatch, SpectralDecomposition, "transform", calls)
+    cfg = write_config(tmp_path, CORRELATOR_CFG.replace(
+        "beta: [0.0, 1.0]", "beta: [0.25, 0.5, 1.0, 2.0]"))
+    assert run_cli(["run", cfg, "--outdir", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert calls == {"transform": 2}
+
+
+def test_contour_workers_do_not_change_output(tmp_path, capsys):
+    cfg = write_config(tmp_path, CONTOUR_CFG.replace(
+        "heights: [0.5]", "heights: [0.0, 0.25, 0.5, 0.75, 1.0]"))
+    assert run_cli(["run", cfg, "--outdir", str(tmp_path / "seq")]) == 0
+    assert run_cli(["run", cfg, "--outdir", str(tmp_path / "par"),
+                    "--workers", "2"]) == 0
+    capsys.readouterr()
+    seq = next((tmp_path / "seq").iterdir()) / "contour.csv"
+    par = next((tmp_path / "par").iterdir()) / "contour.csv"
     assert seq.read_bytes() == par.read_bytes()
 
 

@@ -5,18 +5,18 @@ import types
 import correlab
 
 PUBLIC_NAMES = [
-    "BUILTIN_MODELS", "ContourDecomposition", "DIM_CAP", "DecayFit",
-    "EmbeddedOperator", "EvolutionContext", "Interaction", "KMSFunction",
-    "LRMeasurement", "LRScanResult", "Lattice", "LocalOperator",
-    "LocalityCertificate", "LocalityMeasurement", "LocalityScanResult",
-    "PAULI", "PAULI_I", "PAULI_X", "PAULI_Y", "PAULI_Z", "ResidueCheck",
-    "SpectralDecomposition", "TheoremCheckResult", "TheoremRow",
-    "ThermalState", "ball", "build_hamiltonian", "build_model",
+    "BUILTIN_MODELS", "ContourDecomposition", "ContourGrid", "DIM_CAP",
+    "DecayFit", "EmbeddedOperator", "EvolutionContext", "Interaction",
+    "KMSFunction", "LRMeasurement", "LRScanResult", "Lattice",
+    "LocalOperator", "LocalityCertificate", "LocalityMeasurement",
+    "LocalityScanResult", "PAULI", "PAULI_I", "PAULI_X", "PAULI_Y",
+    "PAULI_Z", "ResidueCheck", "SpectralDecomposition", "TheoremCheckResult",
+    "TheoremRow", "ThermalState", "ball", "build_hamiltonian", "build_model",
     "canonical_correlator", "certify_locality", "chain_lattice",
     "commutator", "conditional_expectation", "contour_decomposition",
-    "derivation_delta", "eig_hermitian", "embed", "evolution_context",
-    "evolve", "fit_decay", "gauss_legendre", "gibbs_state", "grid_lattice",
-    "haar_unitaries", "heisenberg_xxz",
+    "contour_grid", "derivation_delta", "eig_hermitian", "embed",
+    "evolution_context", "evolve", "fit_decay", "gauss_legendre",
+    "gibbs_state", "grid_lattice", "haar_unitaries", "heisenberg_xxz",
     "kms_function", "locality_scan", "lr_commutator_scan",
     "nearest_neighbor_pairs", "ordinary_correlator", "partial_trace",
     "random_bond_ising", "residue_identity", "sampled_twirl", "shell_count",
@@ -45,8 +45,8 @@ PARAMETERS = {
     "chain_lattice": ["n", "spacing", "local_dim"],
     "commutator": ["a", "b"],
     "conditional_expectation": ["op", "region", "lattice"],
-    "contour_decomposition": ["state", "a", "b", "height", "nodes",
-                              "half_width"],
+    "contour_decomposition": ["grid", "height"],
+    "contour_grid": ["state", "a", "b", "nodes", "half_width"],
     "derivation_delta": ["a", "interaction", "hamiltonian"],
     "eig_hermitian": ["matrix"],
     "embed": ["op", "lattice", "window"],

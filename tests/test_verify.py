@@ -1,11 +1,13 @@
 """Residue identity, contour decomposition, decay fits, theorem surrogate."""
+import math
+
 import numpy as np
 import pytest
 
-from correlab import thermal
+from correlab import thermal, verify
 from correlab import (chain_lattice, transverse_field_ising, embed,
                       single_site, build_hamiltonian, gibbs_state,
-                      kms_function, weight, residue_identity,
+                      kms_function, weight, residue_identity, contour_grid,
                       contour_decomposition, fit_decay, theorem_check)
 
 
@@ -56,6 +58,18 @@ def test_residue_identity_endpoints_get_half_residue():
             assert res.defect < 1e-10
 
 
+def test_residue_identity_reports_convergence():
+    # at beta = 8 the top-edge weight e^{beta^2 - b^2} swamps the sum in
+    # round-off: the node count runs out without two refinements agreeing
+    res = residue_identity(8.0, 4.0)
+    assert not res.converged
+    assert res.nodes == 16384
+    assert res.defect > 1.0
+    for beta in (0.2, 0.5, 1.0, 2.0):
+        for frac in (0.0, 0.5, 1.0):
+            assert residue_identity(beta, frac * beta).converged
+
+
 def test_residue_identity_rejects_heights_outside_strip():
     with pytest.raises(ValueError):
         residue_identity(1.0, 1.5)
@@ -71,8 +85,9 @@ def test_contour_reconstruction_small_chain():
     lat, inter, st = setup_state(beta=1.0)
     a = embed(single_site(0, "Z"), lat)
     b = embed(single_site(2, "Z"), lat)
+    grid = contour_grid(st, a, b)
     for height in (0.0, 0.25, 0.5, 0.9, 1.0):
-        dec = contour_decomposition(st, a, b, height)
+        dec = contour_decomposition(grid, height)
         assert dec.defect <= 1e-8 * (1 + abs(dec.direct))
         assert dec.reconstruction == (dec.term_commutator + dec.term_bottom
                                       + dec.term_top)
@@ -82,7 +97,7 @@ def test_contour_direct_value_matches_kms_function():
     lat, inter, st = setup_state(beta=0.8)
     a = embed(single_site(0, "X"), lat)
     b = embed(single_site(2, "Z"), lat)
-    dec = contour_decomposition(st, a, b, 0.3)
+    dec = contour_decomposition(contour_grid(st, a, b), 0.3)
     fn = kms_function(st, a, b)
     ref = 2j * np.pi * (fn.eval(0.3j) - fn.phi_a * fn.phi_b)
     assert abs(dec.direct - ref) < 1e-12
@@ -94,8 +109,9 @@ def test_contour_endpoints_are_offset_inward():
     lat, inter, st = setup_state(beta=1.0)
     a = embed(single_site(0, "Z"), lat)
     b = embed(single_site(1, "Z"), lat)
-    low = contour_decomposition(st, a, b, 0.0)
-    high = contour_decomposition(st, a, b, 1.0)
+    grid = contour_grid(st, a, b)
+    low = contour_decomposition(grid, 0.0)
+    high = contour_decomposition(grid, 1.0)
     assert low.effective_height == pytest.approx(1e-6)
     assert high.effective_height == pytest.approx(1.0 - 1e-6)
     assert low.offset == pytest.approx(1e-6)
@@ -108,15 +124,12 @@ def test_contour_subtraction_policy_follows_spectral_spread():
     lat, inter, st = setup_state(beta=1.0)
     a = embed(single_site(0, "Z"), lat)
     b = embed(single_site(2, "Z"), lat)
-    assert contour_decomposition(st, a, b, 0.5).subtracted
+    assert contour_decomposition(contour_grid(st, a, b), 0.5).subtracted
 
     # huge spread: continuing F below the strip would be catastrophic,
     # plain quadrature takes over and still reconstructs
-    rng = np.random.default_rng(43)
-    wide = gibbs_state(np.diag([0.0, 10.0, 25.0, 40.0]), 1.0)
-    g1 = rng.normal(size=(4, 4));  g1 = (g1 + g1.T) / 2
-    g2 = rng.normal(size=(4, 4));  g2 = (g2 + g2.T) / 2
-    dec = contour_decomposition(wide, g1, g2, 0.1)
+    wide, g1, g2 = _wide_pair()
+    dec = contour_decomposition(contour_grid(wide, g1, g2), 0.1)
     assert not dec.subtracted
     assert dec.defect <= 1e-6 * (1 + abs(dec.direct))
 
@@ -125,18 +138,86 @@ def test_contour_rejects_bad_heights_and_thin_beta():
     lat, inter, st = setup_state(beta=1.0)
     a = embed(single_site(0, "Z"), lat)
     with pytest.raises(ValueError, match="height"):
-        contour_decomposition(st, a, a, 1.5)
+        contour_decomposition(contour_grid(st, a, a), 1.5)
     thin = gibbs_state(np.diag([0.0, 1.0]), 1e-6)
     with pytest.raises(ValueError, match="beta"):
-        contour_decomposition(thin, np.eye(2), np.eye(2), 0.0)
+        contour_grid(thin, np.eye(2), np.eye(2))
 
 
 def test_contour_explicit_half_width_is_recorded():
     lat, inter, st = setup_state()
     a = embed(single_site(0, "Z"), lat)
-    dec = contour_decomposition(st, a, a, 0.5, half_width=12.0, nodes=2048)
+    grid = contour_grid(st, a, a, half_width=12.0, nodes=2048)
+    dec = contour_decomposition(grid, 0.5)
     assert dec.half_width == 12.0
     assert dec.nodes == 2048
+
+
+def _one_shot_contour(state, a, b, height, nodes=1024, half_width=8.0):
+    """The contour terms computed from scratch at one height, as before the
+    grid was shared: (subtracted, commutator, bottom, top, direct)."""
+    beta = state.beta
+    beff = float(min(max(height, 1e-6), beta - 1e-6))
+    fn = kms_function(state, a, b)
+    phi = fn.phi_a * fn.phi_b
+    t, wq = verify._sym_gauss(nodes, half_width)
+    f_real = fn.eval_grid(t)
+    g_real = fn.conjugate_eval_grid(t)
+    comm = f_real - g_real
+    corr = f_real - phi
+    kb = weight(t, beff) / (t - 1j * beff)
+    kt = weight(t + 1j * beta, beff) / (t + 1j * (beta - beff))
+    c_bottom = fn.eval(1j * beff) - phi
+    term_bottom = complex(np.sum(wq * (corr - c_bottom) * kb)
+                          + c_bottom * 1j * math.pi * math.erfc(beff))
+    direct = 2j * math.pi * c_bottom
+    subtract = (beta - beff) * float(state.energies[-1]) <= 20.0
+    c_comm = c_top = closed_top = 0.0
+    if subtract:
+        below = fn.eval(1j * (beff - beta))
+        c_comm = below - fn.conjugate_eval(1j * (beff - beta))
+        c_top = below - phi
+        closed_top = -1j * math.pi * math.erfc(-beff)
+    term_comm = complex(np.sum(wq * (comm - c_comm) * kt) + c_comm * closed_top)
+    term_top = complex(-(np.sum(wq * (corr - c_top) * kt) + c_top * closed_top))
+    return subtract, term_comm, term_bottom, term_top, direct
+
+
+def _wide_pair():
+    rng = np.random.default_rng(43)
+    wide = gibbs_state(np.diag([0.0, 10.0, 25.0, 40.0]), 1.0)
+    g1 = rng.normal(size=(4, 4));  g1 = (g1 + g1.T) / 2
+    g2 = rng.normal(size=(4, 4));  g2 = (g2 + g2.T) / 2
+    return wide, g1, g2
+
+
+def test_shared_grid_matches_one_shot_contour_exactly():
+    lat, inter, st = setup_state(beta=1.0)
+    a = embed(single_site(0, "X"), lat)
+    b = embed(single_site(2, "Y"), lat)
+    cases = [(st, a, b, {}), (*_wide_pair(), {"nodes": 512, "half_width": 6.0})]
+    branches = set()
+    for state, x, y, kw in cases:
+        grid = contour_grid(state, x, y, **kw)
+        for height in (0.0, 0.37, 1.0):
+            dec = contour_decomposition(grid, height)
+            ref = _one_shot_contour(state, x, y, height, **kw)
+            assert (dec.subtracted, dec.term_commutator, dec.term_bottom,
+                    dec.term_top, dec.direct) == ref
+            branches.add(dec.subtracted)
+    assert branches == {True, False}
+
+
+def test_contour_grid_is_read_only():
+    lat, inter, st = setup_state()
+    a = embed(single_site(0, "Z"), lat)
+    grid = contour_grid(st, a, a, nodes=64)
+    for arr in (grid.t, grid.wq, grid.f_real, grid.g_real,
+                grid.fn.a_energy, grid.fn.b_energy):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert grid.nodes == 64 and grid.t.shape == (64,)
+    assert grid.half_width == 8.0
 
 
 # ---------------------------------------------------------------------------
