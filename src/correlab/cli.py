@@ -278,7 +278,7 @@ def _validate_residue_identity(data: dict) -> dict:
     if any(not 0.0 <= f <= 1.0 for f in fracs):
         raise ConfigError("height_fractions must lie in [0, 1]")
     hw = _positive(data.get("half_width", 10.0), "half_width")
-    tol = _num(data.get("tolerance", 1e-8), "tolerance")
+    tol = _positive(data.get("tolerance", 1e-8), "tolerance")
     return {"task": "residue_identity", "beta": betas,
             "height_fractions": fracs, "half_width": hw, "tolerance": tol}
 
@@ -293,7 +293,7 @@ def _validate_correlators(data: dict) -> dict:
     a_c, _ = _operator_section(data["a"], "a", lat)
     b_c, _ = _operator_section(data["b"], "b", lat)
     times_c, _ = _time_grid(data["times"], "times")
-    tol = _num(data.get("tolerance", 1e-8), "tolerance")
+    tol = _positive(data.get("tolerance", 1e-8), "tolerance")
     return {"task": "correlators", "model": model, "beta": betas,
             "a": a_c, "b": b_c, "times": times_c, "tolerance": tol}
 
@@ -316,7 +316,7 @@ def _validate_contour(data: dict) -> dict:
         raise ConfigError("nodes must be at least 8")
     out = {"task": "contour", "model": model, "beta": beta, "a": a_c,
            "b": b_c, "heights": heights, "nodes": nodes,
-           "tolerance": _num(data.get("tolerance", 1e-6), "tolerance")}
+           "tolerance": _positive(data.get("tolerance", 1e-6), "tolerance")}
     return _optional_positive(data, "half_width", out)
 
 

@@ -8,10 +8,21 @@ of local approximants obtained by conditional expectation onto a ball
 around the support of A.
 
 The commutator scan never comes back to the site basis: the spectral norm
-is unitarily invariant, so ||[B, tau_t(A)]|| is measured on the
-energy-basis matrices, one product per time point.  For Hermitian A and B
-the commutator is handed to the norm as an exactly Hermitian matrix, which
-keeps it on the eigensolver instead of the SVD.
+is unitarily invariant, so ||[B, tau_t(A)]|| is measured through the
+energy basis, where tau_t(A) is an elementwise phase on A's matrix.  How
+the norm is taken is decided once per scan:
+
+- A and B Hermitian, and B diagonal in the site basis with exactly two
+  distinct values l1 != l2 (every Pauli Z, every computational-basis
+  projector): with B = l1 P1 + l2 P2 and X = tau_t(A) Hermitian,
+  [X, B] = (l2 - l1)(P1 X P2 - P2 X P1), so the norm is
+  |l1 - l2| ||V1 tau_t(A) V2*||, V_k being the rows of the eigenvector
+  matrix on which B = l_k and tau_t(A) the energy-basis matrix.  Per time
+  point that is two products of half size and the eigensolver on a Gram
+  matrix of the smaller level set's size; B is never transformed.
+- Any other pair: one D x D product X = B tau_t(A) in the energy basis.
+  For Hermitian A and B the commutator is handed to the norm as an exactly
+  Hermitian matrix, which keeps it on the eigensolver instead of the SVD.
 """
 from __future__ import annotations
 
@@ -24,7 +35,8 @@ from .lattice import (Interaction, Lattice, Site, _is_hermitian, ball,
                       certify_locality)
 from .operators import (EmbeddedOperator, conditional_expectation, embed,
                         spectral_norm)
-from .spectral import SpectralDecomposition, build_hamiltonian, eig_hermitian
+from .spectral import (SpectralDecomposition, _matmul, _sandwich,
+                       build_hamiltonian, eig_hermitian)
 from .thermal import _EXP_CAP
 
 
@@ -74,7 +86,7 @@ def _evolve_energy(dec: SpectralDecomposition, a_energy: np.ndarray,
                    z: complex) -> np.ndarray:
     """Site-basis matrix of tau_z(A) given A already in the eigenbasis."""
     v = dec.eigenvectors
-    return v @ _tau_energy(dec, a_energy, z) @ v.conj().T
+    return _sandwich(v, _tau_energy(dec, a_energy, z), v.conj().T)
 
 
 def evolve(context: EvolutionContext, op, time,
@@ -146,6 +158,69 @@ def _empirical_prefactor(pairs, floor: float) -> float:
     return best
 
 
+def _two_levels(m: np.ndarray):
+    """(|l1 - l2|, [rows1, rows2]) when m is diagonal with exactly two
+    distinct values l1 != l2, rows_k holding the indices where m = l_k and
+    the smaller set first; None for any other m."""
+    d = np.diag(m)
+    if np.count_nonzero(m) != np.count_nonzero(d):
+        return None
+    levels, which = np.unique(d, return_inverse=True)
+    if len(levels) != 2:
+        return None
+    rows = sorted((np.flatnonzero(which == k) for k in (0, 1)), key=len)
+    return float(abs(levels[1] - levels[0])), rows
+
+
+def _commutator_norm(bbar: np.ndarray, hermitian: bool):
+    """Per-point ||[B, tau]|| from X = B tau, both in the energy basis.
+
+    For Hermitian A and B the commutator is X - X*, and i(X - X*) is passed
+    on: it is Hermitian to the last bit, so its norm comes from the
+    eigensolver.  Otherwise the commutator is X - tau B.  The tau buffer is
+    overwritten.
+    """
+    x = np.empty((len(bbar), len(bbar)), dtype=complex)
+
+    def norm(tau: np.ndarray) -> float:
+        _matmul(bbar, tau, out=x)
+        if hermitian:
+            comm = np.conjugate(x.T, out=tau)
+            np.subtract(x, comm, out=comm)
+            comm *= 1j
+        else:
+            comm = np.subtract(x, tau @ bbar, out=x)
+        return spectral_norm(comm)
+    return norm
+
+
+def _half_block_norm(dec: SpectralDecomposition, gap: float, rows):
+    """Per-point ||[B, tau]|| = |l1 - l2| ||M|| for a Hermitian energy-basis
+    tau and B = l1 P1 + l2 P2 diagonal in the site basis, where
+    M = V1 tau V2* and V_k holds the eigenvector rows on which B = l_k.
+
+    ||M||^2 is the largest eigenvalue of the s1 x s1 Gram matrix of M^T
+    (s1 <= s2 the level set sizes).  With real eigenvectors both products
+    are real GEMMs (_matmul); the buffers are allocated once.
+    """
+    v = dec.eigenvectors
+    v1, v2 = v[rows[0]], v[rows[1]].conj()
+    s1, s2 = len(rows[0]), len(rows[1])
+    w = np.empty((s1, dec.dim), dtype=complex)
+    wt = np.empty((dec.dim, s1), dtype=complex)
+    mt = np.empty((s2, s1), dtype=complex)
+    gram = np.empty((s1, s1), dtype=complex)
+
+    def norm(tau: np.ndarray) -> float:
+        _matmul(v1, tau, out=w)
+        np.copyto(wt, w.T)
+        _matmul(v2, wt, out=mt)              # conj(V2) (V1 tau)^T = M^T
+        mc = np.conjugate(mt, out=wt[:s2])   # wt is not read again
+        np.matmul(mc.T, mt, out=gram)
+        return gap * np.sqrt(spectral_norm(gram))
+    return norm
+
+
 def lr_commutator_scan(interaction: Interaction, a, b,
                        times: Sequence[float], mu: float,
                        velocity: Optional[float] = None,
@@ -160,12 +235,17 @@ def lr_commutator_scan(interaction: Interaction, a, b,
     the same over the rows at or above the round-off floor eps * D * ||A||
     ||B||, and floor_rows counts the rows below it.
 
-    The norm is taken in the energy basis, where B and A are transformed
-    once and tau_t(A) is an elementwise phase.  Per time point that costs
-    one product X = B tau_t(A).  When A and B are Hermitian the commutator
-    is X - X*, and i(X - X*) is passed on: it is Hermitian to the last bit,
-    so its norm comes from the eigensolver.  Otherwise the commutator is
-    X - tau_t(A) B.
+    A is transformed to the energy basis once, where tau_t(A) is an
+    elementwise phase.  When A and B are Hermitian and B's window matrix
+    is diagonal with exactly two distinct values l1 != l2, the norm is
+    |l1 - l2| ||V1 tau_t(A) V2*|| (V_k the eigenvector rows on which
+    B = l_k), from the identity [X, B] = (l2 - l1)(P1 X P2 - P2 X P1) for
+    Hermitian X: two half-size products and a half-size eigensolver per
+    time point, with no transform of B.  Every other pair takes one
+    product X = B tau_t(A) per time point, B transformed once; for a
+    Hermitian pair i(X - X*) is passed on, which is Hermitian to the last
+    bit, so its norm comes from the eigensolver, and otherwise the
+    commutator is X - tau_t(A) B.
     """
     if context is None:
         context = evolution_context(interaction, window)
@@ -184,28 +264,17 @@ def lr_commutator_scan(interaction: Interaction, a, b,
     hermitian = _is_hermitian(a.matrix) and _is_hermitian(b.matrix)
     dec = context.decomposition
     abar = dec.transform(aemb.matrix)
-    bbar = dec.transform(bemb.matrix)
+    levels = _two_levels(bemb.matrix) if hermitian else None
+    if levels is None:
+        norm = _commutator_norm(dec.transform(bemb.matrix), hermitian)
+    else:
+        norm = _half_block_norm(dec, *levels)
     del aemb, bemb  # site-basis matrices are not needed past this point
     tau = np.empty((dec.dim, dec.dim), dtype=complex)
-    x = np.empty_like(tau)
     rows = []
     for t in times:
         t = float(t)
-        _tau_energy(dec, abar, t, out=tau)
-        if np.isrealobj(bbar):
-            # a real left factor acts alike on real and imaginary parts:
-            # one real product on the interleaved (D, 2D) views
-            np.matmul(bbar, tau.view(float), out=x.view(float))
-        else:
-            np.matmul(bbar, tau, out=x)
-        if hermitian:
-            # tau is not read again before the next time point refills it
-            comm = np.conjugate(x.T, out=tau)
-            np.subtract(x, comm, out=comm)
-            comm *= 1j
-        else:
-            comm = np.subtract(x, tau @ bbar, out=x)
-        lhs = spectral_norm(comm)
+        lhs = norm(_tau_energy(dec, abar, t, out=tau))
         env = na * nb * size * np.exp(-mu * dist) * np.expm1(velocity * abs(t))
         rows.append(LRMeasurement(t, dist, float(lhs), float(env)))
     floor = float(np.finfo(float).eps) * dec.dim * na * nb

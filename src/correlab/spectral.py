@@ -38,15 +38,47 @@ class SpectralDecomposition:
     def transform(self, matrix: np.ndarray) -> np.ndarray:
         """V* M V in M's own arithmetic, with one product for diagonal M.
 
-        With real eigenvectors a real M stays in dgemm; only a complex M
-        (or complex eigenvectors) pays for zgemm.
+        With real eigenvectors every product is a real GEMM (a complex M
+        goes through _sandwich); only complex eigenvectors pay for zgemm.
         """
         m = np.asarray(matrix)
         v = self.eigenvectors
         d = np.diag(m)
         if np.count_nonzero(m) == np.count_nonzero(d):  # no D x D temporary
             return v.conj().T @ (d[:, None] * v)
-        return v.conj().T @ (m @ v)
+        return _sandwich(v.conj().T, m, v)
+
+
+def _matmul(left: np.ndarray, c: np.ndarray,
+            out: Optional[np.ndarray] = None) -> np.ndarray:
+    """left @ c, written into out when given.
+
+    A real left factor acts alike on the real and imaginary parts of a
+    complex c: the product is one real GEMM on the interleaved (n, 2m)
+    views, and left is never copied to complex.
+    """
+    if np.iscomplexobj(left) or not np.iscomplexobj(c):
+        return np.matmul(left, c, out=out)
+    c = np.ascontiguousarray(c)
+    if out is None:
+        out = np.empty((left.shape[0], c.shape[1]), dtype=complex)
+    np.matmul(left, c.view(float), out=out.view(float))
+    return out
+
+
+def _sandwich(left: np.ndarray, c: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left @ c @ right.
+
+    With real outer factors and a complex c both products are real GEMMs
+    (_matmul), the right one taken as (right^T (left c)^T)^T through
+    transposed copies.  At most two arrays of the result's size are alive
+    at a time, against three when numpy upcasts a real factor.
+    """
+    if not (np.iscomplexobj(c) and np.isrealobj(left) and np.isrealobj(right)):
+        return left @ (c @ right)
+    t = np.ascontiguousarray(_matmul(left, c).T)
+    t = _matmul(right.T, t)
+    return np.ascontiguousarray(t.T)
 
 
 def eig_hermitian(matrix) -> SpectralDecomposition:

@@ -272,11 +272,12 @@ def test_run_residue_identity_counts_unconverged(tmp_path, capsys, betas,
 
 
 def test_run_exit_one_when_invariant_fails(tmp_path, capsys):
+    # a tolerance far below the round-off defect (about 4e-16)
     cfg = write_config(tmp_path, """\
         task: residue_identity
         beta: [1.0]
         height_fractions: [0.5]
-        tolerance: 0.0
+        tolerance: 1.0e-30
         """)
     assert run_cli(["run", cfg, "--outdir", str(tmp_path / "out")]) == 1
     assert "FAILED" in capsys.readouterr().out
@@ -286,10 +287,17 @@ def test_run_exit_one_when_invariant_fails(tmp_path, capsys):
 
 
 def test_run_exit_two_on_config_error(tmp_path, capsys):
-    for text in ("beta: [-1.0]\n", "beta: [1.0]\nhalf_width: 0.0\n"):
-        cfg = write_config(tmp_path, "task: residue_identity\n" + text)
+    residue = "task: residue_identity\n"
+    for text in (residue + "beta: [-1.0]\n",
+                 residue + "beta: [1.0]\nhalf_width: 0.0\n",
+                 # no result can meet a tolerance <= 0
+                 residue + "beta: [1.0]\ntolerance: -1.0\n",
+                 textwrap.dedent(CORRELATOR_CFG) + "tolerance: 0.0\n",
+                 textwrap.dedent(CONTOUR_CFG) + "tolerance: -1.0e-6\n"):
+        cfg = write_config(tmp_path, text)
+        assert run_cli(["validate", cfg]) == 2
         assert run_cli(["run", cfg, "--outdir", str(tmp_path / "out")]) == 2
-        assert "config error" in capsys.readouterr().err
+        assert capsys.readouterr().err.count("config error") == 2
         assert not (tmp_path / "out").exists()
 
 

@@ -8,7 +8,8 @@ from correlab import (chain_lattice, transverse_field_ising, embed,
                       derivation_delta, evolution_context, evolve,
                       lr_commutator_scan, locality_scan, certify_locality,
                       conditional_expectation, random_bond_ising,
-                      LocalOperator)
+                      LocalOperator, Interaction, SpectralDecomposition,
+                      PAULI_X, PAULI_Y, PAULI_Z)
 from correlab.dynamics import _evolve_energy
 
 
@@ -170,23 +171,74 @@ def _site_basis_norms(ctx, a, b, times):
 
 
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])
+PROJ_0 = np.diag([1.0, 0.0])  # |0><0|, levels {0, 1}
+TWO_Z = np.kron(PAULI_Z, np.eye(2)) + np.kron(np.eye(2), PAULI_Z)
 
 
-@pytest.mark.parametrize("a, b", [
-    (single_site(0, "Z"), single_site(5, "Z")),
-    (single_site(1, "X"), single_site(4, "Y")),
-    (LocalOperator((0,), SIGMA_PLUS), LocalOperator((3,), SIGMA_PLUS.T)),
-], ids=["pauli_real", "pauli_complex", "sigma_plus_minus"])
-def test_lr_scan_matches_site_basis_route(a, b):
+def _y_field_chain(lat):
+    """Random-bond-like ZZ chain in a field along X + Y/2: a Hermitian
+    Hamiltonian with complex eigenvectors."""
+    rng = np.random.default_rng(5)
+    terms = {(i, i + 1): rng.uniform(0.5, 1.5) * np.kron(PAULI_Z, PAULI_Z)
+             for i in range(len(lat.sites) - 1)}
+    terms.update({(i,): PAULI_X + 0.5 * PAULI_Y for i in lat.sites})
+    return Interaction(lat, terms, name="y_field")
+
+
+# transforms: 1 when only A goes to the energy basis, which is the
+# half-block route for a Hermitian pair with a diagonal two-level B
+@pytest.mark.parametrize("a, b, model, transforms", [
+    (single_site(0, "Z"), single_site(5, "Z"), "rbi", 1),
+    (single_site(1, "X"), single_site(4, "Y"), "rbi", 2),
+    (LocalOperator((0,), SIGMA_PLUS), LocalOperator((3,), SIGMA_PLUS.T),
+     "rbi", 2),
+    (single_site(1, "X"), LocalOperator((4,), PROJ_0), "rbi", 1),
+    (single_site(0, "X"), single_site(0, "Z"), "rbi", 1),
+    (single_site(5, "X"), LocalOperator((0, 1), TWO_Z), "rbi", 2),
+    (single_site(0, "Z"), single_site(5, "Z"), "y_field", 1),
+], ids=["pauli_real", "pauli_complex", "sigma_plus_minus", "projector",
+        "overlap", "three_level", "complex_hamiltonian"])
+def test_lr_scan_matches_site_basis_route(monkeypatch, a, b, model,
+                                          transforms):
     lat = chain_lattice(6)
-    inter = random_bond_ising(lat, 1.0, 1.0, seed=3)
+    if model == "rbi":
+        inter = random_bond_ising(lat, 1.0, 1.0, seed=3)
+    else:
+        inter = _y_field_chain(lat)
     ctx = evolution_context(inter)
+    assert np.iscomplexobj(ctx.decomposition.eigenvectors) == (model != "rbi")
+    calls = []
+    transform = SpectralDecomposition.transform
+    monkeypatch.setattr(SpectralDecomposition, "transform",
+                        lambda self, m: calls.append(1) or transform(self, m))
     times = [0.0, 0.1, 0.35, 0.8, 1.5, 2.0, 3.0]
     scan = lr_commutator_scan(inter, a, b, times, mu=1.0, context=ctx)
+    monkeypatch.undo()
+    assert len(calls) == transforms
     ref = _site_basis_norms(ctx, a, b, times)
     got = [m.commutator_norm for m in scan.measurements]
     assert max(ref) > 0.1  # the commutator has grown well past round-off
     assert np.abs(np.array(got) - ref).max() < 1e-12
+
+
+def test_lr_scan_two_level_b_stays_at_half_size(monkeypatch):
+    # every eigensolver call of a Z/Z scan is on a Gram matrix of at most
+    # D/2 = 128, never on a D-sized commutator
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return eigvalsh(m, *args, **kwargs)
+
+    lat = chain_lattice(8)
+    inter = transverse_field_ising(lat, 1.0, 1.0)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    scan = lr_commutator_scan(inter, single_site(0, "Z"), single_site(7, "Z"),
+                              [0.1 * k for k in range(11)], mu=1.0)
+    assert len(scan.measurements) == 11
+    assert (128, 128) in shapes
+    assert max(max(shape) for shape in shapes) <= 128
 
 
 def test_lr_scan_hermitian_pair_never_reaches_svd(monkeypatch):
@@ -196,9 +248,10 @@ def test_lr_scan_hermitian_pair_never_reaches_svd(monkeypatch):
     lat = chain_lattice(6)
     inter = random_bond_ising(lat, 1.0, 1.0, seed=1)
     monkeypatch.setattr(np.linalg, "norm", no_svd)
-    scan = lr_commutator_scan(inter, single_site(0, "Z"), single_site(5, "X"),
-                              [0.1 * k for k in range(21)], mu=1.0)
-    assert len(scan.measurements) == 21
+    for b in (single_site(5, "X"), single_site(5, "Z")):
+        scan = lr_commutator_scan(inter, single_site(0, "Z"), b,
+                                  [0.1 * k for k in range(21)], mu=1.0)
+        assert len(scan.measurements) == 21
 
 
 def test_locality_scan_hermitian_operator_never_reaches_svd(monkeypatch):

@@ -1,11 +1,13 @@
 """Eigensolver wrapper, Hamiltonian assembly, derivation."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from correlab import (chain_lattice, transverse_field_ising, embed,
                       single_site, LocalOperator, commutator, spectral_norm,
                       eig_hermitian, build_hamiltonian,
-                      derivation_delta, DIM_CAP)
+                      derivation_delta, DIM_CAP, heisenberg_xxz)
 from correlab.operators import PAULI_I, PAULI_X, PAULI_Z
 
 
@@ -71,6 +73,25 @@ def test_transform_diagonal_fast_path_matches_general():
     d = np.diag(rng.normal(size=8).astype(complex))
     direct = dec.eigenvectors.conj().T @ d @ dec.eigenvectors
     assert np.abs(dec.transform(d) - direct).max() < 1e-12
+
+
+def test_complex_transform_on_real_eigenvectors_stays_in_real_products():
+    # XXZ is real and Y is not: numpy would copy the real eigenvectors to
+    # complex for each product, three result-sized arrays at the peak
+    lat = chain_lattice(9)
+    dec = eig_hermitian(build_hamiltonian(heisenberg_xxz(lat, 1.0, 0.5)).matrix)
+    m = embed(single_site(2, "Y"), lat).matrix
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        got = dec.transform(m)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * 16 * 512 ** 2
+    v = dec.eigenvectors.astype(complex)
+    assert np.abs(got - v.conj().T @ (m @ v)).max() < 1e-13
 
 
 # ---------------------------------------------------------------------------
