@@ -50,14 +50,13 @@ class EvolutionContext:
 
     lattice: Lattice
     window: tuple
-    hamiltonian: EmbeddedOperator
     decomposition: SpectralDecomposition
 
 
 def evolution_context(interaction: Interaction,
                       window: Optional[Iterable[Site]] = None) -> EvolutionContext:
     ham = build_hamiltonian(interaction, window)
-    return EvolutionContext(interaction.lattice, tuple(ham.window), ham,
+    return EvolutionContext(interaction.lattice, tuple(ham.window),
                             eig_hermitian(ham.matrix))
 
 
@@ -130,20 +129,6 @@ class LRScanResult:
     noise_floor: float           # eps * D * ||A|| ||B||
     floor_rows: int              # rows whose commutator norm is below it
     c_empirical_resolved: float  # c_empirical over the other rows only
-
-    def violations(self) -> int:
-        """Rows the envelope times c_empirical does not cover, with the
-        noise floor as slack; a zero envelope covers only round-off."""
-        c = self.c_empirical
-        floor = self.noise_floor
-        bad = 0
-        for m in self.measurements:
-            if m.envelope == 0.0:
-                if m.commutator_norm > floor:
-                    bad += 1
-            elif m.commutator_norm > c * m.envelope * (1 + 1e-9) + floor:
-                bad += 1
-        return bad
 
 
 def _empirical_prefactor(pairs, floor: float) -> float:
@@ -224,16 +209,18 @@ def _half_block_norm(dec: SpectralDecomposition, gap: float, rows):
 def lr_commutator_scan(interaction: Interaction, a, b,
                        times: Sequence[float], mu: float,
                        velocity: Optional[float] = None,
-                       window: Optional[Iterable[Site]] = None,
                        context: Optional[EvolutionContext] = None) -> LRScanResult:
     """Measure ||[B, tau_t(A)]|| on a time grid against the light-cone
     envelope at decay rate mu.
 
-    The velocity defaults to the one certified from the interaction at the
-    same mu.  The returned c_empirical is the smallest prefactor that makes
-    the envelope an upper bound for the whole scan; c_empirical_resolved is
-    the same over the rows at or above the round-off floor eps * D * ||A||
-    ||B||, and floor_rows counts the rows below it.
+    The scan runs on the context's window, or on the whole lattice when no
+    context is given; a scan of a sub-window passes
+    evolution_context(interaction, window).  The velocity defaults to the
+    one certified from the interaction at the same mu.  The returned
+    c_empirical is the smallest prefactor that makes the envelope an upper
+    bound for the whole scan; c_empirical_resolved is the same over the rows
+    at or above the round-off floor eps * D * ||A|| ||B||, and floor_rows
+    counts the rows below it.
 
     A is transformed to the energy basis once, where tau_t(A) is an
     elementwise phase.  When A and B are Hermitian and B's window matrix
@@ -248,7 +235,7 @@ def lr_commutator_scan(interaction: Interaction, a, b,
     commutator is X - tau_t(A) B.
     """
     if context is None:
-        context = evolution_context(interaction, window)
+        context = evolution_context(interaction)
     if velocity is None:
         velocity = certify_locality(interaction, mu).velocity
 
@@ -324,7 +311,6 @@ def locality_scan(interaction: Interaction, a, radii: Sequence[float],
                   times: Sequence[float], mu: float,
                   velocity: Optional[float] = None,
                   exponent_multiplier: float = 1.0,
-                  window: Optional[Iterable[Site]] = None,
                   context: Optional[EvolutionContext] = None) -> LocalityScanResult:
     """Approximation error of the ball-projected evolution over a grid of
     radii and times, against the bare envelope exp(-mu * multiplier * r).
@@ -333,10 +319,11 @@ def locality_scan(interaction: Interaction, a, radii: Sequence[float],
     onto the ball of radius r around the support of A.  For Hermitian A the
     error is Hermitian up to round-off; its exactly Hermitian part is passed
     to the norm, which keeps every point on the eigensolver.  noise_floor
-    is eps * D * ||A||.
+    is eps * D * ||A||.  The window is the context's, or the whole lattice
+    when no context is given.
     """
     if context is None:
-        context = evolution_context(interaction, window)
+        context = evolution_context(interaction)
     lat = context.lattice
     if velocity is None:
         velocity = certify_locality(interaction, mu).velocity

@@ -88,3 +88,18 @@ def gauss_legendre(n: int):
     ws.flags.writeable = False
     _CACHE[n] = (xs, ws)
     return xs, ws
+
+
+def _refine_by_doubling(rule, start: int, stop: int, tol: float):
+    """(value, nodes, converged) of an adaptive quadrature: rule(n) at
+    n = start, 2 start, ... until two successive values agree within tol
+    (converged) or n reaches stop."""
+    nodes = start
+    value = rule(nodes)
+    converged = False
+    while nodes < stop and not converged:
+        nodes *= 2
+        refined = rule(nodes)
+        converged = abs(refined - value) <= tol
+        value = refined
+    return value, nodes, converged

@@ -22,7 +22,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .operators import EmbeddedOperator, LocalOperator, _as_matrix
-from .quadrature import gauss_legendre
+from .quadrature import _refine_by_doubling, gauss_legendre
 from .spectral import SpectralDecomposition, eig_hermitian
 
 _EXP_CAP = 700.0          # np.exp overflows just past 709
@@ -113,8 +113,8 @@ def _paired_sum(weights: np.ndarray, am: np.ndarray, bm: np.ndarray) -> complex:
 
 def gibbs_state(hamiltonian, beta: float) -> ThermalState:
     """Diagonalize (if needed) and build the Gibbs state exp(-beta H)/Z."""
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
+    if not 0.0 <= beta < np.inf:
+        raise ValueError(f"beta must be finite and nonnegative, not {beta!r}")
     if isinstance(hamiltonian, SpectralDecomposition):
         dec = hamiltonian
     else:
@@ -229,33 +229,23 @@ def ordinary_correlator(state: ThermalState, a: OperatorLike, b: OperatorLike,
 def _duhamel_kernel(beta: float, energies: np.ndarray) -> np.ndarray:
     """Averaged Boltzmann kernel (1/beta) int_0^beta db exp(-(beta-b)Em - b En).
 
-    Written per matrix element as exp(-beta Em) expm1(x)/x with
-    x = beta (Em - En), switching to the difference quotient
-    (exp(-beta En) - exp(-beta Em))/x for |x| >= 1 and to the exact
-    degenerate limit exp(-beta Em) when Em and En coincide numerically.
+    With x = beta |Em - En| >= 0 it is exp(-beta min(Em, En)) (1 - e^{-x})/x
+    exactly, written as -expm1(-x)/x with its limit 1 at x = 0.  On the
+    shifted energies both factors are at most 1, so nothing overflows.
     Built in row blocks, so its temporaries stay small beside the result.
     """
     e = energies
     wm = np.exp(-beta * e)
-    delta_deg = 1e-10 * max(float(e[-1]), 1.0)
     kern = np.empty((e.size, e.size))
     rows = max(1, _KERNEL_BLOCK // e.size)
     for i in range(0, e.size, rows):
-        de = e[i:i + rows, None] - e[None, :]
-        x = beta * de
-        wr = wm[i:i + rows, None]
-        # small |x|: exp(-beta Em) * expm1(x)/x, with the x -> 0 limit
-        # equal to 1; expm1 sees 0 in place of the large |x| it would
-        # overflow on
-        near = np.abs(x) < 1.0
+        x = np.abs(e[i:i + rows, None] - e[None, :])
+        x *= beta
         ratio = np.ones_like(x)
-        np.divide(np.expm1(np.where(near, x, 0.0)), x, out=ratio,
-                  where=(x != 0.0))
-        # large |x|: difference quotient, safe because |x| >= 1 there
-        with np.errstate(divide="ignore", invalid="ignore"):
-            large = (wm[None, :] - wr) / x
-        blk = np.where(near, wr * ratio, large)
-        kern[i:i + rows] = np.where(np.abs(de) < delta_deg, wr, blk)
+        np.divide(-np.expm1(-x), x, out=ratio, where=x > 0.0)
+        # exp(-beta min(Em, En)) is the larger of the two Boltzmann factors
+        np.multiply(np.maximum(wm[i:i + rows, None], wm[None, :]), ratio,
+                    out=kern[i:i + rows])
     return kern
 
 
@@ -267,9 +257,11 @@ def canonical_correlator(state: ThermalState, a: OperatorLike, b: OperatorLike,
         (1/beta) int_0^beta db  phi(A tau_{ib}(B))  -  phi(A) phi(B).
 
     method="closed_form" integrates each eigenbasis matrix element exactly;
-    method="quadrature" uses Gauss-Legendre on [0, beta] with the node count
-    doubled from 64 until two refinements agree to 1e-10 (or 512 nodes).
-    The two routes are kept deliberately independent.
+    method="quadrature" uses Gauss-Legendre on [0, beta]: with nodes
+    b_k = beta (x_k + 1)/2 the average is half the weighted sum of F(ib_k),
+    with no division by beta, so beta = 0 needs no special case.  The node
+    count is doubled from 64 until two refinements agree within 1e-10 (or
+    512 nodes).  The two routes are kept deliberately independent.
     """
     am, bm = _energy_matrix(state, a, basis), _energy_matrix(state, b, basis)
     p = state.weights
@@ -282,29 +274,16 @@ def canonical_correlator(state: ThermalState, a: OperatorLike, b: OperatorLike,
         raise ValueError(f"unknown method {method!r}")
 
     beta = state.beta
-    if beta == 0.0:
-        # the b-average collapses to phi(AB) with the uniform trace state
-        return complex(np.einsum("m,mn,nm->", p, am, bm)) - disconnected
-
     mcore = (am * bm.T) / np.exp(state.log_partition)
     etil = state.energies
 
     def average(n: int) -> complex:
         x, w = gauss_legendre(n)
         bs = 0.5 * beta * (x + 1.0)
-        wt = 0.5 * beta * w
         left = np.exp(-np.outer(etil, beta - bs))
         right = np.exp(-np.outer(etil, bs))
         vals = np.sum(left * (mcore @ right), axis=0)
-        return complex(np.sum(wt * vals)) / beta
+        return complex(0.5 * np.sum(w * vals))
 
-    nodes = _QUAD_START
-    value = average(nodes)
-    while nodes < _QUAD_MAX:
-        nodes *= 2
-        refined = average(nodes)
-        done = abs(refined - value) < _QUAD_TOL
-        value = refined
-        if done:
-            break
+    value = _refine_by_doubling(average, _QUAD_START, _QUAD_MAX, _QUAD_TOL)[0]
     return value - disconnected

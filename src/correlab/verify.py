@@ -27,7 +27,7 @@ import numpy as np
 
 from .lattice import Interaction, Lattice
 from .operators import LocalOperator, embed, single_site, spectral_norm
-from .quadrature import gauss_legendre
+from .quadrature import _refine_by_doubling, gauss_legendre
 from .thermal import ThermalState, KMSFunction, canonical_correlator, \
     gibbs_state, kms_function, ordinary_correlator
 from .spectral import build_hamiltonian
@@ -107,14 +107,8 @@ def residue_identity(beta: float, height: float,
         den = (t - 1j * b) * (t + 1j * beta - 1j * b)
         return complex(np.sum(wq * num / den) / (2j * np.pi))
 
-    nodes = _RESIDUE_START
-    value = quad(nodes)
-    converged = False
-    while nodes < _RESIDUE_MAX and not converged:
-        refined = quad(2 * nodes)
-        nodes *= 2
-        converged = abs(refined - value) <= _RESIDUE_TOL
-        value = refined
+    value, nodes, converged = _refine_by_doubling(quad, _RESIDUE_START,
+                                                  _RESIDUE_MAX, _RESIDUE_TOL)
 
     corrected = min(abs(b), abs(b - beta)) < _ENDPOINT_EPS
     if corrected:
@@ -369,12 +363,12 @@ def theorem_check(interaction: Interaction, beta: float, mu: float,
     ofit = fit_decay(ls, ovals)
     cfit = fit_decay(ls, cvals)
     xi = ofit.length
-    xi_prime = max(4.0 * xi, 2.0 / mu) if np.isfinite(xi) else float("inf")
+    xi_prime = max(4.0 * xi, 2.0 / mu)
 
-    # unit-amplitude envelopes; all amplitude lives in the prefactors
-    g = np.exp(-ls / xi) if np.isfinite(xi) else np.ones_like(ls)
-    g_prime = np.maximum(np.exp(-ls / xi_prime) if np.isfinite(xi_prime)
-                         else np.ones_like(ls), np.exp(-0.5 * mu * ls))
+    # unit-amplitude envelopes; all amplitude lives in the prefactors, and
+    # an infinite length gives exp(-l/inf) = 1
+    g = np.exp(-ls / xi)
+    g_prime = np.maximum(np.exp(-ls / xi_prime), np.exp(-0.5 * mu * ls))
 
     # the same single-site operator on both ends: ||A|| ||B|| = na^2, and
     # min(|X|, |Y|) = 1

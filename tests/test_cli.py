@@ -389,7 +389,6 @@ def test_run_lr_scan_task(tmp_path, capsys):
     capsys.readouterr()
     rundir = next((tmp_path / "out").iterdir())
     record = json.loads((rundir / "record.json").read_text())
-    assert record["summary"]["violations"] == 0
     assert record["summary"]["distance"] == 4.0
     # eps * D * ||A|| ||B||; the t = 0 row (disjoint supports) lies below it
     assert record["summary"]["noise_floor"] == 2.0 ** -52 * 32

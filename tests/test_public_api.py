@@ -60,9 +60,9 @@ PARAMETERS = {
     "heisenberg_xxz": ["lattice", "J", "delta", "h"],
     "kms_function": ["state", "a", "b", "basis"],
     "locality_scan": ["interaction", "a", "radii", "times", "mu", "velocity",
-                      "exponent_multiplier", "window", "context"],
+                      "exponent_multiplier", "context"],
     "lr_commutator_scan": ["interaction", "a", "b", "times", "mu",
-                           "velocity", "window", "context"],
+                           "velocity", "context"],
     "nearest_neighbor_pairs": ["lattice"],
     "ordinary_correlator": ["state", "a", "b", "basis"],
     "partial_trace": ["matrix", "dims", "keep"],
@@ -81,7 +81,6 @@ PARAMETERS = {
     "KMSFunction.conjugate_eval_grid": ["ts", "imag"],
     "KMSFunction.eval": ["z"],
     "KMSFunction.eval_grid": ["ts", "imag"],
-    "LRScanResult.violations": [],
     "Lattice.diameter": ["xs"],
     "Lattice.distance": ["x", "y"],
     "Lattice.index": ["site"],

@@ -1,4 +1,5 @@
 """Gibbs states, the KMS function on its strip, and the two correlator routes."""
+import math
 import warnings
 
 import numpy as np
@@ -56,6 +57,14 @@ def test_gibbs_state_energies_and_weights():
 def test_gibbs_state_rejects_negative_beta():
     with pytest.raises(ValueError):
         gibbs_state(np.eye(2), -0.5)
+
+
+@pytest.mark.parametrize("beta", [float("inf"), float("nan")])
+def test_gibbs_state_rejects_non_finite_beta(beta):
+    # both used to give NaN weights and a NaN log_partition without an error
+    _, ham, _ = setup_chain(n=4)
+    with pytest.raises(ValueError, match="finite"):
+        gibbs_state(ham, beta)
 
 
 def test_expectation_matches_trace_formula():
@@ -280,10 +289,14 @@ def test_canonical_beta_zero_equals_uniform_ordinary():
     rng = np.random.default_rng(19)
     g1 = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     g2 = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    assert abs(canonical_correlator(st, g1, g2, method="closed_form")
-               - ordinary_correlator(st, g1, g2)) < 1e-12
-    assert abs(canonical_correlator(st, g1, g2, method="quadrature")
-               - ordinary_correlator(st, g1, g2)) < 1e-12
+    ordinary = ordinary_correlator(st, g1, g2)
+    closed = canonical_correlator(st, g1, g2, method="closed_form")
+    quad = canonical_correlator(st, g1, g2, method="quadrature")
+    assert abs(closed - ordinary) < 1e-12
+    # the quadrature average has no 1/beta, so beta = 0 takes the formula
+    # of every other beta, and it holds to round-off
+    assert abs(quad - ordinary) <= 1e-14
+    assert abs(quad - closed) <= 1e-14
 
 
 def test_canonical_self_pairing_is_nonnegative():
@@ -302,8 +315,8 @@ def test_canonical_rejects_unknown_method():
 
 
 def test_duhamel_kernel_is_silent_at_low_temperature():
-    # beta * (Em - En) reaches past 700 here; expm1 must not see those
-    # entries, whose difference-quotient branch is the one kept
+    # beta |Em - En| reaches past 700 here; the kernel only takes expm1 of
+    # -beta |Em - En| <= 0, so no entry may overflow or warn
     lat = chain_lattice(6)
     st = gibbs_state(build_hamiltonian(transverse_field_ising(lat)).matrix,
                      50.0)
@@ -316,6 +329,34 @@ def test_duhamel_kernel_is_silent_at_low_temperature():
         quad = canonical_correlator(st, a, b, method="quadrature")
     assert np.isfinite(kern).all()
     assert abs(closed - quad) < 1e-8
+
+
+def reference_kernel_entry(beta, em, en):
+    """(1/beta) int_0^beta exp(-(beta-b)Em - b En) db, written out in math:
+    the difference quotient where beta |Em - En| >= 1, 64-node
+    Gauss-Legendre of the b-integral below that, exp(-beta Em) when the
+    levels coincide."""
+    x = beta * abs(em - en)
+    if x >= 1.0:
+        return (math.exp(-beta * en) - math.exp(-beta * em)) / (beta * (em - en))
+    if x > 0.0:
+        nodes, weights = np.polynomial.legendre.leggauss(64)
+        return 0.5 * math.fsum(
+            w * math.exp(-(beta - b) * em - b * en)
+            for w, b in zip(weights, 0.5 * beta * (nodes + 1.0)))
+    return math.exp(-beta * em)
+
+
+@pytest.mark.parametrize("beta", [0.7, 50.0])
+def test_duhamel_kernel_matches_independent_reference(beta):
+    # levels split by 1e-12, 1e-9 and 3e-6, where a degeneracy snap or a
+    # cancelling difference quotient would show
+    e = np.array([0.0, 1e-12, 1e-9, 3e-6, 0.5, 0.5 + 1e-9, 2.0, 7.5, 40.0])
+    kern = _duhamel_kernel(beta, e)
+    for m, em in enumerate(e):
+        for n, en in enumerate(e):
+            ref = reference_kernel_entry(beta, float(em), float(en))
+            assert abs(kern[m, n] - ref) <= 1e-13 * ref, (m, n)
 
 
 def reference_ordinary(st, am, bm):
