@@ -361,6 +361,8 @@ def _validate_theorem_check(data: dict) -> dict:
     dists = _num_list(data["distances"], "distances")
     if len(dists) < 2:
         raise ConfigError("need at least two distances")
+    if len(set(dists)) != len(dists):
+        raise ConfigError("distances must not repeat")
     out = {"task": "theorem_check", "model": model, "beta": beta, "mu": mu,
            "distances": dists, "op": _pauli(data.get("op", "Z"), "op")}
     if "base_site" in data:

@@ -100,6 +100,16 @@ def _offsets(positions: Sequence[int], dims: Sequence[int],
     return off
 
 
+def _embedding_index(dims: Sequence[int], sup: Sequence[int]) -> np.ndarray:
+    """idx[r, c] = o_r + c: o_r the window offset of support basis state r
+    (factors at window positions sup, in that order) and c running over
+    the offsets of the complement basis states.  An embedding puts entry
+    (r, s) of its matrix at (idx[r, c], idx[s, c]) for every c."""
+    comp = [i for i in range(len(dims)) if i not in set(sup)]
+    strides = [int(np.prod(dims[i + 1:])) for i in range(len(dims))]
+    return _offsets(sup, dims, strides)[:, None] + _offsets(comp, dims, strides)
+
+
 def _add_embedded(out: np.ndarray, matrix: np.ndarray,
                   factor_sites: Sequence[Site], lattice: Lattice,
                   win: Tuple[Site, ...]) -> None:
@@ -113,10 +123,8 @@ def _add_embedded(out: np.ndarray, matrix: np.ndarray,
     support basis states and c running over those of the complement.
     """
     dims = _window_dims(lattice, win)
-    pos_of = {s: i for i, s in enumerate(win)}
-    sup = [pos_of[s] for s in factor_sites]
-    comp = [i for i in range(len(win)) if i not in set(sup)]
-    if not comp:
+    sup = [win.index(s) for s in factor_sites]
+    if len(sup) == len(win):
         # the whole window: permute the tensor factors, no index arrays
         order = list(np.argsort(sup))
         k = len(sup)
@@ -125,12 +133,25 @@ def _add_embedded(out: np.ndarray, matrix: np.ndarray,
         view = out.reshape(dims * 2)
         np.add(view, tensor, out=view)
         return
-    strides = [int(np.prod(dims[i + 1:])) for i in range(len(dims))]
-    sup_off = _offsets(sup, dims, strides)
-    comp_off = _offsets(comp, dims, strides)
-    rows = sup_off[:, None, None] + comp_off
-    flat = rows * out.shape[0] + (sup_off[:, None] + comp_off)
+    idx = _embedding_index(dims, sup)
+    flat = idx[:, None, :] * out.shape[0] + idx
     out.reshape(-1)[flat] += matrix[:, :, None]
+
+
+def _embedded_trace(m: np.ndarray, matrix: np.ndarray,
+                    factor_sites: Sequence[Site], lattice: Lattice,
+                    win: Tuple[Site, ...]):
+    """tr(m E), E being the embedding of matrix that _add_embedded adds.
+
+    Only the d*D entries of m that E meets are read, (o_s + c, o_r + c)
+    against entry (r, s) of the matrix, and E is never built.  A 1-D m
+    stands for diag(m); then only the D diagonal entries of E are read.
+    """
+    idx = _embedding_index(_window_dims(lattice, win),
+                           [win.index(s) for s in factor_sites])
+    if m.ndim == 1:
+        return np.dot(np.diagonal(matrix), m[idx].sum(axis=1))
+    return np.sum(matrix[:, :, None] * m[idx[None], idx[:, None]])
 
 
 def _embed_ordered(matrix: np.ndarray, factor_sites: Sequence[Site],

@@ -20,17 +20,17 @@ first thing to check when a decomposition misbehaves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .lattice import Interaction, Lattice
-from .operators import LocalOperator, embed, single_site, spectral_norm
+from .operators import _embedded_trace, embed, single_site, spectral_norm
 from .quadrature import _refine_by_doubling, gauss_legendre
-from .thermal import ThermalState, KMSFunction, canonical_correlator, \
-    gibbs_state, kms_function, ordinary_correlator
-from .spectral import build_hamiltonian
+from .thermal import ThermalState, KMSFunction, _gibbs_mean, gibbs_state, \
+    kms_function
+from .spectral import _matmul, _sandwich, build_hamiltonian
 
 _ENDPOINT_EPS = 1e-12     # |b| or |b - beta| below this counts as on-contour
 _DELTA_B = 1e-6           # offset applied to on-contour heights
@@ -328,9 +328,28 @@ def theorem_check(interaction: Interaction, beta: float, mu: float,
     envelope with unit amplitude (the amplitude is absorbed into the
     prefactors), and reports the smallest prefactors that dominate the
     canonical data.  The check fails only when no finite prefactor exists.
+
+    Both correlators are thermal's closed forms, contracted once for all
+    partners.  With W the Duhamel weights and A, B in the energy basis,
+    sum_mn W_mn A_mn B_nm = tr(M B) in the site basis, M = V (W o A) V*;
+    likewise phi(AB) = tr(rho AB).  M and rho are built once from the one
+    transformed A, and each partner reads only the entries of M and rho
+    that its embedding meets.  When A and B are diagonal only the
+    diagonals of M and rho are formed, with no product beyond V (W o A).
+
+    mu must be finite and positive.
     """
+    if not 0.0 < mu < np.inf:
+        raise ValueError(f"mu must be finite and positive, not {mu!r}")
     lat = interaction.lattice
     base = base_site if base_site is not None else lat.sites[0]
+    pairs = []
+    for l in distances:
+        partner = _pair_for_distance(lat, base, float(l))
+        if partner is not None:
+            pairs.append((float(l), partner))
+    if len(pairs) < 2:
+        raise ValueError("need at least two realizable distances")
     if state is None:
         state = gibbs_state(build_hamiltonian(interaction).matrix, beta)
     if state.dim != lat.window_dim(lat.sites):
@@ -339,22 +358,30 @@ def theorem_check(interaction: Interaction, beta: float, mu: float,
         raise ValueError(f"state is at beta={state.beta!r}, not beta={float(beta)!r}")
 
     a_loc = single_site(base, op_name)
-    na = spectral_norm(a_loc.matrix)
+    op = a_loc.matrix
+    na = spectral_norm(op)
     a_e = state.to_eigenbasis(embed(a_loc, lat))
+    p, v = state.weights, state.decomposition.eigenvectors
+    phi_a = _gibbs_mean(p, a_e)
+    a_e *= state._duhamel_weights()  # W o A in place
+    if np.count_nonzero(op) == np.count_nonzero(np.diagonal(op)):
+        # diagonal A and B read only diag M = rowsum(V (W o A) o conj(V))
+        # and diag rho = sum_m p_m |V_im|^2
+        m = np.einsum("ij,ij->i", _matmul(v, a_e), v.conj())
+        rho = np.einsum("im,m,im->i", v, p, v.conj())
+    else:
+        m = _sandwich(v, a_e, v.conj().T)
+        rho = (v * p) @ v.conj().T
 
+    win = lat.sites
+    pair_op = np.kron(op, op)
     rows: List[TheoremRow] = []
-    for l in distances:
-        partner = _pair_for_distance(lat, base, float(l))
-        if partner is None:
-            continue
-        b_loc = single_site(partner, op_name)
-        b_e = state.to_eigenbasis(embed(b_loc, lat))
-        o = ordinary_correlator(state, a_e, b_e, basis="energy")
-        c = canonical_correlator(state, a_e, b_e, basis="energy")
-        rows.append(TheoremRow(float(l), partner, o, c))
-        del b_e  # else it stays alive while the next partner's is built
-    if len(rows) < 2:
-        raise ValueError("need at least two realizable distances")
+    for l, partner in pairs:
+        disconnected = phi_a * _embedded_trace(rho, op, (partner,), lat, win)
+        o = _embedded_trace(rho, pair_op, (base, partner), lat, win)
+        c = _embedded_trace(m, op, (partner,), lat, win)
+        rows.append(TheoremRow(l, partner, complex(o - disconnected),
+                               complex(c - disconnected)))
 
     ls = np.array([r.distance for r in rows])
     ovals = np.array([abs(r.ordinary) for r in rows])

@@ -323,8 +323,10 @@ CHAIN = {"name": "transverse_field_ising", "n": 3}
     {"beta": float("inf")},
     {"distances": [1.0, float("nan")]},
     {"mu": float("inf")},
+    # a repeated distance would write its row twice and weight both fits
+    {"distances": [1.0, 2.0, 2.0]},
 ], ids=["grid-nx-0", "spacing-0", "spacing-negative", "h-nan", "beta-inf",
-        "distance-nan", "mu-inf"])
+        "distance-nan", "mu-inf", "distance-repeated"])
 def test_run_exit_two_on_degenerate_or_non_finite_config(tmp_path, capsys,
                                                          override):
     raw = {"task": "theorem_check", "model": CHAIN, "beta": 1.0, "mu": 1.0,

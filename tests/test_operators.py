@@ -11,6 +11,7 @@ from correlab import (Interaction, Lattice, chain_lattice, grid_lattice,
                       sampled_twirl, build_hamiltonian, eig_hermitian,
                       transverse_field_ising, random_bond_ising,
                       heisenberg_xxz, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
+from correlab.operators import _embedded_trace
 
 CNOT = np.array([[1, 0, 0, 0],
                  [0, 1, 0, 0],
@@ -174,6 +175,22 @@ def test_embedding_matches_kron_reference(lat, support, window):
         dims = [lat.local_dims[lat.index(s)] for s in win]
         reduced = partial_trace(full.matrix, dims, keep) / comp_dim
         assert np.array_equal(ce.matrix, kron_embedding(reduced, reg, lat, win))
+
+
+@pytest.mark.parametrize("support", [("a",), ("b",), ("a", "b")])
+def test_embedded_trace_matches_the_dense_trace(support):
+    # canonical site order is ("b", "a"), so the support ("a", "b") has its
+    # factors in the other order; a 1-D m stands for diag(m)
+    lat = Lattice(("b", "a"), np.array([[0.0, 1.0], [1.0, 0.0]]), (2, 3))
+    rng = np.random.default_rng(43)
+    op = LocalOperator(support, _random_matrix(rng, lat.window_dim(support)))
+    emb = embed(op, lat).matrix
+    m = _random_matrix(rng, emb.shape[0])
+    got = _embedded_trace(m, op.matrix, op.support, lat, lat.sites)
+    assert abs(got - np.trace(m @ emb)) <= 1e-13 * np.abs(m).sum()
+    d = np.diagonal(m).copy()
+    got = _embedded_trace(d, op.matrix, op.support, lat, lat.sites)
+    assert abs(got - np.trace(np.diag(d) @ emb)) <= 1e-13 * np.abs(d).sum()
 
 
 @pytest.mark.parametrize("inter, window", [

@@ -1,6 +1,11 @@
-"""The names the package exports, and the parameters of its functions."""
+"""The names the package exports, the parameters of its functions, and
+the names each module imports."""
+import ast
 import inspect
+import pathlib
 import types
+
+import pytest
 
 import correlab
 
@@ -108,3 +113,35 @@ def test_parameter_names_are_pinned():
                     found[f"{name}.{attr}"] = \
                         list(inspect.signature(fn).parameters)[1:]
     assert found == PARAMETERS
+
+
+# a lint for imports, in the standard library alone: every name a module
+# imports is used in it, or re-exported from it by the package
+SRC = pathlib.Path(correlab.__file__).parent
+
+
+def _imported_names(tree: ast.AST) -> set:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names |= {a.asname or a.name for a in node.names}
+    return names
+
+
+def _reexported_from(module: str) -> set:
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    return {a.asname or a.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            and node.module == module for a in node.names}
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
+                                        if p.name != "__init__.py"),
+                         ids=lambda p: p.name)
+def test_modules_use_every_name_they_import(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = _imported_names(tree) - used - _reexported_from(path.stem)
+    assert sorted(unused) == []

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from correlab import thermal, verify
-from correlab import (chain_lattice, transverse_field_ising, embed,
+from correlab import spectral, thermal, verify
+from correlab import (Lattice, chain_lattice, transverse_field_ising, embed,
                       single_site, build_hamiltonian, gibbs_state,
                       kms_function, weight, residue_identity, contour_grid,
-                      contour_decomposition, fit_decay, theorem_check)
+                      contour_decomposition, fit_decay, theorem_check,
+                      ordinary_correlator, canonical_correlator)
 
 
 def setup_state(n=3, beta=1.0, J=1.0, h=0.9):
@@ -315,3 +316,66 @@ def test_theorem_check_builds_the_duhamel_kernel_once(monkeypatch):
     res = theorem_check(inter, 0.5, 1.0, [1, 2, 3, 4, 5, 6, 7])
     assert len(res.rows) == 7
     assert len(calls) == 1
+
+
+def test_theorem_check_transforms_only_a(monkeypatch):
+    # one contraction for all partners: A alone goes to the energy basis,
+    # and no partner is paired with it through _paired_sum
+    lat = chain_lattice(8)
+    inter = transverse_field_ising(lat, h=1.2)
+    counts = {"transform": 0, "paired": 0, "kernel": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(spectral.SpectralDecomposition, "transform",
+                        counted("transform",
+                                spectral.SpectralDecomposition.transform))
+    monkeypatch.setattr(thermal, "_paired_sum",
+                        counted("paired", thermal._paired_sum))
+    monkeypatch.setattr(thermal, "_duhamel_kernel",
+                        counted("kernel", thermal._duhamel_kernel))
+    res = theorem_check(inter, 0.5, 1.0, [1, 2, 3, 4, 5, 6, 7])
+    assert len(res.rows) == 7
+    assert counts == {"transform": 1, "paired": 0, "kernel": 1}
+
+
+@pytest.mark.parametrize("mu", [0.0, -1.0, float("nan"), float("inf")])
+def test_theorem_check_refuses_mu_not_finite_and_positive(mu):
+    # mu = 0 divided by zero, mu < 0 passed against a growing envelope and
+    # mu = nan gave a nan prefactor
+    inter = transverse_field_ising(chain_lattice(4))
+    with pytest.raises(ValueError, match="mu"):
+        theorem_check(inter, 0.5, mu, [1, 2, 3])
+
+
+def _shuffled_chain():
+    # lattice order differs from label order, and the partners of base "a"
+    # sit on both sides of it
+    xs = np.arange(4.0)
+    return Lattice(("b", "a", "d", "c"), np.abs(xs[:, None] - xs), (2,) * 4)
+
+
+@pytest.mark.parametrize("beta", [0.0, 4.0])
+@pytest.mark.parametrize("op", ["Z", "X", "Y"])
+@pytest.mark.parametrize("lattice, base, distances", [
+    (chain_lattice(7), 2, [1, 2, 3, 4]),
+    (_shuffled_chain(), "a", [1, 2]),
+], ids=["chain", "shuffled"])
+def test_theorem_check_matches_per_pair_correlators(lattice, base, distances,
+                                                    op, beta):
+    inter = transverse_field_ising(lattice, J=1.0, h=1.5)
+    st = gibbs_state(build_hamiltonian(inter).matrix, beta)
+    res = theorem_check(inter, beta, 1.0, distances, base_site=base,
+                        op_name=op, state=st)
+    a_e = st.to_eigenbasis(embed(single_site(base, op), lattice))
+    assert [r.distance for r in res.rows] == distances
+    for row in res.rows:
+        b_e = st.to_eigenbasis(embed(single_site(row.site, op), lattice))
+        ordinary = ordinary_correlator(st, a_e, b_e, basis="energy")
+        canonical = canonical_correlator(st, a_e, b_e, basis="energy")
+        assert abs(row.ordinary - ordinary) <= 1e-14
+        assert abs(row.canonical - canonical) <= 1e-14
