@@ -342,13 +342,13 @@ def _validate_locality_scan(data: dict) -> dict:
     radii = _num_list(data["radii"], "radii")
     if any(r < 0 for r in radii):
         raise ConfigError("radii must be nonnegative")
-    if sorted(radii) != radii:
-        raise ConfigError("radii must be listed in increasing order")
+    if any(r1 >= r2 for r1, r2 in zip(radii, radii[1:])):
+        raise ConfigError("radii must be strictly increasing")
     times_c, _ = _time_grid(data["times"], "times")
     out = {"task": "locality_scan", "model": model, "mu": mu, "a": a_c,
            "radii": radii, "times": times_c,
-           "exponent_multiplier": _num(data.get("exponent_multiplier", 1.0),
-                                       "exponent_multiplier")}
+           "exponent_multiplier": _positive(
+               data.get("exponent_multiplier", 1.0), "exponent_multiplier")}
     return _optional_positive(data, "velocity", out)
 
 
@@ -571,7 +571,8 @@ def _run_locality_scan(cfg: dict, workers: int, verbose: bool) -> _Outcome:
     summary = {"c_empirical": scan.c_empirical, "velocity": scan.velocity,
                "max_error_by_radius": {str(r): maxes[r] for r in radii},
                "monotone_in_radius": monotone,
-               "noise_floor": scan.noise_floor}
+               "noise_floor": scan.noise_floor, "floor_rows": scan.floor_rows,
+               "norm_route": scan.norm_route}
     return passed, summary, {"locality_scan.csv": rows}
 
 

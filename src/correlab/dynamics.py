@@ -23,6 +23,15 @@ the norm is taken is decided once per scan:
 - Any other pair: one D x D product X = B tau_t(A) in the energy basis.
   For Hermitian A and B the commutator is handed to the norm as an exactly
   Hermitian matrix, which keeps it on the eigensolver instead of the SVD.
+
+The locality scan takes its norms in the site basis, where the error
+D = tau_t(A) - E_r(tau_t(A)) is formed.  When the window holds only qubits,
+every interaction term in it commutes with the global spin flip
+P = X^{(x)n} (index reversal, i -> D-1-i) and a Hermitian A is flip-odd or
+flip-even, D has A's flip parity: E_r commutes with conjugation by the
+product unitary P.  In the basis (e_i +- e_{D-1-i})/sqrt 2 a flip-odd D is
+[[0, M], [M*, 0]] and a flip-even D is block-diagonal, so its norm comes
+from half-size blocks; every other scan takes the norm of D itself.
 """
 from __future__ import annotations
 
@@ -31,8 +40,8 @@ from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from .lattice import (Interaction, Lattice, Site, _is_hermitian, ball,
-                      certify_locality)
+from .lattice import (_HERM_TOL, Interaction, Lattice, Site, _is_hermitian,
+                      ball, certify_locality)
 from .operators import (EmbeddedOperator, conditional_expectation, embed,
                         spectral_norm)
 from .spectral import (SpectralDecomposition, _matmul, _sandwich,
@@ -206,6 +215,52 @@ def _half_block_norm(dec: SpectralDecomposition, gap: float, rows):
     return norm
 
 
+def _flip_parity_norm(interaction: Interaction, context: EvolutionContext,
+                      a_matrix: np.ndarray):
+    """(route, norm) for locality_scan's per-point ||D||, D Hermitian.
+
+    The route is "flip_odd" or "flip_even" when A is Hermitian, every window
+    site is a qubit, every interaction term inside the window satisfies
+    m[::-1, ::-1] = m and A's matrix a satisfies a[::-1, ::-1] = -a or = a
+    (each within _HERM_TOL relative).  Then D has A's flip parity, and with
+    the half-blocks TL, TR, BL, BR of D and J the half-size reversal, norm
+    reads D's exact-parity part: for odd D ||M|| with
+    M = (TL - TR J + J BL - J BR J) / 2, from the largest eigenvalue of
+    M M*; for even D the larger norm of the Hermitian blocks
+    (TL + J BR J +- (TR J + J BL)) / 2.  Otherwise the route is "dense" and
+    norm is spectral_norm.
+    """
+    lat, win = context.lattice, set(context.window)
+
+    def flips(m, sign):
+        return np.abs(m[::-1, ::-1] - sign * m).max() \
+            <= _HERM_TOL * np.abs(m).max()
+
+    parity = 0
+    if (_is_hermitian(a_matrix)
+            and all(lat.local_dims[lat.index(s)] == 2 for s in win)
+            and all(flips(m, 1) for sup, m in interaction.terms.items()
+                    if set(sup) <= win)):
+        parity = next((sign for sign in (-1, 1) if flips(a_matrix, sign)), 0)
+    if parity == 0:
+        return "dense", spectral_norm
+    h = context.decomposition.dim // 2
+
+    def norm(d: np.ndarray) -> float:
+        tl, tr = d[:h, :h], d[:h, h:][:, ::-1]
+        bl, br = d[h:, :h][::-1], d[h:, h:][::-1, ::-1]
+        if parity < 0:
+            m = tl - tr
+            m += bl
+            m -= br
+            m *= 0.5
+            return float(np.sqrt(spectral_norm(m @ m.conj().T)))
+        diag, cross = tl + br, tr + bl
+        return max(spectral_norm((diag + cross) / 2),
+                   spectral_norm((diag - cross) / 2))
+    return ("flip_odd" if parity < 0 else "flip_even"), norm
+
+
 def lr_commutator_scan(interaction: Interaction, a, b,
                        times: Sequence[float], mu: float,
                        velocity: Optional[float] = None,
@@ -299,6 +354,8 @@ class LocalityScanResult:
     measurements: List[LocalityMeasurement]
     c_empirical: float
     noise_floor: float  # eps * D * ||A||
+    floor_rows: int     # rows whose error is below it
+    norm_route: str     # "flip_odd", "flip_even" or "dense"
 
     def max_error_by_radius(self) -> dict:
         out: dict = {}
@@ -319,9 +376,26 @@ def locality_scan(interaction: Interaction, a, radii: Sequence[float],
     onto the ball of radius r around the support of A.  For Hermitian A the
     error is Hermitian up to round-off; its exactly Hermitian part is passed
     to the norm, which keeps every point on the eigensolver.  noise_floor
-    is eps * D * ||A||.  The window is the context's, or the whole lattice
-    when no context is given.
+    is eps * D * ||A||, and floor_rows counts the rows below it.  The
+    window is the context's, or the whole lattice when no context is given.
+    mu and exponent_multiplier must be finite and positive.
+
+    norm_route tells how the norm was taken, decided once from the
+    interaction and A.  When A is Hermitian, the window holds only qubits,
+    every interaction term inside it is even under the global spin flip
+    (index reversal) and A's matrix is flip-odd (any Pauli Z or Y) or
+    flip-even (any Pauli X), the error has A's flip parity and its norm
+    comes from half-size blocks: for "flip_odd" one (D/2)-sized product and
+    a (D/2)-sized eigensolver, for "flip_even" two (D/2)-sized eigensolvers.
+    The value is the norm of the error's exact-parity part, which differs
+    from the dense one by round-off.  Any other scan ("dense") takes the
+    norm of the D x D error.
     """
+    for name, value in (("mu", mu), ("exponent_multiplier",
+                                     exponent_multiplier)):
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and positive, "
+                             f"not {value!r}")
     if context is None:
         context = evolution_context(interaction)
     lat = context.lattice
@@ -332,6 +406,7 @@ def locality_scan(interaction: Interaction, a, radii: Sequence[float],
     xs = a.support
     na = spectral_norm(a.matrix)
     hermitian = _is_hermitian(a.matrix)
+    route, norm = _flip_parity_norm(interaction, context, a.matrix)
     abar = context.decomposition.transform(aemb.matrix)
 
     rows = []
@@ -341,17 +416,21 @@ def locality_scan(interaction: Interaction, a, radii: Sequence[float],
         tau = EmbeddedOperator(context.window, context.window, tau_mat)
         for r in radii:
             region = _ball_in_window(lat, xs, r, context.window)
-            approx = conditional_expectation(tau, region, lat)
-            diff = tau_mat - approx.matrix
+            diff = tau_mat - conditional_expectation(tau, region, lat).matrix
             if hermitian:
                 diff += diff.conj().T
                 diff /= 2
-            err = spectral_norm(diff)
+            err = norm(diff)
+            del diff
             env = na * np.exp(-mu * exponent_multiplier * float(r)) \
                 * np.expm1(velocity * abs(t))
             rows.append(LocalityMeasurement(float(r), t, float(err), float(env)))
+        # no D x D array of this time point stays alive through the next
+        # evolution, which is where the scan's memory peaks
+        del tau, tau_mat
     floor = float(np.finfo(float).eps) * context.decomposition.dim * na
     c_emp = _empirical_prefactor(((m.error, m.envelope) for m in rows), floor)
+    below = sum(m.error < floor for m in rows)
     return LocalityScanResult(mu, float(velocity), float(exponent_multiplier),
-                              rows, c_emp, floor)
+                              rows, c_emp, floor, below, route)
 

@@ -314,6 +314,15 @@ def test_contour_beta_too_thin_for_the_offset_is_a_config_error(tmp_path,
 
 CHAIN = {"name": "transverse_field_ising", "n": 3}
 
+# valid configs that the cases below break one key of
+VALID = {
+    "theorem_check": {"task": "theorem_check", "model": CHAIN, "beta": 1.0,
+                      "mu": 1.0, "distances": [1.0, 2.0]},
+    "locality_scan": {"task": "locality_scan", "model": CHAIN, "mu": 1.0,
+                      "a": {"site": 1, "op": "Z"}, "radii": [0.0, 1.0],
+                      "times": [0.0, 0.5]},
+}
+
 
 @pytest.mark.parametrize("override", [
     {"model": {"name": "transverse_field_ising", "nx": 0, "ny": 2}},
@@ -325,12 +334,17 @@ CHAIN = {"name": "transverse_field_ising", "n": 3}
     {"mu": float("inf")},
     # a repeated distance would write its row twice and weight both fits
     {"distances": [1.0, 2.0, 2.0]},
+    # a repeated radius would write its rows twice
+    {"task": "locality_scan", "radii": [1.0, 1.0, 2.0]},
+    # an envelope that does not decay in r cannot be failed
+    {"task": "locality_scan", "exponent_multiplier": 0.0},
+    {"task": "locality_scan", "exponent_multiplier": -1.0},
 ], ids=["grid-nx-0", "spacing-0", "spacing-negative", "h-nan", "beta-inf",
-        "distance-nan", "mu-inf", "distance-repeated"])
+        "distance-nan", "mu-inf", "distance-repeated", "radius-repeated",
+        "exponent-multiplier-0", "exponent-multiplier-negative"])
 def test_run_exit_two_on_degenerate_or_non_finite_config(tmp_path, capsys,
                                                          override):
-    raw = {"task": "theorem_check", "model": CHAIN, "beta": 1.0, "mu": 1.0,
-           "distances": [1.0, 2.0], **override}
+    raw = {**VALID[override.get("task", "theorem_check")], **override}
     cfg = write_config(tmp_path, yaml.safe_dump(raw))
     assert run_cli(["run", cfg, "--outdir", str(tmp_path / "out")]) == 2
     assert "config error" in capsys.readouterr().err
@@ -418,6 +432,17 @@ def test_run_locality_scan_task(tmp_path, capsys):
     errs = record["summary"]["max_error_by_radius"]
     assert errs["2.0"] <= errs["1.0"] <= errs["0.0"]
     assert record["summary"]["noise_floor"] == 2.0 ** -52 * 32  # eps D ||A||
+    # the t = 0 rows lie below it; Z in a transverse-field Ising chain is
+    # flip-odd
+    assert record["summary"]["floor_rows"] == 3
+    assert record["summary"]["norm_route"] == "flip_odd"
+
+
+def test_valid_configs_of_the_exit_two_cases_validate(tmp_path, capsys):
+    for task, raw in VALID.items():
+        cfg = write_config(tmp_path, yaml.safe_dump(raw), f"{task}.yaml")
+        assert run_cli(["validate", cfg]) == 0
+    capsys.readouterr()
 
 
 def test_run_theorem_check_task(tmp_path, capsys):

@@ -8,7 +8,7 @@ from correlab import (chain_lattice, transverse_field_ising, embed,
                       derivation_delta, evolution_context, evolve,
                       lr_commutator_scan, locality_scan, certify_locality,
                       conditional_expectation, random_bond_ising,
-                      LocalOperator, Interaction, SpectralDecomposition,
+                      heisenberg_xxz, ball, LocalOperator, Interaction, SpectralDecomposition,
                       PAULI_X, PAULI_Y, PAULI_Z)
 from correlab.dynamics import _evolve_energy
 
@@ -331,3 +331,80 @@ def test_locality_scan_envelope_multiplier():
     assert abs(m1.error - m2.error) < 1e-13
     assert abs(m2.envelope - m1.envelope * np.exp(-1.0)) < 1e-12
 
+
+
+def _dense_locality_errors(ctx, a, radii, times):
+    """The scan's errors by the dense route: the norm of the whole
+    site-basis error tau_t(A) - E_r(tau_t(A))."""
+    lat = ctx.lattice
+    out = []
+    for t in times:
+        tau = evolve(ctx, a, t)
+        for r in radii:
+            approx = conditional_expectation(tau, ball(lat, a.support, r), lat)
+            out.append(spectral_norm(tau.matrix - approx.matrix))
+    return out
+
+
+# Z and Y are odd under the global spin flip and X is even; every term of
+# random-bond Ising and of XXZ at h = 0 is even, -h Z is odd, and sigma+
+# is not Hermitian.  For X on random-bond Ising the two even blocks have
+# equal norms, on XXZ they do not.
+@pytest.mark.parametrize("model, a, route", [
+    ("rbi", single_site(2, "Z"), "flip_odd"),
+    ("rbi", single_site(2, "X"), "flip_even"),
+    ("xxz", single_site(2, "Y"), "flip_odd"),
+    ("xxz", single_site(2, "X"), "flip_even"),
+    ("xxz_field", single_site(2, "Z"), "dense"),
+    ("rbi", LocalOperator((2,), SIGMA_PLUS), "dense"),
+], ids=["rbi-z", "rbi-x", "xxz-y", "xxz-x", "xxz-field-z",
+        "rbi-sigma-plus"])
+def test_locality_scan_matches_dense_route(model, a, route):
+    lat = chain_lattice(6)
+    inter = {"rbi": random_bond_ising(lat, 1.0, 1.0, seed=3),
+             "xxz": heisenberg_xxz(lat, 1.0, 0.5),
+             "xxz_field": heisenberg_xxz(lat, 1.0, 0.5, h=0.7)}[model]
+    ctx = evolution_context(inter)
+    radii, times = [0.0, 1.0, 2.0, 3.0], [0.0, 0.5, 1.0]
+    scan = locality_scan(inter, a, radii, times, mu=1.0, context=ctx)
+    assert scan.norm_route == route
+    got = np.array([m.error for m in scan.measurements])
+    ref = np.array(_dense_locality_errors(ctx, a, radii, times))
+    assert ref.max() > 0.5  # the evolved operator has spread past the ball
+    assert np.abs(got - ref).max() <= scan.noise_floor
+    assert scan.floor_rows == np.count_nonzero(got < scan.noise_floor)
+
+
+@pytest.mark.parametrize("op", ["Z", "X"])
+def test_locality_scan_parity_route_stays_at_half_size(monkeypatch, op):
+    # every eigensolver call is on a block of at most D/2 = 128, never on
+    # the D-sized error
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return eigvalsh(m, *args, **kwargs)
+
+    inter = random_bond_ising(chain_lattice(8), 1.0, 1.0, seed=2)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    scan = locality_scan(inter, single_site(3, op), [1.0, 2.0, 3.0],
+                         [0.0, 0.5, 1.0], mu=1.0)
+    assert len(scan.measurements) == 9
+    assert (128, 128) in shapes
+    assert max(max(shape) for shape in shapes) <= 128
+
+
+@pytest.mark.parametrize("key, value", [
+    ("mu", 0.0), ("mu", -1.0), ("mu", float("nan")), ("mu", float("inf")),
+    ("exponent_multiplier", 0.0), ("exponent_multiplier", -1.0),
+    ("exponent_multiplier", float("nan")),
+    ("exponent_multiplier", float("inf")),
+])
+def test_locality_scan_refuses_rates_not_finite_and_positive(key, value):
+    # a given velocity keeps certify_locality out of it: with mu <= 0 or a
+    # multiplier <= 0 the envelope does not decay in r
+    _, inter, _ = setup(4)
+    kwargs = {"mu": 1.0, "velocity": 2.0, key: value}
+    with pytest.raises(ValueError, match=key):
+        locality_scan(inter, single_site(1, "Z"), [1.0], [0.5], **kwargs)
