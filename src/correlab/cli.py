@@ -2,7 +2,6 @@
 
     correlab run config.yaml [--outdir DIR] [--workers N] [--verbose]
     correlab validate config.yaml
-    correlab plot <run-dir>/record.json [--kind KIND]
 
 Every run is keyed by a hash of its validated configuration and lands in
 <outdir>/<hash>/ as record.json, one or two CSV files, and a gnuplot
@@ -30,18 +29,24 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .lattice import Lattice, build_model, chain_lattice, grid_lattice
+from .lattice import Interaction, Lattice, build_model, chain_lattice, \
+    grid_lattice
 from .operators import PAULI, LocalOperator, embed, single_site
 from .spectral import DIM_CAP, build_hamiltonian, eig_hermitian
 from .thermal import canonical_correlator, gibbs_state, kms_function, \
     ordinary_correlator
 from .dynamics import locality_scan, lr_commutator_scan
-from .verify import _DELTA_B, contour_decomposition, contour_grid, \
-    residue_identity, theorem_check
+from .verify import _DELTA_B, _RESIDUE_MAX, contour_decomposition, \
+    contour_grid, residue_identity, theorem_check
 
 _DEFAULT_OUTDIR = "correlab_runs"
 _MONO_SLACK = 1e-12
 
+# A validator's result: (canonical config, run inputs).  The inputs are the
+# canonical config with each section replaced by what it built: "model" by
+# the Interaction, "a"/"b" by LocalOperators, "times" by the expanded list
+# and "base_site" by the lattice label (None when not given).
+_Validated = Tuple[dict, dict]
 # A runner's result: (passed, summary, {csv name: rows}), each row a
 # {column: value} mapping whose keys give the CSV header.
 _Tables = Dict[str, List[dict]]
@@ -200,8 +205,8 @@ def _operator_section(raw, where: str, lat: Lattice) -> Tuple[dict, LocalOperato
     return {"site": canon_site, "op": name}, single_site(site, name)
 
 
-def _model_section(raw, where: str = "model"):
-    """Build (canonical dict, lattice, interaction) from a model mapping."""
+def _model_section(raw, where: str = "model") -> Tuple[dict, Interaction]:
+    """Build (canonical dict, interaction) from a model mapping."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} must be a mapping")
     keys = set(raw)
@@ -260,14 +265,14 @@ def _model_section(raw, where: str = "model"):
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
     canon.update(params)
-    return canon, lat, inter
+    return canon, inter
 
 
 # ---------------------------------------------------------------------------
 # Per-task validation (canonical config with defaults materialized)
 # ---------------------------------------------------------------------------
 
-def _validate_residue_identity(data: dict) -> dict:
+def _validate_residue_identity(data: dict) -> _Validated:
     _check_keys(data, {"task", "beta"},
                 {"height_fractions", "half_width", "tolerance"}, "config")
     betas = _num_list(data["beta"], "beta")
@@ -279,83 +284,90 @@ def _validate_residue_identity(data: dict) -> dict:
         raise ConfigError("height_fractions must lie in [0, 1]")
     hw = _positive(data.get("half_width", 10.0), "half_width")
     tol = _positive(data.get("tolerance", 1e-8), "tolerance")
-    return {"task": "residue_identity", "beta": betas,
-            "height_fractions": fracs, "half_width": hw, "tolerance": tol}
+    canon = {"task": "residue_identity", "beta": betas,
+             "height_fractions": fracs, "half_width": hw, "tolerance": tol}
+    return canon, canon
 
 
-def _validate_correlators(data: dict) -> dict:
+def _validate_correlators(data: dict) -> _Validated:
     _check_keys(data, {"task", "model", "beta", "a", "b", "times"},
                 {"tolerance"}, "config")
-    model, lat, _ = _model_section(data["model"])
+    model, inter = _model_section(data["model"])
     betas = _num_list(data["beta"], "beta")
     if any(b < 0 for b in betas):
         raise ConfigError("beta values must be nonnegative")
-    a_c, _ = _operator_section(data["a"], "a", lat)
-    b_c, _ = _operator_section(data["b"], "b", lat)
-    times_c, _ = _time_grid(data["times"], "times")
+    a_c, a = _operator_section(data["a"], "a", inter.lattice)
+    b_c, b = _operator_section(data["b"], "b", inter.lattice)
+    times_c, ts = _time_grid(data["times"], "times")
     tol = _positive(data.get("tolerance", 1e-8), "tolerance")
-    return {"task": "correlators", "model": model, "beta": betas,
-            "a": a_c, "b": b_c, "times": times_c, "tolerance": tol}
+    canon = {"task": "correlators", "model": model, "beta": betas,
+             "a": a_c, "b": b_c, "times": times_c, "tolerance": tol}
+    return canon, {**canon, "model": inter, "a": a, "b": b, "times": ts}
 
 
-def _validate_contour(data: dict) -> dict:
+def _validate_contour(data: dict) -> _Validated:
     _check_keys(data, {"task", "model", "beta", "a", "b", "heights"},
                 {"nodes", "half_width", "tolerance"}, "config")
-    model, lat, _ = _model_section(data["model"])
+    model, inter = _model_section(data["model"])
     beta = _positive(data["beta"], "beta")
     if beta <= 2 * _DELTA_B:
         raise ConfigError(f"beta must exceed {2 * _DELTA_B:g} to hold the "
                           "contour offset inward from the strip edges")
-    a_c, _ = _operator_section(data["a"], "a", lat)
-    b_c, _ = _operator_section(data["b"], "b", lat)
+    a_c, a = _operator_section(data["a"], "a", inter.lattice)
+    b_c, b = _operator_section(data["b"], "b", inter.lattice)
     heights = _num_list(data["heights"], "heights")
     if any(not 0.0 <= h <= beta for h in heights):
         raise ConfigError("heights must lie in [0, beta]")
     nodes = _intval(data.get("nodes", 1024), "nodes")
-    if nodes < 8:
-        raise ConfigError("nodes must be at least 8")
-    out = {"task": "contour", "model": model, "beta": beta, "a": a_c,
-           "b": b_c, "heights": heights, "nodes": nodes,
-           "tolerance": _positive(data.get("tolerance", 1e-6), "tolerance")}
-    return _optional_positive(data, "half_width", out)
+    # the residue identity's own ceiling: more nodes would only allocate
+    # larger node arrays
+    if not 8 <= nodes <= _RESIDUE_MAX:
+        raise ConfigError(f"nodes must lie in [8, {_RESIDUE_MAX}]")
+    canon = _optional_positive(data, "half_width", {
+        "task": "contour", "model": model, "beta": beta, "a": a_c, "b": b_c,
+        "heights": heights, "nodes": nodes,
+        "tolerance": _positive(data.get("tolerance", 1e-6), "tolerance")})
+    return canon, {**canon, "model": inter, "a": a, "b": b}
 
 
-def _validate_lr_scan(data: dict) -> dict:
+def _validate_lr_scan(data: dict) -> _Validated:
     _check_keys(data, {"task", "model", "mu", "a", "b", "times"},
                 {"velocity"}, "config")
-    model, lat, _ = _model_section(data["model"])
+    model, inter = _model_section(data["model"])
     mu = _positive(data["mu"], "mu")
-    a_c, _ = _operator_section(data["a"], "a", lat)
-    b_c, _ = _operator_section(data["b"], "b", lat)
-    times_c, _ = _time_grid(data["times"], "times")
-    out = {"task": "lr_scan", "model": model, "mu": mu, "a": a_c, "b": b_c,
-           "times": times_c}
-    return _optional_positive(data, "velocity", out)
+    a_c, a = _operator_section(data["a"], "a", inter.lattice)
+    b_c, b = _operator_section(data["b"], "b", inter.lattice)
+    times_c, ts = _time_grid(data["times"], "times")
+    canon = _optional_positive(data, "velocity", {
+        "task": "lr_scan", "model": model, "mu": mu, "a": a_c, "b": b_c,
+        "times": times_c})
+    return canon, {**canon, "model": inter, "a": a, "b": b, "times": ts}
 
 
-def _validate_locality_scan(data: dict) -> dict:
+def _validate_locality_scan(data: dict) -> _Validated:
     _check_keys(data, {"task", "model", "mu", "a", "radii", "times"},
                 {"velocity", "exponent_multiplier"}, "config")
-    model, lat, _ = _model_section(data["model"])
+    model, inter = _model_section(data["model"])
     mu = _positive(data["mu"], "mu")
-    a_c, _ = _operator_section(data["a"], "a", lat)
+    a_c, a = _operator_section(data["a"], "a", inter.lattice)
     radii = _num_list(data["radii"], "radii")
     if any(r < 0 for r in radii):
         raise ConfigError("radii must be nonnegative")
     if any(r1 >= r2 for r1, r2 in zip(radii, radii[1:])):
         raise ConfigError("radii must be strictly increasing")
-    times_c, _ = _time_grid(data["times"], "times")
-    out = {"task": "locality_scan", "model": model, "mu": mu, "a": a_c,
-           "radii": radii, "times": times_c,
-           "exponent_multiplier": _positive(
-               data.get("exponent_multiplier", 1.0), "exponent_multiplier")}
-    return _optional_positive(data, "velocity", out)
+    times_c, ts = _time_grid(data["times"], "times")
+    canon = _optional_positive(data, "velocity", {
+        "task": "locality_scan", "model": model, "mu": mu, "a": a_c,
+        "radii": radii, "times": times_c,
+        "exponent_multiplier": _positive(
+            data.get("exponent_multiplier", 1.0), "exponent_multiplier")})
+    return canon, {**canon, "model": inter, "a": a, "times": ts}
 
 
-def _validate_theorem_check(data: dict) -> dict:
+def _validate_theorem_check(data: dict) -> _Validated:
     _check_keys(data, {"task", "model", "beta", "mu", "distances"},
                 {"base_site", "op"}, "config")
-    model, lat, _ = _model_section(data["model"])
+    model, inter = _model_section(data["model"])
     beta = _positive(data["beta"], "beta")
     mu = _positive(data["mu"], "mu")
     dists = _num_list(data["distances"], "distances")
@@ -363,25 +375,28 @@ def _validate_theorem_check(data: dict) -> dict:
         raise ConfigError("need at least two distances")
     if len(set(dists)) != len(dists):
         raise ConfigError("distances must not repeat")
-    out = {"task": "theorem_check", "model": model, "beta": beta, "mu": mu,
-           "distances": dists, "op": _pauli(data.get("op", "Z"), "op")}
+    canon = {"task": "theorem_check", "model": model, "beta": beta, "mu": mu,
+             "distances": dists, "op": _pauli(data.get("op", "Z"), "op")}
+    base = None
     if "base_site" in data:
-        out["base_site"], _ = _site(data["base_site"], "base_site", lat)
-    return out
+        canon["base_site"], base = _site(data["base_site"], "base_site",
+                                         inter.lattice)
+    return canon, {**canon, "model": inter, "base_site": base}
 
 
-def validate_config(data: dict) -> Tuple[str, dict, str]:
-    """Validate a raw mapping; returns (task, canonical config, hash)."""
+def validate_config(data: dict) -> Tuple[str, dict, str, dict]:
+    """Validate a raw mapping; returns (task, canonical config, hash, run
+    inputs), the inputs being what the task's runner takes."""
     if "task" not in data:
         raise ConfigError("config is missing the required key 'task'")
     task = data["task"]
     if task not in _TASKS:
         raise ConfigError(f"unknown task {task!r}; available tasks: "
                           f"{', '.join(_TASKS)}")
-    canonical = _TASKS[task][0](data)
+    canonical, inputs = _TASKS[task][0](data)
     blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
-    return task, canonical, digest
+    return task, canonical, digest, inputs
 
 
 # ---------------------------------------------------------------------------
@@ -426,13 +441,8 @@ def _parallel(fn, jobs, workers: int) -> list:
         return list(ex.map(fn, jobs))
 
 
-def _operators(cfg: dict, lat: Lattice, *keys: str) -> List[LocalOperator]:
-    """The local operators named by cfg[key] for each key."""
-    return [_operator_section(cfg[k], k, lat)[1] for k in keys]
-
-
 # ---------------------------------------------------------------------------
-# Task runners
+# Task runners: each takes the run inputs its validator built
 # ---------------------------------------------------------------------------
 
 def _run_residue_identity(cfg: dict, workers: int, verbose: bool) -> _Outcome:
@@ -460,12 +470,11 @@ def _run_residue_identity(cfg: dict, workers: int, verbose: bool) -> _Outcome:
 
 
 def _run_correlators(cfg: dict, workers: int, verbose: bool) -> _Outcome:
-    _, lat, inter = _model_section(cfg["model"])
+    inter, ts = cfg["model"], cfg["times"]
     dec = eig_hermitian(build_hamiltonian(inter).matrix)
     # the energy basis does not depend on beta: one transform per operator
-    ae, be = (dec.transform(embed(op, lat).matrix)
-              for op in _operators(cfg, lat, "a", "b"))
-    _, ts = _time_grid(cfg["times"], "times")
+    ae, be = (dec.transform(embed(cfg[k], inter.lattice).matrix)
+              for k in ("a", "b"))
     tarr = np.asarray(ts)
     tol = cfg["tolerance"]
 
@@ -508,9 +517,9 @@ def _run_correlators(cfg: dict, workers: int, verbose: bool) -> _Outcome:
 
 
 def _run_contour(cfg: dict, workers: int, verbose: bool) -> _Outcome:
-    _, lat, inter = _model_section(cfg["model"])
+    inter = cfg["model"]
     st = gibbs_state(build_hamiltonian(inter).matrix, cfg["beta"])
-    a, b = (embed(op, lat) for op in _operators(cfg, lat, "a", "b"))
+    a, b = (embed(cfg[k], inter.lattice) for k in ("a", "b"))
     tol = cfg["tolerance"]
     grid = contour_grid(st, a, b, nodes=cfg["nodes"],
                         half_width=cfg.get("half_width"))
@@ -531,11 +540,8 @@ def _run_contour(cfg: dict, workers: int, verbose: bool) -> _Outcome:
 
 
 def _run_lr_scan(cfg: dict, workers: int, verbose: bool) -> _Outcome:
-    _, lat, inter = _model_section(cfg["model"])
-    a, b = _operators(cfg, lat, "a", "b")
-    _, ts = _time_grid(cfg["times"], "times")
-    scan = lr_commutator_scan(inter, a, b, ts, cfg["mu"],
-                              velocity=cfg.get("velocity"))
+    scan = lr_commutator_scan(cfg["model"], cfg["a"], cfg["b"], cfg["times"],
+                              cfg["mu"], velocity=cfg.get("velocity"))
     c = scan.c_empirical
     rows = [{**_fields(m, "time", "distance", "commutator_norm", "envelope"),
              "bound": c * m.envelope if np.isfinite(c) else float("inf")}
@@ -552,11 +558,8 @@ def _run_lr_scan(cfg: dict, workers: int, verbose: bool) -> _Outcome:
 
 
 def _run_locality_scan(cfg: dict, workers: int, verbose: bool) -> _Outcome:
-    _, lat, inter = _model_section(cfg["model"])
-    a, = _operators(cfg, lat, "a")
-    _, ts = _time_grid(cfg["times"], "times")
-    scan = locality_scan(inter, a, cfg["radii"], ts, cfg["mu"],
-                         velocity=cfg.get("velocity"),
+    scan = locality_scan(cfg["model"], cfg["a"], cfg["radii"], cfg["times"],
+                         cfg["mu"], velocity=cfg.get("velocity"),
                          exponent_multiplier=cfg["exponent_multiplier"])
     rows = [_fields(m, "radius", "time", "error", "envelope")
             for m in scan.measurements]
@@ -577,11 +580,9 @@ def _run_locality_scan(cfg: dict, workers: int, verbose: bool) -> _Outcome:
 
 
 def _run_theorem_check(cfg: dict, workers: int, verbose: bool) -> _Outcome:
-    _, lat, inter = _model_section(cfg["model"])
-    base = (_site(cfg["base_site"], "base_site", lat)[1]
-            if "base_site" in cfg else None)
-    res = theorem_check(inter, cfg["beta"], cfg["mu"], cfg["distances"],
-                        base_site=base, op_name=cfg["op"])
+    res = theorem_check(cfg["model"], cfg["beta"], cfg["mu"],
+                        cfg["distances"], base_site=cfg["base_site"],
+                        op_name=cfg["op"])
     rows = [_fields(r, "distance", "site", "ordinary", "canonical")
             for r in res.rows]
     if verbose:
@@ -603,7 +604,7 @@ _PLOT_HEAD = ('set datafile separator ","\n'
               'set key autotitle columnhead\n'
               'set grid\n')
 
-_TASKS: Dict[str, Tuple[Callable[[dict], dict],
+_TASKS: Dict[str, Tuple[Callable[[dict], _Validated],
                         Callable[[dict, int, bool], _Outcome], str]] = {
     "lr_scan": (_validate_lr_scan, _run_lr_scan, _PLOT_HEAD + (
         'set logscale y\nset xlabel "t"\nset ylabel "norm"\n'
@@ -645,14 +646,14 @@ def _resolve_outdir(flag: Optional[str]) -> Path:
 
 
 def _cmd_run(args) -> int:
-    task, canonical, digest = validate_config(_load_yaml(args.config))
+    task, canonical, digest, inputs = validate_config(_load_yaml(args.config))
     out = _resolve_outdir(args.outdir) / digest
     out.mkdir(parents=True, exist_ok=True)
     if args.verbose:
         print(f"task {task} -> {out}")
     _, runner, plot = _TASKS[task]
     t0 = time.perf_counter()
-    passed, summary, tables = runner(canonical, args.workers, args.verbose)
+    passed, summary, tables = runner(inputs, args.workers, args.verbose)
     for name, rows in tables.items():
         _write_csv(out / name, rows)
     elapsed = time.perf_counter() - t0
@@ -676,30 +677,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    task, canonical, digest = validate_config(_load_yaml(args.config))
+    task, canonical, digest, inputs = validate_config(_load_yaml(args.config))
     print(f"ok: task={task} hash={digest}")
     if "model" in canonical:
-        m = canonical["model"]
-        size = m.get("n", None)
-        if size is None and "nx" in m:
-            size = m["nx"] * m["ny"]
-        print(f"    model={m['name']} sites={size} dim={2 ** size}")
-    return 0
-
-
-def _cmd_plot(args) -> int:
-    path = Path(args.record)
-    try:
-        record = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read record {path}: {exc}") from None
-    kind = args.kind or record.get("task")
-    if kind not in _TASKS:
-        raise ConfigError(f"no plot template for kind {kind!r}; "
-                          f"available: {', '.join(sorted(_TASKS))}")
-    target = path.parent / "plot.gp"
-    target.write_text(_TASKS[kind][2], encoding="utf-8")
-    print(str(target))
+        lat = inputs["model"].lattice
+        print(f"    model={canonical['model']['name']} sites={len(lat)} "
+              f"dim={lat.window_dim(lat.sites)}")
     return 0
 
 
@@ -723,14 +706,8 @@ def main(argv=None) -> int:
     p_val = sub.add_parser("validate", help="validate a configuration file")
     p_val.add_argument("config", help="path to the YAML configuration")
 
-    p_plot = sub.add_parser("plot", help="write a gnuplot script for a run")
-    p_plot.add_argument("record", help="path to a run's record.json")
-    p_plot.add_argument("--kind", default=None, choices=sorted(_TASKS),
-                        help="plot template (default: the run's task)")
-
     args = parser.parse_args(argv)
-    handler = {"run": _cmd_run, "validate": _cmd_validate,
-               "plot": _cmd_plot}[args.command]
+    handler = {"run": _cmd_run, "validate": _cmd_validate}[args.command]
     try:
         return handler(args)
     except ConfigError as exc:

@@ -287,8 +287,11 @@ def lr_commutator_scan(interaction: Interaction, a, b,
     product X = B tau_t(A) per time point, B transformed once; for a
     Hermitian pair i(X - X*) is passed on, which is Hermitian to the last
     bit, so its norm comes from the eigensolver, and otherwise the
-    commutator is X - tau_t(A) B.
+    commutator is X - tau_t(A) B.  An empty time grid is refused: it would
+    give a prefactor backed by no measurement.
     """
+    if len(times) == 0:
+        raise ValueError("times must not be empty")
     if context is None:
         context = evolution_context(interaction)
     if velocity is None:
@@ -378,7 +381,8 @@ def locality_scan(interaction: Interaction, a, radii: Sequence[float],
     to the norm, which keeps every point on the eigensolver.  noise_floor
     is eps * D * ||A||, and floor_rows counts the rows below it.  The
     window is the context's, or the whole lattice when no context is given.
-    mu and exponent_multiplier must be finite and positive.
+    mu and exponent_multiplier must be finite and positive, and neither
+    grid may be empty.
 
     norm_route tells how the norm was taken, decided once from the
     interaction and A.  When A is Hermitian, the window holds only qubits,
@@ -396,6 +400,9 @@ def locality_scan(interaction: Interaction, a, radii: Sequence[float],
         if not 0.0 < value < np.inf:
             raise ValueError(f"{name} must be finite and positive, "
                              f"not {value!r}")
+    for name, grid in (("radii", radii), ("times", times)):
+        if len(grid) == 0:
+            raise ValueError(f"{name} must not be empty")
     if context is None:
         context = evolution_context(interaction)
     lat = context.lattice

@@ -80,9 +80,11 @@ class ThermalState:
 def _energy_matrix(state: ThermalState, op: OperatorLike,
                    basis: str) -> np.ndarray:
     """op as an eigenbasis matrix; basis="energy" says it already is one,
-    and a real one stays real."""
-    if basis != "energy":
+    and a real one stays real, while basis="site" transforms it."""
+    if basis == "site":
         return state.to_eigenbasis(op)
+    if basis != "energy":
+        raise ValueError(f"unknown basis {basis!r}")
     return _as_matrix(op)
 
 

@@ -5,6 +5,7 @@ covers the ``python -m correlab`` entry.  Runs use tiny lattices so the
 whole file stays in the seconds range.
 """
 import json
+import re
 import subprocess
 import sys
 import textwrap
@@ -13,7 +14,8 @@ from pathlib import Path
 import pytest
 import yaml
 
-from correlab import KMSFunction, SpectralDecomposition, cli
+from correlab import Interaction, KMSFunction, LocalOperator, \
+    SpectralDecomposition, cli
 
 
 def write_config(tmp_path: Path, text: str, name: str = "cfg.yaml") -> str:
@@ -51,6 +53,35 @@ CONTOUR_CFG = """\
     nodes: 256
     """
 
+LR_SCAN_CFG = """\
+    task: lr_scan
+    model: {name: transverse_field_ising, n: 5, J: 1.0, h: 1.0}
+    mu: 1.0
+    a: {site: 0, op: Z}
+    b: {site: 4, op: Z}
+    times: [0.0, 0.2]
+    """
+
+LOCALITY_CFG = """\
+    task: locality_scan
+    model: {name: transverse_field_ising, n: 5, J: 1.0, h: 1.0}
+    mu: 1.0
+    a: {site: 2, op: Z}
+    radii: [0.0, 1.0, 2.0]
+    times: [0.0, 0.3]
+    """
+
+THEOREM_CFG = """\
+    task: theorem_check
+    model: {name: transverse_field_ising, n: 6, J: 1.0, h: 2.0}
+    beta: 0.5
+    mu: 1.0
+    distances: [2.0, 3.0, 4.0, 5.0]
+    """
+
+TASK_CFGS = [RESIDUE_CFG, CORRELATOR_CFG, CONTOUR_CFG, LR_SCAN_CFG,
+             LOCALITY_CFG, THEOREM_CFG]
+
 
 # ---------------------------------------------------------------------------
 # validate_config
@@ -58,18 +89,19 @@ CONTOUR_CFG = """\
 
 def test_validate_config_canonicalizes_and_hashes():
     raw = {"task": "residue_identity", "beta": 1.0}
-    task, canon, digest = cli.validate_config(dict(raw))
+    task, canon, digest, inputs = cli.validate_config(dict(raw))
     assert task == "residue_identity"
+    assert inputs == canon  # no section to build
     # scalars become lists, defaults are materialized
     assert canon["beta"] == [1.0]
     assert canon["height_fractions"] == [0.0, 0.5, 1.0]
     assert canon["half_width"] == 10.0
     assert len(digest) == 12
     # the hash is a function of the canonical config only
-    _, _, again = cli.validate_config(dict(raw))
+    _, _, again, _ = cli.validate_config(dict(raw))
     assert again == digest
-    _, _, other = cli.validate_config({"task": "residue_identity",
-                                       "beta": 2.0})
+    _, _, other, _ = cli.validate_config({"task": "residue_identity",
+                                          "beta": 2.0})
     assert other != digest
 
 
@@ -113,6 +145,28 @@ GOLDEN_HASHES = [
                          ids=[f"{raw['task']}-{d}" for raw, d in GOLDEN_HASHES])
 def test_canonical_hash_is_pinned(raw, digest):
     assert cli.validate_config(raw)[2] == digest
+
+
+def test_validate_config_returns_what_the_runner_takes():
+    # the sections are built once: the runner gets the Interaction, the
+    # operators, the expanded time list and the base-site label
+    _, canon, _, inputs = cli.validate_config({
+        "task": "lr_scan", "model": {"name": "heisenberg_xxz", "nx": 2,
+                                     "ny": 2},
+        "mu": 1.0, "a": {"site": [0, 1], "op": "Y"},
+        "b": {"site": [1, 0], "op": "Z"},
+        "times": {"start": 0.0, "stop": 1.0, "step": 0.5}})
+    assert isinstance(inputs["model"], Interaction)
+    assert len(inputs["model"].lattice) == 4
+    assert isinstance(inputs["a"], LocalOperator)
+    assert inputs["a"].support == ((0, 1),)
+    assert inputs["times"] == [0.0, 0.5, 1.0]
+    assert canon["times"] == {"start": 0.0, "stop": 1.0, "step": 0.5}
+    assert inputs["mu"] == canon["mu"] == 1.0
+    raw = dict(GOLDEN_HASHES[5][0])  # a grid, base_site [1, 1]
+    assert cli.validate_config(raw)[3]["base_site"] == (1, 1)
+    del raw["base_site"]
+    assert cli.validate_config(raw)[3]["base_site"] is None
 
 
 def test_validate_config_rejects_unknown_task():
@@ -321,6 +375,10 @@ VALID = {
     "locality_scan": {"task": "locality_scan", "model": CHAIN, "mu": 1.0,
                       "a": {"site": 1, "op": "Z"}, "radii": [0.0, 1.0],
                       "times": [0.0, 0.5]},
+    # the residue identity's ceiling, the most nodes a contour may take
+    "contour": {"task": "contour", "model": CHAIN, "beta": 1.0,
+                "a": {"site": 0, "op": "Z"}, "b": {"site": 2, "op": "Z"},
+                "heights": [0.5], "nodes": 16384},
 }
 
 
@@ -339,9 +397,12 @@ VALID = {
     # an envelope that does not decay in r cannot be failed
     {"task": "locality_scan", "exponent_multiplier": 0.0},
     {"task": "locality_scan", "exponent_multiplier": -1.0},
+    # more nodes than that would only allocate larger node arrays
+    {"task": "contour", "nodes": 16385},
 ], ids=["grid-nx-0", "spacing-0", "spacing-negative", "h-nan", "beta-inf",
         "distance-nan", "mu-inf", "distance-repeated", "radius-repeated",
-        "exponent-multiplier-0", "exponent-multiplier-negative"])
+        "exponent-multiplier-0", "exponent-multiplier-negative",
+        "nodes-above-ceiling"])
 def test_run_exit_two_on_degenerate_or_non_finite_config(tmp_path, capsys,
                                                          override):
     raw = {**VALID[override.get("task", "theorem_check")], **override}
@@ -393,14 +454,7 @@ def test_run_contour_task(tmp_path, capsys):
 
 
 def test_run_lr_scan_task(tmp_path, capsys):
-    cfg = write_config(tmp_path, """\
-        task: lr_scan
-        model: {name: transverse_field_ising, n: 5, J: 1.0, h: 1.0}
-        mu: 1.0
-        a: {site: 0, op: Z}
-        b: {site: 4, op: Z}
-        times: [0.0, 0.2]
-        """)
+    cfg = write_config(tmp_path, LR_SCAN_CFG)
     assert run_cli(["run", cfg, "--outdir", str(tmp_path / "out")]) == 0
     capsys.readouterr()
     rundir = next((tmp_path / "out").iterdir())
@@ -416,14 +470,7 @@ def test_run_lr_scan_task(tmp_path, capsys):
 
 
 def test_run_locality_scan_task(tmp_path, capsys):
-    cfg = write_config(tmp_path, """\
-        task: locality_scan
-        model: {name: transverse_field_ising, n: 5, J: 1.0, h: 1.0}
-        mu: 1.0
-        a: {site: 2, op: Z}
-        radii: [0.0, 1.0, 2.0]
-        times: [0.0, 0.3]
-        """)
+    cfg = write_config(tmp_path, LOCALITY_CFG)
     assert run_cli(["run", cfg, "--outdir", str(tmp_path / "out")]) == 0
     capsys.readouterr()
     rundir = next((tmp_path / "out").iterdir())
@@ -446,13 +493,7 @@ def test_valid_configs_of_the_exit_two_cases_validate(tmp_path, capsys):
 
 
 def test_run_theorem_check_task(tmp_path, capsys):
-    cfg = write_config(tmp_path, """\
-        task: theorem_check
-        model: {name: transverse_field_ising, n: 6, J: 1.0, h: 2.0}
-        beta: 0.5
-        mu: 1.0
-        distances: [2.0, 3.0, 4.0, 5.0]
-        """)
+    cfg = write_config(tmp_path, THEOREM_CFG)
     assert run_cli(["run", cfg, "--outdir", str(tmp_path / "out")]) == 0
     capsys.readouterr()
     rundir = next((tmp_path / "out").iterdir())
@@ -553,29 +594,36 @@ def test_contour_workers_do_not_change_output(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# plot
+# plot.gp
 # ---------------------------------------------------------------------------
 
-def test_plot_rewrites_script(tmp_path, capsys):
-    cfg = write_config(tmp_path, RESIDUE_CFG)
+@pytest.mark.parametrize("text", TASK_CFGS,
+                         ids=[yaml.safe_load(t)["task"] for t in TASK_CFGS])
+def test_plot_script_reads_only_what_the_run_wrote(tmp_path, capsys, text):
+    cfg = write_config(tmp_path, text)
     assert run_cli(["run", cfg, "--outdir", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
     rundir = next((tmp_path / "out").iterdir())
-    script = rundir / "plot.gp"
-    original = script.read_text()
-    script.unlink()
-    assert run_cli(["plot", str(rundir / "record.json")]) == 0
-    assert script.read_text() == original
-    out = capsys.readouterr().out
-    assert str(script) in out
-    # explicit kind swaps the template
-    assert run_cli(["plot", str(rundir / "record.json"),
-                    "--kind", "lr_scan"]) == 0
-    assert "lr_scan.csv" in script.read_text()
+    record = json.loads((rundir / "record.json").read_text())
+    plots = re.findall(r'"([^"]+\.csv)" using (\S+)',
+                       (rundir / "plot.gp").read_text())
+    assert plots
+    for name, spec in plots:
+        assert name in record["files"]
+        width = len((rundir / name).read_text().splitlines()[0].split(","))
+        # a column is a bare index or a $n inside an expression
+        cols = [int(c) for part in spec.split(":")
+                for c in ([part] if part.isdigit()
+                          else re.findall(r"\$(\d+)", part))]
+        assert cols and all(1 <= c <= width for c in cols), (name, spec)
 
 
-def test_plot_missing_record_is_config_error(tmp_path, capsys):
-    assert run_cli(["plot", str(tmp_path / "absent.json")]) == 2
-    assert "cannot read" in capsys.readouterr().err
+def test_plot_subcommand_is_gone(tmp_path, capsys):
+    # run writes plot.gp itself; argparse refuses the unknown subcommand
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["plot", str(tmp_path / "record.json")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'plot'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

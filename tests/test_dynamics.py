@@ -408,3 +408,16 @@ def test_locality_scan_refuses_rates_not_finite_and_positive(key, value):
     kwargs = {"mu": 1.0, "velocity": 2.0, key: value}
     with pytest.raises(ValueError, match=key):
         locality_scan(inter, single_site(1, "Z"), [1.0], [0.5], **kwargs)
+
+
+@pytest.mark.parametrize("key, scan", [
+    ("times", lambda inter, z: lr_commutator_scan(inter, z(0), z(3), [],
+                                                  mu=1.0)),
+    ("radii", lambda inter, z: locality_scan(inter, z(1), [], [0.5], mu=1.0)),
+    ("times", lambda inter, z: locality_scan(inter, z(1), [1.0], [], mu=1.0)),
+], ids=["lr-times", "locality-radii", "locality-times"])
+def test_scans_refuse_an_empty_grid(key, scan):
+    # no measurement, so no prefactor: c_empirical 0.0 would claim a bound
+    _, inter, _ = setup(4)
+    with pytest.raises(ValueError, match=f"{key} must not be empty"):
+        scan(inter, lambda site: single_site(site, "Z"))

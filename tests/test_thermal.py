@@ -314,6 +314,25 @@ def test_canonical_rejects_unknown_method():
         canonical_correlator(st, np.eye(8), np.eye(8), method="series")
 
 
+@pytest.mark.parametrize("call", [
+    lambda st, a, b: st.expectation(a, basis="eigen"),
+    lambda st, a, b: kms_function(st, a, b, basis="eigen"),
+    lambda st, a, b: ordinary_correlator(st, a, b, basis="eigen"),
+    lambda st, a, b: canonical_correlator(st, a, b, basis="eigen"),
+], ids=["expectation", "kms_function", "ordinary", "canonical"])
+def test_unknown_basis_is_refused(call):
+    # an unknown basis used to be read as "site": the energy-basis pair
+    # Z0, X3 of a TFIM chain then gave an ordinary correlator of 0.157
+    # where the energy-basis value is 0
+    lat = chain_lattice(4)
+    st = gibbs_state(build_hamiltonian(transverse_field_ising(lat)).matrix,
+                     1.0)
+    a, b = (st.to_eigenbasis(embed(single_site(s, p), lat).matrix)
+            for s, p in ((0, "Z"), (3, "X")))
+    with pytest.raises(ValueError, match="unknown basis 'eigen'"):
+        call(st, a, b)
+
+
 def test_duhamel_kernel_is_silent_at_low_temperature():
     # beta |Em - En| reaches past 700 here; the kernel only takes expm1 of
     # -beta |Em - En| <= 0, so no entry may overflow or warn
