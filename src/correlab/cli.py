@@ -1,6 +1,6 @@
 """Command-line driver for YAML-configured experiment runs.
 
-    correlab run config.yaml [--outdir DIR] [--workers N] [--verbose]
+    correlab run config.yaml [--outdir DIR] [--workers N]
     correlab validate config.yaml
 
 Every run is keyed by a hash of its validated configuration and lands in
@@ -445,7 +445,7 @@ def _parallel(fn, jobs, workers: int) -> list:
 # Task runners: each takes the run inputs its validator built
 # ---------------------------------------------------------------------------
 
-def _run_residue_identity(cfg: dict, workers: int, verbose: bool) -> _Outcome:
+def _run_residue_identity(cfg: dict, workers: int) -> _Outcome:
     jobs = [(b, f) for b in cfg["beta"] for f in cfg["height_fractions"]]
 
     def one(job):
@@ -454,14 +454,9 @@ def _run_residue_identity(cfg: dict, workers: int, verbose: bool) -> _Outcome:
                                 half_width=cfg["half_width"])
 
     results = _parallel(one, jobs, workers)
-    rows = []
-    for (beta, frac), res in zip(jobs, results):
-        if verbose:
-            print(f"  beta={beta:g} height={res.height:g} "
-                  f"defect={res.defect:.3e} nodes={res.nodes}")
-        rows.append({"beta": beta, "fraction": frac, **_fields(
-            res, "height", "value", "defect", "nodes", "tail_bound",
-            "endpoint_corrected")})
+    rows = [{"beta": beta, "fraction": frac, **_fields(
+        res, "height", "value", "defect", "nodes", "tail_bound",
+        "endpoint_corrected")} for (beta, frac), res in zip(jobs, results)]
     max_defect = max(r.defect for r in results)
     passed = max_defect <= cfg["tolerance"]
     return passed, {"max_defect": max_defect, "tolerance": cfg["tolerance"],
@@ -469,7 +464,7 @@ def _run_residue_identity(cfg: dict, workers: int, verbose: bool) -> _Outcome:
         "residue_identity.csv": rows}
 
 
-def _run_correlators(cfg: dict, workers: int, verbose: bool) -> _Outcome:
+def _run_correlators(cfg: dict, workers: int) -> _Outcome:
     inter, ts = cfg["model"], cfg["times"]
     dec = eig_hermitian(build_hamiltonian(inter).matrix)
     # the energy basis does not depend on beta: one transform per operator
@@ -496,19 +491,14 @@ def _run_correlators(cfg: dict, workers: int, verbose: bool) -> _Outcome:
             "kms_gap": float(np.abs(grid["f_boundary"] - grid["g"]).max())}
 
     results = _parallel(one, cfg["beta"], workers)
-    grid_rows, sum_rows = [], [row for _, row in results]
-    passed = True
-    for grid, row in results:
-        grid_rows += [{"beta": row["beta"], "time": t,
-                       **{k: v[i] for k, v in grid.items()}}
-                      for i, t in enumerate(ts)]
-        route, gap = row["route_gap"], row["kms_gap"]
-        bscale = 1.0 + float(np.abs(grid["f_boundary"]).max())
-        passed = (passed and route <= tol * (1 + abs(row["canonical_closed"]))
-                  and gap <= tol * bscale)
-        if verbose:
-            print(f"  beta={row['beta']:g} route_gap={route:.3e} "
-                  f"kms_gap={gap:.3e}")
+    sum_rows = [row for _, row in results]
+    grid_rows = [{"beta": row["beta"], "time": t,
+                  **{k: v[i] for k, v in grid.items()}}
+                 for grid, row in results for i, t in enumerate(ts)]
+    passed = all(
+        row["route_gap"] <= tol * (1 + abs(row["canonical_closed"]))
+        and row["kms_gap"] <= tol * (1 + np.abs(grid["f_boundary"]).max())
+        for grid, row in results)
     summary = {"max_route_gap": max(r["route_gap"] for r in sum_rows),
                "max_kms_gap": max(r["kms_gap"] for r in sum_rows),
                "tolerance": tol}
@@ -516,7 +506,7 @@ def _run_correlators(cfg: dict, workers: int, verbose: bool) -> _Outcome:
                              "correlators_summary.csv": sum_rows}
 
 
-def _run_contour(cfg: dict, workers: int, verbose: bool) -> _Outcome:
+def _run_contour(cfg: dict, workers: int) -> _Outcome:
     inter = cfg["model"]
     st = gibbs_state(build_hamiltonian(inter).matrix, cfg["beta"])
     a, b = (embed(cfg[k], inter.lattice) for k in ("a", "b"))
@@ -527,10 +517,6 @@ def _run_contour(cfg: dict, workers: int, verbose: bool) -> _Outcome:
     results = _parallel(lambda h: contour_decomposition(grid, h),
                         cfg["heights"], workers)
     rels = [dec.defect / (1 + abs(dec.direct)) for dec in results]
-    if verbose:
-        for dec in results:
-            print(f"  b={dec.height:g} defect={dec.defect:.3e} "
-                  f"subtracted={dec.subtracted}")
     rows = [_fields(dec, "height", "effective_height", "offset", "subtracted",
                     "nodes", "term_commutator", "term_bottom", "term_top",
                     "reconstruction", "direct", "defect") for dec in results]
@@ -539,16 +525,13 @@ def _run_contour(cfg: dict, workers: int, verbose: bool) -> _Outcome:
         "contour.csv": rows}
 
 
-def _run_lr_scan(cfg: dict, workers: int, verbose: bool) -> _Outcome:
+def _run_lr_scan(cfg: dict, workers: int) -> _Outcome:
     scan = lr_commutator_scan(cfg["model"], cfg["a"], cfg["b"], cfg["times"],
                               cfg["mu"], velocity=cfg.get("velocity"))
     c = scan.c_empirical
     rows = [{**_fields(m, "time", "distance", "commutator_norm", "envelope"),
              "bound": c * m.envelope if np.isfinite(c) else float("inf")}
             for m in scan.measurements]
-    if verbose:
-        print(f"  distance={scan.distance:g} velocity={scan.velocity:.6g} "
-              f"c_empirical={c:.6g}")
     passed = bool(np.isfinite(c))
     summary = {"c_empirical": c, "velocity": scan.velocity,
                "distance": scan.distance, "mu": scan.mu,
@@ -557,7 +540,7 @@ def _run_lr_scan(cfg: dict, workers: int, verbose: bool) -> _Outcome:
     return passed, summary, {"lr_scan.csv": rows}
 
 
-def _run_locality_scan(cfg: dict, workers: int, verbose: bool) -> _Outcome:
+def _run_locality_scan(cfg: dict, workers: int) -> _Outcome:
     scan = locality_scan(cfg["model"], cfg["a"], cfg["radii"], cfg["times"],
                          cfg["mu"], velocity=cfg.get("velocity"),
                          exponent_multiplier=cfg["exponent_multiplier"])
@@ -567,9 +550,6 @@ def _run_locality_scan(cfg: dict, workers: int, verbose: bool) -> _Outcome:
     radii = cfg["radii"]
     monotone = all(maxes[radii[i + 1]] < maxes[radii[i]] + _MONO_SLACK
                    for i in range(len(radii) - 1))
-    if verbose:
-        for r in radii:
-            print(f"  r={r:g} max_error={maxes[r]:.6e}")
     passed = monotone and bool(np.isfinite(scan.c_empirical))
     summary = {"c_empirical": scan.c_empirical, "velocity": scan.velocity,
                "max_error_by_radius": {str(r): maxes[r] for r in radii},
@@ -579,15 +559,12 @@ def _run_locality_scan(cfg: dict, workers: int, verbose: bool) -> _Outcome:
     return passed, summary, {"locality_scan.csv": rows}
 
 
-def _run_theorem_check(cfg: dict, workers: int, verbose: bool) -> _Outcome:
+def _run_theorem_check(cfg: dict, workers: int) -> _Outcome:
     res = theorem_check(cfg["model"], cfg["beta"], cfg["mu"],
                         cfg["distances"], base_site=cfg["base_site"],
                         op_name=cfg["op"])
     rows = [_fields(r, "distance", "site", "ordinary", "canonical")
             for r in res.rows]
-    if verbose:
-        print(f"  xi={res.xi:.6g} xi'={res.xi_prime:.6g} "
-              f"xi'_emp={res.xi_prime_empirical:.6g} c'={res.c_prime:.6g}")
     summary = {"xi": res.xi, "xi_prime": res.xi_prime,
                "xi_prime_empirical": res.xi_prime_empirical,
                "c_ordinary": res.c_ordinary, "c_prime": res.c_prime,
@@ -605,7 +582,7 @@ _PLOT_HEAD = ('set datafile separator ","\n'
               'set grid\n')
 
 _TASKS: Dict[str, Tuple[Callable[[dict], _Validated],
-                        Callable[[dict, int, bool], _Outcome], str]] = {
+                        Callable[[dict, int], _Outcome], str]] = {
     "lr_scan": (_validate_lr_scan, _run_lr_scan, _PLOT_HEAD + (
         'set logscale y\nset xlabel "t"\nset ylabel "norm"\n'
         'plot "lr_scan.csv" using 1:3 with linespoints title "commutator", \\\n'
@@ -649,11 +626,9 @@ def _cmd_run(args) -> int:
     task, canonical, digest, inputs = validate_config(_load_yaml(args.config))
     out = _resolve_outdir(args.outdir) / digest
     out.mkdir(parents=True, exist_ok=True)
-    if args.verbose:
-        print(f"task {task} -> {out}")
     _, runner, plot = _TASKS[task]
     t0 = time.perf_counter()
-    passed, summary, tables = runner(inputs, args.workers, args.verbose)
+    passed, summary, tables = runner(inputs, args.workers)
     for name, rows in tables.items():
         _write_csv(out / name, rows)
     elapsed = time.perf_counter() - t0
@@ -700,8 +675,6 @@ def main(argv=None) -> int:
                             f"./{_DEFAULT_OUTDIR})")
     p_run.add_argument("--workers", type=int, default=1,
                        help="threads for independent grid points")
-    p_run.add_argument("--verbose", action="store_true",
-                       help="print per-point progress")
 
     p_val = sub.add_parser("validate", help="validate a configuration file")
     p_val.add_argument("config", help="path to the YAML configuration")

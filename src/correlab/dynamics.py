@@ -97,16 +97,13 @@ def _evolve_energy(dec: SpectralDecomposition, a_energy: np.ndarray,
     return _sandwich(v, _tau_energy(dec, a_energy, z), v.conj().T)
 
 
-def evolve(context: EvolutionContext, op, time,
-           allow_complex: bool = False) -> EmbeddedOperator:
+def evolve(context: EvolutionContext, op, time) -> EmbeddedOperator:
     """tau_time(op) on the context window.
 
-    Real times always work.  Complex times are opt-in (allow_complex=True)
-    and are refused when exp(|Im z| max|E|) would overflow.
+    time may be real or complex; a complex time is refused with
+    FloatingPointError when exp(|Im z| max|E|) would overflow.
     """
     z = complex(time)
-    if z.imag != 0.0 and not allow_complex:
-        raise ValueError("complex evolution time requires allow_complex=True")
     e = context.decomposition.eigenvalues
     if abs(z.imag) * max(abs(float(e[0])), abs(float(e[-1]))) > _EXP_CAP:
         raise FloatingPointError("imaginary time too large for this spectrum")
@@ -150,6 +147,21 @@ def _empirical_prefactor(pairs, floor: float) -> float:
         elif env == 0.0 and lhs > floor:
             return float("inf")
     return best
+
+
+def _check_scan(grids: dict, **rates) -> None:
+    """Refuse a scan whose prefactor would rest on no measurement, or on
+    envelopes that are not numbers: every rate given (None leaves it to its
+    default) must be finite and positive, every grid nonempty and finite."""
+    for name, value in rates.items():
+        if value is not None and not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and positive, "
+                             f"not {value!r}")
+    for name, grid in grids.items():
+        if len(grid) == 0:
+            raise ValueError(f"{name} must not be empty")
+        if not np.isfinite(np.asarray(grid, dtype=float)).all():
+            raise ValueError(f"{name} must be finite")
 
 
 def _two_levels(m: np.ndarray):
@@ -287,11 +299,11 @@ def lr_commutator_scan(interaction: Interaction, a, b,
     product X = B tau_t(A) per time point, B transformed once; for a
     Hermitian pair i(X - X*) is passed on, which is Hermitian to the last
     bit, so its norm comes from the eigensolver, and otherwise the
-    commutator is X - tau_t(A) B.  An empty time grid is refused: it would
-    give a prefactor backed by no measurement.
+    commutator is X - tau_t(A) B.  mu and a given velocity must be finite
+    and positive, and the time grid nonempty and finite: anything else
+    would give a prefactor backed by no measurement.
     """
-    if len(times) == 0:
-        raise ValueError("times must not be empty")
+    _check_scan({"times": times}, mu=mu, velocity=velocity)
     if context is None:
         context = evolution_context(interaction)
     if velocity is None:
@@ -381,8 +393,8 @@ def locality_scan(interaction: Interaction, a, radii: Sequence[float],
     to the norm, which keeps every point on the eigensolver.  noise_floor
     is eps * D * ||A||, and floor_rows counts the rows below it.  The
     window is the context's, or the whole lattice when no context is given.
-    mu and exponent_multiplier must be finite and positive, and neither
-    grid may be empty.
+    mu, exponent_multiplier and a given velocity must be finite and
+    positive, and both grids nonempty and finite.
 
     norm_route tells how the norm was taken, decided once from the
     interaction and A.  When A is Hermitian, the window holds only qubits,
@@ -395,14 +407,8 @@ def locality_scan(interaction: Interaction, a, radii: Sequence[float],
     from the dense one by round-off.  Any other scan ("dense") takes the
     norm of the D x D error.
     """
-    for name, value in (("mu", mu), ("exponent_multiplier",
-                                     exponent_multiplier)):
-        if not 0.0 < value < np.inf:
-            raise ValueError(f"{name} must be finite and positive, "
-                             f"not {value!r}")
-    for name, grid in (("radii", radii), ("times", times)):
-        if len(grid) == 0:
-            raise ValueError(f"{name} must not be empty")
+    _check_scan({"radii": radii, "times": times}, mu=mu, velocity=velocity,
+                exponent_multiplier=exponent_multiplier)
     if context is None:
         context = evolution_context(interaction)
     lat = context.lattice

@@ -254,8 +254,9 @@ class LocalityCertificate:
 
 def certify_locality(interaction: Interaction, mu: float) -> LocalityCertificate:
     """Per-site weighted sums and the resulting velocity v = 2 max S(x)."""
-    if mu <= 0:
-        raise ValueError("decay rate mu must be positive")
+    if not 0.0 < mu < np.inf:
+        raise ValueError(f"decay rate mu must be finite and positive, "
+                         f"not {mu!r}")
     lat = interaction.lattice
     sums = {site: 0.0 for site in lat.sites}
     for sup, norm in interaction.term_norms.items():

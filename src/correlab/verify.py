@@ -337,10 +337,13 @@ def theorem_check(interaction: Interaction, beta: float, mu: float,
     that its embedding meets.  When A and B are diagonal only the
     diagonals of M and rho are formed, with no product beyond V (W o A).
 
-    mu must be finite and positive.
+    mu must be finite and positive, and no distance may repeat: a repeated
+    row would count twice in both fits.
     """
     if not 0.0 < mu < np.inf:
         raise ValueError(f"mu must be finite and positive, not {mu!r}")
+    if len({float(l) for l in distances}) != len(distances):
+        raise ValueError("distances must not repeat")
     lat = interaction.lattice
     base = base_site if base_site is not None else lat.sites[0]
     pairs = []

@@ -340,6 +340,24 @@ def test_run_exit_one_when_invariant_fails(tmp_path, capsys):
     assert record["passed"] is False
 
 
+_FAILING_RESIDUE_CFG = RESIDUE_CFG + "tolerance: 1.0e-30\n"
+
+
+@pytest.mark.parametrize(
+    "text, rc", [(t, 0) for t in TASK_CFGS] + [(_FAILING_RESIDUE_CFG, 1)],
+    ids=[yaml.safe_load(t)["task"] for t in TASK_CFGS] + ["failed"])
+def test_run_prints_only_its_status_line(tmp_path, capsys, text, rc):
+    # every number a run computes is in its CSVs and record.json
+    cfg = write_config(tmp_path, text)
+    assert run_cli(["run", cfg, "--outdir", str(tmp_path / "out")]) == rc
+    rundir = next((tmp_path / "out").iterdir())
+    status = "passed" if rc == 0 else "FAILED"
+    [line] = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(rf"{yaml.safe_load(text)['task']} {rundir.name} "
+                        rf"{status} \(\d+\.\d\ds\) -> "
+                        rf"{re.escape(str(rundir))}", line)
+
+
 def test_run_exit_two_on_config_error(tmp_path, capsys):
     residue = "task: residue_identity\n"
     for text in (residue + "beta: [-1.0]\n",
@@ -624,6 +642,25 @@ def test_plot_subcommand_is_gone(tmp_path, capsys):
         run_cli(["plot", str(tmp_path / "record.json")])
     assert exc.value.code == 2
     assert "invalid choice: 'plot'" in capsys.readouterr().err
+
+
+def test_run_options_are_pinned(capsys):
+    # an added switch shows up here as a diff
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert re.findall(r"\[(-[-\w]+)", usage) == ["-h", "--outdir",
+                                                 "--workers"]
+
+
+def test_verbose_switch_is_gone(tmp_path, capsys):
+    cfg = write_config(tmp_path, RESIDUE_CFG)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", cfg, "--outdir", str(tmp_path / "out"), "--verbose"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --verbose" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

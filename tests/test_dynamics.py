@@ -52,17 +52,15 @@ def test_heisenberg_equation_of_motion():
     assert np.abs(lhs - rhs).max() < 1e-7
 
 
-def test_complex_time_needs_flag_and_matches_expm():
+def test_complex_time_matches_expm():
     lat, inter, ctx = setup(3)
     ham = build_hamiltonian(inter).matrix
     a = single_site(0, "Z")
     z = 0.3 + 0.2j
-    with pytest.raises(ValueError, match="allow_complex"):
-        evolve(ctx, a, z)
     u = scipy.linalg.expm(1j * z * ham)
     uinv = scipy.linalg.expm(-1j * z * ham)
     ref = u @ embed(a, lat).matrix @ uinv
-    got = evolve(ctx, a, z, allow_complex=True).matrix
+    got = evolve(ctx, a, z).matrix
     assert np.abs(got - ref).max() < 1e-10
 
 
@@ -71,7 +69,7 @@ def test_complex_time_overflow_guard():
     inter = transverse_field_ising(lat, J=0.0, h=500.0)
     ctx = evolution_context(inter)
     with pytest.raises(FloatingPointError):
-        evolve(ctx, single_site(0, "Z"), 2.0j, allow_complex=True)
+        evolve(ctx, single_site(0, "Z"), 2.0j)
 
 
 def test_evolve_rejects_foreign_window():
@@ -421,3 +419,44 @@ def test_scans_refuse_an_empty_grid(key, scan):
     _, inter, _ = setup(4)
     with pytest.raises(ValueError, match=f"{key} must not be empty"):
         scan(inter, lambda site: single_site(site, "Z"))
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("key, call", [
+    ("mu", lambda inter, z: lr_commutator_scan(inter, z(0), z(3), [0.5],
+                                               mu=_NAN)),
+    ("velocity", lambda inter, z: lr_commutator_scan(
+        inter, z(0), z(3), [0.5], mu=1.0, velocity=_NAN)),
+    ("velocity", lambda inter, z: lr_commutator_scan(
+        inter, z(0), z(3), [0.5], mu=1.0, velocity=-1.0)),
+    ("velocity", lambda inter, z: lr_commutator_scan(
+        inter, z(0), z(3), [0.5], mu=1.0, velocity=_INF)),
+    ("times", lambda inter, z: lr_commutator_scan(inter, z(0), z(3),
+                                                  [0.5, _NAN], mu=1.0)),
+    ("times", lambda inter, z: lr_commutator_scan(inter, z(0), z(3), [_INF],
+                                                  mu=1.0)),
+    ("velocity", lambda inter, z: locality_scan(inter, z(1), [1.0], [0.5],
+                                                mu=1.0, velocity=_NAN)),
+    ("velocity", lambda inter, z: locality_scan(inter, z(1), [1.0], [0.5],
+                                                mu=1.0, velocity=-1.0)),
+    ("velocity", lambda inter, z: locality_scan(inter, z(1), [1.0], [0.5],
+                                                mu=1.0, velocity=_INF)),
+    ("radii", lambda inter, z: locality_scan(inter, z(1), [_NAN], [0.5],
+                                             mu=1.0)),
+    ("times", lambda inter, z: locality_scan(inter, z(1), [1.0], [_NAN],
+                                             mu=1.0)),
+    ("mu", lambda inter, z: certify_locality(inter, _NAN)),
+    ("mu", lambda inter, z: certify_locality(inter, _INF)),
+], ids=["lr-mu-nan", "lr-velocity-nan", "lr-velocity-negative",
+        "lr-velocity-inf", "lr-times-nan", "lr-times-inf",
+        "locality-velocity-nan", "locality-velocity-negative",
+        "locality-velocity-inf", "locality-radii-nan", "locality-times-nan",
+        "certify-mu-nan", "certify-mu-inf"])
+def test_scans_refuse_a_bound_they_cannot_measure(key, call):
+    # each of these gave a prefactor from NaN or infinite envelopes, or
+    # failed inside the eigensolver
+    _, inter, _ = setup(4)
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        call(inter, lambda site: single_site(site, "Z"))

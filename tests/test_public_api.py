@@ -56,7 +56,7 @@ PARAMETERS = {
     "eig_hermitian": ["matrix"],
     "embed": ["op", "lattice", "window"],
     "evolution_context": ["interaction", "window"],
-    "evolve": ["context", "op", "time", "allow_complex"],
+    "evolve": ["context", "op", "time"],
     "fit_decay": ["xs", "ys"],
     "gauss_legendre": ["n"],
     "gibbs_state": ["hamiltonian", "beta"],

@@ -286,6 +286,13 @@ def test_theorem_check_needs_two_distances():
         theorem_check(inter, beta=0.5, mu=1.0, distances=[40, 50])
 
 
+def test_theorem_check_refuses_repeated_distances():
+    # a repeated row would count twice in both fits
+    inter = transverse_field_ising(chain_lattice(6), J=1.0, h=2.0)
+    with pytest.raises(ValueError, match="distances must not repeat"):
+        theorem_check(inter, beta=0.5, mu=1.0, distances=[1.0, 1.0, 2.0])
+
+
 def test_theorem_check_accepts_prebuilt_state_and_base_site():
     lat = chain_lattice(5)
     inter = transverse_field_ising(lat, h=1.5)
