@@ -21,6 +21,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
@@ -33,11 +34,11 @@ from .lattice import Interaction, Lattice, build_model, chain_lattice, \
     grid_lattice
 from .operators import PAULI, LocalOperator, embed, single_site
 from .spectral import DIM_CAP, build_hamiltonian, eig_hermitian
-from .thermal import canonical_correlator, gibbs_state, kms_function, \
-    ordinary_correlator
+from .thermal import _UnconvergedQuadrature, canonical_correlator, \
+    gibbs_state, kms_function, ordinary_correlator
 from .dynamics import locality_scan, lr_commutator_scan
-from .verify import _DELTA_B, _RESIDUE_MAX, contour_decomposition, \
-    contour_grid, residue_identity, theorem_check
+from .verify import _DELTA_B, _RESIDUE_MAX, _partners, \
+    contour_decomposition, contour_grid, residue_identity, theorem_check
 
 _DEFAULT_OUTDIR = "correlab_runs"
 _MONO_SLACK = 1e-12
@@ -371,16 +372,17 @@ def _validate_theorem_check(data: dict) -> _Validated:
     beta = _positive(data["beta"], "beta")
     mu = _positive(data["mu"], "mu")
     dists = _num_list(data["distances"], "distances")
-    if len(dists) < 2:
-        raise ConfigError("need at least two distances")
-    if len(set(dists)) != len(dists):
-        raise ConfigError("distances must not repeat")
     canon = {"task": "theorem_check", "model": model, "beta": beta, "mu": mu,
              "distances": dists, "op": _pauli(data.get("op", "Z"), "op")}
     base = None
     if "base_site" in data:
         canon["base_site"], base = _site(data["base_site"], "base_site",
                                          inter.lattice)
+    lat = inter.lattice
+    try:
+        _partners(lat, lat.sites[0] if base is None else base, dists)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return canon, {**canon, "model": inter, "base_site": base}
 
 
@@ -490,7 +492,16 @@ def _run_correlators(cfg: dict, workers: int) -> _Outcome:
             "route_gap": abs(closed - quad),
             "kms_gap": float(np.abs(grid["f_boundary"] - grid["g"]).max())}
 
-    results = _parallel(one, cfg["beta"], workers)
+    # the quadrature route warns, once per beta, when it stops unconverged
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", _UnconvergedQuadrature)
+        results = _parallel(one, cfg["beta"], workers)
+    unconverged = 0
+    for w in caught:
+        if issubclass(w.category, _UnconvergedQuadrature):
+            unconverged += 1
+        else:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     sum_rows = [row for _, row in results]
     grid_rows = [{"beta": row["beta"], "time": t,
                   **{k: v[i] for k, v in grid.items()}}
@@ -501,7 +512,7 @@ def _run_correlators(cfg: dict, workers: int) -> _Outcome:
         for grid, row in results)
     summary = {"max_route_gap": max(r["route_gap"] for r in sum_rows),
                "max_kms_gap": max(r["kms_gap"] for r in sum_rows),
-               "tolerance": tol}
+               "quadrature_unconverged": unconverged, "tolerance": tol}
     return passed, summary, {"correlators.csv": grid_rows,
                              "correlators_summary.csv": sum_rows}
 

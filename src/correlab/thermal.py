@@ -16,6 +16,7 @@ garbage.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -34,6 +35,11 @@ _PAIR_TILE = 64           # side of the tiles A * B^T is reduced over
 _KERNEL_BLOCK = 1 << 18   # entries per row block of the Duhamel kernel
 
 OperatorLike = Union[EmbeddedOperator, LocalOperator, np.ndarray]
+
+
+class _UnconvergedQuadrature(RuntimeWarning):
+    """The quadrature route of canonical_correlator reached _QUAD_MAX nodes
+    without two refinements agreeing within _QUAD_TOL."""
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +268,9 @@ def canonical_correlator(state: ThermalState, a: OperatorLike, b: OperatorLike,
     method="quadrature" uses Gauss-Legendre on [0, beta]: with nodes
     b_k = beta (x_k + 1)/2 the average is half the weighted sum of F(ib_k),
     with no division by beta, so beta = 0 needs no special case.  The node
-    count is doubled from 64 until two refinements agree within 1e-10 (or
-    512 nodes).  The two routes are kept deliberately independent.
+    count is doubled from 64 until two refinements agree within 1e-10; if
+    512 nodes are reached first, the last value is returned with a
+    RuntimeWarning.  The two routes are kept deliberately independent.
     """
     am, bm = _energy_matrix(state, a, basis), _energy_matrix(state, b, basis)
     p = state.weights
@@ -287,5 +294,10 @@ def canonical_correlator(state: ThermalState, a: OperatorLike, b: OperatorLike,
         vals = np.sum(left * (mcore @ right), axis=0)
         return complex(0.5 * np.sum(w * vals))
 
-    value = _refine_by_doubling(average, _QUAD_START, _QUAD_MAX, _QUAD_TOL)[0]
+    value, nodes, converged = _refine_by_doubling(average, _QUAD_START,
+                                                  _QUAD_MAX, _QUAD_TOL)
+    if not converged:
+        warnings.warn(f"canonical quadrature: no two refinements agreed "
+                      f"within {_QUAD_TOL:g} by {nodes} nodes",
+                      _UnconvergedQuadrature, stacklevel=2)
     return value - disconnected

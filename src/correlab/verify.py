@@ -315,6 +315,26 @@ def _pair_for_distance(lat: Lattice, base, distance: float):
     return None
 
 
+def _partners(lat: Lattice, base, distances: Sequence[float]) -> list:
+    """(distance, site) for each distance that some site realizes from base.
+
+    Refuses fewer than two such distances, which leave nothing to fit, and
+    two distances that select one site, equal or within the 1e-9 match of
+    _pair_for_distance: that site's row would count twice in both fits.
+    """
+    chosen: dict = {}
+    for l in map(float, distances):
+        site = _pair_for_distance(lat, base, l)
+        if site in chosen:
+            raise ValueError(f"distances must not repeat: {chosen[site]!r} "
+                             f"and {l!r} both select site {site!r}")
+        if site is not None:
+            chosen[site] = l
+    if len(chosen) < 2:
+        raise ValueError("need at least two realizable distances")
+    return [(l, site) for site, l in chosen.items()]
+
+
 def theorem_check(interaction: Interaction, beta: float, mu: float,
                   distances: Sequence[float], base_site=None,
                   op_name: str = "Z",
@@ -337,22 +357,14 @@ def theorem_check(interaction: Interaction, beta: float, mu: float,
     that its embedding meets.  When A and B are diagonal only the
     diagonals of M and rho are formed, with no product beyond V (W o A).
 
-    mu must be finite and positive, and no distance may repeat: a repeated
-    row would count twice in both fits.
+    mu must be finite and positive, and no two distances may select the
+    same partner site: its row would count twice in both fits.
     """
     if not 0.0 < mu < np.inf:
         raise ValueError(f"mu must be finite and positive, not {mu!r}")
-    if len({float(l) for l in distances}) != len(distances):
-        raise ValueError("distances must not repeat")
     lat = interaction.lattice
     base = base_site if base_site is not None else lat.sites[0]
-    pairs = []
-    for l in distances:
-        partner = _pair_for_distance(lat, base, float(l))
-        if partner is not None:
-            pairs.append((float(l), partner))
-    if len(pairs) < 2:
-        raise ValueError("need at least two realizable distances")
+    pairs = _partners(lat, base, distances)
     if state is None:
         state = gibbs_state(build_hamiltonian(interaction).matrix, beta)
     if state.dim != lat.window_dim(lat.sites):

@@ -325,6 +325,30 @@ def test_run_residue_identity_counts_unconverged(tmp_path, capsys, betas,
                       "tail_bound,endpoint_corrected")
 
 
+@pytest.mark.parametrize("model, betas, unconverged", [
+    ({"name": "transverse_field_ising", "n": 4, "J": 1.0, "h": 50.0},
+     [500.0, 1000.0], 2),
+    ({"name": "heisenberg_xxz", "n": 4, "J": 1.0, "delta": 0.5},
+     [0.25, 0.5, 1.0, 2.0], 0)], ids=["beta-500-1000", "strip-betas"])
+def test_run_correlators_counts_unconverged_quadrature(tmp_path, capsys, model,
+                                                       betas, unconverged):
+    # at beta (E_max - E_min) = 2e5 and 4e5 the quadrature route reaches
+    # 512 nodes before two refinements agree; before, the flag was dropped.
+    # Two workers: the betas' warnings arrive from two threads.
+    cfg = write_config(tmp_path, yaml.safe_dump(
+        {"task": "correlators", "model": model, "beta": betas,
+         "a": {"site": 0, "op": "Y"}, "b": {"site": 1, "op": "Y"},
+         "times": [0.0, 0.5]}))
+    assert run_cli(["run", cfg, "--outdir", str(tmp_path / "out"),
+                    "--workers", "2"]) == 0
+    capsys.readouterr()
+    rundir = next((tmp_path / "out").iterdir())
+    record = json.loads((rundir / "record.json").read_text())
+    assert record["summary"]["quadrature_unconverged"] == unconverged
+    header = (rundir / "correlators_summary.csv").read_text().splitlines()[0]
+    assert "unconverged" not in header
+
+
 def test_run_exit_one_when_invariant_fails(tmp_path, capsys):
     # a tolerance far below the round-off defect (about 4e-16)
     cfg = write_config(tmp_path, """\
@@ -410,6 +434,10 @@ VALID = {
     {"mu": float("inf")},
     # a repeated distance would write its row twice and weight both fits
     {"distances": [1.0, 2.0, 2.0]},
+    # two distances within the partner match select one site twice
+    {"distances": [1.0, 1.0 + 1e-12, 2.0]},
+    # no site of the 3-site chain lies 40 from the base: one row, no fit
+    {"distances": [1.0, 40.0]},
     # a repeated radius would write its rows twice
     {"task": "locality_scan", "radii": [1.0, 1.0, 2.0]},
     # an envelope that does not decay in r cannot be failed
@@ -418,7 +446,8 @@ VALID = {
     # more nodes than that would only allocate larger node arrays
     {"task": "contour", "nodes": 16385},
 ], ids=["grid-nx-0", "spacing-0", "spacing-negative", "h-nan", "beta-inf",
-        "distance-nan", "mu-inf", "distance-repeated", "radius-repeated",
+        "distance-nan", "mu-inf", "distance-repeated", "partner-repeated",
+        "one-realizable-distance", "radius-repeated",
         "exponent-multiplier-0", "exponent-multiplier-negative",
         "nodes-above-ceiling"])
 def test_run_exit_two_on_degenerate_or_non_finite_config(tmp_path, capsys,

@@ -7,6 +7,7 @@ alongside the defining exactness property of Gaussian rules.
 import numpy as np
 import pytest
 
+from correlab import quadrature
 from correlab.quadrature import gauss_legendre
 
 
@@ -69,3 +70,64 @@ def test_cache_returns_frozen_arrays():
 def test_rejects_empty_rule():
     with pytest.raises(ValueError):
         gauss_legendre(0)
+
+
+def _longdouble_rule(n):
+    """Non-negative nodes, descending, and their weights by plain Newton on
+    the recurrence in extended precision: the reference for the rule."""
+    x = np.cos(np.pi * (np.arange((n + 1) // 2) + 0.75) / (n + 0.5))
+    x = x.astype(np.longdouble)
+    for _ in range(8):  # quadratic from about 1e-5: far below 1e-19
+        p0, p1 = np.ones_like(x), np.zeros_like(x)
+        for j in range(n):
+            p0, p1 = ((2 * j + 1) * x * p0 - j * p1) / (j + 1), p0
+        dp = n * (x * p0 - p1) / (x * x - 1)
+        x = x - p0 / dp
+    return x, 2 / ((1 - x * x) * dp * dp)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("n", [65, 512, 2048])
+def test_matches_extended_precision_newton(n):
+    xr, wr = _longdouble_rule(n)
+    x, w = gauss_legendre(n)
+    half = slice(n // 2, None)
+    assert np.abs(x[half][::-1] - xr).max() < 2e-16
+    assert np.abs(w[half][::-1] - wr).max() < 5e-16
+
+
+def test_large_rule_takes_at_most_three_recurrences(monkeypatch):
+    # Tricomi's start and quartic steps settle every node, the weights
+    # included, within three sweeps, and only the first takes every node
+    calls = []
+    real = quadrature._legendre_pair
+    monkeypatch.setattr(quadrature, "_legendre_pair",
+                        lambda n, x: calls.append(x.size) or real(n, x))
+    monkeypatch.setattr(quadrature, "_CACHE", {})
+    gauss_legendre(4096)
+    assert 1 <= len(calls) <= 3
+    assert calls[0] == 2048 and all(size < 2048 for size in calls[1:])
+
+
+def test_sweep_cap_raises(monkeypatch):
+    # a node that never settles is an error, not a silently returned guess
+    monkeypatch.setattr(quadrature, "_MAX_SWEEPS", 1)
+    monkeypatch.setattr(quadrature, "_CACHE", {})
+    with pytest.raises(RuntimeError, match="sweeps"):
+        gauss_legendre(64)
+
+
+@pytest.mark.parametrize("n", [64.5, 64.0, True, "64"])
+def test_rejects_a_node_count_that_is_not_an_integer(n, monkeypatch):
+    # truncating would hand 64.5 the 64-node rule, cached under 64, and
+    # True the 1-node rule
+    monkeypatch.setattr(quadrature, "_CACHE", {})
+    with pytest.raises(TypeError):
+        gauss_legendre(n)
+    assert quadrature._CACHE == {}
+
+
+def test_numpy_integer_node_count():
+    x, w = gauss_legendre(np.int64(9))
+    assert x is gauss_legendre(9)[0] and w.shape == (9,)

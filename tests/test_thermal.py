@@ -270,6 +270,18 @@ def test_canonical_routes_agree():
     assert abs(closed - quad) < 1e-10
 
 
+def test_canonical_quadrature_warns_when_it_stops_unconverged():
+    # beta (E_max - E_min) = 4e5: 512 nodes come before two refinements
+    # agree within 1e-10; before, the value came back with no sign of it
+    lat = chain_lattice(4)
+    ham = build_hamiltonian(transverse_field_ising(lat, J=1.0, h=50.0))
+    st = gibbs_state(ham.matrix, 1000.0)
+    a, b = (embed(single_site(s, "Y"), lat) for s in (0, 1))
+    with pytest.warns(RuntimeWarning, match="by 512 nodes"):
+        quad = canonical_correlator(st, a, b, method="quadrature")
+    assert abs(quad - canonical_correlator(st, a, b)) < 1e-8
+
+
 def test_canonical_collapses_when_b_commutes_with_h():
     # classical Ising (h = 0): Z operators commute with H, so the imaginary
     # time average does nothing and both correlators coincide

@@ -293,6 +293,14 @@ def test_theorem_check_refuses_repeated_distances():
         theorem_check(inter, beta=0.5, mu=1.0, distances=[1.0, 1.0, 2.0])
 
 
+def test_theorem_check_refuses_two_distances_with_one_partner():
+    # 1 + 1e-12 is a different float but selects the same site as 1.0;
+    # before, site 1 got two rows and weighed twice in both fits
+    inter = transverse_field_ising(chain_lattice(4))
+    with pytest.raises(ValueError, match="both select site 1"):
+        theorem_check(inter, 0.5, 1.0, [1.0, 1.0 + 1e-12, 2.0])
+
+
 def test_theorem_check_accepts_prebuilt_state_and_base_site():
     lat = chain_lattice(5)
     inter = transverse_field_ising(lat, h=1.5)
