@@ -8,7 +8,7 @@ verification pipeline, all on windows small enough to diagonalize exactly.
 
 __version__ = "0.1.0"
 
-from .lattice import (Lattice, chain_lattice, grid_lattice, ball, shell_count,
+from .lattice import (Lattice, chain_lattice, grid_lattice, ball,
                       Interaction, LocalityCertificate, certify_locality,
                       nearest_neighbor_pairs,
                       transverse_field_ising, heisenberg_xxz,

@@ -34,8 +34,8 @@ from .lattice import Interaction, Lattice, build_model, chain_lattice, \
     grid_lattice
 from .operators import PAULI, LocalOperator, embed, single_site
 from .spectral import DIM_CAP, build_hamiltonian, eig_hermitian
-from .thermal import _UnconvergedQuadrature, canonical_correlator, \
-    gibbs_state, kms_function, ordinary_correlator
+from .thermal import KMSFunction, _UnconvergedQuadrature, \
+    canonical_correlator, gibbs_state, ordinary_correlator
 from .dynamics import locality_scan, lr_commutator_scan
 from .verify import _DELTA_B, _RESIDUE_MAX, _partners, \
     contour_decomposition, contour_grid, residue_identity, theorem_check
@@ -477,17 +477,13 @@ def _run_correlators(cfg: dict, workers: int) -> _Outcome:
 
     def one(beta):
         st = gibbs_state(dec, beta)
-        fn = kms_function(st, ae, be, basis="energy")
+        fn = KMSFunction(st, ae, be)
         grid = {"f": fn.eval_grid(tarr), "g": fn.conjugate_eval_grid(tarr),
                 "f_boundary": fn.eval_grid(tarr, imag=beta)}
-        am, bm = fn.a_energy, fn.b_energy
-        closed = canonical_correlator(st, am, bm, method="closed_form",
-                                      basis="energy")
-        quad = canonical_correlator(st, am, bm, method="quadrature",
-                                    basis="energy")
+        closed = canonical_correlator(fn, method="closed_form")
+        quad = canonical_correlator(fn, method="quadrature")
         return grid, {
-            "beta": beta,
-            "ordinary": ordinary_correlator(st, am, bm, basis="energy"),
+            "beta": beta, "ordinary": ordinary_correlator(fn),
             "canonical_closed": closed, "canonical_quadrature": quad,
             "route_gap": abs(closed - quad),
             "kms_gap": float(np.abs(grid["f_boundary"] - grid["g"]).max())}

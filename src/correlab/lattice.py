@@ -158,35 +158,18 @@ def grid_lattice(nx: int, ny: int, local_dim: int = 2) -> Lattice:
     return Lattice(sites, d, (local_dim,) * len(sites))
 
 
-def _as_site_set(lattice: Lattice, xs) -> Tuple[Site, ...]:
-    if isinstance(xs, (list, tuple, set, frozenset)):
-        sites = tuple(xs)
-    else:
-        sites = (xs,)
-    if not sites:
-        raise ValueError("site set must be nonempty")
-    return lattice.sort_sites(sites)
-
-
 def ball(lattice: Lattice, xs, radius: float) -> Tuple[Site, ...]:
-    """B_r(X) = {y : d(y, X) < r} together with X itself (strict inequality)."""
+    """B_r(X) = {y : d(y, X) < r} together with X itself (strict inequality);
+    xs is one site or a nonempty collection of them."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    base = _as_site_set(lattice, xs)
-    xi = [lattice.index(x) for x in base]
+    base = tuple(xs) if isinstance(xs, (list, tuple, set, frozenset)) else (xs,)
+    if not base:
+        raise ValueError("site set must be nonempty")
+    xi = [lattice.index(x) for x in lattice.sort_sites(base)]
     dmin = lattice.distances[:, xi].min(axis=1)
     inside = set(np.nonzero(dmin < radius)[0]) | set(xi)
     return tuple(lattice.sites[i] for i in sorted(inside))
-
-
-def shell_count(lattice: Lattice, ys, radius: float) -> int:
-    """|{z : d(z, Y) in (r-1, r]}| for integer shell index r >= 1."""
-    if radius < 1:
-        raise ValueError("shell index must be >= 1")
-    base = _as_site_set(lattice, ys)
-    yi = [lattice.index(y) for y in base]
-    dmin = lattice.distances[:, yi].min(axis=1)
-    return int(np.count_nonzero((dmin > radius - 1) & (dmin <= radius)))
 
 
 # ---------------------------------------------------------------------------

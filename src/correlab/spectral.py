@@ -40,13 +40,23 @@ class SpectralDecomposition:
 
         With real eigenvectors every product is a real GEMM (a complex M
         goes through _sandwich); only complex eigenvectors pay for zgemm.
+        A matrix that is not D x D is refused.
         """
-        m = np.asarray(matrix)
+        m = _on_window(np.asarray(matrix), self.dim)
         v = self.eigenvectors
         d = np.diag(m)
         if np.count_nonzero(m) == np.count_nonzero(d):  # no D x D temporary
             return v.conj().T @ (d[:, None] * v)
         return _sandwich(v.conj().T, m, v)
+
+
+def _on_window(m: np.ndarray, dim: int) -> np.ndarray:
+    """m itself, refused unless it is dim x dim."""
+    if m.shape != (dim, dim):
+        raise ValueError(f"operator of shape {m.shape} does not act on the "
+                         f"window, of shape {(dim, dim)}; embed the operator "
+                         "on the window first")
+    return m
 
 
 def _matmul(left: np.ndarray, c: np.ndarray,

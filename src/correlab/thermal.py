@@ -12,7 +12,8 @@ boundary condition F(t + i beta) = G(t) ties the two together.  G is F of
 the swapped pair at the mirrored point, G_{A,B}(z) = F_{B,A}(-z), so one
 evaluator serves both.  It tolerates a bounded excursion outside the native
 strip (needed by the contour pipeline) and refuses to produce overflowed
-garbage.
+garbage.  The ordinary and canonical correlators read the pair a KMSFunction
+holds: F(0) and the beta-average of F(ib), each less phi(A) phi(B).
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .operators import EmbeddedOperator, LocalOperator, _as_matrix
 from .quadrature import _refine_by_doubling, gauss_legendre
-from .spectral import SpectralDecomposition, eig_hermitian
+from .spectral import SpectralDecomposition, _on_window, eig_hermitian
 
 _EXP_CAP = 700.0          # np.exp overflows just past 709
 _STRIP_TOL = 1e-9
@@ -71,8 +72,8 @@ class ThermalState:
     def to_eigenbasis(self, op: OperatorLike) -> np.ndarray:
         return self.decomposition.transform(_as_matrix(op))
 
-    def expectation(self, op: OperatorLike, basis: str = "site") -> complex:
-        return complex(_gibbs_mean(self.weights, _energy_matrix(self, op, basis)))
+    def expectation(self, op: OperatorLike) -> complex:
+        return complex(_gibbs_mean(self.weights, self.to_eigenbasis(op)))
 
     def _duhamel_weights(self) -> np.ndarray:
         """K_mn / Z, the weights of the closed-form canonical correlator."""
@@ -81,17 +82,6 @@ class ThermalState:
             kern /= np.exp(self.log_partition)
             object.__setattr__(self, "_kernel", kern)
         return self._kernel
-
-
-def _energy_matrix(state: ThermalState, op: OperatorLike,
-                   basis: str) -> np.ndarray:
-    """op as an eigenbasis matrix; basis="energy" says it already is one,
-    and a real one stays real, while basis="site" transforms it."""
-    if basis == "site":
-        return state.to_eigenbasis(op)
-    if basis != "energy":
-        raise ValueError(f"unknown basis {basis!r}")
-    return _as_matrix(op)
 
 
 def _gibbs_mean(weights: np.ndarray, m: np.ndarray):
@@ -141,14 +131,16 @@ class KMSFunction:
     """Two-sided thermal correlation function of a fixed operator pair.
 
     Holds A and B in the energy eigenbasis so repeated evaluations on time
-    grids cost one matrix product each.
+    grids cost one matrix product each.  The constructor takes the pair in
+    that basis as D x D matrices (a real pair stays real, integers become
+    float); kms_function takes it in the site basis.
     """
 
-    def __init__(self, state: ThermalState, a_energy: np.ndarray,
-                 b_energy: np.ndarray):
+    def __init__(self, state: ThermalState, a_energy: OperatorLike,
+                 b_energy: OperatorLike):
         self.state = state
-        self.a_energy = a_energy
-        self.b_energy = b_energy
+        self.a_energy = _on_window(_as_matrix(a_energy), state.dim)
+        self.b_energy = _on_window(_as_matrix(b_energy), state.dim)
 
     @property
     def phi_a(self) -> complex:
@@ -216,22 +208,20 @@ class KMSFunction:
                 - self.conjugate_eval_grid(ts, imag=0.0))
 
 
-def kms_function(state: ThermalState, a: OperatorLike, b: OperatorLike,
-                 basis: str = "site") -> KMSFunction:
-    return KMSFunction(state, _energy_matrix(state, a, basis),
-                       _energy_matrix(state, b, basis))
+def kms_function(state: ThermalState, a: OperatorLike,
+                 b: OperatorLike) -> KMSFunction:
+    """F(z) = phi(A tau_z(B)) for the site-basis pair (A, B)."""
+    return KMSFunction(state, state.to_eigenbasis(a), state.to_eigenbasis(b))
 
 
 # ---------------------------------------------------------------------------
-# Correlators
+# Correlators of the pair a KMS function holds
 # ---------------------------------------------------------------------------
 
-def ordinary_correlator(state: ThermalState, a: OperatorLike, b: OperatorLike,
-                        basis: str = "site") -> complex:
-    """Truncated correlation phi(AB) - phi(A) phi(B)."""
-    am, bm = _energy_matrix(state, a, basis), _energy_matrix(state, b, basis)
-    p = state.weights
-    return _paired_sum(p, am, bm) - complex(_gibbs_mean(p, am) * _gibbs_mean(p, bm))
+def ordinary_correlator(fn: KMSFunction) -> complex:
+    """Truncated correlation phi(AB) - phi(A) phi(B) = F(0) - phi(A) phi(B)."""
+    return (_paired_sum(fn.state.weights, fn.a_energy, fn.b_energy)
+            - fn.phi_a * fn.phi_b)
 
 
 def _duhamel_kernel(beta: float, energies: np.ndarray) -> np.ndarray:
@@ -257,10 +247,9 @@ def _duhamel_kernel(beta: float, energies: np.ndarray) -> np.ndarray:
     return kern
 
 
-def canonical_correlator(state: ThermalState, a: OperatorLike, b: OperatorLike,
-                         method: str = "closed_form",
-                         basis: str = "site") -> complex:
-    """Duhamel (canonical) correlator
+def canonical_correlator(fn: KMSFunction, method: str = "closed_form") -> complex:
+    """Duhamel (canonical) correlator, the beta-average of F on the
+    imaginary axis,
 
         (1/beta) int_0^beta db  phi(A tau_{ib}(B))  -  phi(A) phi(B).
 
@@ -272,9 +261,8 @@ def canonical_correlator(state: ThermalState, a: OperatorLike, b: OperatorLike,
     512 nodes are reached first, the last value is returned with a
     RuntimeWarning.  The two routes are kept deliberately independent.
     """
-    am, bm = _energy_matrix(state, a, basis), _energy_matrix(state, b, basis)
-    p = state.weights
-    disconnected = complex(_gibbs_mean(p, am) * _gibbs_mean(p, bm))
+    state, am, bm = fn.state, fn.a_energy, fn.b_energy
+    disconnected = fn.phi_a * fn.phi_b
 
     if method == "closed_form":
         return _paired_sum(state._duhamel_weights(), am, bm) - disconnected

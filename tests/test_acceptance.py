@@ -106,9 +106,9 @@ def test_criterion_03_duhamel_dual_route(chain6):
     for beta in (0.5, 1.0):
         state = gibbs_state(dec, beta)
         for a, b in pairs:
-            ae, be = embed(a, lat), embed(b, lat)
-            closed = canonical_correlator(state, ae, be, method="closed_form")
-            quad = canonical_correlator(state, ae, be, method="quadrature")
+            fn = kms_function(state, embed(a, lat), embed(b, lat))
+            closed = canonical_correlator(fn, method="closed_form")
+            quad = canonical_correlator(fn, method="quadrature")
             worst = max(worst, abs(closed - quad))
     elapsed = time.perf_counter() - t0
 
@@ -135,10 +135,11 @@ def test_criterion_04_commuting_case_collapse():
     m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     a = embed(single_site(1, (m + m.conj().T) / 2), lat)
 
-    ordv = ordinary_correlator(state, a, b)
+    fn = kms_function(state, a, b)
+    ordv = ordinary_correlator(fn)
     gap = 0.0
     for method in ("closed_form", "quadrature"):
-        canv = canonical_correlator(state, a, b, method=method)
+        canv = canonical_correlator(fn, method=method)
         gap = max(gap, abs(canv - ordv))
     assert abs(ordv) > 1e-8  # the collapse is exercised on nonzero values
     assert gap <= 1e-12

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from correlab import (Lattice, chain_lattice, grid_lattice, ball, shell_count,
+from correlab import (Lattice, chain_lattice, grid_lattice, ball,
                       certify_locality,
                       nearest_neighbor_pairs,
                       transverse_field_ising, heisenberg_xxz,
@@ -72,17 +72,6 @@ def test_ball_uses_strict_inequality():
 def test_ball_of_a_set():
     lat = chain_lattice(6)
     assert ball(lat, [1, 4], 1.5) == (0, 1, 2, 3, 4, 5)
-
-
-def test_shell_count_half_open():
-    lat = chain_lattice(9)
-    # shell (r-1, r] around {4}
-    assert shell_count(lat, [4], 1.0) == 2   # sites 3, 5
-    assert shell_count(lat, [4], 1.5) == 2   # d in (0.5, 1.5]: still 3, 5
-    assert shell_count(lat, [4], 4.0) == 2   # sites 0, 8
-    assert shell_count(lat, [4], 5.0) == 0
-    with pytest.raises(ValueError):
-        shell_count(lat, [4], 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ PUBLIC_NAMES = [
     "gibbs_state", "grid_lattice", "haar_unitaries", "heisenberg_xxz",
     "kms_function", "locality_scan", "lr_commutator_scan",
     "nearest_neighbor_pairs", "ordinary_correlator", "partial_trace",
-    "random_bond_ising", "residue_identity", "sampled_twirl", "shell_count",
+    "random_bond_ising", "residue_identity", "sampled_twirl",
     "single_site", "spectral_norm", "theorem_check",
     "transverse_field_ising", "weight",
 ]
@@ -45,7 +45,7 @@ PARAMETERS = {
     "ball": ["lattice", "xs", "radius"],
     "build_hamiltonian": ["interaction", "window"],
     "build_model": ["name", "lattice", "params"],
-    "canonical_correlator": ["state", "a", "b", "method", "basis"],
+    "canonical_correlator": ["fn", "method"],
     "certify_locality": ["interaction", "mu"],
     "chain_lattice": ["n", "spacing", "local_dim"],
     "commutator": ["a", "b"],
@@ -63,18 +63,17 @@ PARAMETERS = {
     "grid_lattice": ["nx", "ny", "local_dim"],
     "haar_unitaries": ["rng", "dim", "count"],
     "heisenberg_xxz": ["lattice", "J", "delta", "h"],
-    "kms_function": ["state", "a", "b", "basis"],
+    "kms_function": ["state", "a", "b"],
     "locality_scan": ["interaction", "a", "radii", "times", "mu", "velocity",
                       "exponent_multiplier", "context"],
     "lr_commutator_scan": ["interaction", "a", "b", "times", "mu",
                            "velocity", "context"],
     "nearest_neighbor_pairs": ["lattice"],
-    "ordinary_correlator": ["state", "a", "b", "basis"],
+    "ordinary_correlator": ["fn"],
     "partial_trace": ["matrix", "dims", "keep"],
     "random_bond_ising": ["lattice", "J", "h", "seed"],
     "residue_identity": ["beta", "height", "half_width"],
     "sampled_twirl": ["op", "region", "lattice", "samples", "seed"],
-    "shell_count": ["lattice", "ys", "radius"],
     "single_site": ["site", "matrix_or_name"],
     "spectral_norm": ["op"],
     "theorem_check": ["interaction", "beta", "mu", "distances", "base_site",
@@ -95,7 +94,7 @@ PARAMETERS = {
     "LocalityScanResult.max_error_by_radius": [],
     "SpectralDecomposition.reconstruct": [],
     "SpectralDecomposition.transform": ["matrix"],
-    "ThermalState.expectation": ["op", "basis"],
+    "ThermalState.expectation": ["op"],
     "ThermalState.to_eigenbasis": ["op"],
 }
 
@@ -145,3 +144,39 @@ def test_modules_use_every_name_they_import(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = _imported_names(tree) - used - _reexported_from(path.stem)
     assert sorted(unused) == []
+
+
+# a lint for dead code, in the standard library alone: every private
+# function, class or constant a module defines at its top level is
+# referenced somewhere in the package outside its own definition
+def _defined_names(stmt: ast.stmt) -> set:
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else \
+        [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+    return {node.id for t in targets for node in ast.walk(t)
+            if isinstance(node, ast.Name)}
+
+
+def _referenced_names(node: ast.AST) -> set:
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names |= {a.name for a in sub.names}
+    return names
+
+
+def test_private_definitions_are_referenced():
+    defined, referenced = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = _defined_names(stmt)
+            defined += [f"{path.name}:{name}" for name in sorted(own)
+                        if name.startswith("_") and not name.startswith("__")]
+            referenced |= _referenced_names(stmt) - own
+    assert len(defined) > 50  # the walk found the package's helpers
+    assert [d for d in defined if d.split(":")[1] not in referenced] == []

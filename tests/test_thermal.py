@@ -8,8 +8,8 @@ import scipy.linalg
 
 from correlab import (chain_lattice, transverse_field_ising, embed,
                       single_site, build_hamiltonian, eig_hermitian,
-                      gibbs_state, kms_function, ordinary_correlator,
-                      canonical_correlator)
+                      gibbs_state, KMSFunction, kms_function,
+                      ordinary_correlator, canonical_correlator)
 from correlab import thermal
 from correlab.thermal import _duhamel_kernel
 
@@ -149,7 +149,7 @@ def test_strip_guard_and_overflow_guard():
         fn.conjugate_eval(-1j * 2 * st.beta)
     # a huge spectral spread makes continuation below the axis overflow
     wide = gibbs_state(np.diag([0.0, 2000.0]), 1.0)
-    fw = kms_function(wide, np.eye(2), np.eye(2), basis="energy")
+    fw = KMSFunction(wide, np.eye(2), np.eye(2))
     with pytest.raises(FloatingPointError):
         fw.eval(-0.5j)
     with pytest.raises(FloatingPointError):
@@ -166,7 +166,7 @@ def test_grid_guards_match_point_guards():
     with pytest.raises(ValueError, match="outside the strip"):
         fn.conjugate_eval_grid(ts, imag=-2 * st.beta)
     wide = gibbs_state(np.diag([0.0, 2000.0]), 1.0)
-    fw = kms_function(wide, np.eye(2), np.eye(2), basis="energy")
+    fw = KMSFunction(wide, np.eye(2), np.eye(2))
     with pytest.raises(FloatingPointError,
                        match="^continuation of F below the real axis would overflow$"):
         fw.eval_grid(ts, imag=-0.5)
@@ -258,15 +258,16 @@ def test_ordinary_correlator_matches_trace_formula():
     rho = density_matrix(ham, st.beta)
     ref = (np.trace(rho @ a.matrix @ b.matrix)
            - np.trace(rho @ a.matrix) * np.trace(rho @ b.matrix))
-    assert abs(ordinary_correlator(st, a, b) - ref) < 1e-12
+    assert abs(ordinary_correlator(kms_function(st, a, b)) - ref) < 1e-12
 
 
 def test_canonical_routes_agree():
     lat, ham, st = setup_chain(beta=1.7)
     a = embed(single_site(0, "Z"), lat)
     b = embed(single_site(2, "X"), lat)
-    closed = canonical_correlator(st, a, b, method="closed_form")
-    quad = canonical_correlator(st, a, b, method="quadrature")
+    fn = kms_function(st, a, b)
+    closed = canonical_correlator(fn, method="closed_form")
+    quad = canonical_correlator(fn, method="quadrature")
     assert abs(closed - quad) < 1e-10
 
 
@@ -276,10 +277,10 @@ def test_canonical_quadrature_warns_when_it_stops_unconverged():
     lat = chain_lattice(4)
     ham = build_hamiltonian(transverse_field_ising(lat, J=1.0, h=50.0))
     st = gibbs_state(ham.matrix, 1000.0)
-    a, b = (embed(single_site(s, "Y"), lat) for s in (0, 1))
+    fn = kms_function(st, *(embed(single_site(s, "Y"), lat) for s in (0, 1)))
     with pytest.warns(RuntimeWarning, match="by 512 nodes"):
-        quad = canonical_correlator(st, a, b, method="quadrature")
-    assert abs(quad - canonical_correlator(st, a, b)) < 1e-8
+        quad = canonical_correlator(fn, method="quadrature")
+    assert abs(quad - canonical_correlator(fn)) < 1e-8
 
 
 def test_canonical_collapses_when_b_commutes_with_h():
@@ -290,8 +291,9 @@ def test_canonical_collapses_when_b_commutes_with_h():
     st = gibbs_state(build_hamiltonian(inter).matrix, 1.3)
     a = embed(single_site(0, "Z"), lat)
     b = embed(single_site(2, "Z"), lat)
-    canonical = canonical_correlator(st, a, b, method="closed_form")
-    ordinary = ordinary_correlator(st, a, b)
+    fn = kms_function(st, a, b)
+    canonical = canonical_correlator(fn, method="closed_form")
+    ordinary = ordinary_correlator(fn)
     assert abs(canonical - ordinary) < 1e-12
 
 
@@ -301,9 +303,10 @@ def test_canonical_beta_zero_equals_uniform_ordinary():
     rng = np.random.default_rng(19)
     g1 = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     g2 = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    ordinary = ordinary_correlator(st, g1, g2)
-    closed = canonical_correlator(st, g1, g2, method="closed_form")
-    quad = canonical_correlator(st, g1, g2, method="quadrature")
+    fn = kms_function(st, g1, g2)
+    ordinary = ordinary_correlator(fn)
+    closed = canonical_correlator(fn, method="closed_form")
+    quad = canonical_correlator(fn, method="quadrature")
     assert abs(closed - ordinary) < 1e-12
     # the quadrature average has no 1/beta, so beta = 0 takes the formula
     # of every other beta, and it holds to round-off
@@ -315,7 +318,7 @@ def test_canonical_self_pairing_is_nonnegative():
     # the Duhamel pairing <A, A> is an inner product for Hermitian A
     lat, ham, st = setup_chain()
     a = embed(single_site(1, "Z"), lat)
-    val = canonical_correlator(st, a, a, method="closed_form")
+    val = canonical_correlator(kms_function(st, a, a), method="closed_form")
     assert abs(val.imag) < 1e-12
     assert val.real > -1e-14
 
@@ -323,26 +326,25 @@ def test_canonical_self_pairing_is_nonnegative():
 def test_canonical_rejects_unknown_method():
     _, ham, st = setup_chain()
     with pytest.raises(ValueError, match="method"):
-        canonical_correlator(st, np.eye(8), np.eye(8), method="series")
+        canonical_correlator(kms_function(st, np.eye(8), np.eye(8)),
+                             method="series")
 
 
 @pytest.mark.parametrize("call", [
-    lambda st, a, b: st.expectation(a, basis="eigen"),
-    lambda st, a, b: kms_function(st, a, b, basis="eigen"),
-    lambda st, a, b: ordinary_correlator(st, a, b, basis="eigen"),
-    lambda st, a, b: canonical_correlator(st, a, b, basis="eigen"),
-], ids=["expectation", "kms_function", "ordinary", "canonical"])
-def test_unknown_basis_is_refused(call):
-    # an unknown basis used to be read as "site": the energy-basis pair
-    # Z0, X3 of a TFIM chain then gave an ordinary correlator of 0.157
-    # where the energy-basis value is 0
+    lambda st, op: st.expectation(op),
+    lambda st, op: st.to_eigenbasis(op),
+    lambda st, op: kms_function(st, op, op),
+    lambda st, op: KMSFunction(st, op, op),
+], ids=["expectation", "to_eigenbasis", "kms_function", "KMSFunction"])
+def test_operator_off_the_window_is_refused(call):
+    # a bare single-site operator used to fail deep inside numpy with
+    # "operands could not be broadcast together with shapes (2,1) (16,16)"
     lat = chain_lattice(4)
     st = gibbs_state(build_hamiltonian(transverse_field_ising(lat)).matrix,
                      1.0)
-    a, b = (st.to_eigenbasis(embed(single_site(s, p), lat).matrix)
-            for s, p in ((0, "Z"), (3, "X")))
-    with pytest.raises(ValueError, match="unknown basis 'eigen'"):
-        call(st, a, b)
+    with pytest.raises(ValueError, match=r"shape \(2, 2\) does not act on "
+                       r"the window, of shape \(16, 16\); embed"):
+        call(st, single_site(0, "Z"))
 
 
 def test_duhamel_kernel_is_silent_at_low_temperature():
@@ -356,8 +358,9 @@ def test_duhamel_kernel_is_silent_at_low_temperature():
         kern = _duhamel_kernel(st.beta, st.energies)
         a = embed(single_site(0, "Z"), lat)
         b = embed(single_site(5, "Z"), lat)
-        closed = canonical_correlator(st, a, b, method="closed_form")
-        quad = canonical_correlator(st, a, b, method="quadrature")
+        fn = kms_function(st, a, b)
+        closed = canonical_correlator(fn, method="closed_form")
+        quad = canonical_correlator(fn, method="quadrature")
     assert np.isfinite(kern).all()
     assert abs(closed - quad) < 1e-8
 
@@ -404,28 +407,49 @@ def reference_closed_form(st, am, bm):
                     / np.exp(st.log_partition)) - mean(am) * mean(bm))
 
 
+def _tfim_state(beta):
+    lat = chain_lattice(4)
+    return gibbs_state(
+        build_hamiltonian(transverse_field_ising(lat, h=0.8)).matrix, beta)
+
+
 @pytest.mark.parametrize("beta", [0.0, 0.7, 50.0])
 @pytest.mark.parametrize("basis", ["site", "energy"])
 def test_correlators_match_written_out_formulas(beta, basis):
     # the parent's three-operand einsum formulas, kept as test-only
-    # references; complex non-Hermitian pairs and, in the energy basis,
-    # real pairs that stay in real arithmetic
-    lat = chain_lattice(4)
-    st = gibbs_state(build_hamiltonian(transverse_field_ising(lat, h=0.8)).matrix,
-                     beta)
+    # references; complex non-Hermitian pairs through kms_function (site
+    # basis) or the KMSFunction constructor (energy basis), where real
+    # pairs also stay in real arithmetic.  A site pair taken to the energy
+    # basis by hand gives bit-identical values through the constructor.
+    st = _tfim_state(beta)
     rng = np.random.default_rng(17)
     pairs = [tuple(rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
                    for _ in range(2))]
     if basis == "energy":
         pairs.append(tuple(rng.normal(size=(16, 16)) for _ in range(2)))
     for a, b in pairs:
-        am, bm = (st.to_eigenbasis(a), st.to_eigenbasis(b)) if basis == "site" \
-            else (a, b)
-        for got, ref in ((ordinary_correlator(st, a, b, basis=basis),
+        fn = kms_function(st, a, b) if basis == "site" else KMSFunction(st, a, b)
+        am, bm = fn.a_energy, fn.b_energy
+        for got, ref in ((ordinary_correlator(fn),
                           reference_ordinary(st, am, bm)),
-                         (canonical_correlator(st, a, b, basis=basis),
+                         (canonical_correlator(fn),
                           reference_closed_form(st, am, bm))):
             assert abs(got - ref) <= 1e-13 * (1 + abs(ref))
+        if basis == "site":
+            twin = KMSFunction(st, st.to_eigenbasis(a), st.to_eigenbasis(b))
+            assert ordinary_correlator(twin) == ordinary_correlator(fn)
+            for method in ("closed_form", "quadrature"):
+                assert (canonical_correlator(twin, method=method)
+                        == canonical_correlator(fn, method=method))
+
+
+def test_integer_energy_pair_is_taken_as_float():
+    # an integer pair used to reach _paired_sum as int and fail there with
+    # a UFuncTypeError; the identity pair has phi(AB) = phi(A) phi(B) = 1
+    fn = KMSFunction(_tfim_state(0.7), np.eye(16, dtype=int),
+                     np.eye(16, dtype=int))
+    assert fn.a_energy.dtype == np.float64
+    assert abs(ordinary_correlator(fn)) <= 1e-15
 
 
 def test_duhamel_kernel_is_built_on_first_use_only(monkeypatch):
@@ -437,10 +461,11 @@ def test_duhamel_kernel_is_built_on_first_use_only(monkeypatch):
     st = gibbs_state(build_hamiltonian(transverse_field_ising(lat)).matrix, 1.0)
     a = embed(single_site(0, "Z"), lat)
     b = embed(single_site(3, "X"), lat)
-    ordinary_correlator(st, a, b)
-    canonical_correlator(st, a, b, method="quadrature")
+    fn = kms_function(st, a, b)
+    ordinary_correlator(fn)
+    canonical_correlator(fn, method="quadrature")
     assert calls == []
-    first = canonical_correlator(st, a, b)
-    assert canonical_correlator(st, a, b) == first
-    canonical_correlator(st, b, a)
+    first = canonical_correlator(fn)
+    assert canonical_correlator(fn) == first
+    canonical_correlator(kms_function(st, b, a))
     assert len(calls) == 1

@@ -7,8 +7,9 @@ import pytest
 from correlab import spectral, thermal, verify
 from correlab import (Lattice, chain_lattice, transverse_field_ising, embed,
                       single_site, build_hamiltonian, gibbs_state,
-                      kms_function, weight, residue_identity, contour_grid,
-                      contour_decomposition, fit_decay, theorem_check,
+                      KMSFunction, kms_function, weight, residue_identity,
+                      contour_grid, contour_decomposition, fit_decay,
+                      theorem_check,
                       ordinary_correlator, canonical_correlator)
 
 
@@ -390,7 +391,7 @@ def test_theorem_check_matches_per_pair_correlators(lattice, base, distances,
     assert [r.distance for r in res.rows] == distances
     for row in res.rows:
         b_e = st.to_eigenbasis(embed(single_site(row.site, op), lattice))
-        ordinary = ordinary_correlator(st, a_e, b_e, basis="energy")
-        canonical = canonical_correlator(st, a_e, b_e, basis="energy")
+        fn = KMSFunction(st, a_e, b_e)
+        ordinary, canonical = ordinary_correlator(fn), canonical_correlator(fn)
         assert abs(row.ordinary - ordinary) <= 1e-14
         assert abs(row.canonical - canonical) <= 1e-14
