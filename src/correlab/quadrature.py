@@ -27,6 +27,7 @@ copy before mutating.
 
 from __future__ import annotations
 
+import math
 import operator
 
 import numpy as np
@@ -131,16 +132,19 @@ def gauss_legendre(n: int):
     return xs, ws
 
 
-def _refine_by_doubling(rule, start: int, stop: int, tol: float):
-    """(value, nodes, converged) of an adaptive quadrature: rule(n) at
-    n = start, 2 start, ... until two successive values agree within tol
-    (converged) or n reaches stop."""
+def _refine_by_doubling(rule, start: int, stop: int, tol: float,
+                        rtol: float = 0.0):
+    """(value, nodes, converged, delta) of an adaptive quadrature: rule(n)
+    at n = start, 2 start, ... until two successive values agree within
+    max(tol, rtol |value|) (converged) or n reaches stop; delta is the
+    last refinement's change |value - previous|."""
     nodes = start
     value = rule(nodes)
-    converged = False
+    converged, delta = False, math.inf
     while nodes < stop and not converged:
         nodes *= 2
         refined = rule(nodes)
-        converged = abs(refined - value) <= tol
+        delta = abs(refined - value)
+        converged = delta <= max(tol, rtol * abs(refined))
         value = refined
-    return value, nodes, converged
+    return value, nodes, converged, delta

@@ -6,14 +6,22 @@ partition sum never overflows.  The analytic continuation
 
     F(z) = phi(A tau_z(B)),   z = t + i s,  0 <= s <= beta,
 
-is evaluated directly in the energy eigenbasis; the conjugate function
-G(t) = phi(tau_t(B) A) lives on the strip -beta <= s <= 0, and the KMS
-boundary condition F(t + i beta) = G(t) ties the two together.  G is F of
-the swapped pair at the mirrored point, G_{A,B}(z) = F_{B,A}(-z), so one
-evaluator serves both.  It tolerates a bounded excursion outside the native
-strip (needed by the contour pipeline) and refuses to produce overflowed
-garbage.  The ordinary and canonical correlators read the pair a KMSFunction
-holds: F(0) and the beta-average of F(ib), each less phi(A) phi(B).
+is evaluated in the energy eigenbasis through the pair product
+P = A * B^T, built once per pair (real when it is): with u = e^{iEt},
+
+    F(t + is) = sum_m row_m conj(u_m) (P (col * u))_m,
+    row = e^{-(beta - s)E} / Z,   col = e^{-sE},
+
+taken over column blocks of the time grid, so no D x D array is formed
+per evaluation.  The conjugate function G(t) = phi(tau_t(B) A) lives on
+the strip -beta <= s <= 0, and the KMS boundary condition
+F(t + i beta) = G(t) ties the two together.  G is F of the swapped pair
+at the mirrored point, G_{A,B}(z) = F_{B,A}(-z), and the swapped pair's
+product is P^T, so one evaluator serves both.  It tolerates a bounded
+excursion outside the native strip (needed by the contour pipeline) and
+refuses to produce overflowed garbage.  The ordinary and canonical
+correlators read the pair a KMSFunction holds: F(0) and the beta-average
+of F(ib), each less phi(A) phi(B).
 """
 from __future__ import annotations
 
@@ -25,7 +33,7 @@ import numpy as np
 
 from .operators import EmbeddedOperator, LocalOperator, _as_matrix
 from .quadrature import _refine_by_doubling, gauss_legendre
-from .spectral import SpectralDecomposition, _on_window, eig_hermitian
+from .spectral import SpectralDecomposition, _matmul, _on_window, eig_hermitian
 
 _EXP_CAP = 700.0          # np.exp overflows just past 709
 _STRIP_TOL = 1e-9
@@ -34,13 +42,15 @@ _QUAD_MAX = 512
 _QUAD_TOL = 1e-10
 _PAIR_TILE = 64           # side of the tiles A * B^T is reduced over
 _KERNEL_BLOCK = 1 << 18   # entries per row block of the Duhamel kernel
+_PHASE_BLOCK = 1 << 16    # entries per column block of the KMS phase table
 
 OperatorLike = Union[EmbeddedOperator, LocalOperator, np.ndarray]
 
 
 class _UnconvergedQuadrature(RuntimeWarning):
     """The quadrature route of canonical_correlator reached _QUAD_MAX nodes
-    without two refinements agreeing within _QUAD_TOL."""
+    without two refinements agreeing within _QUAD_TOL of the value (or
+    the round-off floor of the sum, if that is larger)."""
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +140,14 @@ def gibbs_state(hamiltonian, beta: float) -> ThermalState:
 class KMSFunction:
     """Two-sided thermal correlation function of a fixed operator pair.
 
-    Holds A and B in the energy eigenbasis so repeated evaluations on time
-    grids cost one matrix product each.  The constructor takes the pair in
-    that basis as D x D matrices (a real pair stays real, integers become
-    float); kms_function takes it in the site basis.
+    Holds A and B in the energy eigenbasis.  The constructor takes the pair
+    in that basis as D x D matrices (a real pair stays real, integers become
+    float); kms_function takes it in the site basis.  The constructor
+    builds the pair product P = A * B^T, stored real when its imaginary
+    part is exactly zero (a real pair, or Y/Y on a real Hamiltonian), so
+    threads may share it.  F reads P and G reads P^T: a grid costs one
+    GEMM per column block of the phase table (a real GEMM when P is real)
+    and a point one mat-vec.
     """
 
     def __init__(self, state: ThermalState, a_energy: OperatorLike,
@@ -141,6 +155,10 @@ class KMSFunction:
         self.state = state
         self.a_energy = _on_window(_as_matrix(a_energy), state.dim)
         self.b_energy = _on_window(_as_matrix(b_energy), state.dim)
+        pair = self.a_energy * self.b_energy.T
+        if np.iscomplexobj(pair) and not pair.imag.any():
+            pair = np.ascontiguousarray(pair.real)
+        self.pair_product = pair
 
     @property
     def phi_a(self) -> complex:
@@ -163,23 +181,32 @@ class KMSFunction:
         if not -beta - _STRIP_TOL * (1 + beta) <= s <= beta + _STRIP_TOL * (1 + beta):
             raise ValueError(
                 f"imaginary part {s:.6g} outside the strip [-beta, beta]")
-        ts = np.asarray(ts, dtype=float)
-        x, y = self.a_energy, self.b_energy
+        ts = np.asarray(ts, dtype=float).ravel()
+        pair = self.pair_product
         if conjugate:
-            x, y, ts, s = y, x, -ts, -s
+            pair, ts, s = pair.T, -ts, -s
         if s < 0 and -s * st.energies[-1] > _EXP_CAP:
             raise FloatingPointError(
                 f"continuation of {'G above' if conjugate else 'F below'}"
                 " the real axis would overflow")
-        row = np.exp(-(beta - s) * st.energies - st.log_partition)
-        col = np.exp(-s * st.energies)
-        m = (row[:, None] * col[None, :]) * x * y.T
-        u = np.exp(1j * np.outer(st.energies, ts))
-        mu = m @ u
-        # conj(u) * mu in place, operand order kept: the products are
-        # bit-identical to the out-of-place form
-        np.multiply(np.conjugate(u, out=u), mu, out=mu)
-        return np.sum(mu, axis=0)
+        row = np.exp(-(beta - s) * st.energies - st.log_partition)[:, None]
+        col = np.exp(-s * st.energies)[:, None]
+        out = np.empty(ts.size, dtype=complex)
+        width = max(1, _PHASE_BLOCK // st.dim)
+        for j in range(0, ts.size, width):
+            phase = np.multiply.outer(st.energies, ts[j:j + width])
+            cos = np.cos(phase)
+            sin = np.sin(phase, out=phase)
+            # col * u, then row * conj(u) in the same buffer
+            u = np.empty(phase.shape, dtype=complex)
+            np.multiply(col, cos, out=u.real)
+            np.multiply(col, sin, out=u.imag)
+            mu = _matmul(pair, u)
+            np.multiply(row, cos, out=u.real)
+            np.multiply(-row, sin, out=u.imag)
+            mu *= u
+            out[j:j + width] = mu.sum(axis=0)
+        return out
 
     def eval(self, z: complex) -> complex:
         """F(z) = phi(A tau_z(B)) for z in the closed strip 0 <= Im z <= beta.
@@ -257,35 +284,41 @@ def canonical_correlator(fn: KMSFunction, method: str = "closed_form") -> comple
     method="quadrature" uses Gauss-Legendre on [0, beta]: with nodes
     b_k = beta (x_k + 1)/2 the average is half the weighted sum of F(ib_k),
     with no division by beta, so beta = 0 needs no special case.  The node
-    count is doubled from 64 until two refinements agree within 1e-10; if
-    512 nodes are reached first, the last value is returned with a
-    RuntimeWarning.  The two routes are kept deliberately independent.
+    count is doubled from 64 until two refinements agree within 1e-10 of
+    the value, or within the round-off floor eps D max|P| of the sum if
+    that is larger; if 512 nodes are reached first, the last value is
+    returned with a RuntimeWarning that gives the last refinement's change.
+    The quadrature reads the pair product P = A * B^T of the KMS function
+    (a real GEMM when P is real); the closed form pairs A and B itself, so
+    the two routes stay independent.
     """
-    state, am, bm = fn.state, fn.a_energy, fn.b_energy
+    state = fn.state
     disconnected = fn.phi_a * fn.phi_b
 
     if method == "closed_form":
-        return _paired_sum(state._duhamel_weights(), am, bm) - disconnected
+        return (_paired_sum(state._duhamel_weights(), fn.a_energy, fn.b_energy)
+                - disconnected)
 
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
 
-    beta = state.beta
-    mcore = (am * bm.T) / np.exp(state.log_partition)
-    etil = state.energies
+    beta, etil, pair = state.beta, state.energies, fn.pair_product
 
     def average(n: int) -> complex:
         x, w = gauss_legendre(n)
         bs = 0.5 * beta * (x + 1.0)
-        left = np.exp(-np.outer(etil, beta - bs))
+        left = np.exp(-np.outer(etil, beta - bs) - state.log_partition)
         right = np.exp(-np.outer(etil, bs))
-        vals = np.sum(left * (mcore @ right), axis=0)
+        vals = np.sum(left * (pair @ right), axis=0)
         return complex(0.5 * np.sum(w * vals))
 
-    value, nodes, converged = _refine_by_doubling(average, _QUAD_START,
-                                                  _QUAD_MAX, _QUAD_TOL)
+    # below eps D max|P| two refinements differ by round-off alone
+    floor = np.finfo(float).eps * state.dim * float(np.abs(pair).max())
+    value, nodes, converged, delta = _refine_by_doubling(
+        average, _QUAD_START, _QUAD_MAX, floor, rtol=_QUAD_TOL)
     if not converged:
         warnings.warn(f"canonical quadrature: no two refinements agreed "
-                      f"within {_QUAD_TOL:g} by {nodes} nodes",
+                      f"within {_QUAD_TOL:g} of the value by {nodes} nodes; "
+                      f"the last one moved it by {delta:.3g}",
                       _UnconvergedQuadrature, stacklevel=2)
     return value - disconnected

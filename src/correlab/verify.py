@@ -107,8 +107,8 @@ def residue_identity(beta: float, height: float,
         den = (t - 1j * b) * (t + 1j * beta - 1j * b)
         return complex(np.sum(wq * num / den) / (2j * np.pi))
 
-    value, nodes, converged = _refine_by_doubling(quad, _RESIDUE_START,
-                                                  _RESIDUE_MAX, _RESIDUE_TOL)
+    value, nodes, converged, _ = _refine_by_doubling(
+        quad, _RESIDUE_START, _RESIDUE_MAX, _RESIDUE_TOL)
 
     corrected = min(abs(b), abs(b - beta)) < _ENDPOINT_EPS
     if corrected:
@@ -130,7 +130,8 @@ class ContourGrid:
     """Everything in a contour decomposition that does not depend on the
     height: the KMS function of the pair, its disconnected part phi(A)phi(B),
     the symmetric quadrature nodes and weights on [-T, T], and F and G
-    evaluated there.  The arrays are read-only, so threads may share a grid.
+    evaluated there.  The arrays, with the pair and its product P held by
+    the KMS function, are read-only, so threads may share a grid.
     """
 
     fn: KMSFunction
@@ -161,11 +162,11 @@ def contour_grid(state: ThermalState, a, b, nodes: int = 1024,
     half_width = 8.0 if half_width is None else half_width
     fn = kms_function(state, a, b)
     t, wq = _sym_gauss(nodes, half_width)
-    arrays = (fn.a_energy, fn.b_energy, t, wq,
+    arrays = (fn.a_energy, fn.b_energy, fn.pair_product, t, wq,
               fn.eval_grid(t), fn.conjugate_eval_grid(t))
     for arr in arrays:
         arr.flags.writeable = False
-    return ContourGrid(fn, fn.phi_a * fn.phi_b, float(half_width), *arrays[2:])
+    return ContourGrid(fn, fn.phi_a * fn.phi_b, float(half_width), *arrays[3:])
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,14 @@
 """Gibbs states, the KMS function on its strip, and the two correlator routes."""
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from correlab import (chain_lattice, transverse_field_ising, embed,
-                      single_site, build_hamiltonian, eig_hermitian,
+from correlab import (chain_lattice, transverse_field_ising, heisenberg_xxz,
+                      embed, single_site, build_hamiltonian, eig_hermitian,
                       gibbs_state, KMSFunction, kms_function,
                       ordinary_correlator, canonical_correlator)
 from correlab import thermal
@@ -225,6 +226,76 @@ def test_evaluators_match_written_out_formulas():
         assert _close([fn.conjugate_eval(t + 1j * s) for t in ts], ref)
 
 
+def _kms_pair(kind):
+    """A KMS function on a 4-site chain (beta = 0.9) whose pair product
+    A * B^T is real with real operands, real with imaginary operands (Y/Y
+    on a real XXZ chain) or complex."""
+    lat = chain_lattice(4)
+    if kind == "imaginary":
+        st = gibbs_state(build_hamiltonian(
+            heisenberg_xxz(lat, J=1.0, delta=0.5)).matrix, 0.9)
+        return kms_function(st, *(embed(single_site(s, "Y"), lat)
+                                  for s in (0, 2)))
+    st = _tfim_state(0.9)
+    if kind == "real":
+        return kms_function(st, embed(single_site(0, "Z"), lat),
+                            embed(single_site(2, "X"), lat))
+    return kms_function(st, *_random_pair(16, 31))
+
+
+@pytest.mark.parametrize("kind, a_dtype, pair_dtype", [
+    ("real", np.float64, np.float64),
+    ("imaginary", np.complex128, np.float64),
+    ("complex", np.complex128, np.complex128)])
+def test_every_pair_arithmetic_matches_written_out_formulas(kind, a_dtype,
+                                                            pair_dtype):
+    # F and G through the pair product, in whichever arithmetic it picks,
+    # against the written-out formulas: heights inside the strip, at
+    # +-beta and past either axis, on a grid longer than one column block
+    # of the phase table, and pointwise
+    fn = _kms_pair(kind)
+    assert fn.a_energy.dtype == a_dtype
+    assert fn.pair_product.dtype == pair_dtype
+    st = fn.state
+    beta = st.beta
+    width = thermal._PHASE_BLOCK // st.dim
+    ts = np.linspace(-3.0, 3.0, width + 3)
+    points = ts[::width // 4]
+    for s in (0.0, 0.4 * beta, -0.4 * beta, 0.7 * beta, -0.7 * beta,
+              beta, -beta):
+        ref = _reference_f_grid(st, fn.a_energy, fn.b_energy, ts, s)
+        assert _close(fn.eval_grid(ts, imag=s), ref)
+        assert _close([fn.eval(t + 1j * s) for t in points],
+                      ref[::width // 4])
+        ref = _reference_g_grid(st, fn.a_energy, fn.b_energy, ts, s)
+        assert _close(fn.conjugate_eval_grid(ts, imag=s), ref)
+        assert _close([fn.conjugate_eval(t + 1j * s) for t in points],
+                      ref[::width // 4])
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_point_evaluation_forms_no_square_temporary(kind):
+    # a point is one mat-vec with the pair product; before, each point
+    # built the D x D matrix (row col) * A * B^T, a 1.7 MB peak at D = 256
+    dim = 256
+    rng = np.random.default_rng(37)
+    st = gibbs_state(np.diag(np.sort(rng.uniform(0.0, 4.0, dim))), 0.8)
+    a, b = (rng.normal(size=(dim, dim)) for _ in range(2))
+    if kind == "complex":
+        a = a + 1j * rng.normal(size=(dim, dim))
+    fn = KMSFunction(st, a, b)
+    z = 0.3 + 0.2j
+    first = fn.eval(z)
+    tracemalloc.start()
+    try:
+        again = fn.eval(z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert again == first
+    assert peak < dim * dim * 16 // 4
+
+
 def test_g_is_f_of_swapped_pair_at_minus_z():
     lat, ham, st = setup_chain(n=4, beta=0.9)
     a, b = _random_pair(16, 29)
@@ -281,6 +352,23 @@ def test_canonical_quadrature_warns_when_it_stops_unconverged():
     with pytest.warns(RuntimeWarning, match="by 512 nodes"):
         quad = canonical_correlator(fn, method="quadrature")
     assert abs(quad - canonical_correlator(fn)) < 1e-8
+
+
+def test_canonical_quadrature_stops_relative_to_the_value():
+    # <Z0; Z1> is 2.0e-7 here; the 64- and 128-node values, 4.2e-31 and
+    # 2.1e-12, agree within an absolute 1e-10, and that wrong value used
+    # to come back with no warning.  Relative to the value no two
+    # refinements agree by 512 nodes.
+    lat = chain_lattice(4)
+    ham = build_hamiltonian(transverse_field_ising(lat, J=1.0, h=50.0))
+    st = gibbs_state(ham.matrix, 2000.0)
+    fn = kms_function(st, *(embed(single_site(s, "Z"), lat) for s in (0, 1)))
+    with pytest.warns(RuntimeWarning, match=r"by 512 nodes; the last one "
+                      r"moved it by 1\.\d+e-07$"):
+        quad = canonical_correlator(fn, method="quadrature")
+    closed = canonical_correlator(fn)
+    assert abs(closed - 2.0e-7) < 1e-9
+    assert abs(quad - closed) < 2e-8
 
 
 def test_canonical_collapses_when_b_commutes_with_h():

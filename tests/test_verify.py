@@ -218,6 +218,11 @@ def test_contour_grid_is_read_only():
                 grid.fn.a_energy, grid.fn.b_energy):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+    # every array the grid holds, the pair product of its KMS function too
+    held = [v for v in (*vars(grid).values(), *vars(grid.fn).values())
+            if isinstance(v, np.ndarray)]
+    assert len(held) == 7
+    assert not any(arr.flags.writeable for arr in held)
     assert grid.nodes == 64 and grid.t.shape == (64,)
     assert grid.half_width == 8.0
 
