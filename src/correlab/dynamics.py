@@ -101,11 +101,13 @@ def evolve(context: EvolutionContext, op, time) -> EmbeddedOperator:
     """tau_time(op) on the context window.
 
     time may be real or complex; a complex time is refused with
-    FloatingPointError when exp(|Im z| max|E|) would overflow.
+    FloatingPointError when a phase factor exp(|Im z| max|E|) or their
+    product exp(|Im z| (E_max - E_min)) would overflow.
     """
     z = complex(time)
     e = context.decomposition.eigenvalues
-    if abs(z.imag) * max(abs(float(e[0])), abs(float(e[-1]))) > _EXP_CAP:
+    lo, hi = float(e[0]), float(e[-1])
+    if abs(z.imag) * max(abs(lo), abs(hi), hi - lo) > _EXP_CAP:
         raise FloatingPointError("imaginary time too large for this spectrum")
     a = _on_window(context, op)
     abar = context.decomposition.transform(a.matrix)

@@ -3,7 +3,10 @@
 Everything downstream (Gibbs states, Heisenberg evolution, imaginary-time
 correlators) consumes the eigendecomposition computed here, so the contract
 is strict: ascending eigenvalues, orthonormal eigenvectors, reconstruction
-to 1e-10 relative.
+to 1e-10 relative.  A Hamiltonian that commutes with the index reversal
+J (i -> D-1-i), which in the site basis is the global spin flip X^n of
+every model without a z-field, is solved as two half-size blocks; any
+other is solved whole.  Callers see one dense decomposition either way.
 """
 from __future__ import annotations
 
@@ -12,11 +15,13 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .lattice import Interaction, Site, _as_matrix, _is_hermitian
+from .lattice import (_HERM_BLOCK, Interaction, Site, _as_matrix,
+                      _is_hermitian)
 from .operators import (EmbeddedOperator, LocalOperator, _add_embedded,
                         commutator, embed)
 
 DIM_CAP = 4096  # largest window dimension we agree to diagonalize (2^12)
+_MIRROR_BLOCK = 1 << 14  # entries per row block of the reversal-route assembly
 
 
 @dataclass(frozen=True)
@@ -95,18 +100,82 @@ def eig_hermitian(matrix) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix (LAPACK).
 
     The input must be finite and Hermitian within 1e-12 relative; the check
-    runs over row blocks.  The matrix is then solved as given: the solver
-    reads one triangle, so the only D x D array built is the eigenvectors.
-    A real symmetric input is solved in real arithmetic and gives real
-    eigenvectors.
+    runs over row blocks.  The solver reads one triangle of what it is
+    given, and a real symmetric input is solved in real arithmetic and
+    gives real eigenvectors.
+
+    When J H J equals H exactly, J the index reversal and D even, H splits
+    in the basis (e_i +- e_{D-1-i})/sqrt(2) into the two D/2 x D/2 blocks
+    H+- = H_TL +- H_TR J, solved as one stacked call for a quarter of the
+    dense flops.  The eigenvectors V = [[V+, V-], [J V+, -J V-]]/sqrt(2)
+    are assembled in the solver's own output, grown in place, and their
+    columns ordered by ascending eigenvalue with a stable sort (the +
+    sector first among equal levels).  Any other H is solved as given.
+    Either way the only D x D array built is the eigenvectors.
     """
     m = _as_matrix(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("need a square matrix")
     if not _is_hermitian(m):
         raise ValueError("matrix is not finite and Hermitian within 1e-12 relative")
+    if _reversal_symmetric(m):
+        return _from_reversal_blocks(*np.linalg.eigh(_reversal_blocks(m)))
     e, v = np.linalg.eigh(m)
     return SpectralDecomposition(e, v)
+
+
+def _reversal_symmetric(m: np.ndarray) -> bool:
+    """J m J == m exactly, for an even dimension D >= 2.
+
+    Each top-half row is compared with its mirror row read backwards, over
+    row blocks; the bottom half is then equal by the same identity.
+    """
+    dim = len(m)
+    half = dim // 2
+    if dim % 2 or not half:
+        return False
+    top, mirrored = m[:half], m[::-1, ::-1][:half]
+    rows = max(1, _HERM_BLOCK // dim)
+    return all(np.array_equal(top[i:i + rows], mirrored[i:i + rows])
+               for i in range(0, half, rows))
+
+
+def _reversal_blocks(m: np.ndarray) -> np.ndarray:
+    """The stack (H_TL + H_TR J, H_TL - H_TR J) of a reversal-symmetric m."""
+    half = len(m) // 2
+    top_left, top_right = m[:half, :half], m[:half, half:][:, ::-1]
+    blocks = np.empty((2, half, half), dtype=m.dtype)
+    np.add(top_left, top_right, out=blocks[0])
+    np.subtract(top_left, top_right, out=blocks[1])
+    return blocks
+
+
+def _from_reversal_blocks(e: np.ndarray, v: np.ndarray) -> SpectralDecomposition:
+    """The dense decomposition from the eigenpairs (e, v) of the stack.
+
+    v is grown in place to D x D, so the two blocks fill its top half.  The
+    bottom half (J V+, -J V-) is written from them first, over row blocks
+    with the columns in sorted order; the top half is then the bottom half
+    reversed, with the - columns negated.
+    """
+    half = v.shape[1]
+    dim = 2 * half
+    order = np.argsort(e.ravel(), kind="stable")
+    sign = np.where(order < half, 1.0, -1.0)
+    scale = sign * np.sqrt(0.5)
+    v.resize((dim, dim), refcheck=False)  # eigh's own, contiguous output
+    plus, minus = v[:half].reshape(2, half, half)[:, ::-1]  # J V+ and J V-
+    top, bottom = v[:half], v[half:]
+    rows = max(1, _MIRROR_BLOCK // dim)
+    buf = np.empty((rows, dim), dtype=v.dtype)
+    for i in range(0, half, rows):
+        out = bottom[i:i + rows]
+        pair = buf[:len(out)]
+        np.concatenate((plus[i:i + rows], minus[i:i + rows]), axis=1, out=pair)
+        np.take(pair, order, axis=1, out=out, mode="clip")  # unbuffered
+        out *= scale
+    np.multiply(bottom[::-1], sign, out=top)
+    return SpectralDecomposition(e.ravel()[order], v)
 
 
 def build_hamiltonian(interaction: Interaction,

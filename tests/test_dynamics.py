@@ -72,6 +72,18 @@ def test_complex_time_overflow_guard():
         evolve(ctx, single_site(0, "Z"), 2.0j)
 
 
+def test_complex_time_refused_when_the_phase_product_would_overflow():
+    # max|E| = 4.76 keeps each factor e^{-Im z E} finite at z = 139.7i, but
+    # their product e^{Im z (E_n - E_m)} reaches e^{1330}: every entry came
+    # back NaN before the spread was checked
+    lat, inter, ctx = setup(4)
+    e = ctx.decomposition.eigenvalues
+    assert 139.7 * max(abs(e)) < 700.0 < 139.7 * (e[-1] - e[0])
+    with pytest.raises(FloatingPointError):
+        evolve(ctx, single_site(1, "Z"), 139.7j)
+    assert np.isfinite(evolve(ctx, single_site(1, "Z"), 70.0j).matrix).all()
+
+
 def test_evolve_rejects_foreign_window():
     lat, inter, ctx = setup(4)
     sub = embed(single_site(0, "Z"), lat, window=[0, 1])

@@ -235,7 +235,8 @@ def test_embedding_and_assembly_allocate_little_beyond_the_output():
     inter = random_bond_ising(lat, seed=1)
     ham, peak = _traced_peak(lambda: build_hamiltonian(inter))
     assert peak <= 1.25 * ham.matrix.nbytes
-    # H is solved as given: the eigenvectors, 8 D^2 bytes when real
+    # H is flip-even, so it is solved as two half blocks whose eigenvectors
+    # grow in place into the dense ones: 8 D^2 bytes when real
     _, peak = _traced_peak(lambda: eig_hermitian(ham.matrix))
     assert peak <= 1.25 * 8 * ham.dim ** 2
     # the whole window: a tensor-axis permutation, no D^2 index arrays

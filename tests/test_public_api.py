@@ -180,3 +180,19 @@ def test_private_definitions_are_referenced():
             referenced |= _referenced_names(stmt) - own
     assert len(defined) > 50  # the walk found the package's helpers
     assert [d for d in defined if d.split(":")[1] not in referenced] == []
+
+
+# one door to LAPACK's eigensolver: eig_hermitian picks the route (half
+# blocks for a reversal-symmetric H), so nothing else may call eigh itself
+def test_only_eig_hermitian_calls_eigh():
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(stmt):
+                name = node.attr if isinstance(node, ast.Attribute) else \
+                    node.id if isinstance(node, ast.Name) else None
+                if name == "eigh":
+                    callers.append(f"{path.name}:{getattr(stmt, 'name', '')}")
+                elif isinstance(node, ast.ImportFrom):
+                    assert "eigh" not in {a.name for a in node.names}, path.name
+    assert callers and set(callers) == {"spectral.py:eig_hermitian"}

@@ -7,7 +7,8 @@ import pytest
 from correlab import (chain_lattice, transverse_field_ising, embed,
                       single_site, LocalOperator, commutator, spectral_norm,
                       eig_hermitian, build_hamiltonian,
-                      derivation_delta, DIM_CAP, heisenberg_xxz)
+                      derivation_delta, DIM_CAP, heisenberg_xxz,
+                      random_bond_ising, gibbs_state)
 from correlab.operators import PAULI_I, PAULI_X, PAULI_Z
 
 
@@ -40,6 +41,91 @@ def test_eig_hermitian_reconstruction_and_orthonormality():
         v = dec.eigenvectors
         assert np.abs(v.conj().T @ v - np.eye(n)).max() < 1e-10
         assert np.all(np.diff(dec.eigenvalues) >= -1e-14)
+
+
+def _reversal_symmetric(g):
+    """(G + J G J)/2 for Hermitian G: Hermitian, and J m J == m exactly."""
+    return (g + g[::-1, ::-1]) / 2
+
+
+def _spy_on_eigh(monkeypatch):
+    """The shapes np.linalg.eigh is called on, from here on."""
+    shapes, eigh = [], np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return shapes
+
+
+def _assert_matches_dense(dec, m, tol=1e-12):
+    """Eigenvalues of dense eigh within tol ||H||, reconstruction below
+    1e-10 relative, orthonormal eigenvectors, ascending order."""
+    scale = max(1.0, np.linalg.norm(m, 2))
+    assert np.abs(dec.eigenvalues - np.linalg.eigvalsh(m)).max() < tol * scale
+    assert np.abs(dec.reconstruct() - m).max() < 1e-10 * scale
+    v = dec.eigenvectors
+    assert np.abs(v.conj().T @ v - np.eye(len(m))).max() < 1e-12
+    assert np.all(np.diff(dec.eigenvalues) >= 0.0)
+    assert v.dtype == m.dtype
+
+
+@pytest.mark.parametrize("dim", [2, 4, 16, 64])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_reversal_symmetric_matrices_solve_in_half_blocks(dim, kind,
+                                                          monkeypatch):
+    rng = np.random.default_rng(dim)
+    g = rng.normal(size=(dim, dim))
+    if kind == "complex":
+        g = g + 1j * rng.normal(size=(dim, dim))
+    m = _reversal_symmetric(g + g.conj().T)
+    assert np.array_equal(m[::-1, ::-1], m)
+    shapes = _spy_on_eigh(monkeypatch)
+    dec = eig_hermitian(m)
+    assert shapes == [(2, dim // 2, dim // 2)]
+    _assert_matches_dense(dec, m)
+
+
+def test_degenerate_sectors_match_the_dense_route(monkeypatch):
+    # classical Ising (h = 0): every level is doubly degenerate, one state
+    # in each flip sector, so the blocks interleave at every level
+    lat = chain_lattice(8)
+    m = build_hamiltonian(transverse_field_ising(lat, J=1.0, h=0.0)).matrix
+    shapes = _spy_on_eigh(monkeypatch)
+    dec = eig_hermitian(m)
+    assert shapes == [(2, 128, 128)]
+    _assert_matches_dense(dec, m)
+    assert np.array_equal(dec.eigenvalues[0::2], dec.eigenvalues[1::2])
+    # the Gibbs state at beta = 1 does not depend on the basis chosen
+    # inside each degenerate level
+    rho = (dec.eigenvectors * gibbs_state(dec, 1.0).weights) @ dec.eigenvectors.T
+    e_ref, v_ref = np.linalg.eigh(m)  # the dense route
+    p_ref = np.exp(-(e_ref - e_ref[0]))
+    rho_ref = (v_ref * (p_ref / p_ref.sum())) @ v_ref.T
+    assert np.abs(rho - rho_ref).max() < 1e-12
+
+
+@pytest.mark.parametrize("name, flip_even", [
+    ("tfim", True), ("random_bond", True), ("xxz", True), ("xxz_field", False),
+    ("odd", False), ("generic", False)])
+def test_eig_hermitian_solves_at_full_size_only_without_reversal_symmetry(
+        name, flip_even, monkeypatch):
+    lat = chain_lattice(6)
+    g = np.random.default_rng(5).normal(size=(64, 64))
+    models = {"tfim": transverse_field_ising(lat),
+              "random_bond": random_bond_ising(lat, seed=3),
+              "xxz": heisenberg_xxz(lat, 1.0, 0.5),
+              "xxz_field": heisenberg_xxz(lat, 1.0, 0.5, h=0.3)}
+    m = (build_hamiltonian(models[name]).matrix if name in models else
+         _reversal_symmetric(g[:5, :5] + g[:5, :5].T) if name == "odd" else
+         g + g.T)
+    shapes = _spy_on_eigh(monkeypatch)
+    dec = eig_hermitian(m)
+    dim = len(m)
+    assert shapes == [(2, dim // 2, dim // 2) if flip_even else (dim, dim)]
+    _assert_matches_dense(dec, m)
 
 
 def test_eig_hermitian_rejects_bad_input():

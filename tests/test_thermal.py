@@ -10,7 +10,8 @@ import scipy.linalg
 from correlab import (chain_lattice, transverse_field_ising, heisenberg_xxz,
                       embed, single_site, build_hamiltonian, eig_hermitian,
                       gibbs_state, KMSFunction, kms_function,
-                      ordinary_correlator, canonical_correlator)
+                      ordinary_correlator, canonical_correlator,
+                      LocalOperator, PAULI_X, PAULI_Y)
 from correlab import thermal
 from correlab.thermal import _duhamel_kernel
 
@@ -369,6 +370,23 @@ def test_canonical_quadrature_stops_relative_to_the_value():
     closed = canonical_correlator(fn)
     assert abs(closed - 2.0e-7) < 1e-9
     assert abs(quad - closed) < 2e-8
+
+
+def test_canonical_quadrature_of_a_complex_pair_product_keeps_its_value():
+    # X against Y and against X + Y on XXZ: P = A * B^T is complex, and the
+    # quadrature now runs its real and imaginary parts as real GEMMs.  The
+    # values the zgemm route gave, at D = 64:
+    zgemm = {"Y": -9.324138683375338e-18j,
+             "X+Y": 0.24614226103314757 - 9.324138683375338e-18j}
+    lat = chain_lattice(6)
+    st = gibbs_state(build_hamiltonian(heisenberg_xxz(lat, 1.0, 0.5, h=0.3)), 1.0)
+    a = embed(single_site(1, "X"), lat)
+    for name, local in (("Y", PAULI_Y), ("X+Y", PAULI_X + PAULI_Y)):
+        fn = kms_function(st, a, embed(LocalOperator((3,), local), lat))
+        assert np.iscomplexobj(fn.pair_product)
+        scale = max(abs(zgemm[name]), float(np.abs(fn.pair_product).max()))
+        quad = canonical_correlator(fn, method="quadrature")
+        assert abs(quad - zgemm[name]) <= 1e-14 * scale
 
 
 def test_canonical_collapses_when_b_commutes_with_h():
