@@ -108,7 +108,8 @@ def eig_hermitian(matrix) -> SpectralDecomposition:
     in the basis (e_i +- e_{D-1-i})/sqrt(2) into the two D/2 x D/2 blocks
     H+- = H_TL +- H_TR J, solved as one stacked call for a quarter of the
     dense flops.  The eigenvectors V = [[V+, V-], [J V+, -J V-]]/sqrt(2)
-    are assembled in the solver's own output, grown in place, and their
+    are assembled in the solver's own output, grown in place (copied when
+    numpy hands it back in another layout), and their
     columns ordered by ascending eigenvalue with a stable sort (the +
     sector first among equal levels).  Any other H is solved as given.
     Either way the only D x D array built is the eigenvectors.
@@ -153,17 +154,23 @@ def _reversal_blocks(m: np.ndarray) -> np.ndarray:
 def _from_reversal_blocks(e: np.ndarray, v: np.ndarray) -> SpectralDecomposition:
     """The dense decomposition from the eigenpairs (e, v) of the stack.
 
-    v is grown in place to D x D, so the two blocks fill its top half.  The
-    bottom half (J V+, -J V-) is written from them first, over row blocks
-    with the columns in sorted order; the top half is then the bottom half
-    reversed, with the - columns negated.
+    v is grown in place to D x D when it is a C-contiguous array that owns
+    its data, else copied into a new one, so the two blocks fill its top
+    half.  The bottom half (J V+, -J V-) is written from them first, over
+    row blocks with the columns in sorted order; the top half is then the
+    bottom half reversed, with the - columns negated.
     """
     half = v.shape[1]
     dim = 2 * half
     order = np.argsort(e.ravel(), kind="stable")
     sign = np.where(order < half, 1.0, -1.0)
     scale = sign * np.sqrt(0.5)
-    v.resize((dim, dim), refcheck=False)  # eigh's own, contiguous output
+    if v.flags.owndata and v.flags.c_contiguous:  # as numpy's eigh gives it
+        v.resize((dim, dim), refcheck=False)
+    else:  # numpy documents no output layout; copy
+        grown = np.empty((dim, dim), dtype=v.dtype)
+        grown[:half].reshape(v.shape)[...] = v
+        v = grown
     plus, minus = v[:half].reshape(2, half, half)[:, ::-1]  # J V+ and J V-
     top, bottom = v[:half], v[half:]
     rows = max(1, _MIRROR_BLOCK // dim)

@@ -289,9 +289,9 @@ def canonical_correlator(fn: KMSFunction, method: str = "closed_form") -> comple
     that is larger; if 512 nodes are reached first, the last value is
     returned with a RuntimeWarning that gives the last refinement's change.
     The quadrature reads the pair product P = A * B^T of the KMS function
-    through real GEMMs, one when P is real and one per part when it is
-    complex; the closed form pairs A and B itself, so the two routes stay
-    independent.
+    as left^T P, one real GEMM whether P is real or complex (a complex P
+    is read through its interleaved real view, with no copy); the closed
+    form pairs A and B itself, so the two routes stay independent.
     """
     state = fn.state
     disconnected = fn.phi_a * fn.phi_b
@@ -304,17 +304,16 @@ def canonical_correlator(fn: KMSFunction, method: str = "closed_form") -> comple
         raise ValueError(f"unknown method {method!r}")
 
     beta, etil, pair = state.beta, state.energies, fn.pair_product
-    # a complex P runs as two real GEMMs on its parts, split once per call
-    parts = ([pair] if np.isrealobj(pair) else
-             [np.ascontiguousarray(pair.real), np.ascontiguousarray(pair.imag)])
 
     def average(n: int) -> complex:
         x, w = gauss_legendre(n)
         bs = 0.5 * beta * (x + 1.0)
-        left = np.exp(-np.outer(etil, beta - bs) - state.log_partition)
-        right = np.exp(-np.outer(etil, bs))
-        return complex(*(0.5 * np.sum(w * np.sum(left * (p @ right), axis=0))
-                         for p in parts))
+        # node-major factors: sum over m of left^T (P right) is the row sum
+        # of (left^T P) * right^T, one real GEMM for a real or complex P
+        left_t = np.exp(-np.outer(beta - bs, etil) - state.log_partition)
+        right_t = np.exp(-np.outer(bs, etil))
+        vals = np.sum(_matmul(left_t, pair) * right_t, axis=1)
+        return complex(0.5 * np.sum(w * vals))
 
     # below eps D max|P| two refinements differ by round-off alone
     floor = np.finfo(float).eps * state.dim * float(np.abs(pair).max())

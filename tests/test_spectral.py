@@ -107,6 +107,28 @@ def test_degenerate_sectors_match_the_dense_route(monkeypatch):
     assert np.abs(rho - rho_ref).max() < 1e-12
 
 
+@pytest.mark.parametrize("layout", [lambda v: v[...],  # a view
+                                    np.asfortranarray])  # not C-contiguous
+def test_reversal_route_copies_eigenvectors_it_cannot_grow(layout,
+                                                           monkeypatch):
+    # eigenvectors are grown in place only when eigh hands back a
+    # C-contiguous array that owns its data; any other layout is copied
+    # into a new D x D array, with the same result
+    lat = chain_lattice(6)
+    m = build_hamiltonian(random_bond_ising(lat, seed=2)).matrix
+    grown = eig_hermitian(m)
+    eigh = np.linalg.eigh
+
+    def relaid(a, *args, **kwargs):
+        e, v = eigh(a, *args, **kwargs)
+        return e, layout(v)
+
+    monkeypatch.setattr(np.linalg, "eigh", relaid)
+    copied = eig_hermitian(m)
+    assert np.array_equal(copied.eigenvalues, grown.eigenvalues)
+    assert np.array_equal(copied.eigenvectors, grown.eigenvectors)
+
+
 @pytest.mark.parametrize("name, flip_even", [
     ("tfim", True), ("random_bond", True), ("xxz", True), ("xxz_field", False),
     ("odd", False), ("generic", False)])

@@ -374,8 +374,8 @@ def test_canonical_quadrature_stops_relative_to_the_value():
 
 def test_canonical_quadrature_of_a_complex_pair_product_keeps_its_value():
     # X against Y and against X + Y on XXZ: P = A * B^T is complex, and the
-    # quadrature now runs its real and imaginary parts as real GEMMs.  The
-    # values the zgemm route gave, at D = 64:
+    # quadrature reads it through one real GEMM on its interleaved view.
+    # The values the zgemm route gave, at D = 64:
     zgemm = {"Y": -9.324138683375338e-18j,
              "X+Y": 0.24614226103314757 - 9.324138683375338e-18j}
     lat = chain_lattice(6)
