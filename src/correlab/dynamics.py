@@ -25,13 +25,13 @@ the norm is taken is decided once per scan:
   Hermitian matrix, which keeps it on the eigensolver instead of the SVD.
 
 The locality scan takes its norms in the site basis, where the error
-D = tau_t(A) - E_r(tau_t(A)) is formed.  When the window holds only qubits,
-every interaction term in it commutes with the global spin flip
-P = X^{(x)n} (index reversal, i -> D-1-i) and a Hermitian A is flip-odd or
-flip-even, D has A's flip parity: E_r commutes with conjugation by the
-product unitary P.  In the basis (e_i +- e_{D-1-i})/sqrt 2 a flip-odd D is
-[[0, M], [M*, 0]] and a flip-even D is block-diagonal, so its norm comes
-from half-size blocks; every other scan takes the norm of D itself.
+D = tau_t(A) - E_r(tau_t(A)) is formed.  When eig_hermitian solved H in
+reversal blocks (J H J = H exactly, J the index reversal i -> D-1-i, which
+is a product of local reversals, so E_r commutes with conjugation by it)
+and A is Hermitian with J A J = -A or = A exactly, D has A's parity.  In
+the basis (e_i +- e_{D-1-i})/sqrt 2 an odd D is [[0, M], [M*, 0]] and an
+even D is block-diagonal, so its norm comes from half-size blocks; every
+other scan takes the norm of D itself.
 """
 from __future__ import annotations
 
@@ -40,12 +40,13 @@ from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from .lattice import (_HERM_TOL, Interaction, Lattice, Site, _is_hermitian,
-                      ball, certify_locality)
+from .lattice import (Interaction, Lattice, Site, _is_hermitian, ball,
+                      certify_locality)
 from .operators import (EmbeddedOperator, conditional_expectation, embed,
                         spectral_norm)
-from .spectral import (SpectralDecomposition, _matmul, _sandwich,
-                       build_hamiltonian, eig_hermitian)
+from .spectral import (SpectralDecomposition, _matmul, _reversal_blocks,
+                       _reversal_parity, _sandwich, build_hamiltonian,
+                       eig_hermitian)
 from .thermal import _EXP_CAP
 
 
@@ -229,50 +230,18 @@ def _half_block_norm(dec: SpectralDecomposition, gap: float, rows):
     return norm
 
 
-def _flip_parity_norm(interaction: Interaction, context: EvolutionContext,
-                      a_matrix: np.ndarray):
-    """(route, norm) for locality_scan's per-point ||D||, D Hermitian.
-
-    The route is "flip_odd" or "flip_even" when A is Hermitian, every window
-    site is a qubit, every interaction term inside the window satisfies
-    m[::-1, ::-1] = m and A's matrix a satisfies a[::-1, ::-1] = -a or = a
-    (each within _HERM_TOL relative).  Then D has A's flip parity, and with
-    the half-blocks TL, TR, BL, BR of D and J the half-size reversal, norm
-    reads D's exact-parity part: for odd D ||M|| with
-    M = (TL - TR J + J BL - J BR J) / 2, from the largest eigenvalue of
-    M M*; for even D the larger norm of the Hermitian blocks
-    (TL + J BR J +- (TR J + J BL)) / 2.  Otherwise the route is "dense" and
-    norm is spectral_norm.
-    """
-    lat, win = context.lattice, set(context.window)
-
-    def flips(m, sign):
-        return np.abs(m[::-1, ::-1] - sign * m).max() \
-            <= _HERM_TOL * np.abs(m).max()
-
-    parity = 0
-    if (_is_hermitian(a_matrix)
-            and all(lat.local_dims[lat.index(s)] == 2 for s in win)
-            and all(flips(m, 1) for sup, m in interaction.terms.items()
-                    if set(sup) <= win)):
-        parity = next((sign for sign in (-1, 1) if flips(a_matrix, sign)), 0)
-    if parity == 0:
-        return "dense", spectral_norm
-    h = context.decomposition.dim // 2
+def _reversal_norm(parity: int):
+    """Per-point ||D|| for a Hermitian D with J D J = parity * D, read from
+    the half blocks (TL + TR J, TL - TR J) of spectral._reversal_blocks:
+    for odd D ||TL - TR J||, from the largest eigenvalue of its Gram
+    matrix; for even D the larger norm of the two blocks."""
 
     def norm(d: np.ndarray) -> float:
-        tl, tr = d[:h, :h], d[:h, h:][:, ::-1]
-        bl, br = d[h:, :h][::-1], d[h:, h:][::-1, ::-1]
+        plus, minus = _reversal_blocks(d)
         if parity < 0:
-            m = tl - tr
-            m += bl
-            m -= br
-            m *= 0.5
-            return float(np.sqrt(spectral_norm(m @ m.conj().T)))
-        diag, cross = tl + br, tr + bl
-        return max(spectral_norm((diag + cross) / 2),
-                   spectral_norm((diag - cross) / 2))
-    return ("flip_odd" if parity < 0 else "flip_even"), norm
+            return float(np.sqrt(spectral_norm(minus @ minus.conj().T)))
+        return max(spectral_norm(plus), spectral_norm(minus))
+    return norm
 
 
 def lr_commutator_scan(interaction: Interaction, a, b,
@@ -399,15 +368,14 @@ def locality_scan(interaction: Interaction, a, radii: Sequence[float],
     positive, and both grids nonempty and finite.
 
     norm_route tells how the norm was taken, decided once from the
-    interaction and A.  When A is Hermitian, the window holds only qubits,
-    every interaction term inside it is even under the global spin flip
-    (index reversal) and A's matrix is flip-odd (any Pauli Z or Y) or
-    flip-even (any Pauli X), the error has A's flip parity and its norm
-    comes from half-size blocks: for "flip_odd" one (D/2)-sized product and
-    a (D/2)-sized eigensolver, for "flip_even" two (D/2)-sized eigensolvers.
-    The value is the norm of the error's exact-parity part, which differs
-    from the dense one by round-off.  Any other scan ("dense") takes the
-    norm of the D x D error.
+    decomposition and A.  When H was solved in reversal blocks
+    (SpectralDecomposition.reversal_symmetric), A is Hermitian and A's
+    matrix is exactly odd (any Pauli Z or Y) or even (any Pauli X) under
+    the index reversal, the error has A's parity and its norm comes from
+    half-size blocks: for "flip_odd" one (D/2)-sized product and a
+    (D/2)-sized eigensolver, for "flip_even" two (D/2)-sized eigensolvers.
+    The value differs from the dense one by round-off.  Any other scan
+    ("dense") takes the norm of the D x D error.
     """
     _check_scan({"radii": radii, "times": times}, mu=mu, velocity=velocity,
                 exponent_multiplier=exponent_multiplier)
@@ -421,7 +389,10 @@ def locality_scan(interaction: Interaction, a, radii: Sequence[float],
     xs = a.support
     na = spectral_norm(a.matrix)
     hermitian = _is_hermitian(a.matrix)
-    route, norm = _flip_parity_norm(interaction, context, a.matrix)
+    parity = (_reversal_parity(a.matrix)
+              if hermitian and context.decomposition.reversal_symmetric else 0)
+    route = {-1: "flip_odd", 1: "flip_even", 0: "dense"}[parity]
+    norm = _reversal_norm(parity) if parity else spectral_norm
     abar = context.decomposition.transform(aemb.matrix)
 
     rows = []

@@ -24,7 +24,7 @@ PAULI = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 _METRIC_TOL = 1e-9
 _HERM_TOL = 1e-12
-_HERM_BLOCK = 1 << 18  # entries per row block of the Hermiticity check
+_HERM_TILE = 128  # edge of the square tiles of the Hermiticity check
 
 
 def _as_matrix(op) -> np.ndarray:
@@ -36,19 +36,24 @@ def _as_matrix(op) -> np.ndarray:
 
 def _is_hermitian(m: np.ndarray, anti: bool = False) -> bool:
     """m = m* (m = -m* when anti) within _HERM_TOL relative to max|m|;
-    False for a non-square m or any non-finite entry.  The check runs over
-    row blocks, so it builds no D x D temporary."""
+    False for a non-square m or any non-finite entry.  Each pair of
+    mirrored square tiles is compared once, so both are read in cache and
+    no D x D temporary is built."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    rows = max(1, _HERM_BLOCK // max(1, len(m)))
+    t = _HERM_TILE
     scale = asym = 0.0
-    for i in range(0, len(m), rows):
-        blk, adj = m[i:i + rows], m[:, i:i + rows].conj().T
-        top = float(np.abs(blk).max())
-        if not np.isfinite(top):  # every entry passes through some blk
-            return False
-        scale = max(scale, top)
-        asym = max(asym, float(np.abs(blk + adj if anti else blk - adj).max()))
+    for i in range(0, len(m), t):
+        for j in range(i, len(m), t):
+            upper, lower = m[i:i + t, j:j + t], m[j:j + t, i:i + t]
+            # np.maximum keeps a NaN that the builtin max would drop
+            top = float(np.maximum(np.abs(upper).max(), np.abs(lower).max()))
+            if not np.isfinite(top):  # every entry lies in some tile
+                return False
+            scale = max(scale, top)
+            adj = lower.conj().T
+            asym = max(asym, float(np.abs(upper + adj if anti
+                                          else upper - adj).max()))
     return asym <= _HERM_TOL * scale
 
 

@@ -15,22 +15,27 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .lattice import (_HERM_BLOCK, Interaction, Site, _as_matrix,
-                      _is_hermitian)
+from .lattice import Interaction, Site, _as_matrix, _is_hermitian
 from .operators import (EmbeddedOperator, LocalOperator, _add_embedded,
                         commutator, embed)
 
 DIM_CAP = 4096  # largest window dimension we agree to diagonalize (2^12)
-_MIRROR_BLOCK = 1 << 14  # entries per row block of the reversal-route assembly
+_MIRROR_BLOCK = 1 << 14  # entries per row block of the reversal passes
 
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian
-    matrix, H = V diag(E) V*."""
+    matrix, H = V diag(E) V*.
+
+    reversal_symmetric is True when eig_hermitian found J H J = H exactly
+    (J the index reversal i -> D-1-i, D even) and solved H in the two
+    half-size blocks; every reader of that symmetry takes it from here.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    reversal_symmetric: bool = False
 
     @property
     def dim(self) -> int:
@@ -100,7 +105,7 @@ def eig_hermitian(matrix) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix (LAPACK).
 
     The input must be finite and Hermitian within 1e-12 relative; the check
-    runs over row blocks.  The solver reads one triangle of what it is
+    runs over mirrored square tiles.  The solver reads one triangle of what it is
     given, and a real symmetric input is solved in real arithmetic and
     gives real eigenvectors.
 
@@ -111,38 +116,45 @@ def eig_hermitian(matrix) -> SpectralDecomposition:
     are assembled in the solver's own output, grown in place (copied when
     numpy hands it back in another layout), and their
     columns ordered by ascending eigenvalue with a stable sort (the +
-    sector first among equal levels).  Any other H is solved as given.
-    Either way the only D x D array built is the eigenvectors.
+    sector first among equal levels), and the result is marked
+    reversal_symmetric.  Any other H is solved as given.  Either way the
+    only D x D array built is the eigenvectors.
     """
     m = _as_matrix(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("need a square matrix")
     if not _is_hermitian(m):
         raise ValueError("matrix is not finite and Hermitian within 1e-12 relative")
-    if _reversal_symmetric(m):
+    dim = len(m)
+    if dim >= 2 and dim % 2 == 0 and _reversal_parity(m) == 1:
         return _from_reversal_blocks(*np.linalg.eigh(_reversal_blocks(m)))
     e, v = np.linalg.eigh(m)
     return SpectralDecomposition(e, v)
 
 
-def _reversal_symmetric(m: np.ndarray) -> bool:
-    """J m J == m exactly, for an even dimension D >= 2.
+def _reversal_parity(m: np.ndarray) -> int:
+    """+1 when J m J == m, -1 when J m J == -m, exactly; 0 otherwise.
 
-    Each top-half row is compared with its mirror row read backwards, over
-    row blocks; the bottom half is then equal by the same identity.
+    m is square, of any size D >= 1.  Each row of the top half (the middle row
+    included) is compared with its mirror row read backwards, over row
+    blocks; the bottom half then agrees by the same identity.  A zero m
+    reads +1.
     """
     dim = len(m)
-    half = dim // 2
-    if dim % 2 or not half:
-        return False
-    top, mirrored = m[:half], m[::-1, ::-1][:half]
-    rows = max(1, _HERM_BLOCK // dim)
-    return all(np.array_equal(top[i:i + rows], mirrored[i:i + rows])
-               for i in range(0, half, rows))
+    top, mirrored = m[:dim - dim // 2], m[::-1, ::-1][:dim - dim // 2]
+    rows = max(1, _MIRROR_BLOCK // dim)
+    for sign in (1, -1):
+        if all(np.array_equal(top[i:i + rows], sign * mirrored[i:i + rows])
+               for i in range(0, len(top), rows)):
+            return sign
+    return 0
 
 
 def _reversal_blocks(m: np.ndarray) -> np.ndarray:
-    """The stack (H_TL + H_TR J, H_TL - H_TR J) of a reversal-symmetric m."""
+    """The stack (m_TL + m_TR J, m_TL - m_TR J) of the half blocks of m, J
+    the half-size reversal.  For J m J = m these are m's blocks in the
+    basis (e_i +- e_{D-1-i})/sqrt 2; for J m J = -m the second is the
+    off-diagonal block M of m = [[0, M], [M*, 0]] there."""
     half = len(m) // 2
     top_left, top_right = m[:half, :half], m[:half, half:][:, ::-1]
     blocks = np.empty((2, half, half), dtype=m.dtype)
@@ -182,7 +194,7 @@ def _from_reversal_blocks(e: np.ndarray, v: np.ndarray) -> SpectralDecomposition
         np.take(pair, order, axis=1, out=out, mode="clip")  # unbuffered
         out *= scale
     np.multiply(bottom[::-1], sign, out=top)
-    return SpectralDecomposition(e.ravel()[order], v)
+    return SpectralDecomposition(e.ravel()[order], v, reversal_symmetric=True)
 
 
 def build_hamiltonian(interaction: Interaction,

@@ -93,8 +93,12 @@ def residue_identity(beta: float, height: float,
     `converged` says which of the two ended the refinement.
     At b = 0 or b = beta the pole sits on the contour; symmetric quadrature
     then converges to the principal value, which is short of the limit from
-    the interior by half a residue, so 1/2 is added back.
+    the interior by half a residue, so 1/2 is added back.  beta must be
+    finite and positive: at beta = 0 the integrand vanishes and the
+    refinements agree on a wrong answer.
     """
+    if not 0.0 < beta < np.inf:
+        raise ValueError(f"beta must be finite and positive, not {beta!r}")
     if not 0.0 <= height <= beta + _ENDPOINT_EPS:
         raise ValueError("height must lie in [0, beta]")
     b = float(height)

@@ -359,7 +359,9 @@ def _dense_locality_errors(ctx, a, radii, times):
 # Z and Y are odd under the global spin flip and X is even; every term of
 # random-bond Ising and of XXZ at h = 0 is even, -h Z is odd, and sigma+
 # is not Hermitian.  For X on random-bond Ising the two even blocks have
-# equal norms, on XXZ they do not.
+# equal norms, on XXZ they do not.  A 1e-15 Z on one site leaves H even
+# only to within round-off, so eig_hermitian solves it whole and the scan
+# takes the dense route with it.
 @pytest.mark.parametrize("model, a, route", [
     ("rbi", single_site(2, "Z"), "flip_odd"),
     ("rbi", single_site(2, "X"), "flip_even"),
@@ -367,17 +369,23 @@ def _dense_locality_errors(ctx, a, radii, times):
     ("xxz", single_site(2, "X"), "flip_even"),
     ("xxz_field", single_site(2, "Z"), "dense"),
     ("rbi", LocalOperator((2,), SIGMA_PLUS), "dense"),
+    ("rbi_tilted", single_site(2, "Z"), "dense"),
 ], ids=["rbi-z", "rbi-x", "xxz-y", "xxz-x", "xxz-field-z",
-        "rbi-sigma-plus"])
+        "rbi-sigma-plus", "rbi-tilted-z"])
 def test_locality_scan_matches_dense_route(model, a, route):
     lat = chain_lattice(6)
-    inter = {"rbi": random_bond_ising(lat, 1.0, 1.0, seed=3),
+    rbi = random_bond_ising(lat, 1.0, 1.0, seed=3)
+    tilted = dict(rbi.terms)
+    tilted[(0,)] = -PAULI_X + 1e-15 * PAULI_Z
+    inter = {"rbi": rbi,
+             "rbi_tilted": Interaction(lat, tilted),
              "xxz": heisenberg_xxz(lat, 1.0, 0.5),
              "xxz_field": heisenberg_xxz(lat, 1.0, 0.5, h=0.7)}[model]
     ctx = evolution_context(inter)
     radii, times = [0.0, 1.0, 2.0, 3.0], [0.0, 0.5, 1.0]
     scan = locality_scan(inter, a, radii, times, mu=1.0, context=ctx)
     assert scan.norm_route == route
+    assert ctx.decomposition.reversal_symmetric == (model in ("rbi", "xxz"))
     got = np.array([m.error for m in scan.measurements])
     ref = np.array(_dense_locality_errors(ctx, a, radii, times))
     assert ref.max() > 0.5  # the evolved operator has spread past the ball

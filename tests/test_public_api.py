@@ -196,3 +196,23 @@ def test_only_eig_hermitian_calls_eigh():
                 elif isinstance(node, ast.ImportFrom):
                     assert "eigh" not in {a.name for a in node.names}, path.name
     assert callers and set(callers) == {"spectral.py:eig_hermitian"}
+
+
+def _reverses(node) -> bool:
+    """node is the slice ::-1."""
+    return (isinstance(node, ast.Slice) and node.lower is None
+            and node.upper is None and node.step is not None
+            and ast.unparse(node.step) == "-1")
+
+
+# one owner for the reversal symmetry: spectral decides it for H and A
+# alike, so no other module mirrors a matrix through both axes
+def test_only_spectral_reverses_both_axes():
+    mirrors = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Subscript)
+                    and isinstance(node.slice, ast.Tuple)
+                    and sum(map(_reverses, node.slice.elts)) >= 2):
+                mirrors.append(path.name)
+    assert mirrors and set(mirrors) == {"spectral.py"}

@@ -10,6 +10,7 @@ from correlab import (chain_lattice, transverse_field_ising, embed,
                       derivation_delta, DIM_CAP, heisenberg_xxz,
                       random_bond_ising, gibbs_state)
 from correlab.operators import PAULI_I, PAULI_X, PAULI_Z
+from correlab.spectral import _reversal_parity
 
 
 def tfim(n, J=1.0, h=1.0):
@@ -131,7 +132,7 @@ def test_reversal_route_copies_eigenvectors_it_cannot_grow(layout,
 
 @pytest.mark.parametrize("name, flip_even", [
     ("tfim", True), ("random_bond", True), ("xxz", True), ("xxz_field", False),
-    ("odd", False), ("generic", False)])
+    ("odd", False), ("generic", False), ("spin1_sz", False)])
 def test_eig_hermitian_solves_at_full_size_only_without_reversal_symmetry(
         name, flip_even, monkeypatch):
     lat = chain_lattice(6)
@@ -142,11 +143,17 @@ def test_eig_hermitian_solves_at_full_size_only_without_reversal_symmetry(
               "xxz_field": heisenberg_xxz(lat, 1.0, 0.5, h=0.3)}
     m = (build_hamiltonian(models[name]).matrix if name in models else
          _reversal_symmetric(g[:5, :5] + g[:5, :5].T) if name == "odd" else
+         np.diag([1.0, 0.0, -1.0]) if name == "spin1_sz" else
          g + g.T)
+    # the odd sizes are reversal-even (5 x 5) and reversal-odd (S^z of a
+    # spin 1), yet solved whole
+    parity = {"xxz_field": 0, "generic": 0, "spin1_sz": -1}.get(name, 1)
+    assert _reversal_parity(m) == parity
     shapes = _spy_on_eigh(monkeypatch)
     dec = eig_hermitian(m)
     dim = len(m)
     assert shapes == [(2, dim // 2, dim // 2) if flip_even else (dim, dim)]
+    assert dec.reversal_symmetric == flip_even
     _assert_matches_dense(dec, m)
 
 

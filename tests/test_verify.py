@@ -72,6 +72,13 @@ def test_residue_identity_reports_convergence():
             assert residue_identity(beta, frac * beta).converged
 
 
+@pytest.mark.parametrize("beta", [0.0, -1.0, float("inf"), float("nan")])
+def test_residue_identity_refuses_beta_not_finite_and_positive(beta):
+    # at beta = 0 the integrand is zero and two refinements agree on 1/2
+    with pytest.raises(ValueError, match="beta must be finite and positive"):
+        residue_identity(beta, 0.0)
+
+
 def test_residue_identity_rejects_heights_outside_strip():
     with pytest.raises(ValueError):
         residue_identity(1.0, 1.5)
