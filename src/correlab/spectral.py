@@ -135,10 +135,10 @@ def eig_hermitian(matrix) -> SpectralDecomposition:
 def _reversal_parity(m: np.ndarray) -> int:
     """+1 when J m J == m, -1 when J m J == -m, exactly; 0 otherwise.
 
-    m is square, of any size D >= 1.  Each row of the top half (the middle row
-    included) is compared with its mirror row read backwards, over row
-    blocks; the bottom half then agrees by the same identity.  A zero m
-    reads +1.
+    m is square, of any size D >= 1.  Each row of the top half (the
+    middle row included) is compared with its mirror row read backwards,
+    over row blocks; the bottom half then agrees by the same identity.  A
+    zero m reads +1.
     """
     dim = len(m)
     top, mirrored = m[:dim - dim // 2], m[::-1, ::-1][:dim - dim // 2]
