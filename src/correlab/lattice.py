@@ -57,6 +57,24 @@ def _is_hermitian(m: np.ndarray, anti: bool = False) -> bool:
     return asym <= _HERM_TOL * scale
 
 
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """m overwritten by (m + m*)/2, to the bit, and returned; m is square.
+
+    Each pair of mirrored square tiles is read once: the upper tile takes
+    s = (upper + lower*)/2 and the lower tile s*, which is the same sum
+    conjugated because addition commutes.
+    """
+    t = _HERM_TILE
+    for i in range(0, len(m), t):
+        for j in range(i, len(m), t):
+            upper, lower = m[i:i + t, j:j + t], m[j:j + t, i:i + t]
+            s = upper + lower.conj().T
+            s *= 0.5
+            upper[...] = s
+            lower[...] = s.conj().T
+    return m
+
+
 # ---------------------------------------------------------------------------
 # lattice geometry
 # ---------------------------------------------------------------------------

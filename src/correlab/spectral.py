@@ -6,7 +6,9 @@ is strict: ascending eigenvalues, orthonormal eigenvectors, reconstruction
 to 1e-10 relative.  A Hamiltonian that commutes with the index reversal
 J (i -> D-1-i), which in the site basis is the global spin flip X^n of
 every model without a z-field, is solved as two half-size blocks; any
-other is solved whole.  Callers see one dense decomposition either way.
+other is solved whole.  Callers see one dense decomposition either way;
+the block route also records the sector of each eigenvector, which the
+scans in dynamics use to evolve at half size.
 """
 from __future__ import annotations
 
@@ -28,18 +30,24 @@ class SpectralDecomposition:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian
     matrix, H = V diag(E) V*.
 
-    reversal_symmetric is True when eig_hermitian found J H J = H exactly
-    (J the index reversal i -> D-1-i, D even) and solved H in the two
-    half-size blocks; every reader of that symmetry takes it from here.
+    sector holds +1 or -1 per column when eig_hermitian found J H J = H
+    exactly (J the index reversal i -> D-1-i, D even) and solved H in the
+    two half-size blocks: J v_c = sector[c] v_c, to the last bit, with
+    D/2 columns in each sector.  It is None for a decomposition solved
+    whole.  Every reader of that symmetry takes it from here.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    reversal_symmetric: bool = False
+    sector: Optional[np.ndarray] = None
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
+
+    @property
+    def reversal_symmetric(self) -> bool:
+        return self.sector is not None
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
@@ -116,8 +124,8 @@ def eig_hermitian(matrix) -> SpectralDecomposition:
     are assembled in the solver's own output, grown in place (copied when
     numpy hands it back in another layout), and their
     columns ordered by ascending eigenvalue with a stable sort (the +
-    sector first among equal levels), and the result is marked
-    reversal_symmetric.  Any other H is solved as given.  Either way the
+    sector first among equal levels), and the sector of each column is
+    kept on the result.  Any other H is solved as given.  Either way the
     only D x D array built is the eigenvectors.
     """
     m = _as_matrix(matrix)
@@ -163,6 +171,27 @@ def _reversal_blocks(m: np.ndarray) -> np.ndarray:
     return blocks
 
 
+def _reversal_matrix(plus: np.ndarray, minus: np.ndarray, parity: int,
+                     out: np.ndarray) -> np.ndarray:
+    """The inverse of _reversal_blocks: the D x D matrix m with
+    J m J = parity * m whose half blocks (m_TL + m_TR J, m_TL - m_TR J) are
+    (plus, minus), written into out.
+
+    For parity +1 these are m's diagonal blocks in the basis
+    (e_i +- e_{D-1-i})/sqrt 2; for parity -1 and m = [[0, N], [N*, 0]]
+    there they are (N*, N).  The top half is m_TL = (plus + minus)/2 and
+    m_TR = ((plus - minus)/2) J; the bottom half is the top half reversed
+    along both axes, times parity.
+    """
+    half = len(plus)
+    top = out[:half]
+    np.add(plus, minus, out=top[:, :half])
+    np.subtract(plus, minus, out=top[:, half:][:, ::-1])
+    top *= 0.5
+    np.multiply(top[::-1, ::-1], parity, out=out[half:])
+    return out
+
+
 def _from_reversal_blocks(e: np.ndarray, v: np.ndarray) -> SpectralDecomposition:
     """The dense decomposition from the eigenpairs (e, v) of the stack.
 
@@ -194,7 +223,7 @@ def _from_reversal_blocks(e: np.ndarray, v: np.ndarray) -> SpectralDecomposition
         np.take(pair, order, axis=1, out=out, mode="clip")  # unbuffered
         out *= scale
     np.multiply(bottom[::-1], sign, out=top)
-    return SpectralDecomposition(e.ravel()[order], v, reversal_symmetric=True)
+    return SpectralDecomposition(e.ravel()[order], v, sector=sign)
 
 
 def build_hamiltonian(interaction: Interaction,

@@ -516,6 +516,45 @@ def test_run_lr_scan_task(tmp_path, capsys):
     assert len(rows) == 1 + 2
 
 
+def test_lr_scan_bound_follows_the_resolved_prefactor(tmp_path, capsys):
+    # the rows with t <= 0.3 are round-off and set c_empirical above
+    # c_empirical_resolved; the bound column is fitted without them
+    cfg = write_config(tmp_path, """\
+    task: lr_scan
+    model: {name: transverse_field_ising, n: 8, J: 1.0, h: 1.0}
+    mu: 1.0
+    a: {site: 0, op: Z}
+    b: {site: 7, op: Z}
+    times: {start: 0.0, stop: 1.0, step: 0.1}
+    """)
+    assert run_cli(["run", cfg, "--outdir", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    rundir = next((tmp_path / "out").iterdir())
+    summary = json.loads((rundir / "record.json").read_text())["summary"]
+    c_res = summary["c_empirical_resolved"]
+    assert summary["floor_rows"] == 4
+    assert summary["c_empirical"] > 1.5 * c_res > 0.0
+    lines = (rundir / "lr_scan.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, map(float, line.split(",")))) for line in lines[1:]]
+    assert len(rows) == 11
+    assert all(row["bound"] == c_res * row["envelope"] for row in rows)
+
+
+def test_lr_scan_bound_is_infinite_with_the_prefactor(tmp_path, capsys):
+    # overlapping supports: [Z0, X0] is 2 at t = 0 against a zero envelope
+    cfg = write_config(tmp_path, LR_SCAN_CFG.replace("{site: 4, op: Z}",
+                                                     "{site: 0, op: X}"))
+    assert run_cli(["run", cfg, "--outdir", str(tmp_path / "out")]) == 1
+    capsys.readouterr()
+    rundir = next((tmp_path / "out").iterdir())
+    summary = json.loads((rundir / "record.json").read_text())["summary"]
+    assert summary["c_empirical_resolved"] == float("inf")
+    lines = (rundir / "lr_scan.csv").read_text().splitlines()
+    bound = lines[0].split(",").index("bound")
+    assert [line.split(",")[bound] for line in lines[1:]] == ["inf", "inf"]
+
+
 def test_run_locality_scan_task(tmp_path, capsys):
     cfg = write_config(tmp_path, LOCALITY_CFG)
     assert run_cli(["run", cfg, "--outdir", str(tmp_path / "out")]) == 0

@@ -8,8 +8,10 @@ from correlab import (chain_lattice, transverse_field_ising, embed,
                       derivation_delta, evolution_context, evolve,
                       lr_commutator_scan, locality_scan, certify_locality,
                       conditional_expectation, random_bond_ising,
-                      heisenberg_xxz, ball, LocalOperator, Interaction, SpectralDecomposition,
+                      heisenberg_xxz, ball, LocalOperator, Interaction,
+                      SpectralDecomposition,
                       PAULI_X, PAULI_Y, PAULI_Z)
+from correlab import dynamics
 from correlab.dynamics import _evolve_energy
 
 
@@ -193,10 +195,11 @@ def _y_field_chain(lat):
     return Interaction(lat, terms, name="y_field")
 
 
-# transforms: 1 when only A goes to the energy basis, which is the
-# half-block route for a Hermitian pair with a diagonal two-level B
+# transforms: 0 on the sector route (H flip-even, A odd, B two-level with
+# mirrored level sets), 1 when only A goes to the energy basis, which is
+# the half-block route for a Hermitian pair with a diagonal two-level B
 @pytest.mark.parametrize("a, b, model, transforms", [
-    (single_site(0, "Z"), single_site(5, "Z"), "rbi", 1),
+    (single_site(0, "Z"), single_site(5, "Z"), "rbi", 0),
     (single_site(1, "X"), single_site(4, "Y"), "rbi", 2),
     (LocalOperator((0,), SIGMA_PLUS), LocalOperator((3,), SIGMA_PLUS.T),
      "rbi", 2),
@@ -411,6 +414,97 @@ def test_locality_scan_parity_route_stays_at_half_size(monkeypatch, op):
     assert len(scan.measurements) == 9
     assert (128, 128) in shapes
     assert max(max(shape) for shape in shapes) <= 128
+
+
+# ---------------------------------------------------------------------------
+# sector routes against the dense formulas
+# ---------------------------------------------------------------------------
+
+def _chain_model(name, n):
+    lat = chain_lattice(n)
+    if name == "tfim":
+        return transverse_field_ising(lat, 1.0, 1.0)
+    return random_bond_ising(lat, 1.0, 1.0, seed=n)
+
+
+# sector: the scan runs without a dense transform of A (A odd, B's level
+# sets mirrored by the index reversal); X is flip-even, so its pair keeps
+# the half-block route with A transformed once
+@pytest.mark.parametrize("model, n, a, b, sector", [
+    ("tfim", 6, single_site(0, "Z"), single_site(5, "Z"), True),
+    ("tfim", 6, single_site(2, "Y"), single_site(4, "Z"), True),
+    ("tfim", 6, single_site(1, "Z"), LocalOperator((4,), PROJ_0), True),
+    ("tfim", 6, single_site(1, "X"), single_site(3, "Z"), False),
+    ("rbi", 8, single_site(7, "Z"), single_site(0, "Z"), True),
+    ("rbi", 8, single_site(3, "Y"), LocalOperator((5,), PROJ_0), True),
+    ("rbi", 8, single_site(0, "X"), single_site(6, "Z"), False),
+    ("rbi", 9, single_site(0, "Z"), single_site(8, "Z"), True),
+    ("rbi", 9, single_site(0, "Z"), single_site(4, "Z"), True),
+    ("tfim", 9, single_site(0, "Z"), single_site(6, "Z"), True),
+], ids=["tfim6-z0-z5", "tfim6-y2-z4", "tfim6-z1-proj4", "tfim6-x1-z3",
+        "rbi8-z7-z0", "rbi8-y3-proj5", "rbi8-x0-z6", "rbi9-z0-z8",
+        "rbi9-z0-z4", "tfim9-z0-z6"])
+def test_lr_scan_sector_route_matches_dense_formula(monkeypatch, model, n,
+                                                    a, b, sector):
+    inter = _chain_model(model, n)
+    ctx = evolution_context(inter)
+    assert ctx.decomposition.reversal_symmetric
+    times = [0.0, 0.3, 1.0, 2.0, 4.0]
+    calls, transform = [], SpectralDecomposition.transform
+    monkeypatch.setattr(SpectralDecomposition, "transform",
+                        lambda self, m: calls.append(1) or transform(self, m))
+    scan = lr_commutator_scan(inter, a, b, times, mu=1.0, context=ctx)
+    monkeypatch.undo()
+    assert len(calls) == (0 if sector else 1)
+    got = np.array([m.commutator_norm for m in scan.measurements])
+    ref = np.array(_site_basis_norms(ctx, a, b, times))
+    assert ref.max() > 0.01  # the commutator has grown past round-off
+    assert np.abs(got - ref).max() < 1e-12
+
+
+@pytest.mark.parametrize("model, n, a, route", [
+    ("tfim", 6, single_site(2, "Z"), "flip_odd"),
+    ("tfim", 7, single_site(3, "Y"), "flip_odd"),
+    ("tfim", 6, single_site(1, "X"), "flip_even"),
+    ("rbi", 8, single_site(4, "Z"), "flip_odd"),
+    ("rbi", 8, single_site(2, "Y"), "flip_odd"),
+    ("rbi", 7, single_site(5, "X"), "flip_even"),
+    ("rbi", 9, single_site(5, "Z"), "flip_odd"),
+], ids=["tfim6-z2", "tfim7-y3", "tfim6-x1", "rbi8-z4", "rbi8-y2", "rbi7-x5",
+        "rbi9-z5"])
+def test_locality_scan_sector_route_matches_dense_formula(model, n, a, route):
+    inter = _chain_model(model, n)
+    ctx = evolution_context(inter)
+    radii = [1.0, 2.0, 3.0]
+    times = [0.0, 0.5, 1.0]
+    scan = locality_scan(inter, a, radii, times, mu=1.0, context=ctx)
+    assert scan.norm_route == route
+    got = np.array([m.error for m in scan.measurements])
+    ref = np.array(_dense_locality_errors(ctx, a, radii, times))
+    assert ref.max() > 0.05
+    assert np.abs(got - ref).max() < 1e-12
+
+
+def test_lightcone_scans_evolve_in_the_sectors_alone(monkeypatch):
+    # the benchmark's lightcone pair at a smaller size: Z at both ends of
+    # a random-bond chain, then Z at an inner site with radii 1 to 3; no
+    # dense evolution and no dense transform is made
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense route was taken")
+
+    inter = random_bond_ising(chain_lattice(7), 1.0, 1.0, seed=4)
+    monkeypatch.setattr(dynamics, "_evolve_energy", refuse)
+    monkeypatch.setattr(SpectralDecomposition, "transform", refuse)
+    for a, b in ((0, 6), (6, 0)):
+        scan = lr_commutator_scan(inter, single_site(a, "Z"),
+                                  single_site(b, "Z"),
+                                  [0.1 * k for k in range(21)], mu=1.0)
+        assert len(scan.measurements) == 21
+    for site in (2, 3, 4):
+        scan = locality_scan(inter, single_site(site, "Z"), [1.0, 2.0, 3.0],
+                             [0.25 * k for k in range(5)], mu=1.0)
+        assert scan.norm_route == "flip_odd"
+        assert len(scan.measurements) == 15
 
 
 @pytest.mark.parametrize("key, value", [

@@ -7,6 +7,7 @@ from correlab import (Lattice, chain_lattice, grid_lattice, ball,
                       nearest_neighbor_pairs,
                       transverse_field_ising, heisenberg_xxz,
                       random_bond_ising, build_model, Interaction)
+from correlab.lattice import _HERM_TILE, _hermitian_part
 from correlab.operators import PAULI_X, PAULI_Z
 
 
@@ -109,6 +110,21 @@ def test_interaction_rejects_nonhermitian_term():
 def test_interaction_uses_the_relative_hermiticity_rule(term):
     with pytest.raises(ValueError, match="Hermitian"):
         Interaction(chain_lattice(2), {(0,): term})
+
+
+@pytest.mark.parametrize("dim", [5, 2 * _HERM_TILE + 44])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_hermitian_part_over_tiles_is_bit_identical(dim, kind):
+    # sizes that are not a multiple of the tile edge leave ragged tiles
+    rng = np.random.default_rng(dim)
+    d = rng.normal(size=(dim, dim))
+    if kind == "complex":
+        d = d + 1j * rng.normal(size=(dim, dim))
+    ref = (d + d.conj().T) / 2
+    out = _hermitian_part(d)
+    assert out is d
+    assert np.array_equal(out, ref)
+    assert np.array_equal(out, out.conj().T)
 
 
 def test_locality_certificate_tfim_frozen_values():

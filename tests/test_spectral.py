@@ -9,8 +9,9 @@ from correlab import (chain_lattice, transverse_field_ising, embed,
                       eig_hermitian, build_hamiltonian,
                       derivation_delta, DIM_CAP, heisenberg_xxz,
                       random_bond_ising, gibbs_state)
-from correlab.operators import PAULI_I, PAULI_X, PAULI_Z
-from correlab.spectral import _reversal_parity
+from correlab.operators import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
+from correlab.spectral import (_reversal_blocks, _reversal_matrix,
+                               _reversal_parity)
 
 
 def tfim(n, J=1.0, h=1.0):
@@ -155,6 +156,80 @@ def test_eig_hermitian_solves_at_full_size_only_without_reversal_symmetry(
     assert shapes == [(2, dim // 2, dim // 2) if flip_even else (dim, dim)]
     assert dec.reversal_symmetric == flip_even
     _assert_matches_dense(dec, m)
+
+
+@pytest.mark.parametrize("name", ["tfim", "random_bond", "xxz", "classical"])
+def test_sector_marks_each_column_exactly(name):
+    # J v_c = s_c v_c to the last bit, D/2 columns in each sector
+    lat = chain_lattice(7)
+    model = {"tfim": transverse_field_ising(lat),
+             "random_bond": random_bond_ising(lat, seed=4),
+             "xxz": heisenberg_xxz(lat, 1.0, 0.5),
+             "classical": transverse_field_ising(lat, h=0.0)}[name]
+    dec = eig_hermitian(build_hamiltonian(model).matrix)
+    v = dec.eigenvectors
+    assert dec.reversal_symmetric
+    assert set(dec.sector) == {1.0, -1.0}
+    assert np.count_nonzero(dec.sector > 0) == dec.dim // 2
+    assert np.array_equal(v[::-1], v * dec.sector)
+
+
+def test_dense_decomposition_has_no_sector():
+    lat = chain_lattice(5)
+    for m in (build_hamiltonian(heisenberg_xxz(lat, 1.0, 0.5, h=0.3)).matrix,
+              np.diag([1.0, 0.0, -1.0])):
+        dec = eig_hermitian(m)
+        assert dec.sector is None
+        assert not dec.reversal_symmetric
+
+
+@pytest.mark.parametrize("parity", [1, -1])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_reversal_matrix_inverts_the_half_blocks(parity, kind):
+    rng = np.random.default_rng(7)
+    g = rng.normal(size=(12, 12))
+    if kind == "complex":
+        g = g + 1j * rng.normal(size=(12, 12))
+    m = (g + parity * g[::-1, ::-1]) / 2
+    assert _reversal_parity(m) == parity
+    out = np.empty_like(m)
+    back = _reversal_matrix(*_reversal_blocks(m), parity, out=out)
+    assert back is out
+    assert _reversal_parity(back) == parity
+    assert np.abs(back - m).max() < 1e-15
+
+
+@pytest.mark.parametrize("op", [PAULI_Z, PAULI_Y, PAULI_X],
+                         ids=["Z", "Y", "X"])
+@pytest.mark.parametrize("site", [0, 3])
+def test_sector_blocks_rebuild_the_dense_evolution(op, site):
+    # tau_t(A) = V (e^{itE_m} e^{-itE_n} Abar_mn) V* by the dense route,
+    # against its half blocks formed in the sector eigenbases
+    # W+- = sqrt 2 V[:D/2, +- columns] and written back by _reversal_matrix
+    lat = chain_lattice(6)
+    dec = eig_hermitian(build_hamiltonian(random_bond_ising(lat, seed=1)).matrix)
+    a = embed(LocalOperator((site,), op), lat).matrix
+    parity = _reversal_parity(a)
+    t, half = 0.7, dec.dim // 2
+    v, e = dec.eigenvectors, dec.eigenvalues
+    phase = np.exp(1j * t * e)
+    tau = (v * phase) @ (v.T @ a @ v) @ (v * phase).conj().T
+    cols = [dec.sector > 0, dec.sector < 0]
+    w = [np.sqrt(2.0) * v[:half, c] for c in cols]
+    u = [phase[c] for c in cols]
+    blocks = _reversal_blocks(a)
+
+    def sector_block(left, right, m):
+        abar = w[left].T @ m @ w[right]
+        return (w[left] * u[left]) @ abar @ (w[right] * u[right]).conj().T
+
+    if parity < 0:
+        n = sector_block(0, 1, blocks[1])
+        halves = (n.conj().T, n)
+    else:
+        halves = (sector_block(0, 0, blocks[0]), sector_block(1, 1, blocks[1]))
+    out = np.empty((dec.dim, dec.dim), dtype=complex)
+    assert np.abs(_reversal_matrix(*halves, parity, out=out) - tau).max() < 1e-13
 
 
 def test_eig_hermitian_rejects_bad_input():
