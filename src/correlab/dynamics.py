@@ -1,53 +1,49 @@
 """Heisenberg dynamics on a finite window.
 
 The evolution tau_t(A) = exp(iHt) A exp(-iHt) is applied in the energy
-eigenbasis (diagonal phases, two dense products to come back), so a scan
-over a time grid reuses one diagonalization.  On top of that sit the
-commutator scans against an exponential light-cone envelope and the scan
-of local approximants obtained by conditional expectation onto a ball
-around the support of A.
+eigenbasis, so a scan over a time grid reuses one diagonalization.  On top
+of that sit the commutator scans against an exponential light-cone
+envelope and the scan of local approximants obtained by conditional
+expectation onto a ball around the support of A.
 
-When eig_hermitian solved H in reversal blocks (J H J = H exactly, J the
-index reversal i -> D-1-i; SpectralDecomposition.sector set) and A is
-Hermitian with J A J = -A or = A exactly, both scans evolve in the two
-sectors instead.  In the basis (e_i +- e_{D-1-i})/sqrt 2 the eigenvectors
-are diag(W+, W-), W+- = sqrt 2 V[:D/2, +- columns], and tau_t(A) is
-[[0, N_t], [N_t*, 0]] for odd A (any Z or Y) with
+Every evolution is one helper, _evolution: an operator's blocks Abar,
+read once into pairs of eigenbases (W_l, E_l) and (W_r, E_r), evolve as
 
-    N_t = W+ (e^{itE+} e^{-itE-} o Abar+-) W-*,   Abar+- = W+* M_A W-,
+    t -> W_l (e^{itE_l} e^{-itE_r} o Abar) W_r*,
 
-M_A = spectral._reversal_blocks(A)[1], and diag(N+, N-) for even A (any
-X).  A's blocks are read into the sector eigenbases once; each time point
-costs two (D/2)-sized products per block, where the dense route costs two
-D-sized ones, and A is never transformed at full size.
+a phase and two products per block.  The routes differ only in the blocks
+and bases, which spectral's block form gives (spectral module docstring):
+A whole in (V, E) for evolve and the "dense" locality route; A's half
+blocks in the sector bases (W+-, E+-), each product (D/2)-sized, when H
+is reversal-symmetric and A Hermitian with J A J = +-A exactly.  Each
+scan chooses its route once:
 
-The commutator scan never comes back to the site basis: the spectral norm
-is unitarily invariant.  How the norm is taken is decided once per scan:
-
-- A odd, H reversal-symmetric, B diagonal with exactly two levels
-  l1 != l2 whose level sets J maps onto each other (any single-site Z or
-  projector): with S = diag(s_p) over p < D/2, s_p = +1 where B = l1,
-  [B, tau_t(A)] is unitarily block-diagonal with blocks of norm
-  ||K - K*||/2 |l1 - l2|, K = N_t S.  i(K - K*)/2 is Hermitian to the
-  last bit, so one (D/2)-sized eigensolver call gives the norm.
-- A and B Hermitian, B diagonal with two levels otherwise: with
-  B = l1 P1 + l2 P2 and X = tau_t(A) Hermitian,
-  [X, B] = (l2 - l1)(P1 X P2 - P2 X P1), so the norm is
-  |l1 - l2| ||V1 tau_t(A) V2*||, V_k being the rows of the eigenvector
-  matrix on which B = l_k and tau_t(A) the energy-basis matrix: two
-  products of half size and the eigensolver on a Gram matrix of the
-  smaller level set's size; B is never transformed.
-- Any other pair: one D x D product X = B tau_t(A) in the energy basis.
-  For Hermitian A and B the commutator is handed to the norm as an exactly
-  Hermitian matrix, which keeps it on the eigensolver instead of the SVD.
-
-The locality scan takes its norms in the site basis, where the error
-D = tau_t(A) - E_r(tau_t(A)) is formed.  J is a product of local
-reversals, so E_r commutes with conjugation by it and, on the sector
-route, D has A's parity: its half block is N_t minus that of E_r(tau_t(A))
-(the site matrix of tau_t(A), which E_r needs, is written from the half
-blocks into one reused buffer), and its norm comes from half-size blocks.
-Every other scan takes the norm of the D x D error.
+- lr_commutator_scan, for Hermitian A and B with B diagonal with two
+  levels l1 != l2, from [X, B] = (l2 - l1)(P1 X P2 - P2 X P1) for
+  Hermitian X:
+  - in the sectors when H is reversal-symmetric, A odd (any Z or Y) and
+    J maps one level set of B onto the other (any single-site Z or
+    projector).  K = N_t S is A's odd block evolved into (W+, E+) and
+    (S W-, E-), S = diag(s_p) over p < D/2 with s_p = +1 where B = l1,
+    and the norm is |l1 - l2| ||i(K - K*)/2||: one (D/2)-sized
+    eigensolver call on a matrix that is Hermitian to the last bit.
+    Nothing is transformed at full size.
+  - on half blocks otherwise: M is A's dense transform evolved into the
+    rows V1 and V2 of V on B's two level sets, and the norm is
+    |l1 - l2| ||M||, from the Gram matrix of the smaller level set's size.
+    B is never transformed.
+- lr_commutator_scan, any other pair: one D x D product X = B tau_t(A) in
+  the energy basis, A and B transformed once.  For a Hermitian pair the
+  commutator is handed on as i(X - X*), Hermitian to the last bit, which
+  keeps it on the eigensolver instead of the SVD.
+- locality_scan: "flip_odd" or "flip_even" by A's parity on the sector
+  bases, "dense" otherwise (norm_route).  Each time point writes the site
+  matrix of tau_t(A), which E_r needs, from its blocks.  J is a product of
+  local reversals, so E_r commutes with it: the error
+  tau_t(A) - E_r(tau_t(A)) has A's parity, its blocks are tau_t(A)'s minus
+  E_r(tau_t(A))'s in the same layout, and its norm is the largest block
+  norm, an off-diagonal block's through its Gram matrix and a diagonal
+  block's through its exactly Hermitian part.
 """
 from __future__ import annotations
 
@@ -58,11 +54,12 @@ import numpy as np
 
 from .lattice import (Interaction, Lattice, Site, _hermitian_part,
                       _is_hermitian, ball, certify_locality)
-from .operators import (EmbeddedOperator, conditional_expectation, embed,
-                        spectral_norm)
-from .spectral import (SpectralDecomposition, _matmul, _reversal_blocks,
-                       _reversal_matrix, _reversal_parity, _sandwich,
-                       build_hamiltonian, eig_hermitian)
+from .operators import (EmbeddedOperator, _hermitian_norm,
+                        conditional_expectation, embed, spectral_norm)
+from .spectral import (SpectralDecomposition, _block_matrix, _matmul,
+                       _reversal_parity, _sandwich, _sector_bases,
+                       _sector_blocks, _transform, build_hamiltonian,
+                       eig_hermitian)
 from .thermal import _EXP_CAP
 
 
@@ -107,43 +104,34 @@ def _tau_energy(a_energy: np.ndarray, e_row: np.ndarray, e_col: np.ndarray,
     return np.multiply(phase, a_energy, out=phase)
 
 
-def _evolve_energy(dec: SpectralDecomposition, a_energy: np.ndarray,
-                   z: complex) -> np.ndarray:
-    """Site-basis matrix of tau_z(A) given A already in the eigenbasis."""
-    v, e = dec.eigenvectors, dec.eigenvalues
-    return _sandwich(v, _tau_energy(a_energy, e, e, z), v.conj().T)
+def _read(dec: SpectralDecomposition, a: np.ndarray, parity: int):
+    """(bases, blocks): _sector_bases(dec, parity) and A's blocks read
+    into them, (l, r, W_l* A_lr W_r) for each block of
+    _sector_blocks(a, parity); for parity 0 the one block is A's dense
+    transform."""
+    bases = _sector_bases(dec, parity)
+    if not parity:
+        return bases, [(0, 0, dec.transform(a))]
+    return bases, [(l, r, _transform(bases[l][0].conj().T, m, bases[r][0]))
+                   for l, r, m in _sector_blocks(a, parity)]
 
 
-def _sector_evolution(dec: SpectralDecomposition, a: np.ndarray, parity: int,
-                      signs: Optional[np.ndarray] = None):
-    """t -> the half blocks of tau_t(A) in the basis (e_i +- e_{D-1-i})/sqrt 2,
-    for A's window matrix with J A J = parity * A on a decomposition solved
-    in reversal blocks: [N_t] for odd A (tau_t(A) = [[0, N_t], [N_t*, 0]]),
-    [N+, N-] for even A (tau_t(A) = diag(N+, N-)).
+def _evolution(bases: list, blocks: list):
+    """t -> [(l, r, W_l (e^{itE_l} e^{-itE_r} o Abar) W_r*)] over the blocks
+    (l, r, Abar) of an operator read into bases[l] = (W_l, E_l) and
+    bases[r] = (W_r, E_r), blocks of one shape.
 
-    A's blocks are taken into the sector eigenbases once, Abar_lr =
-    W_l* A_lr W_r, and each block at time t is
-    W_l (e^{itE_l} e^{-itE_r} o Abar_lr) W_r*: two (D/2)-sized products
-    (real GEMMs with real eigenvectors).  signs, over p < D/2, scales the
-    columns of N_t (K = N_t diag(signs)) at no extra cost.
+    Each block takes the phase, formed in one reused buffer, and two
+    products (real GEMMs with real W, _sandwich).  t may be complex.
     """
-    half = dec.dim // 2
-    plus = dec.sector > 0
-    w = [np.sqrt(2.0) * dec.eigenvectors[:half, c] for c in (plus, ~plus)]
-    e = [dec.eigenvalues[c] for c in (plus, ~plus)]
-    blocks = _reversal_blocks(a)
-    pairs = [(0, 1, blocks[1])] if parity < 0 else \
-        [(0, 0, blocks[0]), (1, 1, blocks[1])]
-    terms = []
-    for left, right, m in pairs:
-        abar = _sandwich(w[left].conj().T, m, w[right])
-        cols = w[right] if signs is None else signs[:, None] * w[right]
-        terms.append((w[left], e[left], e[right], abar, cols.conj().T))
-    phased = np.empty((half, half), dtype=complex)
+    terms = [(l, r, bases[l][0], bases[l][1], abar, bases[r][1],
+              bases[r][0].conj().T) for l, r, abar in blocks]
+    phased = np.empty(blocks[0][2].shape, dtype=complex)
 
-    def at(t: float) -> list:
-        return [_sandwich(wl, _tau_energy(abar, el, er, t, out=phased), wr)
-                for wl, el, er, abar, wr in terms]
+    def at(t: complex) -> list:
+        return [(l, r, _sandwich(wl, _tau_energy(abar, el, er, t, out=phased),
+                                 wr))
+                for l, r, wl, el, abar, er, wr in terms]
     return at
 
 
@@ -160,8 +148,7 @@ def evolve(context: EvolutionContext, op, time) -> EmbeddedOperator:
     if abs(z.imag) * max(abs(lo), abs(hi), hi - lo) > _EXP_CAP:
         raise FloatingPointError("imaginary time too large for this spectrum")
     a = _on_window(context, op)
-    abar = context.decomposition.transform(a.matrix)
-    mat = _evolve_energy(context.decomposition, abar, z)
+    (_, _, mat), = _evolution(*_read(context.decomposition, a.matrix, 0))(z)
     return EmbeddedOperator(context.window, context.window, mat)
 
 
@@ -252,31 +239,11 @@ def _commutator_norm(bbar: np.ndarray, hermitian: bool):
     return norm
 
 
-def _half_block_norm(dec: SpectralDecomposition, gap: float, rows):
-    """Per-point ||[B, tau]|| = |l1 - l2| ||M|| for a Hermitian energy-basis
-    tau and B = l1 P1 + l2 P2 diagonal in the site basis, where
-    M = V1 tau V2* and V_k holds the eigenvector rows on which B = l_k.
-
-    ||M||^2 is the largest eigenvalue of the s1 x s1 Gram matrix of M^T
-    (s1 <= s2 the level set sizes).  With real eigenvectors both products
-    are real GEMMs (_matmul); the buffers are allocated once.
-    """
-    v = dec.eigenvectors
-    v1, v2 = v[rows[0]], v[rows[1]].conj()
-    s1, s2 = len(rows[0]), len(rows[1])
-    w = np.empty((s1, dec.dim), dtype=complex)
-    wt = np.empty((dec.dim, s1), dtype=complex)
-    mt = np.empty((s2, s1), dtype=complex)
-    gram = np.empty((s1, s1), dtype=complex)
-
-    def norm(tau: np.ndarray) -> float:
-        _matmul(v1, tau, out=w)
-        np.copyto(wt, w.T)
-        _matmul(v2, wt, out=mt)              # conj(V2) (V1 tau)^T = M^T
-        mc = np.conjugate(mt, out=wt[:s2])   # wt is not read again
-        np.matmul(mc.T, mt, out=gram)
-        return gap * np.sqrt(spectral_norm(gram))
-    return norm
+def _gram_norm(m: np.ndarray) -> float:
+    """||m|| as the square root of the largest eigenvalue of m m*, which is
+    Hermitian by construction: one product and an eigensolver of m's row
+    count."""
+    return float(np.sqrt(_hermitian_norm(m @ m.conj().T)))
 
 
 def _mirrored_levels(rows, dim: int) -> Optional[np.ndarray]:
@@ -288,32 +255,6 @@ def _mirrored_levels(rows, dim: int) -> Optional[np.ndarray]:
     if dim % 2 or not np.array_equal(first[::-1], ~first):
         return None
     return np.where(first[:dim // 2], 1.0, -1.0)
-
-
-def _sector_commutator_norm(halves, gap: float):
-    """Per-point ||[B, tau_t(A)]|| = gap ||i(K - K*)/2|| from the sector
-    evolution of an odd A whose columns carry B's signs, K = N_t S."""
-
-    def norm(t: float) -> float:
-        k, = halves(t)
-        k *= 1j
-        return gap * spectral_norm(_hermitian_part(k))
-    return norm
-
-
-def _energy_basis_norm(dec: SpectralDecomposition, a: np.ndarray,
-                       b: np.ndarray, hermitian: bool, levels):
-    """Per-point ||[B, tau_t(A)]|| through the energy-basis matrix of
-    tau_t(A), from A's dense transform: the half-block norm when B has
-    two levels, else the one-product norm with B transformed too."""
-    abar = dec.transform(a)
-    if levels is None:
-        norm = _commutator_norm(dec.transform(b), hermitian)
-    else:
-        norm = _half_block_norm(dec, *levels)
-    e = dec.eigenvalues
-    tau = np.empty((dec.dim, dec.dim), dtype=complex)
-    return lambda t: norm(_tau_energy(abar, e, e, t, out=tau))
 
 
 def lr_commutator_scan(interaction: Interaction, a, b,
@@ -332,30 +273,12 @@ def lr_commutator_scan(interaction: Interaction, a, b,
     at or above the round-off floor eps * D * ||A|| ||B||, and floor_rows
     counts the rows below it.
 
-    When H was solved in reversal blocks (SpectralDecomposition.sector
-    set), A is Hermitian and odd under the index reversal J (any Z or Y),
-    and B is Hermitian, diagonal with two levels l1 != l2, and J maps the
-    one level set onto the other (any single-site Z or computational-basis
-    projector), the scan evolves in the sectors: per time point two
-    (D/2)-sized products give K = N_t S (module docstring; S the signs of
-    B's levels over the first half), and the norm is
-    |l1 - l2| ||i(K - K*)/2|| from one (D/2)-sized eigensolver call on a
-    matrix that is Hermitian to the last bit.  Neither A nor B is
-    transformed at full size.
-
-    Otherwise A is transformed to the energy basis once, where tau_t(A)
-    is an elementwise phase.  When A and B are Hermitian and B's window
-    matrix is diagonal with exactly two distinct values l1 != l2, the norm
-    is |l1 - l2| ||V1 tau_t(A) V2*|| (V_k the eigenvector rows on which
-    B = l_k), from the identity [X, B] = (l2 - l1)(P1 X P2 - P2 X P1) for
-    Hermitian X: two half-size products and a half-size eigensolver per
-    time point, with no transform of B.  Every other pair takes one
-    product X = B tau_t(A) per time point, B transformed once; for a
-    Hermitian pair i(X - X*) is passed on, which is Hermitian to the last
-    bit, so its norm comes from the eigensolver, and otherwise the
-    commutator is X - tau_t(A) B.  mu and a given velocity must be finite
-    and positive, and the time grid nonempty and finite: anything else
-    would give a prefactor backed by no measurement.
+    The norm is taken by the route chosen once from the decomposition, A
+    and B (module docstring): in the reversal sectors, on the half blocks
+    of B's two level sets, or by one D x D product per time point.  mu and
+    a given velocity must be finite and positive, and the time grid
+    nonempty and finite: anything else would give a prefactor backed by no
+    measurement.
     """
     _check_scan({"times": times}, mu=mu, velocity=velocity)
     if context is None:
@@ -379,12 +302,32 @@ def lr_commutator_scan(interaction: Interaction, a, b,
     if levels is not None and dec.reversal_symmetric \
             and _reversal_parity(a.matrix) == -1:
         signs = _mirrored_levels(levels[1], dec.dim)
-    if signs is not None:
-        norm_at = _sector_commutator_norm(
-            _sector_evolution(dec, aemb.matrix, -1, signs), levels[0])
+    if levels is None:  # one product X = B tau_t in the energy basis
+        abar, e = dec.transform(aemb.matrix), dec.eigenvalues
+        norm = _commutator_norm(dec.transform(bemb.matrix), hermitian)
+        tau = np.empty((dec.dim, dec.dim), dtype=complex)
+
+        def norm_at(t: float) -> float:
+            return norm(_tau_energy(abar, e, e, t, out=tau))
     else:
-        norm_at = _energy_basis_norm(dec, aemb.matrix, bemb.matrix,
-                                     hermitian, levels)
+        if signs is not None:  # sector: ||i(K - K*)/2|| for K = N_t S
+            bases, blocks = _read(dec, aemb.matrix, -1)
+            w, e = bases[1]
+            bases[1] = (signs[:, None] * w, e)
+
+            def block_norm(k: np.ndarray) -> float:
+                k *= 1j
+                return _hermitian_norm(_hermitian_part(k))
+        else:  # half block: ||M|| for M = V1 tau_t V2*
+            v, e = dec.eigenvectors, dec.eigenvalues
+            bases = [(v[rows], e) for rows in levels[1]]
+            blocks = [(0, 1, dec.transform(aemb.matrix))]
+            block_norm = _gram_norm
+        evolved = _evolution(bases, blocks)
+
+        def norm_at(t: float) -> float:
+            (_, _, m), = evolved(t)
+            return levels[0] * block_norm(m)
     del aemb, bemb  # site-basis matrices are not needed past this point
     rows = []
     for t in times:
@@ -406,25 +349,23 @@ def lr_commutator_scan(interaction: Interaction, a, b,
 # Local approximants
 # ---------------------------------------------------------------------------
 
-def _sector_error_norm(blocks, approx_blocks, parity: int) -> float:
-    """||tau_t(A) - E_r(tau_t(A))|| from the half blocks of tau_t(A)
-    (_sector_evolution) and the stack _reversal_blocks(E_r(tau_t(A))).
-
-    For odd A the error is [[0, M], [M*, 0]] with M = N_t minus the
-    approximant's second block, and ||M|| comes from the largest eigenvalue
-    of M M*; for even A it is the larger norm of the two diagonal blocks,
-    each passed on as its exactly Hermitian part.
+def _error_norm(blocks: list, approx_blocks: list, hermitian: bool) -> float:
+    """||tau_t(A) - E_r(tau_t(A))|| from the blocks of both in one layout
+    (_evolution and _sector_blocks): the largest norm of a block of the
+    difference.  An off-diagonal block's norm comes from its Gram matrix, a
+    diagonal block's from its exactly Hermitian part when A is Hermitian,
+    and from spectral_norm otherwise.
     """
-    if parity < 0:
-        m = blocks[0] - approx_blocks[1]
-        return float(np.sqrt(spectral_norm(m @ m.conj().T)))
-    return max(spectral_norm(_hermitian_part(n - e))
-               for n, e in zip(blocks, approx_blocks))
-
-
-def _ball_in_window(lat: Lattice, xs, radius, window) -> tuple:
-    inside = set(window)
-    return tuple(s for s in ball(lat, xs, radius) if s in inside)
+    norms = []
+    for (left, right, n), (_, _, e) in zip(blocks, approx_blocks):
+        d = n - e
+        if left != right:
+            norms.append(_gram_norm(d))
+        elif hermitian:
+            norms.append(_hermitian_norm(_hermitian_part(d)))
+        else:
+            norms.append(spectral_norm(d))
+    return max(norms)
 
 
 @dataclass(frozen=True)
@@ -462,28 +403,20 @@ def locality_scan(interaction: Interaction, a, radii: Sequence[float],
     radii and times, against the bare envelope exp(-mu * multiplier * r).
 
     The approximant at radius r is the conditional expectation of tau_t(A)
-    onto the ball of radius r around the support of A.  For Hermitian A the
-    error is Hermitian up to round-off; its exactly Hermitian part is passed
-    to the norm, which keeps every point on the eigensolver.  noise_floor
-    is eps * D * ||A||, and floor_rows counts the rows below it.  The
-    window is the context's, or the whole lattice when no context is given.
-    mu, exponent_multiplier and a given velocity must be finite and
-    positive, and both grids nonempty and finite.
+    onto the ball of radius r around the support of A; each ball is built
+    before the first evolution, so a negative radius is refused at once.
+    For Hermitian A the error is Hermitian up to round-off; its exactly
+    Hermitian part is passed to the norm, which keeps every point on the
+    eigensolver.  noise_floor is eps * D * ||A||, and floor_rows counts the
+    rows below it.  The window is the context's, or the whole lattice when
+    no context is given.  mu, exponent_multiplier and a given velocity must
+    be finite and positive, and both grids nonempty and finite.
 
-    norm_route tells how the scan ran, decided once from the
-    decomposition and A.  When H was solved in reversal blocks
-    (SpectralDecomposition.sector set), A is Hermitian and A's matrix is
-    exactly odd (any Pauli Z or Y) or even (any Pauli X) under the index
-    reversal, the scan evolves in the sectors (module docstring): A's
-    half blocks are read into the sector eigenbases once, and each time
-    point forms tau_t(A)'s half blocks with two (D/2)-sized products per
-    block and writes its site matrix, which E_r needs, into one reused
-    buffer.  The error has A's parity, and its half block is tau_t(A)'s
-    minus that of E_r(tau_t(A)): for "flip_odd" its norm takes one
-    (D/2)-sized product and a (D/2)-sized eigensolver, for "flip_even" two
-    (D/2)-sized eigensolvers.  The value differs from the dense one by
-    round-off.  Any other scan ("dense") transforms A once, evolves at
-    full size and takes the norm of the D x D error's Hermitian part.
+    norm_route tells how the scan ran, decided once from the decomposition
+    and A (module docstring): "flip_odd" and "flip_even" evolve A's half
+    blocks in the reversal sectors, with (D/2)-sized products and
+    eigensolver calls, and differ from the dense value by round-off;
+    "dense" evolves at full size.
     """
     _check_scan({"radii": radii, "times": times}, mu=mu, velocity=velocity,
                 exponent_multiplier=exponent_multiplier)
@@ -494,49 +427,36 @@ def locality_scan(interaction: Interaction, a, radii: Sequence[float],
         velocity = certify_locality(interaction, mu).velocity
 
     aemb = _on_window(context, a)
-    xs = a.support
+    inside = set(context.window)
+    regions = [tuple(s for s in ball(lat, a.support, r) if s in inside)
+               for r in radii]
     na = spectral_norm(a.matrix)
     hermitian = _is_hermitian(a.matrix)
     dec = context.decomposition
     parity = (_reversal_parity(a.matrix)
               if hermitian and dec.reversal_symmetric else 0)
     route = {-1: "flip_odd", 1: "flip_even", 0: "dense"}[parity]
-    if parity:
-        halves = _sector_evolution(dec, aemb.matrix, parity)
-        buf = np.empty((dec.dim, dec.dim), dtype=complex)
-    else:
-        abar = dec.transform(aemb.matrix)
+    evolved = _evolution(*_read(dec, aemb.matrix, parity))
+    buf = np.empty((dec.dim, dec.dim), dtype=complex) if parity else None
     del aemb
 
     rows = []
     for t in times:
         t = float(t)
-        if parity:
-            blocks = halves(t)
-            tau_mat = _reversal_matrix(
-                *((blocks[0].conj().T, blocks[0]) if parity < 0 else blocks),
-                parity, out=buf)
-        else:
-            tau_mat = _evolve_energy(dec, abar, t)
-        tau = EmbeddedOperator(context.window, context.window, tau_mat)
-        for r in radii:
-            region = _ball_in_window(lat, xs, r, context.window)
+        blocks = evolved(t)
+        tau = EmbeddedOperator(context.window, context.window,
+                               _block_matrix(blocks, parity, out=buf))
+        for r, region in zip(radii, regions):
             approx = conditional_expectation(tau, region, lat).matrix
-            if parity:
-                err = _sector_error_norm(blocks, _reversal_blocks(approx),
-                                         parity)
-            else:
-                diff = tau_mat - approx
-                err = spectral_norm(_hermitian_part(diff) if hermitian
-                                    else diff)
-                del diff
+            err = _error_norm(blocks, _sector_blocks(approx, parity),
+                              hermitian)
             del approx
             env = na * np.exp(-mu * exponent_multiplier * float(r)) \
                 * np.expm1(velocity * abs(t))
             rows.append(LocalityMeasurement(float(r), t, float(err), float(env)))
         # no D x D array of this time point but the reused buffer stays
         # alive through the next evolution, where the scan's memory peaks
-        del tau, tau_mat
+        del tau, blocks
     floor = float(np.finfo(float).eps) * dec.dim * na
     c_emp = _empirical_prefactor(((m.error, m.envelope) for m in rows), floor)
     below = sum(m.error < floor for m in rows)

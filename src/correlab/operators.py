@@ -196,10 +196,16 @@ def spectral_norm(op) -> float:
     if m.size == 0:
         return 0.0
     if _is_hermitian(m):
-        return float(np.abs(np.linalg.eigvalsh(m)).max())
+        return _hermitian_norm(m)
     if _is_hermitian(m, anti=True):
-        return float(np.abs(np.linalg.eigvalsh(1j * m)).max())
+        return _hermitian_norm(1j * m)
     return float(np.linalg.norm(m, 2))
+
+
+def _hermitian_norm(m: np.ndarray) -> float:
+    """Largest |eigenvalue| of m, which the caller knows to be Hermitian
+    (the eigensolver reads one triangle); no check is made."""
+    return float(np.abs(np.linalg.eigvalsh(m)).max())
 
 
 def _join(a: EmbeddedOperator, b: EmbeddedOperator) -> Tuple[Tuple[Site, ...], Tuple[Site, ...]]:

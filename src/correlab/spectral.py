@@ -7,8 +7,18 @@ to 1e-10 relative.  A Hamiltonian that commutes with the index reversal
 J (i -> D-1-i), which in the site basis is the global spin flip X^n of
 every model without a z-field, is solved as two half-size blocks; any
 other is solved whole.  Callers see one dense decomposition either way;
-the block route also records the sector of each eigenvector, which the
-scans in dynamics use to evolve at half size.
+the block route also records the sector of each eigenvector.
+
+That sector is read here alone, through the block form of an operator m
+with J m J = parity * m.  In the basis (e_i +- e_{D-1-i})/sqrt 2 the
+eigenvectors of a reversal-symmetric H are diag(W+, W-), with
+W+- = sqrt 2 V[:D/2, +- columns] and eigenvalues E+-, and m is
+diag(m+, m-) for parity +1 or [[0, M], [M*, 0]] for parity -1 (Hermitian
+m); parity 0 is m whole, in (V, E).  _sector_blocks gives the blocks that
+can be nonzero as (left, right, block), _sector_bases the matching (W, E)
+pairs, W_l* block W_r (_transform) is a block in the energy basis, and
+_block_matrix writes m back from its blocks.  Each product on the sector
+bases is (D/2)-sized, against D-sized on the dense route.
 """
 from __future__ import annotations
 
@@ -34,7 +44,8 @@ class SpectralDecomposition:
     exactly (J the index reversal i -> D-1-i, D even) and solved H in the
     two half-size blocks: J v_c = sector[c] v_c, to the last bit, with
     D/2 columns in each sector.  It is None for a decomposition solved
-    whole.  Every reader of that symmetry takes it from here.
+    whole.  Every reader of that symmetry takes it from here, and no
+    other module reads the sector itself (module docstring).
     """
 
     eigenvalues: np.ndarray
@@ -54,18 +65,11 @@ class SpectralDecomposition:
         return (v * self.eigenvalues[None, :]) @ v.conj().T
 
     def transform(self, matrix: np.ndarray) -> np.ndarray:
-        """V* M V in M's own arithmetic, with one product for diagonal M.
-
-        With real eigenvectors every product is a real GEMM (a complex M
-        goes through _sandwich); only complex eigenvectors pay for zgemm.
-        A matrix that is not D x D is refused.
-        """
-        m = _on_window(np.asarray(matrix), self.dim)
+        """V* M V in M's own arithmetic (_transform).  A matrix that is not
+        D x D is refused."""
         v = self.eigenvectors
-        d = np.diag(m)
-        if np.count_nonzero(m) == np.count_nonzero(d):  # no D x D temporary
-            return v.conj().T @ (d[:, None] * v)
-        return _sandwich(v.conj().T, m, v)
+        m = _on_window(np.asarray(matrix), self.dim)
+        return _transform(v.conj().T, m, v)
 
 
 def _on_window(m: np.ndarray, dim: int) -> np.ndarray:
@@ -100,13 +104,29 @@ def _sandwich(left: np.ndarray, c: np.ndarray, right: np.ndarray) -> np.ndarray:
     With real outer factors and a complex c both products are real GEMMs
     (_matmul), the right one taken as (right^T (left c)^T)^T through
     transposed copies.  At most two arrays of the result's size are alive
-    at a time, against three when numpy upcasts a real factor.
+    at a time, against three when numpy upcasts a real factor.  Otherwise
+    the product is taken in the cheaper order.
     """
     if not (np.iscomplexobj(c) and np.isrealobj(left) and np.isrealobj(right)):
-        return left @ (c @ right)
+        return (left @ c) @ right if len(left) < right.shape[1] \
+            else left @ (c @ right)
     t = np.ascontiguousarray(_matmul(left, c).T)
     t = _matmul(right.T, t)
     return np.ascontiguousarray(t.T)
+
+
+def _transform(left: np.ndarray, m: np.ndarray,
+               right: np.ndarray) -> np.ndarray:
+    """left @ m @ right in m's own arithmetic, with one product and no
+    temporary of m's size for a diagonal m.
+
+    With real outer factors every product is a real GEMM (a complex m goes
+    through _sandwich); only complex outer factors pay for zgemm.
+    """
+    d = np.diag(m)
+    if np.count_nonzero(m) == np.count_nonzero(d):
+        return left @ (d[:, None] * right)
+    return _sandwich(left, m, right)
 
 
 def eig_hermitian(matrix) -> SpectralDecomposition:
@@ -171,19 +191,63 @@ def _reversal_blocks(m: np.ndarray) -> np.ndarray:
     return blocks
 
 
-def _reversal_matrix(plus: np.ndarray, minus: np.ndarray, parity: int,
-                     out: np.ndarray) -> np.ndarray:
-    """The inverse of _reversal_blocks: the D x D matrix m with
-    J m J = parity * m whose half blocks (m_TL + m_TR J, m_TL - m_TR J) are
-    (plus, minus), written into out.
+def _sector_blocks(m: np.ndarray, parity: int) -> list:
+    """The blocks of m that can be nonzero, as (left, right, block), for
+    J m J = parity * m; left and right index the pairs of
+    _sector_bases(dec, parity).
 
-    For parity +1 these are m's diagonal blocks in the basis
-    (e_i +- e_{D-1-i})/sqrt 2; for parity -1 and m = [[0, N], [N*, 0]]
-    there they are (N*, N).  The top half is m_TL = (plus + minus)/2 and
-    m_TR = ((plus - minus)/2) J; the bottom half is the top half reversed
-    along both axes, times parity.
+    Parity 0 gives m whole, (0, 0, m).  Parity +1 gives the diagonal
+    blocks (0, 0, m+) and (1, 1, m-) of m in the basis
+    (e_i +- e_{D-1-i})/sqrt 2, parity -1 the off-diagonal block
+    (0, 1, M) of m = [[0, M], [M*, 0]] there, M = m_TL - m_TR J, which is
+    the only half block formed.
     """
+    if parity > 0:
+        plus, minus = _reversal_blocks(m)
+        return [(0, 0, plus), (1, 1, minus)]
+    if parity < 0:
+        half = len(m) // 2
+        return [(0, 1, m[:half, :half] - m[:half, half:][:, ::-1])]
+    return [(0, 0, m)]
+
+
+def _sector_bases(dec: SpectralDecomposition, parity: int) -> list:
+    """The (W, E) pairs of eigenvectors and eigenvalues that the blocks of
+    _sector_blocks(m, parity) are read into: (V, E) for parity 0, and for
+    parity +-1 on a decomposition solved in reversal blocks (W+, E+) and
+    (W-, E-), W+- = sqrt 2 V[:D/2, +- columns], the eigenvectors in the
+    basis (e_i +- e_{D-1-i})/sqrt 2 being diag(W+, W-).
+    """
+    v, e = dec.eigenvectors, dec.eigenvalues
+    if not parity:
+        return [(v, e)]
+    return [(np.sqrt(2.0) * v[:dec.dim // 2, c], e[c])
+            for c in (dec.sector > 0, dec.sector < 0)]
+
+
+def _block_matrix(blocks: list, parity: int,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The inverse of _sector_blocks for a Hermitian operator: the D x D
+    matrix m with J m J = parity * m and these blocks, written into out
+    when given.
+
+    For parity 0 the one block is m, returned as it is.  Otherwise the
+    half blocks (m_TL + m_TR J, m_TL - m_TR J) are (m+, m-) for parity +1
+    and (M*, M) for parity -1; the top half is m_TL = their half sum and
+    m_TR = (their half difference) J, and the bottom half is the top half
+    reversed along both axes, times parity.
+    """
+    if not parity:
+        (_, _, m), = blocks
+        return m
+    if parity < 0:
+        (_, _, minus), = blocks
+        plus = minus.conj().T
+    else:
+        (_, _, plus), (_, _, minus) = blocks
     half = len(plus)
+    if out is None:
+        out = np.empty((2 * half, 2 * half), dtype=np.result_type(plus, minus))
     top = out[:half]
     np.add(plus, minus, out=top[:, :half])
     np.subtract(plus, minus, out=top[:, half:][:, ::-1])

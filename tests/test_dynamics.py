@@ -9,10 +9,9 @@ from correlab import (chain_lattice, transverse_field_ising, embed,
                       lr_commutator_scan, locality_scan, certify_locality,
                       conditional_expectation, random_bond_ising,
                       heisenberg_xxz, ball, LocalOperator, Interaction,
-                      SpectralDecomposition,
+                      SpectralDecomposition, EmbeddedOperator,
                       PAULI_X, PAULI_Y, PAULI_Z)
 from correlab import dynamics
-from correlab.dynamics import _evolve_energy
 
 
 def setup(n=4, J=1.0, h=1.0):
@@ -167,17 +166,26 @@ def test_lr_scan_zero_envelope_row_judged_against_noise_floor():
     assert np.isfinite(scan.c_empirical)
 
 
-def _site_basis_norms(ctx, a, b, times):
-    """The scan's norms by the site-basis route: tau_t(A) brought back from
-    the eigenbasis, then the commutator with B and a general norm."""
-    lat = ctx.lattice
-    abar = ctx.decomposition.transform(embed(a, lat).matrix)
-    bmat = embed(b, lat).matrix
-    out = []
-    for t in times:
-        tau = _evolve_energy(ctx.decomposition, abar, t)
-        out.append(spectral_norm(bmat @ tau - tau @ bmat))
-    return out
+def _evolution_by_eigh(inter, a):
+    """t -> the site matrix of tau_t(A) on the whole lattice, from numpy's
+    eigh of H: it shares no eigensolver, transform or evolution with the
+    scans it checks."""
+    e, v = np.linalg.eigh(build_hamiltonian(inter).matrix)
+    abar = v.conj().T @ embed(a, inter.lattice).matrix @ v
+
+    def at(t):
+        u = v * np.exp(1j * t * e)
+        return u @ abar @ u.conj().T
+    return at
+
+
+def _site_basis_norms(inter, a, b, times):
+    """The scan's norms by the site-basis route: tau_t(A) by numpy's eigh,
+    then the commutator with B and a general norm."""
+    tau_at = _evolution_by_eigh(inter, a)
+    bmat = embed(b, inter.lattice).matrix
+    return [spectral_norm(bmat @ tau - tau @ bmat)
+            for tau in map(tau_at, times)]
 
 
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -226,7 +234,7 @@ def test_lr_scan_matches_site_basis_route(monkeypatch, a, b, model,
     scan = lr_commutator_scan(inter, a, b, times, mu=1.0, context=ctx)
     monkeypatch.undo()
     assert len(calls) == transforms
-    ref = _site_basis_norms(ctx, a, b, times)
+    ref = _site_basis_norms(inter, a, b, times)
     got = [m.commutator_norm for m in scan.measurements]
     assert max(ref) > 0.1  # the commutator has grown well past round-off
     assert np.abs(np.array(got) - ref).max() < 1e-12
@@ -346,13 +354,14 @@ def test_locality_scan_envelope_multiplier():
 
 
 
-def _dense_locality_errors(ctx, a, radii, times):
+def _dense_locality_errors(inter, a, radii, times):
     """The scan's errors by the dense route: the norm of the whole
-    site-basis error tau_t(A) - E_r(tau_t(A))."""
-    lat = ctx.lattice
+    site-basis error tau_t(A) - E_r(tau_t(A)), tau_t(A) by numpy's eigh."""
+    lat = inter.lattice
+    tau_at = _evolution_by_eigh(inter, a)
     out = []
     for t in times:
-        tau = evolve(ctx, a, t)
+        tau = EmbeddedOperator(lat.sites, lat.sites, tau_at(t))
         for r in radii:
             approx = conditional_expectation(tau, ball(lat, a.support, r), lat)
             out.append(spectral_norm(tau.matrix - approx.matrix))
@@ -390,7 +399,7 @@ def test_locality_scan_matches_dense_route(model, a, route):
     assert scan.norm_route == route
     assert ctx.decomposition.reversal_symmetric == (model in ("rbi", "xxz"))
     got = np.array([m.error for m in scan.measurements])
-    ref = np.array(_dense_locality_errors(ctx, a, radii, times))
+    ref = np.array(_dense_locality_errors(inter, a, radii, times))
     assert ref.max() > 0.5  # the evolved operator has spread past the ball
     assert np.abs(got - ref).max() <= scan.noise_floor
     assert scan.floor_rows == np.count_nonzero(got < scan.noise_floor)
@@ -457,7 +466,7 @@ def test_lr_scan_sector_route_matches_dense_formula(monkeypatch, model, n,
     monkeypatch.undo()
     assert len(calls) == (0 if sector else 1)
     got = np.array([m.commutator_norm for m in scan.measurements])
-    ref = np.array(_site_basis_norms(ctx, a, b, times))
+    ref = np.array(_site_basis_norms(inter, a, b, times))
     assert ref.max() > 0.01  # the commutator has grown past round-off
     assert np.abs(got - ref).max() < 1e-12
 
@@ -480,7 +489,7 @@ def test_locality_scan_sector_route_matches_dense_formula(model, n, a, route):
     scan = locality_scan(inter, a, radii, times, mu=1.0, context=ctx)
     assert scan.norm_route == route
     got = np.array([m.error for m in scan.measurements])
-    ref = np.array(_dense_locality_errors(ctx, a, radii, times))
+    ref = np.array(_dense_locality_errors(inter, a, radii, times))
     assert ref.max() > 0.05
     assert np.abs(got - ref).max() < 1e-12
 
@@ -488,12 +497,21 @@ def test_locality_scan_sector_route_matches_dense_formula(model, n, a, route):
 def test_lightcone_scans_evolve_in_the_sectors_alone(monkeypatch):
     # the benchmark's lightcone pair at a smaller size: Z at both ends of
     # a random-bond chain, then Z at an inner site with radii 1 to 3; no
-    # dense evolution and no dense transform is made
+    # term of an evolution exceeds D/2 and no dense transform is made
     def refuse(*args, **kwargs):
         raise AssertionError("a dense route was taken")
 
+    evolution = dynamics._evolution
+
+    def half_size_evolution(bases, blocks):
+        for left, right, abar in blocks:
+            shapes = abar.shape + bases[left][0].shape + bases[right][0].shape
+            if max(shapes) > 64:  # D/2 at n = 7
+                refuse()
+        return evolution(bases, blocks)
+
     inter = random_bond_ising(chain_lattice(7), 1.0, 1.0, seed=4)
-    monkeypatch.setattr(dynamics, "_evolve_energy", refuse)
+    monkeypatch.setattr(dynamics, "_evolution", half_size_evolution)
     monkeypatch.setattr(SpectralDecomposition, "transform", refuse)
     for a, b in ((0, 6), (6, 0)):
         scan = lr_commutator_scan(inter, single_site(a, "Z"),
@@ -512,14 +530,22 @@ def test_lightcone_scans_evolve_in_the_sectors_alone(monkeypatch):
     ("exponent_multiplier", 0.0), ("exponent_multiplier", -1.0),
     ("exponent_multiplier", float("nan")),
     ("exponent_multiplier", float("inf")),
+    ("radii", [1.0, -1.0]),
 ])
-def test_locality_scan_refuses_rates_not_finite_and_positive(key, value):
+def test_locality_scan_refuses_rates_not_finite_and_positive(monkeypatch,
+                                                             key, value):
     # a given velocity keeps certify_locality out of it: with mu <= 0 or a
-    # multiplier <= 0 the envelope does not decay in r
+    # multiplier <= 0 the envelope does not decay in r, and a negative
+    # radius has no ball; each is refused before any evolution
+    calls = []
+    monkeypatch.setattr(dynamics, "_evolution",
+                        lambda *args: calls.append(args))
     _, inter, _ = setup(4)
-    kwargs = {"mu": 1.0, "velocity": 2.0, key: value}
-    with pytest.raises(ValueError, match=key):
-        locality_scan(inter, single_site(1, "Z"), [1.0], [0.5], **kwargs)
+    kwargs = {"radii": [1.0], "times": [0.5], "mu": 1.0, "velocity": 2.0,
+              key: value}
+    with pytest.raises(ValueError, match="radius" if key == "radii" else key):
+        locality_scan(inter, single_site(1, "Z"), **kwargs)
+    assert calls == []
 
 
 @pytest.mark.parametrize("key, scan", [

@@ -216,3 +216,14 @@ def test_only_spectral_reverses_both_axes():
                     and sum(map(_reverses, node.slice.elts)) >= 2):
                 mirrors.append(path.name)
     assert mirrors and set(mirrors) == {"spectral.py"}
+
+
+# one owner for the sector layout: spectral turns a decomposition's sector
+# into the bases W+- of its blocks, so no other module reads it
+def test_only_spectral_reads_the_sector():
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "sector":
+                readers.append(path.name)
+    assert readers and set(readers) == {"spectral.py"}

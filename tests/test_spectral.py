@@ -10,8 +10,8 @@ from correlab import (chain_lattice, transverse_field_ising, embed,
                       derivation_delta, DIM_CAP, heisenberg_xxz,
                       random_bond_ising, gibbs_state)
 from correlab.operators import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
-from correlab.spectral import (_reversal_blocks, _reversal_matrix,
-                               _reversal_parity)
+from correlab.spectral import (_block_matrix, _reversal_blocks,
+                               _reversal_parity, _sector_blocks)
 
 
 def tfim(n, J=1.0, h=1.0):
@@ -183,20 +183,34 @@ def test_dense_decomposition_has_no_sector():
         assert not dec.reversal_symmetric
 
 
-@pytest.mark.parametrize("parity", [1, -1])
+@pytest.mark.parametrize("parity", [1, -1, 0])
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_reversal_matrix_inverts_the_half_blocks(parity, kind):
+    # _block_matrix inverts _sector_blocks for a Hermitian operator: an odd
+    # one is rebuilt from its one off-diagonal block, and parity 0 is the
+    # whole matrix as one block
     rng = np.random.default_rng(7)
     g = rng.normal(size=(12, 12))
     if kind == "complex":
         g = g + 1j * rng.normal(size=(12, 12))
+    g = g + g.conj().T
     m = (g + parity * g[::-1, ::-1]) / 2
     assert _reversal_parity(m) == parity
+    blocks = _sector_blocks(m, parity)
+    expected = {1: [(0, 0), (1, 1)], -1: [(0, 1)], 0: [(0, 0)]}[parity]
+    assert [(left, right) for left, right, _ in blocks] == expected
+    if parity == -1:
+        assert np.array_equal(blocks[0][2], _reversal_blocks(m)[1])
+    if parity == 1:
+        assert all(np.array_equal(block, half) for (_, _, block), half
+                   in zip(blocks, _reversal_blocks(m)))
     out = np.empty_like(m)
-    back = _reversal_matrix(*_reversal_blocks(m), parity, out=out)
-    assert back is out
+    back = _block_matrix(blocks, parity, out=out)
+    assert back is (out if parity else m)
     assert _reversal_parity(back) == parity
     assert np.abs(back - m).max() < 1e-15
+    assert np.array_equal(_block_matrix(_sector_blocks(m, parity), parity),
+                          back)
 
 
 @pytest.mark.parametrize("op", [PAULI_Z, PAULI_Y, PAULI_X],
@@ -205,7 +219,7 @@ def test_reversal_matrix_inverts_the_half_blocks(parity, kind):
 def test_sector_blocks_rebuild_the_dense_evolution(op, site):
     # tau_t(A) = V (e^{itE_m} e^{-itE_n} Abar_mn) V* by the dense route,
     # against its half blocks formed in the sector eigenbases
-    # W+- = sqrt 2 V[:D/2, +- columns] and written back by _reversal_matrix
+    # W+- = sqrt 2 V[:D/2, +- columns] and written back by _block_matrix
     lat = chain_lattice(6)
     dec = eig_hermitian(build_hamiltonian(random_bond_ising(lat, seed=1)).matrix)
     a = embed(LocalOperator((site,), op), lat).matrix
@@ -224,12 +238,12 @@ def test_sector_blocks_rebuild_the_dense_evolution(op, site):
         return (w[left] * u[left]) @ abar @ (w[right] * u[right]).conj().T
 
     if parity < 0:
-        n = sector_block(0, 1, blocks[1])
-        halves = (n.conj().T, n)
+        halves = [(0, 1, sector_block(0, 1, blocks[1]))]
     else:
-        halves = (sector_block(0, 0, blocks[0]), sector_block(1, 1, blocks[1]))
+        halves = [(0, 0, sector_block(0, 0, blocks[0])),
+                  (1, 1, sector_block(1, 1, blocks[1]))]
     out = np.empty((dec.dim, dec.dim), dtype=complex)
-    assert np.abs(_reversal_matrix(*halves, parity, out=out) - tau).max() < 1e-13
+    assert np.abs(_block_matrix(halves, parity, out=out) - tau).max() < 1e-13
 
 
 def test_eig_hermitian_rejects_bad_input():
