@@ -57,9 +57,8 @@ from .lattice import (Interaction, Lattice, Site, _hermitian_part,
 from .operators import (EmbeddedOperator, _hermitian_norm,
                         conditional_expectation, embed, spectral_norm)
 from .spectral import (SpectralDecomposition, _block_matrix, _matmul,
-                       _reversal_parity, _sandwich, _sector_bases,
-                       _sector_blocks, _transform, build_hamiltonian,
-                       eig_hermitian)
+                       _read_blocks, _reversal_parity, _sandwich,
+                       _sector_blocks, build_hamiltonian, eig_hermitian)
 from .thermal import _EXP_CAP
 
 
@@ -104,18 +103,6 @@ def _tau_energy(a_energy: np.ndarray, e_row: np.ndarray, e_col: np.ndarray,
     return np.multiply(phase, a_energy, out=phase)
 
 
-def _read(dec: SpectralDecomposition, a: np.ndarray, parity: int):
-    """(bases, blocks): _sector_bases(dec, parity) and A's blocks read
-    into them, (l, r, W_l* A_lr W_r) for each block of
-    _sector_blocks(a, parity); for parity 0 the one block is A's dense
-    transform."""
-    bases = _sector_bases(dec, parity)
-    if not parity:
-        return bases, [(0, 0, dec.transform(a))]
-    return bases, [(l, r, _transform(bases[l][0].conj().T, m, bases[r][0]))
-                   for l, r, m in _sector_blocks(a, parity)]
-
-
 def _evolution(bases: list, blocks: list):
     """t -> [(l, r, W_l (e^{itE_l} e^{-itE_r} o Abar) W_r*)] over the blocks
     (l, r, Abar) of an operator read into bases[l] = (W_l, E_l) and
@@ -143,12 +130,12 @@ def evolve(context: EvolutionContext, op, time) -> EmbeddedOperator:
     product exp(|Im z| (E_max - E_min)) would overflow.
     """
     z = complex(time)
-    e = context.decomposition.eigenvalues
-    lo, hi = float(e[0]), float(e[-1])
+    dec = context.decomposition
+    lo, hi = float(dec.eigenvalues[0]), float(dec.eigenvalues[-1])
     if abs(z.imag) * max(abs(lo), abs(hi), hi - lo) > _EXP_CAP:
         raise FloatingPointError("imaginary time too large for this spectrum")
     a = _on_window(context, op)
-    (_, _, mat), = _evolution(*_read(context.decomposition, a.matrix, 0))(z)
+    (_, _, mat), = _evolution(*_read_blocks(dec, a.matrix, 0))(z)
     return EmbeddedOperator(context.window, context.window, mat)
 
 
@@ -220,22 +207,21 @@ def _two_levels(m: np.ndarray):
 def _commutator_norm(bbar: np.ndarray, hermitian: bool):
     """Per-point ||[B, tau]|| from X = B tau, both in the energy basis.
 
-    For Hermitian A and B the commutator is X - X*, and i(X - X*) is passed
-    on: it is Hermitian to the last bit, so its norm comes from the
-    eigensolver.  Otherwise the commutator is X - tau B.  The tau buffer is
-    overwritten.
+    For Hermitian A and B the commutator is X - X*, and i(X - X*) is
+    Hermitian to the last bit, so its norm comes from the eigensolver with
+    no Hermiticity check (_hermitian_norm).  Otherwise the commutator is
+    X - tau B, through spectral_norm.  The tau buffer is overwritten.
     """
     x = np.empty((len(bbar), len(bbar)), dtype=complex)
 
     def norm(tau: np.ndarray) -> float:
         _matmul(bbar, tau, out=x)
-        if hermitian:
-            comm = np.conjugate(x.T, out=tau)
-            np.subtract(x, comm, out=comm)
-            comm *= 1j
-        else:
-            comm = np.subtract(x, tau @ bbar, out=x)
-        return spectral_norm(comm)
+        if not hermitian:
+            return spectral_norm(np.subtract(x, tau @ bbar, out=x))
+        comm = np.conjugate(x.T, out=tau)
+        np.subtract(x, comm, out=comm)
+        comm *= 1j
+        return _hermitian_norm(comm)
     return norm
 
 
@@ -311,7 +297,7 @@ def lr_commutator_scan(interaction: Interaction, a, b,
             return norm(_tau_energy(abar, e, e, t, out=tau))
     else:
         if signs is not None:  # sector: ||i(K - K*)/2|| for K = N_t S
-            bases, blocks = _read(dec, aemb.matrix, -1)
+            bases, blocks = _read_blocks(dec, aemb.matrix, -1)
             w, e = bases[1]
             bases[1] = (signs[:, None] * w, e)
 
@@ -436,7 +422,7 @@ def locality_scan(interaction: Interaction, a, radii: Sequence[float],
     parity = (_reversal_parity(a.matrix)
               if hermitian and dec.reversal_symmetric else 0)
     route = {-1: "flip_odd", 1: "flip_even", 0: "dense"}[parity]
-    evolved = _evolution(*_read(dec, aemb.matrix, parity))
+    evolved = _evolution(*_read_blocks(dec, aemb.matrix, parity))
     buf = np.empty((dec.dim, dec.dim), dtype=complex) if parity else None
     del aemb
 

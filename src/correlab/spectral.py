@@ -16,9 +16,13 @@ W+- = sqrt 2 V[:D/2, +- columns] and eigenvalues E+-, and m is
 diag(m+, m-) for parity +1 or [[0, M], [M*, 0]] for parity -1 (Hermitian
 m); parity 0 is m whole, in (V, E).  _sector_blocks gives the blocks that
 can be nonzero as (left, right, block), _sector_bases the matching (W, E)
-pairs, W_l* block W_r (_transform) is a block in the energy basis, and
+pairs, W_l* block W_r (_transform) is a block in the energy basis,
+_read_blocks reads an operator's blocks into their bases, and
 _block_matrix writes m back from its blocks.  Each product on the sector
-bases is (D/2)-sized, against D-sized on the dense route.
+bases is (D/2)-sized, against D-sized on the dense route.  transform
+takes that route too for an m with a parity: it reads the nonzero blocks
+and gathers them into the dense energy-basis matrix
+(_from_sector_blocks), whose vanishing blocks are exactly zero.
 """
 from __future__ import annotations
 
@@ -66,10 +70,38 @@ class SpectralDecomposition:
 
     def transform(self, matrix: np.ndarray) -> np.ndarray:
         """V* M V in M's own arithmetic (_transform).  A matrix that is not
-        D x D is refused."""
-        v = self.eigenvectors
+        D x D is refused.
+
+        On a decomposition solved in reversal blocks, an M with J M J = +-M
+        exactly is read in its sector blocks, each product (D/2)-sized, and
+        written back by _from_sector_blocks: the blocks that must vanish
+        are exactly zero.  An odd M reads its (+, -) block, and its (-, +)
+        block too unless M is Hermitian, when that block is the conjugate
+        transpose.  Any other M takes the dense V.
+        """
         m = _on_window(np.asarray(matrix), self.dim)
-        return _transform(v.conj().T, m, v)
+        parity = _reversal_parity(m) if self.reversal_symmetric else 0
+        if not parity:
+            v = self.eigenvectors
+            return _transform(v.conj().T, m, v)
+        # the result is allocated before the blocks' temporaries, which
+        # keeps the heap lower for the rest of the process (peak RSS)
+        out = np.empty((self.dim, self.dim),
+                       dtype=np.result_type(m, self.eigenvectors))
+        blocks = _sector_blocks(m, parity)
+        if parity < 0:  # the (-, +) block m_TL + m_TR J
+            half = self.dim // 2
+            below = m[:half, :half] + m[:half, half:][:, ::-1]
+            if not np.array_equal(below, blocks[0][2].conj().T):
+                blocks.append((1, 0, below))
+            del below
+        bases = _sector_bases(self, parity)
+        blocks = [(l, r, _transform(bases[l][0].conj().T, b, bases[r][0]))
+                  for l, r, b in blocks]
+        del bases
+        if len(blocks) == 1:  # Hermitian and odd
+            blocks.append((1, 0, blocks[0][2].conj().T))
+        return _from_sector_blocks(self, blocks, out)
 
 
 def _on_window(m: np.ndarray, dim: int) -> np.ndarray:
@@ -211,18 +243,72 @@ def _sector_blocks(m: np.ndarray, parity: int) -> list:
     return [(0, 0, m)]
 
 
-def _sector_bases(dec: SpectralDecomposition, parity: int) -> list:
+def _sector_bases(dec: SpectralDecomposition, parity: int,
+                  *columns: np.ndarray) -> list:
     """The (W, E) pairs of eigenvectors and eigenvalues that the blocks of
     _sector_blocks(m, parity) are read into: (V, E) for parity 0, and for
     parity +-1 on a decomposition solved in reversal blocks (W+, E+) and
     (W-, E-), W+- = sqrt 2 V[:D/2, +- columns], the eigenvectors in the
-    basis (e_i +- e_{D-1-i})/sqrt 2 being diag(W+, W-).
+    basis (e_i +- e_{D-1-i})/sqrt 2 being diag(W+, W-).  Each further
+    array of one value per column (Gibbs weights, say) is split by the
+    same columns and follows E in every tuple.
     """
     v, e = dec.eigenvectors, dec.eigenvalues
     if not parity:
-        return [(v, e)]
-    return [(np.sqrt(2.0) * v[:dec.dim // 2, c], e[c])
-            for c in (dec.sector > 0, dec.sector < 0)]
+        return [(v, e, *columns)]
+    bases = []
+    for c in (dec.sector > 0, dec.sector < 0):
+        # a column take: a boolean mask on the second axis is ten times slower
+        w = v[:dec.dim // 2].take(np.flatnonzero(c), axis=1)
+        w *= np.sqrt(2.0)
+        bases.append((w, e[c], *(x[c] for x in columns)))
+    return bases
+
+
+def _read_blocks(dec: SpectralDecomposition, m: np.ndarray, parity: int,
+                 *columns: np.ndarray):
+    """(bases, blocks): _sector_bases(dec, parity, *columns) and m's
+    blocks read into them, (l, r, W_l* m_lr W_r) for each block of
+    _sector_blocks(m, parity); for parity 0 the one block is m's dense
+    transform."""
+    bases = _sector_bases(dec, parity, *columns)
+    if not parity:
+        return bases, [(0, 0, dec.transform(m))]
+    return bases, [(l, r, _transform(bases[l][0].conj().T, b, bases[r][0]))
+                   for l, r, b in _sector_blocks(m, parity)]
+
+
+def _from_sector_blocks(dec: SpectralDecomposition, blocks: list,
+                        out: np.ndarray) -> np.ndarray:
+    """The D x D energy-basis matrix whose blocks in the sector bases are
+    these (left, right, block), (D/2)-square, and zero in every block not
+    given, written into out.
+
+    Row i is row where[i] of the block-ordered matrix [[B00, B01],
+    [B10, B11]], read at the columns where, where[c] being column c's
+    place in the sector order (+ columns first).  Each row block of the
+    result is gathered along rows into a buffer and then along columns
+    straight into the result, with no 2-D fancy index.
+    """
+    dim, half = dec.dim, dec.dim // 2
+    plus = dec.sector > 0
+    where = np.empty(dim, dtype=np.intp)
+    where[plus], where[~plus] = np.arange(half), np.arange(half, dim)
+    grid = {(l, r): b for l, r, b in blocks}
+    rows = max(1, _MIRROR_BLOCK // dim)
+    buf = np.empty((rows, dim), dtype=out.dtype)
+    for i in range(0, dim, rows):
+        src = where[i:i + rows]
+        gathered = buf[:len(src)]
+        for left in (0, 1):
+            mine = (src >= half) == left
+            k = src[mine] - left * half
+            for right in (0, 1):
+                b = grid.get((left, right))
+                gathered[:, right * half:(right + 1) * half][mine] = \
+                    0 if b is None else b[k]
+        np.take(gathered, where, axis=1, out=out[i:i + rows], mode="clip")
+    return out
 
 
 def _block_matrix(blocks: list, parity: int,
@@ -254,6 +340,24 @@ def _block_matrix(blocks: list, parity: int,
     top *= 0.5
     np.multiply(top[::-1, ::-1], parity, out=out[half:])
     return out
+
+
+def _block_diagonal(diagonals: list, parity: int) -> np.ndarray:
+    """The diagonal of _block_matrix(blocks, parity), from the diagonals of
+    the blocks, given as (left, right, diagonal): the top half is the half
+    sum of the two half blocks' diagonals and the bottom half the top half
+    reversed, times parity."""
+    if not parity:
+        (_, _, d), = diagonals
+        return d
+    if parity < 0:
+        (_, _, minus), = diagonals
+        plus = minus.conj()
+    else:
+        (_, _, plus), (_, _, minus) = diagonals
+    top = plus + minus
+    top *= 0.5
+    return np.concatenate((top, parity * top[::-1]))
 
 
 def _from_reversal_blocks(e: np.ndarray, v: np.ndarray) -> SpectralDecomposition:

@@ -88,10 +88,17 @@ class ThermalState:
     def _duhamel_weights(self) -> np.ndarray:
         """K_mn / Z, the weights of the closed-form canonical correlator."""
         if self._kernel is None:
-            kern = _duhamel_kernel(self.beta, self.energies)
-            kern /= np.exp(self.log_partition)
+            kern = self._duhamel_block(self.energies, self.energies)
             object.__setattr__(self, "_kernel", kern)
         return self._kernel
+
+    def _duhamel_block(self, e_row: np.ndarray,
+                       e_col: np.ndarray) -> np.ndarray:
+        """K_mn / Z between two sets of shifted energies, such as the two
+        sectors of one block; not kept."""
+        kern = _duhamel_kernel(self.beta, e_row, e_col)
+        kern /= np.exp(self.log_partition)
+        return kern
 
 
 def _gibbs_mean(weights: np.ndarray, m: np.ndarray):
@@ -251,26 +258,28 @@ def ordinary_correlator(fn: KMSFunction) -> complex:
             - fn.phi_a * fn.phi_b)
 
 
-def _duhamel_kernel(beta: float, energies: np.ndarray) -> np.ndarray:
-    """Averaged Boltzmann kernel (1/beta) int_0^beta db exp(-(beta-b)Em - b En).
+def _duhamel_kernel(beta: float, e_row: np.ndarray,
+                    e_col: np.ndarray) -> np.ndarray:
+    """Averaged Boltzmann kernel (1/beta) int_0^beta db exp(-(beta-b)Em - b En)
+    for Em in e_row and En in e_col; the full kernel passes the spectrum
+    twice.
 
     With x = beta |Em - En| >= 0 it is exp(-beta min(Em, En)) (1 - e^{-x})/x
     exactly, written as -expm1(-x)/x with its limit 1 at x = 0.  On the
     shifted energies both factors are at most 1, so nothing overflows.
     Built in row blocks, so its temporaries stay small beside the result.
     """
-    e = energies
-    wm = np.exp(-beta * e)
-    kern = np.empty((e.size, e.size))
-    rows = max(1, _KERNEL_BLOCK // e.size)
-    for i in range(0, e.size, rows):
-        x = np.abs(e[i:i + rows, None] - e[None, :])
+    w_row, w_col = np.exp(-beta * e_row), np.exp(-beta * e_col)
+    kern = np.empty((e_row.size, e_col.size))
+    rows = max(1, _KERNEL_BLOCK // e_col.size)
+    for i in range(0, e_row.size, rows):
+        x = np.abs(e_row[i:i + rows, None] - e_col[None, :])
         x *= beta
         ratio = np.ones_like(x)
         np.divide(-np.expm1(-x), x, out=ratio, where=x > 0.0)
         # exp(-beta min(Em, En)) is the larger of the two Boltzmann factors
-        np.multiply(np.maximum(wm[i:i + rows, None], wm[None, :]), ratio,
-                    out=kern[i:i + rows])
+        np.multiply(np.maximum(w_row[i:i + rows, None], w_col[None, :]),
+                    ratio, out=kern[i:i + rows])
     return kern
 
 

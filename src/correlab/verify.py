@@ -30,7 +30,9 @@ from .operators import _embedded_trace, embed, single_site, spectral_norm
 from .quadrature import _refine_by_doubling, gauss_legendre
 from .thermal import ThermalState, KMSFunction, _gibbs_mean, gibbs_state, \
     kms_function
-from .spectral import _matmul, _sandwich, build_hamiltonian
+from .spectral import (_block_diagonal, _block_matrix, _matmul,
+                       _read_blocks, _reversal_parity, _sandwich,
+                       build_hamiltonian)
 
 _ENDPOINT_EPS = 1e-12     # |b| or |b - beta| below this counts as on-contour
 _DELTA_B = 1e-6           # offset applied to on-contour heights
@@ -340,6 +342,39 @@ def _partners(lat: Lattice, base, distances: Sequence[float]) -> list:
     return [(l, site) for site, l in chosen.items()]
 
 
+def _contraction(state: ThermalState, a: np.ndarray, diagonal: bool):
+    """(M, rho, phi(A)) for theorem_check, M = V (W o Abar) V* and
+    rho = V diag(p) V* in the site basis (W the Duhamel weights), or only
+    their diagonals when A and its partners are diagonal.  Read in A's
+    sector blocks, with bases U_l, when the state is solved in reversal
+    blocks and A has a parity."""
+    dec = state.decomposition
+    parity = _reversal_parity(a) if dec.reversal_symmetric else 0
+    bases, blocks = _read_blocks(dec, a, parity, state.energies, state.weights)
+    del a
+    phi_a, m_blocks = 0.0, []
+    for l, r, abar in blocks:
+        (u_l, _, e_l, p_l), (u_r, _, e_r, _) = bases[l], bases[r]
+        if l == r:
+            phi_a += _gibbs_mean(p_l, abar)
+        abar *= state._duhamel_block(e_l, e_r)  # W o A in place
+        if diagonal:  # rowsum(U_l (W o A) o conj(U_r))
+            n = np.einsum("ij,ij->i", _matmul(u_l, abar), u_r.conj())
+        else:
+            n = _sandwich(u_l, abar, u_r.conj().T)
+        m_blocks.append((l, r, n))
+    del blocks
+    # rho is even: a block U_s diag(p_s) U_s* per basis
+    even = abs(parity)
+    if diagonal:
+        rho = [(s, s, np.einsum("im,m,im->i", u, p, u.conj()))
+               for s, (u, _, _, p) in enumerate(bases)]
+        return (_block_diagonal(m_blocks, parity),
+                _block_diagonal(rho, even), phi_a)
+    rho = [(s, s, (u * p) @ u.conj().T) for s, (u, _, _, p) in enumerate(bases)]
+    return _block_matrix(m_blocks, parity), _block_matrix(rho, even), phi_a
+
+
 def theorem_check(interaction: Interaction, beta: float, mu: float,
                   distances: Sequence[float], base_site=None,
                   op_name: str = "Z",
@@ -360,7 +395,16 @@ def theorem_check(interaction: Interaction, beta: float, mu: float,
     likewise phi(AB) = tr(rho AB).  M and rho are built once from the one
     transformed A, and each partner reads only the entries of M and rho
     that its embedding meets.  When A and B are diagonal only the
-    diagonals of M and rho are formed, with no product beyond V (W o A).
+    diagonals of M and rho are formed.
+
+    On a state solved in reversal blocks, an A with J A J = +-A (Z and Y
+    odd, X even) is contracted in its sector blocks (spectral module
+    docstring): A's blocks are read into the sector eigenbases
+    (U+-, E+-), the Duhamel weights are built on those blocks alone, M is
+    written back from the half-size products U_l (W o A)_lr U_r*
+    (_block_matrix, or its diagonal), and rho, which is even, from
+    U+- diag(p+-) U+-* with the Gibbs weights of each sector.  No product
+    is D-sized there.  Otherwise A, W, M and rho are read whole in (V, E).
 
     mu must be finite and positive, and no two distances may select the
     same partner site: its row would count twice in both fits.
@@ -380,18 +424,9 @@ def theorem_check(interaction: Interaction, beta: float, mu: float,
     a_loc = single_site(base, op_name)
     op = a_loc.matrix
     na = spectral_norm(op)
-    a_e = state.to_eigenbasis(embed(a_loc, lat))
-    p, v = state.weights, state.decomposition.eigenvectors
-    phi_a = _gibbs_mean(p, a_e)
-    a_e *= state._duhamel_weights()  # W o A in place
-    if np.count_nonzero(op) == np.count_nonzero(np.diagonal(op)):
-        # diagonal A and B read only diag M = rowsum(V (W o A) o conj(V))
-        # and diag rho = sum_m p_m |V_im|^2
-        m = np.einsum("ij,ij->i", _matmul(v, a_e), v.conj())
-        rho = np.einsum("im,m,im->i", v, p, v.conj())
-    else:
-        m = _sandwich(v, a_e, v.conj().T)
-        rho = (v * p) @ v.conj().T
+    m, rho, phi_a = _contraction(state, embed(a_loc, lat).matrix,
+                                 np.count_nonzero(op)
+                                 == np.count_nonzero(np.diagonal(op)))
 
     win = lat.sites
     pair_op = np.kron(op, op)

@@ -273,6 +273,39 @@ def test_lr_scan_hermitian_pair_never_reaches_svd(monkeypatch):
         assert len(scan.measurements) == 21
 
 
+def test_lr_scan_one_product_route_checks_hermiticity_outside_the_loop(
+        monkeypatch):
+    # i(X - X*) is Hermitian by construction; the one-product route used to
+    # hand it to spectral_norm, whose tiled _is_hermitian pass then ran at
+    # every time point
+    from correlab import lattice, operators
+    lat = chain_lattice(6)
+    inter = heisenberg_xxz(lat, 1.0, 0.5, h=0.3)  # z-field: no sectors
+    ctx = evolution_context(inter)
+    checks, routes = [], []
+    real_check, real_norm = lattice._is_hermitian, dynamics._commutator_norm
+
+    def check(*args, **kwargs):
+        checks.append(1)
+        return real_check(*args, **kwargs)
+
+    for module in (operators, dynamics):
+        monkeypatch.setattr(module, "_is_hermitian", check)
+    monkeypatch.setattr(
+        dynamics, "_commutator_norm",
+        lambda *args: routes.append(args[1]) or real_norm(*args))
+    counts = []
+    for times in ([0.5], [0.1 * k for k in range(1, 8)]):
+        checks.clear()
+        scan = lr_commutator_scan(inter, single_site(0, "X"),
+                                  single_site(4, "Y"), times, mu=1.0,
+                                  context=ctx)
+        assert len(scan.measurements) == len(times)
+        counts.append(len(checks))
+    assert routes == [True, True]  # the one-product route, Hermitian pair
+    assert counts[0] == counts[1] > 0
+
+
 def test_locality_scan_hermitian_operator_never_reaches_svd(monkeypatch):
     def no_svd(*args, **kwargs):
         raise AssertionError("spectral_norm fell through to the SVD")

@@ -279,6 +279,38 @@ def test_transform_diagonal_fast_path_matches_general():
     assert np.abs(dec.transform(d) - direct).max() < 1e-12
 
 
+_SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])  # J maps it to sigma-minus
+
+
+@pytest.mark.parametrize("model", ["tfim", "xxz"])
+@pytest.mark.parametrize("op, parity", [
+    (PAULI_Z, -1), (PAULI_Y, -1), (PAULI_X, 1), (1j * PAULI_Z, -1),
+    (_SIGMA_PLUS, 0),
+], ids=["Z", "Y", "X", "iZ", "sigma_plus"])
+@pytest.mark.parametrize("n, site", [(6, 0), (8, 5), (10, 3)])
+def test_transform_in_the_sectors_matches_the_dense_product(model, op, parity,
+                                                            n, site):
+    # the block route of transform against V* m V written out; i Z is odd
+    # but not Hermitian, so both off-diagonal blocks are read, and sigma+
+    # has no parity, so it takes the dense V
+    lat = chain_lattice(n)
+    inter = {"tfim": transverse_field_ising(lat, h=1.3),
+             "xxz": heisenberg_xxz(lat, 1.0, 0.5)}[model]
+    dec = eig_hermitian(build_hamiltonian(inter).matrix)
+    assert dec.reversal_symmetric
+    m = embed(LocalOperator((site,), op), lat).matrix
+    assert _reversal_parity(m) == parity
+    v = dec.eigenvectors
+    got = dec.transform(m)
+    assert got.shape == (dec.dim, dec.dim)
+    assert np.abs(got - v.conj().T @ m @ v).max() < 1e-13
+    same = dec.sector[:, None] == dec.sector[None, :]
+    if parity < 0:
+        assert not got[same].any()
+    if parity > 0:
+        assert not got[~same].any()
+
+
 def test_complex_transform_on_real_eigenvectors_stays_in_real_products():
     # XXZ is real and Y is not: numpy would copy the real eigenvectors to
     # complex for each product, three result-sized arrays at the peak

@@ -461,7 +461,7 @@ def test_duhamel_kernel_is_silent_at_low_temperature():
                      50.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        kern = _duhamel_kernel(st.beta, st.energies)
+        kern = _duhamel_kernel(st.beta, st.energies, st.energies)
         a = embed(single_site(0, "Z"), lat)
         b = embed(single_site(5, "Z"), lat)
         fn = kms_function(st, a, b)
@@ -490,13 +490,18 @@ def reference_kernel_entry(beta, em, en):
 @pytest.mark.parametrize("beta", [0.7, 50.0])
 def test_duhamel_kernel_matches_independent_reference(beta):
     # levels split by 1e-12, 1e-9 and 3e-6, where a degeneracy snap or a
-    # cancelling difference quotient would show
+    # cancelling difference quotient would show; the square kernel of one
+    # spectrum, and a rectangular block between two different energy
+    # vectors (two sectors), with levels shared, split and far apart
     e = np.array([0.0, 1e-12, 1e-9, 3e-6, 0.5, 0.5 + 1e-9, 2.0, 7.5, 40.0])
-    kern = _duhamel_kernel(beta, e)
-    for m, em in enumerate(e):
-        for n, en in enumerate(e):
-            ref = reference_kernel_entry(beta, float(em), float(en))
-            assert abs(kern[m, n] - ref) <= 1e-13 * ref, (m, n)
+    f = np.array([1e-12, 2e-9, 0.5, 0.5 + 3e-6, 3.0, 40.0 + 1e-10])
+    for e_row, e_col in ((e, e), (e, f), (f, e)):
+        kern = _duhamel_kernel(beta, e_row, e_col)
+        assert kern.shape == (e_row.size, e_col.size)
+        for m, em in enumerate(e_row):
+            for n, en in enumerate(e_col):
+                ref = reference_kernel_entry(beta, float(em), float(en))
+                assert abs(kern[m, n] - ref) <= 1e-13 * ref, (m, n)
 
 
 def reference_ordinary(st, am, bm):
@@ -508,7 +513,7 @@ def reference_ordinary(st, am, bm):
 def reference_closed_form(st, am, bm):
     p = st.weights
     mean = lambda m: np.sum(p * np.diag(m))
-    kern = _duhamel_kernel(st.beta, st.energies)
+    kern = _duhamel_kernel(st.beta, st.energies, st.energies)
     return (complex(np.einsum("mn,mn,nm->", kern, am, bm)
                     / np.exp(st.log_partition)) - mean(am) * mean(bm))
 

@@ -7,6 +7,7 @@ import pytest
 from correlab import spectral, thermal, verify
 from correlab import (Lattice, chain_lattice, transverse_field_ising, embed,
                       single_site, build_hamiltonian, gibbs_state,
+                      eig_hermitian, heisenberg_xxz, SpectralDecomposition,
                       KMSFunction, kms_function, weight, residue_identity,
                       contour_grid, contour_decomposition, fit_decay,
                       theorem_check,
@@ -334,23 +335,40 @@ def test_theorem_check_refuses_state_at_another_beta():
         theorem_check(inter, 0.5, 1.0, [1, 2, 3], state=st)
 
 
-def test_theorem_check_builds_the_duhamel_kernel_once(monkeypatch):
+# TFIM has the reversal symmetry, so Z is contracted in its (+, -) block;
+# XXZ in a z-field has none, and takes the dense route
+def _tfim(lat):
+    return transverse_field_ising(lat, h=1.2)
+
+
+def _xxz_in_a_field(lat):
+    return heisenberg_xxz(lat, 1.0, 0.5, h=0.3)
+
+
+def _count_kernels(monkeypatch, model) -> int:
     lat = chain_lattice(8)
-    inter = transverse_field_ising(lat, h=1.2)
     calls = []
     real_kernel = thermal._duhamel_kernel
     monkeypatch.setattr(thermal, "_duhamel_kernel",
                         lambda *args: calls.append(1) or real_kernel(*args))
-    res = theorem_check(inter, 0.5, 1.0, [1, 2, 3, 4, 5, 6, 7])
+    res = theorem_check(model(lat), 0.5, 1.0, [1, 2, 3, 4, 5, 6, 7])
     assert len(res.rows) == 7
-    assert len(calls) == 1
+    return len(calls)
 
 
-def test_theorem_check_transforms_only_a(monkeypatch):
+def test_theorem_check_builds_the_duhamel_kernel_once(monkeypatch):
+    assert _count_kernels(monkeypatch, _tfim) == 1
+
+
+def test_theorem_check_builds_the_duhamel_kernel_once_without_sectors(
+        monkeypatch):
+    assert _count_kernels(monkeypatch, _xxz_in_a_field) == 1
+
+
+def _count_reads(monkeypatch, model) -> dict:
     # one contraction for all partners: A alone goes to the energy basis,
     # and no partner is paired with it through _paired_sum
     lat = chain_lattice(8)
-    inter = transverse_field_ising(lat, h=1.2)
     counts = {"transform": 0, "paired": 0, "kernel": 0}
 
     def counted(key, fn):
@@ -366,9 +384,80 @@ def test_theorem_check_transforms_only_a(monkeypatch):
                         counted("paired", thermal._paired_sum))
     monkeypatch.setattr(thermal, "_duhamel_kernel",
                         counted("kernel", thermal._duhamel_kernel))
-    res = theorem_check(inter, 0.5, 1.0, [1, 2, 3, 4, 5, 6, 7])
+    res = theorem_check(model(lat), 0.5, 1.0, [1, 2, 3, 4, 5, 6, 7])
     assert len(res.rows) == 7
-    assert counts == {"transform": 1, "paired": 0, "kernel": 1}
+    return counts
+
+
+def test_theorem_check_transforms_only_a(monkeypatch):
+    # in the sectors A's (+, -) block is read without the dense transform
+    assert _count_reads(monkeypatch, _tfim) == {
+        "transform": 0, "paired": 0, "kernel": 1}
+
+
+def test_theorem_check_transforms_only_a_without_sectors(monkeypatch):
+    assert _count_reads(monkeypatch, _xxz_in_a_field) == {
+        "transform": 1, "paired": 0, "kernel": 1}
+
+
+class _ProductSpy(np.ndarray):
+    """An array that records the shapes of every matrix product it, or an
+    array derived from it, takes part in."""
+
+    shapes: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _ProductSpy.shapes.append([np.shape(x) for x in inputs])
+        inputs = [x.view(np.ndarray) if isinstance(x, _ProductSpy) else x
+                  for x in inputs]
+        out = kwargs.get("out")
+        if out:
+            kwargs["out"] = tuple(x.view(np.ndarray)
+                                  if isinstance(x, _ProductSpy) else x
+                                  for x in out)
+        result = getattr(ufunc, method)(*inputs, **kwargs)
+        if out:  # in place: hand back the spied arrays themselves
+            return out[0] if len(out) == 1 else out
+        if not isinstance(result, np.ndarray):
+            return result
+        return result.view(_ProductSpy)
+
+
+@pytest.mark.parametrize("op", ["Z", "Y", "X"])
+def test_flip_symmetric_theorem_check_makes_no_full_size_product(monkeypatch,
+                                                                 op):
+    # every product in the contraction has the eigenvectors (or a block of
+    # them) as a factor, so a spy on V sees each one; the kernel is spied
+    # on directly.  The dense route would multiply by V itself, D x D.
+    lat = chain_lattice(8)
+    inter = transverse_field_ising(lat, h=1.2)
+    dec = eig_hermitian(build_hamiltonian(inter).matrix)
+    half = dec.dim // 2
+    spied = SpectralDecomposition(dec.eigenvalues,
+                                  dec.eigenvectors.view(_ProductSpy),
+                                  dec.sector)
+    kernels = []
+    real_kernel = thermal._duhamel_kernel
+
+    def kernel(*args):
+        kern = real_kernel(*args)
+        kernels.append(kern.shape)
+        return kern
+
+    monkeypatch.setattr(thermal, "_duhamel_kernel", kernel)
+    monkeypatch.setattr(_ProductSpy, "shapes", [])
+    res = theorem_check(inter, 0.5, 1.0, [1, 2, 3, 4, 5, 6, 7], op_name=op,
+                        state=gibbs_state(spied, 0.5))
+    plain = theorem_check(inter, 0.5, 1.0, [1, 2, 3, 4, 5, 6, 7], op_name=op,
+                          state=gibbs_state(dec, 0.5))
+    assert [r.canonical for r in res.rows] == [r.canonical for r in plain.rows]
+    # left factor and contracted axis at most D/2; a complex right factor
+    # may be read through its interleaved real view, twice as wide
+    assert len(_ProductSpy.shapes) >= 2  # A's read and M's write-back
+    assert all(max(left) <= half and right[0] <= half
+               for left, right in _ProductSpy.shapes)
+    assert kernels and set(kernels) == {(half, half)}
 
 
 @pytest.mark.parametrize("mu", [0.0, -1.0, float("nan"), float("inf")])
@@ -387,15 +476,7 @@ def _shuffled_chain():
     return Lattice(("b", "a", "d", "c"), np.abs(xs[:, None] - xs), (2,) * 4)
 
 
-@pytest.mark.parametrize("beta", [0.0, 4.0])
-@pytest.mark.parametrize("op", ["Z", "X", "Y"])
-@pytest.mark.parametrize("lattice, base, distances", [
-    (chain_lattice(7), 2, [1, 2, 3, 4]),
-    (_shuffled_chain(), "a", [1, 2]),
-], ids=["chain", "shuffled"])
-def test_theorem_check_matches_per_pair_correlators(lattice, base, distances,
-                                                    op, beta):
-    inter = transverse_field_ising(lattice, J=1.0, h=1.5)
+def _check_per_pair(inter, lattice, base, distances, op, beta):
     st = gibbs_state(build_hamiltonian(inter).matrix, beta)
     res = theorem_check(inter, beta, 1.0, distances, base_site=base,
                         op_name=op, state=st)
@@ -407,3 +488,31 @@ def test_theorem_check_matches_per_pair_correlators(lattice, base, distances,
         ordinary, canonical = ordinary_correlator(fn), canonical_correlator(fn)
         assert abs(row.ordinary - ordinary) <= 1e-14
         assert abs(row.canonical - canonical) <= 1e-14
+    return st
+
+
+def _per_pair_cases(test):
+    lattices = pytest.mark.parametrize("lattice, base, distances", [
+        (chain_lattice(7), 2, [1, 2, 3, 4]),
+        (_shuffled_chain(), "a", [1, 2]),
+    ], ids=["chain", "shuffled"])
+    return pytest.mark.parametrize("beta", [0.0, 4.0])(
+        pytest.mark.parametrize("op", ["Z", "X", "Y"])(lattices(test)))
+
+
+@_per_pair_cases
+def test_theorem_check_matches_per_pair_correlators(lattice, base, distances,
+                                                    op, beta):
+    # TFIM is solved in reversal blocks: the sector contraction
+    inter = transverse_field_ising(lattice, J=1.0, h=1.5)
+    st = _check_per_pair(inter, lattice, base, distances, op, beta)
+    assert st.decomposition.reversal_symmetric
+
+
+@_per_pair_cases
+def test_theorem_check_matches_per_pair_correlators_in_a_z_field(
+        lattice, base, distances, op, beta):
+    # a z-field breaks the reversal symmetry: the dense contraction
+    inter = heisenberg_xxz(lattice, 1.0, 0.5, h=0.3)
+    st = _check_per_pair(inter, lattice, base, distances, op, beta)
+    assert not st.decomposition.reversal_symmetric
