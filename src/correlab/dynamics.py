@@ -58,7 +58,8 @@ from .operators import (EmbeddedOperator, _hermitian_norm,
                         conditional_expectation, embed, spectral_norm)
 from .spectral import (SpectralDecomposition, _block_matrix, _matmul,
                        _read_blocks, _reversal_parity, _sandwich,
-                       _sector_blocks, build_hamiltonian, eig_hermitian)
+                       _sector_bases, _sector_blocks, build_hamiltonian,
+                       eig_hermitian)
 from .thermal import _EXP_CAP
 
 
@@ -125,11 +126,13 @@ def _evolution(bases: list, blocks: list):
 def evolve(context: EvolutionContext, op, time) -> EmbeddedOperator:
     """tau_time(op) on the context window.
 
-    time may be real or complex; a complex time is refused with
-    FloatingPointError when a phase factor exp(|Im z| max|E|) or their
-    product exp(|Im z| (E_max - E_min)) would overflow.
+    time may be real or complex, and must be finite; a complex time is
+    refused with FloatingPointError when a phase factor exp(|Im z| max|E|)
+    or their product exp(|Im z| (E_max - E_min)) would overflow.
     """
     z = complex(time)
+    if not np.isfinite(z):
+        raise ValueError(f"time must be finite, not {time!r}")
     dec = context.decomposition
     lo, hi = float(dec.eigenvalues[0]), float(dec.eigenvalues[-1])
     if abs(z.imag) * max(abs(lo), abs(hi), hi - lo) > _EXP_CAP:
@@ -305,9 +308,9 @@ def lr_commutator_scan(interaction: Interaction, a, b,
                 k *= 1j
                 return _hermitian_norm(_hermitian_part(k))
         else:  # half block: ||M|| for M = V1 tau_t V2*
-            v, e = dec.eigenvectors, dec.eigenvalues
-            bases = [(v[rows], e) for rows in levels[1]]
             blocks = [(0, 1, dec.transform(aemb.matrix))]
+            bases = [(v[rows], e) for v, e in _sector_bases(dec, 0)
+                     for rows in levels[1]]
             block_norm = _gram_norm
         evolved = _evolution(bases, blocks)
 

@@ -6,13 +6,15 @@ is strict: ascending eigenvalues, orthonormal eigenvectors, reconstruction
 to 1e-10 relative.  A Hamiltonian that commutes with the index reversal
 J (i -> D-1-i), which in the site basis is the global spin flip X^n of
 every model without a z-field, is solved as two half-size blocks; any
-other is solved whole.  Callers see one dense decomposition either way;
-the block route also records the sector of each eigenvector.
+other is solved whole.  The block route keeps the blocks' eigenvectors
+as the solver returned them, with the sector of each eigenvalue, and
+forms the dense V only where it is read: reconstruct, evolve, and
+operators without a parity.
 
-That sector is read here alone, through the block form of an operator m
-with J m J = parity * m.  In the basis (e_i +- e_{D-1-i})/sqrt 2 the
-eigenvectors of a reversal-symmetric H are diag(W+, W-), with
-W+- = sqrt 2 V[:D/2, +- columns] and eigenvalues E+-, and m is
+The sector and those bases are read here alone, through the block form
+of an operator m with J m J = parity * m.  In the basis
+(e_i +- e_{D-1-i})/sqrt 2 the eigenvectors of a reversal-symmetric H are
+diag(W+, W-), the stored bases, with eigenvalues E+-, and m is
 diag(m+, m-) for parity +1 or [[0, M], [M*, 0]] for parity -1 (Hermitian
 m); parity 0 is m whole, in (V, E).  _sector_blocks gives the blocks that
 can be nonzero as (left, right, block), _sector_bases the matching (W, E)
@@ -47,13 +49,16 @@ class SpectralDecomposition:
     sector holds +1 or -1 per column when eig_hermitian found J H J = H
     exactly (J the index reversal i -> D-1-i, D even) and solved H in the
     two half-size blocks: J v_c = sector[c] v_c, to the last bit, with
-    D/2 columns in each sector.  It is None for a decomposition solved
-    whole.  Every reader of that symmetry takes it from here, and no
-    other module reads the sector itself (module docstring).
+    D/2 columns in each sector.  The second field then holds the blocks'
+    eigenvectors (W+, W-) as the solver returned them, and eigenvectors
+    forms V from them on each read.  For a decomposition solved whole it
+    holds V itself, and sector is None.  Every reader of that symmetry
+    takes it from here, and no other module reads the sector or V
+    (module docstring).
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    _vectors: np.ndarray
     sector: Optional[np.ndarray] = None
 
     @property
@@ -63,6 +68,22 @@ class SpectralDecomposition:
     @property
     def reversal_symmetric(self) -> bool:
         return self.sector is not None
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """V; on the block route the D x D array
+        [[W+, W-], [J W+, -J W-]]/sqrt 2 with its columns in sorted order,
+        formed anew on each read."""
+        if self.sector is None:
+            return self._vectors
+        half = self.dim // 2
+        v = np.empty((self.dim, self.dim), dtype=self._vectors.dtype)
+        top = v[:half]
+        np.take(np.concatenate(self._vectors, axis=1), _sector_places(self),
+                axis=1, out=top, mode="clip")  # clip: unbuffered
+        top *= np.sqrt(0.5)
+        np.multiply(top[::-1], self.sector, out=v[half:])
+        return v
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
@@ -87,7 +108,7 @@ class SpectralDecomposition:
         # the result is allocated before the blocks' temporaries, which
         # keeps the heap lower for the rest of the process (peak RSS)
         out = np.empty((self.dim, self.dim),
-                       dtype=np.result_type(m, self.eigenvectors))
+                       dtype=np.result_type(m, self._vectors))
         blocks = _sector_blocks(m, parity)
         if parity < 0:  # the (-, +) block m_TL + m_TR J
             half = self.dim // 2
@@ -98,10 +119,16 @@ class SpectralDecomposition:
         bases = _sector_bases(self, parity)
         blocks = [(l, r, _transform(bases[l][0].conj().T, b, bases[r][0]))
                   for l, r, b in blocks]
-        del bases
         if len(blocks) == 1:  # Hermitian and odd
             blocks.append((1, 0, blocks[0][2].conj().T))
         return _from_sector_blocks(self, blocks, out)
+
+
+def _sector_places(dec: SpectralDecomposition) -> np.ndarray:
+    """where[c], column c's place in the sector order: the + columns
+    first, each sector in ascending order."""
+    plus = dec.sector > 0
+    return np.where(plus, np.cumsum(plus), dec.dim // 2 + np.cumsum(~plus)) - 1
 
 
 def _on_window(m: np.ndarray, dim: int) -> np.ndarray:
@@ -172,13 +199,11 @@ def eig_hermitian(matrix) -> SpectralDecomposition:
     When J H J equals H exactly, J the index reversal and D even, H splits
     in the basis (e_i +- e_{D-1-i})/sqrt(2) into the two D/2 x D/2 blocks
     H+- = H_TL +- H_TR J, solved as one stacked call for a quarter of the
-    dense flops.  The eigenvectors V = [[V+, V-], [J V+, -J V-]]/sqrt(2)
-    are assembled in the solver's own output, grown in place (copied when
-    numpy hands it back in another layout), and their
-    columns ordered by ascending eigenvalue with a stable sort (the +
-    sector first among equal levels), and the sector of each column is
-    kept on the result.  Any other H is solved as given.  Either way the
-    only D x D array built is the eigenvectors.
+    dense flops.  The result keeps the eigenvectors (W+, W-) of the blocks
+    as the solver returned them, the eigenvalues ordered ascending with a
+    stable sort (the + sector first among equal levels) and the sector of
+    each eigenvalue; no D x D eigenvector array is built.  Any other H is
+    solved as given.
     """
     m = _as_matrix(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -187,7 +212,10 @@ def eig_hermitian(matrix) -> SpectralDecomposition:
         raise ValueError("matrix is not finite and Hermitian within 1e-12 relative")
     dim = len(m)
     if dim >= 2 and dim % 2 == 0 and _reversal_parity(m) == 1:
-        return _from_reversal_blocks(*np.linalg.eigh(_reversal_blocks(m)))
+        e, w = np.linalg.eigh(_reversal_blocks(m))
+        order = np.argsort(e.ravel(), kind="stable")
+        return SpectralDecomposition(e.ravel()[order], w,
+                                     np.where(order < dim // 2, 1.0, -1.0))
     e, v = np.linalg.eigh(m)
     return SpectralDecomposition(e, v)
 
@@ -247,22 +275,14 @@ def _sector_bases(dec: SpectralDecomposition, parity: int,
                   *columns: np.ndarray) -> list:
     """The (W, E) pairs of eigenvectors and eigenvalues that the blocks of
     _sector_blocks(m, parity) are read into: (V, E) for parity 0, and for
-    parity +-1 on a decomposition solved in reversal blocks (W+, E+) and
-    (W-, E-), W+- = sqrt 2 V[:D/2, +- columns], the eigenvectors in the
-    basis (e_i +- e_{D-1-i})/sqrt 2 being diag(W+, W-).  Each further
-    array of one value per column (Gibbs weights, say) is split by the
-    same columns and follows E in every tuple.
+    parity +-1 on a decomposition solved in reversal blocks the stored
+    (W+, E+) and (W-, E-).  Each further array of one value per column
+    (Gibbs weights, say) is split by sector and follows E in every tuple.
     """
-    v, e = dec.eigenvectors, dec.eigenvalues
     if not parity:
-        return [(v, e, *columns)]
-    bases = []
-    for c in (dec.sector > 0, dec.sector < 0):
-        # a column take: a boolean mask on the second axis is ten times slower
-        w = v[:dec.dim // 2].take(np.flatnonzero(c), axis=1)
-        w *= np.sqrt(2.0)
-        bases.append((w, e[c], *(x[c] for x in columns)))
-    return bases
+        return [(dec.eigenvectors, dec.eigenvalues, *columns)]
+    return [(w, dec.eigenvalues[c], *(x[c] for x in columns))
+            for w, c in zip(dec._vectors, (dec.sector > 0, dec.sector < 0))]
 
 
 def _read_blocks(dec: SpectralDecomposition, m: np.ndarray, parity: int,
@@ -271,9 +291,10 @@ def _read_blocks(dec: SpectralDecomposition, m: np.ndarray, parity: int,
     blocks read into them, (l, r, W_l* m_lr W_r) for each block of
     _sector_blocks(m, parity); for parity 0 the one block is m's dense
     transform."""
+    if not parity:  # transform first: one V alive at a time
+        blocks = [(0, 0, dec.transform(m))]
+        return _sector_bases(dec, parity, *columns), blocks
     bases = _sector_bases(dec, parity, *columns)
-    if not parity:
-        return bases, [(0, 0, dec.transform(m))]
     return bases, [(l, r, _transform(bases[l][0].conj().T, b, bases[r][0]))
                    for l, r, b in _sector_blocks(m, parity)]
 
@@ -286,14 +307,12 @@ def _from_sector_blocks(dec: SpectralDecomposition, blocks: list,
 
     Row i is row where[i] of the block-ordered matrix [[B00, B01],
     [B10, B11]], read at the columns where, where[c] being column c's
-    place in the sector order (+ columns first).  Each row block of the
+    place in the sector order (_sector_places).  Each row block of the
     result is gathered along rows into a buffer and then along columns
     straight into the result, with no 2-D fancy index.
     """
     dim, half = dec.dim, dec.dim // 2
-    plus = dec.sector > 0
-    where = np.empty(dim, dtype=np.intp)
-    where[plus], where[~plus] = np.arange(half), np.arange(half, dim)
+    where = _sector_places(dec)
     grid = {(l, r): b for l, r, b in blocks}
     rows = max(1, _MIRROR_BLOCK // dim)
     buf = np.empty((rows, dim), dtype=out.dtype)
@@ -358,40 +377,6 @@ def _block_diagonal(diagonals: list, parity: int) -> np.ndarray:
     top = plus + minus
     top *= 0.5
     return np.concatenate((top, parity * top[::-1]))
-
-
-def _from_reversal_blocks(e: np.ndarray, v: np.ndarray) -> SpectralDecomposition:
-    """The dense decomposition from the eigenpairs (e, v) of the stack.
-
-    v is grown in place to D x D when it is a C-contiguous array that owns
-    its data, else copied into a new one, so the two blocks fill its top
-    half.  The bottom half (J V+, -J V-) is written from them first, over
-    row blocks with the columns in sorted order; the top half is then the
-    bottom half reversed, with the - columns negated.
-    """
-    half = v.shape[1]
-    dim = 2 * half
-    order = np.argsort(e.ravel(), kind="stable")
-    sign = np.where(order < half, 1.0, -1.0)
-    scale = sign * np.sqrt(0.5)
-    if v.flags.owndata and v.flags.c_contiguous:  # as numpy's eigh gives it
-        v.resize((dim, dim), refcheck=False)
-    else:  # numpy documents no output layout; copy
-        grown = np.empty((dim, dim), dtype=v.dtype)
-        grown[:half].reshape(v.shape)[...] = v
-        v = grown
-    plus, minus = v[:half].reshape(2, half, half)[:, ::-1]  # J V+ and J V-
-    top, bottom = v[:half], v[half:]
-    rows = max(1, _MIRROR_BLOCK // dim)
-    buf = np.empty((rows, dim), dtype=v.dtype)
-    for i in range(0, half, rows):
-        out = bottom[i:i + rows]
-        pair = buf[:len(out)]
-        np.concatenate((plus[i:i + rows], minus[i:i + rows]), axis=1, out=pair)
-        np.take(pair, order, axis=1, out=out, mode="clip")  # unbuffered
-        out *= scale
-    np.multiply(bottom[::-1], sign, out=top)
-    return SpectralDecomposition(e.ravel()[order], v, sector=sign)
 
 
 def build_hamiltonian(interaction: Interaction,

@@ -54,6 +54,14 @@ def weight(z, height: float):
     return out if out.ndim else complex(out)
 
 
+def _check_half_width(half_width: float) -> None:
+    """Refuse a contour half width T that is not finite and positive: the
+    interval [-T, T] of the nodes would be empty, reversed or unbounded."""
+    if not 0.0 < half_width < np.inf:
+        raise ValueError(f"half_width must be finite and positive, "
+                         f"not {half_width!r}")
+
+
 def _sym_gauss(nodes: int, half_width: float):
     """Gauss-Legendre nodes on [-T, T]; the +/- node pairing is exact so
     principal values cancel at machine precision."""
@@ -97,10 +105,11 @@ def residue_identity(beta: float, height: float,
     then converges to the principal value, which is short of the limit from
     the interior by half a residue, so 1/2 is added back.  beta must be
     finite and positive: at beta = 0 the integrand vanishes and the
-    refinements agree on a wrong answer.
+    refinements agree on a wrong answer.  So must half_width.
     """
     if not 0.0 < beta < np.inf:
         raise ValueError(f"beta must be finite and positive, not {beta!r}")
+    _check_half_width(half_width)
     if not 0.0 <= height <= beta + _ENDPOINT_EPS:
         raise ValueError("height must lie in [0, beta]")
     b = float(height)
@@ -161,11 +170,13 @@ def contour_grid(state: ThermalState, a, b, nodes: int = 1024,
     nodes on [-T, T], with T = 8 unless half_width is given.
 
     Refuses beta <= 2e-6, where the strip cannot hold the contour offset
-    inward from its edges.
+    inward from its edges, and a half_width that is not finite and
+    positive.
     """
     if state.beta <= 2 * _DELTA_B:
         raise ValueError("beta too small to hold the offset contour")
     half_width = 8.0 if half_width is None else half_width
+    _check_half_width(half_width)
     fn = kms_function(state, a, b)
     t, wq = _sym_gauss(nodes, half_width)
     arrays = (fn.a_energy, fn.b_energy, fn.pair_product, t, wq,
@@ -273,12 +284,16 @@ def fit_decay(xs: Sequence[float], ys: Sequence[float]) -> DecayFit:
     """Least-squares fit of log y against x.
 
     Values below 1e-15 are floored before taking logs; with data at that
-    level the fit is reported but carries little meaning.
+    level the fit is reported but carries little meaning.  Every sample
+    must be finite.
     """
     xs = np.asarray(xs, dtype=float)
-    ys = np.maximum(np.abs(np.asarray(ys, dtype=float)), _LOG_FLOOR)
+    ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.size < 2:
         raise ValueError("need at least two (x, y) samples")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("samples must be finite")
+    ys = np.maximum(np.abs(ys), _LOG_FLOOR)
     logy = np.log(ys)
     slope, intercept = np.polyfit(xs, logy, 1)
     resid = float(np.max(np.abs(logy - (slope * xs + intercept))))

@@ -85,6 +85,16 @@ def test_complex_time_refused_when_the_phase_product_would_overflow():
     assert np.isfinite(evolve(ctx, single_site(1, "Z"), 70.0j).matrix).all()
 
 
+@pytest.mark.parametrize("time", [float("nan"), float("inf"),
+                                  complex(0.0, float("nan")),
+                                  complex(float("-inf"), 1.0)])
+def test_evolve_refuses_non_finite_time(time):
+    # a NaN time passed the overflow guard and gave an all-NaN matrix
+    lat, inter, ctx = setup(4)
+    with pytest.raises(ValueError, match="time must be finite"):
+        evolve(ctx, single_site(1, "Z"), time)
+
+
 def test_evolve_rejects_foreign_window():
     lat, inter, ctx = setup(4)
     sub = embed(single_site(0, "Z"), lat, window=[0, 1])

@@ -218,12 +218,24 @@ def test_only_spectral_reverses_both_axes():
     assert mirrors and set(mirrors) == {"spectral.py"}
 
 
+def _attribute_readers(attr: str) -> set:
+    """The modules under src/ that read attribute attr of anything."""
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == attr:
+                readers.add(path.name)
+    return readers
+
+
 # one owner for the sector layout: spectral turns a decomposition's sector
 # into the bases W+- of its blocks, so no other module reads it
 def test_only_spectral_reads_the_sector():
-    readers = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute) and node.attr == "sector":
-                readers.append(path.name)
-    assert readers and set(readers) == {"spectral.py"}
+    assert _attribute_readers("sector") == {"spectral.py"}
+
+
+# one owner for the eigenvectors: on the block route reading them forms a
+# D x D array, so every other module takes its bases through _sector_bases
+def test_only_spectral_reads_the_eigenvectors():
+    assert _attribute_readers("eigenvectors") == {"spectral.py"}
+    assert _attribute_readers("_vectors") == {"spectral.py"}

@@ -8,10 +8,13 @@ from correlab import (chain_lattice, transverse_field_ising, embed,
                       single_site, LocalOperator, commutator, spectral_norm,
                       eig_hermitian, build_hamiltonian,
                       derivation_delta, DIM_CAP, heisenberg_xxz,
-                      random_bond_ising, gibbs_state)
+                      random_bond_ising, gibbs_state, SpectralDecomposition,
+                      theorem_check, evolution_context, lr_commutator_scan,
+                      locality_scan, kms_function, contour_grid)
 from correlab.operators import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
 from correlab.spectral import (_block_matrix, _reversal_blocks,
-                               _reversal_parity, _sector_blocks)
+                               _reversal_parity, _sector_bases,
+                               _sector_blocks)
 
 
 def tfim(n, J=1.0, h=1.0):
@@ -109,26 +112,27 @@ def test_degenerate_sectors_match_the_dense_route(monkeypatch):
     assert np.abs(rho - rho_ref).max() < 1e-12
 
 
-@pytest.mark.parametrize("layout", [lambda v: v[...],  # a view
-                                    np.asfortranarray])  # not C-contiguous
-def test_reversal_route_copies_eigenvectors_it_cannot_grow(layout,
-                                                           monkeypatch):
-    # eigenvectors are grown in place only when eigh hands back a
-    # C-contiguous array that owns its data; any other layout is copied
-    # into a new D x D array, with the same result
+def test_reversal_route_keeps_the_solver_output(monkeypatch):
+    # the block route stores eigh's eigenvector stack itself, and the
+    # sector bases are views of it: no D x D array and no copy
     lat = chain_lattice(6)
     m = build_hamiltonian(random_bond_ising(lat, seed=2)).matrix
-    grown = eig_hermitian(m)
-    eigh = np.linalg.eigh
+    returned, eigh = [], np.linalg.eigh
 
-    def relaid(a, *args, **kwargs):
-        e, v = eigh(a, *args, **kwargs)
-        return e, layout(v)
+    def kept(a, *args, **kwargs):
+        returned.append(eigh(a, *args, **kwargs))
+        return returned[-1]
 
-    monkeypatch.setattr(np.linalg, "eigh", relaid)
-    copied = eig_hermitian(m)
-    assert np.array_equal(copied.eigenvalues, grown.eigenvalues)
-    assert np.array_equal(copied.eigenvectors, grown.eigenvectors)
+    monkeypatch.setattr(np.linalg, "eigh", kept)
+    dec = eig_hermitian(m)
+    (e, w), = returned
+    assert dec._vectors is w and w.shape == (2, 32, 32)
+    assert np.array_equal(dec.eigenvalues, np.sort(e.ravel()))
+    for (basis, energies), k, s in zip(_sector_bases(dec, 1), (0, 1), (1, -1)):
+        assert np.shares_memory(basis, w[k])
+        assert np.array_equal(energies, e[k])
+        assert np.array_equal(dec.eigenvectors[:32, dec.sector == s],
+                              w[k] * np.sqrt(0.5))
 
 
 @pytest.mark.parametrize("name, flip_even", [
@@ -328,6 +332,39 @@ def test_complex_transform_on_real_eigenvectors_stays_in_real_products():
     assert peak <= 2.25 * 16 * 512 ** 2
     v = dec.eigenvectors.astype(complex)
     assert np.abs(got - v.conj().T @ (m @ v)).max() < 1e-13
+
+
+def test_sector_routes_never_form_the_dense_eigenvectors(monkeypatch):
+    # on a decomposition solved in reversal blocks V exists only while
+    # eigenvectors is read; the routes below work on the stored W+- alone
+    reads = []
+    formed = SpectralDecomposition.eigenvectors.fget
+
+    def spy(dec):
+        reads.append(dec.dim)
+        return formed(dec)
+
+    monkeypatch.setattr(SpectralDecomposition, "eigenvectors", property(spy))
+    lat = chain_lattice(7)
+    ising = transverse_field_ising(lat, h=1.2)
+    for op in ("Z", "Y", "X"):
+        theorem_check(ising, 0.5, 1.0, [1, 2, 3, 4], op_name=op)
+    ctx = evolution_context(ising)
+    assert ctx.decomposition._vectors.shape == (2, 64, 64)
+    for a, b in ((0, 6), (6, 0)):
+        lr_commutator_scan(ising, single_site(a, "Z"), single_site(b, "Z"),
+                           [0.0, 0.5, 1.0], mu=1.0, context=ctx)
+    scan = locality_scan(ising, single_site(3, "Z"), [1.0, 2.0], [0.5],
+                         mu=1.0, context=ctx)
+    assert scan.norm_route == "flip_odd"
+    state = gibbs_state(build_hamiltonian(heisenberg_xxz(lat, 1.0, 0.5)).matrix,
+                        0.7)
+    y0, y4 = (embed(single_site(k, "Y"), lat) for k in (0, 4))
+    kms_function(state, y0, y4).eval_grid(np.linspace(-1.0, 1.0, 5))
+    contour_grid(state, y0, y4, nodes=64)
+    assert reads == []
+    ctx.decomposition.reconstruct()  # the spy sees a read that forms V
+    assert reads == [128]
 
 
 # ---------------------------------------------------------------------------

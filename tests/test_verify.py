@@ -80,6 +80,17 @@ def test_residue_identity_refuses_beta_not_finite_and_positive(beta):
         residue_identity(beta, 0.0)
 
 
+@pytest.mark.parametrize("half_width", [-5.0, 0.0, float("nan"),
+                                        float("inf")])
+def test_residue_identity_refuses_half_width_not_finite_and_positive(
+        half_width):
+    # T = -5 gave -1 with converged=True and a negative tail bound, and
+    # T = 0 gave 0, converged
+    with pytest.raises(ValueError,
+                       match="half_width must be finite and positive"):
+        residue_identity(1.0, 0.5, half_width=half_width)
+
+
 def test_residue_identity_rejects_heights_outside_strip():
     with pytest.raises(ValueError):
         residue_identity(1.0, 1.5)
@@ -152,6 +163,18 @@ def test_contour_rejects_bad_heights_and_thin_beta():
     thin = gibbs_state(np.diag([0.0, 1.0]), 1e-6)
     with pytest.raises(ValueError, match="beta"):
         contour_grid(thin, np.eye(2), np.eye(2))
+
+
+@pytest.mark.parametrize("half_width", [-1.0, 0.0, float("nan"),
+                                        float("inf")])
+def test_contour_grid_refuses_half_width_not_finite_and_positive(half_width):
+    # T = -1 reversed the nodes and gave a defect of 0.019 with no warning,
+    # and T = NaN gave NaN
+    lat, inter, st = setup_state()
+    a = embed(single_site(0, "Z"), lat)
+    with pytest.raises(ValueError,
+                       match="half_width must be finite and positive"):
+        contour_grid(st, a, a, half_width=half_width)
 
 
 def test_contour_explicit_half_width_is_recorded():
@@ -260,6 +283,16 @@ def test_fit_decay_floors_tiny_values():
 def test_fit_decay_validates_input():
     with pytest.raises(ValueError):
         fit_decay([1.0], [1.0])
+
+
+@pytest.mark.parametrize("x, y", [
+    (2.0, float("nan")), (2.0, float("inf")), (float("inf"), 0.5),
+    (float("nan"), 0.5)], ids=["nan-y", "inf-y", "inf-x", "nan-x"])
+def test_fit_decay_refuses_non_finite_samples(x, y):
+    # a NaN y gave a NaN amplitude and length inf; an infinite x reached
+    # LAPACK, which printed DLASCL errors before raising LinAlgError
+    with pytest.raises(ValueError, match="finite"):
+        fit_decay([1.0, x, 3.0], [1.0, y, 0.25])
 
 
 def test_fit_decay_growing_data_has_infinite_length():
@@ -427,16 +460,17 @@ class _ProductSpy(np.ndarray):
 @pytest.mark.parametrize("op", ["Z", "Y", "X"])
 def test_flip_symmetric_theorem_check_makes_no_full_size_product(monkeypatch,
                                                                  op):
-    # every product in the contraction has the eigenvectors (or a block of
-    # them) as a factor, so a spy on V sees each one; the kernel is spied
-    # on directly.  The dense route would multiply by V itself, D x D.
+    # every product in the contraction has a sector eigenbasis as a factor,
+    # so a spy on the stored stack (W+, W-) sees each one; the kernel is
+    # spied on directly.  The dense route would form V and multiply by it,
+    # D x D, outside the spy's sight, and the spy would record nothing.
     lat = chain_lattice(8)
     inter = transverse_field_ising(lat, h=1.2)
     dec = eig_hermitian(build_hamiltonian(inter).matrix)
     half = dec.dim // 2
+    assert dec._vectors.shape == (2, half, half)
     spied = SpectralDecomposition(dec.eigenvalues,
-                                  dec.eigenvectors.view(_ProductSpy),
-                                  dec.sector)
+                                  dec._vectors.view(_ProductSpy), dec.sector)
     kernels = []
     real_kernel = thermal._duhamel_kernel
 
