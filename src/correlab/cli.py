@@ -30,8 +30,8 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .lattice import Interaction, Lattice, build_model, chain_lattice, \
-    grid_lattice
+from .lattice import Interaction, Lattice, build_model, certify_locality, \
+    chain_lattice, grid_lattice
 from .operators import PAULI, LocalOperator, embed, single_site
 from .spectral import DIM_CAP, build_hamiltonian, eig_hermitian
 from .thermal import KMSFunction, _UnconvergedQuadrature, \
@@ -331,6 +331,15 @@ def _validate_contour(data: dict) -> _Validated:
     return canon, {**canon, "model": inter, "a": a, "b": b}
 
 
+def _checked(check, *args) -> None:
+    """Run a library check on config values; its ValueError refuses the
+    config, with the library's reason."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _validate_lr_scan(data: dict) -> _Validated:
     _check_keys(data, {"task", "model", "mu", "a", "b", "times"},
                 {"velocity"}, "config")
@@ -339,6 +348,8 @@ def _validate_lr_scan(data: dict) -> _Validated:
     a_c, a = _operator_section(data["a"], "a", inter.lattice)
     b_c, b = _operator_section(data["b"], "b", inter.lattice)
     times_c, ts = _time_grid(data["times"], "times")
+    if "velocity" not in data:  # the run certifies one at this mu
+        _checked(certify_locality, inter, mu)
     canon = _optional_positive(data, "velocity", {
         "task": "lr_scan", "model": model, "mu": mu, "a": a_c, "b": b_c,
         "times": times_c})
@@ -357,6 +368,8 @@ def _validate_locality_scan(data: dict) -> _Validated:
     if any(r1 >= r2 for r1, r2 in zip(radii, radii[1:])):
         raise ConfigError("radii must be strictly increasing")
     times_c, ts = _time_grid(data["times"], "times")
+    if "velocity" not in data:  # the run certifies one at this mu
+        _checked(certify_locality, inter, mu)
     canon = _optional_positive(data, "velocity", {
         "task": "locality_scan", "model": model, "mu": mu, "a": a_c,
         "radii": radii, "times": times_c,
@@ -379,10 +392,7 @@ def _validate_theorem_check(data: dict) -> _Validated:
         canon["base_site"], base = _site(data["base_site"], "base_site",
                                          inter.lattice)
     lat = inter.lattice
-    try:
-        _partners(lat, lat.sites[0] if base is None else base, dists)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    _checked(_partners, lat, lat.sites[0] if base is None else base, dists)
     return canon, {**canon, "model": inter, "base_site": base}
 
 

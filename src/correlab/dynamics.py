@@ -14,20 +14,21 @@ read once into pairs of eigenbases (W_l, E_l) and (W_r, E_r), evolve as
 a phase and two products per block.  The routes differ only in the blocks
 and bases, which spectral's block form gives (spectral module docstring):
 A whole in (V, E) for evolve and the "dense" locality route; A's half
-blocks in the sector bases (W+-, E+-), each product (D/2)-sized, when H
-is reversal-symmetric and A Hermitian with J A J = +-A exactly.  Each
-scan chooses its route once:
+blocks in the sector bases (W+-, E+-), each product (D/2)-sized, for a
+Hermitian A that spectral reads with a parity (_block_parity, asked with
+A's local matrix).  Each scan chooses its route once:
 
 - lr_commutator_scan, for Hermitian A and B with B diagonal with two
   levels l1 != l2, from [X, B] = (l2 - l1)(P1 X P2 - P2 X P1) for
   Hermitian X:
-  - in the sectors when H is reversal-symmetric, A odd (any Z or Y) and
-    J maps one level set of B onto the other (any single-site Z or
-    projector).  K = N_t S is A's odd block evolved into (W+, E+) and
-    (S W-, E-), S = diag(s_p) over p < D/2 with s_p = +1 where B = l1,
-    and the norm is |l1 - l2| ||i(K - K*)/2||: one (D/2)-sized
-    eigensolver call on a matrix that is Hermitian to the last bit.
-    Nothing is transformed at full size.
+  - in the sectors when spectral reads A as odd (any Z or Y on a
+    reversal-symmetric H) and J maps one level set of B onto the other
+    (any single-site Z or projector, _mirrored_levels).  K = N_t S is
+    A's odd block evolved into (W+, E+) and (S W-, E-),
+    S = diag(s_p) over p < D/2 with s_p = +1 where B = l1, and the norm
+    is |l1 - l2| ||i(K - K*)/2||: one (D/2)-sized eigensolver call on a
+    matrix that is Hermitian to the last bit.  Nothing is transformed at
+    full size.
   - on half blocks otherwise: M is A's dense transform evolved into the
     rows V1 and V2 of V on B's two level sets, and the norm is
     |l1 - l2| ||M||, from the Gram matrix of the smaller level set's size.
@@ -36,10 +37,10 @@ scan chooses its route once:
   the energy basis, A and B transformed once.  For a Hermitian pair the
   commutator is handed on as i(X - X*), Hermitian to the last bit, which
   keeps it on the eigensolver instead of the SVD.
-- locality_scan: "flip_odd" or "flip_even" by A's parity on the sector
-  bases, "dense" otherwise (norm_route).  Each time point writes the site
-  matrix of tau_t(A), which E_r needs, from its blocks.  J is a product of
-  local reversals, so E_r commutes with it: the error
+- locality_scan: "flip_odd" or "flip_even" by the parity spectral reads
+  a Hermitian A with, "dense" otherwise (norm_route).  Each time point
+  writes the site matrix of tau_t(A), which E_r needs, from its blocks.
+  J is a product of local reversals, so E_r commutes with it: the error
   tau_t(A) - E_r(tau_t(A)) has A's parity, its blocks are tau_t(A)'s minus
   E_r(tau_t(A))'s in the same layout, and its norm is the largest block
   norm, an off-diagonal block's through its Gram matrix and a diagonal
@@ -56,8 +57,8 @@ from .lattice import (Interaction, Lattice, Site, _hermitian_part,
                       _is_hermitian, ball, certify_locality)
 from .operators import (EmbeddedOperator, _hermitian_norm,
                         conditional_expectation, embed, spectral_norm)
-from .spectral import (SpectralDecomposition, _block_matrix, _matmul,
-                       _read_blocks, _reversal_parity, _sandwich,
+from .spectral import (SpectralDecomposition, _block_matrix, _block_parity,
+                       _matmul, _mirrored_levels, _read_blocks, _sandwich,
                        _sector_bases, _sector_blocks, build_hamiltonian,
                        eig_hermitian)
 from .thermal import _EXP_CAP
@@ -235,17 +236,6 @@ def _gram_norm(m: np.ndarray) -> float:
     return float(np.sqrt(_hermitian_norm(m @ m.conj().T)))
 
 
-def _mirrored_levels(rows, dim: int) -> Optional[np.ndarray]:
-    """signs s_p over p < dim/2, +1 where p is in rows[0] and -1 where
-    dim-1-p is, when the index reversal maps the level set rows[0] onto
-    rows[1]; None otherwise."""
-    first = np.zeros(dim, dtype=bool)
-    first[rows[0]] = True
-    if dim % 2 or not np.array_equal(first[::-1], ~first):
-        return None
-    return np.where(first[:dim // 2], 1.0, -1.0)
-
-
 def lr_commutator_scan(interaction: Interaction, a, b,
                        times: Sequence[float], mu: float,
                        velocity: Optional[float] = None,
@@ -287,10 +277,8 @@ def lr_commutator_scan(interaction: Interaction, a, b,
     hermitian = _is_hermitian(a.matrix) and _is_hermitian(b.matrix)
     dec = context.decomposition
     levels = _two_levels(bemb.matrix) if hermitian else None
-    signs = None
-    if levels is not None and dec.reversal_symmetric \
-            and _reversal_parity(a.matrix) == -1:
-        signs = _mirrored_levels(levels[1], dec.dim)
+    signs = (_mirrored_levels(levels[1], dec.dim) if levels is not None
+             and _block_parity(dec, a.matrix) < 0 else None)
     if levels is None:  # one product X = B tau_t in the energy basis
         abar, e = dec.transform(aemb.matrix), dec.eigenvalues
         norm = _commutator_norm(dec.transform(bemb.matrix), hermitian)
@@ -422,8 +410,7 @@ def locality_scan(interaction: Interaction, a, radii: Sequence[float],
     na = spectral_norm(a.matrix)
     hermitian = _is_hermitian(a.matrix)
     dec = context.decomposition
-    parity = (_reversal_parity(a.matrix)
-              if hermitian and dec.reversal_symmetric else 0)
+    parity = _block_parity(dec, a.matrix) if hermitian else 0
     route = {-1: "flip_odd", 1: "flip_even", 0: "dense"}[parity]
     evolved = _evolution(*_read_blocks(dec, aemb.matrix, parity))
     buf = np.empty((dec.dim, dec.dim), dtype=complex) if parity else None

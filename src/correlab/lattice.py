@@ -259,19 +259,27 @@ class LocalityCertificate:
 
 
 def certify_locality(interaction: Interaction, mu: float) -> LocalityCertificate:
-    """Per-site weighted sums and the resulting velocity v = 2 max S(x)."""
+    """Per-site weighted sums and the resulting velocity v = 2 max S(x).
+
+    A decay rate whose velocity would not be finite (e^{mu diam(Z)}, or
+    a sum of weights, overflowing) is refused: every envelope built on it
+    would be NaN or infinite, and no row could back a prefactor.
+    """
     if not 0.0 < mu < np.inf:
         raise ValueError(f"decay rate mu must be finite and positive, "
                          f"not {mu!r}")
     lat = interaction.lattice
     sums = {site: 0.0 for site in lat.sites}
-    for sup, norm in interaction.term_norms.items():
-        weight = norm * len(sup) * float(np.exp(mu * lat.diameter(sup)))
-        for site in sup:
-            sums[site] += weight
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        for sup, norm in interaction.term_norms.items():
+            weight = norm * len(sup) * float(np.exp(mu * lat.diameter(sup)))
+            for site in sup:
+                sums[site] += weight
     if not interaction.terms:
         raise ValueError("cannot certify an empty interaction")
     v = 2.0 * max(sums.values())
+    if not np.isfinite(v):
+        raise ValueError(f"the certified velocity overflows at mu={mu!r}")
     return LocalityCertificate(float(mu), v, sums)
 
 

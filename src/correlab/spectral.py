@@ -16,14 +16,24 @@ of an operator m with J m J = parity * m.  In the basis
 (e_i +- e_{D-1-i})/sqrt 2 the eigenvectors of a reversal-symmetric H are
 diag(W+, W-), the stored bases, with eigenvalues E+-, and m is
 diag(m+, m-) for parity +1 or [[0, M], [M*, 0]] for parity -1 (Hermitian
-m); parity 0 is m whole, in (V, E).  _sector_blocks gives the blocks that
-can be nonzero as (left, right, block), _sector_bases the matching (W, E)
-pairs, W_l* block W_r (_transform) is a block in the energy basis,
-_read_blocks reads an operator's blocks into their bases, and
-_block_matrix writes m back from its blocks.  Each product on the sector
-bases is (D/2)-sized, against D-sized on the dense route.  transform
-takes that route too for an m with a parity: it reads the nonzero blocks
-and gathers them into the dense energy-basis matrix
+m); parity 0 is m whole, in (V, E).  Each rule of that form has one
+helper, and every module asks it:
+
+- _block_parity: the parity the block form reads m with on a
+  decomposition, 0 when it has no sectors.  J is a product of per-site
+  reversals, so an embedded operator has its local matrix's parity.
+- _half_block: m_TL +- m_TR J, the block of m on the +- columns; the
+  solver's blocks H+- (_reversal_blocks) and every operator's
+  (_sector_blocks) are formed by it alone.
+- _partnered: the (-, +) block of a Hermitian odd m, the conjugate
+  transpose of its (+, -) block, for every writer.
+- _read_blocks: an operator's blocks read into their (W, E) pairs
+  (_sector_bases), W_l* block W_r (_transform), each product
+  (D/2)-sized against D-sized on the dense route.
+- _mirrored_levels: J's action on an index set.
+
+_block_matrix and _block_diagonal write m back from its blocks, and
+transform gathers them into the dense energy-basis matrix
 (_from_sector_blocks), whose vanishing blocks are exactly zero.
 """
 from __future__ import annotations
@@ -93,35 +103,24 @@ class SpectralDecomposition:
         """V* M V in M's own arithmetic (_transform).  A matrix that is not
         D x D is refused.
 
-        On a decomposition solved in reversal blocks, an M with J M J = +-M
-        exactly is read in its sector blocks, each product (D/2)-sized, and
-        written back by _from_sector_blocks: the blocks that must vanish
-        are exactly zero.  An odd M reads its (+, -) block, and its (-, +)
-        block too unless M is Hermitian, when that block is the conjugate
-        transpose.  Any other M takes the dense V.
+        An M with a parity on this decomposition (_block_parity) is read
+        in its sector blocks, each product (D/2)-sized, and gathered by
+        _from_sector_blocks: the blocks that must vanish are exactly zero.
+        Any other M is read whole in the dense V.
         """
         m = _on_window(np.asarray(matrix), self.dim)
-        parity = _reversal_parity(m) if self.reversal_symmetric else 0
-        if not parity:
-            v = self.eigenvectors
-            return _transform(v.conj().T, m, v)
-        # the result is allocated before the blocks' temporaries, which
-        # keeps the heap lower for the rest of the process (peak RSS)
-        out = np.empty((self.dim, self.dim),
-                       dtype=np.result_type(m, self._vectors))
-        blocks = _sector_blocks(m, parity)
-        if parity < 0:  # the (-, +) block m_TL + m_TR J
-            half = self.dim // 2
-            below = m[:half, :half] + m[:half, half:][:, ::-1]
-            if not np.array_equal(below, blocks[0][2].conj().T):
-                blocks.append((1, 0, below))
-            del below
-        bases = _sector_bases(self, parity)
-        blocks = [(l, r, _transform(bases[l][0].conj().T, b, bases[r][0]))
-                  for l, r, b in blocks]
-        if len(blocks) == 1:  # Hermitian and odd
-            blocks.append((1, 0, blocks[0][2].conj().T))
-        return _from_sector_blocks(self, blocks, out)
+        parity = _block_parity(self, m)
+        if parity:
+            return _from_sector_blocks(self, m, parity)
+        return _read_blocks(self, m, 0)[1][0][2]
+
+
+def _block_parity(dec: SpectralDecomposition, m: np.ndarray) -> int:
+    """The parity the block form reads m with on dec: +-1 when dec is
+    solved in reversal blocks and J m J = +-m exactly, 0 otherwise.  m is
+    the window matrix or, J being a product of per-site reversals, the
+    local matrix of an embedded operator (module docstring)."""
+    return _reversal_parity(m) if dec.reversal_symmetric else 0
 
 
 def _sector_places(dec: SpectralDecomposition) -> np.ndarray:
@@ -238,20 +237,27 @@ def _reversal_parity(m: np.ndarray) -> int:
     return 0
 
 
-def _reversal_blocks(m: np.ndarray) -> np.ndarray:
-    """The stack (m_TL + m_TR J, m_TL - m_TR J) of the half blocks of m, J
-    the half-size reversal.  For J m J = m these are m's blocks in the
-    basis (e_i +- e_{D-1-i})/sqrt 2; for J m J = -m the second is the
-    off-diagonal block M of m = [[0, M], [M*, 0]] there."""
+def _half_block(m: np.ndarray, sign: int,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
+    """m_TL + sign * m_TR J, J the half-size reversal, written into out
+    when given.  For J m J = +-m it is m's block on the sign columns of
+    the basis (e_i +- e_{D-1-i})/sqrt 2."""
     half = len(m) // 2
-    top_left, top_right = m[:half, :half], m[:half, half:][:, ::-1]
+    combine = np.add if sign > 0 else np.subtract
+    return combine(m[:half, :half], m[:half, half:][:, ::-1], out=out)
+
+
+def _reversal_blocks(m: np.ndarray) -> np.ndarray:
+    """The stack (m_TL + m_TR J, m_TL - m_TR J) of the half blocks of m
+    (_half_block), for the solver's one stacked call."""
+    half = len(m) // 2
     blocks = np.empty((2, half, half), dtype=m.dtype)
-    np.add(top_left, top_right, out=blocks[0])
-    np.subtract(top_left, top_right, out=blocks[1])
+    _half_block(m, 1, out=blocks[0])
+    _half_block(m, -1, out=blocks[1])
     return blocks
 
 
-def _sector_blocks(m: np.ndarray, parity: int) -> list:
+def _sector_blocks(m: np.ndarray, parity: int, hermitian: bool = True) -> list:
     """The blocks of m that can be nonzero, as (left, right, block), for
     J m J = parity * m; left and right index the pairs of
     _sector_bases(dec, parity).
@@ -260,15 +266,40 @@ def _sector_blocks(m: np.ndarray, parity: int) -> list:
     blocks (0, 0, m+) and (1, 1, m-) of m in the basis
     (e_i +- e_{D-1-i})/sqrt 2, parity -1 the off-diagonal block
     (0, 1, M) of m = [[0, M], [M*, 0]] there, M = m_TL - m_TR J, which is
-    the only half block formed.
+    the only half block formed for a Hermitian m.  For an odd m not known
+    to be Hermitian the (-, +) block m_TL + m_TR J follows, unless it is
+    exactly M's partner (_partnered).
     """
     if parity > 0:
-        plus, minus = _reversal_blocks(m)
-        return [(0, 0, plus), (1, 1, minus)]
-    if parity < 0:
-        half = len(m) // 2
-        return [(0, 1, m[:half, :half] - m[:half, half:][:, ::-1])]
-    return [(0, 0, m)]
+        return [(0, 0, _half_block(m, 1)), (1, 1, _half_block(m, -1))]
+    if not parity:
+        return [(0, 0, m)]
+    blocks = [(0, 1, _half_block(m, -1))]
+    if not hermitian:
+        below = _half_block(m, 1)
+        if not np.array_equal(below, _partnered(blocks)[1][2]):
+            blocks.append((1, 0, below))
+    return blocks
+
+
+def _partnered(blocks: list) -> list:
+    """blocks, with the (-, +) block of a Hermitian odd operator added when
+    only its (+, -) block (0, 1, M) is given: M*, the conjugate transpose
+    (the conjugate for a diagonal)."""
+    if [(l, r) for l, r, _ in blocks] != [(0, 1)]:
+        return blocks
+    return blocks + [(1, 0, blocks[0][2].conj().T)]
+
+
+def _mirrored_levels(rows, dim: int) -> Optional[np.ndarray]:
+    """signs s_p over p < dim/2, +1 where p is in rows[0] and -1 where
+    dim-1-p is, when the index reversal J maps the level set rows[0] onto
+    rows[1]; None otherwise."""
+    first = np.zeros(dim, dtype=bool)
+    first[rows[0]] = True
+    if dim % 2 or not np.array_equal(first[::-1], ~first):
+        return None
+    return np.where(first[:dim // 2], 1.0, -1.0)
 
 
 def _sector_bases(dec: SpectralDecomposition, parity: int,
@@ -286,32 +317,42 @@ def _sector_bases(dec: SpectralDecomposition, parity: int,
 
 
 def _read_blocks(dec: SpectralDecomposition, m: np.ndarray, parity: int,
-                 *columns: np.ndarray):
+                 *columns: np.ndarray, hermitian: bool = True):
     """(bases, blocks): _sector_bases(dec, parity, *columns) and m's
     blocks read into them, (l, r, W_l* m_lr W_r) for each block of
-    _sector_blocks(m, parity); for parity 0 the one block is m's dense
-    transform."""
-    if not parity:  # transform first: one V alive at a time
-        blocks = [(0, 0, dec.transform(m))]
-        return _sector_bases(dec, parity, *columns), blocks
+    _sector_blocks(m, parity, hermitian).
+
+    For parity 0 the one block is m's transform: read whole in the V of
+    the bases, or, when m has a parity on dec, gathered from its own
+    blocks before V is formed, so that one V is read and alive.
+    """
+    own = 0 if parity else _block_parity(dec, m)
+    if own:
+        blocks = [(0, 0, _from_sector_blocks(dec, m, own))]
+        return _sector_bases(dec, 0, *columns), blocks
     bases = _sector_bases(dec, parity, *columns)
     return bases, [(l, r, _transform(bases[l][0].conj().T, b, bases[r][0]))
-                   for l, r, b in _sector_blocks(m, parity)]
+                   for l, r, b in _sector_blocks(m, parity, hermitian)]
 
 
-def _from_sector_blocks(dec: SpectralDecomposition, blocks: list,
-                        out: np.ndarray) -> np.ndarray:
-    """The D x D energy-basis matrix whose blocks in the sector bases are
-    these (left, right, block), (D/2)-square, and zero in every block not
-    given, written into out.
+def _from_sector_blocks(dec: SpectralDecomposition, m: np.ndarray,
+                        parity: int) -> np.ndarray:
+    """V* m V for an m with J m J = parity * m exactly: its blocks read in
+    the sector bases (_read_blocks, which gives both off-diagonal blocks
+    of a non-Hermitian odd m), completed by _partnered, and gathered into
+    the D x D energy-basis matrix, zero in every block not read.
 
-    Row i is row where[i] of the block-ordered matrix [[B00, B01],
-    [B10, B11]], read at the columns where, where[c] being column c's
-    place in the sector order (_sector_places).  Each row block of the
-    result is gathered along rows into a buffer and then along columns
-    straight into the result, with no 2-D fancy index.
+    The result is allocated before the blocks' temporaries, which keeps
+    the heap lower for the rest of the process (peak RSS).  Row i is row
+    where[i] of the block-ordered matrix [[B00, B01], [B10, B11]], read at
+    the columns where, where[c] being column c's place in the sector order
+    (_sector_places).  Each row block of the result is gathered along rows
+    into a buffer and then along columns straight into the result, with no
+    2-D fancy index.
     """
     dim, half = dec.dim, dec.dim // 2
+    out = np.empty((dim, dim), dtype=np.result_type(m, dec._vectors))
+    blocks = _partnered(_read_blocks(dec, m, parity, hermitian=False)[1])
     where = _sector_places(dec)
     grid = {(l, r): b for l, r, b in blocks}
     rows = max(1, _MIRROR_BLOCK // dim)
@@ -337,19 +378,17 @@ def _block_matrix(blocks: list, parity: int,
     when given.
 
     For parity 0 the one block is m, returned as it is.  Otherwise the
-    half blocks (m_TL + m_TR J, m_TL - m_TR J) are (m+, m-) for parity +1
-    and (M*, M) for parity -1; the top half is m_TL = their half sum and
+    half blocks (m_TL + m_TR J, m_TL - m_TR J) are m's blocks on the +
+    and the - columns, (m+, m-) for parity +1 and (M*, M) for parity -1
+    (_partnered); the top half is m_TL = their half sum and
     m_TR = (their half difference) J, and the bottom half is the top half
     reversed along both axes, times parity.
     """
     if not parity:
         (_, _, m), = blocks
         return m
-    if parity < 0:
-        (_, _, minus), = blocks
-        plus = minus.conj().T
-    else:
-        (_, _, plus), (_, _, minus) = blocks
+    by_column = {r: b for _, r, b in _partnered(blocks)}
+    plus, minus = by_column[0], by_column[1]
     half = len(plus)
     if out is None:
         out = np.empty((2 * half, 2 * half), dtype=np.result_type(plus, minus))
@@ -369,12 +408,8 @@ def _block_diagonal(diagonals: list, parity: int) -> np.ndarray:
     if not parity:
         (_, _, d), = diagonals
         return d
-    if parity < 0:
-        (_, _, minus), = diagonals
-        plus = minus.conj()
-    else:
-        (_, _, plus), (_, _, minus) = diagonals
-    top = plus + minus
+    by_column = {r: d for _, r, d in _partnered(diagonals)}
+    top = by_column[0] + by_column[1]
     top *= 0.5
     return np.concatenate((top, parity * top[::-1]))
 

@@ -25,14 +25,13 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .lattice import Interaction, Lattice
+from .lattice import Interaction, Lattice, _is_hermitian
 from .operators import _embedded_trace, embed, single_site, spectral_norm
 from .quadrature import _refine_by_doubling, gauss_legendre
 from .thermal import ThermalState, KMSFunction, _gibbs_mean, gibbs_state, \
     kms_function
-from .spectral import (_block_diagonal, _block_matrix, _matmul,
-                       _read_blocks, _reversal_parity, _sandwich,
-                       build_hamiltonian)
+from .spectral import (_block_diagonal, _block_matrix, _block_parity,
+                       _matmul, _read_blocks, _sandwich, build_hamiltonian)
 
 _ENDPOINT_EPS = 1e-12     # |b| or |b - beta| below this counts as on-contour
 _DELTA_B = 1e-6           # offset applied to on-contour heights
@@ -357,15 +356,15 @@ def _partners(lat: Lattice, base, distances: Sequence[float]) -> list:
     return [(l, site) for site, l in chosen.items()]
 
 
-def _contraction(state: ThermalState, a: np.ndarray, diagonal: bool):
+def _contraction(state: ThermalState, a: np.ndarray, parity: int,
+                 diagonal: bool):
     """(M, rho, phi(A)) for theorem_check, M = V (W o Abar) V* and
     rho = V diag(p) V* in the site basis (W the Duhamel weights), or only
-    their diagonals when A and its partners are diagonal.  Read in A's
-    sector blocks, with bases U_l, when the state is solved in reversal
-    blocks and A has a parity."""
-    dec = state.decomposition
-    parity = _reversal_parity(a) if dec.reversal_symmetric else 0
-    bases, blocks = _read_blocks(dec, a, parity, state.energies, state.weights)
+    their diagonals when A and its partners are diagonal.  Read in the
+    sector blocks of the given parity, with bases U_l, for a Hermitian A
+    with that parity on the state's decomposition; whole for parity 0."""
+    bases, blocks = _read_blocks(state.decomposition, a, parity,
+                                 state.energies, state.weights)
     del a
     phi_a, m_blocks = 0.0, []
     for l, r, abar in blocks:
@@ -412,14 +411,15 @@ def theorem_check(interaction: Interaction, beta: float, mu: float,
     that its embedding meets.  When A and B are diagonal only the
     diagonals of M and rho are formed.
 
-    On a state solved in reversal blocks, an A with J A J = +-A (Z and Y
-    odd, X even) is contracted in its sector blocks (spectral module
-    docstring): A's blocks are read into the sector eigenbases
-    (U+-, E+-), the Duhamel weights are built on those blocks alone, M is
-    written back from the half-size products U_l (W o A)_lr U_r*
-    (_block_matrix, or its diagonal), and rho, which is even, from
-    U+- diag(p+-) U+-* with the Gibbs weights of each sector.  No product
-    is D-sized there.  Otherwise A, W, M and rho are read whole in (V, E).
+    A Hermitian A with a parity on the state's decomposition (Z and Y
+    odd, X even, read from the local matrix by spectral._block_parity) is
+    contracted in its sector blocks (spectral module docstring): A's
+    blocks are read into the sector eigenbases (U+-, E+-), the Duhamel
+    weights are built on those blocks alone, M is written back from the
+    half-size products U_l (W o A)_lr U_r* (_block_matrix, or its
+    diagonal), and rho, which is even, from U+- diag(p+-) U+-* with the
+    Gibbs weights of each sector.  No product is D-sized there.  Otherwise
+    A, W, M and rho are read whole in (V, E).
 
     mu must be finite and positive, and no two distances may select the
     same partner site: its row would count twice in both fits.
@@ -439,7 +439,8 @@ def theorem_check(interaction: Interaction, beta: float, mu: float,
     a_loc = single_site(base, op_name)
     op = a_loc.matrix
     na = spectral_norm(op)
-    m, rho, phi_a = _contraction(state, embed(a_loc, lat).matrix,
+    parity = _block_parity(state.decomposition, op) if _is_hermitian(op) else 0
+    m, rho, phi_a = _contraction(state, embed(a_loc, lat).matrix, parity,
                                  np.count_nonzero(op)
                                  == np.count_nonzero(np.diagonal(op)))
 

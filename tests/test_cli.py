@@ -397,6 +397,25 @@ def test_run_exit_two_on_config_error(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text", [LR_SCAN_CFG, LOCALITY_CFG],
+                         ids=["lr_scan", "locality_scan"])
+def test_overflowing_certified_velocity_is_a_config_error(tmp_path, capsys,
+                                                          text):
+    # e^{mu diam} overflows at mu = 800: every envelope would be NaN, and
+    # the run would pass with c_empirical 0 on no row at all
+    cfg = write_config(tmp_path, text.replace("mu: 1.0", "mu: 800.0"))
+    assert run_cli(["validate", cfg]) == 2
+    assert run_cli(["run", cfg, "--outdir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("config error") == 2
+    assert err.count("velocity overflows at mu=800.0") == 2
+    assert not (tmp_path / "out").exists()
+    # a velocity of the config's own is not certified
+    cfg = write_config(tmp_path, text.replace(
+        "mu: 1.0", "mu: 800.0\n    velocity: 2.0"))
+    assert run_cli(["validate", cfg]) == 0
+
+
 def test_contour_beta_too_thin_for_the_offset_is_a_config_error(tmp_path,
                                                                capsys):
     cfg = write_config(tmp_path, CONTOUR_CFG.replace(

@@ -1,4 +1,6 @@
 """Lattice geometry, interaction certificates, and builtin models."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,19 @@ def test_locality_sweep_velocity_grows_with_mu():
     inter = transverse_field_ising(lat)
     vs = [certify_locality(inter, mu).velocity for mu in (0.5, 1.0, 2.0)]
     assert vs[0] < vs[1] < vs[2]
+
+
+@pytest.mark.parametrize("mu", [709.0, 800.0])
+def test_certify_locality_refuses_an_overflowing_velocity(mu):
+    # e^{800} overflows; at mu = 709 e^{mu} is finite but an interior
+    # site's sum of two bond weights is not.  Every envelope on such a
+    # velocity would be NaN and no row could back a prefactor
+    inter = transverse_field_ising(chain_lattice(4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="velocity overflows"):
+            certify_locality(inter, mu)
+    assert np.isfinite(certify_locality(inter, 700.0).velocity)
 
 
 def test_nearest_neighbor_pairs_chain():

@@ -239,3 +239,34 @@ def test_only_spectral_reads_the_sector():
 def test_only_spectral_reads_the_eigenvectors():
     assert _attribute_readers("eigenvectors") == {"spectral.py"}
     assert _attribute_readers("_vectors") == {"spectral.py"}
+
+
+# one owner for the parity decision: spectral._block_parity tells every
+# route how an operator is read, so no other module asks whether a
+# decomposition has sectors or tests an operator's parity itself
+def test_only_spectral_decides_the_block_parity():
+    assert _attribute_readers("reversal_symmetric") == {"spectral.py"}
+    users = {path.name for path in SRC.glob("*.py")
+             if "_reversal_parity" in _referenced_names(
+                 ast.parse(path.read_text(encoding="utf-8")))}
+    assert users == {"spectral.py"}
+
+
+def _column_reversed_top_right(node) -> bool:
+    """node is the slice m[:half, half:][:, ::-1] of any array m."""
+    return (isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Subscript)
+            and ast.unparse(node).endswith("[:half, half:][:, ::-1]"))
+
+
+# one half-block builder: m_TL +- m_TR J is formed by _half_block alone,
+# for the solver's blocks and every operator's
+def test_only_half_block_forms_the_half_blocks():
+    places = []
+    for path in sorted(SRC.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(func, ast.FunctionDef):
+                places += [f"{path.name}:{func.name}"
+                           for node in ast.walk(func)
+                           if _column_reversed_top_right(node)]
+    assert places == ["spectral.py:_half_block"]

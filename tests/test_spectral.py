@@ -10,11 +10,11 @@ from correlab import (chain_lattice, transverse_field_ising, embed,
                       derivation_delta, DIM_CAP, heisenberg_xxz,
                       random_bond_ising, gibbs_state, SpectralDecomposition,
                       theorem_check, evolution_context, lr_commutator_scan,
-                      locality_scan, kms_function, contour_grid)
+                      locality_scan, kms_function, contour_grid, evolve)
 from correlab.operators import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
-from correlab.spectral import (_block_matrix, _reversal_blocks,
-                               _reversal_parity, _sector_bases,
-                               _sector_blocks)
+from correlab.spectral import (_block_matrix, _block_parity,
+                               _reversal_blocks, _reversal_parity,
+                               _sector_bases, _sector_blocks)
 
 
 def tfim(n, J=1.0, h=1.0):
@@ -334,9 +334,9 @@ def test_complex_transform_on_real_eigenvectors_stays_in_real_products():
     assert np.abs(got - v.conj().T @ (m @ v)).max() < 1e-13
 
 
-def test_sector_routes_never_form_the_dense_eigenvectors(monkeypatch):
-    # on a decomposition solved in reversal blocks V exists only while
-    # eigenvectors is read; the routes below work on the stored W+- alone
+def _spy_on_eigenvectors(monkeypatch) -> list:
+    """The dimension of each decomposition whose eigenvectors are read,
+    from here on."""
     reads = []
     formed = SpectralDecomposition.eigenvectors.fget
 
@@ -345,6 +345,13 @@ def test_sector_routes_never_form_the_dense_eigenvectors(monkeypatch):
         return formed(dec)
 
     monkeypatch.setattr(SpectralDecomposition, "eigenvectors", property(spy))
+    return reads
+
+
+def test_sector_routes_never_form_the_dense_eigenvectors(monkeypatch):
+    # on a decomposition solved in reversal blocks V exists only while
+    # eigenvectors is read; the routes below work on the stored W+- alone
+    reads = _spy_on_eigenvectors(monkeypatch)
     lat = chain_lattice(7)
     ising = transverse_field_ising(lat, h=1.2)
     for op in ("Z", "Y", "X"):
@@ -365,6 +372,68 @@ def test_sector_routes_never_form_the_dense_eigenvectors(monkeypatch):
     assert reads == []
     ctx.decomposition.reconstruct()  # the spy sees a read that forms V
     assert reads == [128]
+
+
+@pytest.mark.parametrize("op", [_SIGMA_PLUS, PAULI_Z],
+                         ids=["sigma_plus", "Z"])
+def test_evolve_reads_the_dense_eigenvectors_once(monkeypatch, op):
+    # evolve reads A whole: sigma+ has no parity and is read in the V of
+    # the bases, Z is gathered from its sector blocks; either way V is
+    # formed once
+    lat = chain_lattice(6)
+    inter = random_bond_ising(lat, seed=2)
+    ctx = evolution_context(inter)
+    assert ctx.decomposition.reversal_symmetric
+    a = LocalOperator((2,), op)
+    reads = _spy_on_eigenvectors(monkeypatch)
+    got = evolve(ctx, a, 0.6).matrix
+    assert reads == [64]
+    monkeypatch.undo()
+    h = build_hamiltonian(inter).matrix
+    e, v = np.linalg.eigh(h)
+    u = (v * np.exp(0.6j * e)) @ v.conj().T
+    assert np.abs(got - u @ embed(a, lat).matrix @ u.conj().T).max() < 1e-12
+
+
+_SPIN1 = {"Sx": np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / np.sqrt(2),
+          "Sy": np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]]) / np.sqrt(2),
+          "Sz": np.diag([1.0, 0.0, -1.0]),
+          "iSz": 1j * np.diag([1.0, 0.0, -1.0]),
+          "S+": np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]]) * np.sqrt(2)}
+
+
+@pytest.mark.parametrize("local_dim, ops", [
+    (2, {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z, "iZ": 1j * PAULI_Z,
+         "sigma+": _SIGMA_PLUS}),
+    (3, _SPIN1)], ids=["qubit", "qutrit"])
+@pytest.mark.parametrize("n", [1, 4, 5])
+def test_embedded_operator_has_its_local_matrix_parity(local_dim, ops, n):
+    # J is the product of the per-site reversals, so J (I x A x I) J =
+    # I x J_s A J_s x I: the parity read from the local matrix is the
+    # window matrix's, which theorem_check and both scans rely on
+    lat = chain_lattice(n, local_dim=local_dim)
+    parities = set()
+    for name, op in ops.items():
+        local = _reversal_parity(op)
+        parities.add(local)
+        for site in range(n):
+            m = embed(LocalOperator((site,), op), lat).matrix
+            assert _reversal_parity(m) == local, (name, site)
+    assert parities == {1, -1, 0}
+
+
+def test_block_parity_is_zero_without_sectors():
+    # the parity the block form reads an operator with: none on a
+    # decomposition solved whole, the operator's own on one with sectors
+    lat = chain_lattice(4)
+    z = embed(single_site(1, "Z"), lat).matrix
+    ops = (z, PAULI_Z, PAULI_X)
+    blocks = eig_hermitian(
+        build_hamiltonian(transverse_field_ising(lat)).matrix)
+    whole = eig_hermitian(build_hamiltonian(
+        heisenberg_xxz(lat, 1.0, 0.5, h=0.3)).matrix)
+    assert [_block_parity(blocks, m) for m in ops] == [-1, -1, 1]
+    assert [_block_parity(whole, m) for m in ops] == [0, 0, 0]
 
 
 # ---------------------------------------------------------------------------

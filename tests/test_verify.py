@@ -12,6 +12,7 @@ from correlab import (Lattice, chain_lattice, transverse_field_ising, embed,
                       contour_grid, contour_decomposition, fit_decay,
                       theorem_check,
                       ordinary_correlator, canonical_correlator)
+from correlab.operators import PAULI_Z
 
 
 def setup_state(n=3, beta=1.0, J=1.0, h=0.9):
@@ -400,9 +401,10 @@ def test_theorem_check_builds_the_duhamel_kernel_once_without_sectors(
 
 def _count_reads(monkeypatch, model) -> dict:
     # one contraction for all partners: A alone goes to the energy basis,
+    # read once by spectral's block reader with the parity it is read in,
     # and no partner is paired with it through _paired_sum
     lat = chain_lattice(8)
-    counts = {"transform": 0, "paired": 0, "kernel": 0}
+    counts = {"transform": 0, "paired": 0, "kernel": 0, "read": []}
 
     def counted(key, fn):
         def wrapper(*args):
@@ -410,9 +412,14 @@ def _count_reads(monkeypatch, model) -> dict:
             return fn(*args)
         return wrapper
 
+    def read(dec, m, parity, *columns):
+        counts["read"].append((m.shape, parity))
+        return spectral._read_blocks(dec, m, parity, *columns)
+
     monkeypatch.setattr(spectral.SpectralDecomposition, "transform",
                         counted("transform",
                                 spectral.SpectralDecomposition.transform))
+    monkeypatch.setattr(verify, "_read_blocks", read)
     monkeypatch.setattr(thermal, "_paired_sum",
                         counted("paired", thermal._paired_sum))
     monkeypatch.setattr(thermal, "_duhamel_kernel",
@@ -425,12 +432,15 @@ def _count_reads(monkeypatch, model) -> dict:
 def test_theorem_check_transforms_only_a(monkeypatch):
     # in the sectors A's (+, -) block is read without the dense transform
     assert _count_reads(monkeypatch, _tfim) == {
-        "transform": 0, "paired": 0, "kernel": 1}
+        "transform": 0, "paired": 0, "kernel": 1,
+        "read": [((256, 256), -1)]}
 
 
 def test_theorem_check_transforms_only_a_without_sectors(monkeypatch):
+    # A is read whole, into the dense V, once
     assert _count_reads(monkeypatch, _xxz_in_a_field) == {
-        "transform": 1, "paired": 0, "kernel": 1}
+        "transform": 0, "paired": 0, "kernel": 1,
+        "read": [((256, 256), 0)]}
 
 
 class _ProductSpy(np.ndarray):
@@ -530,8 +540,11 @@ def _per_pair_cases(test):
         (chain_lattice(7), 2, [1, 2, 3, 4]),
         (_shuffled_chain(), "a", [1, 2]),
     ], ids=["chain", "shuffled"])
+    # i Z is odd but not Hermitian: its (-, +) block is not the partner of
+    # its (+, -) block, so it is read whole, never in the sector blocks
     return pytest.mark.parametrize("beta", [0.0, 4.0])(
-        pytest.mark.parametrize("op", ["Z", "X", "Y"])(lattices(test)))
+        pytest.mark.parametrize("op", ["Z", "X", "Y", pytest.param(
+            1j * PAULI_Z, id="iZ")])(lattices(test)))
 
 
 @_per_pair_cases
