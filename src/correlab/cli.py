@@ -30,13 +30,14 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .lattice import Interaction, Lattice, build_model, certify_locality, \
-    chain_lattice, grid_lattice
+from .lattice import Interaction, Lattice, build_model, chain_lattice, \
+    grid_lattice
 from .operators import PAULI, LocalOperator, embed, single_site
 from .spectral import DIM_CAP, build_hamiltonian, eig_hermitian
 from .thermal import KMSFunction, _UnconvergedQuadrature, \
     canonical_correlator, gibbs_state, ordinary_correlator
-from .dynamics import locality_scan, lr_commutator_scan
+from .dynamics import _locality_envelopes, _lr_envelopes, locality_scan, \
+    lr_commutator_scan
 from .verify import _DELTA_B, _RESIDUE_MAX, _partners, \
     contour_decomposition, contour_grid, residue_identity, theorem_check
 
@@ -193,16 +194,23 @@ def _site(x, where: str, lat: Lattice):
     return canon, site
 
 
-def _pauli(x, where: str) -> str:
+def _pauli(x, where: str, measured: bool = False) -> str:
+    """x, a Pauli letter.  A measured operator must not be I: every
+    commutator, approximation error and connected correlator of the
+    identity is zero, so a check on it would pass on no measurement."""
     if not isinstance(x, str) or x not in PAULI:
         raise ConfigError(f"{where} must be one of {sorted(PAULI)}")
+    if measured and x == "I":
+        raise ConfigError(f"{where} must not be I: the identity commutes "
+                          "with everything, so the check measures nothing")
     return x
 
 
-def _operator_section(raw, where: str, lat: Lattice) -> Tuple[dict, LocalOperator]:
+def _operator_section(raw, where: str, lat: Lattice,
+                      measured: bool = False) -> Tuple[dict, LocalOperator]:
     _check_keys(raw, {"site", "op"}, set(), where)
     canon_site, site = _site(raw["site"], f"{where}.site", lat)
-    name = _pauli(raw["op"], f"{where}.op")
+    name = _pauli(raw["op"], f"{where}.op", measured)
     return {"site": canon_site, "op": name}, single_site(site, name)
 
 
@@ -345,14 +353,13 @@ def _validate_lr_scan(data: dict) -> _Validated:
                 {"velocity"}, "config")
     model, inter = _model_section(data["model"])
     mu = _positive(data["mu"], "mu")
-    a_c, a = _operator_section(data["a"], "a", inter.lattice)
-    b_c, b = _operator_section(data["b"], "b", inter.lattice)
+    a_c, a = _operator_section(data["a"], "a", inter.lattice, True)
+    b_c, b = _operator_section(data["b"], "b", inter.lattice, True)
     times_c, ts = _time_grid(data["times"], "times")
-    if "velocity" not in data:  # the run certifies one at this mu
-        _checked(certify_locality, inter, mu)
     canon = _optional_positive(data, "velocity", {
         "task": "lr_scan", "model": model, "mu": mu, "a": a_c, "b": b_c,
         "times": times_c})
+    _checked(_lr_envelopes, inter, a, b, ts, mu, canon.get("velocity"))
     return canon, {**canon, "model": inter, "a": a, "b": b, "times": ts}
 
 
@@ -361,20 +368,20 @@ def _validate_locality_scan(data: dict) -> _Validated:
                 {"velocity", "exponent_multiplier"}, "config")
     model, inter = _model_section(data["model"])
     mu = _positive(data["mu"], "mu")
-    a_c, a = _operator_section(data["a"], "a", inter.lattice)
+    a_c, a = _operator_section(data["a"], "a", inter.lattice, True)
     radii = _num_list(data["radii"], "radii")
     if any(r < 0 for r in radii):
         raise ConfigError("radii must be nonnegative")
     if any(r1 >= r2 for r1, r2 in zip(radii, radii[1:])):
         raise ConfigError("radii must be strictly increasing")
     times_c, ts = _time_grid(data["times"], "times")
-    if "velocity" not in data:  # the run certifies one at this mu
-        _checked(certify_locality, inter, mu)
     canon = _optional_positive(data, "velocity", {
         "task": "locality_scan", "model": model, "mu": mu, "a": a_c,
         "radii": radii, "times": times_c,
         "exponent_multiplier": _positive(
             data.get("exponent_multiplier", 1.0), "exponent_multiplier")})
+    _checked(_locality_envelopes, inter, a, radii, ts, mu,
+             canon.get("velocity"), canon["exponent_multiplier"])
     return canon, {**canon, "model": inter, "a": a, "times": ts}
 
 
@@ -386,7 +393,8 @@ def _validate_theorem_check(data: dict) -> _Validated:
     mu = _positive(data["mu"], "mu")
     dists = _num_list(data["distances"], "distances")
     canon = {"task": "theorem_check", "model": model, "beta": beta, "mu": mu,
-             "distances": dists, "op": _pauli(data.get("op", "Z"), "op")}
+             "distances": dists,
+             "op": _pauli(data.get("op", "Z"), "op", True)}
     base = None
     if "base_site" in data:
         canon["base_site"], base = _site(data["base_site"], "base_site",

@@ -12,11 +12,15 @@ read once into pairs of eigenbases (W_l, E_l) and (W_r, E_r), evolve as
     t -> W_l (e^{itE_l} e^{-itE_r} o Abar) W_r*,
 
 a phase and two products per block.  The routes differ only in the blocks
-and bases, which spectral's block form gives (spectral module docstring):
-A whole in (V, E) for evolve and the "dense" locality route; A's half
-blocks in the sector bases (W+-, E+-), each product (D/2)-sized, for a
-Hermitian A that spectral reads with a parity (_block_parity, asked with
-A's local matrix).  Each scan chooses its route once:
+and bases, which spectral's block form gives (spectral module docstring),
+and the parity alone chooses them (_block_parity, asked with A's local
+matrix): an A with a parity, Hermitian or not, is read in its half blocks
+in the sector bases (W+-, E+-), each product (D/2)-sized, and any other A
+whole in (V, E).  Hermiticity only says whether an odd A's (-, +) block is
+the partner of its (+, -) block; evolve reads both, since a complex time
+makes tau_z(A) non-Hermitian.  evolve, like locality_scan, writes the
+site matrix back from the evolved blocks (_block_matrix).  Each scan
+chooses its route once:
 
 - lr_commutator_scan, for Hermitian A and B with B diagonal with two
   levels l1 != l2, from [X, B] = (l2 - l1)(P1 X P2 - P2 X P1) for
@@ -38,13 +42,19 @@ A's local matrix).  Each scan chooses its route once:
   commutator is handed on as i(X - X*), Hermitian to the last bit, which
   keeps it on the eigensolver instead of the SVD.
 - locality_scan: "flip_odd" or "flip_even" by the parity spectral reads
-  a Hermitian A with, "dense" otherwise (norm_route).  Each time point
+  A with, "dense" otherwise (norm_route).  Each time point
   writes the site matrix of tau_t(A), which E_r needs, from its blocks.
   J is a product of local reversals, so E_r commutes with it: the error
   tau_t(A) - E_r(tau_t(A)) has A's parity, its blocks are tau_t(A)'s minus
   E_r(tau_t(A))'s in the same layout, and its norm is the largest block
   norm, an off-diagonal block's through its Gram matrix and a diagonal
-  block's through its exactly Hermitian part.
+  block's through its exactly Hermitian part (spectral_norm when A is not
+  Hermitian).
+
+Both scans certify the velocity, when none is given, and form every
+envelope before the first evolution; a grid on which an envelope is not a
+finite number is refused there (_envelopes), and the CLI refuses it at
+validation through the same helpers.
 """
 from __future__ import annotations
 
@@ -130,6 +140,12 @@ def evolve(context: EvolutionContext, op, time) -> EmbeddedOperator:
     time may be real or complex, and must be finite; a complex time is
     refused with FloatingPointError when a phase factor exp(|Im z| max|E|)
     or their product exp(|Im z| (E_max - E_min)) would overflow.
+
+    op is read by its parity on the decomposition (_block_parity), as
+    locality_scan reads A: with one, in its sector blocks (both
+    off-diagonal blocks of an odd op, so a complex time needs no
+    Hermitian partner), each evolved with (D/2)-sized products and written
+    back by _block_matrix, with no dense V; without one, whole in (V, E).
     """
     z = complex(time)
     if not np.isfinite(z):
@@ -138,9 +154,11 @@ def evolve(context: EvolutionContext, op, time) -> EmbeddedOperator:
     lo, hi = float(dec.eigenvalues[0]), float(dec.eigenvalues[-1])
     if abs(z.imag) * max(abs(lo), abs(hi), hi - lo) > _EXP_CAP:
         raise FloatingPointError("imaginary time too large for this spectrum")
-    a = _on_window(context, op)
-    (_, _, mat), = _evolution(*_read_blocks(dec, a.matrix, 0))(z)
-    return EmbeddedOperator(context.window, context.window, mat)
+    parity = _block_parity(dec, op.matrix)
+    blocks = _evolution(*_read_blocks(dec, _on_window(context, op).matrix,
+                                      parity, hermitian=False))(z)
+    return EmbeddedOperator(context.window, context.window,
+                            _block_matrix(blocks, parity))
 
 
 # ---------------------------------------------------------------------------
@@ -167,16 +185,13 @@ class LRScanResult:
     c_empirical_resolved: float  # c_empirical over the other rows only
 
 
-def _empirical_prefactor(pairs, floor: float) -> float:
+def _empirical_prefactor(pairs: list, floor: float) -> float:
     """Smallest c with lhs <= c * envelope on every row; inf when some row
-    has zero envelope but an lhs above the round-off floor."""
-    best = 0.0
-    for lhs, env in pairs:
-        if env > 0.0 and np.isfinite(env):
-            best = max(best, lhs / env)
-        elif env == 0.0 and lhs > floor:
-            return float("inf")
-    return best
+    has zero envelope but an lhs above the round-off floor.  Every
+    envelope is finite and nonnegative (_envelopes)."""
+    if any(env == 0.0 and lhs > floor for lhs, env in pairs):
+        return float("inf")
+    return max((lhs / env for lhs, env in pairs if env > 0.0), default=0.0)
 
 
 def _check_scan(grids: dict, **rates) -> None:
@@ -192,6 +207,50 @@ def _check_scan(grids: dict, **rates) -> None:
             raise ValueError(f"{name} must not be empty")
         if not np.isfinite(np.asarray(grid, dtype=float)).all():
             raise ValueError(f"{name} must be finite")
+
+
+def _envelopes(interaction: Interaction, mu: float, velocity, scale: float,
+               decays: Sequence[float], times: Sequence[float]):
+    """(v, rows): v the velocity given, or the one certified from the
+    interaction at mu, and for each time t the row of envelopes
+    scale e^{-d} (e^{v|t|} - 1) over the decays d.
+
+    A grid with an envelope that is not a finite number is refused: where
+    e^{-d} underflows to 0 and e^{v|t|} overflows the envelope is NaN, and
+    an infinite one bounds nothing, so its row would back no prefactor.
+    """
+    if velocity is None:
+        velocity = certify_locality(interaction, mu).velocity
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        rows = [[scale * np.exp(-d) * np.expm1(velocity * abs(float(t)))
+                 for d in decays] for t in times]
+    if not np.isfinite(rows).all():
+        raise ValueError(f"the envelope is not finite at mu={mu!r}, "
+                         f"v={velocity!r}: e^(-mu l) or e^(v|t|) out of range")
+    return velocity, rows
+
+
+def _lr_envelopes(interaction: Interaction, a, b, times: Sequence[float],
+                  mu: float, velocity):
+    """(l, ||A||, ||B||, v, rows) of lr_commutator_scan: the distance l
+    between the supports X and Y, and for each time the one-entry row
+    ||A|| ||B|| min(|X|, |Y|) e^{-mu l} (e^{v|t|} - 1) (_envelopes)."""
+    dist = interaction.lattice.set_distance(a.support, b.support)
+    na, nb = spectral_norm(a.matrix), spectral_norm(b.matrix)
+    size = min(len(a.support), len(b.support))
+    return (dist, na, nb, *_envelopes(interaction, mu, velocity,
+                                      na * nb * size, [mu * dist], times))
+
+
+def _locality_envelopes(interaction: Interaction, a, radii: Sequence[float],
+                        times: Sequence[float], mu: float, velocity,
+                        exponent_multiplier: float):
+    """(||A||, v, rows) of locality_scan: for each time the envelopes
+    ||A|| e^{-mu multiplier r} (e^{v|t|} - 1) over the radii r
+    (_envelopes)."""
+    na = spectral_norm(a.matrix)
+    decays = [mu * exponent_multiplier * float(r) for r in radii]
+    return (na, *_envelopes(interaction, mu, velocity, na, decays, times))
 
 
 def _two_levels(m: np.ndarray):
@@ -255,23 +314,18 @@ def lr_commutator_scan(interaction: Interaction, a, b,
     The norm is taken by the route chosen once from the decomposition, A
     and B (module docstring): in the reversal sectors, on the half blocks
     of B's two level sets, or by one D x D product per time point.  mu and
-    a given velocity must be finite and positive, and the time grid
-    nonempty and finite: anything else would give a prefactor backed by no
-    measurement.
+    a given velocity must be finite and positive, the time grid nonempty
+    and finite, and every envelope a finite number (_envelopes): anything
+    else would give a prefactor backed by no measurement.
     """
     _check_scan({"times": times}, mu=mu, velocity=velocity)
+    dist, na, nb, velocity, envelopes = _lr_envelopes(interaction, a, b,
+                                                      times, mu, velocity)
     if context is None:
         context = evolution_context(interaction)
-    if velocity is None:
-        velocity = certify_locality(interaction, mu).velocity
 
     aemb = _on_window(context, a)
     bemb = _on_window(context, b)
-    xs, ys = aemb.support, bemb.support
-    dist = context.lattice.set_distance(xs, ys)
-    na = spectral_norm(a.matrix)
-    nb = spectral_norm(b.matrix)
-    size = min(len(xs), len(ys))
 
     # embedding keeps the answer, so the local matrices are checked
     hermitian = _is_hermitian(a.matrix) and _is_hermitian(b.matrix)
@@ -307,17 +361,14 @@ def lr_commutator_scan(interaction: Interaction, a, b,
             return levels[0] * block_norm(m)
     del aemb, bemb  # site-basis matrices are not needed past this point
     rows = []
-    for t in times:
+    for t, (env,) in zip(times, envelopes):
         t = float(t)
-        lhs = norm_at(t)
-        env = na * nb * size * np.exp(-mu * dist) * np.expm1(velocity * abs(t))
-        rows.append(LRMeasurement(t, dist, float(lhs), float(env)))
+        rows.append(LRMeasurement(t, dist, float(norm_at(t)), float(env)))
     floor = float(np.finfo(float).eps) * dec.dim * na * nb
-    c_emp = _empirical_prefactor(
-        ((m.commutator_norm, m.envelope) for m in rows), floor)
-    resolved = [m for m in rows if m.commutator_norm >= floor]
-    c_res = _empirical_prefactor(
-        ((m.commutator_norm, m.envelope) for m in resolved), floor)
+    pairs = [(m.commutator_norm, m.envelope) for m in rows]
+    resolved = [(lhs, env) for lhs, env in pairs if lhs >= floor]
+    c_emp = _empirical_prefactor(pairs, floor)
+    c_res = _empirical_prefactor(resolved, floor)
     return LRScanResult(mu, float(velocity), float(dist), rows, c_emp,
                         floor, len(rows) - len(resolved), c_res)
 
@@ -333,16 +384,10 @@ def _error_norm(blocks: list, approx_blocks: list, hermitian: bool) -> float:
     diagonal block's from its exactly Hermitian part when A is Hermitian,
     and from spectral_norm otherwise.
     """
-    norms = []
-    for (left, right, n), (_, _, e) in zip(blocks, approx_blocks):
-        d = n - e
-        if left != right:
-            norms.append(_gram_norm(d))
-        elif hermitian:
-            norms.append(_hermitian_norm(_hermitian_part(d)))
-        else:
-            norms.append(spectral_norm(d))
-    return max(norms)
+    return max(_gram_norm(n - e) if left != right
+               else _hermitian_norm(_hermitian_part(n - e)) if hermitian
+               else spectral_norm(n - e)
+               for (left, right, n), (_, _, e) in zip(blocks, approx_blocks))
 
 
 @dataclass(frozen=True)
@@ -387,54 +432,53 @@ def locality_scan(interaction: Interaction, a, radii: Sequence[float],
     eigensolver.  noise_floor is eps * D * ||A||, and floor_rows counts the
     rows below it.  The window is the context's, or the whole lattice when
     no context is given.  mu, exponent_multiplier and a given velocity must
-    be finite and positive, and both grids nonempty and finite.
+    be finite and positive, both grids nonempty and finite, and every
+    envelope a finite number (_envelopes).
 
     norm_route tells how the scan ran, decided once from the decomposition
-    and A (module docstring): "flip_odd" and "flip_even" evolve A's half
-    blocks in the reversal sectors, with (D/2)-sized products and
-    eigensolver calls, and differ from the dense value by round-off;
-    "dense" evolves at full size.
+    and A's parity alone (module docstring): "flip_odd" and "flip_even"
+    evolve A's half blocks in the reversal sectors, Hermitian A or not,
+    with (D/2)-sized products, and differ from the dense value by
+    round-off; "dense" evolves at full size.
     """
     _check_scan({"radii": radii, "times": times}, mu=mu, velocity=velocity,
                 exponent_multiplier=exponent_multiplier)
+    na, velocity, envelopes = _locality_envelopes(
+        interaction, a, radii, times, mu, velocity, exponent_multiplier)
     if context is None:
         context = evolution_context(interaction)
     lat = context.lattice
-    if velocity is None:
-        velocity = certify_locality(interaction, mu).velocity
 
     aemb = _on_window(context, a)
     inside = set(context.window)
     regions = [tuple(s for s in ball(lat, a.support, r) if s in inside)
                for r in radii]
-    na = spectral_norm(a.matrix)
     hermitian = _is_hermitian(a.matrix)
     dec = context.decomposition
-    parity = _block_parity(dec, a.matrix) if hermitian else 0
+    parity = _block_parity(dec, a.matrix)
     route = {-1: "flip_odd", 1: "flip_even", 0: "dense"}[parity]
-    evolved = _evolution(*_read_blocks(dec, aemb.matrix, parity))
+    evolved = _evolution(*_read_blocks(dec, aemb.matrix, parity,
+                                       hermitian=hermitian))
     buf = np.empty((dec.dim, dec.dim), dtype=complex) if parity else None
     del aemb
 
     rows = []
-    for t in times:
+    for t, envs in zip(times, envelopes):
         t = float(t)
         blocks = evolved(t)
         tau = EmbeddedOperator(context.window, context.window,
                                _block_matrix(blocks, parity, out=buf))
-        for r, region in zip(radii, regions):
+        for r, region, env in zip(radii, regions, envs):
             approx = conditional_expectation(tau, region, lat).matrix
-            err = _error_norm(blocks, _sector_blocks(approx, parity),
-                              hermitian)
+            err = _error_norm(blocks, _sector_blocks(approx, parity,
+                                                     hermitian), hermitian)
             del approx
-            env = na * np.exp(-mu * exponent_multiplier * float(r)) \
-                * np.expm1(velocity * abs(t))
             rows.append(LocalityMeasurement(float(r), t, float(err), float(env)))
         # no D x D array of this time point but the reused buffer stays
         # alive through the next evolution, where the scan's memory peaks
         del tau, blocks
     floor = float(np.finfo(float).eps) * dec.dim * na
-    c_emp = _empirical_prefactor(((m.error, m.envelope) for m in rows), floor)
+    c_emp = _empirical_prefactor([(m.error, m.envelope) for m in rows], floor)
     below = sum(m.error < floor for m in rows)
     return LocalityScanResult(mu, float(velocity), float(exponent_multiplier),
                               rows, c_emp, floor, below, route)

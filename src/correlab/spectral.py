@@ -8,15 +8,17 @@ J (i -> D-1-i), which in the site basis is the global spin flip X^n of
 every model without a z-field, is solved as two half-size blocks; any
 other is solved whole.  The block route keeps the blocks' eigenvectors
 as the solver returned them, with the sector of each eigenvalue, and
-forms the dense V only where it is read: reconstruct, evolve, and
+forms the dense V only where it is read: reconstruct, and the reads of
 operators without a parity.
 
 The sector and those bases are read here alone, through the block form
 of an operator m with J m J = parity * m.  In the basis
 (e_i +- e_{D-1-i})/sqrt 2 the eigenvectors of a reversal-symmetric H are
 diag(W+, W-), the stored bases, with eigenvalues E+-, and m is
-diag(m+, m-) for parity +1 or [[0, M], [M*, 0]] for parity -1 (Hermitian
-m); parity 0 is m whole, in (V, E).  Each rule of that form has one
+diag(m+, m-) for parity +1 or [[0, M], [N, 0]] for parity -1, N = M*
+when m is Hermitian; parity 0 is m whole, in (V, E).  The parity alone
+chooses the route of a read, Hermitian m or not; Hermiticity enters only
+as the flag that takes N as M's partner.  Each rule of that form has one
 helper, and every module asks it:
 
 - _block_parity: the parity the block form reads m with on a
@@ -25,16 +27,17 @@ helper, and every module asks it:
 - _half_block: m_TL +- m_TR J, the block of m on the +- columns; the
   solver's blocks H+- (_reversal_blocks) and every operator's
   (_sector_blocks) are formed by it alone.
-- _partnered: the (-, +) block of a Hermitian odd m, the conjugate
-  transpose of its (+, -) block, for every writer.
+- _partnered: the (-, +) block N = M* of a Hermitian odd m, for every
+  writer given M alone.
 - _read_blocks: an operator's blocks read into their (W, E) pairs
   (_sector_bases), W_l* block W_r (_transform), each product
   (D/2)-sized against D-sized on the dense route.
 - _mirrored_levels: J's action on an index set.
 
-_block_matrix and _block_diagonal write m back from its blocks, and
-transform gathers them into the dense energy-basis matrix
-(_from_sector_blocks), whose vanishing blocks are exactly zero.
+_block_matrix and _block_diagonal write any parity-definite m back from
+its blocks.  transform alone gathers them into the dense energy-basis
+matrix (_from_sector_blocks), whose vanishing blocks are exactly zero;
+it reads an odd m in one block when N is exactly M's partner.
 """
 from __future__ import annotations
 
@@ -264,22 +267,17 @@ def _sector_blocks(m: np.ndarray, parity: int, hermitian: bool = True) -> list:
 
     Parity 0 gives m whole, (0, 0, m).  Parity +1 gives the diagonal
     blocks (0, 0, m+) and (1, 1, m-) of m in the basis
-    (e_i +- e_{D-1-i})/sqrt 2, parity -1 the off-diagonal block
-    (0, 1, M) of m = [[0, M], [M*, 0]] there, M = m_TL - m_TR J, which is
-    the only half block formed for a Hermitian m.  For an odd m not known
-    to be Hermitian the (-, +) block m_TL + m_TR J follows, unless it is
-    exactly M's partner (_partnered).
+    (e_i +- e_{D-1-i})/sqrt 2, parity -1 the off-diagonal blocks
+    (0, 1, M) and (1, 0, N) of m = [[0, M], [N, 0]] there,
+    M = m_TL - m_TR J and N = m_TL + m_TR J.  For a Hermitian m, N = M*
+    is M's partner (_partnered), and M alone is formed.
     """
     if parity > 0:
         return [(0, 0, _half_block(m, 1)), (1, 1, _half_block(m, -1))]
     if not parity:
         return [(0, 0, m)]
     blocks = [(0, 1, _half_block(m, -1))]
-    if not hermitian:
-        below = _half_block(m, 1)
-        if not np.array_equal(below, _partnered(blocks)[1][2]):
-            blocks.append((1, 0, below))
-    return blocks
+    return blocks if hermitian else blocks + [(1, 0, _half_block(m, 1))]
 
 
 def _partnered(blocks: list) -> list:
@@ -320,16 +318,8 @@ def _read_blocks(dec: SpectralDecomposition, m: np.ndarray, parity: int,
                  *columns: np.ndarray, hermitian: bool = True):
     """(bases, blocks): _sector_bases(dec, parity, *columns) and m's
     blocks read into them, (l, r, W_l* m_lr W_r) for each block of
-    _sector_blocks(m, parity, hermitian).
-
-    For parity 0 the one block is m's transform: read whole in the V of
-    the bases, or, when m has a parity on dec, gathered from its own
-    blocks before V is formed, so that one V is read and alive.
-    """
-    own = 0 if parity else _block_parity(dec, m)
-    if own:
-        blocks = [(0, 0, _from_sector_blocks(dec, m, own))]
-        return _sector_bases(dec, 0, *columns), blocks
+    _sector_blocks(m, parity, hermitian).  For parity 0 the one block is
+    m read whole in the V of the bases, so V is formed once."""
     bases = _sector_bases(dec, parity, *columns)
     return bases, [(l, r, _transform(bases[l][0].conj().T, b, bases[r][0]))
                    for l, r, b in _sector_blocks(m, parity, hermitian)]
@@ -338,9 +328,10 @@ def _read_blocks(dec: SpectralDecomposition, m: np.ndarray, parity: int,
 def _from_sector_blocks(dec: SpectralDecomposition, m: np.ndarray,
                         parity: int) -> np.ndarray:
     """V* m V for an m with J m J = parity * m exactly: its blocks read in
-    the sector bases (_read_blocks, which gives both off-diagonal blocks
-    of a non-Hermitian odd m), completed by _partnered, and gathered into
-    the D x D energy-basis matrix, zero in every block not read.
+    the sector bases (_read_blocks), completed by _partnered, and gathered
+    into the D x D energy-basis matrix, zero in every block not read.  An
+    odd m is read as Hermitian, in M alone, when its N equals M* exactly,
+    and in both off-diagonal blocks otherwise.
 
     The result is allocated before the blocks' temporaries, which keeps
     the heap lower for the rest of the process (peak RSS).  Row i is row
@@ -352,7 +343,9 @@ def _from_sector_blocks(dec: SpectralDecomposition, m: np.ndarray,
     """
     dim, half = dec.dim, dec.dim // 2
     out = np.empty((dim, dim), dtype=np.result_type(m, dec._vectors))
-    blocks = _partnered(_read_blocks(dec, m, parity, hermitian=False)[1])
+    hermitian = parity < 0 and np.array_equal(
+        _half_block(m, 1), _half_block(m, -1).conj().T)
+    blocks = _partnered(_read_blocks(dec, m, parity, hermitian=hermitian)[1])
     where = _sector_places(dec)
     grid = {(l, r): b for l, r, b in blocks}
     rows = max(1, _MIRROR_BLOCK // dim)
@@ -373,16 +366,17 @@ def _from_sector_blocks(dec: SpectralDecomposition, m: np.ndarray,
 
 def _block_matrix(blocks: list, parity: int,
                   out: Optional[np.ndarray] = None) -> np.ndarray:
-    """The inverse of _sector_blocks for a Hermitian operator: the D x D
-    matrix m with J m J = parity * m and these blocks, written into out
-    when given.
+    """The inverse of _sector_blocks: the D x D matrix m with
+    J m J = parity * m and these blocks, written into out when given.
+    Given both blocks of its parity it writes any such m; given M alone
+    for parity -1 it writes the Hermitian m, with N = M* (_partnered).
 
     For parity 0 the one block is m, returned as it is.  Otherwise the
     half blocks (m_TL + m_TR J, m_TL - m_TR J) are m's blocks on the +
-    and the - columns, (m+, m-) for parity +1 and (M*, M) for parity -1
-    (_partnered); the top half is m_TL = their half sum and
-    m_TR = (their half difference) J, and the bottom half is the top half
-    reversed along both axes, times parity.
+    and the - columns, (m+, m-) for parity +1 and (N, M) for parity -1;
+    the top half is m_TL = their half sum and m_TR = (their half
+    difference) J, and the bottom half is the top half reversed along
+    both axes, times parity.
     """
     if not parity:
         (_, _, m), = blocks
@@ -402,9 +396,10 @@ def _block_matrix(blocks: list, parity: int,
 
 def _block_diagonal(diagonals: list, parity: int) -> np.ndarray:
     """The diagonal of _block_matrix(blocks, parity), from the diagonals of
-    the blocks, given as (left, right, diagonal): the top half is the half
-    sum of the two half blocks' diagonals and the bottom half the top half
-    reversed, times parity."""
+    the blocks, given as (left, right, diagonal), both blocks of any
+    parity-definite operator or M's alone for a Hermitian odd one: the
+    top half is the half sum of the two half blocks' diagonals and the
+    bottom half the top half reversed, times parity."""
     if not parity:
         (_, _, d), = diagonals
         return d

@@ -16,6 +16,11 @@ and compares against the direct spectral value.
 
 A scalar residue identity (corr = 1) exercises the kernel alone and is the
 first thing to check when a decomposition misbehaves.
+
+The decay-upgrade check, theorem_check, contracts the one operator A with
+thermal's closed forms.  It reads A as every reader does, by the parity
+alone (spectral._block_parity on A's local matrix): in its sector blocks
+when it has one, Hermitian or not, and whole otherwise.
 """
 from __future__ import annotations
 
@@ -356,16 +361,20 @@ def _partners(lat: Lattice, base, distances: Sequence[float]) -> list:
     return [(l, site) for site, l in chosen.items()]
 
 
-def _contraction(state: ThermalState, a: np.ndarray, parity: int,
-                 diagonal: bool):
+def _contraction(state: ThermalState, a, lat: Lattice):
     """(M, rho, phi(A)) for theorem_check, M = V (W o Abar) V* and
     rho = V diag(p) V* in the site basis (W the Duhamel weights), or only
-    their diagonals when A and its partners are diagonal.  Read in the
-    sector blocks of the given parity, with bases U_l, for a Hermitian A
-    with that parity on the state's decomposition; whole for parity 0."""
-    bases, blocks = _read_blocks(state.decomposition, a, parity,
-                                 state.energies, state.weights)
-    del a
+    their diagonals when A, and so each partner, is diagonal.  A is read in
+    the sector blocks of the parity its local matrix has on the state's
+    decomposition (spectral._block_parity), with bases U_l, and whole for
+    parity 0; an odd A in its (+, -) block alone when it is Hermitian
+    (spectral._sector_blocks), in both off-diagonal blocks otherwise."""
+    op = a.matrix
+    parity = _block_parity(state.decomposition, op)
+    diagonal = np.count_nonzero(op) == np.count_nonzero(np.diagonal(op))
+    bases, blocks = _read_blocks(state.decomposition, embed(a, lat).matrix,
+                                 parity, state.energies, state.weights,
+                                 hermitian=_is_hermitian(op))
     phi_a, m_blocks = 0.0, []
     for l, r, abar in blocks:
         (u_l, _, e_l, p_l), (u_r, _, e_r, _) = bases[l], bases[r]
@@ -379,14 +388,10 @@ def _contraction(state: ThermalState, a: np.ndarray, parity: int,
         m_blocks.append((l, r, n))
     del blocks
     # rho is even: a block U_s diag(p_s) U_s* per basis
-    even = abs(parity)
-    if diagonal:
-        rho = [(s, s, np.einsum("im,m,im->i", u, p, u.conj()))
-               for s, (u, _, _, p) in enumerate(bases)]
-        return (_block_diagonal(m_blocks, parity),
-                _block_diagonal(rho, even), phi_a)
-    rho = [(s, s, (u * p) @ u.conj().T) for s, (u, _, _, p) in enumerate(bases)]
-    return _block_matrix(m_blocks, parity), _block_matrix(rho, even), phi_a
+    rho = [(s, s, np.einsum("im,m,im->i", u, p, u.conj()) if diagonal
+            else (u * p) @ u.conj().T) for s, (u, _, _, p) in enumerate(bases)]
+    write = _block_diagonal if diagonal else _block_matrix
+    return write(m_blocks, parity), write(rho, abs(parity)), phi_a
 
 
 def theorem_check(interaction: Interaction, beta: float, mu: float,
@@ -411,15 +416,16 @@ def theorem_check(interaction: Interaction, beta: float, mu: float,
     that its embedding meets.  When A and B are diagonal only the
     diagonals of M and rho are formed.
 
-    A Hermitian A with a parity on the state's decomposition (Z and Y
-    odd, X even, read from the local matrix by spectral._block_parity) is
-    contracted in its sector blocks (spectral module docstring): A's
-    blocks are read into the sector eigenbases (U+-, E+-), the Duhamel
-    weights are built on those blocks alone, M is written back from the
-    half-size products U_l (W o A)_lr U_r* (_block_matrix, or its
+    An A with a parity on the state's decomposition (Z and Y odd, X even,
+    read from the local matrix by spectral._block_parity), Hermitian or
+    not, is contracted in its sector blocks (spectral module docstring):
+    A's blocks are read into the sector eigenbases (U+-, E+-), the
+    Duhamel weights are built on those blocks alone, M is written back
+    from the half-size products U_l (W o A)_lr U_r* (_block_matrix, or its
     diagonal), and rho, which is even, from U+- diag(p+-) U+-* with the
-    Gibbs weights of each sector.  No product is D-sized there.  Otherwise
-    A, W, M and rho are read whole in (V, E).
+    Gibbs weights of each sector.  No product is D-sized there; an odd A
+    that is not Hermitian reads both off-diagonal blocks.  Otherwise A, W,
+    M and rho are read whole in (V, E).
 
     mu must be finite and positive, and no two distances may select the
     same partner site: its row would count twice in both fits.
@@ -439,10 +445,7 @@ def theorem_check(interaction: Interaction, beta: float, mu: float,
     a_loc = single_site(base, op_name)
     op = a_loc.matrix
     na = spectral_norm(op)
-    parity = _block_parity(state.decomposition, op) if _is_hermitian(op) else 0
-    m, rho, phi_a = _contraction(state, embed(a_loc, lat).matrix, parity,
-                                 np.count_nonzero(op)
-                                 == np.count_nonzero(np.diagonal(op)))
+    m, rho, phi_a = _contraction(state, a_loc, lat)
 
     win = lat.sites
     pair_op = np.kron(op, op)

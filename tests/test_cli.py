@@ -416,6 +416,62 @@ def test_overflowing_certified_velocity_is_a_config_error(tmp_path, capsys,
     assert run_cli(["validate", cfg]) == 0
 
 
+@pytest.mark.parametrize("text, inside", [(LR_SCAN_CFG, 6.0),
+                                          (LOCALITY_CFG, 5.6)],
+                         ids=["lr_scan", "locality_scan"])
+def test_envelope_that_is_not_finite_is_a_config_error(tmp_path, capsys,
+                                                       text, inside):
+    # at mu = 700 the certified velocity is finite, 8.1e304, but e^{-mu l}
+    # underflows to 0 and e^{v|t|} - 1 overflows: every envelope was NaN
+    # and the run passed with c_empirical 0; a given velocity of 1e4
+    # overflows e^{v|t|} alike
+    for change in ("mu: 700.0", "mu: 1.0\n    velocity: 10000.0"):
+        cfg = write_config(tmp_path, text.replace("mu: 1.0", change))
+        assert run_cli(["validate", cfg]) == 2
+        assert run_cli(["run", cfg, "--outdir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error") == 2
+        assert err.count("envelope is not finite") == 2
+        assert not (tmp_path / "out").exists()
+    # just inside, v t_max stays below the overflow of e^{v t}: the run
+    # goes ahead and every envelope is a number
+    cfg = write_config(tmp_path, text.replace("mu: 1.0", f"mu: {inside}"))
+    assert run_cli(["run", cfg, "--outdir", str(tmp_path / "out")]) == 0
+    record = json.loads(next((tmp_path / "out").glob("*/record.json"))
+                        .read_text(encoding="utf-8"))
+    assert 1.0e3 < record["summary"]["velocity"] < 1.0e4
+    csv_text = next((tmp_path / "out").glob("*/*.csv")).read_text()
+    assert "nan" not in csv_text and "inf" not in csv_text
+
+
+@pytest.mark.parametrize("text, key", [
+    (LR_SCAN_CFG, "a: {site: 0, op: Z}"), (LR_SCAN_CFG, "b: {site: 4, op: Z}"),
+    (LOCALITY_CFG, "a: {site: 2, op: Z}"),
+    (THEOREM_CFG, "distances: [2.0, 3.0, 4.0, 5.0]")],
+    ids=["lr_scan-a", "lr_scan-b", "locality_scan-a", "theorem_check-op"])
+def test_identity_is_refused_where_the_check_would_measure_nothing(
+        tmp_path, capsys, text, key):
+    # [B, tau_t(I)], tau_t(I) - E_r(tau_t(I)) and every connected
+    # correlator of I vanish: lr_scan and locality_scan passed on zero
+    # norms, and theorem_check passed with xi = 3.7e15
+    changed = (key.replace("op: Z", "op: I") if "op: Z" in key
+               else key + "\n    op: I")
+    cfg = write_config(tmp_path, text.replace(key, changed))
+    assert run_cli(["validate", cfg]) == 2
+    assert run_cli(["run", cfg, "--outdir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("must not be I") == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", [CORRELATOR_CFG, CONTOUR_CFG],
+                         ids=["correlators", "contour"])
+def test_identity_is_accepted_where_it_is_measured(tmp_path, text):
+    cfg = write_config(tmp_path, text.replace("a: {site: 0, op: Z}",
+                                              "a: {site: 0, op: I}"))
+    assert run_cli(["validate", cfg]) == 0
+
+
 def test_contour_beta_too_thin_for_the_offset_is_a_config_error(tmp_path,
                                                                capsys):
     cfg = write_config(tmp_path, CONTOUR_CFG.replace(

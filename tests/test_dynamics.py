@@ -102,6 +102,42 @@ def test_evolve_rejects_foreign_window():
         evolve(ctx, sub, 0.1)
 
 
+_EVOLVE_MODELS = {
+    "tfim6": lambda: transverse_field_ising(chain_lattice(6), h=1.3),
+    "rbi7": lambda: random_bond_ising(chain_lattice(7), seed=5),
+    "xxz6": lambda: heisenberg_xxz(chain_lattice(6), 1.0, 0.5),
+    "xxz6-field": lambda: heisenberg_xxz(chain_lattice(6), 1.0, 0.5, h=0.3),
+}
+
+
+@pytest.mark.parametrize("model", list(_EVOLVE_MODELS))
+@pytest.mark.parametrize("op", [
+    PAULI_Z, PAULI_Y, PAULI_X, 1j * PAULI_Z,
+    np.array([[0.0, 1.0], [0.0, 0.0]])], ids=["Z", "Y", "X", "iZ", "sigma+"])
+def test_evolve_matches_the_dense_route_and_expm(model, op):
+    # on a reversal-symmetric H, Z, Y, X and i Z evolve in their sector
+    # blocks, both off-diagonal ones for an odd operator, so complex times
+    # work; sigma+ and the z-field chain are read whole.  Each is checked
+    # against V (e^{izE_m} Abar_mn e^{-izE_n}) V* from numpy's eigh and
+    # against expm, relative to the largest entry.
+    inter = _EVOLVE_MODELS[model]()
+    ctx = evolution_context(inter)
+    assert ctx.decomposition.reversal_symmetric == (model != "xxz6-field")
+    h = build_hamiltonian(inter).matrix
+    e, v = np.linalg.eigh(h)
+    a = LocalOperator((2,), op)
+    m = embed(a, inter.lattice).matrix
+    abar = v.conj().T @ m @ v
+    for z in (0.0, 0.7, -1.3, 0.4 + 0.3j, 0.2 - 0.5j):
+        got = evolve(ctx, a, z).matrix
+        dense = ((v * np.exp(1j * z * e)) @ abar
+                 @ (np.exp(-1j * z * e)[:, None] * v.conj().T))
+        ref = scipy.linalg.expm(1j * z * h) @ m @ scipy.linalg.expm(-1j * z * h)
+        scale = np.abs(ref).max()
+        assert np.abs(got - dense).max() <= 1e-13 * scale, z
+        assert np.abs(got - ref).max() <= 1e-10 * scale, z
+
+
 # ---------------------------------------------------------------------------
 # commutator scans
 # ---------------------------------------------------------------------------
@@ -448,6 +484,24 @@ def test_locality_scan_matches_dense_route(model, a, route):
     assert scan.floor_rows == np.count_nonzero(got < scan.noise_floor)
 
 
+@pytest.mark.parametrize("op, route", [
+    (1j * PAULI_Z, "flip_odd"), (PAULI_Z + 1j * PAULI_Y, "flip_odd"),
+    (1j * PAULI_X, "flip_even")], ids=["iZ", "Z+iY", "iX"])
+def test_locality_scan_reads_a_non_hermitian_operator_in_the_sectors(op,
+                                                                     route):
+    # the parity alone picks the route: an A that is not Hermitian is read
+    # in both blocks of its parity, and its errors are the dense ones
+    inter = random_bond_ising(chain_lattice(6), 1.0, 1.0, seed=3)
+    a = LocalOperator((2,), op)
+    radii, times = [0.0, 1.0, 2.0, 3.0], [0.0, 0.5, 1.0]
+    scan = locality_scan(inter, a, radii, times, mu=1.0)
+    assert scan.norm_route == route
+    got = np.array([m.error for m in scan.measurements])
+    ref = np.array(_dense_locality_errors(inter, a, radii, times))
+    assert ref.max() > 0.5
+    assert np.abs(got - ref).max() < 1e-13
+
+
 @pytest.mark.parametrize("op", ["Z", "X"])
 def test_locality_scan_parity_route_stays_at_half_size(monkeypatch, op):
     # every eigensolver call is on a block of at most D/2 = 128, never on
@@ -643,3 +697,41 @@ def test_scans_refuse_a_bound_they_cannot_measure(key, call):
     _, inter, _ = setup(4)
     with pytest.raises(ValueError, match=f"{key} must be finite"):
         call(inter, lambda site: single_site(site, "Z"))
+
+
+@pytest.mark.parametrize("scan", [
+    lambda inter, z, **kw: lr_commutator_scan(inter, z(0), z(3), [0.0, 0.5],
+                                              **kw),
+    lambda inter, z, **kw: locality_scan(inter, z(1), [0.0, 1.0],
+                                         [0.0, 0.5], **kw),
+], ids=["lr", "locality"])
+@pytest.mark.parametrize("rates", [{"mu": 700.0},
+                                   {"mu": 1.0, "velocity": 1.0e4}],
+                         ids=["certified", "given"])
+def test_scans_refuse_an_envelope_that_is_not_finite(monkeypatch, scan,
+                                                     rates):
+    # at mu = 700 the certified v is 8.1e304: e^{-mu l} underflows to 0,
+    # e^{v|t|} - 1 overflows, and every envelope was NaN, so the scan
+    # passed with c_empirical 0 on no row; a given v = 1e4 overflows the
+    # same way.  Each is refused before any evolution, with no warning.
+    calls = []
+    monkeypatch.setattr(dynamics, "_evolution",
+                        lambda *args: calls.append(args))
+    _, inter, _ = setup(4)
+    with pytest.raises(ValueError, match="envelope is not finite"):
+        scan(inter, lambda site: single_site(site, "Z"), **rates)
+    assert calls == []
+
+
+def test_scans_run_just_inside_the_finite_envelopes():
+    # v t = 600 keeps e^{v t} finite: both scans run and pass
+    _, inter, _ = setup(4)
+    z = lambda site: single_site(site, "Z")
+    lr = lr_commutator_scan(inter, z(0), z(3), [0.0, 0.5], mu=1.0,
+                            velocity=1200.0)
+    loc = locality_scan(inter, z(1), [0.0, 1.0], [0.0, 0.5], mu=1.0,
+                        velocity=1200.0)
+    for res in (lr, loc):
+        envs = [m.envelope for m in res.measurements]
+        assert np.isfinite(envs).all() and max(envs) > 1e250
+        assert np.isfinite(res.c_empirical)

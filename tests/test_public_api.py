@@ -270,3 +270,44 @@ def test_only_half_block_forms_the_half_blocks():
                            for node in ast.walk(func)
                            if _column_reversed_top_right(node)]
     assert places == ["spectral.py:_half_block"]
+
+
+def _referrers(name: str) -> list:
+    """module:function, module:Class.method or module: (a statement outside
+    any function) for each place under src/ that names `name`."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, ast.ClassDef):
+                places = [(f"{stmt.name}.{f.name}", f) for f in stmt.body
+                          if isinstance(f, ast.FunctionDef)]
+            elif isinstance(stmt, ast.FunctionDef):
+                places = [(stmt.name, stmt)]
+            else:
+                places = [("", stmt)]
+            found += [f"{path.name}:{place}" for place, node in places
+                      if name in _referenced_names(node)]
+    return found
+
+
+def _function(module: str, name: str) -> ast.FunctionDef:
+    return next(stmt for stmt in ast.parse(
+        (SRC / module).read_text(encoding="utf-8")).body
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == name)
+
+
+# one block read, routed by the parity alone: _read_blocks reads the blocks
+# of the parity it is given and never gathers them into a dense matrix;
+# only transform does, and no caller picks a parity by Hermiticity
+def test_only_transform_gathers_the_sector_blocks():
+    assert _referrers("_from_sector_blocks") == [
+        "spectral.py:SpectralDecomposition.transform"]
+    read = _referenced_names(_function("spectral.py", "_read_blocks"))
+    assert not {"_block_parity", "_from_sector_blocks"} & read
+    guarded = [f"{path.name}:{ast.unparse(node)}"
+               for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.IfExp)
+               and isinstance(node.body, ast.Call)
+               and ast.unparse(node.body.func) == "_block_parity"]
+    assert guarded == []

@@ -12,7 +12,8 @@ from correlab import (chain_lattice, transverse_field_ising, embed,
                       theorem_check, evolution_context, lr_commutator_scan,
                       locality_scan, kms_function, contour_grid, evolve)
 from correlab.operators import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
-from correlab.spectral import (_block_matrix, _block_parity,
+from correlab import dynamics, spectral
+from correlab.spectral import (_block_diagonal, _block_matrix, _block_parity,
                                _reversal_blocks, _reversal_parity,
                                _sector_bases, _sector_blocks)
 
@@ -374,12 +375,10 @@ def test_sector_routes_never_form_the_dense_eigenvectors(monkeypatch):
     assert reads == [128]
 
 
-@pytest.mark.parametrize("op", [_SIGMA_PLUS, PAULI_Z],
-                         ids=["sigma_plus", "Z"])
+@pytest.mark.parametrize("op", [_SIGMA_PLUS], ids=["sigma_plus"])
 def test_evolve_reads_the_dense_eigenvectors_once(monkeypatch, op):
-    # evolve reads A whole: sigma+ has no parity and is read in the V of
-    # the bases, Z is gathered from its sector blocks; either way V is
-    # formed once
+    # sigma+ has no parity: evolve reads it whole in the V of the bases,
+    # and V is formed once
     lat = chain_lattice(6)
     inter = random_bond_ising(lat, seed=2)
     ctx = evolution_context(inter)
@@ -393,6 +392,59 @@ def test_evolve_reads_the_dense_eigenvectors_once(monkeypatch, op):
     e, v = np.linalg.eigh(h)
     u = (v * np.exp(0.6j * e)) @ v.conj().T
     assert np.abs(got - u @ embed(a, lat).matrix @ u.conj().T).max() < 1e-12
+
+
+@pytest.mark.parametrize("op", [PAULI_Z, PAULI_Y, PAULI_X],
+                         ids=["Z", "Y", "X"])
+def test_evolve_in_the_sectors_reads_no_dense_eigenvectors(monkeypatch, op):
+    # an operator with a parity evolves in its sector blocks, as the scans
+    # do: V is never formed, and every factor of every product, in the
+    # read (_transform) and in the evolution, is at most D/2 = 32 wide
+    lat = chain_lattice(6)
+    inter = random_bond_ising(lat, seed=2)
+    ctx = evolution_context(inter)
+    half = ctx.decomposition.dim // 2
+    a = LocalOperator((2,), op)
+    shapes = []
+    transform, evolution = spectral._transform, dynamics._evolution
+
+    def read(left, m, right):
+        shapes.append(left.shape + m.shape + right.shape)
+        return transform(left, m, right)
+
+    def evolved(bases, blocks):
+        shapes.extend(b.shape + bases[l][0].shape + bases[r][0].shape
+                      for l, r, b in blocks)
+        return evolution(bases, blocks)
+
+    reads = _spy_on_eigenvectors(monkeypatch)
+    monkeypatch.setattr(spectral, "_transform", read)
+    monkeypatch.setattr(dynamics, "_evolution", evolved)
+    got = evolve(ctx, a, 0.6).matrix
+    assert reads == []
+    assert shapes and max(max(shape) for shape in shapes) == half
+    monkeypatch.undo()
+    h = build_hamiltonian(inter).matrix
+    e, v = np.linalg.eigh(h)
+    u = (v * np.exp(0.6j * e)) @ v.conj().T
+    assert np.abs(got - u @ embed(a, lat).matrix @ u.conj().T).max() < 1e-12
+
+
+@pytest.mark.parametrize("parity", [1, -1])
+def test_block_matrix_writes_a_non_hermitian_operator_from_both_blocks(
+        parity):
+    # given both blocks of its parity, _block_matrix and _block_diagonal
+    # write back any parity-definite operator, Hermitian or not
+    rng = np.random.default_rng(5)
+    g = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    m = (g + parity * g[::-1, ::-1]) / 2
+    assert _reversal_parity(m) == parity
+    blocks = _sector_blocks(m, parity, hermitian=False)
+    assert len(blocks) == 2
+    assert np.abs(_block_matrix(blocks, parity) - m).max() < 1e-15
+    diagonals = [(l, r, np.diagonal(b)) for l, r, b in blocks]
+    assert np.abs(_block_diagonal(diagonals, parity)
+                  - np.diagonal(m)).max() < 1e-15
 
 
 _SPIN1 = {"Sx": np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / np.sqrt(2),

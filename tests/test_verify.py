@@ -12,7 +12,7 @@ from correlab import (Lattice, chain_lattice, transverse_field_ising, embed,
                       contour_grid, contour_decomposition, fit_decay,
                       theorem_check,
                       ordinary_correlator, canonical_correlator)
-from correlab.operators import PAULI_Z
+from correlab.operators import PAULI_Y, PAULI_Z
 
 
 def setup_state(n=3, beta=1.0, J=1.0, h=0.9):
@@ -399,7 +399,7 @@ def test_theorem_check_builds_the_duhamel_kernel_once_without_sectors(
     assert _count_kernels(monkeypatch, _xxz_in_a_field) == 1
 
 
-def _count_reads(monkeypatch, model) -> dict:
+def _count_reads(monkeypatch, model, op="Z") -> dict:
     # one contraction for all partners: A alone goes to the energy basis,
     # read once by spectral's block reader with the parity it is read in,
     # and no partner is paired with it through _paired_sum
@@ -412,9 +412,9 @@ def _count_reads(monkeypatch, model) -> dict:
             return fn(*args)
         return wrapper
 
-    def read(dec, m, parity, *columns):
+    def read(dec, m, parity, *columns, **kwargs):
         counts["read"].append((m.shape, parity))
-        return spectral._read_blocks(dec, m, parity, *columns)
+        return spectral._read_blocks(dec, m, parity, *columns, **kwargs)
 
     monkeypatch.setattr(spectral.SpectralDecomposition, "transform",
                         counted("transform",
@@ -424,7 +424,8 @@ def _count_reads(monkeypatch, model) -> dict:
                         counted("paired", thermal._paired_sum))
     monkeypatch.setattr(thermal, "_duhamel_kernel",
                         counted("kernel", thermal._duhamel_kernel))
-    res = theorem_check(model(lat), 0.5, 1.0, [1, 2, 3, 4, 5, 6, 7])
+    res = theorem_check(model(lat), 0.5, 1.0, [1, 2, 3, 4, 5, 6, 7],
+                        op_name=op)
     assert len(res.rows) == 7
     return counts
 
@@ -441,6 +442,18 @@ def test_theorem_check_transforms_only_a_without_sectors(monkeypatch):
     assert _count_reads(monkeypatch, _xxz_in_a_field) == {
         "transform": 0, "paired": 0, "kernel": 1,
         "read": [((256, 256), 0)]}
+
+
+@pytest.mark.parametrize("op", [1j * PAULI_Z, PAULI_Z + 1j * PAULI_Y],
+                         ids=["iZ", "Z+iY"])
+def test_theorem_check_reads_a_non_hermitian_odd_operator_in_the_sectors(
+        monkeypatch, op):
+    # the parity alone picks the route: an odd A that is not Hermitian is
+    # read once at parity -1, in both off-diagonal blocks, each with the
+    # Duhamel weights of its own block
+    assert _count_reads(monkeypatch, _tfim, op) == {
+        "transform": 0, "paired": 0, "kernel": 2,
+        "read": [((256, 256), -1)]}
 
 
 class _ProductSpy(np.ndarray):
@@ -540,11 +553,12 @@ def _per_pair_cases(test):
         (chain_lattice(7), 2, [1, 2, 3, 4]),
         (_shuffled_chain(), "a", [1, 2]),
     ], ids=["chain", "shuffled"])
-    # i Z is odd but not Hermitian: its (-, +) block is not the partner of
-    # its (+, -) block, so it is read whole, never in the sector blocks
+    # i Z and Z + iY are odd but not Hermitian: the (-, +) block is not
+    # the partner of the (+, -) block, so both are read in the sectors
     return pytest.mark.parametrize("beta", [0.0, 4.0])(
         pytest.mark.parametrize("op", ["Z", "X", "Y", pytest.param(
-            1j * PAULI_Z, id="iZ")])(lattices(test)))
+            1j * PAULI_Z, id="iZ"), pytest.param(
+            PAULI_Z + 1j * PAULI_Y, id="Z+iY")])(lattices(test)))
 
 
 @_per_pair_cases
