@@ -32,10 +32,11 @@ import yaml
 from . import __version__
 from .lattice import Interaction, Lattice, build_model, chain_lattice, \
     grid_lattice
-from .operators import PAULI, LocalOperator, embed, single_site
+from .operators import PAULI, LocalOperator, _check_measured, embed, \
+    single_site
 from .spectral import DIM_CAP, build_hamiltonian, eig_hermitian
-from .thermal import KMSFunction, _UnconvergedQuadrature, \
-    canonical_correlator, gibbs_state, ordinary_correlator
+from .thermal import _UnconvergedQuadrature, canonical_correlator, \
+    gibbs_state, kms_function, ordinary_correlator
 from .dynamics import _locality_envelopes, _lr_envelopes, locality_scan, \
     lr_commutator_scan
 from .verify import _DELTA_B, _RESIDUE_MAX, _partners, \
@@ -194,23 +195,19 @@ def _site(x, where: str, lat: Lattice):
     return canon, site
 
 
-def _pauli(x, where: str, measured: bool = False) -> str:
-    """x, a Pauli letter.  A measured operator must not be I: every
-    commutator, approximation error and connected correlator of the
-    identity is zero, so a check on it would pass on no measurement."""
+def _pauli(x, where: str) -> str:
+    """x, a Pauli letter.  The tasks that measure an operator refuse I
+    through the library (operators._check_measured)."""
     if not isinstance(x, str) or x not in PAULI:
         raise ConfigError(f"{where} must be one of {sorted(PAULI)}")
-    if measured and x == "I":
-        raise ConfigError(f"{where} must not be I: the identity commutes "
-                          "with everything, so the check measures nothing")
     return x
 
 
-def _operator_section(raw, where: str, lat: Lattice,
-                      measured: bool = False) -> Tuple[dict, LocalOperator]:
+def _operator_section(raw, where: str,
+                      lat: Lattice) -> Tuple[dict, LocalOperator]:
     _check_keys(raw, {"site", "op"}, set(), where)
     canon_site, site = _site(raw["site"], f"{where}.site", lat)
-    name = _pauli(raw["op"], f"{where}.op", measured)
+    name = _pauli(raw["op"], f"{where}.op")
     return {"site": canon_site, "op": name}, single_site(site, name)
 
 
@@ -353,8 +350,8 @@ def _validate_lr_scan(data: dict) -> _Validated:
                 {"velocity"}, "config")
     model, inter = _model_section(data["model"])
     mu = _positive(data["mu"], "mu")
-    a_c, a = _operator_section(data["a"], "a", inter.lattice, True)
-    b_c, b = _operator_section(data["b"], "b", inter.lattice, True)
+    a_c, a = _operator_section(data["a"], "a", inter.lattice)
+    b_c, b = _operator_section(data["b"], "b", inter.lattice)
     times_c, ts = _time_grid(data["times"], "times")
     canon = _optional_positive(data, "velocity", {
         "task": "lr_scan", "model": model, "mu": mu, "a": a_c, "b": b_c,
@@ -368,12 +365,8 @@ def _validate_locality_scan(data: dict) -> _Validated:
                 {"velocity", "exponent_multiplier"}, "config")
     model, inter = _model_section(data["model"])
     mu = _positive(data["mu"], "mu")
-    a_c, a = _operator_section(data["a"], "a", inter.lattice, True)
+    a_c, a = _operator_section(data["a"], "a", inter.lattice)
     radii = _num_list(data["radii"], "radii")
-    if any(r < 0 for r in radii):
-        raise ConfigError("radii must be nonnegative")
-    if any(r1 >= r2 for r1, r2 in zip(radii, radii[1:])):
-        raise ConfigError("radii must be strictly increasing")
     times_c, ts = _time_grid(data["times"], "times")
     canon = _optional_positive(data, "velocity", {
         "task": "locality_scan", "model": model, "mu": mu, "a": a_c,
@@ -393,8 +386,8 @@ def _validate_theorem_check(data: dict) -> _Validated:
     mu = _positive(data["mu"], "mu")
     dists = _num_list(data["distances"], "distances")
     canon = {"task": "theorem_check", "model": model, "beta": beta, "mu": mu,
-             "distances": dists,
-             "op": _pauli(data.get("op", "Z"), "op", True)}
+             "distances": dists, "op": _pauli(data.get("op", "Z"), "op")}
+    _checked(_check_measured, "op", PAULI[canon["op"]])
     base = None
     if "base_site" in data:
         canon["base_site"], base = _site(data["base_site"], "base_site",
@@ -487,15 +480,14 @@ def _run_residue_identity(cfg: dict, workers: int) -> _Outcome:
 def _run_correlators(cfg: dict, workers: int) -> _Outcome:
     inter, ts = cfg["model"], cfg["times"]
     dec = eig_hermitian(build_hamiltonian(inter).matrix)
-    # the energy basis does not depend on beta: one transform per operator
-    ae, be = (dec.transform(embed(cfg[k], inter.lattice).matrix)
-              for k in ("a", "b"))
+    # the pair's blocks do not depend on beta: they are read once
+    pair = kms_function(gibbs_state(dec, cfg["beta"][0]),
+                        *(embed(cfg[k], inter.lattice) for k in ("a", "b")))
     tarr = np.asarray(ts)
     tol = cfg["tolerance"]
 
     def one(beta):
-        st = gibbs_state(dec, beta)
-        fn = KMSFunction(st, ae, be)
+        fn = pair._at(gibbs_state(dec, beta))
         grid = {"f": fn.eval_grid(tarr), "g": fn.conjugate_eval_grid(tarr),
                 "f_boundary": fn.eval_grid(tarr, imag=beta)}
         closed = canonical_correlator(fn, method="closed_form")

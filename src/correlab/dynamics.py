@@ -65,7 +65,7 @@ import numpy as np
 
 from .lattice import (Interaction, Lattice, Site, _hermitian_part,
                       _is_hermitian, ball, certify_locality)
-from .operators import (EmbeddedOperator, _hermitian_norm,
+from .operators import (EmbeddedOperator, _check_measured, _hermitian_norm,
                         conditional_expectation, embed, spectral_norm)
 from .spectral import (SpectralDecomposition, _block_matrix, _block_parity,
                        _matmul, _mirrored_levels, _read_blocks, _sandwich,
@@ -234,7 +234,10 @@ def _lr_envelopes(interaction: Interaction, a, b, times: Sequence[float],
                   mu: float, velocity):
     """(l, ||A||, ||B||, v, rows) of lr_commutator_scan: the distance l
     between the supports X and Y, and for each time the one-entry row
-    ||A|| ||B|| min(|X|, |Y|) e^{-mu l} (e^{v|t|} - 1) (_envelopes)."""
+    ||A|| ||B|| min(|X|, |Y|) e^{-mu l} (e^{v|t|} - 1) (_envelopes).  A or
+    B a multiple of the identity is refused (operators._check_measured)."""
+    _check_measured("a", a.matrix)
+    _check_measured("b", b.matrix)
     dist = interaction.lattice.set_distance(a.support, b.support)
     na, nb = spectral_norm(a.matrix), spectral_norm(b.matrix)
     size = min(len(a.support), len(b.support))
@@ -247,7 +250,15 @@ def _locality_envelopes(interaction: Interaction, a, radii: Sequence[float],
                         exponent_multiplier: float):
     """(||A||, v, rows) of locality_scan: for each time the envelopes
     ||A|| e^{-mu multiplier r} (e^{v|t|} - 1) over the radii r
-    (_envelopes)."""
+    (_envelopes).  Refused: an A that is a multiple of the identity
+    (operators._check_measured), a negative radius, which has no ball, and
+    radii that do not increase, whose rows would repeat or leave the
+    monotonicity in r unchecked."""
+    _check_measured("a", a.matrix)
+    if any(r < 0 for r in radii):
+        raise ValueError(f"radius must be nonnegative, not {min(radii)!r}")
+    if any(r1 >= r2 for r1, r2 in zip(radii, radii[1:])):
+        raise ValueError("radii must be strictly increasing")
     na = spectral_norm(a.matrix)
     decays = [mu * exponent_multiplier * float(r) for r in radii]
     return (na, *_envelopes(interaction, mu, velocity, na, decays, times))

@@ -202,6 +202,18 @@ def spectral_norm(op) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+def _check_measured(name: str, matrix) -> None:
+    """Refuse a measured operator whose matrix is a multiple of the
+    identity: every commutator, approximation error and connected
+    correlator of it vanishes, so a check on it would pass on no
+    measurement."""
+    m = np.asarray(matrix)
+    if np.array_equal(m, m.flat[0] * np.eye(len(m))):
+        raise ValueError(f"{name} must not be I or a multiple of it: the "
+                         "identity commutes with everything, so the check "
+                         "measures nothing")
+
+
 def _hermitian_norm(m: np.ndarray) -> float:
     """Largest |eigenvalue| of m, which the caller knows to be Hermitian
     (the eigensolver reads one triangle); no check is made."""

@@ -30,14 +30,25 @@ helper, and every module asks it:
 - _partnered: the (-, +) block N = M* of a Hermitian odd m, for every
   writer given M alone.
 - _read_blocks: an operator's blocks read into their (W, E) pairs
-  (_sector_bases), W_l* block W_r (_transform), each product
-  (D/2)-sized against D-sized on the dense route.
+  (_sector_bases), W_l* block W_r (_read_into, _transform), each product
+  (D/2)-sized against D-sized on the dense route.  _energy_blocks reads
+  every block that can be nonzero, an odd m in M alone when N is exactly
+  M's partner.
+- _sector_columns: values of one per column (levels, Gibbs weights)
+  split by sector as the blocks of a parity read them.
+- _read_pair: the block form of an operator pair (a, b), read once for
+  its KMS function.  In the energy basis phi(a tau_z(b)) sums
+  a_mn b_nm over m in sector l and n in sector r, so a's (l, r) block
+  pairs with b's (r, l) block alone, through P_lr = a_lr * b_rl^T.  Two
+  even operators pair on (+, +) and (-, -), two odd ones on (+, -) and
+  (-, +), and a mixed pair on no block: its correlation function is
+  zero.  A pair of which either operator has no parity is read whole,
+  the one block (0, 0), in one V.
 - _mirrored_levels: J's action on an index set.
 
 _block_matrix and _block_diagonal write any parity-definite m back from
 its blocks.  transform alone gathers them into the dense energy-basis
-matrix (_from_sector_blocks), whose vanishing blocks are exactly zero;
-it reads an odd m in one block when N is exactly M's partner.
+matrix (_from_sector_blocks), whose vanishing blocks are exactly zero.
 """
 from __future__ import annotations
 
@@ -300,38 +311,88 @@ def _mirrored_levels(rows, dim: int) -> Optional[np.ndarray]:
     return np.where(first[:dim // 2], 1.0, -1.0)
 
 
+def _sector_columns(dec: SpectralDecomposition, parity: int,
+                    *columns: np.ndarray) -> list:
+    """Arrays of one value per column (energies, Gibbs weights) as the
+    blocks of parity read them: whole, in one tuple, for parity 0, and
+    split into the tuples of the + and the - sector for parity +-1."""
+    if not parity:
+        return [columns]
+    return [tuple(x[c] for x in columns)
+            for c in (dec.sector > 0, dec.sector < 0)]
+
+
 def _sector_bases(dec: SpectralDecomposition, parity: int,
                   *columns: np.ndarray) -> list:
     """The (W, E) pairs of eigenvectors and eigenvalues that the blocks of
     _sector_blocks(m, parity) are read into: (V, E) for parity 0, and for
     parity +-1 on a decomposition solved in reversal blocks the stored
     (W+, E+) and (W-, E-).  Each further array of one value per column
-    (Gibbs weights, say) is split by sector and follows E in every tuple.
+    (Gibbs weights, say) is split by sector (_sector_columns) and follows
+    E in every tuple.
     """
-    if not parity:
-        return [(dec.eigenvectors, dec.eigenvalues, *columns)]
-    return [(w, dec.eigenvalues[c], *(x[c] for x in columns))
-            for w, c in zip(dec._vectors, (dec.sector > 0, dec.sector < 0))]
+    vectors = dec._vectors if parity else [dec.eigenvectors]
+    return [(w, *x) for w, x in zip(vectors, _sector_columns(
+        dec, parity, dec.eigenvalues, *columns))]
+
+
+def _read_into(bases: list, blocks: list) -> list:
+    """Blocks (l, r, m_lr) of _sector_blocks read into the bases of
+    _sector_bases for the same parity: (l, r, W_l* m_lr W_r)."""
+    return [(l, r, _transform(bases[l][0].conj().T, b, bases[r][0]))
+            for l, r, b in blocks]
 
 
 def _read_blocks(dec: SpectralDecomposition, m: np.ndarray, parity: int,
                  *columns: np.ndarray, hermitian: bool = True):
     """(bases, blocks): _sector_bases(dec, parity, *columns) and m's
-    blocks read into them, (l, r, W_l* m_lr W_r) for each block of
-    _sector_blocks(m, parity, hermitian).  For parity 0 the one block is
-    m read whole in the V of the bases, so V is formed once."""
+    blocks of _sector_blocks(m, parity, hermitian) read into them
+    (_read_into).  For parity 0 the one block is m read whole in the V of
+    the bases, so V is formed once."""
     bases = _sector_bases(dec, parity, *columns)
-    return bases, [(l, r, _transform(bases[l][0].conj().T, b, bases[r][0]))
-                   for l, r, b in _sector_blocks(m, parity, hermitian)]
+    return bases, _read_into(bases, _sector_blocks(m, parity, hermitian))
+
+
+def _energy_blocks(bases: list, m: np.ndarray, parity: int) -> dict:
+    """{(l, r): W_l* m_lr W_r} over every block of m that can be nonzero,
+    read into the bases of parity (_read_into) and completed by
+    _partnered: an odd m is read as Hermitian, in M alone, when its N
+    equals M* exactly, and in both off-diagonal blocks otherwise."""
+    blocks = _sector_blocks(m, parity, hermitian=False)
+    if parity < 0 and np.array_equal(blocks[1][2], blocks[0][2].conj().T):
+        blocks = blocks[:1]
+    return {(l, r): b for l, r, b in _partnered(_read_into(bases, blocks))}
+
+
+def _read_pair(dec: SpectralDecomposition, a: np.ndarray, b: np.ndarray):
+    """(parity, pairs, diagonals): the pair (a, b) of window matrices read
+    once in its block form (module docstring).
+
+    When both have a parity on dec (_block_parity) each is read in the
+    blocks of its own (_energy_blocks); otherwise both are read whole, in
+    one V.  parity is the one the columns split by (_sector_columns), 0
+    for the whole read.  pairs holds (l, r, a_lr, b_rl) for each (l, r)
+    at which both blocks can be nonzero, and diagonals the diagonals of
+    each operator's (l, l) blocks, as ([(l, d)], [(l, d)]).
+    """
+    pa, pb = _block_parity(dec, a), _block_parity(dec, b)
+    parity = pa if pa and pb else 0
+    bases = _sector_bases(dec, parity)
+    read = [_energy_blocks(bases, m, p if parity else 0)
+            for m, p in ((a, pa), (b, pb))]
+    pairs = [(l, r, block, read[1][r, l]) for (l, r), block in read[0].items()
+             if (r, l) in read[1]]
+    diagonals = tuple([(l, block.diagonal().copy())
+                       for (l, r), block in blocks.items() if l == r]
+                      for blocks in read)
+    return parity, pairs, diagonals
 
 
 def _from_sector_blocks(dec: SpectralDecomposition, m: np.ndarray,
                         parity: int) -> np.ndarray:
     """V* m V for an m with J m J = parity * m exactly: its blocks read in
-    the sector bases (_read_blocks), completed by _partnered, and gathered
-    into the D x D energy-basis matrix, zero in every block not read.  An
-    odd m is read as Hermitian, in M alone, when its N equals M* exactly,
-    and in both off-diagonal blocks otherwise.
+    the sector bases (_energy_blocks) and gathered into the D x D
+    energy-basis matrix, zero in every block not read.
 
     The result is allocated before the blocks' temporaries, which keeps
     the heap lower for the rest of the process (peak RSS).  Row i is row
@@ -343,11 +404,8 @@ def _from_sector_blocks(dec: SpectralDecomposition, m: np.ndarray,
     """
     dim, half = dec.dim, dec.dim // 2
     out = np.empty((dim, dim), dtype=np.result_type(m, dec._vectors))
-    hermitian = parity < 0 and np.array_equal(
-        _half_block(m, 1), _half_block(m, -1).conj().T)
-    blocks = _partnered(_read_blocks(dec, m, parity, hermitian=hermitian)[1])
+    grid = _energy_blocks(_sector_bases(dec, parity), m, parity)
     where = _sector_places(dec)
-    grid = {(l, r): b for l, r, b in blocks}
     rows = max(1, _MIRROR_BLOCK // dim)
     buf = np.empty((rows, dim), dtype=out.dtype)
     for i in range(0, dim, rows):

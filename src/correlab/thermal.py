@@ -6,34 +6,42 @@ partition sum never overflows.  The analytic continuation
 
     F(z) = phi(A tau_z(B)),   z = t + i s,  0 <= s <= beta,
 
-is evaluated in the energy eigenbasis through the pair product
-P = A * B^T, built once per pair (real when it is): with u = e^{iEt},
+is evaluated in the energy eigenbasis over the pair's blocks, read once by
+spectral._read_pair (spectral module docstring): A's block A_lr, between
+the levels E_l of sector l and E_r of sector r, pairs with B's block B_rl
+through P_lr = A_lr * B_rl^T.  With u = e^{iEt},
 
-    F(t + is) = sum_m row_m conj(u_m) (P (col * u))_m,
-    row = e^{-(beta - s)E} / Z,   col = e^{-sE},
+    F(t + is) = sum_lr sum_m row_m conj(u_m) (P_lr (col * u))_m,
+    row = e^{-(beta - s)E_l} / Z,   col = e^{-sE_r}.
 
-taken over column blocks of the time grid, so no D x D array is formed
-per evaluation.  The conjugate function G(t) = phi(tau_t(B) A) lives on
-the strip -beta <= s <= 0, and the KMS boundary condition
-F(t + i beta) = G(t) ties the two together.  G is F of the swapped pair
-at the mirrored point, G_{A,B}(z) = F_{B,A}(-z), and the swapped pair's
-product is P^T, so one evaluator serves both.  It tolerates a bounded
-excursion outside the native strip (needed by the contour pipeline) and
-refuses to produce overflowed garbage.  The ordinary and canonical
-correlators read the pair a KMSFunction holds: F(0) and the beta-average
-of F(ib), each less phi(A) phi(B).
+Each distinct |t| of a grid is evaluated once: with c = cos(E|t|),
+sn = sin(E|t|), X = P (col * c) and Y = P (col * sn), the sums
+C = sum row (c X + sn Y) and S = sum row (sn X - c Y) give
+F(+-|t|) = C -+ iS, for real and complex P alike.  The grid is taken over
+column blocks of the phase table, so no D x D array is formed per
+evaluation.  The conjugate function G(t) = phi(tau_t(B) A) lives on the
+strip -beta <= s <= 0, and the KMS boundary condition F(t + i beta) = G(t)
+ties the two together.  G is F of the swapped pair at the mirrored point,
+G_{A,B}(z) = F_{B,A}(-z), and the swapped pair's blocks are P_lr^T, so one
+evaluator serves both, F through P_lr and G through P_lr^T.  It tolerates
+a bounded excursion outside the native strip (needed by the contour
+pipeline) and refuses to produce overflowed garbage.  The ordinary and
+canonical correlators read the pair a KMSFunction holds: F(0) and the
+beta-average of F(ib), each less phi(A) phi(B).
 """
 from __future__ import annotations
 
+import copy
 import warnings
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
 from .operators import EmbeddedOperator, LocalOperator, _as_matrix
 from .quadrature import _refine_by_doubling, gauss_legendre
-from .spectral import SpectralDecomposition, _matmul, _on_window, eig_hermitian
+from .spectral import (SpectralDecomposition, _matmul, _on_window, _read_pair,
+                       _sector_columns, eig_hermitian)
 
 _EXP_CAP = 700.0          # np.exp overflows just past 709
 _STRIP_TOL = 1e-9
@@ -63,8 +71,7 @@ class ThermalState:
 
     energies are shifted so energies[0] == 0; weights are the Gibbs
     probabilities; log_partition is log sum_n exp(-beta * energies[n])
-    for the shifted spectrum.  The Duhamel kernel divided by the partition
-    sum is built on first use and kept.
+    for the shifted spectrum.
     """
 
     beta: float
@@ -72,8 +79,6 @@ class ThermalState:
     energies: np.ndarray
     weights: np.ndarray
     log_partition: float
-    _kernel: Optional[np.ndarray] = field(default=None, init=False,
-                                          repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -84,13 +89,6 @@ class ThermalState:
 
     def expectation(self, op: OperatorLike) -> complex:
         return complex(_gibbs_mean(self.weights, self.to_eigenbasis(op)))
-
-    def _duhamel_weights(self) -> np.ndarray:
-        """K_mn / Z, the weights of the closed-form canonical correlator."""
-        if self._kernel is None:
-            kern = self._duhamel_block(self.energies, self.energies)
-            object.__setattr__(self, "_kernel", kern)
-        return self._kernel
 
     def _duhamel_block(self, e_row: np.ndarray,
                        e_col: np.ndarray) -> np.ndarray:
@@ -107,18 +105,18 @@ def _gibbs_mean(weights: np.ndarray, m: np.ndarray):
 
 
 def _paired_sum(weights: np.ndarray, am: np.ndarray, bm: np.ndarray) -> complex:
-    """sum_mn W_mn A_mn B_nm, with W_mn = p_m when weights is a vector.
+    """sum_mn W_mn A_mn B_nm, with W_mn = p_m when weights is a vector; A
+    and W are m x n and B is n x m, a block and its partner block.
 
-    Reduced over square tiles of A * B^T, so no D x D pairing is allocated,
-    the transposed read of B stays in cache, and real operands stay in real
-    arithmetic.
+    Reduced over square tiles of A * B^T, so no pairing of A's size is
+    allocated, the transposed read of B stays in cache, and real operands
+    stay in real arithmetic.
     """
-    dim = am.shape[0]
     w = weights if weights.ndim == 2 else np.broadcast_to(weights[:, None], am.shape)
     total = 0.0
-    for i in range(0, dim, _PAIR_TILE):
+    for i in range(0, am.shape[0], _PAIR_TILE):
         rows = slice(i, i + _PAIR_TILE)
-        for j in range(0, dim, _PAIR_TILE):
+        for j in range(0, am.shape[1], _PAIR_TILE):
             cols = slice(j, j + _PAIR_TILE)
             tile = am[rows, cols] * bm[cols, rows].T
             tile *= w[rows, cols]
@@ -147,41 +145,83 @@ def gibbs_state(hamiltonian, beta: float) -> ThermalState:
 class KMSFunction:
     """Two-sided thermal correlation function of a fixed operator pair.
 
-    Holds A and B in the energy eigenbasis.  The constructor takes the pair
-    in that basis as D x D matrices (a real pair stays real, integers become
-    float); kms_function takes it in the site basis.  The constructor
-    builds the pair product P = A * B^T, stored real when its imaginary
-    part is exactly zero (a real pair, or Y/Y on a real Hamiltonian), so
-    threads may share it.  F reads P and G reads P^T: a grid costs one
-    GEMM per column block of the phase table (a real GEMM when P is real)
-    and a point one mat-vec.
+    Holds the pair as the blocks that can be nonzero (spectral module
+    docstring): for each, the block A_lr of A, the block B_rl of B it
+    pairs with, and their pair product P_lr = A_lr * B_rl^T, all in the
+    energy basis, with the levels E_l and E_r read by sector
+    (spectral._sector_columns).  kms_function reads a site-basis pair into
+    them once (spectral._read_pair); the constructor takes the pair in
+    the energy basis as D x D matrices (a real pair stays real, integers
+    become float), the one-block case of the same form.  P is stored as
+    its real parts, one when its imaginary part is exactly zero (a real
+    pair, or Y/Y on a real Hamiltonian), so every product with it is a
+    real GEMM per part and threads may share it.  F reads P_lr and G reads
+    P_lr^T.
     """
 
     def __init__(self, state: ThermalState, a_energy: OperatorLike,
                  b_energy: OperatorLike):
+        a = _on_window(_as_matrix(a_energy), state.dim)
+        b = _on_window(_as_matrix(b_energy), state.dim)
+        self._hold(state, 0, [(0, 0, a, b)],
+                   ([(0, np.diagonal(a))], [(0, np.diagonal(b))]))
+
+    def _hold(self, state: ThermalState, parity: int, pairs: list,
+              diagonals: tuple) -> None:
+        """Keep the pair's blocks and diagonals (spectral._read_pair), read
+        on state's decomposition in the columns of parity, and form each
+        block's pair product."""
         self.state = state
-        self.a_energy = _on_window(_as_matrix(a_energy), state.dim)
-        self.b_energy = _on_window(_as_matrix(b_energy), state.dim)
-        pair = self.a_energy * self.b_energy.T
-        if np.iscomplexobj(pair) and not pair.imag.any():
-            pair = np.ascontiguousarray(pair.real)
-        self.pair_product = pair
+        self._parity = parity
+        self._diagonals = diagonals
+        self._blocks = [(l, r, a, b, _pair_parts(a, b)) for l, r, a, b in pairs]
+
+    def _held(self) -> list:
+        """Every array the function holds: each block's A_lr, B_rl and
+        parts of P_lr, and the operators' diagonals."""
+        return ([x for _, _, *arrays in self._blocks for x in arrays]
+                + [d for diagonals in self._diagonals for _, d in diagonals])
+
+    def _at(self, state: ThermalState) -> "KMSFunction":
+        """The same pair in another Gibbs state of the same decomposition:
+        the blocks do not depend on beta and are shared, not copied."""
+        if state.decomposition is not self.state.decomposition:
+            raise ValueError("state is not on the pair's decomposition")
+        fn = copy.copy(self)
+        fn.state = state
+        return fn
+
+    def _columns(self, values: np.ndarray) -> list:
+        """values, one per level, as the blocks read them: one array per
+        sector, or the whole array for a pair read whole."""
+        return [x for x, in _sector_columns(self.state.decomposition,
+                                            self._parity, values)]
+
+    def _mean(self, diagonals: list) -> complex:
+        """phi of the operator with these diagonals, [(l, d)]."""
+        weights = self._columns(self.state.weights)
+        return complex(sum(np.sum(weights[l] * d) for l, d in diagonals))
 
     @property
     def phi_a(self) -> complex:
-        return complex(_gibbs_mean(self.state.weights, self.a_energy))
+        return self._mean(self._diagonals[0])
 
     @property
     def phi_b(self) -> complex:
-        return complex(_gibbs_mean(self.state.weights, self.b_energy))
+        return self._mean(self._diagonals[1])
 
     def _kms(self, ts, s: float, conjugate: bool) -> np.ndarray:
         """F(t + is) on the grid ts, or G(t + is) when conjugate is set.
 
-        Both are sum_mn p_m e^{-izE_m} X_mn e^{izE_n} Y_nm: F for
-        (X, Y) = (A, B) at z, G for (B, A) at -z.  Below the real axis
-        (after the swap) e^{-sE_n} grows; past the overflow cap the call
-        fails rather than return inf.
+        Both are sums over the blocks of sum_mn x_m e^{-itE_m} P_mn
+        y_n e^{itE_n}: F reads P_lr with x = row = e^{-(beta - s)E_l}/Z
+        and y = col = e^{-sE_r}, and G, F of the swapped pair at -z, reads
+        P_lr^T the same way.  Each distinct |t| is evaluated once: with
+        c = cos(E|t|), sn = sin(E|t|), X = P (col * c), Y = P (col * sn),
+        C = sum row (c X + sn Y) and S = sum row (sn X - c Y) give
+        F(+-|t|) = C -+ iS, for real and complex P alike.  Below the real
+        axis (after the swap) e^{-sE_n} grows; past the overflow cap the
+        call fails rather than return inf.
         """
         st = self.state
         beta = st.beta
@@ -189,31 +229,37 @@ class KMSFunction:
             raise ValueError(
                 f"imaginary part {s:.6g} outside the strip [-beta, beta]")
         ts = np.asarray(ts, dtype=float).ravel()
-        pair = self.pair_product
+        sign = np.sign(ts)
         if conjugate:
-            pair, ts, s = pair.T, -ts, -s
+            sign, s = -sign, -s
         if s < 0 and -s * st.energies[-1] > _EXP_CAP:
             raise FloatingPointError(
                 f"continuation of {'G above' if conjugate else 'F below'}"
                 " the real axis would overflow")
-        row = np.exp(-(beta - s) * st.energies - st.log_partition)[:, None]
-        col = np.exp(-s * st.energies)[:, None]
-        out = np.empty(ts.size, dtype=complex)
+        levels = self._columns(st.energies)
+        row = [np.exp(-(beta - s) * e - st.log_partition)[:, None] for e in levels]
+        col = [np.exp(-s * e)[:, None] for e in levels]
+        mirrored, where = np.unique(np.abs(ts), return_inverse=True)
+        c_sum = np.zeros(mirrored.size, dtype=complex)
+        s_sum = np.zeros(mirrored.size, dtype=complex)
         width = max(1, _PHASE_BLOCK // st.dim)
-        for j in range(0, ts.size, width):
-            phase = np.multiply.outer(st.energies, ts[j:j + width])
-            cos = np.cos(phase)
-            sin = np.sin(phase, out=phase)
-            # col * u, then row * conj(u) in the same buffer
-            u = np.empty(phase.shape, dtype=complex)
-            np.multiply(col, cos, out=u.real)
-            np.multiply(col, sin, out=u.imag)
-            mu = _matmul(pair, u)
-            np.multiply(row, cos, out=u.real)
-            np.multiply(-row, sin, out=u.imag)
-            mu *= u
-            out[j:j + width] = mu.sum(axis=0)
-        return out
+        for j in range(0, mirrored.size, width):
+            phases = [np.multiply.outer(e, mirrored[j:j + width]) for e in levels]
+            cos = [np.cos(p) for p in phases]
+            sin = [np.sin(p, out=p) for p in phases]
+            n = phases[0].shape[1]
+            for l, r, _, _, pair in self._blocks:
+                if conjugate:
+                    l, r, pair = r, l, pair.transpose(0, 2, 1)
+                u = np.empty((len(col[r]), 2 * n))
+                np.multiply(col[r], cos[r], out=u[:, :n])
+                np.multiply(col[r], sin[r], out=u[:, n:])
+                xy = _joined(_matmul(pair, u))
+                x, y = xy[:, :n], xy[:, n:]
+                rc, rs = row[l] * cos[l], row[l] * sin[l]
+                c_sum[j:j + n] += _column_dot(rc, x) + _column_dot(rs, y)
+                s_sum[j:j + n] += _column_dot(rs, x) - _column_dot(rc, y)
+        return c_sum[where] - 1j * sign * s_sum[where]
 
     def eval(self, z: complex) -> complex:
         """F(z) = phi(A tau_z(B)) for z in the closed strip 0 <= Im z <= beta.
@@ -242,10 +288,39 @@ class KMSFunction:
                 - self.conjugate_eval_grid(ts, imag=0.0))
 
 
+def _pair_parts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The pair product P = a * b^T of a block and its partner block, as
+    the stack of its real parts: (P,) when its imaginary part is exactly
+    zero, (Re P, Im P) otherwise."""
+    pair = a * b.T
+    if np.iscomplexobj(pair) and pair.imag.any():
+        return np.stack((pair.real, pair.imag))
+    return np.ascontiguousarray(pair.real)[None]
+
+
+def _column_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_m a_mj b_mj for each column j, with no temporary of a's size."""
+    return np.einsum("mj,mj->j", a, b)
+
+
+def _joined(parts: np.ndarray) -> np.ndarray:
+    """A product with the parts of P (_pair_parts) joined into one array:
+    the first part alone for a real P, part 0 + i part 1 otherwise."""
+    if len(parts) == 1:
+        return parts[0]
+    out = np.empty(parts.shape[1:], dtype=complex)
+    out.real, out.imag = parts
+    return out
+
+
 def kms_function(state: ThermalState, a: OperatorLike,
                  b: OperatorLike) -> KMSFunction:
-    """F(z) = phi(A tau_z(B)) for the site-basis pair (A, B)."""
-    return KMSFunction(state, state.to_eigenbasis(a), state.to_eigenbasis(b))
+    """F(z) = phi(A tau_z(B)) for the site-basis pair (A, B), read once in
+    its blocks (spectral._read_pair)."""
+    fn = KMSFunction.__new__(KMSFunction)
+    fn._hold(state, *_read_pair(state.decomposition, *(
+        _on_window(_as_matrix(m), state.dim) for m in (a, b))))
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +328,10 @@ def kms_function(state: ThermalState, a: OperatorLike,
 # ---------------------------------------------------------------------------
 
 def ordinary_correlator(fn: KMSFunction) -> complex:
-    """Truncated correlation phi(AB) - phi(A) phi(B) = F(0) - phi(A) phi(B)."""
-    return (_paired_sum(fn.state.weights, fn.a_energy, fn.b_energy)
+    """Truncated correlation phi(AB) - phi(A) phi(B) = F(0) - phi(A) phi(B),
+    paired block by block from A_lr and B_rl."""
+    weights = fn._columns(fn.state.weights)
+    return (sum(_paired_sum(weights[l], a, b) for l, _, a, b, _ in fn._blocks)
             - fn.phi_a * fn.phi_b)
 
 
@@ -289,7 +366,10 @@ def canonical_correlator(fn: KMSFunction, method: str = "closed_form") -> comple
 
         (1/beta) int_0^beta db  phi(A tau_{ib}(B))  -  phi(A) phi(B).
 
-    method="closed_form" integrates each eigenbasis matrix element exactly;
+    method="closed_form" integrates each eigenbasis matrix element exactly:
+    each block pairs A_lr with B_rl against its Duhamel kernel block
+    K(E_l, E_r) / Z (ThermalState._duhamel_block), built once per block
+    pair with K(E_r, E_l) = K(E_l, E_r)^T and not kept.
     method="quadrature" uses Gauss-Legendre on [0, beta]: with nodes
     b_k = beta (x_k + 1)/2 the average is half the weighted sum of F(ib_k),
     with no division by beta, so beta = 0 needs no special case.  The node
@@ -297,35 +377,44 @@ def canonical_correlator(fn: KMSFunction, method: str = "closed_form") -> comple
     the value, or within the round-off floor eps D max|P| of the sum if
     that is larger; if 512 nodes are reached first, the last value is
     returned with a RuntimeWarning that gives the last refinement's change.
-    The quadrature reads the pair product P = A * B^T of the KMS function
-    as left^T P, one real GEMM whether P is real or complex (a complex P
-    is read through its interleaved real view, with no copy); the closed
-    form pairs A and B itself, so the two routes stay independent.
+    The quadrature reads each block's pair product P_lr as left^T P_lr,
+    one real GEMM per part of P; the closed form pairs A and B itself, so
+    the two routes stay independent.
     """
     state = fn.state
     disconnected = fn.phi_a * fn.phi_b
+    levels = fn._columns(state.energies)
 
     if method == "closed_form":
-        return (_paired_sum(state._duhamel_weights(), fn.a_energy, fn.b_energy)
-                - disconnected)
+        kernels: dict = {}
+        total = 0.0
+        for l, r, a, b, _ in fn._blocks:
+            kernels[l, r] = (kernels[r, l].T if (r, l) in kernels
+                             else state._duhamel_block(levels[l], levels[r]))
+            total += _paired_sum(kernels[l, r], a, b)
+        return total - disconnected
 
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
 
-    beta, etil, pair = state.beta, state.energies, fn.pair_product
+    beta = state.beta
 
     def average(n: int) -> complex:
         x, w = gauss_legendre(n)
         bs = 0.5 * beta * (x + 1.0)
         # node-major factors: sum over m of left^T (P right) is the row sum
-        # of (left^T P) * right^T, one real GEMM for a real or complex P
-        left_t = np.exp(-np.outer(beta - bs, etil) - state.log_partition)
-        right_t = np.exp(-np.outer(bs, etil))
-        vals = np.sum(_matmul(left_t, pair) * right_t, axis=1)
+        # of (left^T P) * right^T, one real GEMM per part of P
+        left = [np.exp(-np.outer(beta - bs, e) - state.log_partition)
+                for e in levels]
+        right = [np.exp(-np.outer(bs, e)) for e in levels]
+        vals = sum(_joined(np.sum(_matmul(left[l], pair) * right[r], axis=-1))
+                   for l, r, _, _, pair in fn._blocks)
         return complex(0.5 * np.sum(w * vals))
 
     # below eps D max|P| two refinements differ by round-off alone
-    floor = np.finfo(float).eps * state.dim * float(np.abs(pair).max())
+    peak = max((float(np.linalg.norm(pair, axis=0).max())
+                for *_, pair in fn._blocks), default=0.0)
+    floor = np.finfo(float).eps * state.dim * peak
     value, nodes, converged, delta = _refine_by_doubling(
         average, _QUAD_START, _QUAD_MAX, floor, rtol=_QUAD_TOL)
     if not converged:

@@ -31,7 +31,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .lattice import Interaction, Lattice, _is_hermitian
-from .operators import _embedded_trace, embed, single_site, spectral_norm
+from .operators import (_check_measured, _embedded_trace, embed, single_site,
+                        spectral_norm)
 from .quadrature import _refine_by_doubling, gauss_legendre
 from .thermal import ThermalState, KMSFunction, _gibbs_mean, gibbs_state, \
     kms_function
@@ -149,8 +150,8 @@ class ContourGrid:
     """Everything in a contour decomposition that does not depend on the
     height: the KMS function of the pair, its disconnected part phi(A)phi(B),
     the symmetric quadrature nodes and weights on [-T, T], and F and G
-    evaluated there.  The arrays, with the pair and its product P held by
-    the KMS function, are read-only, so threads may share a grid.
+    evaluated there.  The arrays, with the pair's blocks held by the KMS
+    function, are read-only, so threads may share a grid.
     """
 
     fn: KMSFunction
@@ -169,9 +170,10 @@ class ContourGrid:
 def contour_grid(state: ThermalState, a, b, nodes: int = 1024,
                  half_width: Optional[float] = None) -> ContourGrid:
     """The height-independent part of contour_decomposition for the pair
-    (A, B) in a site-basis state: A and B are taken to the energy basis
-    once, and F and G are evaluated once on `nodes` symmetric Gauss-Legendre
-    nodes on [-T, T], with T = 8 unless half_width is given.
+    (A, B) in a site-basis state: the pair's blocks are read once
+    (thermal.kms_function), and F and G are evaluated once on `nodes`
+    symmetric Gauss-Legendre nodes on [-T, T], with T = 8 unless
+    half_width is given; each node pair +-t costs one |t|.
 
     Refuses beta <= 2e-6, where the strip cannot hold the contour offset
     inward from its edges, and a half_width that is not finite and
@@ -183,11 +185,10 @@ def contour_grid(state: ThermalState, a, b, nodes: int = 1024,
     _check_half_width(half_width)
     fn = kms_function(state, a, b)
     t, wq = _sym_gauss(nodes, half_width)
-    arrays = (fn.a_energy, fn.b_energy, fn.pair_product, t, wq,
-              fn.eval_grid(t), fn.conjugate_eval_grid(t))
-    for arr in arrays:
+    arrays = (t, wq, fn.eval_grid(t), fn.conjugate_eval_grid(t))
+    for arr in (*arrays, *fn._held()):
         arr.flags.writeable = False
-    return ContourGrid(fn, fn.phi_a * fn.phi_b, float(half_width), *arrays[3:])
+    return ContourGrid(fn, fn.phi_a * fn.phi_b, float(half_width), *arrays)
 
 
 @dataclass(frozen=True)
@@ -427,13 +428,16 @@ def theorem_check(interaction: Interaction, beta: float, mu: float,
     that is not Hermitian reads both off-diagonal blocks.  Otherwise A, W,
     M and rho are read whole in (V, E).
 
-    mu must be finite and positive, and no two distances may select the
-    same partner site: its row would count twice in both fits.
+    mu must be finite and positive, op_name must not name a multiple of
+    the identity (operators._check_measured), and no two distances may
+    select the same partner site: its row would count twice in both fits.
     """
     if not 0.0 < mu < np.inf:
         raise ValueError(f"mu must be finite and positive, not {mu!r}")
     lat = interaction.lattice
     base = base_site if base_site is not None else lat.sites[0]
+    a_loc = single_site(base, op_name)
+    _check_measured("op", a_loc.matrix)
     pairs = _partners(lat, base, distances)
     if state is None:
         state = gibbs_state(build_hamiltonian(interaction).matrix, beta)
@@ -442,7 +446,6 @@ def theorem_check(interaction: Interaction, beta: float, mu: float,
     if state.beta != beta:
         raise ValueError(f"state is at beta={state.beta!r}, not beta={float(beta)!r}")
 
-    a_loc = single_site(base, op_name)
     op = a_loc.matrix
     na = spectral_norm(op)
     m, rho, phi_a = _contraction(state, a_loc, lat)

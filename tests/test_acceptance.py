@@ -20,8 +20,9 @@ from correlab import (DIM_CAP, LocalOperator, build_hamiltonian,
                       canonical_correlator, chain_lattice, commutator,
                       conditional_expectation, contour_decomposition,
                       contour_grid, eig_hermitian, embed, gibbs_state,
-                      kms_function, locality_scan, lr_commutator_scan,
-                      ordinary_correlator, residue_identity, sampled_twirl,
+                      heisenberg_xxz, kms_function, locality_scan,
+                      lr_commutator_scan, ordinary_correlator,
+                      random_bond_ising, residue_identity, sampled_twirl,
                       single_site, spectral_norm, theorem_check,
                       transverse_field_ising)
 from correlab import cli
@@ -46,30 +47,66 @@ def chain6():
     return lat, inter, dec
 
 
+@pytest.fixture(scope="module")
+def xxz6():
+    # XXZ at h = 0, the strip workload's model: reversal-symmetric
+    lat = chain_lattice(6)
+    dec = eig_hermitian(build_hamiltonian(heisenberg_xxz(lat, 1.0, 0.5)).matrix)
+    return lat, dec
+
+
+def parity_pairs(lat):
+    """Z/Z, X/X and Y/Y pairs, odd, even and odd again: on a
+    reversal-symmetric H each is read in its sector blocks, of size D/2."""
+    return [(embed(single_site(s, op), lat), embed(single_site(t, op), lat))
+            for op in ("Z", "X", "Y") for s, t in ((0, 5), (2, 3))]
+
+
+def read_in_blocks(fn) -> bool:
+    """fn holds its pair in (D/2)-sized blocks (the block route)."""
+    half = fn.state.dim // 2
+    return bool(fn._blocks) and all(
+        a.shape == (half, half) for _, _, a, _, _ in fn._blocks)
+
+
+# the correlators task's grid, start + i step: only 134 of its 161 |t| are
+# distinct, so F(-|t|) is read from F(|t|) for some points and not others
+UNMIRRORED = np.array([-4.0 + 0.05 * i for i in range(161)])
+
+
 # ---------------------------------------------------------------------------
 # 1. KMS boundary identity
 # ---------------------------------------------------------------------------
 
-def test_criterion_01_kms_boundary_identity(chain6):
+def test_criterion_01_kms_boundary_identity(chain6, xxz6):
     lat, _, dec = chain6
     rng = np.random.default_rng(11)
-    pairs = [(random_site_observable(rng, 6), random_site_observable(rng, 6))
-             for _ in range(5)]
-    ts = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+    random_pairs = [(embed(random_site_observable(rng, 6), lat),
+                     embed(random_site_observable(rng, 6), lat))
+                    for _ in range(5)]
+    cases = [(dec, random_pairs), (dec, parity_pairs(lat)),
+             (xxz6[1], parity_pairs(xxz6[0]))]
+    grids = (np.array([-2.0, -1.0, 0.0, 1.0, 2.0]), UNMIRRORED)
+    assert len(np.unique(np.abs(UNMIRRORED))) == 134
 
     t0 = time.perf_counter()
-    worst = 0.0
+    worst, blocked = 0.0, 0
     for beta in (0.2, 1.0, 2.0):
-        state = gibbs_state(dec, beta)
-        for a, b in pairs:
-            fn = kms_function(state, embed(a, lat), embed(b, lat))
-            worst = max(worst, float(np.abs(fn.boundary_gap(ts)).max()))
+        for d, pairs in cases:
+            state = gibbs_state(d, beta)
+            for a, b in pairs:
+                fn = kms_function(state, a, b)
+                blocked += read_in_blocks(fn)
+                for ts in grids:
+                    worst = max(worst, float(np.abs(fn.boundary_gap(ts)).max()))
     elapsed = time.perf_counter() - t0
 
+    assert blocked == 3 * 2 * 6  # every parity pair took the block route
     assert worst <= 1e-10
     assert elapsed < 30.0
     report(1, "kms boundary identity",
-           f"max |F(t+ib) - G(t)| = {worst:.3e} <= 1e-10, {elapsed:.1f}s")
+           f"max |F(t+ib) - G(t)| = {worst:.3e} <= 1e-10 over "
+           f"{blocked} block-route pairs and 15 random ones, {elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------
@@ -95,27 +132,34 @@ def test_criterion_02_residue_identity():
 # 3. Canonical correlator, closed form vs quadrature
 # ---------------------------------------------------------------------------
 
-def test_criterion_03_duhamel_dual_route(chain6):
+def test_criterion_03_duhamel_dual_route(chain6, xxz6):
     lat, _, dec = chain6
     rng = np.random.default_rng(23)
-    pairs = [(random_site_observable(rng, 6), random_site_observable(rng, 6))
-             for _ in range(10)]
+    random_pairs = [(embed(random_site_observable(rng, 6), lat),
+                     embed(random_site_observable(rng, 6), lat))
+                    for _ in range(10)]
+    cases = [(dec, random_pairs), (dec, parity_pairs(lat)),
+             (xxz6[1], parity_pairs(xxz6[0]))]
 
     t0 = time.perf_counter()
-    worst = 0.0
+    worst, blocked = 0.0, 0
     for beta in (0.5, 1.0):
-        state = gibbs_state(dec, beta)
-        for a, b in pairs:
-            fn = kms_function(state, embed(a, lat), embed(b, lat))
-            closed = canonical_correlator(fn, method="closed_form")
-            quad = canonical_correlator(fn, method="quadrature")
-            worst = max(worst, abs(closed - quad))
+        for d, pairs in cases:
+            state = gibbs_state(d, beta)
+            for a, b in pairs:
+                fn = kms_function(state, a, b)
+                blocked += read_in_blocks(fn)
+                closed = canonical_correlator(fn, method="closed_form")
+                quad = canonical_correlator(fn, method="quadrature")
+                worst = max(worst, abs(closed - quad))
     elapsed = time.perf_counter() - t0
 
+    assert blocked == 2 * 2 * 6  # every parity pair took the block route
     assert worst <= 1e-8
     assert elapsed < 60.0
     report(3, "duhamel dual route",
-           f"max route gap {worst:.3e} <= 1e-8, {elapsed:.1f}s")
+           f"max route gap {worst:.3e} <= 1e-8 over {blocked} block-route "
+           f"pairs and 20 random ones, {elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------
@@ -315,25 +359,52 @@ def test_criterion_10_twirl_convergence():
 # 11. Eigensolver reconstruction and orthonormality
 # ---------------------------------------------------------------------------
 
+def reversal_symmetric_inputs(rng):
+    """Hermitian H with J H J = H exactly, J the index reversal: random
+    ones, real and complex, of even size up to 256, and model windows at
+    n <= 10.  m + J m J is J-symmetric to the last bit, and so is its
+    Hermitian part."""
+    for k in range(20):
+        n = 256 if k == 0 else 2 * int(rng.integers(1, 129))
+        m = rng.standard_normal((n, n))
+        if k % 2:
+            m = m + 1j * rng.standard_normal((n, n))
+        m = m + m[::-1, ::-1]
+        yield (m + m.conj().T) / 2
+    for inter in (transverse_field_ising(chain_lattice(10), 1.0, 1.0),
+                  random_bond_ising(chain_lattice(9), 1.0, 1.0, seed=3),
+                  heisenberg_xxz(chain_lattice(8), 1.0, 0.5)):
+        yield build_hamiltonian(inter).matrix
+
+
 def test_criterion_11_eigensolver_contract():
     rng = np.random.default_rng(17)
     worst_recon = 0.0
     worst_orth = 0.0
+    general = []
     for k in range(50):
         n = 256 if k == 0 else int(rng.integers(2, 257))
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        h = (m + m.conj().T) / 2
+        general.append((m + m.conj().T) / 2)
+    blocked = 0
+    for h in (*general, *reversal_symmetric_inputs(rng)):
+        n = len(h)
         dec = eig_hermitian(h)
         v = dec.eigenvectors
+        if dec.sector is not None:  # solved in the reversal blocks
+            blocked += 1
+            assert np.array_equal(v[::-1], v * dec.sector)  # J v = sector v
         worst_recon = max(worst_recon,
                           float(np.abs(dec.reconstruct() - h).max()))
         worst_orth = max(worst_orth,
                          float(np.abs(v.conj().T @ v - np.eye(n)).max()))
+    assert blocked == 23  # every reversal-symmetric input, and no other
     assert worst_recon <= 1e-10
     assert worst_orth <= 1e-10
     report(11, "eigensolver contract",
-           f"50 matrices up to dim 256: reconstruction {worst_recon:.3e}, "
-           f"orthonormality {worst_orth:.3e}, both <= 1e-10")
+           f"50 general and {blocked} reversal-symmetric matrices up to dim "
+           f"1024: reconstruction {worst_recon:.3e}, orthonormality "
+           f"{worst_orth:.3e}, both <= 1e-10, J v = sector v exactly")
 
 
 # ---------------------------------------------------------------------------

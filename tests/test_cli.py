@@ -15,7 +15,7 @@ import pytest
 import yaml
 
 from correlab import Interaction, KMSFunction, LocalOperator, \
-    SpectralDecomposition, cli
+    SpectralDecomposition, cli, spectral, thermal
 
 
 def write_config(tmp_path: Path, text: str, name: str = "cfg.yaml") -> str:
@@ -720,26 +720,87 @@ def _count_calls(monkeypatch, cls, name, calls):
 
 def test_contour_run_shares_one_grid_across_heights(tmp_path, capsys,
                                                     monkeypatch):
+    # each operator's blocks are read once (spectral._energy_blocks), with
+    # no dense transform, and F and G once on the nodes
     calls = {}
     _count_calls(monkeypatch, SpectralDecomposition, "transform", calls)
+    _count_calls(monkeypatch, spectral, "_energy_blocks", calls)
     for name in ("eval_grid", "conjugate_eval_grid"):
         _count_calls(monkeypatch, KMSFunction, name, calls)
     cfg = write_config(tmp_path, CONTOUR_CFG.replace(
         "heights: [0.5]", "heights: [0.0, 0.25, 0.5, 0.75, 1.0]"))
     assert run_cli(["run", cfg, "--outdir", str(tmp_path / "out")]) == 0
     capsys.readouterr()
-    assert calls == {"transform": 2, "eval_grid": 1, "conjugate_eval_grid": 1}
+    assert calls == {"_energy_blocks": 2, "eval_grid": 1,
+                     "conjugate_eval_grid": 1}
 
 
 def test_correlators_run_transforms_each_operator_once(tmp_path, capsys,
                                                        monkeypatch):
+    # the pair's blocks are read once for all four beta, one block read
+    # per operator and no dense transform
     calls = {}
     _count_calls(monkeypatch, SpectralDecomposition, "transform", calls)
+    _count_calls(monkeypatch, spectral, "_energy_blocks", calls)
     cfg = write_config(tmp_path, CORRELATOR_CFG.replace(
         "beta: [0.0, 1.0]", "beta: [0.25, 0.5, 1.0, 2.0]"))
     assert run_cli(["run", cfg, "--outdir", str(tmp_path / "out")]) == 0
     capsys.readouterr()
-    assert calls == {"transform": 2}
+    assert calls == {"_energy_blocks": 2}
+
+
+def test_strip_tasks_read_the_pair_in_the_sectors_alone(tmp_path, capsys,
+                                                      monkeypatch):
+    # the strip workload's pair at a smaller size: Y at two sites of XXZ
+    # at h = 0, n = 8.  Every product thermal takes with the pair, every
+    # pairing and every Duhamel kernel block is (D/2)-sized, no dense
+    # transform is made, and a mirrored grid evaluates each |t| once
+    half = 2 ** 8 // 2
+    seen = {"widths": set(), "kernels": set(), "pairings": set()}
+    matmul, kernel = thermal._matmul, thermal._duhamel_kernel
+    paired = thermal._paired_sum
+
+    def spy_matmul(left, c, out=None):
+        pair, other = (left, c) if left.ndim == 3 else (c, left)
+        assert pair.shape[1:] == (half, half)
+        if pair is left:  # F or G: P or P^T against the phase columns
+            seen["widths"].add(other.shape[1])
+        return matmul(left, c, out)
+
+    def spy_kernel(*args):
+        kern = kernel(*args)
+        seen["kernels"].add(kern.shape)
+        return kern
+
+    def spy_paired(weights, am, bm):
+        seen["pairings"].add(am.shape + bm.shape)
+        return paired(weights, am, bm)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense transform was made")
+
+    monkeypatch.setattr(thermal, "_matmul", spy_matmul)
+    monkeypatch.setattr(thermal, "_duhamel_kernel", spy_kernel)
+    monkeypatch.setattr(thermal, "_paired_sum", spy_paired)
+    monkeypatch.setattr(SpectralDecomposition, "transform", refuse)
+    head = ("model: {name: heisenberg_xxz, n: 8, J: 1.0, delta: 0.5}\n"
+            "a: {site: 1, op: Y}\nb: {site: 5, op: Y}\n")
+    # nine times -2, -1.5, ..., 2: five distinct |t|, ten phase columns
+    correlators = write_config(tmp_path, head + (
+        "task: correlators\nbeta: [0.5, 1.0]\n"
+        "times: {start: -2.0, stop: 2.0, step: 0.5}\n"), "correlators.yaml")
+    assert run_cli(["run", correlators, "--outdir", str(tmp_path / "c")]) == 0
+    assert seen == {"widths": {10}, "kernels": {(half, half)},
+                    "pairings": {(half, half, half, half)}}
+    # 256 symmetric Gauss-Legendre nodes: 128 distinct |t|, and two phase
+    # columns for each point value
+    seen["widths"].clear()
+    contour = write_config(tmp_path, head + (
+        "task: contour\nbeta: 1.0\nheights: [0.0, 0.5, 1.0]\nnodes: 256\n"),
+        "contour.yaml")
+    assert run_cli(["run", contour, "--outdir", str(tmp_path / "k")]) == 0
+    capsys.readouterr()
+    assert seen["widths"] == {256, 2}
 
 
 def test_contour_workers_do_not_change_output(tmp_path, capsys):

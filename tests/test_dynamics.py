@@ -645,6 +645,51 @@ def test_locality_scan_refuses_rates_not_finite_and_positive(monkeypatch,
     assert calls == []
 
 
+@pytest.mark.parametrize("which, local", [
+    ("a", np.eye(2)), ("b", np.eye(2)), ("a", 2.5 * np.eye(2)),
+    ("b", np.zeros((2, 2)))], ids=["a-I", "b-I", "a-2.5I", "b-zero"])
+def test_lr_commutator_scan_refuses_a_multiple_of_the_identity(
+        monkeypatch, which, local):
+    # [B, tau_t(A)] vanishes for A or B = cI: with A = I0 and B = Z3 the
+    # scan used to report c_empirical 3.4e-18 and pass; now it is refused
+    # before any evolution
+    calls = []
+    monkeypatch.setattr(dynamics, "_evolution",
+                        lambda *args: calls.append(args))
+    _, inter, _ = setup(4)
+    ops = {"a": single_site(0, "Z"), "b": single_site(3, "Z"),
+           which: LocalOperator((0,) if which == "a" else (3,), local)}
+    with pytest.raises(ValueError, match=f"^{which} must not be I or a "
+                       "multiple of it"):
+        lr_commutator_scan(inter, ops["a"], ops["b"], [0.5], mu=1.0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("local", [np.eye(2), -np.eye(2)], ids=["I", "-I"])
+def test_locality_scan_refuses_a_multiple_of_the_identity(monkeypatch, local):
+    calls = []
+    monkeypatch.setattr(dynamics, "_evolution",
+                        lambda *args: calls.append(args))
+    _, inter, _ = setup(4)
+    with pytest.raises(ValueError, match="^a must not be I"):
+        locality_scan(inter, LocalOperator((1,), local), [1.0], [0.5], mu=1.0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("radii", [[2.0, 1.0], [1.0, 1.0], [0.0, 2.0, 1.0]],
+                         ids=["decreasing", "repeated", "turning"])
+def test_locality_scan_refuses_radii_that_do_not_increase(monkeypatch, radii):
+    # with radii [2, 1] the scan used to run, and its rows could not show
+    # the error falling in r; the CLI refused such a config already
+    calls = []
+    monkeypatch.setattr(dynamics, "_evolution",
+                        lambda *args: calls.append(args))
+    _, inter, _ = setup(4)
+    with pytest.raises(ValueError, match="radii must be strictly increasing"):
+        locality_scan(inter, single_site(1, "Z"), radii, [0.5], mu=1.0)
+    assert calls == []
+
+
 @pytest.mark.parametrize("key, scan", [
     ("times", lambda inter, z: lr_commutator_scan(inter, z(0), z(3), [],
                                                   mu=1.0)),

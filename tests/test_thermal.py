@@ -96,10 +96,12 @@ def test_beta_zero_is_uniform():
 # ---------------------------------------------------------------------------
 
 def test_f_matches_brute_force_in_strip():
+    # Z/Z: both odd under the spin flip, so F does not vanish by symmetry
     lat, ham, st = setup_chain()
     a = embed(single_site(0, "Z"), lat)
-    b = embed(single_site(2, "X"), lat)
+    b = embed(single_site(2, "Z"), lat)
     fn = kms_function(st, a, b)
+    assert abs(fn.eval(0.4 + 0.3j)) > 0.1
     for t in (-1.3, 0.0, 0.4):
         for s in (0.0, 0.37 * st.beta, st.beta):
             z = t + 1j * s
@@ -118,11 +120,13 @@ def test_g_matches_brute_force_in_strip():
 
 
 def test_kms_boundary_condition():
+    # X/X: both even under the spin flip, so F does not vanish by symmetry
     lat, ham, st = setup_chain(beta=0.8)
     a = embed(single_site(0, "X"), lat)
-    b = embed(single_site(2, "Z"), lat)
+    b = embed(single_site(2, "X"), lat)
     fn = kms_function(st, a, b)
     ts = np.linspace(-2, 2, 17)
+    assert np.abs(fn.eval_grid(ts, imag=st.beta)).min() > 0.1
     assert np.abs(fn.boundary_gap(ts)).max() < 1e-12
 
 
@@ -215,33 +219,40 @@ def test_evaluators_match_written_out_formulas():
     lat, ham, st = setup_chain(n=4, beta=0.9)
     a, b = _random_pair(16, 23)
     fn = kms_function(st, a, b)
+    ae, be = st.to_eigenbasis(a), st.to_eigenbasis(b)
     ts = np.linspace(-2.5, 2.5, 11)
     beta = st.beta
     for s in (0.0, 0.3 * beta, 0.7 * beta, beta, -beta):
-        ref = _reference_f_grid(st, fn.a_energy, fn.b_energy, ts, s)
+        ref = _reference_f_grid(st, ae, be, ts, s)
         assert _close(fn.eval_grid(ts, imag=s), ref)
         assert _close([fn.eval(t + 1j * s) for t in ts], ref)
     for s in (0.0, -0.3 * beta, -0.7 * beta, -beta, beta):
-        ref = _reference_g_grid(st, fn.a_energy, fn.b_energy, ts, s)
+        ref = _reference_g_grid(st, ae, be, ts, s)
         assert _close(fn.conjugate_eval_grid(ts, imag=s), ref)
         assert _close([fn.conjugate_eval(t + 1j * s) for t in ts], ref)
 
 
 def _kms_pair(kind):
-    """A KMS function on a 4-site chain (beta = 0.9) whose pair product
-    A * B^T is real with real operands, real with imaginary operands (Y/Y
-    on a real XXZ chain) or complex."""
+    """(state, A, B) in the site basis on a 4-site chain (beta = 0.9), the
+    pair product A * B^T real with real operands (Z/Z), real with
+    imaginary operands (Y/Y on a real XXZ chain) or complex."""
     lat = chain_lattice(4)
     if kind == "imaginary":
         st = gibbs_state(build_hamiltonian(
             heisenberg_xxz(lat, J=1.0, delta=0.5)).matrix, 0.9)
-        return kms_function(st, *(embed(single_site(s, "Y"), lat)
-                                  for s in (0, 2)))
+        return (st, *(embed(single_site(s, "Y"), lat) for s in (0, 2)))
     st = _tfim_state(0.9)
     if kind == "real":
-        return kms_function(st, embed(single_site(0, "Z"), lat),
-                            embed(single_site(2, "X"), lat))
-    return kms_function(st, *_random_pair(16, 31))
+        return (st, *(embed(single_site(s, "Z"), lat) for s in (0, 2)))
+    return (st, *_random_pair(16, 31))
+
+
+def _held_dtypes(fn):
+    """(dtype of the held A blocks, dtype of the held pair product): P is
+    held as its real parts, one for a real P and two otherwise."""
+    (a_dtype,) = {a.dtype for _, _, a, _, _ in fn._blocks}
+    (parts,) = {len(pair) for *_, pair in fn._blocks}
+    return a_dtype, np.float64 if parts == 1 else np.complex128
 
 
 @pytest.mark.parametrize("kind, a_dtype, pair_dtype", [
@@ -254,21 +265,21 @@ def test_every_pair_arithmetic_matches_written_out_formulas(kind, a_dtype,
     # against the written-out formulas: heights inside the strip, at
     # +-beta and past either axis, on a grid longer than one column block
     # of the phase table, and pointwise
-    fn = _kms_pair(kind)
-    assert fn.a_energy.dtype == a_dtype
-    assert fn.pair_product.dtype == pair_dtype
-    st = fn.state
+    st, a, b = _kms_pair(kind)
+    fn = kms_function(st, a, b)
+    assert _held_dtypes(fn) == (a_dtype, pair_dtype)
+    ae, be = st.to_eigenbasis(a), st.to_eigenbasis(b)
     beta = st.beta
     width = thermal._PHASE_BLOCK // st.dim
     ts = np.linspace(-3.0, 3.0, width + 3)
     points = ts[::width // 4]
     for s in (0.0, 0.4 * beta, -0.4 * beta, 0.7 * beta, -0.7 * beta,
               beta, -beta):
-        ref = _reference_f_grid(st, fn.a_energy, fn.b_energy, ts, s)
+        ref = _reference_f_grid(st, ae, be, ts, s)
         assert _close(fn.eval_grid(ts, imag=s), ref)
         assert _close([fn.eval(t + 1j * s) for t in points],
                       ref[::width // 4])
-        ref = _reference_g_grid(st, fn.a_energy, fn.b_energy, ts, s)
+        ref = _reference_g_grid(st, ae, be, ts, s)
         assert _close(fn.conjugate_eval_grid(ts, imag=s), ref)
         assert _close([fn.conjugate_eval(t + 1j * s) for t in points],
                       ref[::width // 4])
@@ -336,10 +347,11 @@ def test_ordinary_correlator_matches_trace_formula():
 def test_canonical_routes_agree():
     lat, ham, st = setup_chain(beta=1.7)
     a = embed(single_site(0, "Z"), lat)
-    b = embed(single_site(2, "X"), lat)
+    b = embed(single_site(2, "Z"), lat)
     fn = kms_function(st, a, b)
     closed = canonical_correlator(fn, method="closed_form")
     quad = canonical_correlator(fn, method="quadrature")
+    assert abs(closed) > 0.01
     assert abs(closed - quad) < 1e-10
 
 
@@ -383,8 +395,10 @@ def test_canonical_quadrature_of_a_complex_pair_product_keeps_its_value():
     a = embed(single_site(1, "X"), lat)
     for name, local in (("Y", PAULI_Y), ("X+Y", PAULI_X + PAULI_Y)):
         fn = kms_function(st, a, embed(LocalOperator((3,), local), lat))
-        assert np.iscomplexobj(fn.pair_product)
-        scale = max(abs(zgemm[name]), float(np.abs(fn.pair_product).max()))
+        (_, _, _, _, pair), = fn._blocks  # no sectors in a z-field
+        assert len(pair) == 2  # the real and imaginary parts of P
+        scale = max(abs(zgemm[name]),
+                    float(np.linalg.norm(pair, axis=0).max()))
         quad = canonical_correlator(fn, method="quadrature")
         assert abs(quad - zgemm[name]) <= 1e-14 * scale
 
@@ -540,7 +554,8 @@ def test_correlators_match_written_out_formulas(beta, basis):
         pairs.append(tuple(rng.normal(size=(16, 16)) for _ in range(2)))
     for a, b in pairs:
         fn = kms_function(st, a, b) if basis == "site" else KMSFunction(st, a, b)
-        am, bm = fn.a_energy, fn.b_energy
+        am, bm = ((st.to_eigenbasis(a), st.to_eigenbasis(b))
+                  if basis == "site" else (a, b))
         for got, ref in ((ordinary_correlator(fn),
                           reference_ordinary(st, am, bm)),
                          (canonical_correlator(fn),
@@ -559,24 +574,142 @@ def test_integer_energy_pair_is_taken_as_float():
     # a UFuncTypeError; the identity pair has phi(AB) = phi(A) phi(B) = 1
     fn = KMSFunction(_tfim_state(0.7), np.eye(16, dtype=int),
                      np.eye(16, dtype=int))
-    assert fn.a_energy.dtype == np.float64
+    assert _held_dtypes(fn)[0] == np.float64
     assert abs(ordinary_correlator(fn)) <= 1e-15
 
 
-def test_duhamel_kernel_is_built_on_first_use_only(monkeypatch):
+def test_duhamel_kernel_is_built_by_the_closed_form_alone(monkeypatch):
+    # one kernel block per block pair of each closed-form call, and none
+    # kept: Z/Z is odd, so its blocks (+, -) and (-, +) share one kernel
+    # block and its transpose; X/X is even, with one block per sector
     lat = chain_lattice(4)
     calls = []
     real_kernel = thermal._duhamel_kernel
-    monkeypatch.setattr(thermal, "_duhamel_kernel",
-                        lambda *args: calls.append(1) or real_kernel(*args))
+
+    def kernel(*args):
+        kern = real_kernel(*args)
+        calls.append(kern.shape)
+        return kern
+
+    monkeypatch.setattr(thermal, "_duhamel_kernel", kernel)
     st = gibbs_state(build_hamiltonian(transverse_field_ising(lat)).matrix, 1.0)
-    a = embed(single_site(0, "Z"), lat)
-    b = embed(single_site(3, "X"), lat)
-    fn = kms_function(st, a, b)
+    z0, z3, x1 = (embed(single_site(s, op), lat)
+                  for s, op in ((0, "Z"), (3, "Z"), (1, "X")))
+    fn = kms_function(st, z0, z3)
     ordinary_correlator(fn)
     canonical_correlator(fn, method="quadrature")
     assert calls == []
     first = canonical_correlator(fn)
     assert canonical_correlator(fn) == first
-    canonical_correlator(kms_function(st, b, a))
-    assert len(calls) == 1
+    assert calls == [(8, 8)] * 2
+    canonical_correlator(kms_function(st, x1, x1))
+    assert calls == [(8, 8)] * 4
+    assert not hasattr(st, "_kernel")
+
+
+# ---------------------------------------------------------------------------
+# the pair's block form against the dense pair
+# ---------------------------------------------------------------------------
+
+def _site_pair(n, model, a, b):
+    """(state at beta = 0.8, A, B): single-site operators, named or given
+    as 2 x 2 matrices, on a chain of n sites."""
+    lat = chain_lattice(n)
+    inter = (transverse_field_ising(lat, J=1.0, h=1.2) if model == "tfim"
+             else heisenberg_xxz(lat, J=1.0, delta=0.5))
+    st = gibbs_state(build_hamiltonian(inter).matrix, 0.8)
+    return (st, *(embed(single_site(s, op), lat) for s, op in (a, b)))
+
+
+def _kms_grids(st):
+    """Time grids longer than one column block of the phase table: one
+    exactly mirrored with t = 0 and an odd count, one (start + i step, as
+    the correlators task builds it) with few mirrored pairs."""
+    width = thermal._PHASE_BLOCK // st.dim
+    g = np.linspace(0.05, 3.0, width + 5)
+    mirrored = np.concatenate((-g[::-1], [0.0], g))
+    stepped = np.array([-2.0 + 0.0125 * i for i in range(2 * width + 1)])
+    return mirrored, stepped
+
+
+@pytest.mark.parametrize("n, model, a, b, blocks", [
+    (8, "tfim", (0, "Z"), (5, "Z"), [(0, 1), (1, 0)]),
+    (8, "tfim", (1, "X"), (6, "X"), [(0, 0), (1, 1)]),
+    (8, "xxz", (2, "Y"), (6, "Y"), [(0, 1), (1, 0)]),
+    (10, "tfim", (3, "Y"), (5, "Z"), [(0, 1), (1, 0)]),
+    (7, "tfim", (1, PAULI_X + PAULI_Y), (4, "Y"), [(0, 0)]),
+], ids=["z-tfim8", "x-tfim8", "y-xxz8", "yz-tfim10", "no-parity-tfim7"])
+def test_block_pair_matches_the_dense_pair(n, model, a, b, blocks):
+    # kms_function reads the pair in its blocks; the constructor holds the
+    # dense energy-basis pair as one block.  F and G at s in {0, +-beta/2,
+    # +-beta}, grids and points, and every correlator agree within 1e-13
+    st, a, b = _site_pair(n, model, a, b)
+    fn = kms_function(st, a, b)
+    dense = KMSFunction(st, st.to_eigenbasis(a), st.to_eigenbasis(b))
+    assert [(l, r) for l, r, *_ in fn._blocks] == blocks
+    beta = st.beta
+    for ts in _kms_grids(st):
+        for s in (0.0, 0.5 * beta, -0.5 * beta, beta, -beta):
+            assert _close(fn.eval_grid(ts, imag=s), dense.eval_grid(ts, imag=s))
+            assert _close(fn.conjugate_eval_grid(ts, imag=s),
+                          dense.conjugate_eval_grid(ts, imag=s))
+    for z in (0.0, 0.7 + 0.4j, -1.3 - 0.8j, 2.1 + 0.8j):
+        assert _close(fn.eval(z), dense.eval(z))
+        assert _close(fn.conjugate_eval(z), dense.conjugate_eval(z))
+    pairs = [(ordinary_correlator(fn), ordinary_correlator(dense))]
+    pairs += [(canonical_correlator(fn, method), canonical_correlator(dense, method))
+              for method in ("closed_form", "quadrature")]
+    for got, ref in pairs:
+        assert abs(got - ref) <= 1e-13 * (1 + abs(ref))
+    assert np.abs(dense.eval_grid(ts)).max() > 1e-3  # F is not round-off
+    assert abs(fn.phi_a - dense.phi_a) <= 1e-14
+    assert abs(fn.phi_b - dense.phi_b) <= 1e-14
+
+
+def test_mixed_parity_pair_holds_no_block_and_vanishes_exactly():
+    # Z is odd and X even on TFIM: each block of A pairs with a block of B
+    # that is zero, so F, G and the connected correlators are exactly 0;
+    # the dense pair gives the same to round-off, and phi(B) is kept
+    st, a, b = _site_pair(8, "tfim", (0, "Z"), (3, "X"))
+    fn = kms_function(st, a, b)
+    dense = KMSFunction(st, st.to_eigenbasis(a), st.to_eigenbasis(b))
+    assert fn._blocks == []
+    beta = st.beta
+    for ts in _kms_grids(st):
+        for s in (0.0, 0.5 * beta, -0.5 * beta, beta, -beta):
+            for got, ref in ((fn.eval_grid(ts, imag=s),
+                              dense.eval_grid(ts, imag=s)),
+                             (fn.conjugate_eval_grid(ts, imag=s),
+                              dense.conjugate_eval_grid(ts, imag=s))):
+                assert not got.any()
+                assert np.abs(ref).max() <= 1e-13
+    assert fn.eval(0.3 + 0.2j) == 0 and fn.conjugate_eval(0.3 - 0.2j) == 0
+    assert fn.phi_a == 0 and abs(fn.phi_b - dense.phi_b) <= 1e-14
+    assert abs(fn.phi_b) > 0.1
+    for got, ref in ((ordinary_correlator(fn), ordinary_correlator(dense)),
+                     (canonical_correlator(fn),
+                      canonical_correlator(dense)),
+                     (canonical_correlator(fn, "quadrature"),
+                      canonical_correlator(dense, "quadrature"))):
+        assert got == 0 and abs(ref) <= 1e-13
+
+
+def test_the_pair_is_shared_across_gibbs_states():
+    # the blocks do not depend on beta: _at rebinds them to another Gibbs
+    # state of the same decomposition, bit for bit a fresh read there
+    st, a, b = _site_pair(6, "xxz", (1, "Y"), (4, "Y"))
+    fn = kms_function(st, a, b)
+    dec = st.decomposition
+    ts = np.linspace(-2.0, 2.0, 9)
+    for beta in (0.0, 0.3, 2.5):
+        other = gibbs_state(dec, beta)
+        moved, fresh = fn._at(other), kms_function(other, a, b)
+        assert moved._blocks is fn._blocks
+        assert np.array_equal(moved.eval_grid(ts, imag=0.5 * beta),
+                              fresh.eval_grid(ts, imag=0.5 * beta))
+        for method in ("closed_form", "quadrature"):
+            assert (canonical_correlator(moved, method)
+                    == canonical_correlator(fresh, method))
+        assert ordinary_correlator(moved) == ordinary_correlator(fresh)
+    with pytest.raises(ValueError, match="decomposition"):
+        fn._at(gibbs_state(eig_hermitian(dec.reconstruct()), 1.0))

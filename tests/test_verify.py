@@ -247,14 +247,14 @@ def test_contour_grid_is_read_only():
     a = embed(single_site(0, "Z"), lat)
     grid = contour_grid(st, a, a, nodes=64)
     for arr in (grid.t, grid.wq, grid.f_real, grid.g_real,
-                grid.fn.a_energy, grid.fn.b_energy):
+                *grid.fn._held()):
         with pytest.raises(ValueError):
-            arr[0] = 0.0
-    # every array the grid holds, the pair product of its KMS function too
-    held = [v for v in (*vars(grid).values(), *vars(grid.fn).values())
-            if isinstance(v, np.ndarray)]
-    assert len(held) == 7
-    assert not any(arr.flags.writeable for arr in held)
+            arr.flat[0] = 0.0
+    # every array the grid holds, and the blocks of its KMS function: Z/Z
+    # is odd, so A, B and P in (+, -) and (-, +); no diagonal
+    held = [v for v in vars(grid).values() if isinstance(v, np.ndarray)]
+    assert len(held) == 4 and len(grid.fn._held()) == 6
+    assert not any(arr.flags.writeable for arr in held + grid.fn._held())
     assert grid.nodes == 64 and grid.t.shape == (64,)
     assert grid.half_width == 8.0
 
@@ -524,6 +524,19 @@ def test_theorem_check_refuses_mu_not_finite_and_positive(mu):
     inter = transverse_field_ising(chain_lattice(4))
     with pytest.raises(ValueError, match="mu"):
         theorem_check(inter, 0.5, mu, [1, 2, 3])
+
+
+@pytest.mark.parametrize("op", ["I", pytest.param(-2.0 * np.eye(2), id="-2I")])
+def test_theorem_check_refuses_a_multiple_of_the_identity(monkeypatch, op):
+    # every connected correlator of cI vanishes: op_name="I" used to pass
+    # with xi = inf; now it is refused before the state is built
+    calls = []
+    monkeypatch.setattr(verify, "gibbs_state",
+                        lambda *args: calls.append(args))
+    inter = transverse_field_ising(chain_lattice(4))
+    with pytest.raises(ValueError, match="^op must not be I or a multiple"):
+        theorem_check(inter, 0.5, 1.0, [1, 2, 3], op_name=op)
+    assert calls == []
 
 
 def _shuffled_chain():
