@@ -6,55 +6,14 @@ of that sit the commutator scans against an exponential light-cone
 envelope and the scan of local approximants obtained by conditional
 expectation onto a ball around the support of A.
 
-Every evolution is one helper, _evolution: an operator's blocks Abar,
-read once into pairs of eigenbases (W_l, E_l) and (W_r, E_r), evolve as
-
-    t -> W_l (e^{itE_l} e^{-itE_r} o Abar) W_r*,
-
-a phase and two products per block.  The routes differ only in the blocks
-and bases, which spectral's block form gives (spectral module docstring),
-and the parity alone chooses them (_block_parity, asked with A's local
-matrix): an A with a parity, Hermitian or not, is read in its half blocks
-in the sector bases (W+-, E+-), each product (D/2)-sized, and any other A
-whole in (V, E).  Hermiticity only says whether an odd A's (-, +) block is
-the partner of its (+, -) block; evolve reads both, since a complex time
-makes tau_z(A) non-Hermitian.  evolve, like locality_scan, writes the
-site matrix back from the evolved blocks (_block_matrix).  Each scan
-chooses its route once:
-
-- lr_commutator_scan, for Hermitian A and B with B diagonal with two
-  levels l1 != l2, from [X, B] = (l2 - l1)(P1 X P2 - P2 X P1) for
-  Hermitian X:
-  - in the sectors when spectral reads A as odd (any Z or Y on a
-    reversal-symmetric H) and J maps one level set of B onto the other
-    (any single-site Z or projector, _mirrored_levels).  K = N_t S is
-    A's odd block evolved into (W+, E+) and (S W-, E-),
-    S = diag(s_p) over p < D/2 with s_p = +1 where B = l1, and the norm
-    is |l1 - l2| ||i(K - K*)/2||: one (D/2)-sized eigensolver call on a
-    matrix that is Hermitian to the last bit.  Nothing is transformed at
-    full size.
-  - on half blocks otherwise: M is A's dense transform evolved into the
-    rows V1 and V2 of V on B's two level sets, and the norm is
-    |l1 - l2| ||M||, from the Gram matrix of the smaller level set's size.
-    B is never transformed.
-- lr_commutator_scan, any other pair: one D x D product X = B tau_t(A) in
-  the energy basis, A and B transformed once.  For a Hermitian pair the
-  commutator is handed on as i(X - X*), Hermitian to the last bit, which
-  keeps it on the eigensolver instead of the SVD.
-- locality_scan: "flip_odd" or "flip_even" by the parity spectral reads
-  A with, "dense" otherwise (norm_route).  Each time point
-  writes the site matrix of tau_t(A), which E_r needs, from its blocks.
-  J is a product of local reversals, so E_r commutes with it: the error
-  tau_t(A) - E_r(tau_t(A)) has A's parity, its blocks are tau_t(A)'s minus
-  E_r(tau_t(A))'s in the same layout, and its norm is the largest block
-  norm, an off-diagonal block's through its Gram matrix and a diagonal
-  block's through its exactly Hermitian part (spectral_norm when A is not
-  Hermitian).
-
-Both scans certify the velocity, when none is given, and form every
-envelope before the first evolution; a grid on which an envelope is not a
-finite number is refused there (_envelopes), and the CLI refuses it at
-validation through the same helpers.
+Every evolution is one helper, _evolution, over an operator's blocks as
+spectral._read_blocks reads them in the parity spectral._block_parity
+gives A's local matrix; evolve and locality_scan write the site matrix
+back with spectral._block_matrix.  Each scan chooses its route once:
+lr_commutator_scan in the reversal sectors or by one D x D product, and
+locality_scan by A's parity alone (norm_route).  Both form and check every
+envelope before the first evolution (_envelopes), through the helpers the
+CLI validates with.
 """
 from __future__ import annotations
 
@@ -69,8 +28,7 @@ from .operators import (EmbeddedOperator, _check_measured, _hermitian_norm,
                         conditional_expectation, embed, spectral_norm)
 from .spectral import (SpectralDecomposition, _block_matrix, _block_parity,
                        _matmul, _mirrored_levels, _read_blocks, _sandwich,
-                       _sector_bases, _sector_blocks, build_hamiltonian,
-                       eig_hermitian)
+                       _sector_blocks, build_hamiltonian, eig_hermitian)
 from .thermal import _EXP_CAP
 
 
@@ -118,11 +76,9 @@ def _tau_energy(a_energy: np.ndarray, e_row: np.ndarray, e_col: np.ndarray,
 def _evolution(bases: list, blocks: list):
     """t -> [(l, r, W_l (e^{itE_l} e^{-itE_r} o Abar) W_r*)] over the blocks
     (l, r, Abar) of an operator read into bases[l] = (W_l, E_l) and
-    bases[r] = (W_r, E_r), blocks of one shape.
-
-    Each block takes the phase, formed in one reused buffer, and two
-    products (real GEMMs with real W, _sandwich).  t may be complex.
-    """
+    bases[r] = (W_r, E_r) (spectral._read_blocks), blocks of one shape:
+    each takes the phase, formed in one reused buffer, and two products
+    (real GEMMs with real W, _sandwich).  t may be complex."""
     terms = [(l, r, bases[l][0], bases[l][1], abar, bases[r][1],
               bases[r][0].conj().T) for l, r, abar in blocks]
     phased = np.empty(blocks[0][2].shape, dtype=complex)
@@ -139,13 +95,9 @@ def evolve(context: EvolutionContext, op, time) -> EmbeddedOperator:
 
     time may be real or complex, and must be finite; a complex time is
     refused with FloatingPointError when a phase factor exp(|Im z| max|E|)
-    or their product exp(|Im z| (E_max - E_min)) would overflow.
-
-    op is read by its parity on the decomposition (_block_parity), as
-    locality_scan reads A: with one, in its sector blocks (both
-    off-diagonal blocks of an odd op, so a complex time needs no
-    Hermitian partner), each evolved with (D/2)-sized products and written
-    back by _block_matrix, with no dense V; without one, whole in (V, E).
+    or their product exp(|Im z| (E_max - E_min)) would overflow.  op is
+    read by its parity (_block_parity), both blocks of an odd op since a
+    complex time makes tau_z(op) non-Hermitian.
     """
     z = complex(time)
     if not np.isfinite(z):
@@ -265,17 +217,15 @@ def _locality_envelopes(interaction: Interaction, a, radii: Sequence[float],
 
 
 def _two_levels(m: np.ndarray):
-    """(|l1 - l2|, [rows1, rows2]) when m is diagonal with exactly two
-    distinct values l1 != l2, rows_k holding the indices where m = l_k and
-    the smaller set first; None for any other m."""
+    """(l2 - l1, mask of the indices where m = l1) when m is diagonal with
+    exactly two distinct values l1 < l2; None for any other m."""
     d = np.diag(m)
     if np.count_nonzero(m) != np.count_nonzero(d):
         return None
     levels, which = np.unique(d, return_inverse=True)
     if len(levels) != 2:
         return None
-    rows = sorted((np.flatnonzero(which == k) for k in (0, 1)), key=len)
-    return float(abs(levels[1] - levels[0])), rows
+    return float(levels[1] - levels[0]), which == 0
 
 
 def _commutator_norm(bbar: np.ndarray, hermitian: bool):
@@ -311,23 +261,27 @@ def lr_commutator_scan(interaction: Interaction, a, b,
                        velocity: Optional[float] = None,
                        context: Optional[EvolutionContext] = None) -> LRScanResult:
     """Measure ||[B, tau_t(A)]|| on a time grid against the light-cone
-    envelope at decay rate mu.
+    envelope at decay rate mu, on the context's window (the whole lattice
+    when no context is given), with the velocity certified at mu unless
+    one is given.  c_empirical is the smallest prefactor that makes the
+    envelope an upper bound for the whole scan, c_empirical_resolved the
+    same over the rows at or above the round-off floor (LRScanResult).
 
-    The scan runs on the context's window, or on the whole lattice when no
-    context is given; a scan of a sub-window passes
-    evolution_context(interaction, window).  The velocity defaults to the
-    one certified from the interaction at the same mu.  The returned
-    c_empirical is the smallest prefactor that makes the envelope an upper
-    bound for the whole scan; c_empirical_resolved is the same over the rows
-    at or above the round-off floor eps * D * ||A|| ||B||, and floor_rows
-    counts the rows below it.
+    The norm is taken by one of two routes, chosen once:
+    - in the reversal sectors, for a Hermitian pair whose A is odd
+      (_block_parity) and whose B is diagonal with two levels l1 < l2 on
+      index sets that J maps onto each other (any single-site Z or
+      projector; _mirrored_levels gives their signs S over p < D/2).  For
+      Hermitian X, [X, B] = (l2 - l1)(P1 X P2 - P2 X P1), so with K, A's
+      odd block evolved into (W+, E+) and (S W-, E-), the norm is
+      (l2 - l1) ||i(K - K*)/2||: one (D/2)-sized eigensolver call on a
+      matrix Hermitian to the last bit, and no D-sized transform.
+    - otherwise by one D x D product X = B tau_t(A) per time point in the
+      energy basis, A and B transformed once (_commutator_norm).
 
-    The norm is taken by the route chosen once from the decomposition, A
-    and B (module docstring): in the reversal sectors, on the half blocks
-    of B's two level sets, or by one D x D product per time point.  mu and
-    a given velocity must be finite and positive, the time grid nonempty
-    and finite, and every envelope a finite number (_envelopes): anything
-    else would give a prefactor backed by no measurement.
+    mu and a given velocity must be finite and positive, the time grid
+    nonempty and finite, and every envelope a finite number (_envelopes):
+    anything else would give a prefactor backed by no measurement.
     """
     _check_scan({"times": times}, mu=mu, velocity=velocity)
     dist, na, nb, velocity, envelopes = _lr_envelopes(interaction, a, b,
@@ -342,34 +296,25 @@ def lr_commutator_scan(interaction: Interaction, a, b,
     hermitian = _is_hermitian(a.matrix) and _is_hermitian(b.matrix)
     dec = context.decomposition
     levels = _two_levels(bemb.matrix) if hermitian else None
-    signs = (_mirrored_levels(levels[1], dec.dim) if levels is not None
+    signs = (_mirrored_levels(levels[1]) if levels is not None
              and _block_parity(dec, a.matrix) < 0 else None)
-    if levels is None:  # one product X = B tau_t in the energy basis
+    if signs is None:  # one product X = B tau_t in the energy basis
         abar, e = dec.transform(aemb.matrix), dec.eigenvalues
         norm = _commutator_norm(dec.transform(bemb.matrix), hermitian)
         tau = np.empty((dec.dim, dec.dim), dtype=complex)
 
         def norm_at(t: float) -> float:
             return norm(_tau_energy(abar, e, e, t, out=tau))
-    else:
-        if signs is not None:  # sector: ||i(K - K*)/2|| for K = N_t S
-            bases, blocks = _read_blocks(dec, aemb.matrix, -1)
-            w, e = bases[1]
-            bases[1] = (signs[:, None] * w, e)
-
-            def block_norm(k: np.ndarray) -> float:
-                k *= 1j
-                return _hermitian_norm(_hermitian_part(k))
-        else:  # half block: ||M|| for M = V1 tau_t V2*
-            blocks = [(0, 1, dec.transform(aemb.matrix))]
-            bases = [(v[rows], e) for v, e in _sector_bases(dec, 0)
-                     for rows in levels[1]]
-            block_norm = _gram_norm
+    else:  # sector: (l2 - l1) ||i(K - K*)/2||
+        bases, blocks = _read_blocks(dec, aemb.matrix, -1)
+        w, e = bases[1]
+        bases[1] = (signs[:, None] * w, e)
         evolved = _evolution(bases, blocks)
 
         def norm_at(t: float) -> float:
-            (_, _, m), = evolved(t)
-            return levels[0] * block_norm(m)
+            (_, _, k), = evolved(t)
+            k *= 1j
+            return levels[0] * _hermitian_norm(_hermitian_part(k))
     del aemb, bemb  # site-basis matrices are not needed past this point
     rows = []
     for t, (env,) in zip(times, envelopes):
@@ -390,10 +335,13 @@ def lr_commutator_scan(interaction: Interaction, a, b,
 
 def _error_norm(blocks: list, approx_blocks: list, hermitian: bool) -> float:
     """||tau_t(A) - E_r(tau_t(A))|| from the blocks of both in one layout
-    (_evolution and _sector_blocks): the largest norm of a block of the
-    difference.  An off-diagonal block's norm comes from its Gram matrix, a
-    diagonal block's from its exactly Hermitian part when A is Hermitian,
-    and from spectral_norm otherwise.
+    (_evolution and _sector_blocks).  J is a product of local reversals,
+    so E_r commutes with it and the difference has A's parity: its norm is
+    the largest norm of its blocks, an off-diagonal block's from its Gram
+    matrix, a diagonal block's from its exactly Hermitian part when A is
+    Hermitian (the difference is Hermitian only to round-off, and this
+    keeps every point on the eigensolver), and from spectral_norm
+    otherwise.
     """
     return max(_gram_norm(n - e) if left != right
                else _hermitian_norm(_hermitian_part(n - e)) if hermitian
@@ -433,24 +381,21 @@ def locality_scan(interaction: Interaction, a, radii: Sequence[float],
                   exponent_multiplier: float = 1.0,
                   context: Optional[EvolutionContext] = None) -> LocalityScanResult:
     """Approximation error of the ball-projected evolution over a grid of
-    radii and times, against the bare envelope exp(-mu * multiplier * r).
+    radii and times, against the bare envelope exp(-mu * multiplier * r),
+    on the context's window (the whole lattice when no context is given).
 
     The approximant at radius r is the conditional expectation of tau_t(A)
-    onto the ball of radius r around the support of A; each ball is built
-    before the first evolution, so a negative radius is refused at once.
-    For Hermitian A the error is Hermitian up to round-off; its exactly
-    Hermitian part is passed to the norm, which keeps every point on the
-    eigensolver.  noise_floor is eps * D * ||A||, and floor_rows counts the
-    rows below it.  The window is the context's, or the whole lattice when
-    no context is given.  mu, exponent_multiplier and a given velocity must
-    be finite and positive, both grids nonempty and finite, and every
-    envelope a finite number (_envelopes).
+    onto the ball of radius r around the support of A, each ball built
+    before the first evolution; the error's norm is taken block by block
+    (_error_norm).  mu, exponent_multiplier and a given velocity must be
+    finite and positive, both grids nonempty and finite, and every envelope
+    a finite number (_envelopes).
 
-    norm_route tells how the scan ran, decided once from the decomposition
-    and A's parity alone (module docstring): "flip_odd" and "flip_even"
-    evolve A's half blocks in the reversal sectors, Hermitian A or not,
-    with (D/2)-sized products, and differ from the dense value by
-    round-off; "dense" evolves at full size.
+    norm_route tells how the scan ran, decided once by A's parity alone
+    (_block_parity): "flip_odd" and "flip_even" evolve A's blocks with
+    (D/2)-sized products and differ from the dense value by round-off;
+    "dense" evolves A whole.  Each time point writes the site matrix of
+    tau_t(A), which E_r needs, from its blocks (_block_matrix).
     """
     _check_scan({"radii": radii, "times": times}, mu=mu, velocity=velocity,
                 exponent_multiplier=exponent_multiplier)

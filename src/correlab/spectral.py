@@ -3,52 +3,44 @@
 Everything downstream (Gibbs states, Heisenberg evolution, imaginary-time
 correlators) consumes the eigendecomposition computed here, so the contract
 is strict: ascending eigenvalues, orthonormal eigenvectors, reconstruction
-to 1e-10 relative.  A Hamiltonian that commutes with the index reversal
-J (i -> D-1-i), which in the site basis is the global spin flip X^n of
-every model without a z-field, is solved as two half-size blocks; any
-other is solved whole.  The block route keeps the blocks' eigenvectors
-as the solver returned them, with the sector of each eigenvalue, and
-forms the dense V only where it is read: reconstruct, and the reads of
-operators without a parity.
+to 1e-10 relative.
 
-The sector and those bases are read here alone, through the block form
-of an operator m with J m J = parity * m.  In the basis
-(e_i +- e_{D-1-i})/sqrt 2 the eigenvectors of a reversal-symmetric H are
-diag(W+, W-), the stored bases, with eigenvalues E+-, and m is
-diag(m+, m-) for parity +1 or [[0, M], [N, 0]] for parity -1, N = M*
-when m is Hermitian; parity 0 is m whole, in (V, E).  The parity alone
-chooses the route of a read, Hermitian m or not; Hermiticity enters only
-as the flag that takes N as M's partner.  Each rule of that form has one
-helper, and every module asks it:
+The block form, explained here alone: an H that commutes with the index
+reversal J (i -> D-1-i, D even; the global spin flip X^n of every model
+without a z-field) is solved as two half-size blocks, any other whole.
+In the basis (e_i +- e_{D-1-i})/sqrt 2 an m with J m J = parity * m is
+diag(m+, m-) for parity +1 and [[0, M], [N, 0]] for parity -1, N = M*
+when m is Hermitian; parity 0 is m whole, in (V, E).  m's blocks on the
++- columns are its half blocks m_TL +- m_TR J: (m+, m-), or (N, M).
+Conversely m_TL is their half sum, m_TR their half difference times J,
+and m's bottom half its top half reversed along both axes, times parity.
+H's blocks H+- have eigenvectors W+- and eigenvalues E+-, kept as the
+solver returned them with each eigenvalue's sector; the dense V is formed
+only where it is read (reconstruct, operators without a parity).  The
+parity alone chooses how m is read; Hermiticity only takes N as M's
+partner.  Each rule has one helper:
 
-- _block_parity: the parity the block form reads m with on a
-  decomposition, 0 when it has no sectors.  J is a product of per-site
-  reversals, so an embedded operator has its local matrix's parity.
-- _half_block: m_TL +- m_TR J, the block of m on the +- columns; the
-  solver's blocks H+- (_reversal_blocks) and every operator's
-  (_sector_blocks) are formed by it alone.
-- _partnered: the (-, +) block N = M* of a Hermitian odd m, for every
-  writer given M alone.
-- _read_blocks: an operator's blocks read into their (W, E) pairs
-  (_sector_bases), W_l* block W_r (_read_into, _transform), each product
-  (D/2)-sized against D-sized on the dense route.  _energy_blocks reads
-  every block that can be nonzero, an odd m in M alone when N is exactly
-  M's partner.
-- _sector_columns: values of one per column (levels, Gibbs weights)
-  split by sector as the blocks of a parity read them.
-- _read_pair: the block form of an operator pair (a, b), read once for
-  its KMS function.  In the energy basis phi(a tau_z(b)) sums
-  a_mn b_nm over m in sector l and n in sector r, so a's (l, r) block
-  pairs with b's (r, l) block alone, through P_lr = a_lr * b_rl^T.  Two
-  even operators pair on (+, +) and (-, -), two odd ones on (+, -) and
-  (-, +), and a mixed pair on no block: its correlation function is
-  zero.  A pair of which either operator has no parity is read whole,
-  the one block (0, 0), in one V.
+- _block_parity: m's parity on a decomposition, 0 when it has no sectors.
+  J is a product of per-site reversals, so an embedded operator has its
+  local matrix's parity.
+- _half_block: m_TL +- m_TR J, the solver's H+- (_reversal_blocks) and
+  every operator's blocks (_sector_blocks).
+- _partnered: N = M* of a Hermitian odd m, for every writer given M alone.
+- _sector_bases: the (W, E) pairs a parity's blocks are read into, any
+  array of one value per column split by sector alike (_sector_columns).
+- _read_blocks: the blocks read into them, W_l* m_lr W_r (_read_into), each
+  product (D/2)-sized.  _energy_blocks reads every block that can be
+  nonzero, an odd m in M alone when N is exactly M's partner.
+- _read_pair: a pair (a, b) read once for its KMS function.  In the energy
+  basis phi(a tau_z(b)) sums a_mn b_nm over m in sector l and n in sector
+  r, so a's (l, r) block pairs with b's (r, l) block alone, through
+  P_lr = a_lr * b_rl^T: two even operators on (+, +) and (-, -), two odd
+  ones on (+, -) and (-, +), a mixed pair on none (its correlation
+  function is zero).  A pair with an operator of no parity is read whole.
+- _block_matrix and _block_diagonal: m, or its diagonal, from its blocks;
+  transform alone gathers them into the dense energy-basis matrix
+  (_from_sector_blocks), whose vanishing blocks are exactly zero.
 - _mirrored_levels: J's action on an index set.
-
-_block_matrix and _block_diagonal write any parity-definite m back from
-its blocks.  transform alone gathers them into the dense energy-basis
-matrix (_from_sector_blocks), whose vanishing blocks are exactly zero.
 """
 from __future__ import annotations
 
@@ -70,15 +62,11 @@ class SpectralDecomposition:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian
     matrix, H = V diag(E) V*.
 
-    sector holds +1 or -1 per column when eig_hermitian found J H J = H
-    exactly (J the index reversal i -> D-1-i, D even) and solved H in the
-    two half-size blocks: J v_c = sector[c] v_c, to the last bit, with
-    D/2 columns in each sector.  The second field then holds the blocks'
-    eigenvectors (W+, W-) as the solver returned them, and eigenvectors
-    forms V from them on each read.  For a decomposition solved whole it
-    holds V itself, and sector is None.  Every reader of that symmetry
-    takes it from here, and no other module reads the sector or V
-    (module docstring).
+    When eig_hermitian solved H in its reversal blocks (module
+    docstring), sector holds +1 or -1 per column, J v_c = sector[c] v_c to
+    the last bit with D/2 columns in each, and the second field holds the
+    blocks' eigenvectors (W+, W-) as the solver returned them.  Otherwise
+    sector is None and the second field is V.
     """
 
     eigenvalues: np.ndarray
@@ -88,10 +76,6 @@ class SpectralDecomposition:
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
-
-    @property
-    def reversal_symmetric(self) -> bool:
-        return self.sector is not None
 
     @property
     def eigenvectors(self) -> np.ndarray:
@@ -114,14 +98,9 @@ class SpectralDecomposition:
         return (v * self.eigenvalues[None, :]) @ v.conj().T
 
     def transform(self, matrix: np.ndarray) -> np.ndarray:
-        """V* M V in M's own arithmetic (_transform).  A matrix that is not
-        D x D is refused.
-
-        An M with a parity on this decomposition (_block_parity) is read
-        in its sector blocks, each product (D/2)-sized, and gathered by
-        _from_sector_blocks: the blocks that must vanish are exactly zero.
-        Any other M is read whole in the dense V.
-        """
+        """V* M V in M's own arithmetic (_transform), read by M's parity
+        (_block_parity): in its blocks, gathered by _from_sector_blocks, or
+        whole in the dense V.  A matrix that is not D x D is refused."""
         m = _on_window(np.asarray(matrix), self.dim)
         parity = _block_parity(self, m)
         if parity:
@@ -130,11 +109,9 @@ class SpectralDecomposition:
 
 
 def _block_parity(dec: SpectralDecomposition, m: np.ndarray) -> int:
-    """The parity the block form reads m with on dec: +-1 when dec is
-    solved in reversal blocks and J m J = +-m exactly, 0 otherwise.  m is
-    the window matrix or, J being a product of per-site reversals, the
-    local matrix of an embedded operator (module docstring)."""
-    return _reversal_parity(m) if dec.reversal_symmetric else 0
+    """+-1 when dec has sectors and J m J = +-m exactly, 0 otherwise; m
+    may be an embedded operator's local matrix (module docstring)."""
+    return 0 if dec.sector is None else _reversal_parity(m)
 
 
 def _sector_places(dec: SpectralDecomposition) -> np.ndarray:
@@ -204,19 +181,12 @@ def _transform(left: np.ndarray, m: np.ndarray,
 def eig_hermitian(matrix) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix (LAPACK).
 
-    The input must be finite and Hermitian within 1e-12 relative; the check
-    runs over mirrored square tiles.  The solver reads one triangle of what it is
-    given, and a real symmetric input is solved in real arithmetic and
-    gives real eigenvectors.
-
-    When J H J equals H exactly, J the index reversal and D even, H splits
-    in the basis (e_i +- e_{D-1-i})/sqrt(2) into the two D/2 x D/2 blocks
-    H+- = H_TL +- H_TR J, solved as one stacked call for a quarter of the
-    dense flops.  The result keeps the eigenvectors (W+, W-) of the blocks
-    as the solver returned them, the eigenvalues ordered ascending with a
-    stable sort (the + sector first among equal levels) and the sector of
-    each eigenvalue; no D x D eigenvector array is built.  Any other H is
-    solved as given.
+    The input must be finite and Hermitian within 1e-12 relative, checked
+    over mirrored square tiles.  The solver reads one triangle, and a real
+    symmetric input is solved in real arithmetic.  When J H J equals H
+    exactly and D is even, its blocks H+- (module docstring) are solved in
+    one stacked call, for a quarter of the dense flops, and the eigenvalues
+    ordered by a stable sort, the + sector first among equal levels.
     """
     m = _as_matrix(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -253,17 +223,16 @@ def _reversal_parity(m: np.ndarray) -> int:
 
 def _half_block(m: np.ndarray, sign: int,
                 out: Optional[np.ndarray] = None) -> np.ndarray:
-    """m_TL + sign * m_TR J, J the half-size reversal, written into out
-    when given.  For J m J = +-m it is m's block on the sign columns of
-    the basis (e_i +- e_{D-1-i})/sqrt 2."""
+    """m_TL + sign * m_TR J (module docstring), J the half-size reversal,
+    written into out when given."""
     half = len(m) // 2
     combine = np.add if sign > 0 else np.subtract
     return combine(m[:half, :half], m[:half, half:][:, ::-1], out=out)
 
 
 def _reversal_blocks(m: np.ndarray) -> np.ndarray:
-    """The stack (m_TL + m_TR J, m_TL - m_TR J) of the half blocks of m
-    (_half_block), for the solver's one stacked call."""
+    """The stack of m's two half blocks (_half_block), for the solver's
+    one stacked call."""
     half = len(m) // 2
     blocks = np.empty((2, half, half), dtype=m.dtype)
     _half_block(m, 1, out=blocks[0])
@@ -272,16 +241,10 @@ def _reversal_blocks(m: np.ndarray) -> np.ndarray:
 
 
 def _sector_blocks(m: np.ndarray, parity: int, hermitian: bool = True) -> list:
-    """The blocks of m that can be nonzero, as (left, right, block), for
-    J m J = parity * m; left and right index the pairs of
-    _sector_bases(dec, parity).
-
-    Parity 0 gives m whole, (0, 0, m).  Parity +1 gives the diagonal
-    blocks (0, 0, m+) and (1, 1, m-) of m in the basis
-    (e_i +- e_{D-1-i})/sqrt 2, parity -1 the off-diagonal blocks
-    (0, 1, M) and (1, 0, N) of m = [[0, M], [N, 0]] there,
-    M = m_TL - m_TR J and N = m_TL + m_TR J.  For a Hermitian m, N = M*
-    is M's partner (_partnered), and M alone is formed.
+    """(left, right, block) for each block of m that can be nonzero in the
+    block form of parity (module docstring), left and right indexing the
+    pairs of _sector_bases(dec, parity): (0, 0, m) for parity 0, m+ and m-
+    for +1, M and N for -1, and M alone when m is Hermitian (_partnered).
     """
     if parity > 0:
         return [(0, 0, _half_block(m, 1)), (1, 1, _half_block(m, -1))]
@@ -300,12 +263,11 @@ def _partnered(blocks: list) -> list:
     return blocks + [(1, 0, blocks[0][2].conj().T)]
 
 
-def _mirrored_levels(rows, dim: int) -> Optional[np.ndarray]:
-    """signs s_p over p < dim/2, +1 where p is in rows[0] and -1 where
-    dim-1-p is, when the index reversal J maps the level set rows[0] onto
-    rows[1]; None otherwise."""
-    first = np.zeros(dim, dtype=bool)
-    first[rows[0]] = True
+def _mirrored_levels(first: np.ndarray) -> Optional[np.ndarray]:
+    """signs s_p over p < D/2, +1 where p is in the index set of the mask
+    first and -1 where D-1-p is, when the index reversal J maps that set
+    onto its complement; None otherwise."""
+    dim = len(first)
     if dim % 2 or not np.array_equal(first[::-1], ~first):
         return None
     return np.where(first[:dim // 2], 1.0, -1.0)
@@ -313,9 +275,8 @@ def _mirrored_levels(rows, dim: int) -> Optional[np.ndarray]:
 
 def _sector_columns(dec: SpectralDecomposition, parity: int,
                     *columns: np.ndarray) -> list:
-    """Arrays of one value per column (energies, Gibbs weights) as the
-    blocks of parity read them: whole, in one tuple, for parity 0, and
-    split into the tuples of the + and the - sector for parity +-1."""
+    """Arrays of one value per column as the blocks of parity read them:
+    one tuple for parity 0, a tuple per sector for parity +-1."""
     if not parity:
         return [columns]
     return [tuple(x[c] for x in columns)
@@ -324,13 +285,9 @@ def _sector_columns(dec: SpectralDecomposition, parity: int,
 
 def _sector_bases(dec: SpectralDecomposition, parity: int,
                   *columns: np.ndarray) -> list:
-    """The (W, E) pairs of eigenvectors and eigenvalues that the blocks of
-    _sector_blocks(m, parity) are read into: (V, E) for parity 0, and for
-    parity +-1 on a decomposition solved in reversal blocks the stored
-    (W+, E+) and (W-, E-).  Each further array of one value per column
-    (Gibbs weights, say) is split by sector (_sector_columns) and follows
-    E in every tuple.
-    """
+    """The (W, E) pairs the blocks of _sector_blocks(m, parity) are read
+    into, each further array of one value per column (Gibbs weights, say)
+    split alike (_sector_columns) and following E in every tuple."""
     vectors = dec._vectors if parity else [dec.eigenvectors]
     return [(w, *x) for w, x in zip(vectors, _sector_columns(
         dec, parity, dec.eigenvalues, *columns))]
@@ -366,14 +323,11 @@ def _energy_blocks(bases: list, m: np.ndarray, parity: int) -> dict:
 
 def _read_pair(dec: SpectralDecomposition, a: np.ndarray, b: np.ndarray):
     """(parity, pairs, diagonals): the pair (a, b) of window matrices read
-    once in its block form (module docstring).
-
-    When both have a parity on dec (_block_parity) each is read in the
-    blocks of its own (_energy_blocks); otherwise both are read whole, in
-    one V.  parity is the one the columns split by (_sector_columns), 0
-    for the whole read.  pairs holds (l, r, a_lr, b_rl) for each (l, r)
-    at which both blocks can be nonzero, and diagonals the diagonals of
-    each operator's (l, l) blocks, as ([(l, d)], [(l, d)]).
+    once in its block form (module docstring), each in the blocks of its
+    own parity (_energy_blocks), or both whole in one V.  parity is the one
+    the columns split by (_sector_columns), pairs holds (l, r, a_lr, b_rl)
+    for each (l, r) at which both blocks can be nonzero, and diagonals the
+    diagonals of each operator's (l, l) blocks, as ([(l, d)], [(l, d)]).
     """
     pa, pb = _block_parity(dec, a), _block_parity(dec, b)
     parity = pa if pa and pb else 0
@@ -396,11 +350,9 @@ def _from_sector_blocks(dec: SpectralDecomposition, m: np.ndarray,
 
     The result is allocated before the blocks' temporaries, which keeps
     the heap lower for the rest of the process (peak RSS).  Row i is row
-    where[i] of the block-ordered matrix [[B00, B01], [B10, B11]], read at
-    the columns where, where[c] being column c's place in the sector order
-    (_sector_places).  Each row block of the result is gathered along rows
-    into a buffer and then along columns straight into the result, with no
-    2-D fancy index.
+    where[i] of [[B00, B01], [B10, B11]] at the columns where
+    (_sector_places), gathered per row block along rows into a buffer and
+    then along columns into the result, with no 2-D fancy index.
     """
     dim, half = dec.dim, dec.dim // 2
     out = np.empty((dim, dim), dtype=np.result_type(m, dec._vectors))
@@ -425,17 +377,9 @@ def _from_sector_blocks(dec: SpectralDecomposition, m: np.ndarray,
 def _block_matrix(blocks: list, parity: int,
                   out: Optional[np.ndarray] = None) -> np.ndarray:
     """The inverse of _sector_blocks: the D x D matrix m with
-    J m J = parity * m and these blocks, written into out when given.
-    Given both blocks of its parity it writes any such m; given M alone
-    for parity -1 it writes the Hermitian m, with N = M* (_partnered).
-
-    For parity 0 the one block is m, returned as it is.  Otherwise the
-    half blocks (m_TL + m_TR J, m_TL - m_TR J) are m's blocks on the +
-    and the - columns, (m+, m-) for parity +1 and (N, M) for parity -1;
-    the top half is m_TL = their half sum and m_TR = (their half
-    difference) J, and the bottom half is the top half reversed along
-    both axes, times parity.
-    """
+    J m J = parity * m and these blocks (module docstring), written into
+    out when given; the one block itself for parity 0.  Given M alone for
+    parity -1 it writes the Hermitian m, with N = M* (_partnered)."""
     if not parity:
         (_, _, m), = blocks
         return m
@@ -453,11 +397,8 @@ def _block_matrix(blocks: list, parity: int,
 
 
 def _block_diagonal(diagonals: list, parity: int) -> np.ndarray:
-    """The diagonal of _block_matrix(blocks, parity), from the diagonals of
-    the blocks, given as (left, right, diagonal), both blocks of any
-    parity-definite operator or M's alone for a Hermitian odd one: the
-    top half is the half sum of the two half blocks' diagonals and the
-    bottom half the top half reversed, times parity."""
+    """The diagonal of _block_matrix(blocks, parity), from the blocks'
+    diagonals, given as (left, right, diagonal)."""
     if not parity:
         (_, _, d), = diagonals
         return d

@@ -7,24 +7,12 @@ partition sum never overflows.  The analytic continuation
     F(z) = phi(A tau_z(B)),   z = t + i s,  0 <= s <= beta,
 
 is evaluated in the energy eigenbasis over the pair's blocks, read once by
-spectral._read_pair (spectral module docstring): A's block A_lr, between
-the levels E_l of sector l and E_r of sector r, pairs with B's block B_rl
-through P_lr = A_lr * B_rl^T.  With u = e^{iEt},
-
-    F(t + is) = sum_lr sum_m row_m conj(u_m) (P_lr (col * u))_m,
-    row = e^{-(beta - s)E_l} / Z,   col = e^{-sE_r}.
-
-Each distinct |t| of a grid is evaluated once: with c = cos(E|t|),
-sn = sin(E|t|), X = P (col * c) and Y = P (col * sn), the sums
-C = sum row (c X + sn Y) and S = sum row (sn X - c Y) give
-F(+-|t|) = C -+ iS, for real and complex P alike.  The grid is taken over
-column blocks of the phase table, so no D x D array is formed per
-evaluation.  The conjugate function G(t) = phi(tau_t(B) A) lives on the
-strip -beta <= s <= 0, and the KMS boundary condition F(t + i beta) = G(t)
-ties the two together.  G is F of the swapped pair at the mirrored point,
-G_{A,B}(z) = F_{B,A}(-z), and the swapped pair's blocks are P_lr^T, so one
-evaluator serves both, F through P_lr and G through P_lr^T.  It tolerates
-a bounded excursion outside the native strip (needed by the contour
+spectral._read_pair, each distinct |t| of a grid once (KMSFunction._kms).
+The conjugate function G(t) = phi(tau_t(B) A) lives on the strip
+-beta <= s <= 0, and the KMS boundary condition F(t + i beta) = G(t) ties
+the two together.  G is F of the swapped pair at the mirrored point,
+G_{A,B}(z) = F_{B,A}(-z), so one evaluator serves both.  It tolerates a
+bounded excursion outside the native strip (needed by the contour
 pipeline) and refuses to produce overflowed garbage.  The ordinary and
 canonical correlators read the pair a KMSFunction holds: F(0) and the
 beta-average of F(ib), each less phi(A) phi(B).
@@ -90,13 +78,27 @@ class ThermalState:
     def expectation(self, op: OperatorLike) -> complex:
         return complex(_gibbs_mean(self.weights, self.to_eigenbasis(op)))
 
-    def _duhamel_block(self, e_row: np.ndarray,
-                       e_col: np.ndarray) -> np.ndarray:
-        """K_mn / Z between two sets of shifted energies, such as the two
-        sectors of one block; not kept."""
-        kern = _duhamel_kernel(self.beta, e_row, e_col)
-        kern /= np.exp(self.log_partition)
-        return kern
+    def _duhamel_blocks(self, levels: list, blocks: list):
+        """K(E_l, E_r) / Z for each block (l, r, ...) in turn, levels[l]
+        the shifted energies of sector l.  The kernel is symmetric in its
+        two energies, so K(E_r, E_l) is K(E_l, E_r)^T to the last bit: each
+        pair of sectors builds one block, held until its transpose is read
+        when that is still to come, and not past its own read otherwise."""
+        def block(l: int, r: int) -> np.ndarray:
+            kern = _duhamel_kernel(self.beta, levels[l], levels[r])
+            kern /= np.exp(self.log_partition)
+            return kern
+
+        later = {(r, l) for l, r, *_ in blocks if l != r}
+        kept: dict = {}
+        for l, r, *_ in blocks:
+            if (r, l) in kept:
+                yield kept.pop((r, l)).T
+            elif (l, r) in later:
+                kept[l, r] = block(l, r)
+                yield kept[l, r]
+            else:
+                yield block(l, r)
 
 
 def _gibbs_mean(weights: np.ndarray, m: np.ndarray):
@@ -145,18 +147,13 @@ def gibbs_state(hamiltonian, beta: float) -> ThermalState:
 class KMSFunction:
     """Two-sided thermal correlation function of a fixed operator pair.
 
-    Holds the pair as the blocks that can be nonzero (spectral module
-    docstring): for each, the block A_lr of A, the block B_rl of B it
-    pairs with, and their pair product P_lr = A_lr * B_rl^T, all in the
-    energy basis, with the levels E_l and E_r read by sector
-    (spectral._sector_columns).  kms_function reads a site-basis pair into
-    them once (spectral._read_pair); the constructor takes the pair in
-    the energy basis as D x D matrices (a real pair stays real, integers
-    become float), the one-block case of the same form.  P is stored as
-    its real parts, one when its imaginary part is exactly zero (a real
-    pair, or Y/Y on a real Hamiltonian), so every product with it is a
-    real GEMM per part and threads may share it.  F reads P_lr and G reads
-    P_lr^T.
+    Holds the pair in its block form (spectral._read_pair): A_lr, B_rl
+    and P_lr of each block pair in the energy basis, the levels read by
+    sector (spectral._sector_columns).  kms_function reads a site-basis
+    pair; the constructor takes an energy-basis pair of D x D matrices (a
+    real pair stays real, integers become float) as one block.  P is held
+    as its real parts (_pair_parts): every product with it is a real GEMM
+    per part, and threads may share it.
     """
 
     def __init__(self, state: ThermalState, a_energy: OperatorLike,
@@ -216,12 +213,14 @@ class KMSFunction:
         Both are sums over the blocks of sum_mn x_m e^{-itE_m} P_mn
         y_n e^{itE_n}: F reads P_lr with x = row = e^{-(beta - s)E_l}/Z
         and y = col = e^{-sE_r}, and G, F of the swapped pair at -z, reads
-        P_lr^T the same way.  Each distinct |t| is evaluated once: with
-        c = cos(E|t|), sn = sin(E|t|), X = P (col * c), Y = P (col * sn),
-        C = sum row (c X + sn Y) and S = sum row (sn X - c Y) give
-        F(+-|t|) = C -+ iS, for real and complex P alike.  Below the real
-        axis (after the swap) e^{-sE_n} grows; past the overflow cap the
-        call fails rather than return inf.
+        the swapped pair's blocks P_lr^T the same way.  Each distinct |t|
+        is evaluated once: with c = cos(E|t|), sn = sin(E|t|),
+        X = P (col * c), Y = P (col * sn), C = sum row (c X + sn Y) and
+        S = sum row (sn X - c Y) give F(+-|t|) = C -+ iS, for real and
+        complex P alike.  The grid is taken over column blocks of the phase
+        table, so no D x D array is formed.  Below the real axis (after the
+        swap) e^{-sE_n} grows; past the overflow cap the call fails rather
+        than return inf.
         """
         st = self.state
         beta = st.beta
@@ -291,7 +290,8 @@ class KMSFunction:
 def _pair_parts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The pair product P = a * b^T of a block and its partner block, as
     the stack of its real parts: (P,) when its imaginary part is exactly
-    zero, (Re P, Im P) otherwise."""
+    zero (a real pair, or Y/Y on a real Hamiltonian), (Re P, Im P)
+    otherwise."""
     pair = a * b.T
     if np.iscomplexobj(pair) and pair.imag.any():
         return np.stack((pair.real, pair.imag))
@@ -368,8 +368,7 @@ def canonical_correlator(fn: KMSFunction, method: str = "closed_form") -> comple
 
     method="closed_form" integrates each eigenbasis matrix element exactly:
     each block pairs A_lr with B_rl against its Duhamel kernel block
-    K(E_l, E_r) / Z (ThermalState._duhamel_block), built once per block
-    pair with K(E_r, E_l) = K(E_l, E_r)^T and not kept.
+    (ThermalState._duhamel_blocks).
     method="quadrature" uses Gauss-Legendre on [0, beta]: with nodes
     b_k = beta (x_k + 1)/2 the average is half the weighted sum of F(ib_k),
     with no division by beta, so beta = 0 needs no special case.  The node
@@ -386,12 +385,10 @@ def canonical_correlator(fn: KMSFunction, method: str = "closed_form") -> comple
     levels = fn._columns(state.energies)
 
     if method == "closed_form":
-        kernels: dict = {}
+        kernels = state._duhamel_blocks(levels, fn._blocks)
         total = 0.0
-        for l, r, a, b, _ in fn._blocks:
-            kernels[l, r] = (kernels[r, l].T if (r, l) in kernels
-                             else state._duhamel_block(levels[l], levels[r]))
-            total += _paired_sum(kernels[l, r], a, b)
+        for _, _, a, b, _ in fn._blocks:
+            total += _paired_sum(next(kernels), a, b)
         return total - disconnected
 
     if method != "quadrature":

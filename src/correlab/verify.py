@@ -18,9 +18,7 @@ A scalar residue identity (corr = 1) exercises the kernel alone and is the
 first thing to check when a decomposition misbehaves.
 
 The decay-upgrade check, theorem_check, contracts the one operator A with
-thermal's closed forms.  It reads A as every reader does, by the parity
-alone (spectral._block_parity on A's local matrix): in its sector blocks
-when it has one, Hermitian or not, and whole otherwise.
+thermal's closed forms, in A's blocks (_contraction).
 """
 from __future__ import annotations
 
@@ -219,10 +217,9 @@ def contour_decomposition(grid: ContourGrid,
     """Split 2 pi i (F(ib) - phi(A)phi(B)) into commutator and correlator
     contour terms and evaluate each by quadrature.
 
-    The grid (see contour_grid) holds the energy-basis pair, the quadrature
-    nodes and weights, and F and G on the real axis; this function adds the
-    height-dependent part: the two edge kernels, the point values of F and
-    G at and below ib, and the pole subtraction.
+    The grid (contour_grid) holds what does not depend on the height; this
+    function adds the two edge kernels, the point values of F and G at and
+    below ib, and the pole subtraction.
 
     The singular factor 1/(z - ib) is handled by subtracting the pole value
     of the smooth numerator and adding its closed form back (erfc of the
@@ -365,11 +362,11 @@ def _partners(lat: Lattice, base, distances: Sequence[float]) -> list:
 def _contraction(state: ThermalState, a, lat: Lattice):
     """(M, rho, phi(A)) for theorem_check, M = V (W o Abar) V* and
     rho = V diag(p) V* in the site basis (W the Duhamel weights), or only
-    their diagonals when A, and so each partner, is diagonal.  A is read in
-    the sector blocks of the parity its local matrix has on the state's
-    decomposition (spectral._block_parity), with bases U_l, and whole for
-    parity 0; an odd A in its (+, -) block alone when it is Hermitian
-    (spectral._sector_blocks), in both off-diagonal blocks otherwise."""
+    their diagonals when A, and so each partner, is diagonal.  A is read
+    in the blocks of its local matrix's parity (spectral._block_parity,
+    spectral._read_blocks) into bases U_l, W is built on those blocks alone
+    (ThermalState._duhamel_blocks), and M and rho, which is even, are
+    written back from U_l (W o A)_lr U_r* and U_l diag(p_l) U_l*."""
     op = a.matrix
     parity = _block_parity(state.decomposition, op)
     diagonal = np.count_nonzero(op) == np.count_nonzero(np.diagonal(op))
@@ -377,11 +374,12 @@ def _contraction(state: ThermalState, a, lat: Lattice):
                                  parity, state.energies, state.weights,
                                  hermitian=_is_hermitian(op))
     phi_a, m_blocks = 0.0, []
+    kernels = state._duhamel_blocks([e for _, _, e, _ in bases], blocks)
     for l, r, abar in blocks:
-        (u_l, _, e_l, p_l), (u_r, _, e_r, _) = bases[l], bases[r]
+        (u_l, _, _, p_l), (u_r, *_) = bases[l], bases[r]
         if l == r:
             phi_a += _gibbs_mean(p_l, abar)
-        abar *= state._duhamel_block(e_l, e_r)  # W o A in place
+        abar *= next(kernels)  # W o A in place
         if diagonal:  # rowsum(U_l (W o A) o conj(U_r))
             n = np.einsum("ij,ij->i", _matmul(u_l, abar), u_r.conj())
         else:
@@ -413,20 +411,8 @@ def theorem_check(interaction: Interaction, beta: float, mu: float,
     partners.  With W the Duhamel weights and A, B in the energy basis,
     sum_mn W_mn A_mn B_nm = tr(M B) in the site basis, M = V (W o A) V*;
     likewise phi(AB) = tr(rho AB).  M and rho are built once from the one
-    transformed A, and each partner reads only the entries of M and rho
-    that its embedding meets.  When A and B are diagonal only the
-    diagonals of M and rho are formed.
-
-    An A with a parity on the state's decomposition (Z and Y odd, X even,
-    read from the local matrix by spectral._block_parity), Hermitian or
-    not, is contracted in its sector blocks (spectral module docstring):
-    A's blocks are read into the sector eigenbases (U+-, E+-), the
-    Duhamel weights are built on those blocks alone, M is written back
-    from the half-size products U_l (W o A)_lr U_r* (_block_matrix, or its
-    diagonal), and rho, which is even, from U+- diag(p+-) U+-* with the
-    Gibbs weights of each sector.  No product is D-sized there; an odd A
-    that is not Hermitian reads both off-diagonal blocks.  Otherwise A, W,
-    M and rho are read whole in (V, E).
+    transformed A (_contraction), and each partner reads only the entries
+    of M and rho that its embedding meets.
 
     mu must be finite and positive, op_name must not name a multiple of
     the identity (operators._check_measured), and no two distances may

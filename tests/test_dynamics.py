@@ -122,7 +122,7 @@ def test_evolve_matches_the_dense_route_and_expm(model, op):
     # against expm, relative to the largest entry.
     inter = _EVOLVE_MODELS[model]()
     ctx = evolution_context(inter)
-    assert ctx.decomposition.reversal_symmetric == (model != "xxz6-field")
+    assert (ctx.decomposition.sector is not None) == (model != "xxz6-field")
     h = build_hamiltonian(inter).matrix
     e, v = np.linalg.eigh(h)
     a = LocalOperator((2,), op)
@@ -250,17 +250,17 @@ def _y_field_chain(lat):
 
 
 # transforms: 0 on the sector route (H flip-even, A odd, B two-level with
-# mirrored level sets), 1 when only A goes to the energy basis, which is
-# the half-block route for a Hermitian pair with a diagonal two-level B
+# mirrored level sets), 2 on the one-product route, which takes every
+# other pair, a diagonal two-level B included
 @pytest.mark.parametrize("a, b, model, transforms", [
     (single_site(0, "Z"), single_site(5, "Z"), "rbi", 0),
     (single_site(1, "X"), single_site(4, "Y"), "rbi", 2),
     (LocalOperator((0,), SIGMA_PLUS), LocalOperator((3,), SIGMA_PLUS.T),
      "rbi", 2),
-    (single_site(1, "X"), LocalOperator((4,), PROJ_0), "rbi", 1),
-    (single_site(0, "X"), single_site(0, "Z"), "rbi", 1),
+    (single_site(1, "X"), LocalOperator((4,), PROJ_0), "rbi", 2),
+    (single_site(0, "X"), single_site(0, "Z"), "rbi", 2),
     (single_site(5, "X"), LocalOperator((0, 1), TWO_Z), "rbi", 2),
-    (single_site(0, "Z"), single_site(5, "Z"), "y_field", 1),
+    (single_site(0, "Z"), single_site(5, "Z"), "y_field", 2),
 ], ids=["pauli_real", "pauli_complex", "sigma_plus_minus", "projector",
         "overlap", "three_level", "complex_hamiltonian"])
 def test_lr_scan_matches_site_basis_route(monkeypatch, a, b, model,
@@ -476,7 +476,7 @@ def test_locality_scan_matches_dense_route(model, a, route):
     radii, times = [0.0, 1.0, 2.0, 3.0], [0.0, 0.5, 1.0]
     scan = locality_scan(inter, a, radii, times, mu=1.0, context=ctx)
     assert scan.norm_route == route
-    assert ctx.decomposition.reversal_symmetric == (model in ("rbi", "xxz"))
+    assert (ctx.decomposition.sector is not None) == (model in ("rbi", "xxz"))
     got = np.array([m.error for m in scan.measurements])
     ref = np.array(_dense_locality_errors(inter, a, radii, times))
     assert ref.max() > 0.5  # the evolved operator has spread past the ball
@@ -534,8 +534,8 @@ def _chain_model(name, n):
 
 
 # sector: the scan runs without a dense transform of A (A odd, B's level
-# sets mirrored by the index reversal); X is flip-even, so its pair keeps
-# the half-block route with A transformed once
+# sets mirrored by the index reversal); X is flip-even, so its pair takes
+# the one-product route with A and B transformed once each
 @pytest.mark.parametrize("model, n, a, b, sector", [
     ("tfim", 6, single_site(0, "Z"), single_site(5, "Z"), True),
     ("tfim", 6, single_site(2, "Y"), single_site(4, "Z"), True),
@@ -554,14 +554,14 @@ def test_lr_scan_sector_route_matches_dense_formula(monkeypatch, model, n,
                                                     a, b, sector):
     inter = _chain_model(model, n)
     ctx = evolution_context(inter)
-    assert ctx.decomposition.reversal_symmetric
+    assert ctx.decomposition.sector is not None
     times = [0.0, 0.3, 1.0, 2.0, 4.0]
     calls, transform = [], SpectralDecomposition.transform
     monkeypatch.setattr(SpectralDecomposition, "transform",
                         lambda self, m: calls.append(1) or transform(self, m))
     scan = lr_commutator_scan(inter, a, b, times, mu=1.0, context=ctx)
     monkeypatch.undo()
-    assert len(calls) == (0 if sector else 1)
+    assert len(calls) == (0 if sector else 2)
     got = np.array([m.commutator_norm for m in scan.measurements])
     ref = np.array(_site_basis_norms(inter, a, b, times))
     assert ref.max() > 0.01  # the commutator has grown past round-off

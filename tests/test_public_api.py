@@ -235,7 +235,8 @@ def test_only_spectral_reads_the_sector():
 
 
 # one owner for the eigenvectors: on the block route reading them forms a
-# D x D array, so every other module takes its bases through _sector_bases
+# D x D array, so every other module takes its bases through _read_blocks
+# or _read_pair
 def test_only_spectral_reads_the_eigenvectors():
     assert _attribute_readers("eigenvectors") == {"spectral.py"}
     assert _attribute_readers("_vectors") == {"spectral.py"}
@@ -243,9 +244,9 @@ def test_only_spectral_reads_the_eigenvectors():
 
 # one owner for the parity decision: spectral._block_parity tells every
 # route how an operator is read, so no other module asks whether a
-# decomposition has sectors or tests an operator's parity itself
+# decomposition has sectors (test_only_spectral_reads_the_sector) or tests
+# an operator's parity itself
 def test_only_spectral_decides_the_block_parity():
-    assert _attribute_readers("reversal_symmetric") == {"spectral.py"}
     users = {path.name for path in SRC.glob("*.py")
              if "_reversal_parity" in _referenced_names(
                  ast.parse(path.read_text(encoding="utf-8")))}
@@ -294,6 +295,13 @@ def _function(module: str, name: str) -> ast.FunctionDef:
     return next(stmt for stmt in ast.parse(
         (SRC / module).read_text(encoding="utf-8")).body
         if isinstance(stmt, ast.FunctionDef) and stmt.name == name)
+
+
+# one owner for the sector bases: every other module gets its bases with
+# its blocks, through _read_blocks or _read_pair
+def test_only_spectral_names_the_sector_bases():
+    places = _referrers("_sector_bases")
+    assert places and {p.split(":")[0] for p in places} == {"spectral.py"}
 
 
 # one block read, routed by the parity alone: _read_blocks reads the blocks

@@ -159,7 +159,7 @@ def test_eig_hermitian_solves_at_full_size_only_without_reversal_symmetry(
     dec = eig_hermitian(m)
     dim = len(m)
     assert shapes == [(2, dim // 2, dim // 2) if flip_even else (dim, dim)]
-    assert dec.reversal_symmetric == flip_even
+    assert (dec.sector is not None) == flip_even
     _assert_matches_dense(dec, m)
 
 
@@ -173,7 +173,7 @@ def test_sector_marks_each_column_exactly(name):
              "classical": transverse_field_ising(lat, h=0.0)}[name]
     dec = eig_hermitian(build_hamiltonian(model).matrix)
     v = dec.eigenvectors
-    assert dec.reversal_symmetric
+    assert dec.sector is not None
     assert set(dec.sector) == {1.0, -1.0}
     assert np.count_nonzero(dec.sector > 0) == dec.dim // 2
     assert np.array_equal(v[::-1], v * dec.sector)
@@ -185,7 +185,7 @@ def test_dense_decomposition_has_no_sector():
               np.diag([1.0, 0.0, -1.0])):
         dec = eig_hermitian(m)
         assert dec.sector is None
-        assert not dec.reversal_symmetric
+        assert dec.sector is None
 
 
 @pytest.mark.parametrize("parity", [1, -1, 0])
@@ -302,7 +302,7 @@ def test_transform_in_the_sectors_matches_the_dense_product(model, op, parity,
     inter = {"tfim": transverse_field_ising(lat, h=1.3),
              "xxz": heisenberg_xxz(lat, 1.0, 0.5)}[model]
     dec = eig_hermitian(build_hamiltonian(inter).matrix)
-    assert dec.reversal_symmetric
+    assert dec.sector is not None
     m = embed(LocalOperator((site,), op), lat).matrix
     assert _reversal_parity(m) == parity
     v = dec.eigenvectors
@@ -382,7 +382,7 @@ def test_evolve_reads_the_dense_eigenvectors_once(monkeypatch, op):
     lat = chain_lattice(6)
     inter = random_bond_ising(lat, seed=2)
     ctx = evolution_context(inter)
-    assert ctx.decomposition.reversal_symmetric
+    assert ctx.decomposition.sector is not None
     a = LocalOperator((2,), op)
     reads = _spy_on_eigenvectors(monkeypatch)
     got = evolve(ctx, a, 0.6).matrix
@@ -392,6 +392,30 @@ def test_evolve_reads_the_dense_eigenvectors_once(monkeypatch, op):
     e, v = np.linalg.eigh(h)
     u = (v * np.exp(0.6j * e)) @ v.conj().T
     assert np.abs(got - u @ embed(a, lat).matrix @ u.conj().T).max() < 1e-12
+
+
+def test_lr_scan_of_an_operator_without_a_parity_reads_the_eigenvectors_once(
+        monkeypatch):
+    # X + Z has no parity and B = Z is diagonal with two levels: the pair
+    # takes the one-product route, whose one transform of A reads V once
+    lat = chain_lattice(6)
+    inter = random_bond_ising(lat, seed=2)
+    ctx = evolution_context(inter)
+    assert ctx.decomposition.sector is not None
+    a = LocalOperator((1,), PAULI_X + PAULI_Z)
+    b = single_site(4, "Z")
+    times = [0.0, 0.5, 1.5]
+    reads = _spy_on_eigenvectors(monkeypatch)
+    scan = lr_commutator_scan(inter, a, b, times, mu=1.0, context=ctx)
+    assert reads == [64]
+    monkeypatch.undo()
+    e, v = np.linalg.eigh(build_hamiltonian(inter).matrix)
+    bmat = embed(b, lat).matrix
+    for t, row in zip(times, scan.measurements):
+        u = (v * np.exp(1j * t * e)) @ v.conj().T
+        tau = u @ embed(a, lat).matrix @ u.conj().T
+        ref = spectral_norm(bmat @ tau - tau @ bmat)
+        assert abs(row.commutator_norm - ref) < 1e-12
 
 
 @pytest.mark.parametrize("op", [PAULI_Z, PAULI_Y, PAULI_X],

@@ -449,11 +449,32 @@ def test_theorem_check_transforms_only_a_without_sectors(monkeypatch):
 def test_theorem_check_reads_a_non_hermitian_odd_operator_in_the_sectors(
         monkeypatch, op):
     # the parity alone picks the route: an odd A that is not Hermitian is
-    # read once at parity -1, in both off-diagonal blocks, each with the
-    # Duhamel weights of its own block
+    # read once at parity -1, in both off-diagonal blocks, whose Duhamel
+    # weights are one kernel block and its transpose
     assert _count_reads(monkeypatch, _tfim, op) == {
-        "transform": 0, "paired": 0, "kernel": 2,
+        "transform": 0, "paired": 0, "kernel": 1,
         "read": [((256, 256), -1)]}
+
+
+def test_transposed_kernel_block_keeps_every_row_bit_for_bit(monkeypatch):
+    # K(E-, E+) read as K(E+, E-)^T gives the rows that building it anew
+    # gives: the kernel is symmetric in its two energies
+    inter = _tfim(chain_lattice(8))
+
+    def rows():
+        res = theorem_check(inter, 0.5, 1.0, [1, 2, 3, 4, 5, 6, 7],
+                            op_name=1j * PAULI_Z)
+        return [(r.ordinary, r.canonical) for r in res.rows]
+
+    shared = rows()
+
+    def built_anew(state, levels, blocks):
+        for l, r, *_ in blocks:
+            kern = thermal._duhamel_kernel(state.beta, levels[l], levels[r])
+            yield kern / np.exp(state.log_partition)
+
+    monkeypatch.setattr(thermal.ThermalState, "_duhamel_blocks", built_anew)
+    assert rows() == shared
 
 
 class _ProductSpy(np.ndarray):
@@ -580,7 +601,7 @@ def test_theorem_check_matches_per_pair_correlators(lattice, base, distances,
     # TFIM is solved in reversal blocks: the sector contraction
     inter = transverse_field_ising(lattice, J=1.0, h=1.5)
     st = _check_per_pair(inter, lattice, base, distances, op, beta)
-    assert st.decomposition.reversal_symmetric
+    assert st.decomposition.sector is not None
 
 
 @_per_pair_cases
@@ -589,4 +610,4 @@ def test_theorem_check_matches_per_pair_correlators_in_a_z_field(
     # a z-field breaks the reversal symmetry: the dense contraction
     inter = heisenberg_xxz(lattice, 1.0, 0.5, h=0.3)
     st = _check_per_pair(inter, lattice, base, distances, op, beta)
-    assert not st.decomposition.reversal_symmetric
+    assert st.decomposition.sector is None
