@@ -39,7 +39,7 @@ from .thermal import _UnconvergedQuadrature, canonical_correlator, \
     gibbs_state, kms_function, ordinary_correlator
 from .dynamics import _locality_envelopes, _lr_envelopes, locality_scan, \
     lr_commutator_scan
-from .verify import _DELTA_B, _RESIDUE_MAX, _partners, \
+from .verify import _check_contour, _check_half_width, _partners, \
     contour_decomposition, contour_grid, residue_identity, theorem_check
 
 _DEFAULT_OUTDIR = "correlab_runs"
@@ -136,10 +136,10 @@ def _positive(x, where: str) -> float:
     return v
 
 
-def _optional_positive(data: dict, key: str, out: dict) -> dict:
-    """Copy data[key] into out, checked positive, when it is given."""
+def _optional_num(data: dict, key: str, out: dict) -> dict:
+    """Copy data[key] into out, checked a number, when it is given."""
     if key in data:
-        out[key] = _positive(data[key], key)
+        out[key] = _num(data[key], key)
     return out
 
 
@@ -235,8 +235,6 @@ def _model_section(raw, where: str = "model") -> Tuple[dict, Interaction]:
         geom = {"name", "nx", "ny"}
     elif "n" in keys:
         n = _intval(raw["n"], f"{where}.n")
-        if n < 1:
-            raise ConfigError(f"{where}.n must be positive")
         spacing = _num(raw["spacing"], f"{where}.spacing") if "spacing" in keys else 1.0
         size, build = n, lambda: chain_lattice(n, spacing=spacing)
         canon["n"] = n
@@ -261,10 +259,7 @@ def _model_section(raw, where: str = "model") -> Tuple[dict, Interaction]:
         v = raw[k]
         if not isinstance(k, str):
             raise ConfigError(f"{where}: parameter names must be strings")
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{where}.{k} must be a number")
-        if not math.isfinite(v):
-            raise ConfigError(f"{where}.{k} must be finite, got {v!r}")
+        _num(v, f"{where}.{k}")  # kept as given: an int hashes as an int
         params[k] = v
     try:
         inter = build_model(name, lat, **params)
@@ -278,6 +273,15 @@ def _model_section(raw, where: str = "model") -> Tuple[dict, Interaction]:
 # Per-task validation (canonical config with defaults materialized)
 # ---------------------------------------------------------------------------
 
+def _checked(check, *args) -> None:
+    """Run a library check on config values; its ValueError refuses the
+    config, with the library's reason."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _validate_residue_identity(data: dict) -> _Validated:
     _check_keys(data, {"task", "beta"},
                 {"height_fractions", "half_width", "tolerance"}, "config")
@@ -288,7 +292,8 @@ def _validate_residue_identity(data: dict) -> _Validated:
                       "height_fractions")
     if any(not 0.0 <= f <= 1.0 for f in fracs):
         raise ConfigError("height_fractions must lie in [0, 1]")
-    hw = _positive(data.get("half_width", 10.0), "half_width")
+    hw = _num(data.get("half_width", 10.0), "half_width")
+    _checked(_check_half_width, hw)
     tol = _positive(data.get("tolerance", 1e-8), "tolerance")
     canon = {"task": "residue_identity", "beta": betas,
              "height_fractions": fracs, "half_width": hw, "tolerance": tol}
@@ -315,45 +320,27 @@ def _validate_contour(data: dict) -> _Validated:
     _check_keys(data, {"task", "model", "beta", "a", "b", "heights"},
                 {"nodes", "half_width", "tolerance"}, "config")
     model, inter = _model_section(data["model"])
-    beta = _positive(data["beta"], "beta")
-    if beta <= 2 * _DELTA_B:
-        raise ConfigError(f"beta must exceed {2 * _DELTA_B:g} to hold the "
-                          "contour offset inward from the strip edges")
     a_c, a = _operator_section(data["a"], "a", inter.lattice)
     b_c, b = _operator_section(data["b"], "b", inter.lattice)
-    heights = _num_list(data["heights"], "heights")
-    if any(not 0.0 <= h <= beta for h in heights):
-        raise ConfigError("heights must lie in [0, beta]")
-    nodes = _intval(data.get("nodes", 1024), "nodes")
-    # the residue identity's own ceiling: more nodes would only allocate
-    # larger node arrays
-    if not 8 <= nodes <= _RESIDUE_MAX:
-        raise ConfigError(f"nodes must lie in [8, {_RESIDUE_MAX}]")
-    canon = _optional_positive(data, "half_width", {
-        "task": "contour", "model": model, "beta": beta, "a": a_c, "b": b_c,
-        "heights": heights, "nodes": nodes,
+    canon = _optional_num(data, "half_width", {
+        "task": "contour", "model": model, "beta": _num(data["beta"], "beta"),
+        "a": a_c, "b": b_c, "heights": _num_list(data["heights"], "heights"),
+        "nodes": _intval(data.get("nodes", 1024), "nodes"),
         "tolerance": _positive(data.get("tolerance", 1e-6), "tolerance")})
+    _checked(_check_contour, canon["beta"], canon["nodes"],
+             canon.get("half_width"), canon["heights"])
     return canon, {**canon, "model": inter, "a": a, "b": b}
-
-
-def _checked(check, *args) -> None:
-    """Run a library check on config values; its ValueError refuses the
-    config, with the library's reason."""
-    try:
-        check(*args)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _validate_lr_scan(data: dict) -> _Validated:
     _check_keys(data, {"task", "model", "mu", "a", "b", "times"},
                 {"velocity"}, "config")
     model, inter = _model_section(data["model"])
-    mu = _positive(data["mu"], "mu")
+    mu = _num(data["mu"], "mu")
     a_c, a = _operator_section(data["a"], "a", inter.lattice)
     b_c, b = _operator_section(data["b"], "b", inter.lattice)
     times_c, ts = _time_grid(data["times"], "times")
-    canon = _optional_positive(data, "velocity", {
+    canon = _optional_num(data, "velocity", {
         "task": "lr_scan", "model": model, "mu": mu, "a": a_c, "b": b_c,
         "times": times_c})
     _checked(_lr_envelopes, inter, a, b, ts, mu, canon.get("velocity"))
@@ -364,15 +351,15 @@ def _validate_locality_scan(data: dict) -> _Validated:
     _check_keys(data, {"task", "model", "mu", "a", "radii", "times"},
                 {"velocity", "exponent_multiplier"}, "config")
     model, inter = _model_section(data["model"])
-    mu = _positive(data["mu"], "mu")
+    mu = _num(data["mu"], "mu")
     a_c, a = _operator_section(data["a"], "a", inter.lattice)
     radii = _num_list(data["radii"], "radii")
     times_c, ts = _time_grid(data["times"], "times")
-    canon = _optional_positive(data, "velocity", {
+    canon = _optional_num(data, "velocity", {
         "task": "locality_scan", "model": model, "mu": mu, "a": a_c,
         "radii": radii, "times": times_c,
-        "exponent_multiplier": _positive(
-            data.get("exponent_multiplier", 1.0), "exponent_multiplier")})
+        "exponent_multiplier": _num(data.get("exponent_multiplier", 1.0),
+                                    "exponent_multiplier")})
     _checked(_locality_envelopes, inter, a, radii, ts, mu,
              canon.get("velocity"), canon["exponent_multiplier"])
     return canon, {**canon, "model": inter, "a": a, "times": ts}

@@ -186,8 +186,10 @@ def _lr_envelopes(interaction: Interaction, a, b, times: Sequence[float],
                   mu: float, velocity):
     """(l, ||A||, ||B||, v, rows) of lr_commutator_scan: the distance l
     between the supports X and Y, and for each time the one-entry row
-    ||A|| ||B|| min(|X|, |Y|) e^{-mu l} (e^{v|t|} - 1) (_envelopes).  A or
-    B a multiple of the identity is refused (operators._check_measured)."""
+    ||A|| ||B|| min(|X|, |Y|) e^{-mu l} (e^{v|t|} - 1) (_envelopes).
+    Refused: a scan _check_scan refuses, and A or B a multiple of the
+    identity (operators._check_measured)."""
+    _check_scan({"times": times}, mu=mu, velocity=velocity)
     _check_measured("a", a.matrix)
     _check_measured("b", b.matrix)
     dist = interaction.lattice.set_distance(a.support, b.support)
@@ -202,10 +204,12 @@ def _locality_envelopes(interaction: Interaction, a, radii: Sequence[float],
                         exponent_multiplier: float):
     """(||A||, v, rows) of locality_scan: for each time the envelopes
     ||A|| e^{-mu multiplier r} (e^{v|t|} - 1) over the radii r
-    (_envelopes).  Refused: an A that is a multiple of the identity
-    (operators._check_measured), a negative radius, which has no ball, and
-    radii that do not increase, whose rows would repeat or leave the
-    monotonicity in r unchecked."""
+    (_envelopes).  Refused: a scan _check_scan refuses, an A that is a
+    multiple of the identity (operators._check_measured), a negative
+    radius, which has no ball, and radii that do not increase, whose rows
+    would repeat or leave the monotonicity in r unchecked."""
+    _check_scan({"radii": radii, "times": times}, mu=mu, velocity=velocity,
+                exponent_multiplier=exponent_multiplier)
     _check_measured("a", a.matrix)
     if any(r < 0 for r in radii):
         raise ValueError(f"radius must be nonnegative, not {min(radii)!r}")
@@ -283,7 +287,6 @@ def lr_commutator_scan(interaction: Interaction, a, b,
     nonempty and finite, and every envelope a finite number (_envelopes):
     anything else would give a prefactor backed by no measurement.
     """
-    _check_scan({"times": times}, mu=mu, velocity=velocity)
     dist, na, nb, velocity, envelopes = _lr_envelopes(interaction, a, b,
                                                       times, mu, velocity)
     if context is None:
@@ -397,8 +400,6 @@ def locality_scan(interaction: Interaction, a, radii: Sequence[float],
     "dense" evolves A whole.  Each time point writes the site matrix of
     tau_t(A), which E_r needs, from its blocks (_block_matrix).
     """
-    _check_scan({"radii": radii, "times": times}, mu=mu, velocity=velocity,
-                exponent_multiplier=exponent_multiplier)
     na, velocity, envelopes = _locality_envelopes(
         interaction, a, radii, times, mu, velocity, exponent_multiplier)
     if context is None:

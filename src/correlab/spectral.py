@@ -154,11 +154,10 @@ def _sandwich(left: np.ndarray, c: np.ndarray, right: np.ndarray) -> np.ndarray:
     (_matmul), the right one taken as (right^T (left c)^T)^T through
     transposed copies.  At most two arrays of the result's size are alive
     at a time, against three when numpy upcasts a real factor.  Otherwise
-    the product is taken in the cheaper order.
+    it is left @ (c @ right).
     """
     if not (np.iscomplexobj(c) and np.isrealobj(left) and np.isrealobj(right)):
-        return (left @ c) @ right if len(left) < right.shape[1] \
-            else left @ (c @ right)
+        return left @ (c @ right)
     t = np.ascontiguousarray(_matmul(left, c).T)
     t = _matmul(right.T, t)
     return np.ascontiguousarray(t.T)

@@ -65,6 +65,34 @@ def _check_half_width(half_width: float) -> None:
                          f"not {half_width!r}")
 
 
+def _check_heights(beta: float, heights: Sequence[float]) -> None:
+    """Refuse a height b outside [0, beta], exactly: the pole ib would
+    leave the strip the identity integrates around."""
+    if any(not 0.0 <= h <= beta for h in heights):
+        raise ValueError("height must lie in [0, beta]")
+
+
+def _check_contour(beta: float, nodes: int = 1024,
+                   half_width: Optional[float] = None,
+                   heights: Sequence[float] = ()) -> float:
+    """The half width of a contour run, 8 unless given, once the run can
+    be computed.  Refused: beta <= 2e-6, where the strip cannot hold the
+    contour offset inward from its edges; fewer than 8 nodes, or more
+    than the residue identity's ceiling, which would only allocate larger
+    node arrays (a count in range can still be too few for the pair: the
+    defect shows it); a half width that is not finite and positive; and a
+    height outside [0, beta] (_check_heights)."""
+    if beta <= 2 * _DELTA_B:
+        raise ValueError(f"beta must exceed {2 * _DELTA_B:g} to hold the "
+                         "contour offset inward from the strip edges")
+    if not 8 <= nodes <= _RESIDUE_MAX:
+        raise ValueError(f"nodes must lie in [8, {_RESIDUE_MAX}]")
+    half_width = 8.0 if half_width is None else half_width
+    _check_half_width(half_width)
+    _check_heights(beta, heights)
+    return half_width
+
+
 def _sym_gauss(nodes: int, half_width: float):
     """Gauss-Legendre nodes on [-T, T]; the +/- node pairing is exact so
     principal values cancel at machine precision."""
@@ -108,13 +136,13 @@ def residue_identity(beta: float, height: float,
     then converges to the principal value, which is short of the limit from
     the interior by half a residue, so 1/2 is added back.  beta must be
     finite and positive: at beta = 0 the integrand vanishes and the
-    refinements agree on a wrong answer.  So must half_width.
+    refinements agree on a wrong answer.  So must half_width, and the
+    height must lie in [0, beta] (_check_heights).
     """
     if not 0.0 < beta < np.inf:
         raise ValueError(f"beta must be finite and positive, not {beta!r}")
     _check_half_width(half_width)
-    if not 0.0 <= height <= beta + _ENDPOINT_EPS:
-        raise ValueError("height must lie in [0, beta]")
+    _check_heights(beta, [height])
     b = float(height)
 
     def quad(n: int) -> complex:
@@ -173,14 +201,9 @@ def contour_grid(state: ThermalState, a, b, nodes: int = 1024,
     symmetric Gauss-Legendre nodes on [-T, T], with T = 8 unless
     half_width is given; each node pair +-t costs one |t|.
 
-    Refuses beta <= 2e-6, where the strip cannot hold the contour offset
-    inward from its edges, and a half_width that is not finite and
-    positive.
+    Refuses a run that _check_contour refuses.
     """
-    if state.beta <= 2 * _DELTA_B:
-        raise ValueError("beta too small to hold the offset contour")
-    half_width = 8.0 if half_width is None else half_width
-    _check_half_width(half_width)
+    half_width = _check_contour(state.beta, nodes, half_width)
     fn = kms_function(state, a, b)
     t, wq = _sym_gauss(nodes, half_width)
     arrays = (t, wq, fn.eval_grid(t), fn.conjugate_eval_grid(t))
@@ -229,14 +252,14 @@ def contour_decomposition(grid: ContourGrid,
     fall back to plain quadrature otherwise (the pole then sits deep below
     the contour and the integrand is smooth anyway).
 
-    Heights exactly on the contour (b = 0 or b = beta) are nudged inward by
-    1e-6 and the offset is recorded in the result.
+    The height must lie in [0, beta] (_check_heights).  Heights exactly on
+    the contour (b = 0 or b = beta) are nudged inward by 1e-6 and the
+    offset is recorded in the result.
     """
     fn, phi, t, wq = grid.fn, grid.phi, grid.t, grid.wq
     state = fn.state
     beta = state.beta
-    if not -_ENDPOINT_EPS <= height <= beta + _ENDPOINT_EPS:
-        raise ValueError("height must lie in [0, beta]")
+    _check_heights(beta, [height])
     beff = float(min(max(height, _DELTA_B), beta - _DELTA_B))
     offset = abs(beff - height)
 

@@ -520,11 +520,18 @@ VALID = {
     {"task": "locality_scan", "exponent_multiplier": -1.0},
     # more nodes than that would only allocate larger node arrays
     {"task": "contour", "nodes": 16385},
+    # the library's rules, passed on: nodes below the contour's floor,
+    # heights just outside the strip, and a chain with no site
+    {"task": "contour", "nodes": 7},
+    {"task": "contour", "heights": [-1e-13]},
+    {"task": "contour", "heights": [1.0 + 1e-13]},
+    {"model": dict(CHAIN, n=0)},
 ], ids=["grid-nx-0", "spacing-0", "spacing-negative", "h-nan", "beta-inf",
         "distance-nan", "mu-inf", "distance-repeated", "partner-repeated",
         "one-realizable-distance", "radius-repeated",
         "exponent-multiplier-0", "exponent-multiplier-negative",
-        "nodes-above-ceiling"])
+        "nodes-above-ceiling", "nodes-below-floor", "height-below-strip",
+        "height-above-strip", "chain-n-0"])
 def test_run_exit_two_on_degenerate_or_non_finite_config(tmp_path, capsys,
                                                          override):
     raw = {**VALID[override.get("task", "theorem_check")], **override}

@@ -731,14 +731,24 @@ _NAN, _INF = float("nan"), float("inf")
                                              mu=1.0)),
     ("mu", lambda inter, z: certify_locality(inter, _NAN)),
     ("mu", lambda inter, z: certify_locality(inter, _INF)),
+    ("mu", lambda inter, z: dynamics._lr_envelopes(inter, z(0), z(3), [0.5],
+                                                   0.0, 1.0)),
+    ("exponent_multiplier", lambda inter, z: dynamics._locality_envelopes(
+        inter, z(1), [1.0], [0.5], 1.0, None, 0.0)),
+    ("exponent_multiplier", lambda inter, z: dynamics._locality_envelopes(
+        inter, z(1), [1.0], [0.5], 1.0, None, -1.0)),
 ], ids=["lr-mu-nan", "lr-velocity-nan", "lr-velocity-negative",
         "lr-velocity-inf", "lr-times-nan", "lr-times-inf",
         "locality-velocity-nan", "locality-velocity-negative",
         "locality-velocity-inf", "locality-radii-nan", "locality-times-nan",
-        "certify-mu-nan", "certify-mu-inf"])
+        "certify-mu-nan", "certify-mu-inf", "lr-envelopes-mu-0",
+        "locality-envelopes-multiplier-0",
+        "locality-envelopes-multiplier-negative"])
 def test_scans_refuse_a_bound_they_cannot_measure(key, call):
     # each of these gave a prefactor from NaN or infinite envelopes, or
-    # failed inside the eigensolver
+    # failed inside the eigensolver; the envelope helpers the CLI validates
+    # with took mu = 0 beside a given velocity, and a multiplier <= 0,
+    # whose envelopes do not decay in the distance
     _, inter, _ = setup(4)
     with pytest.raises(ValueError, match=f"{key} must be finite"):
         call(inter, lambda site: single_site(site, "Z"))

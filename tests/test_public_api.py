@@ -319,3 +319,14 @@ def test_only_transform_gathers_the_sector_blocks():
                and isinstance(node.body, ast.Call)
                and ast.unparse(node.body.func) == "_block_parity"]
     assert guarded == []
+
+
+# one home for each run rule: the CLI passes the library's reason on
+# (cli._checked) instead of testing the library's private constants itself
+def test_cli_imports_no_private_constant():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    private = [a.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1
+               for a in node.names
+               if a.name.startswith("_") and a.name.lstrip("_").isupper()]
+    assert private == []

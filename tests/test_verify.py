@@ -97,6 +97,10 @@ def test_residue_identity_rejects_heights_outside_strip():
         residue_identity(1.0, 1.5)
     with pytest.raises(ValueError):
         residue_identity(1.0, -0.1)
+    # the contour's exact rule: beta + 1e-13 ran to 16384 nodes, unconverged
+    for height in (-1e-13, 1.0 + 1e-13):
+        with pytest.raises(ValueError, match="height must lie in"):
+            residue_identity(1.0, height)
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +163,19 @@ def test_contour_subtraction_policy_follows_spectral_spread():
 def test_contour_rejects_bad_heights_and_thin_beta():
     lat, inter, st = setup_state(beta=1.0)
     a = embed(single_site(0, "Z"), lat)
-    with pytest.raises(ValueError, match="height"):
-        contour_decomposition(contour_grid(st, a, a), 1.5)
+    grid = contour_grid(st, a, a)
+    # 1e-13 outside the strip was taken, and reported as a height
+    for height in (1.5, -1e-13, 1.0 + 1e-13):
+        with pytest.raises(ValueError, match="height must lie in"):
+            contour_decomposition(grid, height)
     thin = gibbs_state(np.diag([0.0, 1.0]), 1e-6)
     with pytest.raises(ValueError, match="beta"):
         contour_grid(thin, np.eye(2), np.eye(2))
+    # 1 to 7 nodes returned defects as results; past the residue identity's
+    # ceiling the node arrays only grow
+    for nodes in (7, 16385):
+        with pytest.raises(ValueError, match=r"nodes must lie in \[8, 16384\]"):
+            contour_grid(st, a, a, nodes=nodes)
 
 
 @pytest.mark.parametrize("half_width", [-1.0, 0.0, float("nan"),
@@ -310,14 +322,23 @@ def test_fit_decay_growing_data_has_infinite_length():
 def test_theorem_check_small_chain():
     lat = chain_lattice(6)
     inter = transverse_field_ising(lat, J=1.0, h=2.0)
-    res = theorem_check(inter, beta=0.5, mu=1.0, distances=[2, 3, 4, 5])
-    assert len(res.rows) == 4
-    assert [r.distance for r in res.rows] == [2.0, 3.0, 4.0, 5.0]
-    assert res.passed
-    assert np.isfinite(res.xi)
-    assert res.xi_prime == pytest.approx(max(4 * res.xi, 2.0))
-    assert res.c_prime > 0
-    assert res.ordinary_fit.residual < 0.5
+    # xi = 0.993: 4 xi = 3.97 binds at mu = 1, and 2/mu = 20 at mu = 0.1;
+    # the envelope with g' = g instead gives c' = 0.788 at both
+    for mu, c_prime in ((1.0, 0.1723), (0.1, 0.1151)):
+        res = theorem_check(inter, beta=0.5, mu=mu, distances=[2, 3, 4, 5])
+        assert len(res.rows) == 4
+        assert [r.distance for r in res.rows] == [2.0, 3.0, 4.0, 5.0]
+        assert res.passed
+        assert np.isfinite(res.xi)
+        assert res.xi_prime == pytest.approx(max(4 * res.xi, 2.0 / mu))
+        # c' = max over l of |canonical| / (||Z||^2 g'(l)), with ||Z|| = 1
+        # and g'(l) = max(e^{-l/xi'}, e^{-mu l/2})
+        g_prime = [max(math.exp(-r.distance / res.xi_prime),
+                       math.exp(-mu * r.distance / 2)) for r in res.rows]
+        assert res.c_prime == pytest.approx(max(
+            abs(r.canonical) / g for r, g in zip(res.rows, g_prime)), rel=1e-12)
+        assert res.c_prime == pytest.approx(c_prime, rel=1e-3)
+        assert res.ordinary_fit.residual < 0.5
 
 
 def test_theorem_check_skips_unrealizable_distances():
