@@ -198,6 +198,22 @@ def test_only_eig_hermitian_calls_eigh():
     assert callers and set(callers) == {"spectral.py:eig_hermitian"}
 
 
+# one home and one cache for every Gauss-Legendre rule: the other modules
+# ask gauss_legendre, none builds a rule of its own
+def test_only_quadrature_builds_gauss_legendre_rules():
+    builders = {"leggauss", "_legendre_pair"}
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = node.attr if isinstance(node, ast.Attribute) else \
+                node.id if isinstance(node, ast.Name) else None
+            if name in builders:
+                callers.add(path.name)
+            elif isinstance(node, ast.ImportFrom):
+                assert not builders & {a.name for a in node.names}, path.name
+    assert callers == {"quadrature.py"}
+
+
 def _reverses(node) -> bool:
     """node is the slice ::-1."""
     return (isinstance(node, ast.Slice) and node.lower is None

@@ -1,11 +1,14 @@
 """Gauss-Legendre rule checks.
 
-The nodes come from our own Newton iteration rather than numpy's
-companion-matrix eigensolve, so agreement with numpy is the oracle here,
+The nodes come from our own recurrence sweeps (up to 100 nodes) and
+asymptotic expansions (above) rather than numpy's companion-matrix
+eigensolve, so agreement with numpy, with Newton's method in extended
+precision and of the two routes with each other is the oracle here,
 alongside the defining exactness property of Gaussian rules.
 """
 import numpy as np
 import pytest
+import scipy.special
 
 from correlab import quadrature
 from correlab.quadrature import gauss_legendre
@@ -88,7 +91,7 @@ def _longdouble_rule(n):
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
                     reason="long double is no wider than double here")
-@pytest.mark.parametrize("n", [65, 512, 2048])
+@pytest.mark.parametrize("n", [65, 100, 101, 512, 2048, 4096])
 def test_matches_extended_precision_newton(n):
     xr, wr = _longdouble_rule(n)
     x, w = gauss_legendre(n)
@@ -97,17 +100,73 @@ def test_matches_extended_precision_newton(n):
     assert np.abs(w[half][::-1] - wr).max() < 5e-16
 
 
-def test_large_rule_takes_at_most_three_recurrences(monkeypatch):
-    # Tricomi's start and quartic steps settle every node, the weights
-    # included, within three sweeps, and only the first takes every node
+@pytest.mark.parametrize("n", [101, 4096])
+def test_large_rule_runs_no_recurrence(n, monkeypatch):
+    def recurrence(n, x):
+        raise AssertionError("the recurrence ran")
+    monkeypatch.setattr(quadrature, "_legendre_pair", recurrence)
+    monkeypatch.setattr(quadrature, "_CACHE", {})
+    gauss_legendre(n)
+
+
+def test_small_rule_runs_the_recurrence(monkeypatch):
     calls = []
     real = quadrature._legendre_pair
     monkeypatch.setattr(quadrature, "_legendre_pair",
-                        lambda n, x: calls.append(x.size) or real(n, x))
+                        lambda n, x: calls.append(n) or real(n, x))
     monkeypatch.setattr(quadrature, "_CACHE", {})
-    gauss_legendre(4096)
-    assert 1 <= len(calls) <= 3
-    assert calls[0] == 2048 and all(size < 2048 for size in calls[1:])
+    gauss_legendre(100)
+    assert calls and set(calls) == {100}
+
+
+# both routes for every n from just below the threshold to well past it:
+# the recurrence is the reference the asymptotic route is held to
+@pytest.mark.parametrize("n", [*range(90, 401), 1024, 4096, 8192, 16384])
+def test_routes_agree(n, monkeypatch):
+    monkeypatch.setattr(quadrature, "_CACHE", {})
+    x, w = gauss_legendre(n)
+    xr, wr = quadrature._newton_half(n)
+    half = slice(n // 2, None)
+    assert np.abs(x[half][::-1] - xr).max() <= 4e-16
+    assert np.abs(w[half][::-1] - wr).max() <= 5e-16
+    assert np.all(np.diff(x) > 0)
+    assert np.abs(x + x[::-1]).max() == 0.0
+    assert np.abs(w - w[::-1]).max() == 0.0
+    assert abs(w.sum() - 2.0) < 1e-13
+
+
+def _ulps(value, reference):
+    return float((np.abs(value - reference) / np.spacing(reference)).max())
+
+
+def test_tabulated_bessel_values():
+    zeros = scipy.special.jn_zeros(0, 21)
+    assert _ulps(quadrature._J0_ZEROS, zeros[:20]) <= 2
+    # scipy's j1 is itself up to 3 ulp off at these zeros (against
+    # 40-digit mpmath), so up to 6 ulp once squared
+    assert _ulps(quadrature._J1_SQUARED, scipy.special.j1(zeros) ** 2) <= 8
+
+
+def test_tabulated_bessel_values_are_correctly_rounded():
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        zeros = [mp.besseljzero(0, k) for k in range(1, 22)]
+        assert quadrature._J0_ZEROS.tolist() == [float(z) for z in zeros[:20]]
+        assert quadrature._J1_SQUARED.tolist() == [
+            float(mp.besselj(1, z) ** 2) for z in zeros]
+
+
+def test_series_beyond_the_tables():
+    k = np.arange(21, 61)
+    a = np.pi * (k - 0.25)
+    zeros = a + quadrature._horner(quadrature._MCMAHON, a**-2) / a
+    reference = scipy.special.jn_zeros(0, 60)[20:]
+    assert np.abs(zeros / reference - 1.0).max() <= 1e-15
+    q = 1.0 / (k[1:] - 0.25)
+    j1_squared = q * (2.0 / np.pi**2 + q**4 * quadrature._horner(
+        quadrature._J1_SQUARED_TAIL, q * q))
+    reference = scipy.special.j1(reference[1:]) ** 2
+    assert np.abs(j1_squared / reference - 1.0).max() <= 2e-15
 
 
 def test_sweep_cap_raises(monkeypatch):
