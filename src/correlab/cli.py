@@ -43,7 +43,6 @@ from .verify import _check_contour, _check_half_width, _partners, \
     contour_decomposition, contour_grid, residue_identity, theorem_check
 
 _DEFAULT_OUTDIR = "correlab_runs"
-_MONO_SLACK = 1e-12
 
 # A validator's result: (canonical config, run inputs).  The inputs are the
 # canonical config with each section replaced by what it built: "model" by
@@ -51,7 +50,9 @@ _MONO_SLACK = 1e-12
 # and "base_site" by the lattice label (None when not given).
 _Validated = Tuple[dict, dict]
 # A runner's result: (passed, summary, {csv name: rows}), each row a
-# {column: value} mapping whose keys give the CSV header.
+# {column: value} mapping whose keys give the CSV header.  The scans and
+# theorem_check pass on the library's verdict (result.passed); the
+# tolerance gates of correlators, contour and residue_identity are here.
 _Tables = Dict[str, List[dict]]
 _Outcome = Tuple[bool, dict, _Tables]
 
@@ -538,12 +539,11 @@ def _run_lr_scan(cfg: dict, workers: int) -> _Outcome:
     rows = [{**_fields(m, "time", "distance", "commutator_norm", "envelope"),
              "bound": c_res * m.envelope if np.isfinite(c_res) else float("inf")}
             for m in scan.measurements]
-    passed = bool(np.isfinite(c))
     summary = {"c_empirical": c, "velocity": scan.velocity,
                "distance": scan.distance, "mu": scan.mu,
                "noise_floor": scan.noise_floor, "floor_rows": scan.floor_rows,
                "c_empirical_resolved": c_res}
-    return passed, summary, {"lr_scan.csv": rows}
+    return scan.passed, summary, {"lr_scan.csv": rows}
 
 
 def _run_locality_scan(cfg: dict, workers: int) -> _Outcome:
@@ -553,16 +553,12 @@ def _run_locality_scan(cfg: dict, workers: int) -> _Outcome:
     rows = [_fields(m, "radius", "time", "error", "envelope")
             for m in scan.measurements]
     maxes = scan.max_error_by_radius()
-    radii = cfg["radii"]
-    monotone = all(maxes[radii[i + 1]] < maxes[radii[i]] + _MONO_SLACK
-                   for i in range(len(radii) - 1))
-    passed = monotone and bool(np.isfinite(scan.c_empirical))
     summary = {"c_empirical": scan.c_empirical, "velocity": scan.velocity,
-               "max_error_by_radius": {str(r): maxes[r] for r in radii},
-               "monotone_in_radius": monotone,
+               "max_error_by_radius": {str(r): maxes[r] for r in cfg["radii"]},
+               "monotone_in_radius": scan.monotone_in_radius,
                "noise_floor": scan.noise_floor, "floor_rows": scan.floor_rows,
                "norm_route": scan.norm_route}
-    return passed, summary, {"locality_scan.csv": rows}
+    return scan.passed, summary, {"locality_scan.csv": rows}
 
 
 def _run_theorem_check(cfg: dict, workers: int) -> _Outcome:

@@ -14,10 +14,16 @@ lr_commutator_scan in the reversal sectors or by one D x D product, and
 locality_scan by A's parity alone (norm_route).  Both form and check every
 envelope before the first evolution (_envelopes), through the helpers the
 CLI validates with.
+
+Each scan takes its own verdict, and the CLI reports it as it is: the
+prefactors and the count of rows below the round-off floor come from one
+rule, _prefactor, which verify.theorem_check shares.  lr_commutator_scan
+passes when its prefactor is finite; locality_scan when its prefactor is
+finite and its largest error does not grow with the radius (_MONO_SLACK).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -30,6 +36,8 @@ from .spectral import (SpectralDecomposition, _block_matrix, _block_parity,
                        _matmul, _mirrored_levels, _read_blocks, _sandwich,
                        _sector_blocks, build_hamiltonian, eig_hermitian)
 from .thermal import _EXP_CAP
+
+_MONO_SLACK = 1e-12  # growth of the largest error in r that still passes
 
 
 # ---------------------------------------------------------------------------
@@ -135,15 +143,24 @@ class LRScanResult:
     noise_floor: float           # eps * D * ||A|| ||B||
     floor_rows: int              # rows whose commutator norm is below it
     c_empirical_resolved: float  # c_empirical over the other rows only
+    passed: bool = field(init=False)  # the verdict: c_empirical is finite
+
+    def __post_init__(self):
+        self.passed = bool(np.isfinite(self.c_empirical))
 
 
-def _empirical_prefactor(pairs: list, floor: float) -> float:
-    """Smallest c with lhs <= c * envelope on every row; inf when some row
-    has zero envelope but an lhs above the round-off floor.  Every
-    envelope is finite and nonnegative (_envelopes)."""
-    if any(env == 0.0 and lhs > floor for lhs, env in pairs):
-        return float("inf")
-    return max((lhs / env for lhs, env in pairs if env > 0.0), default=0.0)
+def _prefactor(lhs: Sequence[float], envelopes: Sequence[float],
+               floor: float):
+    """(c, c_resolved, floor_rows) for the rows lhs <= c * envelope: c is
+    the smallest prefactor over every row, and inf when some row has zero
+    envelope but an lhs above the round-off floor; c_resolved is the same
+    over the rows whose lhs is at or above the floor, and floor_rows counts
+    the others.  Every lhs and envelope is finite and nonnegative."""
+    ratios = [x / env if env > 0.0 else float("inf") if x > floor else 0.0
+              for x, env in zip(lhs, envelopes)]
+    resolved = [c for c, x in zip(ratios, lhs) if x >= floor]
+    return (float(max(ratios, default=0.0)), float(max(resolved, default=0.0)),
+            len(ratios) - len(resolved))
 
 
 def _check_scan(grids: dict, **rates) -> None:
@@ -269,7 +286,8 @@ def lr_commutator_scan(interaction: Interaction, a, b,
     when no context is given), with the velocity certified at mu unless
     one is given.  c_empirical is the smallest prefactor that makes the
     envelope an upper bound for the whole scan, c_empirical_resolved the
-    same over the rows at or above the round-off floor (LRScanResult).
+    same over the rows at or above the round-off floor (_prefactor), and
+    the scan passes when c_empirical is finite.
 
     The norm is taken by one of two routes, chosen once:
     - in the reversal sectors, for a Hermitian pair whose A is odd
@@ -324,12 +342,10 @@ def lr_commutator_scan(interaction: Interaction, a, b,
         t = float(t)
         rows.append(LRMeasurement(t, dist, float(norm_at(t)), float(env)))
     floor = float(np.finfo(float).eps) * dec.dim * na * nb
-    pairs = [(m.commutator_norm, m.envelope) for m in rows]
-    resolved = [(lhs, env) for lhs, env in pairs if lhs >= floor]
-    c_emp = _empirical_prefactor(pairs, floor)
-    c_res = _empirical_prefactor(resolved, floor)
+    c_emp, c_res, below = _prefactor([m.commutator_norm for m in rows],
+                                     [m.envelope for m in rows], floor)
     return LRScanResult(mu, float(velocity), float(dist), rows, c_emp,
-                        floor, len(rows) - len(resolved), c_res)
+                        floor, below, c_res)
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +386,17 @@ class LocalityScanResult:
     noise_floor: float  # eps * D * ||A||
     floor_rows: int     # rows whose error is below it
     norm_route: str     # "flip_odd", "flip_even" or "dense"
+    # the verdict: the largest error does not grow with r by _MONO_SLACK
+    # or more, and c_empirical is finite
+    monotone_in_radius: bool = field(init=False)
+    passed: bool = field(init=False)
+
+    def __post_init__(self):
+        peaks = list(self.max_error_by_radius().values())  # scan order of r
+        self.monotone_in_radius = all(
+            p2 < p1 + _MONO_SLACK for p1, p2 in zip(peaks, peaks[1:]))
+        self.passed = (self.monotone_in_radius
+                       and bool(np.isfinite(self.c_empirical)))
 
     def max_error_by_radius(self) -> dict:
         out: dict = {}
@@ -393,6 +420,10 @@ def locality_scan(interaction: Interaction, a, radii: Sequence[float],
     (_error_norm).  mu, exponent_multiplier and a given velocity must be
     finite and positive, both grids nonempty and finite, and every envelope
     a finite number (_envelopes).
+
+    The scan passes when c_empirical (_prefactor) is finite and the largest
+    error over the times does not grow from one radius to the next by
+    _MONO_SLACK or more (monotone_in_radius).
 
     norm_route tells how the scan ran, decided once by A's parity alone
     (_block_parity): "flip_odd" and "flip_even" evolve A's blocks with
@@ -435,8 +466,8 @@ def locality_scan(interaction: Interaction, a, radii: Sequence[float],
         # alive through the next evolution, where the scan's memory peaks
         del tau, blocks
     floor = float(np.finfo(float).eps) * dec.dim * na
-    c_emp = _empirical_prefactor([(m.error, m.envelope) for m in rows], floor)
-    below = sum(m.error < floor for m in rows)
+    c_emp, _, below = _prefactor([m.error for m in rows],
+                                 [m.envelope for m in rows], floor)
     return LocalityScanResult(mu, float(velocity), float(exponent_multiplier),
                               rows, c_emp, floor, below, route)
 

@@ -18,7 +18,11 @@ A scalar residue identity (corr = 1) exercises the kernel alone and is the
 first thing to check when a decomposition misbehaves.
 
 The decay-upgrade check, theorem_check, contracts the one operator A with
-thermal's closed forms, in A's blocks (_contraction).
+thermal's closed forms, in A's blocks (_contraction), and takes its
+verdict in one pure function of the measured rows, _judge_upgrade, with
+the prefactor rule the scans use (dynamics._prefactor).  The tolerance
+gates of the residue identity and the contour decomposition stay with
+their callers.
 """
 from __future__ import annotations
 
@@ -28,6 +32,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from .dynamics import _prefactor
 from .lattice import Interaction, Lattice, _is_hermitian
 from .operators import (_check_measured, _embedded_trace, embed, single_site,
                         spectral_norm)
@@ -416,6 +421,32 @@ def _contraction(state: ThermalState, a, lat: Lattice):
     return write(m_blocks, parity), write(rho, abs(parity)), phi_a
 
 
+def _judge_upgrade(distances, ordinary, canonical, mu: float,
+                   norm_sq: float) -> dict:
+    """The verdict of theorem_check on plain arrays: the fit fields of
+    TheoremCheckResult and `passed`, from the distances l, the ordinary
+    and canonical correlators (complex or their moduli), mu and the
+    ||A|| ||B|| of the pair.
+
+    Both envelopes have unit amplitude, g = e^{-l/xi} with xi the ordinary
+    fit's length and g' = e^{-l/xi'} with xi' = max(4 xi, 2/mu); since
+    xi' >= 2/mu, g' is never below e^{-mu l/2}, and an infinite length
+    gives e^{-l/inf} = 1.  All amplitude lives in the prefactors, each the
+    smallest c with |corr| <= c ||A|| ||B|| g on every row
+    (dynamics._prefactor).  The check fails only when no finite canonical
+    prefactor exists.
+    """
+    ls = np.asarray(distances, dtype=float)
+    ovals, cvals = np.abs(ordinary), np.abs(canonical)
+    ofit, cfit = fit_decay(ls, ovals), fit_decay(ls, cvals)
+    xi_prime = max(4.0 * ofit.length, 2.0 / mu)
+    c_ord = _prefactor(ovals, norm_sq * np.exp(-ls / ofit.length), 0.0)[0]
+    c_pr = _prefactor(cvals, norm_sq * np.exp(-ls / xi_prime), 0.0)[0]
+    return dict(ordinary_fit=ofit, canonical_fit=cfit, xi=ofit.length,
+                xi_prime=xi_prime, xi_prime_empirical=cfit.length,
+                c_ordinary=c_ord, c_prime=c_pr, passed=bool(np.isfinite(c_pr)))
+
+
 def theorem_check(interaction: Interaction, beta: float, mu: float,
                   distances: Sequence[float], base_site=None,
                   op_name: str = "Z",
@@ -428,7 +459,8 @@ def theorem_check(interaction: Interaction, beta: float, mu: float,
     distances from base_site, fits the ordinary decay, forms the upgraded
     envelope with unit amplitude (the amplitude is absorbed into the
     prefactors), and reports the smallest prefactors that dominate the
-    canonical data.  The check fails only when no finite prefactor exists.
+    canonical data.  The verdict is _judge_upgrade's, on the rows alone:
+    the check fails only when no finite prefactor exists.
 
     Both correlators are thermal's closed forms, contracted once for all
     partners.  With W the Duhamel weights and A, B in the energy basis,
@@ -469,25 +501,9 @@ def theorem_check(interaction: Interaction, beta: float, mu: float,
         rows.append(TheoremRow(l, partner, complex(o - disconnected),
                                complex(c - disconnected)))
 
-    ls = np.array([r.distance for r in rows])
-    ovals = np.array([abs(r.ordinary) for r in rows])
-    cvals = np.array([abs(r.canonical) for r in rows])
-
-    ofit = fit_decay(ls, ovals)
-    cfit = fit_decay(ls, cvals)
-    xi = ofit.length
-    xi_prime = max(4.0 * xi, 2.0 / mu)
-
-    # unit-amplitude envelopes; all amplitude lives in the prefactors, and
-    # an infinite length gives exp(-l/inf) = 1
-    g = np.exp(-ls / xi)
-    g_prime = np.maximum(np.exp(-ls / xi_prime), np.exp(-0.5 * mu * ls))
-
     # the same single-site operator on both ends: ||A|| ||B|| = na^2, and
     # min(|X|, |Y|) = 1
-    c_ord = float(np.max(ovals / (na * na * g)))
-    c_pr = float(np.max(cvals / (na * na * g_prime)))
-
-    return TheoremCheckResult(float(beta), float(mu), base, rows, ofit, cfit,
-                              xi, xi_prime, cfit.length, c_ord, c_pr,
-                              bool(np.isfinite(c_pr)))
+    ls, ordinary, canonical = zip(*[
+        (r.distance, abs(r.ordinary), abs(r.canonical)) for r in rows])
+    judged = _judge_upgrade(ls, ordinary, canonical, mu, na * na)
+    return TheoremCheckResult(float(beta), float(mu), base, rows, **judged)

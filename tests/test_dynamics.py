@@ -10,6 +10,7 @@ from correlab import (chain_lattice, transverse_field_ising, embed,
                       conditional_expectation, random_bond_ising,
                       heisenberg_xxz, ball, LocalOperator, Interaction,
                       SpectralDecomposition, EmbeddedOperator,
+                      LocalityMeasurement, LocalityScanResult, LRScanResult,
                       PAULI_X, PAULI_Y, PAULI_Z)
 from correlab import dynamics
 
@@ -195,6 +196,61 @@ def test_lr_scan_noise_floor():
     everything = max(m.commutator_norm / m.envelope
                      for m in scan.measurements[1:])
     assert scan.c_empirical == everything > resolved
+
+
+# ---------------------------------------------------------------------------
+# the prefactor rule and the scans' verdicts, on synthetic rows
+# ---------------------------------------------------------------------------
+
+def test_prefactor_zero_envelope_row_above_the_floor_is_infinite():
+    # no c makes 0.5 <= c * 0: the row is signal, so both prefactors fail
+    assert dynamics._prefactor([1.0, 0.5], [2.0, 0.0], 0.1) == (
+        float("inf"), float("inf"), 0)
+
+
+def test_prefactor_zero_envelope_row_below_the_floor_is_noise():
+    # 0.05 < floor: the row bounds nothing and counts as a floor row
+    assert dynamics._prefactor([1.0, 0.05], [2.0, 0.0], 0.1) == (0.5, 0.5, 1)
+
+
+def test_prefactor_counts_floor_rows_and_resolves_over_the_others():
+    floor = 2.0 ** -50
+    c, c_res, below = dynamics._prefactor(
+        [2.0 ** -60, 2.0 ** -58, 1.0, 2.0, floor],
+        [2.0 ** -90, 1.0, 1.0, 4.0, floor], floor)
+    # every row enters c; only rows at or above the floor enter c_res, and
+    # the two below it are counted
+    assert (c, c_res, below) == (2.0 ** 30, 1.0, 2)
+    assert dynamics._prefactor([], [], 1.0) == (0.0, 0.0, 0)
+
+
+def _locality_result(errors_by_time, c_empirical=1.0):
+    """A LocalityScanResult of radii 1, 2, 3 with the given error rows."""
+    rows = [LocalityMeasurement(r, float(t), err, 1.0)
+            for t, errs in enumerate(errors_by_time)
+            for r, err in zip((1.0, 2.0, 3.0), errs)]
+    return LocalityScanResult(1.0, 1.0, 1.0, rows, c_empirical, 1e-13, 0,
+                              "dense")
+
+
+def test_locality_verdict_is_taken_in_the_result():
+    # the largest error over the times falls with r: 0.5, 0.3, 0.1
+    assert _locality_result([[0.5, 0.1, 0.0], [0.2, 0.3, 0.1]]).passed
+    # it grows from r = 2 to r = 3, from 0.3 to 0.4
+    grows = _locality_result([[0.5, 0.1, 0.4], [0.2, 0.3, 0.1]])
+    assert not grows.monotone_in_radius and not grows.passed
+    # a growth below the slack is round-off, and passes
+    flat = _locality_result([[0.5, 0.3, 0.3 + 1e-13]])
+    assert flat.monotone_in_radius and flat.passed
+    # monotone, but no finite prefactor
+    unbounded = _locality_result([[0.5, 0.3, 0.1]], float("inf"))
+    assert unbounded.monotone_in_radius and not unbounded.passed
+
+
+def test_lr_verdict_is_taken_in_the_result():
+    for c, passed in ((2.5, True), (float("inf"), False)):
+        result = LRScanResult(1.0, 2.0, 3.0, [], c, 1e-13, 0, 1.0)
+        assert result.passed is passed
 
 
 def test_lr_scan_zero_envelope_row_judged_against_noise_floor():
@@ -419,6 +475,7 @@ def test_locality_scan_error_decreases_with_radius():
     assert maxes[1.0] > maxes[2.0] > maxes[3.0]
     assert np.isfinite(scan.c_empirical)
     assert scan.c_empirical > 0
+    assert scan.monotone_in_radius is True and scan.passed is True
 
 
 def test_locality_scan_envelope_multiplier():

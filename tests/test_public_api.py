@@ -346,3 +346,27 @@ def test_cli_imports_no_private_constant():
                for a in node.names
                if a.name.startswith("_") and a.name.lstrip("_").isupper()]
     assert private == []
+
+
+# one home for each bound check's verdict: the CLI runners of the scans and
+# of theorem_check pass on the library's result.passed and judge nothing
+@pytest.mark.parametrize("runner", ["_run_lr_scan", "_run_locality_scan",
+                                    "_run_theorem_check"])
+def test_cli_runners_return_the_library_verdict(runner):
+    func = _function("cli.py", runner)
+    verdicts = [node.value.elts[0] for node in ast.walk(func)
+                if isinstance(node, ast.Return)]
+    assert verdicts and all(isinstance(v, ast.Attribute) and v.attr == "passed"
+                            and isinstance(v.value, ast.Name) for v in verdicts)
+    assert "passed" not in {node.id for node in ast.walk(func)
+                            if isinstance(node, ast.Name)}
+    assert "_MONO_SLACK" not in _referenced_names(
+        ast.parse((SRC / "cli.py").read_text(encoding="utf-8")))
+
+
+# one prefactor rule: dynamics._prefactor is the smallest c with
+# row <= c * envelope for both scans and for theorem_check's judgement
+def test_one_prefactor_rule():
+    assert _referrers("_prefactor") == [
+        "dynamics.py:lr_commutator_scan",
+        "dynamics.py:locality_scan", "verify.py:", "verify.py:_judge_upgrade"]

@@ -569,6 +569,25 @@ def test_correlators_match_written_out_formulas(beta, basis):
                         == canonical_correlator(fn, method=method))
 
 
+@pytest.mark.parametrize("complex_pair", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("vector", [False, True], ids=["matrix", "vector"])
+def test_paired_sum_matches_the_written_out_sum(vector, complex_pair):
+    # sum_mn W_mn A_mn B_nm over an m x n block and its n x m partner,
+    # against the dense product; the sum's order differs, so the bound is
+    # a few ulps of the sum of the moduli
+    rng = np.random.default_rng(5)
+    a, b = rng.standard_normal((70, 90)), rng.standard_normal((90, 70))
+    if complex_pair:
+        a, b = a + 1j * rng.standard_normal(a.shape), b - 2j * b
+    w = rng.random(70) if vector else rng.random((70, 90))
+    w_full = w[:, None] if vector else w
+    want = np.sum(w_full * a * b.T)
+    got = thermal._paired_sum(w, a, b)
+    assert type(got) is complex
+    assert abs(got - want) <= 64 * np.finfo(float).eps * np.sum(
+        np.abs(w_full * a * b.T))
+
+
 def test_integer_energy_pair_is_taken_as_float():
     # an integer pair used to reach _paired_sum as int and fail there with
     # a UFuncTypeError; the identity pair has phi(AB) = phi(A) phi(B) = 1

@@ -339,6 +339,47 @@ def test_theorem_check_small_chain():
             abs(r.canonical) / g for r, g in zip(res.rows, g_prime)), rel=1e-12)
         assert res.c_prime == pytest.approx(c_prime, rel=1e-3)
         assert res.ordinary_fit.residual < 0.5
+        # the verdict is the judgement's, on the rows alone
+        judged = verify._judge_upgrade(
+            [r.distance for r in res.rows], [r.ordinary for r in res.rows],
+            [r.canonical for r in res.rows], mu, 1.0)
+        assert judged == {k: getattr(res, k) for k in judged}
+
+
+# the judgement on synthetic rows: ordinary e^{-l}, so xi = 1, canonical
+# 0.5 e^{-l/3} with a phase, and ||A|| ||B|| = 4
+_LS = np.array([1.0, 2.0, 3.0, 4.0])
+_ORDINARY = np.exp(-_LS)
+_CANONICAL = 0.5 * np.exp(-_LS / 3) * np.exp(1j * _LS)
+
+
+def _judge(mu):
+    return verify._judge_upgrade(_LS, _ORDINARY, _CANONICAL, mu, 4.0)
+
+
+def test_judgement_where_four_xi_binds():
+    j = _judge(1.0)
+    assert j["xi"] == pytest.approx(1.0, rel=1e-12)
+    assert j["xi_prime"] == 4.0 * j["xi"] > 2.0
+    assert j["xi_prime_empirical"] == pytest.approx(3.0, rel=1e-12)
+    assert j["ordinary_fit"].length == j["xi"]
+    assert j["canonical_fit"].length == j["xi_prime_empirical"]
+    # g = e^{-l/xi} fits the ordinary rows exactly: c = 1/4
+    assert j["c_ordinary"] == pytest.approx(0.25, rel=1e-12)
+    # g' = e^{-l/4}: |canonical| / (4 g') = e^{-l/12} / 8 peaks at l = 1;
+    # g' = g would give e^{8/3} / 8 at l = 4
+    assert j["c_prime"] == pytest.approx(math.exp(-1 / 12) / 8, rel=1e-12)
+    assert j["passed"] is True
+
+
+def test_judgement_where_two_over_mu_binds():
+    j = _judge(0.1)
+    assert j["xi_prime"] == 20.0 > 4.0 * j["xi"]
+    # g' = e^{-l/20}: e^{-l (1/3 - 1/20)} / 8 peaks at l = 1
+    assert j["c_prime"] == pytest.approx(math.exp(-1 / 3 + 1 / 20) / 8,
+                                         rel=1e-12)
+    assert j["c_ordinary"] == pytest.approx(0.25, rel=1e-12)
+    assert j["passed"] is True
 
 
 def test_theorem_check_skips_unrealizable_distances():
@@ -592,10 +633,17 @@ def _check_per_pair(inter, lattice, base, distances, op, beta):
     st = gibbs_state(build_hamiltonian(inter).matrix, beta)
     res = theorem_check(inter, beta, 1.0, distances, base_site=base,
                         op_name=op, state=st)
-    a_e = st.to_eigenbasis(embed(single_site(base, op), lattice))
+    # the reference reads A and B with the dense V, not through the block
+    # reader theorem_check's contraction runs on
+    v = st.decomposition.eigenvectors
+
+    def energy_basis(site):
+        return v.conj().T @ embed(single_site(site, op), lattice).matrix @ v
+
+    a_e = energy_basis(base)
     assert [r.distance for r in res.rows] == distances
     for row in res.rows:
-        b_e = st.to_eigenbasis(embed(single_site(row.site, op), lattice))
+        b_e = energy_basis(row.site)
         fn = KMSFunction(st, a_e, b_e)
         ordinary, canonical = ordinary_correlator(fn), canonical_correlator(fn)
         assert abs(row.ordinary - ordinary) <= 1e-14
