@@ -6,10 +6,13 @@ of that sit the commutator scans against an exponential light-cone
 envelope and the scan of local approximants obtained by conditional
 expectation onto a ball around the support of A.
 
-Every evolution is one helper, _evolution, over an operator's blocks as
-spectral._read_blocks reads them in the parity spectral._block_parity
-gives A's local matrix; evolve and locality_scan write the site matrix
-back with spectral._block_matrix.  Each scan chooses its route once:
+Every evolution but one is one helper, _evolution, over an operator's
+blocks as spectral._read_blocks reads them in the parity
+spectral._block_parity gives A's local matrix; evolve and locality_scan
+write the site matrix back with spectral._block_matrix.  The exception is
+lr_commutator_scan's one-product route, which evolves the dense
+energy-basis Abar = V* A V (SpectralDecomposition.transform) by its phases
+alone, with _tau_energy.  Each scan chooses its route once:
 lr_commutator_scan in the reversal sectors or by one D x D product, and
 locality_scan by A's parity alone (norm_route).  Both form and check every
 envelope before the first evolution (_envelopes), through the helpers the

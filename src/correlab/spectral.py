@@ -38,8 +38,9 @@ partner.  Each rule has one helper:
   ones on (+, -) and (-, +), a mixed pair on none (its correlation
   function is zero).  A pair with an operator of no parity is read whole.
 - _block_matrix and _block_diagonal: m, or its diagonal, from its blocks;
-  transform alone gathers them into the dense energy-basis matrix
-  (_from_sector_blocks), whose vanishing blocks are exactly zero.
+  transform alone writes the energy-basis blocks at their sectors' columns
+  of one zeroed D x D matrix (_from_sector_blocks), so the blocks that
+  vanish are exactly zero.
 - _mirrored_levels: J's action on an index set.
 """
 from __future__ import annotations
@@ -99,7 +100,7 @@ class SpectralDecomposition:
 
     def transform(self, matrix: np.ndarray) -> np.ndarray:
         """V* M V in M's own arithmetic (_transform), read by M's parity
-        (_block_parity): in its blocks, gathered by _from_sector_blocks, or
+        (_block_parity): in its blocks, written out by _from_sector_blocks, or
         whole in the dense V.  A matrix that is not D x D is refused."""
         m = _on_window(np.asarray(matrix), self.dim)
         parity = _block_parity(self, m)
@@ -343,33 +344,23 @@ def _read_pair(dec: SpectralDecomposition, a: np.ndarray, b: np.ndarray):
 
 def _from_sector_blocks(dec: SpectralDecomposition, m: np.ndarray,
                         parity: int) -> np.ndarray:
-    """V* m V for an m with J m J = parity * m exactly: its blocks read in
-    the sector bases (_energy_blocks) and gathered into the D x D
-    energy-basis matrix, zero in every block not read.
+    """V* m V for an m with J m J = parity * m exactly: each block read in
+    the sector bases (_energy_blocks) written at its two sectors' columns
+    (_sector_columns) of the D x D energy-basis matrix, which is zero in
+    every block not read.
 
     The result is allocated before the blocks' temporaries, which keeps
-    the heap lower for the rest of the process (peak RSS).  Row i is row
-    where[i] of [[B00, B01], [B10, B11]] at the columns where
-    (_sector_places), gathered per row block along rows into a buffer and
-    then along columns into the result, with no 2-D fancy index.
+    the heap lower for the rest of the process (peak RSS).  Each block is
+    written over row blocks, so a partner block, a transposed view, is
+    read a few rows at a time.
     """
-    dim, half = dec.dim, dec.dim // 2
-    out = np.empty((dim, dim), dtype=np.result_type(m, dec._vectors))
+    out = np.zeros((dec.dim, dec.dim), dtype=np.result_type(m, dec._vectors))
     grid = _energy_blocks(_sector_bases(dec, parity), m, parity)
-    where = _sector_places(dec)
-    rows = max(1, _MIRROR_BLOCK // dim)
-    buf = np.empty((rows, dim), dtype=out.dtype)
-    for i in range(0, dim, rows):
-        src = where[i:i + rows]
-        gathered = buf[:len(src)]
-        for left in (0, 1):
-            mine = (src >= half) == left
-            k = src[mine] - left * half
-            for right in (0, 1):
-                b = grid.get((left, right))
-                gathered[:, right * half:(right + 1) * half][mine] = \
-                    0 if b is None else b[k]
-        np.take(gathered, where, axis=1, out=out[i:i + rows], mode="clip")
+    columns = [c for c, in _sector_columns(dec, parity, np.arange(dec.dim))]
+    rows = max(1, _MIRROR_BLOCK // dec.dim)
+    for (l, r), block in grid.items():
+        for i in range(0, len(block), rows):
+            out[columns[l][i:i + rows, None], columns[r]] = block[i:i + rows]
     return out
 
 

@@ -77,27 +77,21 @@ class ThermalState:
     def expectation(self, op: OperatorLike) -> complex:
         return complex(_gibbs_mean(self.weights, self.to_eigenbasis(op)))
 
-    def _duhamel_blocks(self, levels: list, blocks: list):
-        """K(E_l, E_r) / Z for each block (l, r, ...) in turn, levels[l]
+    def _kernel_blocks(self, levels: list, blocks: list) -> dict:
+        """{(l, r): K(E_l, E_r) / Z} for each block (l, r, ...), levels[l]
         the shifted energies of sector l.  The kernel is symmetric in its
-        two energies, so K(E_r, E_l) is K(E_l, E_r)^T to the last bit: each
-        pair of sectors builds one block, held until its transpose is read
-        when that is still to come, and not past its own read otherwise."""
-        def block(l: int, r: int) -> np.ndarray:
-            kern = _duhamel_kernel(self.beta, levels[l], levels[r])
-            kern /= np.exp(self.log_partition)
-            return kern
-
-        later = {(r, l) for l, r, *_ in blocks if l != r}
-        kept: dict = {}
+        two energies, so K(E_r, E_l) is the view K(E_l, E_r)^T, to the last
+        bit: each unordered pair of sectors builds one block.  Readers pop
+        their blocks, so none outlives its last read."""
+        kernels: dict = {}
         for l, r, *_ in blocks:
-            if (r, l) in kept:
-                yield kept.pop((r, l)).T
-            elif (l, r) in later:
-                kept[l, r] = block(l, r)
-                yield kept[l, r]
+            if (r, l) in kernels:
+                kernels[l, r] = kernels[r, l].T
             else:
-                yield block(l, r)
+                kern = _duhamel_kernel(self.beta, levels[l], levels[r])
+                kern /= np.exp(self.log_partition)
+                kernels[l, r] = kern
+        return kernels
 
 
 def _gibbs_mean(weights: np.ndarray, m: np.ndarray):
@@ -360,7 +354,7 @@ def canonical_correlator(fn: KMSFunction, method: str = "closed_form") -> comple
 
     method="closed_form" integrates each eigenbasis matrix element exactly:
     each block pairs A_lr with B_rl against its Duhamel kernel block
-    (ThermalState._duhamel_blocks).
+    (ThermalState._kernel_blocks).
     method="quadrature" uses Gauss-Legendre on [0, beta]: with nodes
     b_k = beta (x_k + 1)/2 the average is half the weighted sum of F(ib_k),
     with no division by beta, so beta = 0 needs no special case.  The node
@@ -377,11 +371,9 @@ def canonical_correlator(fn: KMSFunction, method: str = "closed_form") -> comple
     levels = fn._columns(state.energies)
 
     if method == "closed_form":
-        kernels = state._duhamel_blocks(levels, fn._blocks)
-        total = 0.0
-        for _, _, a, b, _ in fn._blocks:
-            total += _paired_sum(next(kernels), a, b)
-        return total - disconnected
+        kernels = state._kernel_blocks(levels, fn._blocks)
+        return sum(_paired_sum(kernels.pop((l, r)), a, b)
+                   for l, r, a, b, _ in fn._blocks) - disconnected
 
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")

@@ -393,7 +393,7 @@ def _contraction(state: ThermalState, a, lat: Lattice):
     their diagonals when A, and so each partner, is diagonal.  A is read
     in the blocks of its local matrix's parity (spectral._block_parity,
     spectral._read_blocks) into bases U_l, W is built on those blocks alone
-    (ThermalState._duhamel_blocks), and M and rho, which is even, are
+    (ThermalState._kernel_blocks), and M and rho, which is even, are
     written back from U_l (W o A)_lr U_r* and U_l diag(p_l) U_l*."""
     op = a.matrix
     parity = _block_parity(state.decomposition, op)
@@ -402,12 +402,12 @@ def _contraction(state: ThermalState, a, lat: Lattice):
                                  parity, state.energies, state.weights,
                                  hermitian=_is_hermitian(op))
     phi_a, m_blocks = 0.0, []
-    kernels = state._duhamel_blocks([e for _, _, e, _ in bases], blocks)
+    kernels = state._kernel_blocks([e for _, _, e, _ in bases], blocks)
     for l, r, abar in blocks:
         (u_l, _, _, p_l), (u_r, *_) = bases[l], bases[r]
         if l == r:
             phi_a += _gibbs_mean(p_l, abar)
-        abar *= next(kernels)  # W o A in place
+        abar *= kernels.pop((l, r))  # W o A in place
         if diagonal:  # rowsum(U_l (W o A) o conj(U_r))
             n = np.einsum("ij,ij->i", _matmul(u_l, abar), u_r.conj())
         else:

@@ -397,6 +397,61 @@ def test_run_exit_two_on_config_error(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
+def _correlators(old: str, new: str) -> str:
+    """CORRELATOR_CFG with one fragment replaced."""
+    assert old in CORRELATOR_CFG
+    return CORRELATOR_CFG.replace(old, new)
+
+
+_MODEL = "{name: transverse_field_ising, n: 3, J: 1.0, h: 1.0}"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("task: residue_identity\nbeta: [1.0\n", "invalid YAML at line 3"),
+    ("task: residue_identity\nbeta: [1.0]\n? [a, b]\n: 1\n",
+     "unhashable mapping key at line 3"),
+    (_correlators("a: {site: 0, op: Z}", "a: 3"), "a must be a mapping"),
+    ("task: residue_identity\n",
+     "config: missing required key(s) ['beta']"),
+    (CONTOUR_CFG.replace("nodes: 256", "nodes: 2.5"),
+     "nodes must be an integer, got 2.5"),
+    (_correlators("{start: 0.0, stop: 1.0, step: 0.5}", "[]"),
+     "times must not be empty"),
+    (_correlators("stop: 1.0", "stop: -1.0"),
+     "times.stop must not be below start"),
+    (_correlators("site: 0", "site: [0, 1, 2]"),
+     "a.site must be an integer or a [row, col] pair"),
+    (_correlators("op: Z}\n    b", "op: W}\n    b"), "a.op must be one of"),
+    (_correlators(_MODEL, "ising"), "model must be a mapping"),
+    (_correlators(_MODEL, "{n: 3}"), "model: missing required key 'name'"),
+    (_correlators(_MODEL, "{name: 5, n: 3}"), "model.name must be a string"),
+    (_correlators("n: 3", "n: 3, nx: 1, ny: 3"),
+     "model: use either n (chain) or nx/ny (grid)"),
+    (_correlators("n: 3", "nx: 3"), "model: a grid needs both nx and ny"),
+    (_correlators(_MODEL, "{name: transverse_field_ising}"),
+     "model: needs n (chain) or nx/ny (grid)"),
+    (_correlators("h: 1.0}", "h: 1.0, 7: 1.0}"),
+     "model: parameter names must be strings"),
+    ("task: residue_identity\nbeta: [1.0]\nheight_fractions: [0.5, 1.5]\n",
+     "height_fractions must lie in [0, 1]"),
+    (_correlators("beta: [0.0, 1.0]", "beta: [0.0, -1.0]"),
+     "beta values must be nonnegative"),
+], ids=["invalid-yaml", "unhashable-key", "section-not-a-mapping",
+        "missing-key", "non-integer", "empty-time-list", "stop-below-start",
+        "bad-site-form", "bad-pauli", "model-not-a-mapping",
+        "model-name-missing", "model-name-not-a-string", "n-with-nx",
+        "grid-without-ny", "no-geometry", "non-string-parameter-name",
+        "height-fraction-outside", "negative-correlator-beta"])
+def test_each_config_rule_exits_two_with_its_message(tmp_path, capsys, text,
+                                                     message):
+    cfg = write_config(tmp_path, text)
+    assert run_cli(["validate", cfg]) == 2
+    assert run_cli(["run", cfg, "--outdir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"config error: {message}") == 2, err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("text", [LR_SCAN_CFG, LOCALITY_CFG],
                          ids=["lr_scan", "locality_scan"])
 def test_overflowing_certified_velocity_is_a_config_error(tmp_path, capsys,
@@ -698,6 +753,30 @@ def test_repeated_runs_are_byte_identical(tmp_path, capsys):
     r2 = json.loads((d2 / "record.json").read_text())
     r1.pop("elapsed_seconds"), r2.pop("elapsed_seconds")
     assert r1 == r2
+
+
+def test_grid_sites_are_written_as_labels_and_rerun_byte_identical(
+        tmp_path, capsys):
+    # a grid site is a (row, col) tuple, written by str into one quoted cell
+    cfg = write_config(tmp_path, """\
+        task: theorem_check
+        model: {name: transverse_field_ising, nx: 2, ny: 3, J: 1.0, h: 2.0}
+        beta: 0.5
+        mu: 1.0
+        base_site: [0, 0]
+        distances: [1.0, 2.0, 3.0]
+        """)
+    written = []
+    for out in ("one", "two"):
+        assert run_cli(["run", cfg, "--outdir", str(tmp_path / out)]) == 0
+        rundir = next((tmp_path / out).iterdir())
+        written.append((rundir / "theorem_check.csv").read_bytes())
+    capsys.readouterr()
+    assert written[0] == written[1]
+    rows = written[0].decode().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["1.0", "2.0", "3.0"]
+    assert [row.split('"')[1] for row in rows[1:]] == [
+        "(0, 1)", "(0, 2)", "(1, 2)"]
 
 
 def test_workers_do_not_change_output(tmp_path, capsys):

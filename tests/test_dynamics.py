@@ -293,6 +293,7 @@ def _site_basis_norms(inter, a, b, times):
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])
 PROJ_0 = np.diag([1.0, 0.0])  # |0><0|, levels {0, 1}
 TWO_Z = np.kron(PAULI_Z, np.eye(2)) + np.kron(np.eye(2), PAULI_Z)
+ZZ = np.kron(PAULI_Z, PAULI_Z)  # two levels, each set mapped onto itself by J
 
 
 def _y_field_chain(lat):
@@ -591,13 +592,15 @@ def _chain_model(name, n):
 
 
 # sector: the scan runs without a dense transform of A (A odd, B's level
-# sets mirrored by the index reversal); X is flip-even, so its pair takes
-# the one-product route with A and B transformed once each
+# sets mirrored by the index reversal); X is flip-even, and the reversal
+# maps each level set of Z x Z onto itself, so those pairs take the
+# one-product route with A and B transformed once each
 @pytest.mark.parametrize("model, n, a, b, sector", [
     ("tfim", 6, single_site(0, "Z"), single_site(5, "Z"), True),
     ("tfim", 6, single_site(2, "Y"), single_site(4, "Z"), True),
     ("tfim", 6, single_site(1, "Z"), LocalOperator((4,), PROJ_0), True),
     ("tfim", 6, single_site(1, "X"), single_site(3, "Z"), False),
+    ("tfim", 6, single_site(0, "Z"), LocalOperator((2, 3), ZZ), False),
     ("rbi", 8, single_site(7, "Z"), single_site(0, "Z"), True),
     ("rbi", 8, single_site(3, "Y"), LocalOperator((5,), PROJ_0), True),
     ("rbi", 8, single_site(0, "X"), single_site(6, "Z"), False),
@@ -605,8 +608,8 @@ def _chain_model(name, n):
     ("rbi", 9, single_site(0, "Z"), single_site(4, "Z"), True),
     ("tfim", 9, single_site(0, "Z"), single_site(6, "Z"), True),
 ], ids=["tfim6-z0-z5", "tfim6-y2-z4", "tfim6-z1-proj4", "tfim6-x1-z3",
-        "rbi8-z7-z0", "rbi8-y3-proj5", "rbi8-x0-z6", "rbi9-z0-z8",
-        "rbi9-z0-z4", "tfim9-z0-z6"])
+        "tfim6-z0-zz23", "rbi8-z7-z0", "rbi8-y3-proj5", "rbi8-x0-z6",
+        "rbi9-z0-z8", "rbi9-z0-z4", "tfim9-z0-z6"])
 def test_lr_scan_sector_route_matches_dense_formula(monkeypatch, model, n,
                                                     a, b, sector):
     inter = _chain_model(model, n)

@@ -24,6 +24,13 @@ def setup_chain(n=3, J=1.0, h=0.9, beta=1.2):
     return lat, ham, st
 
 
+def energy_basis(st, *ops):
+    """Each operator in the energy basis by the dense V written out, not
+    through the block reader that kms_function and transform share."""
+    v = st.decomposition.eigenvectors
+    return tuple(v.conj().T @ getattr(op, "matrix", op) @ v for op in ops)
+
+
 def density_matrix(ham, beta):
     rho = scipy.linalg.expm(-beta * ham)
     return rho / np.trace(rho)
@@ -219,7 +226,7 @@ def test_evaluators_match_written_out_formulas():
     lat, ham, st = setup_chain(n=4, beta=0.9)
     a, b = _random_pair(16, 23)
     fn = kms_function(st, a, b)
-    ae, be = st.to_eigenbasis(a), st.to_eigenbasis(b)
+    ae, be = energy_basis(st, a, b)
     ts = np.linspace(-2.5, 2.5, 11)
     beta = st.beta
     for s in (0.0, 0.3 * beta, 0.7 * beta, beta, -beta):
@@ -268,7 +275,7 @@ def test_every_pair_arithmetic_matches_written_out_formulas(kind, a_dtype,
     st, a, b = _kms_pair(kind)
     fn = kms_function(st, a, b)
     assert _held_dtypes(fn) == (a_dtype, pair_dtype)
-    ae, be = st.to_eigenbasis(a), st.to_eigenbasis(b)
+    ae, be = energy_basis(st, a, b)
     beta = st.beta
     width = thermal._PHASE_BLOCK // st.dim
     ts = np.linspace(-3.0, 3.0, width + 3)
@@ -554,15 +561,14 @@ def test_correlators_match_written_out_formulas(beta, basis):
         pairs.append(tuple(rng.normal(size=(16, 16)) for _ in range(2)))
     for a, b in pairs:
         fn = kms_function(st, a, b) if basis == "site" else KMSFunction(st, a, b)
-        am, bm = ((st.to_eigenbasis(a), st.to_eigenbasis(b))
-                  if basis == "site" else (a, b))
+        am, bm = energy_basis(st, a, b) if basis == "site" else (a, b)
         for got, ref in ((ordinary_correlator(fn),
                           reference_ordinary(st, am, bm)),
                          (canonical_correlator(fn),
                           reference_closed_form(st, am, bm))):
             assert abs(got - ref) <= 1e-13 * (1 + abs(ref))
         if basis == "site":
-            twin = KMSFunction(st, st.to_eigenbasis(a), st.to_eigenbasis(b))
+            twin = KMSFunction(st, *energy_basis(st, a, b))
             assert ordinary_correlator(twin) == ordinary_correlator(fn)
             for method in ("closed_form", "quadrature"):
                 assert (canonical_correlator(twin, method=method)
@@ -664,7 +670,7 @@ def test_block_pair_matches_the_dense_pair(n, model, a, b, blocks):
     # +-beta}, grids and points, and every correlator agree within 1e-13
     st, a, b = _site_pair(n, model, a, b)
     fn = kms_function(st, a, b)
-    dense = KMSFunction(st, st.to_eigenbasis(a), st.to_eigenbasis(b))
+    dense = KMSFunction(st, *energy_basis(st, a, b))
     assert [(l, r) for l, r, *_ in fn._blocks] == blocks
     beta = st.beta
     for ts in _kms_grids(st):
@@ -691,7 +697,7 @@ def test_mixed_parity_pair_holds_no_block_and_vanishes_exactly():
     # the dense pair gives the same to round-off, and phi(B) is kept
     st, a, b = _site_pair(8, "tfim", (0, "Z"), (3, "X"))
     fn = kms_function(st, a, b)
-    dense = KMSFunction(st, st.to_eigenbasis(a), st.to_eigenbasis(b))
+    dense = KMSFunction(st, *energy_basis(st, a, b))
     assert fn._blocks == []
     beta = st.beta
     for ts in _kms_grids(st):

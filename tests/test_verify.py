@@ -531,11 +531,11 @@ def test_transposed_kernel_block_keeps_every_row_bit_for_bit(monkeypatch):
     shared = rows()
 
     def built_anew(state, levels, blocks):
-        for l, r, *_ in blocks:
-            kern = thermal._duhamel_kernel(state.beta, levels[l], levels[r])
-            yield kern / np.exp(state.log_partition)
+        return {(l, r): thermal._duhamel_kernel(state.beta, levels[l],
+                                                levels[r])
+                / np.exp(state.log_partition) for l, r, *_ in blocks}
 
-    monkeypatch.setattr(thermal.ThermalState, "_duhamel_blocks", built_anew)
+    monkeypatch.setattr(thermal.ThermalState, "_kernel_blocks", built_anew)
     assert rows() == shared
 
 
