@@ -30,8 +30,8 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .lattice import Interaction, Lattice, build_model, chain_lattice, \
-    grid_lattice
+from .lattice import Interaction, Lattice, _finite_positive, build_model, \
+    chain_lattice, grid_lattice
 from .operators import PAULI, LocalOperator, _check_measured, embed, \
     single_site
 from .spectral import DIM_CAP, build_hamiltonian, eig_hermitian
@@ -39,8 +39,8 @@ from .thermal import _UnconvergedQuadrature, canonical_correlator, \
     gibbs_state, kms_function, ordinary_correlator
 from .dynamics import _locality_envelopes, _lr_envelopes, locality_scan, \
     lr_commutator_scan
-from .verify import _check_contour, _check_half_width, _partners, \
-    contour_decomposition, contour_grid, residue_identity, theorem_check
+from .verify import _check_contour, _partners, contour_decomposition, \
+    contour_grid, residue_identity, theorem_check
 
 _DEFAULT_OUTDIR = "correlab_runs"
 
@@ -130,10 +130,19 @@ def _num(x, where: str) -> float:
     return float(x)
 
 
+def _checked(check, *args) -> None:
+    """Run a library check on config values; its ValueError refuses the
+    config, with the library's reason."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _positive(x, where: str) -> float:
+    """x, a number the library's one rule finds finite and positive."""
     v = _num(x, where)
-    if v <= 0:
-        raise ConfigError(f"{where} must be positive")
+    _checked(_finite_positive, where, v)
     return v
 
 
@@ -168,9 +177,7 @@ def _time_grid(raw, where: str) -> Tuple[object, List[float]]:
     _check_keys(raw, {"start", "stop", "step"}, set(), where)
     start = _num(raw["start"], f"{where}.start")
     stop = _num(raw["stop"], f"{where}.stop")
-    step = _num(raw["step"], f"{where}.step")
-    if step <= 0:
-        raise ConfigError(f"{where}.step must be positive")
+    step = _positive(raw["step"], f"{where}.step")
     if stop < start:
         raise ConfigError(f"{where}.stop must not be below start")
     count = int(round((stop - start) / step))
@@ -274,27 +281,17 @@ def _model_section(raw, where: str = "model") -> Tuple[dict, Interaction]:
 # Per-task validation (canonical config with defaults materialized)
 # ---------------------------------------------------------------------------
 
-def _checked(check, *args) -> None:
-    """Run a library check on config values; its ValueError refuses the
-    config, with the library's reason."""
-    try:
-        check(*args)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _validate_residue_identity(data: dict) -> _Validated:
     _check_keys(data, {"task", "beta"},
                 {"height_fractions", "half_width", "tolerance"}, "config")
     betas = _num_list(data["beta"], "beta")
-    if any(b <= 0 for b in betas):
-        raise ConfigError("beta values must be positive")
+    for beta in betas:
+        _checked(_finite_positive, "beta", beta)
     fracs = _num_list(data.get("height_fractions", [0.0, 0.5, 1.0]),
                       "height_fractions")
     if any(not 0.0 <= f <= 1.0 for f in fracs):
         raise ConfigError("height_fractions must lie in [0, 1]")
-    hw = _num(data.get("half_width", 10.0), "half_width")
-    _checked(_check_half_width, hw)
+    hw = _positive(data.get("half_width", 10.0), "half_width")
     tol = _positive(data.get("tolerance", 1e-8), "tolerance")
     canon = {"task": "residue_identity", "beta": betas,
              "height_fractions": fracs, "half_width": hw, "tolerance": tol}

@@ -31,8 +31,8 @@ from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from .lattice import (Interaction, Lattice, Site, _hermitian_part,
-                      _is_hermitian, ball, certify_locality)
+from .lattice import (Interaction, Lattice, Site, _finite_positive,
+                      _hermitian_part, _is_hermitian, ball, certify_locality)
 from .operators import (EmbeddedOperator, _check_measured, _hermitian_norm,
                         conditional_expectation, embed, spectral_norm)
 from .spectral import (SpectralDecomposition, _block_matrix, _block_parity,
@@ -171,9 +171,8 @@ def _check_scan(grids: dict, **rates) -> None:
     envelopes that are not numbers: every rate given (None leaves it to its
     default) must be finite and positive, every grid nonempty and finite."""
     for name, value in rates.items():
-        if value is not None and not 0.0 < value < np.inf:
-            raise ValueError(f"{name} must be finite and positive, "
-                             f"not {value!r}")
+        if value is not None:
+            _finite_positive(name, value)
     for name, grid in grids.items():
         if len(grid) == 0:
             raise ValueError(f"{name} must not be empty")

@@ -34,11 +34,11 @@ def _as_matrix(op) -> np.ndarray:
     return m.astype(np.result_type(m, float), copy=False)
 
 
-def _is_hermitian(m: np.ndarray, anti: bool = False) -> bool:
-    """m = m* (m = -m* when anti) within _HERM_TOL relative to max|m|;
-    False for a non-square m or any non-finite entry.  Each pair of
-    mirrored square tiles is compared once, so both are read in cache and
-    no D x D temporary is built."""
+def _is_hermitian(m: np.ndarray) -> bool:
+    """m = m* within _HERM_TOL relative to max|m|; False for a non-square m
+    or any non-finite entry.  Each pair of mirrored square tiles is
+    compared once, so both are read in cache and no D x D temporary is
+    built."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
     t = _HERM_TILE
@@ -51,10 +51,14 @@ def _is_hermitian(m: np.ndarray, anti: bool = False) -> bool:
             if not np.isfinite(top):  # every entry lies in some tile
                 return False
             scale = max(scale, top)
-            adj = lower.conj().T
-            asym = max(asym, float(np.abs(upper + adj if anti
-                                          else upper - adj).max()))
+            asym = max(asym, float(np.abs(upper - lower.conj().T).max()))
     return asym <= _HERM_TOL * scale
+
+
+def _finite_positive(name: str, value) -> None:
+    """Refuse a value that is not a finite positive number, naming it."""
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and positive, not {value!r}")
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -265,9 +269,7 @@ def certify_locality(interaction: Interaction, mu: float) -> LocalityCertificate
     a sum of weights, overflowing) is refused: every envelope built on it
     would be NaN or infinite, and no row could back a prefactor.
     """
-    if not 0.0 < mu < np.inf:
-        raise ValueError(f"decay rate mu must be finite and positive, "
-                         f"not {mu!r}")
+    _finite_positive("mu", mu)
     lat = interaction.lattice
     sums = {site: 0.0 for site in lat.sites}
     with np.errstate(over="ignore"):  # an overflow is refused below
@@ -303,9 +305,26 @@ def nearest_neighbor_pairs(lattice: Lattice) -> List[Tuple[Site, Site]]:
     return pairs
 
 
-def _require_qubits(lattice: Lattice, name: str):
+_ZZ = np.kron(PAULI_Z, PAULI_Z)
+
+
+def _nearest_neighbor_model(name: str, lattice: Lattice, bond: np.ndarray,
+                            field: np.ndarray, rng=None) -> Interaction:
+    """The builtin model `name` on a qubit lattice: the bond on every
+    nearest-neighbor pair, scaled per pair by Uniform(0.5, 1.5) draws in
+    canonical pair order when a generator rng is given, and the field on
+    every site.  An all-zero bond or field adds no term."""
     if any(k != 2 for k in lattice.local_dims):
         raise ValueError(f"model {name!r} is defined for qubit lattices only")
+    terms = {}
+    if np.any(bond):
+        pairs = nearest_neighbor_pairs(lattice)
+        scales = (np.ones(len(pairs)) if rng is None
+                  else rng.uniform(0.5, 1.5, len(pairs)))
+        terms.update((pair, s * bond) for pair, s in zip(pairs, scales))
+    if np.any(field):
+        terms.update(((site,), field) for site in lattice.sites)
+    return Interaction(lattice, terms, name)
 
 
 def transverse_field_ising(lattice: Lattice, J: float = 1.0, h: float = 1.0) -> Interaction:
@@ -313,32 +332,17 @@ def transverse_field_ising(lattice: Lattice, J: float = 1.0, h: float = 1.0) -> 
 
     Terms with zero coupling are omitted from the family.
     """
-    _require_qubits(lattice, "transverse_field_ising")
-    terms = {}
-    if J != 0.0:
-        zz = np.kron(PAULI_Z, PAULI_Z)
-        for (a, b) in nearest_neighbor_pairs(lattice):
-            terms[(a, b)] = -J * zz
-    if h != 0.0:
-        for site in lattice.sites:
-            terms[(site,)] = -h * PAULI_X
-    return Interaction(lattice, terms, "transverse_field_ising")
+    return _nearest_neighbor_model("transverse_field_ising", lattice,
+                                   -J * _ZZ, -h * PAULI_X)
 
 
 def heisenberg_xxz(lattice: Lattice, J: float = 1.0, delta: float = 1.0,
                    h: float = 0.0) -> Interaction:
     """H = sum [J (X_i X_j + Y_i Y_j) + delta Z_i Z_j] - h sum Z_i."""
-    _require_qubits(lattice, "heisenberg_xxz")
-    terms = {}
     bond = J * (np.kron(PAULI_X, PAULI_X) + np.kron(PAULI_Y, PAULI_Y)).real \
-        + delta * np.kron(PAULI_Z, PAULI_Z)
-    if J != 0.0 or delta != 0.0:
-        for (a, b) in nearest_neighbor_pairs(lattice):
-            terms[(a, b)] = bond
-    if h != 0.0:
-        for site in lattice.sites:
-            terms[(site,)] = -h * PAULI_Z
-    return Interaction(lattice, terms, "heisenberg_xxz")
+        + delta * _ZZ
+    return _nearest_neighbor_model("heisenberg_xxz", lattice, bond,
+                                   -h * PAULI_Z)
 
 
 def random_bond_ising(lattice: Lattice, J: float = 1.0, h: float = 1.0,
@@ -349,17 +353,8 @@ def random_bond_ising(lattice: Lattice, J: float = 1.0, h: float = 1.0,
     bond order from numpy's default generator, plus a uniform field -h X_i.
     Identical seeds give identical interactions.
     """
-    _require_qubits(lattice, "random_bond_ising")
-    rng = np.random.default_rng(seed)
-    terms = {}
-    zz = np.kron(PAULI_Z, PAULI_Z)
-    if J != 0.0:
-        for (a, b) in nearest_neighbor_pairs(lattice):
-            terms[(a, b)] = -J * rng.uniform(0.5, 1.5) * zz
-    if h != 0.0:
-        for site in lattice.sites:
-            terms[(site,)] = -h * PAULI_X
-    return Interaction(lattice, terms, "random_bond_ising")
+    return _nearest_neighbor_model("random_bond_ising", lattice, -J * _ZZ,
+                                   -h * PAULI_X, np.random.default_rng(seed))
 
 
 BUILTIN_MODELS = {

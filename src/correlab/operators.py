@@ -186,19 +186,13 @@ def embed(op: LocalOperator, lattice: Lattice,
 # ---------------------------------------------------------------------------
 
 def spectral_norm(op) -> float:
-    """Largest singular value.
-
-    A finite matrix that is Hermitian or anti-Hermitian within 1e-12
-    relative goes through the eigensolver; anything else goes through the
-    SVD.
-    """
+    """Largest singular value: through the eigensolver for a finite matrix
+    that is Hermitian within 1e-12 relative, through the SVD otherwise."""
     m = _as_matrix(op)
     if m.size == 0:
         return 0.0
     if _is_hermitian(m):
         return _hermitian_norm(m)
-    if _is_hermitian(m, anti=True):
-        return _hermitian_norm(1j * m)
     return float(np.linalg.norm(m, 2))
 
 

@@ -33,7 +33,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .dynamics import _prefactor
-from .lattice import Interaction, Lattice, _is_hermitian
+from .lattice import Interaction, Lattice, _finite_positive, _is_hermitian
 from .operators import (_check_measured, _embedded_trace, embed, single_site,
                         spectral_norm)
 from .quadrature import _refine_by_doubling, gauss_legendre
@@ -62,14 +62,6 @@ def weight(z, height: float):
     return out if out.ndim else complex(out)
 
 
-def _check_half_width(half_width: float) -> None:
-    """Refuse a contour half width T that is not finite and positive: the
-    interval [-T, T] of the nodes would be empty, reversed or unbounded."""
-    if not 0.0 < half_width < np.inf:
-        raise ValueError(f"half_width must be finite and positive, "
-                         f"not {half_width!r}")
-
-
 def _check_heights(beta: float, heights: Sequence[float]) -> None:
     """Refuse a height b outside [0, beta], exactly: the pole ib would
     leave the strip the identity integrates around."""
@@ -85,15 +77,16 @@ def _check_contour(beta: float, nodes: int = 1024,
     contour offset inward from its edges; fewer than 8 nodes, or more
     than the residue identity's ceiling, which would only allocate larger
     node arrays (a count in range can still be too few for the pair: the
-    defect shows it); a half width that is not finite and positive; and a
-    height outside [0, beta] (_check_heights)."""
+    defect shows it); a half width T that is not finite and positive, for
+    which the interval [-T, T] of the nodes would be empty, reversed or
+    unbounded; and a height outside [0, beta] (_check_heights)."""
     if beta <= 2 * _DELTA_B:
         raise ValueError(f"beta must exceed {2 * _DELTA_B:g} to hold the "
                          "contour offset inward from the strip edges")
     if not 8 <= nodes <= _RESIDUE_MAX:
         raise ValueError(f"nodes must lie in [8, {_RESIDUE_MAX}]")
     half_width = 8.0 if half_width is None else half_width
-    _check_half_width(half_width)
+    _finite_positive("half_width", half_width)
     _check_heights(beta, heights)
     return half_width
 
@@ -144,9 +137,8 @@ def residue_identity(beta: float, height: float,
     refinements agree on a wrong answer.  So must half_width, and the
     height must lie in [0, beta] (_check_heights).
     """
-    if not 0.0 < beta < np.inf:
-        raise ValueError(f"beta must be finite and positive, not {beta!r}")
-    _check_half_width(half_width)
+    _finite_positive("beta", beta)
+    _finite_positive("half_width", half_width)
     _check_heights(beta, [height])
     b = float(height)
 
@@ -315,7 +307,8 @@ def fit_decay(xs: Sequence[float], ys: Sequence[float]) -> DecayFit:
 
     Values below 1e-15 are floored before taking logs; with data at that
     level the fit is reported but carries little meaning.  Every sample
-    must be finite.
+    must be finite, and so must the fitted amplitude: a steep decay at
+    large x extrapolates to x = 0 past the largest float, and is refused.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -329,7 +322,12 @@ def fit_decay(xs: Sequence[float], ys: Sequence[float]) -> DecayFit:
     resid = float(np.max(np.abs(logy - (slope * xs + intercept))))
     rate = -float(slope)
     length = 1.0 / rate if rate > 0 else float("inf")
-    return DecayFit(float(np.exp(intercept)), rate, length, resid)
+    with np.errstate(over="ignore"):  # refused below
+        amplitude = float(np.exp(intercept))
+    if not np.isfinite(amplitude):
+        raise ValueError(f"the fitted amplitude exp({float(intercept)!r}) "
+                         "overflows")
+    return DecayFit(amplitude, rate, length, resid)
 
 
 # ---------------------------------------------------------------------------
@@ -469,12 +467,14 @@ def theorem_check(interaction: Interaction, beta: float, mu: float,
     transformed A (_contraction), and each partner reads only the entries
     of M and rho that its embedding meets.
 
-    mu must be finite and positive, op_name must not name a multiple of
-    the identity (operators._check_measured), and no two distances may
-    select the same partner site: its row would count twice in both fits.
+    beta and mu must be finite and positive (at beta = 0 every connected
+    row is round-off, with nothing to fit), op_name must not name a
+    multiple of the identity (operators._check_measured), and no two
+    distances may select the same partner site: its row would count twice
+    in both fits.
     """
-    if not 0.0 < mu < np.inf:
-        raise ValueError(f"mu must be finite and positive, not {mu!r}")
+    _finite_positive("mu", mu)
+    _finite_positive("beta", beta)
     lat = interaction.lattice
     base = base_site if base_site is not None else lat.sites[0]
     a_loc = single_site(base, op_name)

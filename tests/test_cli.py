@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
@@ -347,6 +348,45 @@ def test_run_correlators_counts_unconverged_quadrature(tmp_path, capsys, model,
     assert record["summary"]["quadrature_unconverged"] == unconverged
     header = (rundir / "correlators_summary.csv").read_text().splitlines()[0]
     assert "unconverged" not in header
+
+
+def test_run_correlators_shows_again_a_warning_it_does_not_count(
+        tmp_path, capsys, monkeypatch):
+    # the run records warnings to count the quadrature's unconverged ones;
+    # any other warning is shown again, not swallowed, and not counted
+    real = cli.canonical_correlator
+
+    def noisy(fn, method="closed_form"):
+        warnings.warn("probe warning", UserWarning)
+        return real(fn, method=method)
+
+    monkeypatch.setattr(cli, "canonical_correlator", noisy)
+    cfg = write_config(tmp_path, CORRELATOR_CFG)
+    with pytest.warns(UserWarning, match="probe warning"):
+        assert run_cli(["run", cfg, "--outdir", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    rundir = next((tmp_path / "out").iterdir())
+    record = json.loads((rundir / "record.json").read_text())
+    assert record["summary"]["quadrature_unconverged"] == 0
+
+
+@pytest.mark.parametrize("text, message", [
+    (RESIDUE_CFG.replace("beta: [1.0]", "beta: [1.0, 0.0]"),
+     "beta must be finite and positive, not 0.0"),
+    (RESIDUE_CFG + "half_width: -1.0\n",
+     "half_width must be finite and positive, not -1.0"),
+    (RESIDUE_CFG + "tolerance: 0.0\n",
+     "tolerance must be finite and positive, not 0.0"),
+    (CORRELATOR_CFG.replace("step: 0.5", "step: -0.5"),
+     "times.step must be finite and positive, not -0.5"),
+], ids=["residue-beta", "half-width", "tolerance", "time-step"])
+def test_positive_values_are_refused_with_the_library_reason(tmp_path, capsys,
+                                                             text, message):
+    # one finite-and-positive rule, lattice._finite_positive, for the
+    # library and the CLI alike
+    cfg = write_config(tmp_path, text)
+    assert run_cli(["validate", cfg]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
 
 
 def test_run_exit_one_when_invariant_fails(tmp_path, capsys):

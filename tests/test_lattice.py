@@ -194,6 +194,44 @@ def test_random_bond_ising_deterministic_and_in_range():
             assert np.allclose(m, -coeff * zz)
 
 
+@pytest.mark.parametrize("model", [transverse_field_ising, heisenberg_xxz,
+                                   random_bond_ising])
+def test_one_site_chain_gets_its_field_and_no_bond(model):
+    inter = model(chain_lattice(1), h=2.0)
+    field = PAULI_Z if model is heisenberg_xxz else PAULI_X
+    assert list(inter.terms) == [(0,)]
+    assert np.array_equal(inter.terms[(0,)], -2.0 * field)
+
+
+@pytest.mark.parametrize("model", [transverse_field_ising, heisenberg_xxz,
+                                   random_bond_ising])
+def test_builtin_models_refuse_a_qutrit_lattice(model):
+    with pytest.raises(ValueError, match=f"model '{model.__name__}' is "
+                                         "defined for qubit lattices only"):
+        model(chain_lattice(3, local_dim=3))
+
+
+def test_heisenberg_zero_bond_is_omitted():
+    inter = heisenberg_xxz(chain_lattice(3), J=0.0, delta=0.0, h=0.5)
+    assert list(inter.terms) == [(0,), (1,), (2,)]
+    assert heisenberg_xxz(chain_lattice(3), J=0.0, delta=1.0).terms
+
+
+@pytest.mark.parametrize("lat", [chain_lattice(6), grid_lattice(3, 3)],
+                         ids=["chain", "grid"])
+def test_random_bond_ising_draws_one_scale_per_pair_in_pair_order(lat):
+    # one draw per nearest-neighbor pair, in canonical pair order, from the
+    # seeded default generator: -J * Uniform(0.5, 1.5) * ZZ to the bit
+    rng = np.random.default_rng(7)
+    zz = np.kron(PAULI_Z, PAULI_Z)
+    inter = random_bond_ising(lat, J=1.3, h=0.0, seed=7)
+    pairs = nearest_neighbor_pairs(lat)
+    assert list(inter.terms) == pairs
+    for pair in pairs:
+        assert np.array_equal(inter.terms[pair],
+                              -1.3 * rng.uniform(0.5, 1.5) * zz)
+
+
 def test_build_model_rejects_unknown_parameter():
     lat = chain_lattice(3)
     with pytest.raises(ValueError, match="does not accept"):

@@ -578,6 +578,15 @@ def test_derivation_adjoint_sign_convention():
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
+def test_derivation_embeds_a_local_operator_on_the_whole_lattice():
+    lat, inter = tfim(3, J=0.6, h=1.1)
+    a = single_site(1, "Y")
+    delta = derivation_delta(a, inter)
+    expected = commutator(build_hamiltonian(inter), embed(a, lat))
+    assert delta.window == expected.window == lat.sites
+    assert np.array_equal(delta.matrix, expected.matrix)
+
+
 def test_derivation_rejects_mismatched_hamiltonian_window():
     lat, inter = tfim(4)
     a = embed(single_site(0, "Z"), lat, window=[0, 1])

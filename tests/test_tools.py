@@ -1,7 +1,12 @@
 """The repository's own tools, run as a reader would run them."""
+import importlib.util
 import pathlib
 import subprocess
 import sys
+
+import yaml
+
+from correlab import cli
 
 TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
 
@@ -99,3 +104,42 @@ def test_reach_prints_the_statements_a_run_never_reached(tmp_path):
             [sys.executable, str(TOOLS / "reach.py"), "--package", "lab",
              *run], cwd=tmp_path, capture_output=True, text=True, check=True)
         assert out.stdout.splitlines()[-len(LAB_REPORT):] == LAB_REPORT
+
+
+def _load_tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traffic_runs_each_workload_config_once_per_seed(monkeypatch, capsys):
+    # cli.main stubbed: each call reads its config while it exists, and
+    # the eighth run fails, which fails the whole traffic run
+    calls = []
+
+    def run(argv):
+        calls.append((argv, yaml.safe_load(pathlib.Path(argv[1]).read_text())))
+        return 1 if len(calls) == 8 else 0
+
+    monkeypatch.setattr(cli, "main", run)
+    assert _load_tool("traffic").main(["3", "20"]) == 1
+    tasks = ["theorem_check", "lr_scan", "locality_scan", "correlators",
+             "contour", "residue_identity"]
+    assert [cfg["task"] for _, cfg in calls] == tasks * 2
+    # seed 20 runs the variant 20 % 16 = 4
+    assert [calls[i][1]["model"]["seed"] for i in (0, 6)] == [3, 4]
+    for argv, _ in calls:
+        assert argv[0] == "run" and argv[2] == "--outdir"
+        assert argv[4:] == ["--workers", "1"]
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 12
+    assert lines[7] == "seed 20 lightcone lr_scan: exit 1"
+    assert sum(line.endswith("exit 0") for line in lines) == 11
+
+
+def test_traffic_defaults_to_every_variant(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda argv: calls.append(argv) or 0)
+    assert _load_tool("traffic").main([]) == 0
+    assert len(calls) == 16 * 6

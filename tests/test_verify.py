@@ -308,6 +308,14 @@ def test_fit_decay_refuses_non_finite_samples(x, y):
         fit_decay([1.0, x, 3.0], [1.0, y, 0.25])
 
 
+def test_fit_decay_refuses_an_amplitude_that_overflows():
+    # rate 6 ln 10 at x = 300: the fit extrapolates to e^{4145} at x = 0,
+    # which used to warn "overflow encountered in exp" and return inf; the
+    # suite's filter makes any RuntimeWarning an error
+    with pytest.raises(ValueError, match="amplitude .* overflows"):
+        fit_decay([300, 301, 302], [1e-1, 1e-7, 1e-13])
+
+
 def test_fit_decay_growing_data_has_infinite_length():
     x = np.arange(1, 6, dtype=float)
     fit = fit_decay(x, np.exp(0.5 * x))
@@ -609,6 +617,27 @@ def test_theorem_check_refuses_mu_not_finite_and_positive(mu):
         theorem_check(inter, 0.5, mu, [1, 2, 3])
 
 
+@pytest.mark.parametrize("beta", [0.0, -1.0, float("nan"), float("inf")])
+def test_theorem_check_refuses_beta_not_finite_and_positive(monkeypatch,
+                                                           beta):
+    # at beta = 0 every connected row was round-off (at most 1.2e-16) and
+    # the check passed with xi = xi' = inf; refused before any state
+    calls = []
+    monkeypatch.setattr(verify, "gibbs_state",
+                        lambda *args: calls.append(args))
+    inter = transverse_field_ising(chain_lattice(6), h=2.0)
+    with pytest.raises(ValueError, match="^beta must be finite and positive"):
+        theorem_check(inter, beta, 1.0, [2, 3, 4, 5])
+    assert calls == []
+
+
+def test_theorem_check_refuses_a_state_on_a_sub_window():
+    inter = transverse_field_ising(chain_lattice(4))
+    st = gibbs_state(build_hamiltonian(inter, [0, 1, 2]).matrix, 0.5)
+    with pytest.raises(ValueError, match="full lattice window"):
+        theorem_check(inter, 0.5, 1.0, [1, 2, 3], state=st)
+
+
 @pytest.mark.parametrize("op", ["I", pytest.param(-2.0 * np.eye(2), id="-2I")])
 def test_theorem_check_refuses_a_multiple_of_the_identity(monkeypatch, op):
     # every connected correlator of cI vanishes: op_name="I" used to pass
@@ -631,6 +660,14 @@ def _shuffled_chain():
 
 def _check_per_pair(inter, lattice, base, distances, op, beta):
     st = gibbs_state(build_hamiltonian(inter).matrix, beta)
+    if beta == 0.0:
+        # every connected row is round-off at beta = 0: refused, for every
+        # operator and lattice; 1e-3 keeps the near-uniform weights
+        with pytest.raises(ValueError,
+                           match="^beta must be finite and positive"):
+            theorem_check(inter, beta, 1.0, distances, base_site=base,
+                          op_name=op, state=st)
+        return st
     res = theorem_check(inter, beta, 1.0, distances, base_site=base,
                         op_name=op, state=st)
     # the reference reads A and B with the dense V, not through the block
@@ -658,7 +695,7 @@ def _per_pair_cases(test):
     ], ids=["chain", "shuffled"])
     # i Z and Z + iY are odd but not Hermitian: the (-, +) block is not
     # the partner of the (+, -) block, so both are read in the sectors
-    return pytest.mark.parametrize("beta", [0.0, 4.0])(
+    return pytest.mark.parametrize("beta", [0.0, 1e-3, 4.0])(
         pytest.mark.parametrize("op", ["Z", "X", "Y", pytest.param(
             1j * PAULI_Z, id="iZ"), pytest.param(
             PAULI_Z + 1j * PAULI_Y, id="Z+iY")])(lattices(test)))
