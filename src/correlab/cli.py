@@ -34,7 +34,7 @@ from .lattice import Interaction, Lattice, _finite_positive, build_model, \
     chain_lattice, grid_lattice
 from .operators import PAULI, LocalOperator, _check_measured, embed, \
     single_site
-from .spectral import DIM_CAP, build_hamiltonian, eig_hermitian
+from .spectral import DIM_CAP, eig_hermitian
 from .thermal import _UnconvergedQuadrature, canonical_correlator, \
     gibbs_state, kms_function, ordinary_correlator
 from .dynamics import _locality_envelopes, _lr_envelopes, locality_scan, \
@@ -464,7 +464,7 @@ def _run_residue_identity(cfg: dict, workers: int) -> _Outcome:
 
 def _run_correlators(cfg: dict, workers: int) -> _Outcome:
     inter, ts = cfg["model"], cfg["times"]
-    dec = eig_hermitian(build_hamiltonian(inter).matrix)
+    dec = eig_hermitian(inter)
     # the pair's blocks do not depend on beta: they are read once
     pair = kms_function(gibbs_state(dec, cfg["beta"][0]),
                         *(embed(cfg[k], inter.lattice) for k in ("a", "b")))
@@ -510,7 +510,7 @@ def _run_correlators(cfg: dict, workers: int) -> _Outcome:
 
 def _run_contour(cfg: dict, workers: int) -> _Outcome:
     inter = cfg["model"]
-    st = gibbs_state(build_hamiltonian(inter).matrix, cfg["beta"])
+    st = gibbs_state(inter, cfg["beta"])
     a, b = (embed(cfg[k], inter.lattice) for k in ("a", "b"))
     tol = cfg["tolerance"]
     grid = contour_grid(st, a, b, nodes=cfg["nodes"],

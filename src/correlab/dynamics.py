@@ -37,7 +37,7 @@ from .operators import (EmbeddedOperator, _check_measured, _hermitian_norm,
                         conditional_expectation, embed, spectral_norm)
 from .spectral import (SpectralDecomposition, _block_matrix, _block_parity,
                        _matmul, _mirrored_levels, _read_blocks, _sandwich,
-                       _sector_blocks, build_hamiltonian, eig_hermitian)
+                       _sector_blocks, eig_hermitian)
 from .thermal import _EXP_CAP
 
 _MONO_SLACK = 1e-12  # growth of the largest error in r that still passes
@@ -58,9 +58,9 @@ class EvolutionContext:
 
 def evolution_context(interaction: Interaction,
                       window: Optional[Iterable[Site]] = None) -> EvolutionContext:
-    ham = build_hamiltonian(interaction, window)
-    return EvolutionContext(interaction.lattice, tuple(ham.window),
-                            eig_hermitian(ham.matrix))
+    lat = interaction.lattice
+    win = lat.sort_sites(window) if window is not None else lat.sites
+    return EvolutionContext(lat, tuple(win), eig_hermitian(interaction, win))
 
 
 def _on_window(context: EvolutionContext, op) -> EmbeddedOperator:

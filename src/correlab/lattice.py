@@ -34,24 +34,27 @@ def _as_matrix(op) -> np.ndarray:
     return m.astype(np.result_type(m, float), copy=False)
 
 
-def _is_hermitian(m: np.ndarray) -> bool:
-    """m = m* within _HERM_TOL relative to max|m|; False for a non-square m
-    or any non-finite entry.  Each pair of mirrored square tiles is
-    compared once, so both are read in cache and no D x D temporary is
-    built."""
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+def _is_hermitian(*blocks: np.ndarray) -> bool:
+    """m = m* within _HERM_TOL relative to max|m|, m being the block
+    diagonal matrix of the given square blocks (one block: m itself); False
+    for a non-square block or any non-finite entry.  Each pair of mirrored
+    square tiles is compared once, so both are read in cache and no D x D
+    temporary is built."""
+    if any(m.ndim != 2 or m.shape[0] != m.shape[1] for m in blocks):
         return False
     t = _HERM_TILE
     scale = asym = 0.0
-    for i in range(0, len(m), t):
-        for j in range(i, len(m), t):
-            upper, lower = m[i:i + t, j:j + t], m[j:j + t, i:i + t]
-            # np.maximum keeps a NaN that the builtin max would drop
-            top = float(np.maximum(np.abs(upper).max(), np.abs(lower).max()))
-            if not np.isfinite(top):  # every entry lies in some tile
-                return False
-            scale = max(scale, top)
-            asym = max(asym, float(np.abs(upper - lower.conj().T).max()))
+    for m in blocks:
+        for i in range(0, len(m), t):
+            for j in range(i, len(m), t):
+                upper, lower = m[i:i + t, j:j + t], m[j:j + t, i:i + t]
+                # np.maximum keeps a NaN that the builtin max would drop
+                top = float(np.maximum(np.abs(upper).max(),
+                                       np.abs(lower).max()))
+                if not np.isfinite(top):  # every entry lies in some tile
+                    return False
+                scale = max(scale, top)
+                asym = max(asym, float(np.abs(upper - lower.conj().T).max()))
     return asym <= _HERM_TOL * scale
 
 

@@ -117,7 +117,9 @@ def _add_embedded(out: np.ndarray, matrix: np.ndarray,
     factor_sites (its own order): identity on the complement, canonical
     window order.
 
-    Only the d*D entries that can be nonzero are touched, d being the
+    out is the D x D embedding or its top rows, any number of them: only
+    the entries that fall in out's rows are added.  Of those, only the ones
+    that can be nonzero are touched, d*D for the whole matrix, d being the
     support dimension and D the window dimension: entry (r, s) of the
     matrix lands at (o_r + c, o_s + c), o being the window offsets of the
     support basis states and c running over those of the complement.
@@ -125,17 +127,18 @@ def _add_embedded(out: np.ndarray, matrix: np.ndarray,
     dims = _window_dims(lattice, win)
     sup = [win.index(s) for s in factor_sites]
     if len(sup) == len(win):
-        # the whole window: permute the tensor factors, no index arrays
+        # the whole window: permute the tensor factors, no index arrays (a
+        # copy of the matrix when its factor order is not the window's)
         order = list(np.argsort(sup))
         k = len(sup)
         tensor = matrix.reshape([dims[p] for p in sup] * 2).transpose(
-            order + [k + i for i in order])
-        view = out.reshape(dims * 2)
-        np.add(view, tensor, out=view)
+            order + [k + i for i in order]).reshape(out.shape[1], -1)
+        np.add(out, tensor[:len(out)], out=out)
         return
     idx = _embedding_index(dims, sup)
-    flat = idx[:, None, :] * out.shape[0] + idx
-    out.reshape(-1)[flat] += matrix[:, :, None]
+    r, c = np.nonzero(idx < len(out))  # the (row, complement) pairs in out
+    flat = idx[r, c][:, None] * out.shape[1] + idx[:, c].T
+    out.reshape(-1)[flat] += matrix[r]
 
 
 def _embedded_trace(m: np.ndarray, matrix: np.ndarray,
@@ -155,11 +158,13 @@ def _embedded_trace(m: np.ndarray, matrix: np.ndarray,
 
 
 def _embed_ordered(matrix: np.ndarray, factor_sites: Sequence[Site],
-                   lattice: Lattice, win: Tuple[Site, ...]) -> np.ndarray:
+                   lattice: Lattice, win: Tuple[Site, ...],
+                   rows: Optional[int] = None) -> np.ndarray:
     """Embedding of matrix (factors in factor_sites order) into the window,
-    in the matrix's own dtype."""
+    in the matrix's own dtype: its top rows when their number is given,
+    the whole D x D matrix otherwise (_add_embedded)."""
     dim = lattice.window_dim(win)
-    out = np.zeros((dim, dim), dtype=matrix.dtype)
+    out = np.zeros((dim if rows is None else rows, dim), dtype=matrix.dtype)
     _add_embedded(out, matrix, factor_sites, lattice, win)
     return out
 

@@ -18,7 +18,15 @@ H's blocks H+- have eigenvectors W+- and eigenvalues E+-, kept as the
 solver returned them with each eigenvalue's sector; the dense V is formed
 only where it is read (reconstruct, operators without a parity).  The
 parity alone chooses how m is read; Hermiticity only takes N as M's
-partner.  Each rule has one helper:
+partner.
+
+The half blocks read m's top D/2 rows alone, so a D x D m and its top
+rows give the same blocks.  H+- come from H's top rows: eig_hermitian,
+given an Interaction whose terms are all reversal-even, sums only those
+rows (_assembled), since operators._add_embedded adds only the entries
+inside its output's rows, all D of them or fewer.  An operator read in
+its blocks may be given as its top rows the same way
+(verify._contraction).  Each rule has one helper:
 
 - _block_parity: m's parity on a decomposition, 0 when it has no sectors.
   J is a product of per-site reversals, so an embedded operator has its
@@ -178,29 +186,76 @@ def _transform(left: np.ndarray, m: np.ndarray,
     return _sandwich(left, m, right)
 
 
-def eig_hermitian(matrix) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix (LAPACK).
+def eig_hermitian(matrix, window: Optional[Iterable[Site]] = None
+                  ) -> SpectralDecomposition:
+    """Eigendecomposition of a Hermitian matrix (LAPACK), or of the
+    Hamiltonian of an Interaction on a window (the whole lattice unless
+    given), assembled in its top rows when its terms make it
+    reversal-even (_assembled).
 
     The input must be finite and Hermitian within 1e-12 relative, checked
     over mirrored square tiles.  The solver reads one triangle, and a real
     symmetric input is solved in real arithmetic.  When J H J equals H
     exactly and D is even, its blocks H+- (module docstring) are solved in
     one stacked call, for a quarter of the dense flops, and the eigenvalues
-    ordered by a stable sort, the + sector first among equal levels.
+    ordered by a stable sort, the + sector first among equal levels.  An H
+    assembled in its top rows is checked from them, as the block diagonal
+    matrix of H_TL and H_TR J: J H J = H gives H - H* the entries of theirs
+    and H the entries of both, so the verdict is the whole H's.
     """
-    m = _as_matrix(matrix)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("need a square matrix")
-    if not _is_hermitian(m):
+    if isinstance(matrix, Interaction):
+        m = _assembled(matrix, window, top=True)[2]
+    elif window is not None:
+        raise ValueError("a window is taken only with an Interaction")
+    else:
+        m = _as_matrix(matrix)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError("need a square matrix")
+    dim, rows = m.shape[1], len(m)
+    whole = rows == dim
+    if not _is_hermitian(*((m,) if whole else (m[:, :rows],
+                                               m[:, rows:][:, ::-1]))):
         raise ValueError("matrix is not finite and Hermitian within 1e-12 relative")
-    dim = len(m)
-    if dim >= 2 and dim % 2 == 0 and _reversal_parity(m) == 1:
-        e, w = np.linalg.eigh(_reversal_blocks(m))
-        order = np.argsort(e.ravel(), kind="stable")
-        return SpectralDecomposition(e.ravel()[order], w,
-                                     np.where(order < dim // 2, 1.0, -1.0))
-    e, v = np.linalg.eigh(m)
-    return SpectralDecomposition(e, v)
+    if whole and not (dim >= 2 and dim % 2 == 0 and _reversal_parity(m) == 1):
+        e, v = np.linalg.eigh(m)
+        return SpectralDecomposition(e, v)
+    blocks = _reversal_blocks(m)
+    del m  # assembled rows are freed before the solve
+    e, w = np.linalg.eigh(blocks)
+    order = np.argsort(e.ravel(), kind="stable")
+    return SpectralDecomposition(e.ravel()[order], w,
+                                 np.where(order < dim // 2, 1.0, -1.0))
+
+
+def _assembled(interaction: Interaction, window: Optional[Iterable[Site]],
+               top: bool) -> tuple:
+    """(window, terms, rows): the window in lattice order (the whole lattice
+    unless given), the (support, matrix) terms inside it in term order, and
+    the rows of H they sum to, each term adding only its entries in those
+    rows (_add_embedded).  rows is H's top D/2 rows when top is set, D is
+    even and every term's local matrix is reversal-even, and the whole H
+    otherwise.  J is a product of per-site reversals, so such an H is
+    reversal-even to the last bit (an entry and its mirror sum the same
+    values in the same order), and each row holds the bits of the same row
+    of the whole H.  Refuses a D above DIM_CAP."""
+    lat = interaction.lattice
+    win = lat.sort_sites(window) if window is not None else lat.sites
+    dim = lat.window_dim(win)
+    if dim > DIM_CAP:
+        raise ValueError(
+            f"window dimension {dim} exceeds the cap {DIM_CAP}; "
+            f"this laboratory is meant for desk-scale windows")
+    win_set = set(win)
+    terms = [(sup, m) for sup, m in interaction.terms.items()
+             if set(sup) <= win_set]
+    even = top and dim % 2 == 0 and all(_reversal_parity(m) == 1
+                                        for _, m in terms)
+    # real when every term is real
+    h = np.zeros((dim // 2 if even else dim, dim),
+                 dtype=np.result_type(float, *{m.dtype for _, m in terms}))
+    for sup, m in terms:
+        _add_embedded(h, m, sup, lat, win)
+    return win, terms, h
 
 
 def _reversal_parity(m: np.ndarray) -> int:
@@ -224,16 +279,17 @@ def _reversal_parity(m: np.ndarray) -> int:
 def _half_block(m: np.ndarray, sign: int,
                 out: Optional[np.ndarray] = None) -> np.ndarray:
     """m_TL + sign * m_TR J (module docstring), J the half-size reversal,
-    written into out when given."""
-    half = len(m) // 2
+    written into out when given.  m is D x D or its top D/2 rows, which
+    are all the block reads."""
+    half = m.shape[1] // 2
     combine = np.add if sign > 0 else np.subtract
     return combine(m[:half, :half], m[:half, half:][:, ::-1], out=out)
 
 
 def _reversal_blocks(m: np.ndarray) -> np.ndarray:
     """The stack of m's two half blocks (_half_block), for the solver's
-    one stacked call."""
-    half = len(m) // 2
+    one stacked call; m is D x D or its top D/2 rows."""
+    half = m.shape[1] // 2
     blocks = np.empty((2, half, half), dtype=m.dtype)
     _half_block(m, 1, out=blocks[0])
     _half_block(m, -1, out=blocks[1])
@@ -406,21 +462,7 @@ def build_hamiltonian(interaction: Interaction,
     term order; no window-sized matrix is built per term.  Refuses windows
     whose tensor dimension exceeds DIM_CAP.
     """
-    lat = interaction.lattice
-    win = lat.sort_sites(window) if window is not None else lat.sites
-    dim = lat.window_dim(win)
-    if dim > DIM_CAP:
-        raise ValueError(
-            f"window dimension {dim} exceeds the cap {DIM_CAP}; "
-            f"this laboratory is meant for desk-scale windows")
-    win_set = set(win)
-    terms = [(sup, m) for sup, m in interaction.terms.items()
-             if set(sup) <= win_set]
-    # real when every term is real
-    h = np.zeros((dim, dim),
-                 dtype=np.result_type(float, *{m.dtype for _, m in terms}))
-    for sup, m in terms:
-        _add_embedded(h, m, sup, lat, win)
+    win, terms, h = _assembled(interaction, window, top=False)
     sup_sites = tuple(s for s in win if any(s in sup for sup, _ in terms))
     return EmbeddedOperator(win, sup_sites, h)
 

@@ -36,7 +36,7 @@ _STRIP_TOL = 1e-9
 _QUAD_START = 64
 _QUAD_MAX = 512
 _QUAD_TOL = 1e-10
-_KERNEL_BLOCK = 1 << 18   # entries per row block of the Duhamel kernel
+_KERNEL_BLOCK = 1 << 14   # entries per row block of the Duhamel kernel
 _PHASE_BLOCK = 1 << 16    # entries per column block of the KMS phase table
 
 OperatorLike = Union[EmbeddedOperator, LocalOperator, np.ndarray]
@@ -113,7 +113,10 @@ def _paired_sum(weights: np.ndarray, am: np.ndarray, bm: np.ndarray) -> complex:
 
 
 def gibbs_state(hamiltonian, beta: float) -> ThermalState:
-    """Diagonalize (if needed) and build the Gibbs state exp(-beta H)/Z."""
+    """Diagonalize (if needed) and build the Gibbs state exp(-beta H)/Z.
+
+    hamiltonian is a SpectralDecomposition, or anything eig_hermitian
+    solves: a matrix, or an Interaction, whose H it assembles itself."""
     if not 0.0 <= beta < np.inf:
         raise ValueError(f"beta must be finite and nonnegative, not {beta!r}")
     if isinstance(hamiltonian, SpectralDecomposition):
@@ -330,7 +333,9 @@ def _duhamel_kernel(beta: float, e_row: np.ndarray,
     With x = beta |Em - En| >= 0 it is exp(-beta min(Em, En)) (1 - e^{-x})/x
     exactly, written as -expm1(-x)/x with its limit 1 at x = 0.  On the
     shifted energies both factors are at most 1, so nothing overflows.
-    Built in row blocks, so its temporaries stay small beside the result.
+    Built in row blocks of _KERNEL_BLOCK entries, a sixteenth of a
+    512 x 512 kernel; the four block-sized temporaries alive at once stay
+    small beside the result.
     """
     w_row, w_col = np.exp(-beta * e_row), np.exp(-beta * e_col)
     kern = np.empty((e_row.size, e_col.size))

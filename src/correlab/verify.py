@@ -34,13 +34,13 @@ import numpy as np
 
 from .dynamics import _prefactor
 from .lattice import Interaction, Lattice, _finite_positive, _is_hermitian
-from .operators import (_check_measured, _embedded_trace, embed, single_site,
-                        spectral_norm)
+from .operators import (_check_measured, _embed_ordered, _embedded_trace,
+                        single_site, spectral_norm)
 from .quadrature import _refine_by_doubling, gauss_legendre
 from .thermal import ThermalState, KMSFunction, _gibbs_mean, gibbs_state, \
     kms_function
 from .spectral import (_block_diagonal, _block_matrix, _block_parity,
-                       _matmul, _read_blocks, _sandwich, build_hamiltonian)
+                       _matmul, _read_blocks, _sandwich)
 
 _ENDPOINT_EPS = 1e-12     # |b| or |b - beta| below this counts as on-contour
 _DELTA_B = 1e-6           # offset applied to on-contour heights
@@ -390,15 +390,20 @@ def _contraction(state: ThermalState, a, lat: Lattice):
     rho = V diag(p) V* in the site basis (W the Duhamel weights), or only
     their diagonals when A, and so each partner, is diagonal.  A is read
     in the blocks of its local matrix's parity (spectral._block_parity,
-    spectral._read_blocks) into bases U_l, W is built on those blocks alone
+    spectral._read_blocks) into bases U_l, from the top D/2 rows of its
+    embedding, which are all the blocks read (all D rows when it is read
+    whole); W is built on those blocks alone
     (ThermalState._kernel_blocks), and M and rho, which is even, are
     written back from U_l (W o A)_lr U_r* and U_l diag(p_l) U_l*."""
-    op = a.matrix
+    op, dim = a.matrix, state.dim
     parity = _block_parity(state.decomposition, op)
     diagonal = np.count_nonzero(op) == np.count_nonzero(np.diagonal(op))
-    bases, blocks = _read_blocks(state.decomposition, embed(a, lat).matrix,
-                                 parity, state.energies, state.weights,
+    rows = _embed_ordered(op, a.support, lat, lat.sites,
+                          dim // 2 if parity else dim)
+    bases, blocks = _read_blocks(state.decomposition, rows, parity,
+                                 state.energies, state.weights,
                                  hermitian=_is_hermitian(op))
+    del rows  # the site-basis rows are not needed past the read
     phi_a, m_blocks = 0.0, []
     kernels = state._kernel_blocks([e for _, _, e, _ in bases], blocks)
     for l, r, abar in blocks:
@@ -481,7 +486,7 @@ def theorem_check(interaction: Interaction, beta: float, mu: float,
     _check_measured("op", a_loc.matrix)
     pairs = _partners(lat, base, distances)
     if state is None:
-        state = gibbs_state(build_hamiltonian(interaction).matrix, beta)
+        state = gibbs_state(interaction, beta)
     if state.dim != lat.window_dim(lat.sites):
         raise ValueError("state must be built on the full lattice window")
     if state.beta != beta:

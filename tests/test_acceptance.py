@@ -17,15 +17,17 @@ import numpy as np
 import pytest
 
 from correlab import (DIM_CAP, LocalOperator, build_hamiltonian,
-                      canonical_correlator, chain_lattice, commutator,
-                      conditional_expectation, contour_decomposition,
-                      contour_grid, eig_hermitian, embed, gibbs_state,
-                      heisenberg_xxz, kms_function, locality_scan,
-                      lr_commutator_scan, ordinary_correlator,
+                      canonical_correlator, certify_locality, chain_lattice,
+                      commutator, conditional_expectation,
+                      contour_decomposition, contour_grid, eig_hermitian,
+                      embed, gibbs_state, heisenberg_xxz, kms_function,
+                      locality_scan, lr_commutator_scan, ordinary_correlator,
                       random_bond_ising, residue_identity, sampled_twirl,
                       single_site, spectral_norm, theorem_check,
                       transverse_field_ising)
 from correlab import cli
+from correlab.lattice import Interaction
+from correlab.operators import PAULI_I, PAULI_X, PAULI_Z
 
 
 def report(num: int, name: str, detail: str) -> None:
@@ -208,6 +210,14 @@ def test_criterion_05_lieb_robinson_scan():
     assert scan.distance == 9.0
     assert np.isfinite(scan.c_empirical)
     assert scan.c_empirical <= 10.0
+    # the envelope the prefactor is fitted to, recomputed: the certified
+    # velocity, and ||A|| ||B|| min(|X|, |Y|) e^{-mu l} (e^{v|t|} - 1) with
+    # ||Z|| = 1 and |X| = |Y| = 1
+    v = certify_locality(inter, 1.0).velocity
+    assert scan.velocity == v
+    for m, t in zip(scan.measurements, times):
+        want = np.exp(-1.0 * 9.0) * (np.exp(v * t) - 1.0)
+        assert abs(m.envelope - want) <= 1e-12 * want
     assert elapsed < 300.0
     report(5, "lieb-robinson scan",
            f"c_emp = {scan.c_empirical:.3e} <= 10, "
@@ -321,11 +331,26 @@ def test_criterion_09_decay_upgrade_surrogate():
     assert big.xi_prime_empirical <= bound
     ratio = big.c_prime / results[10].c_prime
     assert 0.5 <= ratio <= 2.0
+    # the reported xi' and c' recomputed from the rows: here xi is about 1,
+    # so xi' = 4 xi at mu = 1, and a second mu with 2/mu > 4 xi takes the
+    # other side of the max
+    small_mu = 0.25
+    assert 2.0 / small_mu > 4.0 * results[10].xi
+    wide = theorem_check(transverse_field_ising(chain_lattice(10), 1.0, 2.0),
+                         0.5, small_mu, distances)
+    for res in (big, results[10], wide):
+        xi_prime = max(4.0 * res.xi, 2.0 / res.mu)
+        assert res.xi_prime == xi_prime
+        # ||Z||^2 = 1: c' is the largest |canonical| e^{l/xi'} over the rows
+        c_prime = max(abs(r.canonical) * np.exp(r.distance / xi_prime)
+                      for r in res.rows)
+        assert abs(res.c_prime - c_prime) <= 1e-12 * c_prime
     assert elapsed < 600.0
     report(9, "decay upgrade surrogate",
            f"residual {big.ordinary_fit.residual:.2e} < 0.5, "
            f"xi'_emp {big.xi_prime_empirical:.3f} <= {bound:.3f}, "
-           f"c' ratio {ratio:.3f} in [0.5, 2], {elapsed:.0f}s")
+           f"c' ratio {ratio:.3f} in [0.5, 2], xi' and c' match the rows "
+           f"at mu = 1 and {small_mu}, {elapsed:.0f}s")
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +396,29 @@ def reversal_symmetric_inputs(rng):
             m = m + 1j * rng.standard_normal((n, n))
         m = m + m[::-1, ::-1]
         yield (m + m.conj().T) / 2
-    for inter in (transverse_field_ising(chain_lattice(10), 1.0, 1.0),
-                  random_bond_ising(chain_lattice(9), 1.0, 1.0, seed=3),
-                  heisenberg_xxz(chain_lattice(8), 1.0, 0.5)):
+    for inter in reversal_even_models():
         yield build_hamiltonian(inter).matrix
+
+
+def reversal_even_models():
+    """Interactions whose every term is reversal-even, at n <= 10."""
+    return (transverse_field_ising(chain_lattice(10), 1.0, 1.0),
+            random_bond_ising(chain_lattice(9), 1.0, 1.0, seed=3),
+            heisenberg_xxz(chain_lattice(8), 1.0, 0.5))
+
+
+def solved_from_interactions():
+    """(interaction, whether it is solved in the blocks): the models of
+    reversal_even_models, assembled in their top rows; XXZ in a field,
+    dense; and odd terms that cancel, Z on (0,) and -Z x I on (0, 1),
+    which the dense rule still finds even."""
+    zz, xx = np.kron(PAULI_Z, PAULI_Z), np.kron(PAULI_X, PAULI_X)
+    odd_cancelling = {(0,): PAULI_Z, (0, 1): -np.kron(PAULI_Z, PAULI_I),
+                      (1, 2): -zz, (2, 3): -zz, (0, 3): -0.5 * xx,
+                      **{(s,): -0.7 * PAULI_X for s in (1, 2, 3)}}
+    return [*((inter, True) for inter in reversal_even_models()),
+            (heisenberg_xxz(chain_lattice(8), 1.0, 0.5, h=0.3), False),
+            (Interaction(chain_lattice(4), odd_cancelling), True)]
 
 
 def test_criterion_11_eigensolver_contract():
@@ -399,12 +443,23 @@ def test_criterion_11_eigensolver_contract():
         worst_orth = max(worst_orth,
                          float(np.abs(v.conj().T @ v - np.eye(n)).max()))
     assert blocked == 23  # every reversal-symmetric input, and no other
+    # from an Interaction: the solve of its assembled H, to the last bit
+    models = solved_from_interactions()
+    for inter, in_blocks in models:
+        dec = eig_hermitian(inter)
+        ref = eig_hermitian(build_hamiltonian(inter).matrix)
+        assert (dec.sector is not None) == in_blocks
+        assert np.array_equal(dec.eigenvalues, ref.eigenvalues)
+        assert in_blocks == (ref.sector is not None)
+        assert not in_blocks or np.array_equal(dec.sector, ref.sector)
+        assert np.array_equal(dec._vectors, ref._vectors)
     assert worst_recon <= 1e-10
     assert worst_orth <= 1e-10
     report(11, "eigensolver contract",
            f"50 general and {blocked} reversal-symmetric matrices up to dim "
            f"1024: reconstruction {worst_recon:.3e}, orthonormality "
-           f"{worst_orth:.3e}, both <= 1e-10, J v = sector v exactly")
+           f"{worst_orth:.3e}, both <= 1e-10, J v = sector v exactly; "
+           f"{len(models)} interactions solve as their assembled H")
 
 
 # ---------------------------------------------------------------------------

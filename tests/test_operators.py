@@ -11,7 +11,7 @@ from correlab import (Interaction, Lattice, chain_lattice, grid_lattice,
                       sampled_twirl, build_hamiltonian, eig_hermitian,
                       transverse_field_ising, random_bond_ising,
                       heisenberg_xxz, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
-from correlab.operators import _embedded_trace
+from correlab.operators import _add_embedded, _embedded_trace
 
 CNOT = np.array([[1, 0, 0, 0],
                  [0, 1, 0, 0],
@@ -216,6 +216,28 @@ def test_assembly_follows_lattice_order_not_sort_order():
     m = np.kron(PAULI_X, PAULI_Z) + np.kron(PAULI_Z, PAULI_I)
     ham = build_hamiltonian(Interaction(lat, {("b", "a"): m}))
     assert np.array_equal(ham.matrix, m)
+
+
+@pytest.mark.parametrize("factor_sites", [
+    (2,), (0,), (3, 1), (0, 3), ("b",), ("b", "a"), ("a", "b"),
+    ("a", 0, "b", 1, 2, 3)])
+@pytest.mark.parametrize("rows", [1, 7, 24, 48])
+def test_embedding_into_top_rows_adds_the_rows_of_the_whole_one(factor_sites,
+                                                              rows):
+    # a window of local dimensions (2, 3, 2, 2, 2, 2), cut into top rows
+    # at the first factor's half and inside the others; each row holds the
+    # bits of the same row of the whole embedding
+    lat = Lattice(("a", "b", 0, 1, 2, 3), np.zeros((6, 6)) + 1.0 - np.eye(6),
+                  (2, 3, 2, 2, 2, 2))
+    rng = np.random.default_rng(len(factor_sites) + rows)
+    d = lat.window_dim(factor_sites)
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    start = rng.normal(size=(96, 96)) + 0j
+    whole = start.copy()
+    _add_embedded(whole, m, factor_sites, lat, lat.sites)
+    top = start[:rows].copy()
+    _add_embedded(top, m, factor_sites, lat, lat.sites)
+    assert np.array_equal(top, whole[:rows])
 
 
 def _traced_peak(fn):

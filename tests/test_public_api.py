@@ -53,7 +53,7 @@ PARAMETERS = {
     "contour_decomposition": ["grid", "height"],
     "contour_grid": ["state", "a", "b", "nodes", "half_width"],
     "derivation_delta": ["a", "interaction", "hamiltonian"],
-    "eig_hermitian": ["matrix"],
+    "eig_hermitian": ["matrix", "window"],
     "embed": ["op", "lattice", "window"],
     "evolution_context": ["interaction", "window"],
     "evolve": ["context", "op", "time"],

@@ -11,6 +11,7 @@ from correlab import (chain_lattice, transverse_field_ising, embed,
                       random_bond_ising, gibbs_state, SpectralDecomposition,
                       theorem_check, evolution_context, lr_commutator_scan,
                       locality_scan, kms_function, contour_grid, evolve)
+from correlab.lattice import Interaction
 from correlab.operators import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
 from correlab import dynamics, spectral
 from correlab.spectral import (_block_diagonal, _block_matrix, _block_parity,
@@ -256,6 +257,56 @@ def test_eig_hermitian_rejects_bad_input():
         eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="square"):
         eig_hermitian(np.ones((2, 3)))
+
+
+def _even_terms_summing_to_a_non_hermitian_h():
+    # each term is reversal-even and Hermitian within 1e-12 of its own
+    # scale; the real parts cancel in the sum and leave an H whose
+    # asymmetry, 2e-13, is its whole scale
+    lat = chain_lattice(2)
+    b = 1.0 + 1e-13j
+    return Interaction(lat, {(0,): np.array([[0.0, b], [b, 0.0]]),
+                             (0, 1): -np.kron(PAULI_X, PAULI_I)})
+
+
+def test_eig_hermitian_of_an_interaction_refuses_what_the_dense_call_refuses():
+    inter = _even_terms_summing_to_a_non_hermitian_h()
+    assert len(spectral._assembled(inter, None, top=True)[2]) == 2  # top rows
+    for h in (inter, build_hamiltonian(inter).matrix):
+        with pytest.raises(ValueError, match="Hermitian"):
+            eig_hermitian(h)
+    with pytest.raises(ValueError, match="cap"):
+        eig_hermitian(tfim(13)[1])
+    with pytest.raises(ValueError, match="window"):
+        eig_hermitian(np.eye(4), window=[0, 1])
+
+
+@pytest.mark.parametrize("window", [None, (1, 2, 3), (0, 2)])
+def test_eig_hermitian_of_an_interaction_on_a_window(window):
+    # the terms inside the window, solved as build_hamiltonian's H is
+    inter = random_bond_ising(chain_lattice(5), seed=2)
+    dec = eig_hermitian(inter, window)
+    ref = eig_hermitian(build_hamiltonian(inter, window).matrix)
+    assert dec.sector is not None
+    for got, want in ((dec.eigenvalues, ref.eigenvalues),
+                      (dec.sector, ref.sector), (dec._vectors, ref._vectors)):
+        assert np.array_equal(got, want)
+
+
+def test_eig_hermitian_of_an_interaction_allocates_no_square_array():
+    # H's top rows and its blocks, or the blocks and their eigenvectors,
+    # are alive at once: 8 D^2 bytes at the peak when real.  Assembling
+    # the D x D H first adds its 8 D^2 bytes, twice the bound.
+    inter = random_bond_ising(chain_lattice(10), seed=1)
+    eig_hermitian(inter)  # LAPACK and the allocator are warm
+    tracemalloc.start()
+    try:
+        dec = eig_hermitian(inter)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dec.sector is not None
+    assert peak <= 1.25 * 8 * dec.dim ** 2
 
 
 def _below_diagonal_nan(dim):

@@ -525,6 +525,23 @@ def test_duhamel_kernel_matches_independent_reference(beta):
                 assert abs(kern[m, n] - ref) <= 1e-13 * ref, (m, n)
 
 
+def test_duhamel_kernel_temporaries_stay_small_beside_the_result(monkeypatch):
+    # a 512 x 512 block, D = 1024's: with row blocks of the whole block its
+    # four temporaries alive at once took four times the result; the work
+    # is elementwise, so the row block moves no bit
+    rng = np.random.default_rng(41)
+    e_row, e_col = (np.sort(rng.uniform(0.0, 6.0, 512)) for _ in range(2))
+    tracemalloc.start()
+    try:
+        kern = _duhamel_kernel(0.9, e_row, e_col)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * kern.nbytes
+    monkeypatch.setattr(thermal, "_KERNEL_BLOCK", kern.size)
+    assert np.array_equal(_duhamel_kernel(0.9, e_row, e_col), kern)
+
+
 def reference_ordinary(st, am, bm):
     p = st.weights
     mean = lambda m: np.sum(p * np.diag(m))

@@ -143,3 +143,30 @@ def test_traffic_defaults_to_every_variant(monkeypatch, capsys):
     monkeypatch.setattr(cli, "main", lambda argv: calls.append(argv) or 0)
     assert _load_tool("traffic").main([]) == 0
     assert len(calls) == 16 * 6
+
+
+def test_peak_prints_the_child_peak_after_each_config(tmp_path):
+    # a TFIM n=4 theorem_check, twice, and a config the CLI refuses: one
+    # line after the imports, one per config with its exit code, and the
+    # BLAS thread count; the peak never falls
+    cfg = tmp_path / "tfim4.yaml"
+    cfg.write_text("task: theorem_check\n"
+                   "model: {name: transverse_field_ising, n: 4, J: 1.0, "
+                   "h: 2.0}\nbeta: 0.5\nmu: 1.0\ndistances: [1.0, 2.0, 3.0]\n",
+                   encoding="utf-8")
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("task: no_such_task\n", encoding="utf-8")
+    run = subprocess.run([sys.executable, str(TOOLS / "peak.py"), str(cfg),
+                          str(cfg), str(bad)], cwd=tmp_path,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 1
+    lines = [line.split() for line in run.stdout.splitlines()]
+    assert [line[0] for line in lines] == ["import", "tfim4.yaml",
+                                           "tfim4.yaml", "bad.yaml", "blas"]
+    assert [line[-2:] for line in lines[1:4]] == [["exit", "0"],
+                                                  ["exit", "0"],
+                                                  ["exit", "2"]]
+    peaks = [float(line[1]) for line in lines[:4]]
+    assert peaks == sorted(peaks) and peaks[0] > 0.0
+    assert lines[4][:2] == ["blas", "threads"] and int(lines[4][2]) >= -1
+    assert not list(tmp_path.glob("correlab_runs"))  # outputs in a temp dir

@@ -504,7 +504,7 @@ def test_theorem_check_transforms_only_a(monkeypatch):
     # in the sectors A's (+, -) block is read without the dense transform
     assert _count_reads(monkeypatch, _tfim) == {
         "transform": 0, "paired": 0, "kernel": 1,
-        "read": [((256, 256), -1)]}
+        "read": [((128, 256), -1)]}
 
 
 def test_theorem_check_transforms_only_a_without_sectors(monkeypatch):
@@ -523,7 +523,7 @@ def test_theorem_check_reads_a_non_hermitian_odd_operator_in_the_sectors(
     # weights are one kernel block and its transpose
     assert _count_reads(monkeypatch, _tfim, op) == {
         "transform": 0, "paired": 0, "kernel": 1,
-        "read": [((256, 256), -1)]}
+        "read": [((128, 256), -1)]}
 
 
 def test_transposed_kernel_block_keeps_every_row_bit_for_bit(monkeypatch):
