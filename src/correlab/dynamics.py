@@ -1,10 +1,10 @@
-"""Heisenberg dynamics on a finite window.
+"""Heisenberg dynamics on a finite lattice.
 
 The evolution tau_t(A) = exp(iHt) A exp(-iHt) is applied in the energy
-eigenbasis, so a scan over a time grid reuses one diagonalization.  On top
-of that sit the commutator scans against an exponential light-cone
-envelope and the scan of local approximants obtained by conditional
-expectation onto a ball around the support of A.
+eigenbasis of H on the whole lattice, so a scan over a time grid reuses
+one diagonalization.  On top of that sit the commutator scans against an
+exponential light-cone envelope and the scan of local approximants
+obtained by conditional expectation onto a ball around the support of A.
 
 Every evolution but one is one helper, _evolution, over an operator's
 blocks as spectral._read_blocks reads them in the parity
@@ -27,11 +27,11 @@ finite and its largest error does not grow with the radius (_MONO_SLACK).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .lattice import (Interaction, Lattice, Site, _finite_positive,
+from .lattice import (Interaction, Lattice, _finite_positive,
                       _hermitian_part, _is_hermitian, ball, certify_locality)
 from .operators import (EmbeddedOperator, _check_measured, _hermitian_norm,
                         conditional_expectation, embed, spectral_norm)
@@ -49,26 +49,23 @@ _MONO_SLACK = 1e-12  # growth of the largest error in r that still passes
 
 @dataclass
 class EvolutionContext:
-    """One diagonalized window, shared by every evolution on it."""
+    """One diagonalized lattice, shared by every evolution on it."""
 
     lattice: Lattice
-    window: tuple
     decomposition: SpectralDecomposition
 
 
-def evolution_context(interaction: Interaction,
-                      window: Optional[Iterable[Site]] = None) -> EvolutionContext:
-    lat = interaction.lattice
-    win = lat.sort_sites(window) if window is not None else lat.sites
-    return EvolutionContext(lat, tuple(win), eig_hermitian(interaction, win))
+def evolution_context(interaction: Interaction) -> EvolutionContext:
+    """The interaction's H on its whole lattice, diagonalized once."""
+    return EvolutionContext(interaction.lattice, eig_hermitian(interaction))
 
 
 def _on_window(context: EvolutionContext, op) -> EmbeddedOperator:
-    """op as an operator on the context window: a local operator is
+    """op as an operator on the context's lattice: a local operator is
     embedded there, an embedded one must already live there."""
     if not isinstance(op, EmbeddedOperator):
-        return embed(op, context.lattice, context.window)
-    if tuple(op.window) != context.window:
+        return embed(op, context.lattice)
+    if tuple(op.window) != context.lattice.sites:
         raise ValueError("operator window does not match the context window")
     return op
 
@@ -102,7 +99,7 @@ def _evolution(bases: list, blocks: list):
 
 
 def evolve(context: EvolutionContext, op, time) -> EmbeddedOperator:
-    """tau_time(op) on the context window.
+    """tau_time(op) on the context's lattice.
 
     time may be real or complex, and must be finite; a complex time is
     refused with FloatingPointError when a phase factor exp(|Im z| max|E|)
@@ -120,8 +117,8 @@ def evolve(context: EvolutionContext, op, time) -> EmbeddedOperator:
     parity = _block_parity(dec, op.matrix)
     blocks = _evolution(*_read_blocks(dec, _on_window(context, op).matrix,
                                       parity, hermitian=False))(z)
-    return EmbeddedOperator(context.window, context.window,
-                            _block_matrix(blocks, parity))
+    sites = context.lattice.sites
+    return EmbeddedOperator(sites, sites, _block_matrix(blocks, parity))
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +278,11 @@ def _gram_norm(m: np.ndarray) -> float:
 
 def lr_commutator_scan(interaction: Interaction, a, b,
                        times: Sequence[float], mu: float,
-                       velocity: Optional[float] = None,
-                       context: Optional[EvolutionContext] = None) -> LRScanResult:
+                       velocity: Optional[float] = None) -> LRScanResult:
     """Measure ||[B, tau_t(A)]|| on a time grid against the light-cone
-    envelope at decay rate mu, on the context's window (the whole lattice
-    when no context is given), with the velocity certified at mu unless
-    one is given.  c_empirical is the smallest prefactor that makes the
+    envelope at decay rate mu, on the interaction's whole lattice
+    (evolution_context), with the velocity certified at mu unless one is
+    given.  c_empirical is the smallest prefactor that makes the
     envelope an upper bound for the whole scan, c_empirical_resolved the
     same over the rows at or above the round-off floor (_prefactor), and
     the scan passes when c_empirical is finite.
@@ -309,8 +305,7 @@ def lr_commutator_scan(interaction: Interaction, a, b,
     """
     dist, na, nb, velocity, envelopes = _lr_envelopes(interaction, a, b,
                                                       times, mu, velocity)
-    if context is None:
-        context = evolution_context(interaction)
+    context = evolution_context(interaction)
 
     aemb = _on_window(context, a)
     bemb = _on_window(context, b)
@@ -410,11 +405,10 @@ class LocalityScanResult:
 def locality_scan(interaction: Interaction, a, radii: Sequence[float],
                   times: Sequence[float], mu: float,
                   velocity: Optional[float] = None,
-                  exponent_multiplier: float = 1.0,
-                  context: Optional[EvolutionContext] = None) -> LocalityScanResult:
+                  exponent_multiplier: float = 1.0) -> LocalityScanResult:
     """Approximation error of the ball-projected evolution over a grid of
     radii and times, against the bare envelope exp(-mu * multiplier * r),
-    on the context's window (the whole lattice when no context is given).
+    on the interaction's whole lattice (evolution_context).
 
     The approximant at radius r is the conditional expectation of tau_t(A)
     onto the ball of radius r around the support of A, each ball built
@@ -435,14 +429,11 @@ def locality_scan(interaction: Interaction, a, radii: Sequence[float],
     """
     na, velocity, envelopes = _locality_envelopes(
         interaction, a, radii, times, mu, velocity, exponent_multiplier)
-    if context is None:
-        context = evolution_context(interaction)
+    context = evolution_context(interaction)
     lat = context.lattice
 
     aemb = _on_window(context, a)
-    inside = set(context.window)
-    regions = [tuple(s for s in ball(lat, a.support, r) if s in inside)
-               for r in radii]
+    regions = [ball(lat, a.support, r) for r in radii]
     hermitian = _is_hermitian(a.matrix)
     dec = context.decomposition
     parity = _block_parity(dec, a.matrix)
@@ -456,7 +447,7 @@ def locality_scan(interaction: Interaction, a, radii: Sequence[float],
     for t, envs in zip(times, envelopes):
         t = float(t)
         blocks = evolved(t)
-        tau = EmbeddedOperator(context.window, context.window,
+        tau = EmbeddedOperator(lat.sites, lat.sites,
                                _block_matrix(blocks, parity, out=buf))
         for r, region, env in zip(radii, regions, envs):
             approx = conditional_expectation(tau, region, lat).matrix

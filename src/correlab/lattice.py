@@ -169,34 +169,35 @@ class Lattice:
         return dim
 
 
-def chain_lattice(n: int, spacing: float = 1.0, local_dim: int = 2) -> Lattice:
-    """Open chain of n sites labelled 0..n-1 with |i-j|*spacing metric."""
+def chain_lattice(n: int, spacing: float = 1.0) -> Lattice:
+    """Open chain of n qubits labelled 0..n-1 with |i-j|*spacing metric."""
     if n < 1:
         raise ValueError("chain needs at least one site")
     idx = np.arange(n)
     d = np.abs(idx[:, None] - idx[None, :]) * float(spacing)
-    return Lattice(tuple(range(n)), d, (local_dim,) * n)
+    return Lattice(tuple(range(n)), d, (2,) * n)
 
 
-def grid_lattice(nx: int, ny: int, local_dim: int = 2) -> Lattice:
-    """nx-by-ny grid with Manhattan metric, sites (row, col) row-major."""
+def grid_lattice(nx: int, ny: int) -> Lattice:
+    """nx-by-ny grid of qubits with Manhattan metric, sites (row, col)
+    row-major."""
     if nx < 1 or ny < 1:
         raise ValueError("grid needs positive extents")
     sites = tuple((i, j) for i in range(nx) for j in range(ny))
     coords = np.array(sites, dtype=float)
     d = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2)
-    return Lattice(sites, d, (local_dim,) * len(sites))
+    return Lattice(sites, d, (2,) * len(sites))
 
 
 def ball(lattice: Lattice, xs, radius: float) -> Tuple[Site, ...]:
     """B_r(X) = {y : d(y, X) < r} together with X itself (strict inequality);
-    xs is one site or a nonempty collection of them."""
+    xs is a nonempty collection of sites (a grid site, itself a tuple, goes
+    in a list of one)."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    base = tuple(xs) if isinstance(xs, (list, tuple, set, frozenset)) else (xs,)
-    if not base:
+    xi = [lattice.index(x) for x in lattice.sort_sites(xs)]
+    if not xi:
         raise ValueError("site set must be nonempty")
-    xi = [lattice.index(x) for x in lattice.sort_sites(base)]
     dmin = lattice.distances[:, xi].min(axis=1)
     inside = set(np.nonzero(dmin < radius)[0]) | set(xi)
     return tuple(lattice.sites[i] for i in sorted(inside))

@@ -169,21 +169,19 @@ def _embed_ordered(matrix: np.ndarray, factor_sites: Sequence[Site],
     return out
 
 
-def embed(op: LocalOperator, lattice: Lattice,
-          window: Optional[Iterable[Site]] = None) -> EmbeddedOperator:
-    """Tensor op with the identity on the rest of the window.
+def embed(op: LocalOperator, lattice: Lattice) -> EmbeddedOperator:
+    """Tensor op with the identity on the rest of the lattice, its window.
 
-    The window defaults to the whole lattice.  The embedding is an isometric
-    algebra homomorphism: norms, products, and commutators are preserved.
+    The embedding is an isometric algebra homomorphism: norms, products,
+    and commutators are preserved.
     """
-    win = lattice.sort_sites(window) if window is not None else lattice.sites
-    missing = set(op.support) - set(win)
+    missing = set(op.support) - set(lattice.sites)
     if missing:
-        raise ValueError(f"support sites {sorted(map(repr, missing))} outside the window")
+        raise ValueError(f"support sites {sorted(map(repr, missing))} outside the lattice")
     if op.dim != lattice.window_dim(op.support):
         raise ValueError("operator dimension does not match its support dims")
-    full = _embed_ordered(op.matrix, op.support, lattice, win)
-    return EmbeddedOperator(win, lattice.sort_sites(op.support), full)
+    full = _embed_ordered(op.matrix, op.support, lattice, lattice.sites)
+    return EmbeddedOperator(lattice.sites, lattice.sort_sites(op.support), full)
 
 
 # ---------------------------------------------------------------------------

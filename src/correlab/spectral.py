@@ -21,10 +21,11 @@ parity alone chooses how m is read; Hermiticity only takes N as M's
 partner.
 
 The half blocks read m's top D/2 rows alone, so a D x D m and its top
-rows give the same blocks.  H+- come from H's top rows: eig_hermitian,
-given an Interaction whose terms are all reversal-even, sums only those
-rows (_assembled), since operators._add_embedded adds only the entries
-inside its output's rows, all D of them or fewer.  An operator read in
+rows give the same blocks.  H+- come from H's top rows: eig_hermitian
+checks and solves a reversal-even H from them alone, and given an
+Interaction whose terms are all reversal-even it sums only those rows
+(_assembled), since operators._add_embedded adds only the entries inside
+its output's rows, all D of them or fewer.  An operator read in
 its blocks may be given as its top rows the same way
 (verify._contraction).  Each rule has one helper:
 
@@ -54,11 +55,11 @@ its blocks may be given as its top rows the same way
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .lattice import Interaction, Site, _as_matrix, _is_hermitian
+from .lattice import Interaction, _as_matrix, _is_hermitian
 from .operators import (EmbeddedOperator, LocalOperator, _add_embedded,
                         commutator, embed)
 
@@ -186,37 +187,36 @@ def _transform(left: np.ndarray, m: np.ndarray,
     return _sandwich(left, m, right)
 
 
-def eig_hermitian(matrix, window: Optional[Iterable[Site]] = None
-                  ) -> SpectralDecomposition:
+def eig_hermitian(matrix) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix (LAPACK), or of the
-    Hamiltonian of an Interaction on a window (the whole lattice unless
-    given), assembled in its top rows when its terms make it
-    reversal-even (_assembled).
+    Hamiltonian of an Interaction on its whole lattice, assembled in its
+    top rows when its terms make it reversal-even (_assembled).
 
     The input must be finite and Hermitian within 1e-12 relative, checked
     over mirrored square tiles.  The solver reads one triangle, and a real
     symmetric input is solved in real arithmetic.  When J H J equals H
     exactly and D is even, its blocks H+- (module docstring) are solved in
     one stacked call, for a quarter of the dense flops, and the eigenvalues
-    ordered by a stable sort, the + sector first among equal levels.  An H
-    assembled in its top rows is checked from them, as the block diagonal
-    matrix of H_TL and H_TR J: J H J = H gives H - H* the entries of theirs
-    and H the entries of both, so the verdict is the whole H's.
+    ordered by a stable sort, the + sector first among equal levels.  Such
+    an H, assembled or given whole, is read and checked from its top rows
+    alone, as the block diagonal matrix of H_TL and H_TR J: J H J = H gives
+    H - H* the entries of theirs and H the entries of both, so the verdict
+    is the whole H's.
     """
     if isinstance(matrix, Interaction):
-        m = _assembled(matrix, window, top=True)[2]
-    elif window is not None:
-        raise ValueError("a window is taken only with an Interaction")
+        m = _assembled(matrix, top=True)
     else:
         m = _as_matrix(matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("need a square matrix")
-    dim, rows = m.shape[1], len(m)
-    whole = rows == dim
-    if not _is_hermitian(*((m,) if whole else (m[:, :rows],
-                                               m[:, rows:][:, ::-1]))):
+    dim = m.shape[1]
+    if len(m) == dim >= 2 and dim % 2 == 0 and _reversal_parity(m) == 1:
+        m = m[:dim // 2]
+    rows = len(m)
+    if not _is_hermitian(*((m,) if rows == dim else (m[:, :rows],
+                                                     m[:, rows:][:, ::-1]))):
         raise ValueError("matrix is not finite and Hermitian within 1e-12 relative")
-    if whole and not (dim >= 2 and dim % 2 == 0 and _reversal_parity(m) == 1):
+    if rows == dim:
         e, v = np.linalg.eigh(m)
         return SpectralDecomposition(e, v)
     blocks = _reversal_blocks(m)
@@ -227,35 +227,30 @@ def eig_hermitian(matrix, window: Optional[Iterable[Site]] = None
                                  np.where(order < dim // 2, 1.0, -1.0))
 
 
-def _assembled(interaction: Interaction, window: Optional[Iterable[Site]],
-               top: bool) -> tuple:
-    """(window, terms, rows): the window in lattice order (the whole lattice
-    unless given), the (support, matrix) terms inside it in term order, and
-    the rows of H they sum to, each term adding only its entries in those
-    rows (_add_embedded).  rows is H's top D/2 rows when top is set, D is
-    even and every term's local matrix is reversal-even, and the whole H
-    otherwise.  J is a product of per-site reversals, so such an H is
-    reversal-even to the last bit (an entry and its mirror sum the same
-    values in the same order), and each row holds the bits of the same row
-    of the whole H.  Refuses a D above DIM_CAP."""
+def _assembled(interaction: Interaction, top: bool) -> np.ndarray:
+    """The rows of H on the whole lattice that the terms sum to, in term
+    order, each term adding only its entries in those rows (_add_embedded):
+    H's top D/2 rows when top is set, D is even and every term's local
+    matrix is reversal-even, and the whole H otherwise.  J is a product of
+    per-site reversals, so such an H is reversal-even to the last bit (an
+    entry and its mirror sum the same values in the same order), and each
+    row holds the bits of the same row of the whole H.  Refuses a D above
+    DIM_CAP."""
     lat = interaction.lattice
-    win = lat.sort_sites(window) if window is not None else lat.sites
-    dim = lat.window_dim(win)
+    dim = lat.window_dim(lat.sites)
     if dim > DIM_CAP:
         raise ValueError(
             f"window dimension {dim} exceeds the cap {DIM_CAP}; "
             f"this laboratory is meant for desk-scale windows")
-    win_set = set(win)
-    terms = [(sup, m) for sup, m in interaction.terms.items()
-             if set(sup) <= win_set]
+    terms = interaction.terms
     even = top and dim % 2 == 0 and all(_reversal_parity(m) == 1
-                                        for _, m in terms)
+                                        for m in terms.values())
     # real when every term is real
     h = np.zeros((dim // 2 if even else dim, dim),
-                 dtype=np.result_type(float, *{m.dtype for _, m in terms}))
-    for sup, m in terms:
-        _add_embedded(h, m, sup, lat, win)
-    return win, terms, h
+                 dtype=np.result_type(float, *{m.dtype for m in terms.values()}))
+    for sup, m in terms.items():
+        _add_embedded(h, m, sup, lat, lat.sites)
+    return h
 
 
 def _reversal_parity(m: np.ndarray) -> int:
@@ -454,31 +449,29 @@ def _block_diagonal(diagonals: list, parity: int) -> np.ndarray:
     return np.concatenate((top, parity * top[::-1]))
 
 
-def build_hamiltonian(interaction: Interaction,
-                      window: Optional[Iterable[Site]] = None) -> EmbeddedOperator:
-    """Sum of the embedded interaction terms whose support lies in the window.
+def build_hamiltonian(interaction: Interaction) -> EmbeddedOperator:
+    """Sum of the embedded interaction terms on the whole lattice.
 
     Each term adds only the entries its embedding can make nonzero, in
-    term order; no window-sized matrix is built per term.  Refuses windows
-    whose tensor dimension exceeds DIM_CAP.
+    term order; no lattice-sized matrix is built per term.  Refuses a
+    lattice whose tensor dimension exceeds DIM_CAP.
     """
-    win, terms, h = _assembled(interaction, window, top=False)
-    sup_sites = tuple(s for s in win if any(s in sup for sup, _ in terms))
-    return EmbeddedOperator(win, sup_sites, h)
+    lat = interaction.lattice
+    sup_sites = tuple(s for s in lat.sites
+                      if any(s in sup for sup in interaction.terms))
+    return EmbeddedOperator(lat.sites, sup_sites,
+                            _assembled(interaction, top=False))
 
 
-def derivation_delta(a, interaction: Interaction,
-                     hamiltonian: Optional[EmbeddedOperator] = None) -> EmbeddedOperator:
-    """Generator commutator delta(A) = sum over terms [Phi(Z), A] = [H, A].
+def derivation_delta(a, interaction: Interaction) -> EmbeddedOperator:
+    """Generator commutator delta(A) = sum over terms [Phi(Z), A] = [H, A],
+    on the whole lattice; an embedded A on another window is refused
+    (operators.commutator).
 
     No factor of i here: the Heisenberg equation of motion reads
     d/dt tau_t(A) = i tau_t(delta(A)), and the adjoint relation is
     delta(A)* = -delta(A*).  Both signs are pinned by tests.
     """
-    lat = interaction.lattice
     if isinstance(a, LocalOperator):
-        a = embed(a, lat)
-    h = hamiltonian if hamiltonian is not None else build_hamiltonian(interaction, a.window)
-    if h.window != a.window:
-        raise ValueError("hamiltonian window does not match the operator window")
-    return commutator(h, a)
+        a = embed(a, interaction.lattice)
+    return commutator(build_hamiltonian(interaction), a)

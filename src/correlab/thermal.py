@@ -71,12 +71,6 @@ class ThermalState:
     def dim(self) -> int:
         return self.energies.shape[0]
 
-    def to_eigenbasis(self, op: OperatorLike) -> np.ndarray:
-        return self.decomposition.transform(_as_matrix(op))
-
-    def expectation(self, op: OperatorLike) -> complex:
-        return complex(_gibbs_mean(self.weights, self.to_eigenbasis(op)))
-
     def _kernel_blocks(self, levels: list, blocks: list) -> dict:
         """{(l, r): K(E_l, E_r) / Z} for each block (l, r, ...), levels[l]
         the shifted energies of sector l.  The kernel is symmetric in its

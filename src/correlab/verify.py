@@ -452,8 +452,7 @@ def _judge_upgrade(distances, ordinary, canonical, mu: float,
 
 def theorem_check(interaction: Interaction, beta: float, mu: float,
                   distances: Sequence[float], base_site=None,
-                  op_name: str = "Z",
-                  state: Optional[ThermalState] = None) -> TheoremCheckResult:
+                  op_name: str = "Z") -> TheoremCheckResult:
     """Empirical counterpart of the decay-upgrade statement: if ordinary
     correlations fall off like exp(-l/xi), canonical (Duhamel) correlations
     fall off at least like exp(-l/xi') with xi' = max(4 xi, 2/mu).
@@ -485,12 +484,7 @@ def theorem_check(interaction: Interaction, beta: float, mu: float,
     a_loc = single_site(base, op_name)
     _check_measured("op", a_loc.matrix)
     pairs = _partners(lat, base, distances)
-    if state is None:
-        state = gibbs_state(interaction, beta)
-    if state.dim != lat.window_dim(lat.sites):
-        raise ValueError("state must be built on the full lattice window")
-    if state.beta != beta:
-        raise ValueError(f"state is at beta={state.beta!r}, not beta={float(beta)!r}")
+    state = gibbs_state(interaction, beta)
 
     op = a_loc.matrix
     na = spectral_norm(op)

@@ -48,8 +48,7 @@ def test_heisenberg_equation_of_motion():
     a = single_site(2, "Z")
     t, dt = 0.4, 1e-6
     lhs = (evolve(ctx, a, t + dt).matrix - evolve(ctx, a, t - dt).matrix) / (2 * dt)
-    delta = derivation_delta(embed(a, lat), inter,
-                             hamiltonian=build_hamiltonian(inter))
+    delta = derivation_delta(embed(a, lat), inter)
     rhs = 1j * evolve(ctx, delta, t).matrix
     assert np.abs(lhs - rhs).max() < 1e-7
 
@@ -98,7 +97,7 @@ def test_evolve_refuses_non_finite_time(time):
 
 def test_evolve_rejects_foreign_window():
     lat, inter, ctx = setup(4)
-    sub = embed(single_site(0, "Z"), lat, window=[0, 1])
+    sub = EmbeddedOperator((0, 1), (0,), np.kron(PAULI_Z, np.eye(2)))
     with pytest.raises(ValueError, match="window"):
         evolve(ctx, sub, 0.1)
 
@@ -144,9 +143,9 @@ def test_evolve_matches_the_dense_route_and_expm(model, op):
 # ---------------------------------------------------------------------------
 
 def test_lr_scan_basics():
-    lat, inter, ctx = setup(5)
+    inter = transverse_field_ising(chain_lattice(5), 1.0, 1.0)
     scan = lr_commutator_scan(inter, single_site(0, "Z"), single_site(4, "Z"),
-                              [0.0, 0.2, 0.4], mu=1.0, context=ctx)
+                              [0.0, 0.2, 0.4], mu=1.0)
     assert scan.distance == 4.0
     cert = certify_locality(inter, 1.0)
     assert abs(scan.velocity - cert.velocity) < 1e-12
@@ -159,19 +158,19 @@ def test_lr_scan_basics():
 
 
 def test_lr_scan_infinite_prefactor_when_supports_touch():
-    lat, inter, ctx = setup(3)
+    inter = transverse_field_ising(chain_lattice(3), 1.0, 1.0)
     scan = lr_commutator_scan(inter, single_site(0, "X"), single_site(0, "Z"),
-                              [0.0], mu=1.0, context=ctx)
+                              [0.0], mu=1.0)
     # distance 0 and [Z, X] != 0 at t = 0: no envelope can cover this
     assert scan.c_empirical == float("inf")
 
 
 def test_lr_scan_explicit_velocity_changes_envelope_only():
-    lat, inter, ctx = setup(4)
+    inter = transverse_field_ising(chain_lattice(4), 1.0, 1.0)
     s1 = lr_commutator_scan(inter, single_site(0, "Z"), single_site(3, "Z"),
-                            [0.5], mu=1.0, context=ctx)
+                            [0.5], mu=1.0)
     s2 = lr_commutator_scan(inter, single_site(0, "Z"), single_site(3, "Z"),
-                            [0.5], mu=1.0, velocity=5.0, context=ctx)
+                            [0.5], mu=1.0, velocity=5.0)
     assert abs(s1.measurements[0].commutator_norm
                - s2.measurements[0].commutator_norm) < 1e-13
     assert s1.measurements[0].envelope != s2.measurements[0].envelope
@@ -334,7 +333,7 @@ def test_lr_scan_matches_site_basis_route(monkeypatch, a, b, model,
     monkeypatch.setattr(SpectralDecomposition, "transform",
                         lambda self, m: calls.append(1) or transform(self, m))
     times = [0.0, 0.1, 0.35, 0.8, 1.5, 2.0, 3.0]
-    scan = lr_commutator_scan(inter, a, b, times, mu=1.0, context=ctx)
+    scan = lr_commutator_scan(inter, a, b, times, mu=1.0)
     monkeypatch.undo()
     assert len(calls) == transforms
     ref = _site_basis_norms(inter, a, b, times)
@@ -384,7 +383,6 @@ def test_lr_scan_one_product_route_checks_hermiticity_outside_the_loop(
     from correlab import lattice, operators
     lat = chain_lattice(6)
     inter = heisenberg_xxz(lat, 1.0, 0.5, h=0.3)  # z-field: no sectors
-    ctx = evolution_context(inter)
     checks, routes = [], []
     real_check, real_norm = lattice._is_hermitian, dynamics._commutator_norm
 
@@ -401,8 +399,7 @@ def test_lr_scan_one_product_route_checks_hermiticity_outside_the_loop(
     for times in ([0.5], [0.1 * k for k in range(1, 8)]):
         checks.clear()
         scan = lr_commutator_scan(inter, single_site(0, "X"),
-                                  single_site(4, "Y"), times, mu=1.0,
-                                  context=ctx)
+                                  single_site(4, "Y"), times, mu=1.0)
         assert len(scan.measurements) == len(times)
         counts.append(len(checks))
     assert routes == [True, True]  # the one-product route, Hermitian pair
@@ -422,28 +419,26 @@ def test_locality_scan_hermitian_operator_never_reaches_svd(monkeypatch):
 
 
 def _foreign_window_setup():
-    # a context on sites 0-3 and Z_5 embedded on 2-5: same dimension, wrong
-    # operator
-    lat = chain_lattice(6)
-    inter = transverse_field_ising(lat, 1.0, 1.0)
-    ctx = evolution_context(inter, window=[0, 1, 2, 3])
-    z5 = embed(single_site(5, "Z"), lat, window=[2, 3, 4, 5])
-    return inter, ctx, z5
+    # Z_5 built by hand on sites 2-5 of a 6-site chain: an operator on a
+    # sub-window, where the scans work on the whole lattice
+    inter = transverse_field_ising(chain_lattice(6), 1.0, 1.0)
+    z5 = EmbeddedOperator((2, 3, 4, 5), (5,), np.kron(np.eye(8), PAULI_Z))
+    return inter, z5
 
 
 def test_lr_scan_rejects_foreign_window():
-    inter, ctx, z5 = _foreign_window_setup()
+    inter, z5 = _foreign_window_setup()
     for a, b in ((single_site(0, "Z"), z5), (z5, single_site(0, "Z"))):
         with pytest.raises(ValueError, match="operator window does not "
                                              "match the context window"):
-            lr_commutator_scan(inter, a, b, [0.5], mu=1.0, context=ctx)
+            lr_commutator_scan(inter, a, b, [0.5], mu=1.0)
 
 
 def test_locality_scan_rejects_foreign_window():
-    inter, ctx, z5 = _foreign_window_setup()
+    inter, z5 = _foreign_window_setup()
     with pytest.raises(ValueError, match="operator window does not match "
                                          "the context window"):
-        locality_scan(inter, z5, [1.0], [0.5], mu=1.0, context=ctx)
+        locality_scan(inter, z5, [1.0], [0.5], mu=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +448,7 @@ def test_locality_scan_rejects_foreign_window():
 def test_approximant_full_ball_reproduces_evolution():
     lat, inter, ctx = setup(3)
     tau = evolve(ctx, single_site(1, "Z"), 0.5)
-    approx = conditional_expectation(tau, ctx.window, lat)
+    approx = conditional_expectation(tau, lat.sites, lat)
     assert np.abs(approx.matrix - tau.matrix).max() < 1e-12
 
 
@@ -461,7 +456,7 @@ def test_approximant_radius_zero_projects_to_origin_site():
     # the ball of radius 0 is the support itself
     lat, inter, ctx = setup(3)
     a = single_site(1, "Z")
-    scan = locality_scan(inter, a, [0.0], [0.4], mu=1.0, context=ctx)
+    scan = locality_scan(inter, a, [0.0], [0.4], mu=1.0)
     tau = evolve(ctx, a, 0.4)
     ref = conditional_expectation(tau, [1], lat)
     assert abs(scan.measurements[0].error
@@ -469,9 +464,9 @@ def test_approximant_radius_zero_projects_to_origin_site():
 
 
 def test_locality_scan_error_decreases_with_radius():
-    lat, inter, ctx = setup(5)
+    inter = transverse_field_ising(chain_lattice(5), 1.0, 1.0)
     scan = locality_scan(inter, single_site(2, "Z"), [1.0, 2.0, 3.0],
-                         [0.25, 0.5], mu=1.0, context=ctx)
+                         [0.25, 0.5], mu=1.0)
     maxes = scan.max_error_by_radius()
     assert maxes[1.0] > maxes[2.0] > maxes[3.0]
     assert np.isfinite(scan.c_empirical)
@@ -480,11 +475,10 @@ def test_locality_scan_error_decreases_with_radius():
 
 
 def test_locality_scan_envelope_multiplier():
-    lat, inter, ctx = setup(4)
-    s1 = locality_scan(inter, single_site(1, "Z"), [1.0], [0.5], mu=1.0,
-                       context=ctx)
+    inter = transverse_field_ising(chain_lattice(4), 1.0, 1.0)
+    s1 = locality_scan(inter, single_site(1, "Z"), [1.0], [0.5], mu=1.0)
     s2 = locality_scan(inter, single_site(1, "Z"), [1.0], [0.5], mu=1.0,
-                       exponent_multiplier=2.0, context=ctx)
+                       exponent_multiplier=2.0)
     m1, m2 = s1.measurements[0], s2.measurements[0]
     assert abs(m1.error - m2.error) < 1e-13
     assert abs(m2.envelope - m1.envelope * np.exp(-1.0)) < 1e-12
@@ -532,7 +526,7 @@ def test_locality_scan_matches_dense_route(model, a, route):
              "xxz_field": heisenberg_xxz(lat, 1.0, 0.5, h=0.7)}[model]
     ctx = evolution_context(inter)
     radii, times = [0.0, 1.0, 2.0, 3.0], [0.0, 0.5, 1.0]
-    scan = locality_scan(inter, a, radii, times, mu=1.0, context=ctx)
+    scan = locality_scan(inter, a, radii, times, mu=1.0)
     assert scan.norm_route == route
     assert (ctx.decomposition.sector is not None) == (model in ("rbi", "xxz"))
     got = np.array([m.error for m in scan.measurements])
@@ -619,7 +613,7 @@ def test_lr_scan_sector_route_matches_dense_formula(monkeypatch, model, n,
     calls, transform = [], SpectralDecomposition.transform
     monkeypatch.setattr(SpectralDecomposition, "transform",
                         lambda self, m: calls.append(1) or transform(self, m))
-    scan = lr_commutator_scan(inter, a, b, times, mu=1.0, context=ctx)
+    scan = lr_commutator_scan(inter, a, b, times, mu=1.0)
     monkeypatch.undo()
     assert len(calls) == (0 if sector else 2)
     got = np.array([m.commutator_norm for m in scan.measurements])
@@ -640,10 +634,9 @@ def test_lr_scan_sector_route_matches_dense_formula(monkeypatch, model, n,
         "rbi9-z5"])
 def test_locality_scan_sector_route_matches_dense_formula(model, n, a, route):
     inter = _chain_model(model, n)
-    ctx = evolution_context(inter)
     radii = [1.0, 2.0, 3.0]
     times = [0.0, 0.5, 1.0]
-    scan = locality_scan(inter, a, radii, times, mu=1.0, context=ctx)
+    scan = locality_scan(inter, a, radii, times, mu=1.0)
     assert scan.norm_route == route
     got = np.array([m.error for m in scan.measurements])
     ref = np.array(_dense_locality_errors(inter, a, radii, times))

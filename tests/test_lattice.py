@@ -52,8 +52,14 @@ def test_rejects_zero_distance_between_distinct_sites():
         Lattice((0, 1), d, (2, 2))
 
 
+def qutrit_chain(n):
+    """chain_lattice(n)'s sites and metric with three levels per site."""
+    chain = chain_lattice(n)
+    return Lattice(chain.sites, chain.distances, (3,) * n)
+
+
 def test_sort_sites_and_window_dim():
-    lat = chain_lattice(4, local_dim=3)
+    lat = qutrit_chain(4)
     assert lat.sort_sites([2, 0]) == (0, 2)
     assert lat.window_dim([0, 2]) == 9
 
@@ -75,6 +81,14 @@ def test_ball_uses_strict_inequality():
 def test_ball_of_a_set():
     lat = chain_lattice(6)
     assert ball(lat, [1, 4], 1.5) == (0, 1, 2, 3, 4, 5)
+
+
+def test_ball_takes_a_collection_of_sites():
+    # a grid site is itself a tuple, and was read as the sites 0 and 1
+    assert ball(grid_lattice(2, 3), [(0, 1)], 1.5) == (
+        (0, 0), (0, 1), (0, 2), (1, 1))
+    with pytest.raises(TypeError):
+        ball(chain_lattice(5), 2, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +222,7 @@ def test_one_site_chain_gets_its_field_and_no_bond(model):
 def test_builtin_models_refuse_a_qutrit_lattice(model):
     with pytest.raises(ValueError, match=f"model '{model.__name__}' is "
                                          "defined for qubit lattices only"):
-        model(chain_lattice(3, local_dim=3))
+        model(qutrit_chain(3))
 
 
 def test_heisenberg_zero_bond_is_omitted():

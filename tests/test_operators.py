@@ -11,7 +11,7 @@ from correlab import (Interaction, Lattice, chain_lattice, grid_lattice,
                       sampled_twirl, build_hamiltonian, eig_hermitian,
                       transverse_field_ising, random_bond_ising,
                       heisenberg_xxz, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
-from correlab.operators import _add_embedded, _embedded_trace
+from correlab.operators import _add_embedded, _embed_ordered, _embedded_trace
 
 CNOT = np.array([[1, 0, 0, 0],
                  [0, 1, 0, 0],
@@ -93,13 +93,10 @@ def test_embed_follows_lattice_order_not_sort_order():
     assert np.allclose(emb.matrix, kron(PAULI_I, PAULI_X))
 
 
-def test_embed_into_subwindow():
-    lat = chain_lattice(4)
-    emb = embed(single_site(2, "Z"), lat, window=[1, 2, 3])
-    assert emb.window == (1, 2, 3)
-    assert np.allclose(emb.matrix, kron(PAULI_I, PAULI_Z, PAULI_I))
-    with pytest.raises(ValueError, match="outside the window"):
-        embed(single_site(0, "Z"), lat, window=[1, 2, 3])
+def test_embed_refuses_a_support_off_the_lattice():
+    with pytest.raises(ValueError, match=r"support sites \['5'\] outside "
+                                         "the lattice"):
+        embed(single_site(5, "Z"), chain_lattice(3))
 
 
 def test_embed_checks_dimensions():
@@ -145,6 +142,26 @@ def _random_matrix(rng, dim):
     return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
 
 
+def qutrit_chain(n):
+    """chain_lattice(n)'s sites and metric with three levels per site."""
+    chain = chain_lattice(n)
+    return Lattice(chain.sites, chain.distances, (3,) * n)
+
+
+def on_window(inter, window):
+    """inter's terms inside the window, on the window's own lattice: the
+    interaction itself when window is None."""
+    if window is None:
+        return inter
+    lat = inter.lattice
+    win = lat.sort_sites(window)
+    idx = [lat.index(s) for s in win]
+    sub = Lattice(win, lat.distances[np.ix_(idx, idx)],
+                  tuple(lat.local_dims[i] for i in idx))
+    return Interaction(sub, {sup: m for sup, m in inter.terms.items()
+                             if set(sup) <= set(win)})
+
+
 @pytest.mark.parametrize("lat, support, window", [
     (chain_lattice(5), (0,), None),
     (chain_lattice(5), (4,), None),
@@ -152,8 +169,8 @@ def _random_matrix(rng, dim):
     (chain_lattice(5), (4, 1), [1, 2, 4]),
     (chain_lattice(5), (3, 1), [1, 3]),
     (chain_lattice(3), (2, 0, 1), None),
-    (chain_lattice(4, local_dim=3), (2, 0), None),
-    (chain_lattice(4, local_dim=3), (3,), [1, 3]),
+    (qutrit_chain(4), (2, 0), None),
+    (qutrit_chain(4), (3,), [1, 3]),
     (grid_lattice(2, 3), ((1, 0), (0, 2)), None),
     (grid_lattice(2, 3), ((1, 1),), None),
     (Lattice(("b", "a"), np.array([[0.0, 1.0], [1.0, 0.0]]), (2, 3)),
@@ -164,13 +181,14 @@ def test_embedding_matches_kron_reference(lat, support, window):
     m = _random_matrix(rng, lat.window_dim(support))
     win = lat.sort_sites(window) if window is not None else lat.sites
     op = LocalOperator(support, m)  # sorts the support, matrix as given
-    emb = embed(op, lat, window)
-    assert np.array_equal(emb.matrix, kron_embedding(m, op.support, lat, win))
-    full = EmbeddedOperator(win, win, _random_matrix(rng, emb.dim))
+    emb = (embed(op, lat).matrix if window is None
+           else _embed_ordered(m, op.support, lat, win))
+    assert np.array_equal(emb, kron_embedding(m, op.support, lat, win))
+    full = EmbeddedOperator(win, win, _random_matrix(rng, len(emb)))
     for region in (support[:1], support, win, ()):
         ce = conditional_expectation(full, region, lat)
         reg = lat.sort_sites(region)
-        comp_dim = emb.dim // lat.window_dim(reg)
+        comp_dim = len(emb) // lat.window_dim(reg)
         keep = [win.index(s) for s in reg]
         dims = [lat.local_dims[lat.index(s)] for s in win]
         reduced = partial_trace(full.matrix, dims, keep) / comp_dim
@@ -201,13 +219,13 @@ def test_embedded_trace_matches_the_dense_trace(support):
     (heisenberg_xxz(chain_lattice(6), delta=1.5, h=0.7), [0, 1, 2]),
 ])
 def test_assembly_matches_sum_of_kron_embeddings(inter, window):
+    # a window's H is the H of the terms inside it, on its own lattice
+    inter = on_window(inter, window)
     lat = inter.lattice
-    win = lat.sort_sites(window) if window is not None else lat.sites
-    ref = np.zeros((lat.window_dim(win),) * 2, dtype=complex)
+    ref = np.zeros((lat.window_dim(lat.sites),) * 2, dtype=complex)
     for sup, m in inter.terms.items():
-        if set(sup) <= set(win):
-            ref += kron_embedding(m, sup, lat, win)
-    assert np.array_equal(build_hamiltonian(inter, window).matrix, ref)
+        ref += kron_embedding(m, sup, lat, lat.sites)
+    assert np.array_equal(build_hamiltonian(inter).matrix, ref)
 
 
 def test_assembly_follows_lattice_order_not_sort_order():
@@ -290,9 +308,8 @@ def test_commutator_xz_frozen():
 
 
 def test_product_rejects_mismatched_windows():
-    lat = chain_lattice(3)
-    e1 = embed(single_site(0, "X"), lat, window=[0, 1])
-    e2 = embed(single_site(2, "X"), lat, window=[1, 2])
+    e1 = EmbeddedOperator((0, 1), (0,), kron(PAULI_X, PAULI_I))
+    e2 = EmbeddedOperator((1, 2), (2,), kron(PAULI_I, PAULI_X))
     with pytest.raises(ValueError, match="window"):
         commutator(e1, e2)
 

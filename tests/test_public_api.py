@@ -43,31 +43,31 @@ def test_public_names_are_pinned():
 # method, so an added or removed setting shows up here as a diff
 PARAMETERS = {
     "ball": ["lattice", "xs", "radius"],
-    "build_hamiltonian": ["interaction", "window"],
+    "build_hamiltonian": ["interaction"],
     "build_model": ["name", "lattice", "params"],
     "canonical_correlator": ["fn", "method"],
     "certify_locality": ["interaction", "mu"],
-    "chain_lattice": ["n", "spacing", "local_dim"],
+    "chain_lattice": ["n", "spacing"],
     "commutator": ["a", "b"],
     "conditional_expectation": ["op", "region", "lattice"],
     "contour_decomposition": ["grid", "height"],
     "contour_grid": ["state", "a", "b", "nodes", "half_width"],
-    "derivation_delta": ["a", "interaction", "hamiltonian"],
-    "eig_hermitian": ["matrix", "window"],
-    "embed": ["op", "lattice", "window"],
-    "evolution_context": ["interaction", "window"],
+    "derivation_delta": ["a", "interaction"],
+    "eig_hermitian": ["matrix"],
+    "embed": ["op", "lattice"],
+    "evolution_context": ["interaction"],
     "evolve": ["context", "op", "time"],
     "fit_decay": ["xs", "ys"],
     "gauss_legendre": ["n"],
     "gibbs_state": ["hamiltonian", "beta"],
-    "grid_lattice": ["nx", "ny", "local_dim"],
+    "grid_lattice": ["nx", "ny"],
     "haar_unitaries": ["rng", "dim", "count"],
     "heisenberg_xxz": ["lattice", "J", "delta", "h"],
     "kms_function": ["state", "a", "b"],
     "locality_scan": ["interaction", "a", "radii", "times", "mu", "velocity",
-                      "exponent_multiplier", "context"],
+                      "exponent_multiplier"],
     "lr_commutator_scan": ["interaction", "a", "b", "times", "mu",
-                           "velocity", "context"],
+                           "velocity"],
     "nearest_neighbor_pairs": ["lattice"],
     "ordinary_correlator": ["fn"],
     "partial_trace": ["matrix", "dims", "keep"],
@@ -77,7 +77,7 @@ PARAMETERS = {
     "single_site": ["site", "matrix_or_name"],
     "spectral_norm": ["op"],
     "theorem_check": ["interaction", "beta", "mu", "distances", "base_site",
-                      "op_name", "state"],
+                      "op_name"],
     "transverse_field_ising": ["lattice", "J", "h"],
     "weight": ["z", "height"],
     "KMSFunction.boundary_gap": ["ts"],
@@ -94,8 +94,6 @@ PARAMETERS = {
     "LocalityScanResult.max_error_by_radius": [],
     "SpectralDecomposition.reconstruct": [],
     "SpectralDecomposition.transform": ["matrix"],
-    "ThermalState.expectation": ["op"],
-    "ThermalState.to_eigenbasis": ["op"],
 }
 
 
@@ -114,11 +112,52 @@ def test_parameter_names_are_pinned():
     assert found == PARAMETERS
 
 
-# a lint for imports, in the standard library alone: every name a module
-# imports is used in it, or re-exported from it by the package
 SRC = pathlib.Path(correlab.__file__).parent
 
 
+# a lint for settings no caller uses, in the standard library alone: each
+# optional parameter of an exported function is passed, by keyword or by
+# position, by some call in the package.  The builtin model builders' are
+# passed by build_model(**params).  A parameter that library code only
+# forwards from another one that no library caller sets counts as passed:
+# this lint cannot tell such a chain from a real caller.
+def _library_arguments():
+    """({callee name: keywords passed}, {callee name: most positional
+    arguments passed}) over every call in the package, a starred argument
+    counting as all."""
+    keywords, positions = {}, {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else \
+                func.id if isinstance(func, ast.Name) else None
+            keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+            count = float("inf") if any(isinstance(a, ast.Starred)
+                                        for a in node.args) else len(node.args)
+            positions[name] = max(positions.get(name, 0), count)
+    return keywords, positions
+
+
+def test_every_optional_parameter_has_a_library_caller():
+    keywords, positions = _library_arguments()
+    builders = set(correlab.BUILTIN_MODELS.values())
+    unused = []
+    for name, value in sorted(vars(correlab).items()):
+        if (name.startswith("_") or not inspect.isfunction(value)
+                or value in builders):
+            continue
+        for i, param in enumerate(inspect.signature(value).parameters.values()):
+            if (param.default is not param.empty
+                    and param.name not in keywords.get(name, set())
+                    and i >= positions.get(name, 0)):
+                unused.append(f"{name}.{param.name}")
+    assert unused == []
+
+
+# a lint for imports, in the standard library alone: every name a module
+# imports is used in it, or re-exported from it by the package
 def _imported_names(tree: ast.AST) -> set:
     names = set()
     for node in ast.walk(tree):

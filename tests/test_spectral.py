@@ -10,8 +10,9 @@ from correlab import (chain_lattice, transverse_field_ising, embed,
                       derivation_delta, DIM_CAP, heisenberg_xxz,
                       random_bond_ising, gibbs_state, SpectralDecomposition,
                       theorem_check, evolution_context, lr_commutator_scan,
-                      locality_scan, kms_function, contour_grid, evolve)
-from correlab.lattice import Interaction
+                      locality_scan, kms_function, contour_grid, evolve,
+                      EmbeddedOperator)
+from correlab.lattice import Interaction, Lattice
 from correlab.operators import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
 from correlab import dynamics, spectral
 from correlab.spectral import (_block_diagonal, _block_matrix, _block_parity,
@@ -271,26 +272,30 @@ def _even_terms_summing_to_a_non_hermitian_h():
 
 def test_eig_hermitian_of_an_interaction_refuses_what_the_dense_call_refuses():
     inter = _even_terms_summing_to_a_non_hermitian_h()
-    assert len(spectral._assembled(inter, None, top=True)[2]) == 2  # top rows
+    assert len(spectral._assembled(inter, top=True)) == 2  # top rows
     for h in (inter, build_hamiltonian(inter).matrix):
         with pytest.raises(ValueError, match="Hermitian"):
             eig_hermitian(h)
     with pytest.raises(ValueError, match="cap"):
         eig_hermitian(tfim(13)[1])
-    with pytest.raises(ValueError, match="window"):
-        eig_hermitian(np.eye(4), window=[0, 1])
 
 
-@pytest.mark.parametrize("window", [None, (1, 2, 3), (0, 2)])
-def test_eig_hermitian_of_an_interaction_on_a_window(window):
-    # the terms inside the window, solved as build_hamiltonian's H is
-    inter = random_bond_ising(chain_lattice(5), seed=2)
-    dec = eig_hermitian(inter, window)
-    ref = eig_hermitian(build_hamiltonian(inter, window).matrix)
+def test_eig_hermitian_checks_a_whole_reversal_even_h_in_its_top_rows(
+        monkeypatch):
+    # a reversal-even H given whole takes the route of one assembled in its
+    # top rows: the Hermiticity check reads H_TL and H_TR J, each D/2 x D/2,
+    # and never the D x D matrix
+    h = build_hamiltonian(random_bond_ising(chain_lattice(10), seed=1)).matrix
+    shapes, real = [], spectral._is_hermitian
+
+    def spy(*blocks):
+        shapes.append([b.shape for b in blocks])
+        return real(*blocks)
+
+    monkeypatch.setattr(spectral, "_is_hermitian", spy)
+    dec = eig_hermitian(h)
+    assert shapes == [[(512, 512), (512, 512)]]
     assert dec.sector is not None
-    for got, want in ((dec.eigenvalues, ref.eigenvalues),
-                      (dec.sector, ref.sector), (dec._vectors, ref._vectors)):
-        assert np.array_equal(got, want)
 
 
 def test_eig_hermitian_of_an_interaction_allocates_no_square_array():
@@ -412,9 +417,9 @@ def test_sector_routes_never_form_the_dense_eigenvectors(monkeypatch):
     assert ctx.decomposition._vectors.shape == (2, 64, 64)
     for a, b in ((0, 6), (6, 0)):
         lr_commutator_scan(ising, single_site(a, "Z"), single_site(b, "Z"),
-                           [0.0, 0.5, 1.0], mu=1.0, context=ctx)
+                           [0.0, 0.5, 1.0], mu=1.0)
     scan = locality_scan(ising, single_site(3, "Z"), [1.0, 2.0], [0.5],
-                         mu=1.0, context=ctx)
+                         mu=1.0)
     assert scan.norm_route == "flip_odd"
     state = gibbs_state(build_hamiltonian(heisenberg_xxz(lat, 1.0, 0.5)).matrix,
                         0.7)
@@ -457,7 +462,7 @@ def test_lr_scan_of_an_operator_without_a_parity_reads_the_eigenvectors_once(
     b = single_site(4, "Z")
     times = [0.0, 0.5, 1.5]
     reads = _spy_on_eigenvectors(monkeypatch)
-    scan = lr_commutator_scan(inter, a, b, times, mu=1.0, context=ctx)
+    scan = lr_commutator_scan(inter, a, b, times, mu=1.0)
     assert reads == [64]
     monkeypatch.undo()
     e, v = np.linalg.eigh(build_hamiltonian(inter).matrix)
@@ -538,7 +543,8 @@ def test_embedded_operator_has_its_local_matrix_parity(local_dim, ops, n):
     # J is the product of the per-site reversals, so J (I x A x I) J =
     # I x J_s A J_s x I: the parity read from the local matrix is the
     # window matrix's, which theorem_check and both scans rely on
-    lat = chain_lattice(n, local_dim=local_dim)
+    chain = chain_lattice(n)
+    lat = Lattice(chain.sites, chain.distances, (local_dim,) * n)
     parities = set()
     for name, op in ops.items():
         local = _reversal_parity(op)
@@ -575,15 +581,6 @@ def test_build_hamiltonian_matches_hand_built():
                        + np.kron(np.kron(PAULI_I, PAULI_X), PAULI_I)
                        + np.kron(np.kron(PAULI_I, PAULI_I), PAULI_X)))
     assert np.abs(build_hamiltonian(inter).matrix - manual).max() < 1e-14
-
-
-def test_build_hamiltonian_window_keeps_inside_terms_only():
-    lat, inter = tfim(4)
-    ham = build_hamiltonian(inter, window=[0, 1])
-    manual = (-np.kron(PAULI_Z, PAULI_Z) - np.kron(PAULI_X, PAULI_I)
-              - np.kron(PAULI_I, PAULI_X))
-    assert np.abs(ham.matrix - manual).max() < 1e-14
-    assert ham.window == (0, 1)
 
 
 def test_build_hamiltonian_enforces_dimension_cap():
@@ -639,8 +636,8 @@ def test_derivation_embeds_a_local_operator_on_the_whole_lattice():
 
 
 def test_derivation_rejects_mismatched_hamiltonian_window():
+    # H lives on the whole lattice, A built by hand on sites 0 and 1
     lat, inter = tfim(4)
-    a = embed(single_site(0, "Z"), lat, window=[0, 1])
-    ham_full = build_hamiltonian(inter)
-    with pytest.raises(ValueError, match="window"):
-        derivation_delta(a, inter, hamiltonian=ham_full)
+    a = EmbeddedOperator((0, 1), (0,), np.kron(PAULI_Z, PAULI_I))
+    with pytest.raises(ValueError, match="different windows"):
+        derivation_delta(a, inter)

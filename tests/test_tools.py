@@ -1,4 +1,5 @@
 """The repository's own tools, run as a reader would run them."""
+import hashlib
 import importlib.util
 import pathlib
 import subprocess
@@ -136,6 +137,22 @@ def test_traffic_runs_each_workload_config_once_per_seed(monkeypatch, capsys):
     assert len(lines) == 12
     assert lines[7] == "seed 20 lightcone lr_scan: exit 1"
     assert sum(line.endswith("exit 0") for line in lines) == 11
+
+
+def test_traffic_prints_the_digest_of_each_output(monkeypatch, capsys):
+    # the stub writes one run's files; record.json gives its verdict alone
+    def run(argv):
+        out = pathlib.Path(argv[3]) / "abc"
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "t.csv").write_bytes(b"x\n1\n")
+        (out / "record.json").write_text('{"passed": true, "elapsed": 1}')
+        return 0
+
+    monkeypatch.setattr(cli, "main", run)
+    assert _load_tool("traffic").main(["0"]) == 0
+    digest = hashlib.sha256(b"x\n1\n").hexdigest()[:16]
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "abc/record.json passed True", f"abc/t.csv {digest}"]
 
 
 def test_traffic_defaults_to_every_variant(monkeypatch, capsys):

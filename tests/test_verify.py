@@ -419,24 +419,11 @@ def test_theorem_check_refuses_two_distances_with_one_partner():
         theorem_check(inter, 0.5, 1.0, [1.0, 1.0 + 1e-12, 2.0])
 
 
-def test_theorem_check_accepts_prebuilt_state_and_base_site():
-    lat = chain_lattice(5)
-    inter = transverse_field_ising(lat, h=1.5)
-    st = gibbs_state(build_hamiltonian(inter).matrix, 0.7)
-    r1 = theorem_check(inter, 0.7, 1.0, [1, 2, 3], base_site=1, state=st)
-    r2 = theorem_check(inter, 0.7, 1.0, [1, 2, 3], base_site=1)
-    assert r1.base_site == 1
-    assert r1.rows[0].site == 0  # first site at distance 1 in lattice order
-    assert abs(r1.rows[-1].canonical - r2.rows[-1].canonical) < 1e-13
-
-
-def test_theorem_check_refuses_state_at_another_beta():
-    # before, the state's beta was used and the argument's reported
-    lat = chain_lattice(6)
-    inter = transverse_field_ising(lat)
-    st = gibbs_state(build_hamiltonian(inter).matrix, 2.0)
-    with pytest.raises(ValueError, match="beta"):
-        theorem_check(inter, 0.5, 1.0, [1, 2, 3], state=st)
+def test_theorem_check_takes_a_base_site():
+    inter = transverse_field_ising(chain_lattice(5), h=1.5)
+    res = theorem_check(inter, 0.7, 1.0, [1, 2, 3], base_site=1)
+    assert res.base_site == 1
+    assert res.rows[0].site == 0  # first site at distance 1 in lattice order
 
 
 # TFIM has the reversal symmetry, so Z is contracted in its (+, -) block;
@@ -593,12 +580,12 @@ def test_flip_symmetric_theorem_check_makes_no_full_size_product(monkeypatch,
         kernels.append(kern.shape)
         return kern
 
+    plain = theorem_check(inter, 0.5, 1.0, [1, 2, 3, 4, 5, 6, 7], op_name=op)
+    monkeypatch.setattr(verify, "gibbs_state",
+                        lambda _, beta: gibbs_state(spied, beta))
     monkeypatch.setattr(thermal, "_duhamel_kernel", kernel)
     monkeypatch.setattr(_ProductSpy, "shapes", [])
-    res = theorem_check(inter, 0.5, 1.0, [1, 2, 3, 4, 5, 6, 7], op_name=op,
-                        state=gibbs_state(spied, 0.5))
-    plain = theorem_check(inter, 0.5, 1.0, [1, 2, 3, 4, 5, 6, 7], op_name=op,
-                          state=gibbs_state(dec, 0.5))
+    res = theorem_check(inter, 0.5, 1.0, [1, 2, 3, 4, 5, 6, 7], op_name=op)
     assert [r.canonical for r in res.rows] == [r.canonical for r in plain.rows]
     # left factor and contracted axis at most D/2; a complex right factor
     # may be read through its interleaved real view, twice as wide
@@ -631,13 +618,6 @@ def test_theorem_check_refuses_beta_not_finite_and_positive(monkeypatch,
     assert calls == []
 
 
-def test_theorem_check_refuses_a_state_on_a_sub_window():
-    inter = transverse_field_ising(chain_lattice(4))
-    st = gibbs_state(build_hamiltonian(inter, [0, 1, 2]).matrix, 0.5)
-    with pytest.raises(ValueError, match="full lattice window"):
-        theorem_check(inter, 0.5, 1.0, [1, 2, 3], state=st)
-
-
 @pytest.mark.parametrize("op", ["I", pytest.param(-2.0 * np.eye(2), id="-2I")])
 def test_theorem_check_refuses_a_multiple_of_the_identity(monkeypatch, op):
     # every connected correlator of cI vanishes: op_name="I" used to pass
@@ -666,10 +646,10 @@ def _check_per_pair(inter, lattice, base, distances, op, beta):
         with pytest.raises(ValueError,
                            match="^beta must be finite and positive"):
             theorem_check(inter, beta, 1.0, distances, base_site=base,
-                          op_name=op, state=st)
+                          op_name=op)
         return st
     res = theorem_check(inter, beta, 1.0, distances, base_site=base,
-                        op_name=op, state=st)
+                        op_name=op)
     # the reference reads A and B with the dense V, not through the block
     # reader theorem_check's contraction runs on
     v = st.decomposition.eigenvectors
