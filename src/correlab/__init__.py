@@ -3,7 +3,7 @@
 Certified short-range interactions, finite-volume Gibbs states, thermal
 correlation functions with their KMS analytic structure, Lieb-Robinson
 commutator scans, local approximants, and a contour-decomposition
-verification pipeline, all on windows small enough to diagonalize exactly.
+verification pipeline, all on lattices small enough to diagonalize exactly.
 """
 
 __version__ = "0.1.0"

@@ -1,13 +1,15 @@
 """Command-line driver for YAML-configured experiment runs.
 
-    correlab run config.yaml [--outdir DIR] [--workers N]
+    correlab run config.yaml [--outdir DIR] [--workers 1]
     correlab validate config.yaml
 
 Every run is keyed by a hash of its validated configuration and lands in
 <outdir>/<hash>/ as record.json, one or two CSV files, and a gnuplot
 script.  Numeric CSV cells are written with repr(), so two runs of the
 same configuration produce byte-identical CSV payloads.  The process exit
-code is 0 exactly when the task's own invariants held.
+code is 0 exactly when the task's own invariants held.  Every run is
+serial, in one thread: --workers takes only 1, and is kept for the command
+lines that pass it.
 
 The output directory defaults to $CORRELAB_OUTDIR, then ./correlab_runs.
 """
@@ -22,7 +24,6 @@ import os
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -39,8 +40,8 @@ from .thermal import _UnconvergedQuadrature, canonical_correlator, \
     gibbs_state, kms_function, ordinary_correlator
 from .dynamics import _locality_envelopes, _lr_envelopes, locality_scan, \
     lr_commutator_scan
-from .verify import _check_contour, _partners, contour_decomposition, \
-    contour_grid, residue_identity, theorem_check
+from .verify import _check_contour, _check_top_edge, _partners, \
+    contour_decomposition, contour_grid, residue_identity, theorem_check
 
 _DEFAULT_OUTDIR = "correlab_runs"
 
@@ -291,6 +292,8 @@ def _validate_residue_identity(data: dict) -> _Validated:
                       "height_fractions")
     if any(not 0.0 <= f <= 1.0 for f in fracs):
         raise ConfigError("height_fractions must lie in [0, 1]")
+    for beta in betas:
+        _checked(_check_top_edge, beta, [f * beta for f in fracs])
     hw = _positive(data.get("half_width", 10.0), "half_width")
     tol = _positive(data.get("tolerance", 1e-8), "tolerance")
     canon = {"task": "residue_identity", "beta": betas,
@@ -432,37 +435,27 @@ def _write_csv(path: Path, rows: List[dict]) -> None:
         wr.writerows(c.values() for c in cells)
 
 
-def _parallel(fn, jobs, workers: int) -> list:
-    if workers <= 1 or len(jobs) <= 1:
-        return [fn(j) for j in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, jobs))
-
-
 # ---------------------------------------------------------------------------
 # Task runners: each takes the run inputs its validator built
 # ---------------------------------------------------------------------------
 
-def _run_residue_identity(cfg: dict, workers: int) -> _Outcome:
+def _run_residue_identity(cfg: dict) -> _Outcome:
     jobs = [(b, f) for b in cfg["beta"] for f in cfg["height_fractions"]]
-
-    def one(job):
-        beta, frac = job
-        return residue_identity(beta, frac * beta,
-                                half_width=cfg["half_width"])
-
-    results = _parallel(one, jobs, workers)
+    results = [residue_identity(b, f * b, half_width=cfg["half_width"])
+               for b, f in jobs]
     rows = [{"beta": beta, "fraction": frac, **_fields(
         res, "height", "value", "defect", "nodes", "tail_bound",
         "endpoint_corrected")} for (beta, frac), res in zip(jobs, results)]
-    max_defect = max(r.defect for r in results)
-    passed = max_defect <= cfg["tolerance"]
-    return passed, {"max_defect": max_defect, "tolerance": cfg["tolerance"],
+    defects = [r.defect for r in results]
+    # a NaN defect fails the run and is the summary's maximum
+    passed = all(d <= cfg["tolerance"] for d in defects)
+    return passed, {"max_defect": float(np.max(defects)),
+                    "tolerance": cfg["tolerance"],
                     "unconverged": sum(not r.converged for r in results)}, {
         "residue_identity.csv": rows}
 
 
-def _run_correlators(cfg: dict, workers: int) -> _Outcome:
+def _run_correlators(cfg: dict) -> _Outcome:
     inter, ts = cfg["model"], cfg["times"]
     dec = eig_hermitian(inter)
     # the pair's blocks do not depend on beta: they are read once
@@ -486,7 +479,7 @@ def _run_correlators(cfg: dict, workers: int) -> _Outcome:
     # the quadrature route warns, once per beta, when it stops unconverged
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", _UnconvergedQuadrature)
-        results = _parallel(one, cfg["beta"], workers)
+        results = [one(beta) for beta in cfg["beta"]]
     unconverged = 0
     for w in caught:
         if issubclass(w.category, _UnconvergedQuadrature):
@@ -501,14 +494,14 @@ def _run_correlators(cfg: dict, workers: int) -> _Outcome:
         row["route_gap"] <= tol * (1 + abs(row["canonical_closed"]))
         and row["kms_gap"] <= tol * (1 + np.abs(grid["f_boundary"]).max())
         for grid, row in results)
-    summary = {"max_route_gap": max(r["route_gap"] for r in sum_rows),
-               "max_kms_gap": max(r["kms_gap"] for r in sum_rows),
-               "quadrature_unconverged": unconverged, "tolerance": tol}
+    summary = {f"max_{k}": float(np.max([r[k] for r in sum_rows]))
+               for k in ("route_gap", "kms_gap")}
+    summary.update(quadrature_unconverged=unconverged, tolerance=tol)
     return passed, summary, {"correlators.csv": grid_rows,
                              "correlators_summary.csv": sum_rows}
 
 
-def _run_contour(cfg: dict, workers: int) -> _Outcome:
+def _run_contour(cfg: dict) -> _Outcome:
     inter = cfg["model"]
     st = gibbs_state(inter, cfg["beta"])
     a, b = (embed(cfg[k], inter.lattice) for k in ("a", "b"))
@@ -516,18 +509,17 @@ def _run_contour(cfg: dict, workers: int) -> _Outcome:
     grid = contour_grid(st, a, b, nodes=cfg["nodes"],
                         half_width=cfg.get("half_width"))
 
-    results = _parallel(lambda h: contour_decomposition(grid, h),
-                        cfg["heights"], workers)
+    results = [contour_decomposition(grid, h) for h in cfg["heights"]]
     rels = [dec.defect / (1 + abs(dec.direct)) for dec in results]
     rows = [_fields(dec, "height", "effective_height", "offset", "subtracted",
                     "nodes", "term_commutator", "term_bottom", "term_top",
                     "reconstruction", "direct", "defect") for dec in results]
     passed = all(rel <= tol for rel in rels)
-    return passed, {"max_relative_defect": max(rels), "tolerance": tol}, {
-        "contour.csv": rows}
+    return passed, {"max_relative_defect": float(np.max(rels)),
+                    "tolerance": tol}, {"contour.csv": rows}
 
 
-def _run_lr_scan(cfg: dict, workers: int) -> _Outcome:
+def _run_lr_scan(cfg: dict) -> _Outcome:
     scan = lr_commutator_scan(cfg["model"], cfg["a"], cfg["b"], cfg["times"],
                               cfg["mu"], velocity=cfg.get("velocity"))
     # the bound column is fitted over the rows above the round-off floor,
@@ -543,7 +535,7 @@ def _run_lr_scan(cfg: dict, workers: int) -> _Outcome:
     return scan.passed, summary, {"lr_scan.csv": rows}
 
 
-def _run_locality_scan(cfg: dict, workers: int) -> _Outcome:
+def _run_locality_scan(cfg: dict) -> _Outcome:
     scan = locality_scan(cfg["model"], cfg["a"], cfg["radii"], cfg["times"],
                          cfg["mu"], velocity=cfg.get("velocity"),
                          exponent_multiplier=cfg["exponent_multiplier"])
@@ -558,7 +550,7 @@ def _run_locality_scan(cfg: dict, workers: int) -> _Outcome:
     return scan.passed, summary, {"locality_scan.csv": rows}
 
 
-def _run_theorem_check(cfg: dict, workers: int) -> _Outcome:
+def _run_theorem_check(cfg: dict) -> _Outcome:
     res = theorem_check(cfg["model"], cfg["beta"], cfg["mu"],
                         cfg["distances"], base_site=cfg["base_site"],
                         op_name=cfg["op"])
@@ -581,7 +573,7 @@ _PLOT_HEAD = ('set datafile separator ","\n'
               'set grid\n')
 
 _TASKS: Dict[str, Tuple[Callable[[dict], _Validated],
-                        Callable[[dict, int], _Outcome], str]] = {
+                        Callable[[dict], _Outcome], str]] = {
     "lr_scan": (_validate_lr_scan, _run_lr_scan, _PLOT_HEAD + (
         'set logscale y\nset xlabel "t"\nset ylabel "norm"\n'
         'plot "lr_scan.csv" using 1:3 with linespoints title "commutator", \\\n'
@@ -627,7 +619,7 @@ def _cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _, runner, plot = _TASKS[task]
     t0 = time.perf_counter()
-    passed, summary, tables = runner(inputs, args.workers)
+    passed, summary, tables = runner(inputs)
     for name, rows in tables.items():
         _write_csv(out / name, rows)
     elapsed = time.perf_counter() - t0
@@ -672,8 +664,9 @@ def main(argv=None) -> int:
     p_run.add_argument("--outdir", default=None,
                        help="output root (default: $CORRELAB_OUTDIR or "
                             f"./{_DEFAULT_OUTDIR})")
-    p_run.add_argument("--workers", type=int, default=1,
-                       help="threads for independent grid points")
+    p_run.add_argument("--workers", type=int, default=1, choices=(1,),
+                       help="kept for old command lines: every run is "
+                            "serial")
 
     p_val = sub.add_parser("validate", help="validate a configuration file")
     p_val.add_argument("config", help="path to the YAML configuration")

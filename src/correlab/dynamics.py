@@ -34,7 +34,8 @@ import numpy as np
 from .lattice import (Interaction, Lattice, _finite_positive,
                       _hermitian_part, _is_hermitian, ball, certify_locality)
 from .operators import (EmbeddedOperator, _check_measured, _hermitian_norm,
-                        conditional_expectation, embed, spectral_norm)
+                        _on_window, conditional_expectation, embed,
+                        spectral_norm)
 from .spectral import (SpectralDecomposition, _block_matrix, _block_parity,
                        _matmul, _mirrored_levels, _read_blocks, _sandwich,
                        _sector_blocks, eig_hermitian)
@@ -60,13 +61,13 @@ def evolution_context(interaction: Interaction) -> EvolutionContext:
     return EvolutionContext(interaction.lattice, eig_hermitian(interaction))
 
 
-def _on_window(context: EvolutionContext, op) -> EmbeddedOperator:
+def _on_lattice(context: EvolutionContext, op) -> EmbeddedOperator:
     """op as an operator on the context's lattice: a local operator is
-    embedded there, an embedded one must already live there."""
+    embedded there, an embedded one must be of the lattice's dimension
+    (operators._on_window)."""
     if not isinstance(op, EmbeddedOperator):
         return embed(op, context.lattice)
-    if tuple(op.window) != context.lattice.sites:
-        raise ValueError("operator window does not match the context window")
+    _on_window(op.matrix, context.decomposition.dim)
     return op
 
 
@@ -115,10 +116,10 @@ def evolve(context: EvolutionContext, op, time) -> EmbeddedOperator:
     if abs(z.imag) * max(abs(lo), abs(hi), hi - lo) > _EXP_CAP:
         raise FloatingPointError("imaginary time too large for this spectrum")
     parity = _block_parity(dec, op.matrix)
-    blocks = _evolution(*_read_blocks(dec, _on_window(context, op).matrix,
+    blocks = _evolution(*_read_blocks(dec, _on_lattice(context, op).matrix,
                                       parity, hermitian=False))(z)
-    sites = context.lattice.sites
-    return EmbeddedOperator(sites, sites, _block_matrix(blocks, parity))
+    return EmbeddedOperator(context.lattice.sites,
+                            _block_matrix(blocks, parity))
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +308,8 @@ def lr_commutator_scan(interaction: Interaction, a, b,
                                                       times, mu, velocity)
     context = evolution_context(interaction)
 
-    aemb = _on_window(context, a)
-    bemb = _on_window(context, b)
+    aemb = _on_lattice(context, a)
+    bemb = _on_lattice(context, b)
 
     # embedding keeps the answer, so the local matrices are checked
     hermitian = _is_hermitian(a.matrix) and _is_hermitian(b.matrix)
@@ -432,7 +433,7 @@ def locality_scan(interaction: Interaction, a, radii: Sequence[float],
     context = evolution_context(interaction)
     lat = context.lattice
 
-    aemb = _on_window(context, a)
+    aemb = _on_lattice(context, a)
     regions = [ball(lat, a.support, r) for r in radii]
     hermitian = _is_hermitian(a.matrix)
     dec = context.decomposition
@@ -447,7 +448,7 @@ def locality_scan(interaction: Interaction, a, radii: Sequence[float],
     for t, envs in zip(times, envelopes):
         t = float(t)
         blocks = evolved(t)
-        tau = EmbeddedOperator(lat.sites, lat.sites,
+        tau = EmbeddedOperator(lat.sites,
                                _block_matrix(blocks, parity, out=buf))
         for r, region, env in zip(radii, regions, envs):
             approx = conditional_expectation(tau, region, lat).matrix

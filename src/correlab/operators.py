@@ -1,7 +1,7 @@
-"""Operators on finite lattice windows.
+"""Operators on a finite lattice.
 
 A LocalOperator is a matrix on the tensor factors of its support; embedding
-tensors it with the identity on the rest of a lattice window.  The tensor
+tensors it with the identity on the rest of the lattice.  The tensor
 convention is fixed throughout: factors follow the lattice site order, first
 site slowest-varying.  The conditional expectation onto a region is the exact
 average over independent Haar unitaries on the complement sites, which equals
@@ -58,9 +58,10 @@ class LocalOperator:
 
 @dataclass(frozen=True)
 class EmbeddedOperator:
-    """Operator on a full lattice window, with its originating support kept."""
+    """Matrix on a whole lattice, with the support it came from kept.  The
+    lattice is not held: an operator acts on a lattice when its dimension
+    is the lattice's."""
 
-    window: Tuple[Site, ...]
     support: Tuple[Site, ...]
     matrix: np.ndarray
 
@@ -69,12 +70,21 @@ class EmbeddedOperator:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("operator matrix must be square")
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "window", tuple(self.window))
         object.__setattr__(self, "support", tuple(self.support))
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def _on_window(m: np.ndarray, dim: int) -> np.ndarray:
+    """m itself, refused unless it is dim x dim: an operator acts on a
+    lattice of dimension dim when its matrix is that size."""
+    if m.shape != (dim, dim):
+        raise ValueError(f"operator of shape {m.shape} does not act on the "
+                         f"lattice, of shape {(dim, dim)}; embed the operator "
+                         "on the lattice first")
+    return m
 
 
 def single_site(site: Site, matrix_or_name) -> LocalOperator:
@@ -87,13 +97,9 @@ def single_site(site: Site, matrix_or_name) -> LocalOperator:
 # embedding
 # ---------------------------------------------------------------------------
 
-def _window_dims(lattice: Lattice, win: Sequence[Site]) -> Tuple[int, ...]:
-    return tuple(lattice.local_dims[lattice.index(s)] for s in win)
-
-
 def _offsets(positions: Sequence[int], dims: Sequence[int],
              strides: Sequence[int]) -> np.ndarray:
-    """Window basis offsets of the factors at positions, first slowest."""
+    """Lattice basis offsets of the factors at positions, first slowest."""
     off = np.zeros(1, dtype=np.intp)
     for p in positions:
         off = (off[:, None] + strides[p] * np.arange(dims[p])).ravel()
@@ -101,8 +107,8 @@ def _offsets(positions: Sequence[int], dims: Sequence[int],
 
 
 def _embedding_index(dims: Sequence[int], sup: Sequence[int]) -> np.ndarray:
-    """idx[r, c] = o_r + c: o_r the window offset of support basis state r
-    (factors at window positions sup, in that order) and c running over
+    """idx[r, c] = o_r + c: o_r the lattice offset of support basis state r
+    (factors at lattice positions sup, in that order) and c running over
     the offsets of the complement basis states.  An embedding puts entry
     (r, s) of its matrix at (idx[r, c], idx[s, c]) for every c."""
     comp = [i for i in range(len(dims)) if i not in set(sup)]
@@ -111,24 +117,23 @@ def _embedding_index(dims: Sequence[int], sup: Sequence[int]) -> np.ndarray:
 
 
 def _add_embedded(out: np.ndarray, matrix: np.ndarray,
-                  factor_sites: Sequence[Site], lattice: Lattice,
-                  win: Tuple[Site, ...]) -> None:
+                  factor_sites: Sequence[Site], lattice: Lattice) -> None:
     """Add into out the embedding of a matrix whose tensor factors follow
     factor_sites (its own order): identity on the complement, canonical
-    window order.
+    lattice order.
 
     out is the D x D embedding or its top rows, any number of them: only
     the entries that fall in out's rows are added.  Of those, only the ones
     that can be nonzero are touched, d*D for the whole matrix, d being the
-    support dimension and D the window dimension: entry (r, s) of the
-    matrix lands at (o_r + c, o_s + c), o being the window offsets of the
+    support dimension and D the lattice dimension: entry (r, s) of the
+    matrix lands at (o_r + c, o_s + c), o being the lattice offsets of the
     support basis states and c running over those of the complement.
     """
-    dims = _window_dims(lattice, win)
-    sup = [win.index(s) for s in factor_sites]
-    if len(sup) == len(win):
-        # the whole window: permute the tensor factors, no index arrays (a
-        # copy of the matrix when its factor order is not the window's)
+    dims = lattice.local_dims
+    sup = [lattice.index(s) for s in factor_sites]
+    if len(sup) == len(dims):
+        # the whole lattice: permute the tensor factors, no index arrays (a
+        # copy of the matrix when its factor order is not the lattice's)
         order = list(np.argsort(sup))
         k = len(sup)
         tensor = matrix.reshape([dims[p] for p in sup] * 2).transpose(
@@ -142,35 +147,33 @@ def _add_embedded(out: np.ndarray, matrix: np.ndarray,
 
 
 def _embedded_trace(m: np.ndarray, matrix: np.ndarray,
-                    factor_sites: Sequence[Site], lattice: Lattice,
-                    win: Tuple[Site, ...]):
+                    factor_sites: Sequence[Site], lattice: Lattice):
     """tr(m E), E being the embedding of matrix that _add_embedded adds.
 
     Only the d*D entries of m that E meets are read, (o_s + c, o_r + c)
     against entry (r, s) of the matrix, and E is never built.  A 1-D m
     stands for diag(m); then only the D diagonal entries of E are read.
     """
-    idx = _embedding_index(_window_dims(lattice, win),
-                           [win.index(s) for s in factor_sites])
+    idx = _embedding_index(lattice.local_dims,
+                           [lattice.index(s) for s in factor_sites])
     if m.ndim == 1:
         return np.dot(np.diagonal(matrix), m[idx].sum(axis=1))
     return np.sum(matrix[:, :, None] * m[idx[None], idx[:, None]])
 
 
 def _embed_ordered(matrix: np.ndarray, factor_sites: Sequence[Site],
-                   lattice: Lattice, win: Tuple[Site, ...],
-                   rows: Optional[int] = None) -> np.ndarray:
-    """Embedding of matrix (factors in factor_sites order) into the window,
-    in the matrix's own dtype: its top rows when their number is given,
-    the whole D x D matrix otherwise (_add_embedded)."""
-    dim = lattice.window_dim(win)
+                   lattice: Lattice, rows: Optional[int] = None) -> np.ndarray:
+    """Embedding of matrix (factors in factor_sites order) into the
+    lattice, in the matrix's own dtype: its top rows when their number is
+    given, the whole D x D matrix otherwise (_add_embedded)."""
+    dim = lattice.window_dim(lattice.sites)
     out = np.zeros((dim if rows is None else rows, dim), dtype=matrix.dtype)
-    _add_embedded(out, matrix, factor_sites, lattice, win)
+    _add_embedded(out, matrix, factor_sites, lattice)
     return out
 
 
 def embed(op: LocalOperator, lattice: Lattice) -> EmbeddedOperator:
-    """Tensor op with the identity on the rest of the lattice, its window.
+    """Tensor op with the identity on the rest of the lattice.
 
     The embedding is an isometric algebra homomorphism: norms, products,
     and commutators are preserved.
@@ -180,8 +183,8 @@ def embed(op: LocalOperator, lattice: Lattice) -> EmbeddedOperator:
         raise ValueError(f"support sites {sorted(map(repr, missing))} outside the lattice")
     if op.dim != lattice.window_dim(op.support):
         raise ValueError("operator dimension does not match its support dims")
-    full = _embed_ordered(op.matrix, op.support, lattice, lattice.sites)
-    return EmbeddedOperator(lattice.sites, lattice.sort_sites(op.support), full)
+    full = _embed_ordered(op.matrix, op.support, lattice)
+    return EmbeddedOperator(lattice.sort_sites(op.support), full)
 
 
 # ---------------------------------------------------------------------------
@@ -217,19 +220,14 @@ def _hermitian_norm(m: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(m)).max())
 
 
-def _join(a: EmbeddedOperator, b: EmbeddedOperator) -> Tuple[Tuple[Site, ...], Tuple[Site, ...]]:
-    if a.window != b.window:
-        raise ValueError("operators live on different windows")
-    if a.dim != b.dim:
-        raise ValueError("operator dimensions differ")
-    sup = tuple(s for s in a.window if s in set(a.support) | set(b.support))
-    return a.window, sup
-
-
 def commutator(a: EmbeddedOperator, b: EmbeddedOperator) -> EmbeddedOperator:
-    """[A, B] on a common window."""
-    window, sup = _join(a, b)
-    return EmbeddedOperator(window, sup, a.matrix @ b.matrix - b.matrix @ a.matrix)
+    """[A, B] on a common lattice, refused unless the dimensions agree; its
+    support is the sorted union of the two, the lattice order on chains
+    and grids."""
+    if a.dim != b.dim:
+        raise ValueError(f"operator dimensions differ: {a.dim} and {b.dim}")
+    return EmbeddedOperator(_sorted_support(set(a.support) | set(b.support)),
+                            a.matrix @ b.matrix - b.matrix @ a.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -268,19 +266,14 @@ def conditional_expectation(op: EmbeddedOperator, region: Iterable[Site],
 
     Equals (Tr_{complement} op / dim(complement)) tensored back with the
     identity.  It is a unital, norm-contracting projection whose image
-    commutes with everything supported on the complement.
+    commutes with everything supported on the complement.  An op that does
+    not act on the lattice is refused by its shape (partial_trace).
     """
-    win = op.window
     reg = lattice.sort_sites(region)
-    if set(reg) - set(win):
-        raise ValueError("region must lie inside the operator's window")
-    dims = _window_dims(lattice, win)
-    pos_of = {s: i for i, s in enumerate(win)}
-    keep = [pos_of[s] for s in reg]
-    comp_dim = lattice.window_dim(win) // lattice.window_dim(reg)
-    reduced = partial_trace(op.matrix, dims, keep) / comp_dim
-    full = _embed_ordered(reduced, reg, lattice, win)
-    return EmbeddedOperator(win, reg, full)
+    keep = [lattice.index(s) for s in reg]
+    comp_dim = lattice.window_dim(lattice.sites) // lattice.window_dim(reg)
+    reduced = partial_trace(op.matrix, lattice.local_dims, keep) / comp_dim
+    return EmbeddedOperator(reg, _embed_ordered(reduced, reg, lattice))
 
 
 def haar_unitaries(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
@@ -296,20 +289,18 @@ def sampled_twirl(op: EmbeddedOperator, region: Iterable[Site], lattice: Lattice
     """Monte-Carlo estimate of conditional_expectation.
 
     Averages U op U* over `samples` draws of independent Haar unitaries on
-    each complement site.  The estimator error decays like 1/sqrt(samples);
-    identical seeds give identical results.
+    each complement site; op must act on the lattice (_on_window).  The
+    estimator error decays like 1/sqrt(samples); identical seeds give
+    identical results.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    win = op.window
+    win, dims, dim = lattice.sites, lattice.local_dims, op.dim
+    _on_window(op.matrix, lattice.window_dim(win))
     reg = lattice.sort_sites(region)
-    if set(reg) - set(win):
-        raise ValueError("region must lie inside the operator's window")
     if not set(win) - set(reg):
-        return EmbeddedOperator(win, op.support, op.matrix.copy())
+        return EmbeddedOperator(op.support, op.matrix.copy())
     rng = np.random.default_rng(seed)
-    dims = _window_dims(lattice, win)
-    dim = op.dim
     acc = np.zeros((dim, dim), dtype=complex)
     chunk = max(1, (1 << 22) // max(1, dim * dim))
     left = samples
@@ -326,5 +317,5 @@ def sampled_twirl(op: EmbeddedOperator, region: Iterable[Site], lattice: Lattice
             full = np.einsum("nij,nkl->nikjl", full, u).reshape(m, d1 * d2, d1 * d2)
         acc += np.einsum("nij,jk,nlk->il", full, op.matrix, full.conj())
         left -= m
-    return EmbeddedOperator(win, win, acc / samples)
+    return EmbeddedOperator(win, acc / samples)
 

@@ -61,9 +61,9 @@ import numpy as np
 
 from .lattice import Interaction, _as_matrix, _is_hermitian
 from .operators import (EmbeddedOperator, LocalOperator, _add_embedded,
-                        commutator, embed)
+                        _on_window, commutator, embed)
 
-DIM_CAP = 4096  # largest window dimension we agree to diagonalize (2^12)
+DIM_CAP = 4096  # largest lattice dimension we agree to diagonalize (2^12)
 _MIRROR_BLOCK = 1 << 14  # entries per row block of the reversal passes
 
 
@@ -129,15 +129,6 @@ def _sector_places(dec: SpectralDecomposition) -> np.ndarray:
     first, each sector in ascending order."""
     plus = dec.sector > 0
     return np.where(plus, np.cumsum(plus), dec.dim // 2 + np.cumsum(~plus)) - 1
-
-
-def _on_window(m: np.ndarray, dim: int) -> np.ndarray:
-    """m itself, refused unless it is dim x dim."""
-    if m.shape != (dim, dim):
-        raise ValueError(f"operator of shape {m.shape} does not act on the "
-                         f"window, of shape {(dim, dim)}; embed the operator "
-                         "on the window first")
-    return m
 
 
 def _matmul(left: np.ndarray, c: np.ndarray,
@@ -249,7 +240,7 @@ def _assembled(interaction: Interaction, top: bool) -> np.ndarray:
     h = np.zeros((dim // 2 if even else dim, dim),
                  dtype=np.result_type(float, *{m.dtype for m in terms.values()}))
     for sup, m in terms.items():
-        _add_embedded(h, m, sup, lat, lat.sites)
+        _add_embedded(h, m, sup, lat)
     return h
 
 
@@ -373,7 +364,7 @@ def _energy_blocks(bases: list, m: np.ndarray, parity: int) -> dict:
 
 
 def _read_pair(dec: SpectralDecomposition, a: np.ndarray, b: np.ndarray):
-    """(parity, pairs, diagonals): the pair (a, b) of window matrices read
+    """(parity, pairs, diagonals): the pair (a, b) of lattice matrices read
     once in its block form (module docstring), each in the blocks of its
     own parity (_energy_blocks), or both whole in one V.  parity is the one
     the columns split by (_sector_columns), pairs holds (l, r, a_lr, b_rl)
@@ -459,13 +450,12 @@ def build_hamiltonian(interaction: Interaction) -> EmbeddedOperator:
     lat = interaction.lattice
     sup_sites = tuple(s for s in lat.sites
                       if any(s in sup for sup in interaction.terms))
-    return EmbeddedOperator(lat.sites, sup_sites,
-                            _assembled(interaction, top=False))
+    return EmbeddedOperator(sup_sites, _assembled(interaction, top=False))
 
 
 def derivation_delta(a, interaction: Interaction) -> EmbeddedOperator:
     """Generator commutator delta(A) = sum over terms [Phi(Z), A] = [H, A],
-    on the whole lattice; an embedded A on another window is refused
+    on the whole lattice; an embedded A of another dimension is refused
     (operators.commutator).
 
     No factor of i here: the Heisenberg equation of motion reads

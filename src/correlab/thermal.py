@@ -26,9 +26,10 @@ from typing import Union
 
 import numpy as np
 
-from .operators import EmbeddedOperator, LocalOperator, _as_matrix
+from .operators import EmbeddedOperator, LocalOperator, _as_matrix, \
+    _on_window
 from .quadrature import _refine_by_doubling, gauss_legendre
-from .spectral import (SpectralDecomposition, _matmul, _on_window, _read_pair,
+from .spectral import (SpectralDecomposition, _matmul, _read_pair,
                        _sector_columns, eig_hermitian)
 
 _EXP_CAP = 700.0          # np.exp overflows just past 709
@@ -136,7 +137,7 @@ class KMSFunction:
     pair; the constructor takes an energy-basis pair of D x D matrices (a
     real pair stays real, integers become float) as one block.  P is held
     as its real parts (_pair_parts): every product with it is a real GEMM
-    per part, and threads may share it.
+    per part.
     """
 
     def __init__(self, state: ThermalState, a_energy: OperatorLike,
@@ -155,12 +156,6 @@ class KMSFunction:
         self._parity = parity
         self._diagonals = diagonals
         self._blocks = [(l, r, a, b, _pair_parts(a, b)) for l, r, a, b in pairs]
-
-    def _held(self) -> list:
-        """Every array the function holds: each block's A_lr, B_rl and
-        parts of P_lr, and the operators' diagonals."""
-        return ([x for _, _, *arrays in self._blocks for x in arrays]
-                + [d for diagonals in self._diagonals for _, d in diagonals])
 
     def _at(self, state: ThermalState) -> "KMSFunction":
         """The same pair in another Gibbs state of the same decomposition:

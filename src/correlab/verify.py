@@ -37,8 +37,8 @@ from .lattice import Interaction, Lattice, _finite_positive, _is_hermitian
 from .operators import (_check_measured, _embed_ordered, _embedded_trace,
                         single_site, spectral_norm)
 from .quadrature import _refine_by_doubling, gauss_legendre
-from .thermal import ThermalState, KMSFunction, _gibbs_mean, gibbs_state, \
-    kms_function
+from .thermal import _EXP_CAP, ThermalState, KMSFunction, _gibbs_mean, \
+    gibbs_state, kms_function
 from .spectral import (_block_diagonal, _block_matrix, _block_parity,
                        _matmul, _read_blocks, _sandwich)
 
@@ -102,6 +102,18 @@ def _sym_gauss(nodes: int, half_width: float):
 # Residue identity
 # ---------------------------------------------------------------------------
 
+def _check_top_edge(beta: float, heights: Sequence[float]) -> None:
+    """Refuse a height b at which the top edge's weight, of modulus
+    e^{beta^2 - b^2 - t^2}, would pass e^700 at t = 0 (thermal._EXP_CAP):
+    past it the integrand is NaN and the tail bound overflows."""
+    for b in heights:
+        if beta * beta - b * b > _EXP_CAP:
+            raise ValueError(
+                f"beta={beta!r} at height {b!r}: the top edge weight "
+                f"exp(beta^2 - b^2) = exp({beta * beta - b * b:.6g}) "
+                f"exceeds exp({_EXP_CAP:g})")
+
+
 @dataclass(frozen=True)
 class ResidueCheck:
     beta: float
@@ -134,12 +146,14 @@ def residue_identity(beta: float, height: float,
     then converges to the principal value, which is short of the limit from
     the interior by half a residue, so 1/2 is added back.  beta must be
     finite and positive: at beta = 0 the integrand vanishes and the
-    refinements agree on a wrong answer.  So must half_width, and the
-    height must lie in [0, beta] (_check_heights).
+    refinements agree on a wrong answer.  So must half_width, the height
+    must lie in [0, beta] (_check_heights), and beta^2 - b^2 must not
+    exceed 700 (_check_top_edge).
     """
     _finite_positive("beta", beta)
     _finite_positive("half_width", half_width)
     _check_heights(beta, [height])
+    _check_top_edge(beta, [height])
     b = float(height)
 
     def quad(n: int) -> complex:
@@ -173,8 +187,7 @@ class ContourGrid:
     """Everything in a contour decomposition that does not depend on the
     height: the KMS function of the pair, its disconnected part phi(A)phi(B),
     the symmetric quadrature nodes and weights on [-T, T], and F and G
-    evaluated there.  The arrays, with the pair's blocks held by the KMS
-    function, are read-only, so threads may share a grid.
+    evaluated there.
     """
 
     fn: KMSFunction
@@ -203,10 +216,8 @@ def contour_grid(state: ThermalState, a, b, nodes: int = 1024,
     half_width = _check_contour(state.beta, nodes, half_width)
     fn = kms_function(state, a, b)
     t, wq = _sym_gauss(nodes, half_width)
-    arrays = (t, wq, fn.eval_grid(t), fn.conjugate_eval_grid(t))
-    for arr in (*arrays, *fn._held()):
-        arr.flags.writeable = False
-    return ContourGrid(fn, fn.phi_a * fn.phi_b, float(half_width), *arrays)
+    return ContourGrid(fn, fn.phi_a * fn.phi_b, float(half_width), t, wq,
+                       fn.eval_grid(t), fn.conjugate_eval_grid(t))
 
 
 @dataclass(frozen=True)
@@ -398,8 +409,7 @@ def _contraction(state: ThermalState, a, lat: Lattice):
     op, dim = a.matrix, state.dim
     parity = _block_parity(state.decomposition, op)
     diagonal = np.count_nonzero(op) == np.count_nonzero(np.diagonal(op))
-    rows = _embed_ordered(op, a.support, lat, lat.sites,
-                          dim // 2 if parity else dim)
+    rows = _embed_ordered(op, a.support, lat, dim // 2 if parity else dim)
     bases, blocks = _read_blocks(state.decomposition, rows, parity,
                                  state.energies, state.weights,
                                  hermitian=_is_hermitian(op))
@@ -490,13 +500,12 @@ def theorem_check(interaction: Interaction, beta: float, mu: float,
     na = spectral_norm(op)
     m, rho, phi_a = _contraction(state, a_loc, lat)
 
-    win = lat.sites
     pair_op = np.kron(op, op)
     rows: List[TheoremRow] = []
     for l, partner in pairs:
-        disconnected = phi_a * _embedded_trace(rho, op, (partner,), lat, win)
-        o = _embedded_trace(rho, pair_op, (base, partner), lat, win)
-        c = _embedded_trace(m, op, (partner,), lat, win)
+        disconnected = phi_a * _embedded_trace(rho, op, (partner,), lat)
+        o = _embedded_trace(rho, pair_op, (base, partner), lat)
+        c = _embedded_trace(m, op, (partner,), lat)
         rows.append(TheoremRow(l, partner, complex(o - disconnected),
                                complex(c - disconnected)))
 

@@ -15,16 +15,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from correlab import (DIM_CAP, LocalOperator, build_hamiltonian,
                       canonical_correlator, certify_locality, chain_lattice,
                       commutator, conditional_expectation,
-                      contour_decomposition, contour_grid, eig_hermitian,
-                      embed, gibbs_state, heisenberg_xxz, kms_function,
-                      locality_scan, lr_commutator_scan, ordinary_correlator,
-                      random_bond_ising, residue_identity, sampled_twirl,
-                      single_site, spectral_norm, theorem_check,
-                      transverse_field_ising)
+                      contour_decomposition, contour_grid, derivation_delta,
+                      eig_hermitian, embed, gibbs_state, heisenberg_xxz,
+                      kms_function, locality_scan, lr_commutator_scan,
+                      ordinary_correlator, random_bond_ising,
+                      residue_identity, sampled_twirl, single_site,
+                      spectral_norm, theorem_check, transverse_field_ising)
 from correlab import cli
 from correlab.lattice import Interaction
 from correlab.operators import PAULI_I, PAULI_X, PAULI_Z
@@ -489,3 +490,52 @@ def test_criterion_12_run_determinism(tmp_path):
     report(12, "run determinism",
            f"{len(payload1)} byte CSV payload identical across runs, "
            f"hash {record['config_hash']}")
+
+
+# ---------------------------------------------------------------------------
+# 13. Kubo's commutator identity
+# ---------------------------------------------------------------------------
+
+def kubo_cases():
+    """(name, interaction, A, B) on n=8 chains: B on A's site, where
+    <[A, B]> can be nonzero, and on a far site, where [A, B] = 0 exactly."""
+    lat = chain_lattice(8)
+    models = [
+        ("tfim Y/Z", transverse_field_ising(lat, 1.0, 1.0), "Y", "Z"),
+        ("tfim Z/Z", transverse_field_ising(lat, 1.0, 1.0), "Z", "Z"),
+        ("xxz Y/Y", heisenberg_xxz(lat, 1.0, 0.5), "Y", "Y"),
+        ("xxz-h X/Y", heisenberg_xxz(lat, 1.0, 0.5, h=0.3), "X", "Y"),
+        ("rbi Z/X", random_bond_ising(lat, seed=3), "Z", "X"),
+    ]
+    return [(f"{name} {s}-{t}", inter, single_site(s, p), single_site(t, q))
+            for name, inter, p, q in models for s, t in ((2, 2), (1, 4))]
+
+
+def test_criterion_13_kubo_commutator_identity():
+    # rho commutes with H, so beta (A; [H, B]) = <[A, B]> for every A, B:
+    # the canonical correlator on both routes against a plain Gibbs trace,
+    # rho from scipy's expm, which reads no eigensolver, kernel or grid
+    eps = float(np.finfo(float).eps)
+    worst, nonzero = 0.0, 0
+    for name, inter, a, b in kubo_cases():
+        lat = inter.lattice
+        ham = build_hamiltonian(inter).matrix
+        delta = derivation_delta(b, inter)
+        norm = spectral_norm(delta)
+        a, b = embed(a, lat), embed(b, lat)
+        comm = a.matrix @ b.matrix - b.matrix @ a.matrix
+        dec = eig_hermitian(inter)
+        for beta in (0.5, 2.0, 8.0):
+            rho = scipy.linalg.expm(-beta * ham)
+            rhs = np.trace(rho @ comm) / np.trace(rho)
+            nonzero += abs(rhs) > 1e-3
+            fn = kms_function(gibbs_state(dec, beta), a, delta)
+            for method in ("closed_form", "quadrature"):
+                gap = abs(beta * canonical_correlator(fn, method=method) - rhs)
+                assert gap <= 64 * eps * norm, (name, beta, method, gap / norm)
+                worst = max(worst, gap / norm)
+    assert nonzero >= 6  # the identity is checked on values, not only zeros
+    report(13, "kubo commutator identity",
+           f"max |beta (A; [H, B]) - <[A, B]>| = {worst / eps:.2f} eps "
+           f"||[H, B]|| <= 64 eps ||[H, B]|| over 10 pairs at 3 betas on "
+           f"both routes, {nonzero} right sides nonzero")

@@ -4,7 +4,9 @@ Most tests call cli.main() in-process for speed; one subprocess test
 covers the ``python -m correlab`` entry.  Runs use tiny lattices so the
 whole file stays in the seconds range.
 """
+import dataclasses
 import json
+import math
 import re
 import subprocess
 import sys
@@ -326,6 +328,51 @@ def test_run_residue_identity_counts_unconverged(tmp_path, capsys, betas,
                       "tail_bound,endpoint_corrected")
 
 
+def test_run_residue_identity_fails_on_a_nan_defect(tmp_path, capsys,
+                                                    monkeypatch):
+    # max() skips a NaN that is not first: the run passed, its max_defect
+    # the finite one, while the CSV row of the second check read nan
+    real, calls = cli.residue_identity, []
+
+    def nan_second(beta, height, half_width):
+        calls.append(real(beta, height, half_width=half_width))
+        if len(calls) == 1:
+            return calls[0]
+        return dataclasses.replace(calls[-1], value=complex("nan"))
+
+    monkeypatch.setattr(cli, "residue_identity", nan_second)
+    cfg = write_config(tmp_path, yaml.safe_dump(
+        {"task": "residue_identity", "beta": [0.5, 1.0],
+         "height_fractions": [0.0]}))
+    assert run_cli(["run", cfg, "--outdir", str(tmp_path / "out")]) == 1
+    capsys.readouterr()
+    assert len(calls) == 2
+    record = json.loads((next((tmp_path / "out").iterdir())
+                         / "record.json").read_text())
+    assert record["passed"] is False
+    assert math.isnan(record["summary"]["max_defect"])
+
+
+def test_residue_beta_past_the_top_edge_cap_is_a_config_error(tmp_path,
+                                                              capsys):
+    # beta^2 - b^2 = 841 at beta = 29, b = 0: the run raised OverflowError
+    # in the tail bound and left an empty output directory
+    cfg = write_config(tmp_path, yaml.safe_dump(
+        {"task": "residue_identity", "beta": [0.5, 29.0]}))
+    assert run_cli(["validate", cfg]) == 2
+    assert run_cli(["run", cfg, "--outdir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("config error: beta=29.0 at height 0.0: the top edge "
+                     "weight exp(beta^2 - b^2) = exp(841) exceeds "
+                     "exp(700)") == 2, err
+    assert not (tmp_path / "out").exists()
+    # the rule is on beta^2 - b^2: at b = beta the top edge is e^{-t^2}
+    cfg = write_config(tmp_path, yaml.safe_dump(
+        {"task": "residue_identity", "beta": [29.0],
+         "height_fractions": [1.0]}))
+    assert run_cli(["validate", cfg]) == 0
+
+
 @pytest.mark.parametrize("model, betas, unconverged", [
     ({"name": "transverse_field_ising", "n": 4, "J": 1.0, "h": 50.0},
      [500.0, 1000.0], 2),
@@ -335,13 +382,11 @@ def test_run_correlators_counts_unconverged_quadrature(tmp_path, capsys, model,
                                                        betas, unconverged):
     # at beta (E_max - E_min) = 2e5 and 4e5 the quadrature route reaches
     # 512 nodes before two refinements agree; before, the flag was dropped.
-    # Two workers: the betas' warnings arrive from two threads.
     cfg = write_config(tmp_path, yaml.safe_dump(
         {"task": "correlators", "model": model, "beta": betas,
          "a": {"site": 0, "op": "Y"}, "b": {"site": 1, "op": "Y"},
          "times": [0.0, 0.5]}))
-    assert run_cli(["run", cfg, "--outdir", str(tmp_path / "out"),
-                    "--workers", "2"]) == 0
+    assert run_cli(["run", cfg, "--outdir", str(tmp_path / "out")]) == 0
     capsys.readouterr()
     rundir = next((tmp_path / "out").iterdir())
     record = json.loads((rundir / "record.json").read_text())
@@ -819,19 +864,15 @@ def test_grid_sites_are_written_as_labels_and_rerun_byte_identical(
         "(0, 1)", "(0, 2)", "(1, 2)"]
 
 
-def test_workers_do_not_change_output(tmp_path, capsys):
-    cfg = write_config(tmp_path, """\
-        task: residue_identity
-        beta: [0.5, 1.0, 2.0]
-        height_fractions: [0.0, 0.5, 1.0]
-        """)
-    assert run_cli(["run", cfg, "--outdir", str(tmp_path / "seq")]) == 0
-    assert run_cli(["run", cfg, "--outdir", str(tmp_path / "par"),
-                    "--workers", "4"]) == 0
-    capsys.readouterr()
-    seq = next((tmp_path / "seq").iterdir()) / "residue_identity.csv"
-    par = next((tmp_path / "par").iterdir()) / "residue_identity.csv"
-    assert seq.read_bytes() == par.read_bytes()
+def test_workers_takes_only_one(tmp_path, capsys):
+    # runs are serial; --workers stays for the command lines that pass 1
+    cfg = write_config(tmp_path, RESIDUE_CFG)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", cfg, "--outdir", str(tmp_path / "out"),
+                 "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers: invalid choice: 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def _count_calls(monkeypatch, cls, name, calls):
@@ -927,18 +968,6 @@ def test_strip_tasks_read_the_pair_in_the_sectors_alone(tmp_path, capsys,
     assert run_cli(["run", contour, "--outdir", str(tmp_path / "k")]) == 0
     capsys.readouterr()
     assert seen["widths"] == {256, 2}
-
-
-def test_contour_workers_do_not_change_output(tmp_path, capsys):
-    cfg = write_config(tmp_path, CONTOUR_CFG.replace(
-        "heights: [0.5]", "heights: [0.0, 0.25, 0.5, 0.75, 1.0]"))
-    assert run_cli(["run", cfg, "--outdir", str(tmp_path / "seq")]) == 0
-    assert run_cli(["run", cfg, "--outdir", str(tmp_path / "par"),
-                    "--workers", "2"]) == 0
-    capsys.readouterr()
-    seq = next((tmp_path / "seq").iterdir()) / "contour.csv"
-    par = next((tmp_path / "par").iterdir()) / "contour.csv"
-    assert seq.read_bytes() == par.read_bytes()
 
 
 # ---------------------------------------------------------------------------

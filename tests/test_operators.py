@@ -11,7 +11,7 @@ from correlab import (Interaction, Lattice, chain_lattice, grid_lattice,
                       sampled_twirl, build_hamiltonian, eig_hermitian,
                       transverse_field_ising, random_bond_ising,
                       heisenberg_xxz, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
-from correlab.operators import _add_embedded, _embed_ordered, _embedded_trace
+from correlab.operators import _add_embedded, _embedded_trace
 
 CNOT = np.array([[1, 0, 0, 0],
                  [0, 1, 0, 0],
@@ -72,7 +72,6 @@ def test_real_operands_stay_real():
 def test_embed_single_site():
     lat = chain_lattice(3)
     emb = embed(single_site(1, "X"), lat)
-    assert emb.window == (0, 1, 2)
     assert emb.support == (1,)
     assert np.allclose(emb.matrix, kron(PAULI_I, PAULI_X, PAULI_I))
 
@@ -122,9 +121,10 @@ def test_embed_preserves_norm_product_commutator():
 # embedding and assembly against the dense kron-and-permute route
 # ---------------------------------------------------------------------------
 
-def kron_embedding(matrix, factor_sites, lat, win):
+def kron_embedding(matrix, factor_sites, lat):
     """Reference embedding: kron with the complement identity, then permute
-    the basis into window order with one fancy index per axis."""
+    the basis into lattice order with one fancy index per axis."""
+    win = lat.sites
     dims = [lat.local_dims[lat.index(s)] for s in win]
     pos_of = {s: i for i, s in enumerate(win)}
     comp = [s for s in win if s not in set(factor_sites)]
@@ -148,18 +148,25 @@ def qutrit_chain(n):
     return Lattice(chain.sites, chain.distances, (3,) * n)
 
 
+def sublattice(lat, window):
+    """The window's sites of lat, in lat's order, as a lattice of their
+    own: lat itself when window is None."""
+    if window is None:
+        return lat
+    idx = [lat.index(s) for s in lat.sort_sites(window)]
+    return Lattice(tuple(lat.sites[i] for i in idx),
+                   lat.distances[np.ix_(idx, idx)],
+                   tuple(lat.local_dims[i] for i in idx))
+
+
 def on_window(inter, window):
     """inter's terms inside the window, on the window's own lattice: the
     interaction itself when window is None."""
     if window is None:
         return inter
-    lat = inter.lattice
-    win = lat.sort_sites(window)
-    idx = [lat.index(s) for s in win]
-    sub = Lattice(win, lat.distances[np.ix_(idx, idx)],
-                  tuple(lat.local_dims[i] for i in idx))
+    sub = sublattice(inter.lattice, window)
     return Interaction(sub, {sup: m for sup, m in inter.terms.items()
-                             if set(sup) <= set(win)})
+                             if set(sup) <= set(sub.sites)})
 
 
 @pytest.mark.parametrize("lat, support, window", [
@@ -177,22 +184,22 @@ def on_window(inter, window):
      ("a", "b"), None),
 ])
 def test_embedding_matches_kron_reference(lat, support, window):
+    # a window's embedding is the one on the window's own lattice
+    lat = sublattice(lat, window)
+    win = lat.sites
     rng = np.random.default_rng(41)
     m = _random_matrix(rng, lat.window_dim(support))
-    win = lat.sort_sites(window) if window is not None else lat.sites
     op = LocalOperator(support, m)  # sorts the support, matrix as given
-    emb = (embed(op, lat).matrix if window is None
-           else _embed_ordered(m, op.support, lat, win))
-    assert np.array_equal(emb, kron_embedding(m, op.support, lat, win))
-    full = EmbeddedOperator(win, win, _random_matrix(rng, len(emb)))
+    emb = embed(op, lat).matrix
+    assert np.array_equal(emb, kron_embedding(m, op.support, lat))
+    full = EmbeddedOperator(win, _random_matrix(rng, len(emb)))
     for region in (support[:1], support, win, ()):
         ce = conditional_expectation(full, region, lat)
         reg = lat.sort_sites(region)
         comp_dim = len(emb) // lat.window_dim(reg)
         keep = [win.index(s) for s in reg]
-        dims = [lat.local_dims[lat.index(s)] for s in win]
-        reduced = partial_trace(full.matrix, dims, keep) / comp_dim
-        assert np.array_equal(ce.matrix, kron_embedding(reduced, reg, lat, win))
+        reduced = partial_trace(full.matrix, lat.local_dims, keep) / comp_dim
+        assert np.array_equal(ce.matrix, kron_embedding(reduced, reg, lat))
 
 
 @pytest.mark.parametrize("support", [("a",), ("b",), ("a", "b")])
@@ -204,10 +211,10 @@ def test_embedded_trace_matches_the_dense_trace(support):
     op = LocalOperator(support, _random_matrix(rng, lat.window_dim(support)))
     emb = embed(op, lat).matrix
     m = _random_matrix(rng, emb.shape[0])
-    got = _embedded_trace(m, op.matrix, op.support, lat, lat.sites)
+    got = _embedded_trace(m, op.matrix, op.support, lat)
     assert abs(got - np.trace(m @ emb)) <= 1e-13 * np.abs(m).sum()
     d = np.diagonal(m).copy()
-    got = _embedded_trace(d, op.matrix, op.support, lat, lat.sites)
+    got = _embedded_trace(d, op.matrix, op.support, lat)
     assert abs(got - np.trace(np.diag(d) @ emb)) <= 1e-13 * np.abs(d).sum()
 
 
@@ -224,7 +231,7 @@ def test_assembly_matches_sum_of_kron_embeddings(inter, window):
     lat = inter.lattice
     ref = np.zeros((lat.window_dim(lat.sites),) * 2, dtype=complex)
     for sup, m in inter.terms.items():
-        ref += kron_embedding(m, sup, lat, lat.sites)
+        ref += kron_embedding(m, sup, lat)
     assert np.array_equal(build_hamiltonian(inter).matrix, ref)
 
 
@@ -252,9 +259,9 @@ def test_embedding_into_top_rows_adds_the_rows_of_the_whole_one(factor_sites,
     m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     start = rng.normal(size=(96, 96)) + 0j
     whole = start.copy()
-    _add_embedded(whole, m, factor_sites, lat, lat.sites)
+    _add_embedded(whole, m, factor_sites, lat)
     top = start[:rows].copy()
-    _add_embedded(top, m, factor_sites, lat, lat.sites)
+    _add_embedded(top, m, factor_sites, lat)
     assert np.array_equal(top, whole[:rows])
 
 
@@ -308,9 +315,10 @@ def test_commutator_xz_frozen():
 
 
 def test_product_rejects_mismatched_windows():
-    e1 = EmbeddedOperator((0, 1), (0,), kron(PAULI_X, PAULI_I))
-    e2 = EmbeddedOperator((1, 2), (2,), kron(PAULI_I, PAULI_X))
-    with pytest.raises(ValueError, match="window"):
+    # an operator on two sites and one on three act on different lattices
+    e1 = EmbeddedOperator((0,), kron(PAULI_X, PAULI_I))
+    e2 = EmbeddedOperator((2,), kron(PAULI_I, PAULI_I, PAULI_X))
+    with pytest.raises(ValueError, match="operator dimensions differ"):
         commutator(e1, e2)
 
 
@@ -347,11 +355,11 @@ def test_conditional_expectation_is_unital_projection():
     rng = np.random.default_rng(23)
     lat = chain_lattice(3)
     m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    op = EmbeddedOperator(lat.sites, lat.sites, m)
+    op = EmbeddedOperator(lat.sites, m)
     ce1 = conditional_expectation(op, [0, 1], lat)
     ce2 = conditional_expectation(ce1, [0, 1], lat)
     assert np.allclose(ce1.matrix, ce2.matrix)
-    ident = EmbeddedOperator(lat.sites, (), np.eye(8, dtype=complex))
+    ident = EmbeddedOperator((), np.eye(8, dtype=complex))
     assert np.allclose(conditional_expectation(ident, [1], lat).matrix, np.eye(8))
     assert spectral_norm(ce1) <= spectral_norm(op) + 1e-12
 
@@ -360,7 +368,7 @@ def test_conditional_expectation_image_commutes_with_complement():
     rng = np.random.default_rng(29)
     lat = chain_lattice(3)
     m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    op = EmbeddedOperator(lat.sites, lat.sites, m)
+    op = EmbeddedOperator(lat.sites, m)
     ce = conditional_expectation(op, [1], lat)
     for s in (0, 2):
         z = embed(single_site(s, "Z"), lat)
@@ -400,7 +408,20 @@ def test_sampled_twirl_full_region_is_identity_map():
     rng = np.random.default_rng(37)
     lat = chain_lattice(2)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    op = EmbeddedOperator(lat.sites, lat.sites, m)
+    op = EmbeddedOperator(lat.sites, m)
     tw = sampled_twirl(op, [0, 1], lat, samples=3, seed=0)
     assert np.allclose(tw.matrix, m)
+
+
+@pytest.mark.parametrize("region", [[0], [0, 1]])
+def test_operator_off_the_lattice_is_refused_by_its_dimension(region):
+    # Z on a one-site window, handed to a two-site lattice: each map that
+    # takes an embedded operator refuses it, the twirl's whole-region
+    # copy included
+    lat = chain_lattice(2)
+    z = EmbeddedOperator((0,), PAULI_Z)
+    with pytest.raises(ValueError, match="does not act on the lattice"):
+        sampled_twirl(z, region, lat, samples=3, seed=0)
+    with pytest.raises(ValueError, match="does not match dims product"):
+        conditional_expectation(z, region, lat)
 

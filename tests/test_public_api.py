@@ -185,6 +185,21 @@ def test_modules_use_every_name_they_import(path):
     assert sorted(unused) == []
 
 
+# runs are serial: no module imports a package that starts threads or
+# processes
+def test_no_module_imports_a_concurrency_package():
+    banned = {"concurrent", "threading", "multiprocessing"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [a.name for a in node.names] \
+                if isinstance(node, ast.Import) else [node.module or ""] \
+                if isinstance(node, ast.ImportFrom) and not node.level else []
+            found += [f"{path.name}:{n}" for n in names
+                      if n.split(".")[0] in banned]
+    assert found == []
+
+
 # a lint for dead code, in the standard library alone: every private
 # function, class or constant a module defines at its top level is
 # referenced somewhere in the package outside its own definition

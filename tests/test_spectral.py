@@ -631,13 +631,14 @@ def test_derivation_embeds_a_local_operator_on_the_whole_lattice():
     a = single_site(1, "Y")
     delta = derivation_delta(a, inter)
     expected = commutator(build_hamiltonian(inter), embed(a, lat))
-    assert delta.window == expected.window == lat.sites
+    assert delta.support == expected.support == lat.sites
+    assert delta.dim == lat.window_dim(lat.sites)
     assert np.array_equal(delta.matrix, expected.matrix)
 
 
 def test_derivation_rejects_mismatched_hamiltonian_window():
     # H lives on the whole lattice, A built by hand on sites 0 and 1
     lat, inter = tfim(4)
-    a = EmbeddedOperator((0, 1), (0,), np.kron(PAULI_Z, PAULI_I))
-    with pytest.raises(ValueError, match="different windows"):
+    a = EmbeddedOperator((0,), np.kron(PAULI_Z, PAULI_I))
+    with pytest.raises(ValueError, match="operator dimensions differ"):
         derivation_delta(a, inter)

@@ -470,7 +470,7 @@ def test_operator_off_the_window_is_refused(call):
     st = gibbs_state(build_hamiltonian(transverse_field_ising(lat)).matrix,
                      1.0)
     with pytest.raises(ValueError, match=r"shape \(2, 2\) does not act on "
-                       r"the window, of shape \(16, 16\); embed"):
+                       r"the lattice, of shape \(16, 16\); embed"):
         call(st, single_site(0, "Z"))
 
 

@@ -103,6 +103,18 @@ def test_residue_identity_rejects_heights_outside_strip():
             residue_identity(1.0, height)
 
 
+def test_residue_identity_refuses_a_top_edge_past_the_exponent_cap():
+    # the top edge weighs e^{beta^2 - b^2 - t^2}: at beta = 29, b = 0 the
+    # tail bound raised OverflowError, and at beta = 28 the value was NaN
+    for beta in (29.0, 28.0):
+        with pytest.raises(ValueError, match=r"exp\(beta\^2 - b\^2\) = "
+                           r"exp\(\d+\) exceeds exp\(700\)"):
+            residue_identity(beta, 0.0)
+    # below the cap the check completes, and its defect shows the failure
+    assert math.isfinite(residue_identity(26.4, 0.0).defect)
+    assert residue_identity(28.0, 28.0).defect < 1e-10
+
+
 # ---------------------------------------------------------------------------
 # contour decomposition
 # ---------------------------------------------------------------------------
@@ -254,19 +266,10 @@ def test_shared_grid_matches_one_shot_contour_exactly():
     assert branches == {True, False}
 
 
-def test_contour_grid_is_read_only():
+def test_contour_grid_holds_its_nodes():
     lat, inter, st = setup_state()
     a = embed(single_site(0, "Z"), lat)
     grid = contour_grid(st, a, a, nodes=64)
-    for arr in (grid.t, grid.wq, grid.f_real, grid.g_real,
-                *grid.fn._held()):
-        with pytest.raises(ValueError):
-            arr.flat[0] = 0.0
-    # every array the grid holds, and the blocks of its KMS function: Z/Z
-    # is odd, so A, B and P in (+, -) and (-, +); no diagonal
-    held = [v for v in vars(grid).values() if isinstance(v, np.ndarray)]
-    assert len(held) == 4 and len(grid.fn._held()) == 6
-    assert not any(arr.flags.writeable for arr in held + grid.fn._held())
     assert grid.nodes == 64 and grid.t.shape == (64,)
     assert grid.half_width == 8.0
 

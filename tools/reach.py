@@ -4,11 +4,12 @@
     python tools/reach.py [--package DIR] SCRIPT [ARGS...]
 
 Runs a pytest selection, or a script as __main__ with ARGS as its argv,
-in this process under a line tracer (sys.settrace, and threading.settrace
-for worker threads).  DIR defaults to src/correlab, and its parent goes
-first on sys.path, so the package is imported from there.  For each
-module of DIR it then prints how many of its statements never ran, and
-each of them as `module:line: first line of the statement`.
+in this process under a line tracer (sys.settrace, which sees the calling
+thread alone; correlab starts no other).  DIR defaults to src/correlab,
+and its parent goes first on sys.path, so the package is imported from
+there.  For each module of DIR it then prints how many of its statements
+never ran, and each of them as `module:line: first line of the
+statement`.
 
 A statement is one of the module's ast statements whose first line
 carries bytecode (a function's docstring and a `global` line carry
@@ -23,7 +24,6 @@ import ast
 import os
 import runpy
 import sys
-import threading
 from pathlib import Path
 
 
@@ -76,12 +76,10 @@ class LineTracer:
 
     def run(self, target) -> int:
         sys.settrace(self)
-        threading.settrace(self)
         try:
             return target()
         finally:
             sys.settrace(None)
-            threading.settrace(None)
 
 
 def _run_script(argv: list) -> int:
