@@ -40,7 +40,7 @@ from .thermal import _UnconvergedQuadrature, canonical_correlator, \
     gibbs_state, kms_function, ordinary_correlator
 from .dynamics import _locality_envelopes, _lr_envelopes, locality_scan, \
     lr_commutator_scan
-from .verify import _check_contour, _check_top_edge, _partners, \
+from .verify import _check_contour, _check_heights, _partners, \
     contour_decomposition, contour_grid, residue_identity, theorem_check
 
 _DEFAULT_OUTDIR = "correlab_runs"
@@ -293,7 +293,7 @@ def _validate_residue_identity(data: dict) -> _Validated:
     if any(not 0.0 <= f <= 1.0 for f in fracs):
         raise ConfigError("height_fractions must lie in [0, 1]")
     for beta in betas:
-        _checked(_check_top_edge, beta, [f * beta for f in fracs])
+        _checked(_check_heights, beta, [f * beta for f in fracs])
     hw = _positive(data.get("half_width", 10.0), "half_width")
     tol = _positive(data.get("tolerance", 1e-8), "tolerance")
     canon = {"task": "residue_identity", "beta": betas,

@@ -8,11 +8,13 @@ obtained by conditional expectation onto a ball around the support of A.
 
 Every evolution but one is one helper, _evolution, over an operator's
 blocks as spectral._read_blocks reads them in the parity
-spectral._block_parity gives A's local matrix; evolve and locality_scan
-write the site matrix back with spectral._block_matrix.  The exception is
-lr_commutator_scan's one-product route, which evolves the dense
-energy-basis Abar = V* A V (SpectralDecomposition.transform) by its phases
-alone, with _tau_energy.  Each scan chooses its route once:
+spectral._block_parity gives A's local matrix, from the top rows they read
+(spectral._rows_read: D/2 with a parity, all D without); evolve writes the
+site matrix back with spectral._block_matrix, and locality_scan only the
+top rows of it that E_r's blocks need (spectral._block_rows).  The
+exception is lr_commutator_scan's one-product route, which evolves the
+dense energy-basis Abar = V* A V (SpectralDecomposition.transform) by its
+phases alone, with _tau_energy.  Each scan chooses its route once:
 lr_commutator_scan in the reversal sectors or by one D x D product, and
 locality_scan by A's parity alone (norm_route).  Both form and check every
 envelope before the first evolution (_envelopes), through the helpers the
@@ -33,12 +35,12 @@ import numpy as np
 
 from .lattice import (Interaction, Lattice, _finite_positive,
                       _hermitian_part, _is_hermitian, ball, certify_locality)
-from .operators import (EmbeddedOperator, _check_measured, _hermitian_norm,
-                        _on_window, conditional_expectation, embed,
-                        spectral_norm)
+from .operators import (EmbeddedOperator, _check_measured, _embed_ordered,
+                        _embedded_rows, _hermitian_norm, _on_window,
+                        _traced_rows, spectral_norm)
 from .spectral import (SpectralDecomposition, _block_matrix, _block_parity,
-                       _matmul, _mirrored_levels, _read_blocks, _sandwich,
-                       _sector_blocks, eig_hermitian)
+                       _block_rows, _matmul, _mirror_added, _read_blocks,
+                       _rows_read, _sandwich, _sector_blocks, eig_hermitian)
 from .thermal import _EXP_CAP
 
 _MONO_SLACK = 1e-12  # growth of the largest error in r that still passes
@@ -61,14 +63,14 @@ def evolution_context(interaction: Interaction) -> EvolutionContext:
     return EvolutionContext(interaction.lattice, eig_hermitian(interaction))
 
 
-def _on_lattice(context: EvolutionContext, op) -> EmbeddedOperator:
-    """op as an operator on the context's lattice: a local operator is
-    embedded there, an embedded one must be of the lattice's dimension
-    (operators._on_window)."""
-    if not isinstance(op, EmbeddedOperator):
-        return embed(op, context.lattice)
-    _on_window(op.matrix, context.decomposition.dim)
-    return op
+def _on_lattice(context: EvolutionContext, op, rows: int) -> np.ndarray:
+    """The top rows of op's matrix on the context's lattice, all D of them
+    or fewer: a local operator's embedding (operators._embedded_rows), or
+    an embedded operator's own matrix, which must be of the lattice's
+    dimension (operators._on_window)."""
+    if isinstance(op, EmbeddedOperator):
+        return _on_window(op.matrix, context.decomposition.dim)[:rows]
+    return _embedded_rows(op, context.lattice, rows)
 
 
 def _tau_energy(a_energy: np.ndarray, e_row: np.ndarray, e_col: np.ndarray,
@@ -116,8 +118,8 @@ def evolve(context: EvolutionContext, op, time) -> EmbeddedOperator:
     if abs(z.imag) * max(abs(lo), abs(hi), hi - lo) > _EXP_CAP:
         raise FloatingPointError("imaginary time too large for this spectrum")
     parity = _block_parity(dec, op.matrix)
-    blocks = _evolution(*_read_blocks(dec, _on_lattice(context, op).matrix,
-                                      parity, hermitian=False))(z)
+    rows = _on_lattice(context, op, _rows_read(dec.dim, parity))
+    blocks = _evolution(*_read_blocks(dec, rows, parity, hermitian=False))(z)
     return EmbeddedOperator(context.lattice.sites,
                             _block_matrix(blocks, parity))
 
@@ -237,16 +239,20 @@ def _locality_envelopes(interaction: Interaction, a, radii: Sequence[float],
     return (na, *_envelopes(interaction, mu, velocity, na, decays, times))
 
 
-def _two_levels(m: np.ndarray):
-    """(l2 - l1, mask of the indices where m = l1) when m is diagonal with
-    exactly two distinct values l1 < l2; None for any other m."""
+def _mirrored_levels(m: np.ndarray):
+    """(l1, l2) when m is diagonal with exactly two distinct values
+    l1 < l2 on index sets that the index reversal J maps onto each other;
+    None for any other m.  J is a product of per-site reversals, so a local
+    matrix answers for its embedding, whose diagonal takes the same values
+    on the same pattern."""
     d = np.diag(m)
     if np.count_nonzero(m) != np.count_nonzero(d):
         return None
     levels, which = np.unique(d, return_inverse=True)
-    if len(levels) != 2:
+    first = which == 0
+    if len(levels) != 2 or not np.array_equal(first[::-1], ~first):
         return None
-    return float(levels[1] - levels[0]), which == 0
+    return levels
 
 
 def _commutator_norm(bbar: np.ndarray, hermitian: bool):
@@ -292,11 +298,14 @@ def lr_commutator_scan(interaction: Interaction, a, b,
     - in the reversal sectors, for a Hermitian pair whose A is odd
       (_block_parity) and whose B is diagonal with two levels l1 < l2 on
       index sets that J maps onto each other (any single-site Z or
-      projector; _mirrored_levels gives their signs S over p < D/2).  For
-      Hermitian X, [X, B] = (l2 - l1)(P1 X P2 - P2 X P1), so with K, A's
-      odd block evolved into (W+, E+) and (S W-, E-), the norm is
+      projector; _mirrored_levels, on B's own matrix).  For Hermitian X,
+      [X, B] = (l2 - l1)(P1 X P2 - P2 X P1), so with K, A's odd block
+      evolved into (W+, E+) and (S W-, E-), S over p < D/2 being +1 where
+      B's diagonal is l1 and -1 where it is l2, the norm is
       (l2 - l1) ||i(K - K*)/2||: one (D/2)-sized eigensolver call on a
-      matrix Hermitian to the last bit, and no D-sized transform.
+      matrix Hermitian to the last bit, and no D-sized transform.  A and B
+      are embedded in their top D/2 rows alone, which hold A's block and
+      S on B's diagonal.
     - otherwise by one D x D product X = B tau_t(A) per time point in the
       energy basis, A and B transformed once (_commutator_norm).
 
@@ -307,34 +316,34 @@ def lr_commutator_scan(interaction: Interaction, a, b,
     dist, na, nb, velocity, envelopes = _lr_envelopes(interaction, a, b,
                                                       times, mu, velocity)
     context = evolution_context(interaction)
-
-    aemb = _on_lattice(context, a)
-    bemb = _on_lattice(context, b)
+    dec = context.decomposition
 
     # embedding keeps the answer, so the local matrices are checked
     hermitian = _is_hermitian(a.matrix) and _is_hermitian(b.matrix)
-    dec = context.decomposition
-    levels = _two_levels(bemb.matrix) if hermitian else None
-    signs = (_mirrored_levels(levels[1]) if levels is not None
-             and _block_parity(dec, a.matrix) < 0 else None)
-    if signs is None:  # one product X = B tau_t in the energy basis
-        abar, e = dec.transform(aemb.matrix), dec.eigenvalues
-        norm = _commutator_norm(dec.transform(bemb.matrix), hermitian)
+    levels = (_mirrored_levels(b.matrix) if hermitian
+              and _block_parity(dec, a.matrix) < 0 else None)
+    if levels is None:  # one product X = B tau_t in the energy basis
+        abar = dec.transform(_on_lattice(context, a, dec.dim))
+        bbar = dec.transform(_on_lattice(context, b, dec.dim))
+        norm, e = _commutator_norm(bbar, hermitian), dec.eigenvalues
         tau = np.empty((dec.dim, dec.dim), dtype=complex)
 
         def norm_at(t: float) -> float:
             return norm(_tau_energy(abar, e, e, t, out=tau))
     else:  # sector: (l2 - l1) ||i(K - K*)/2||
-        bases, blocks = _read_blocks(dec, aemb.matrix, -1)
+        half = dec.dim // 2
+        signs = np.where(np.diagonal(_on_lattice(context, b, half))
+                         == levels[0], 1.0, -1.0)
+        bases, blocks = _read_blocks(dec, _on_lattice(context, a, half), -1)
         w, e = bases[1]
         bases[1] = (signs[:, None] * w, e)
         evolved = _evolution(bases, blocks)
+        gap = float(levels[1] - levels[0])
 
         def norm_at(t: float) -> float:
             (_, _, k), = evolved(t)
             k *= 1j
-            return levels[0] * _hermitian_norm(_hermitian_part(k))
-    del aemb, bemb  # site-basis matrices are not needed past this point
+            return gap * _hermitian_norm(_hermitian_part(k))
     rows = []
     for t, (env,) in zip(times, envelopes):
         t = float(t)
@@ -350,20 +359,39 @@ def lr_commutator_scan(interaction: Interaction, a, b,
 # Local approximants
 # ---------------------------------------------------------------------------
 
+def _approximant_rows(rows: np.ndarray, region: Sequence, lat: Lattice,
+                      parity: int) -> np.ndarray:
+    """The top rows of E_region(m), as many as are given of m, a matrix
+    with J m J = parity * m: the reduced matrix is the partial trace of
+    those rows (operators._traced_rows) with its mirror added
+    (spectral._mirror_added; none for parity 0, given all D rows), over
+    the complement's dimension, and is embedded in as many rows.  region
+    is in lattice order."""
+    reduced = _mirror_added(_traced_rows(rows, lat.local_dims,
+                                         [lat.index(s) for s in region]),
+                            parity)
+    reduced /= rows.shape[1] // lat.window_dim(region)
+    return _embed_ordered(reduced, region, lat, len(rows))
+
+
 def _error_norm(blocks: list, approx_blocks: list, hermitian: bool) -> float:
     """||tau_t(A) - E_r(tau_t(A))|| from the blocks of both in one layout
-    (_evolution and _sector_blocks).  J is a product of local reversals,
-    so E_r commutes with it and the difference has A's parity: its norm is
-    the largest norm of its blocks, an off-diagonal block's from its Gram
+    (_evolution and _sector_blocks), each difference written over the
+    approximant's block.  J is a product of local reversals, so E_r
+    commutes with it and the difference has A's parity: its norm is the
+    largest norm of its blocks, an off-diagonal block's from its Gram
     matrix, a diagonal block's from its exactly Hermitian part when A is
     Hermitian (the difference is Hermitian only to round-off, and this
     keeps every point on the eigensolver), and from spectral_norm
     otherwise.
     """
-    return max(_gram_norm(n - e) if left != right
-               else _hermitian_norm(_hermitian_part(n - e)) if hermitian
-               else spectral_norm(n - e)
-               for (left, right, n), (_, _, e) in zip(blocks, approx_blocks))
+    norms = []
+    for (left, right, n), (_, _, e) in zip(blocks, approx_blocks):
+        d = np.subtract(n, e, out=e)
+        norms.append(_gram_norm(d) if left != right
+                     else _hermitian_norm(_hermitian_part(d)) if hermitian
+                     else spectral_norm(d))
+    return max(norms)
 
 
 @dataclass(frozen=True)
@@ -425,39 +453,39 @@ def locality_scan(interaction: Interaction, a, radii: Sequence[float],
     norm_route tells how the scan ran, decided once by A's parity alone
     (_block_parity): "flip_odd" and "flip_even" evolve A's blocks with
     (D/2)-sized products and differ from the dense value by round-off;
-    "dense" evolves A whole.  Each time point writes the site matrix of
-    tau_t(A), which E_r needs, from its blocks (_block_matrix).
+    "dense" evolves A whole.  Every operator is read from the top rows its
+    blocks read (_rows_read), D/2 with a parity: A's embedding, tau_t(A)
+    written from its blocks into one reused buffer (_block_rows), and the
+    embedding of E_r(tau_t(A)) (_approximant_rows).
     """
     na, velocity, envelopes = _locality_envelopes(
         interaction, a, radii, times, mu, velocity, exponent_multiplier)
     context = evolution_context(interaction)
-    lat = context.lattice
+    lat, dec = context.lattice, context.decomposition
 
-    aemb = _on_lattice(context, a)
-    regions = [ball(lat, a.support, r) for r in radii]
+    regions = [lat.sort_sites(ball(lat, a.support, r)) for r in radii]
     hermitian = _is_hermitian(a.matrix)
-    dec = context.decomposition
     parity = _block_parity(dec, a.matrix)
     route = {-1: "flip_odd", 1: "flip_even", 0: "dense"}[parity]
-    evolved = _evolution(*_read_blocks(dec, aemb.matrix, parity,
-                                       hermitian=hermitian))
-    buf = np.empty((dec.dim, dec.dim), dtype=complex) if parity else None
-    del aemb
+    top = _rows_read(dec.dim, parity)
+    evolved = _evolution(*_read_blocks(dec, _on_lattice(context, a, top),
+                                       parity, hermitian=hermitian))
+    buf = np.empty((top, dec.dim), dtype=complex) if parity else None
 
     rows = []
     for t, envs in zip(times, envelopes):
         t = float(t)
         blocks = evolved(t)
-        tau = EmbeddedOperator(lat.sites,
-                               _block_matrix(blocks, parity, out=buf))
+        tau = _block_rows(blocks, parity, buf)
         for r, region, env in zip(radii, regions, envs):
-            approx = conditional_expectation(tau, region, lat).matrix
-            err = _error_norm(blocks, _sector_blocks(approx, parity,
-                                                     hermitian), hermitian)
-            del approx
+            approx = _sector_blocks(_approximant_rows(tau, region, lat,
+                                                      parity), parity,
+                                    hermitian)  # the rows are freed here
+            err = _error_norm(blocks, approx, hermitian)
+            del approx  # before the next radius builds its own
             rows.append(LocalityMeasurement(float(r), t, float(err), float(env)))
-        # no D x D array of this time point but the reused buffer stays
-        # alive through the next evolution, where the scan's memory peaks
+        # only the reused buffer is held through the next evolution, where
+        # the scan's memory peaks
         del tau, blocks
     floor = float(np.finfo(float).eps) * dec.dim * na
     c_emp, _, below = _prefactor([m.error for m in rows],

@@ -17,6 +17,8 @@ import numpy as np
 from .lattice import (PAULI, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, Lattice,
                       Site, _as_matrix, _is_hermitian)
 
+_GATHER_BLOCK = 1 << 16  # entries per block of the row partial trace
+
 
 # ---------------------------------------------------------------------------
 # operator containers
@@ -172,18 +174,26 @@ def _embed_ordered(matrix: np.ndarray, factor_sites: Sequence[Site],
     return out
 
 
+def _embedded_rows(op: LocalOperator, lattice: Lattice,
+                   rows: Optional[int] = None) -> np.ndarray:
+    """The top rows of op's embedding (embed), all D of them unless their
+    number is given, once op is checked to act on the lattice: its sites
+    are the lattice's and its dimension is theirs."""
+    missing = set(op.support) - set(lattice.sites)
+    if missing:
+        raise ValueError(f"support sites {sorted(map(repr, missing))} outside the lattice")
+    if op.dim != lattice.window_dim(op.support):
+        raise ValueError("operator dimension does not match its support dims")
+    return _embed_ordered(op.matrix, op.support, lattice, rows)
+
+
 def embed(op: LocalOperator, lattice: Lattice) -> EmbeddedOperator:
     """Tensor op with the identity on the rest of the lattice.
 
     The embedding is an isometric algebra homomorphism: norms, products,
     and commutators are preserved.
     """
-    missing = set(op.support) - set(lattice.sites)
-    if missing:
-        raise ValueError(f"support sites {sorted(map(repr, missing))} outside the lattice")
-    if op.dim != lattice.window_dim(op.support):
-        raise ValueError("operator dimension does not match its support dims")
-    full = _embed_ordered(op.matrix, op.support, lattice)
+    full = _embedded_rows(op, lattice)
     return EmbeddedOperator(lattice.sort_sites(op.support), full)
 
 
@@ -234,30 +244,41 @@ def commutator(a: EmbeddedOperator, b: EmbeddedOperator) -> EmbeddedOperator:
 # partial trace and conditional expectation
 # ---------------------------------------------------------------------------
 
+def _traced_rows(rows: np.ndarray, dims: Sequence[int],
+                 keep: Sequence[int]) -> np.ndarray:
+    """The partial trace onto the factors at positions keep (in that order;
+    dims the factor dimensions in tensor order) of the entries in rows,
+    the top rows of a D x D matrix m, all D of them or fewer: the adjoint
+    of _add_embedded.  Entry (r, s) sums m[o_r + c, o_s + c] over the
+    offsets c of the other factors' basis states for which row o_r + c is
+    given, in ascending c; with all D rows that is the whole partial trace.
+    The entries are gathered about _GATHER_BLOCK at a time, so a large
+    kept part adds no array of the rows' size."""
+    idx = _embedding_index(dims, keep)
+    r, c = np.nonzero(idx < len(rows))  # the (row, complement) pairs given
+    out = np.zeros((len(idx), len(idx)), dtype=rows.dtype)
+    step = max(1, _GATHER_BLOCK // len(idx))
+    for i in range(0, len(r), step):
+        rs, cs = r[i:i + step], c[i:i + step]
+        np.add.at(out, rs, rows[idx[rs, cs][:, None], idx[:, cs].T])
+    return out
+
+
 def partial_trace(matrix: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     """Trace out all tensor factors except the positions in keep.
 
     dims lists the factor dimensions in tensor order; keep lists factor
-    positions, returned in ascending position order.
+    positions, returned in ascending position order (_traced_rows).
     """
     dims = [int(k) for k in dims]
-    n = len(dims)
     keep = sorted(set(int(k) for k in keep))
-    if keep and (keep[0] < 0 or keep[-1] >= n):
+    if keep and (keep[0] < 0 or keep[-1] >= len(dims)):
         raise ValueError("keep positions out of range")
     total = int(np.prod(dims))
     m = _as_matrix(matrix)
     if m.shape != (total, total):
         raise ValueError(f"matrix shape {m.shape} does not match dims product {total}")
-    tensor = m.reshape(dims + dims)
-    labels = []
-    for s in range(n):
-        labels.append(2 * s)
-    for s in range(n):
-        labels.append(2 * s + 1 if s in keep else 2 * s)
-    out = [2 * s for s in keep] + [2 * s + 1 for s in keep]
-    kdim = int(np.prod([dims[s] for s in keep])) if keep else 1
-    return np.einsum(tensor, labels, out).reshape(kdim, kdim)
+    return _traced_rows(m, dims, keep)
 
 
 def conditional_expectation(op: EmbeddedOperator, region: Iterable[Site],

@@ -21,13 +21,23 @@ parity alone chooses how m is read; Hermiticity only takes N as M's
 partner.
 
 The half blocks read m's top D/2 rows alone, so a D x D m and its top
-rows give the same blocks.  H+- come from H's top rows: eig_hermitian
-checks and solves a reversal-even H from them alone, and given an
-Interaction whose terms are all reversal-even it sums only those rows
-(_assembled), since operators._add_embedded adds only the entries inside
-its output's rows, all D of them or fewer.  An operator read in
-its blocks may be given as its top rows the same way
-(verify._contraction).  Each rule has one helper:
+rows give the same blocks (_rows_read: D/2 rows with a parity, all D
+without), and operators._add_embedded adds only the entries inside its
+output's rows, all D of them or fewer.  These readers take top rows:
+
+- eig_hermitian checks and solves a reversal-even H from its top rows,
+  and given an Interaction whose terms are all reversal-even it sums only
+  those rows (_assembled);
+- verify._contraction embeds theorem_check's A in them;
+- dynamics.evolve and locality_scan embed A in them, and
+  lr_commutator_scan's sector route A and B, B's diagonal there giving
+  the signs of its two levels;
+- locality_scan writes tau_t(A) in them alone (_block_rows), takes E_r's
+  reduced matrix from them, the partial trace of those rows
+  (operators._traced_rows) with its mirror added (_mirror_added), and
+  reads E_r(tau_t(A))'s blocks from the top rows of its embedding.
+
+Each rule has one helper:
 
 - _block_parity: m's parity on a decomposition, 0 when it has no sectors.
   J is a product of per-site reversals, so an embedded operator has its
@@ -46,11 +56,12 @@ its blocks may be given as its top rows the same way
   P_lr = a_lr * b_rl^T: two even operators on (+, +) and (-, -), two odd
   ones on (+, -) and (-, +), a mixed pair on none (its correlation
   function is zero).  A pair with an operator of no parity is read whole.
-- _block_matrix and _block_diagonal: m, or its diagonal, from its blocks;
-  transform alone writes the energy-basis blocks at their sectors' columns
-  of one zeroed D x D matrix (_from_sector_blocks), so the blocks that
-  vanish are exactly zero.
-- _mirrored_levels: J's action on an index set.
+- _block_rows, _block_matrix and _block_diagonal: m's top rows, m, or its
+  diagonal, from its blocks; transform alone writes the energy-basis
+  blocks at their sectors' columns of one zeroed D x D matrix
+  (_from_sector_blocks), so the blocks that vanish are exactly zero.
+- _mirror_added: s + parity * J s J, which completes a partial trace
+  taken over the top rows.
 """
 from __future__ import annotations
 
@@ -305,16 +316,6 @@ def _partnered(blocks: list) -> list:
     return blocks + [(1, 0, blocks[0][2].conj().T)]
 
 
-def _mirrored_levels(first: np.ndarray) -> Optional[np.ndarray]:
-    """signs s_p over p < D/2, +1 where p is in the index set of the mask
-    first and -1 where D-1-p is, when the index reversal J maps that set
-    onto its complement; None otherwise."""
-    dim = len(first)
-    if dim % 2 or not np.array_equal(first[::-1], ~first):
-        return None
-    return np.where(first[:dim // 2], 1.0, -1.0)
-
-
 def _sector_columns(dec: SpectralDecomposition, parity: int,
                     *columns: np.ndarray) -> list:
     """Arrays of one value per column as the blocks of parity read them:
@@ -406,26 +407,55 @@ def _from_sector_blocks(dec: SpectralDecomposition, m: np.ndarray,
     return out
 
 
-def _block_matrix(blocks: list, parity: int,
-                  out: Optional[np.ndarray] = None) -> np.ndarray:
-    """The inverse of _sector_blocks: the D x D matrix m with
-    J m J = parity * m and these blocks (module docstring), written into
-    out when given; the one block itself for parity 0.  Given M alone for
-    parity -1 it writes the Hermitian m, with N = M* (_partnered)."""
+def _rows_read(dim: int, parity: int) -> int:
+    """How many of a D x D operator's top rows its blocks read: D/2 when it
+    has a parity, all D when it is read whole."""
+    return dim // 2 if parity else dim
+
+
+def _block_rows(blocks: list, parity: int,
+                out: Optional[np.ndarray]) -> np.ndarray:
+    """The top rows of _block_matrix(blocks, parity) that its blocks read
+    (_rows_read): for parity +-1 the half sum and the reversed half
+    difference of its + and - column blocks (module docstring), written
+    into out; for parity 0 the one block itself, out unused."""
     if not parity:
         (_, _, m), = blocks
         return m
     by_column = {r: b for _, r, b in _partnered(blocks)}
     plus, minus = by_column[0], by_column[1]
     half = len(plus)
-    if out is None:
-        out = np.empty((2 * half, 2 * half), dtype=np.result_type(plus, minus))
-    top = out[:half]
-    np.add(plus, minus, out=top[:, :half])
-    np.subtract(plus, minus, out=top[:, half:][:, ::-1])
-    top *= 0.5
+    np.add(plus, minus, out=out[:, :half])
+    np.subtract(plus, minus, out=out[:, half:][:, ::-1])
+    out *= 0.5
+    return out
+
+
+def _block_matrix(blocks: list, parity: int) -> np.ndarray:
+    """The inverse of _sector_blocks: the D x D matrix m with
+    J m J = parity * m and these blocks (module docstring), its top rows
+    written by _block_rows and its bottom rows their mirror; the one block
+    itself for parity 0.  Given M alone for parity -1 it writes the
+    Hermitian m, with N = M* (_partnered)."""
+    if not parity:
+        return _block_rows(blocks, parity, None)
+    half = len(blocks[0][2])
+    out = np.empty((2 * half, 2 * half),
+                   dtype=np.result_type(*[b for _, _, b in blocks]))
+    top = _block_rows(blocks, parity, out=out[:half])
     np.multiply(top[::-1, ::-1], parity, out=out[half:])
     return out
+
+
+def _mirror_added(s: np.ndarray, parity: int) -> np.ndarray:
+    """s + parity * J s J, J the reversal of s's indices, in place; s
+    itself for parity 0.  s is the partial trace of the top D/2 rows of an
+    m with J m J = parity * m (operators._traced_rows), and J a product of
+    per-site reversals, so the bottom rows add the same trace mirrored,
+    times parity: the sum is m's whole partial trace."""
+    if parity:
+        s += parity * s[::-1, ::-1]
+    return s
 
 
 def _block_diagonal(diagonals: list, parity: int) -> np.ndarray:

@@ -40,7 +40,7 @@ from .quadrature import _refine_by_doubling, gauss_legendre
 from .thermal import _EXP_CAP, ThermalState, KMSFunction, _gibbs_mean, \
     gibbs_state, kms_function
 from .spectral import (_block_diagonal, _block_matrix, _block_parity,
-                       _matmul, _read_blocks, _sandwich)
+                       _matmul, _read_blocks, _rows_read, _sandwich)
 
 _ENDPOINT_EPS = 1e-12     # |b| or |b - beta| below this counts as on-contour
 _DELTA_B = 1e-6           # offset applied to on-contour heights
@@ -64,9 +64,18 @@ def weight(z, height: float):
 
 def _check_heights(beta: float, heights: Sequence[float]) -> None:
     """Refuse a height b outside [0, beta], exactly: the pole ib would
-    leave the strip the identity integrates around."""
+    leave the strip the identities integrate around.  Refuse too a height
+    at which the top edge's weight, of modulus e^{beta^2 - b^2 - t^2},
+    would pass e^700 at t = 0 (thermal._EXP_CAP): past it the integrands
+    are NaN and the tail bound overflows."""
     if any(not 0.0 <= h <= beta for h in heights):
         raise ValueError("height must lie in [0, beta]")
+    for b in heights:
+        if beta * beta - b * b > _EXP_CAP:
+            raise ValueError(
+                f"beta={beta!r} at height {b!r}: the top edge weight "
+                f"exp(beta^2 - b^2) = exp({beta * beta - b * b:.6g}) "
+                f"exceeds exp({_EXP_CAP:g})")
 
 
 def _check_contour(beta: float, nodes: int = 1024,
@@ -79,7 +88,8 @@ def _check_contour(beta: float, nodes: int = 1024,
     node arrays (a count in range can still be too few for the pair: the
     defect shows it); a half width T that is not finite and positive, for
     which the interval [-T, T] of the nodes would be empty, reversed or
-    unbounded; and a height outside [0, beta] (_check_heights)."""
+    unbounded; and a height outside [0, beta] or past the top edge's
+    exponent cap (_check_heights)."""
     if beta <= 2 * _DELTA_B:
         raise ValueError(f"beta must exceed {2 * _DELTA_B:g} to hold the "
                          "contour offset inward from the strip edges")
@@ -101,18 +111,6 @@ def _sym_gauss(nodes: int, half_width: float):
 # ---------------------------------------------------------------------------
 # Residue identity
 # ---------------------------------------------------------------------------
-
-def _check_top_edge(beta: float, heights: Sequence[float]) -> None:
-    """Refuse a height b at which the top edge's weight, of modulus
-    e^{beta^2 - b^2 - t^2}, would pass e^700 at t = 0 (thermal._EXP_CAP):
-    past it the integrand is NaN and the tail bound overflows."""
-    for b in heights:
-        if beta * beta - b * b > _EXP_CAP:
-            raise ValueError(
-                f"beta={beta!r} at height {b!r}: the top edge weight "
-                f"exp(beta^2 - b^2) = exp({beta * beta - b * b:.6g}) "
-                f"exceeds exp({_EXP_CAP:g})")
-
 
 @dataclass(frozen=True)
 class ResidueCheck:
@@ -147,13 +145,12 @@ def residue_identity(beta: float, height: float,
     the interior by half a residue, so 1/2 is added back.  beta must be
     finite and positive: at beta = 0 the integrand vanishes and the
     refinements agree on a wrong answer.  So must half_width, the height
-    must lie in [0, beta] (_check_heights), and beta^2 - b^2 must not
-    exceed 700 (_check_top_edge).
+    must lie in [0, beta], and beta^2 - b^2 must not exceed 700
+    (_check_heights).
     """
     _finite_positive("beta", beta)
     _finite_positive("half_width", half_width)
     _check_heights(beta, [height])
-    _check_top_edge(beta, [height])
     b = float(height)
 
     def quad(n: int) -> complex:
@@ -260,9 +257,10 @@ def contour_decomposition(grid: ContourGrid,
     fall back to plain quadrature otherwise (the pole then sits deep below
     the contour and the integrand is smooth anyway).
 
-    The height must lie in [0, beta] (_check_heights).  Heights exactly on
-    the contour (b = 0 or b = beta) are nudged inward by 1e-6 and the
-    offset is recorded in the result.
+    The height must lie in [0, beta], and beta^2 - b^2 must not exceed
+    700 (_check_heights), as in residue_identity.  Heights exactly on the
+    contour (b = 0 or b = beta) are nudged inward by 1e-6 and the offset
+    is recorded in the result.
     """
     fn, phi, t, wq = grid.fn, grid.phi, grid.t, grid.wq
     state = fn.state
@@ -409,7 +407,7 @@ def _contraction(state: ThermalState, a, lat: Lattice):
     op, dim = a.matrix, state.dim
     parity = _block_parity(state.decomposition, op)
     diagonal = np.count_nonzero(op) == np.count_nonzero(np.diagonal(op))
-    rows = _embed_ordered(op, a.support, lat, dim // 2 if parity else dim)
+    rows = _embed_ordered(op, a.support, lat, _rows_read(dim, parity))
     bases, blocks = _read_blocks(state.decomposition, rows, parity,
                                  state.energies, state.weights,
                                  hermitian=_is_hermitian(op))

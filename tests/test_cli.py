@@ -373,6 +373,31 @@ def test_residue_beta_past_the_top_edge_cap_is_a_config_error(tmp_path,
     assert run_cli(["validate", cfg]) == 0
 
 
+def test_contour_height_past_the_top_edge_cap_is_a_config_error(tmp_path,
+                                                               capsys):
+    # beta^2 - b^2 = 841 at beta = 29, b = 0: the run wrote NaN terms and
+    # ended FAILED; the contour now meets the residue identity's rule
+    cfg = write_config(tmp_path, yaml.safe_dump(
+        {"task": "contour",
+         "model": {"name": "transverse_field_ising", "n": 3},
+         "beta": 29.0, "a": {"site": 0, "op": "Z"},
+         "b": {"site": 2, "op": "Z"}, "heights": [0.0, 14.5, 29.0]}))
+    assert run_cli(["validate", cfg]) == 2
+    assert run_cli(["run", cfg, "--outdir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("config error: beta=29.0 at height 0.0: the top edge "
+                     "weight exp(beta^2 - b^2) = exp(841) exceeds "
+                     "exp(700)") == 2, err
+    assert not (tmp_path / "out").exists()
+    # 29^2 - 14.5^2 = 630.75 is inside the cap
+    cfg = write_config(tmp_path, yaml.safe_dump(
+        {"task": "contour",
+         "model": {"name": "transverse_field_ising", "n": 3},
+         "beta": 29.0, "a": {"site": 0, "op": "Z"},
+         "b": {"site": 2, "op": "Z"}, "heights": [14.5, 29.0]}))
+    assert run_cli(["validate", cfg]) == 0
+
+
 @pytest.mark.parametrize("model, betas, unconverged", [
     ({"name": "transverse_field_ising", "n": 4, "J": 1.0, "h": 50.0},
      [500.0, 1000.0], 2),

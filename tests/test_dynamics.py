@@ -1,4 +1,6 @@
 """Heisenberg evolution, commutator scans, locality scans."""
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,8 +13,9 @@ from correlab import (chain_lattice, transverse_field_ising, embed,
                       heisenberg_xxz, ball, LocalOperator, Interaction,
                       SpectralDecomposition, EmbeddedOperator,
                       LocalityMeasurement, LocalityScanResult, LRScanResult,
-                      PAULI_X, PAULI_Y, PAULI_Z)
+                      PAULI_X, PAULI_Y, PAULI_Z, Lattice, grid_lattice)
 from correlab import dynamics
+from correlab.spectral import _block_parity, _rows_read
 
 
 def setup(n=4, J=1.0, h=1.0):
@@ -551,6 +554,125 @@ def test_locality_scan_reads_a_non_hermitian_operator_in_the_sectors(op,
     ref = np.array(_dense_locality_errors(inter, a, radii, times))
     assert ref.max() > 0.5
     assert np.abs(got - ref).max() < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# approximants from the top rows
+# ---------------------------------------------------------------------------
+
+_CHAIN7 = random_bond_ising(chain_lattice(7), 1.0, 1.0, seed=3)
+_GRID33 = transverse_field_ising(grid_lattice(3, 3), 1.0, 1.0)
+
+
+def _approximant_gap(inter, op, time, center, radius):
+    """(parity, gap): tau = tau_time(op) on the model's lattice, and the
+    largest gap between the top rows of E_r(tau) written from tau's top
+    rows alone (dynamics._approximant_rows, the rows tau's blocks read)
+    and those of conditional_expectation on the whole tau, over the
+    round-off bound 2 C eps max|tau|: each route sums C = dim(complement)
+    entries of tau and divides by C."""
+    lat = inter.lattice
+    ctx = evolution_context(inter)
+    tau = evolve(ctx, op, time).matrix
+    parity = _block_parity(ctx.decomposition, op.matrix)
+    rows = _rows_read(len(tau), parity)
+    region = lat.sort_sites(ball(lat, [center], radius))
+    comp = len(tau) // lat.window_dim(region)
+    got = dynamics._approximant_rows(tau[:rows], region, lat, parity)
+    ref = conditional_expectation(EmbeddedOperator(lat.sites, tau), region,
+                                  lat).matrix[:rows]
+    bound = 2 * comp * np.finfo(float).eps * np.abs(tau).max()
+    return parity, np.abs(got - ref).max() / bound
+
+
+# Z is odd, X even and Z + X of no parity under the global spin flip; a
+# complex time makes tau non-Hermitian; a ball around site 0 holds the
+# first factor, whose levels split the top rows from the bottom ones
+_TOP_ROW_CASES = [
+    pytest.param(model, op, time, center, radius,
+                 id=f"{name}-{op}-{'complex' if time.imag else 'real'}"
+                    f"-site{center}-r{radius}")
+    for name, model, radius, centers in (
+        ("chain", _CHAIN7, 1, (0, 3)), ("chain", _CHAIN7, 2, (0, 4)),
+        ("grid", _GRID33, 1, ((0, 0), (1, 1))))
+    for center in centers
+    for op in ("Z", "X", "Z+X")
+    for time in (0.7, 0.7 - 0.3j)]
+
+
+def _local(site, op):
+    return LocalOperator((site,), {"Z": PAULI_Z, "X": PAULI_X,
+                                   "Z+X": PAULI_Z + PAULI_X}[op])
+
+
+@pytest.mark.parametrize("model, op, time, center, radius", _TOP_ROW_CASES)
+def test_approximant_from_top_rows_matches_the_whole_matrix(model, op, time,
+                                                            center, radius):
+    parity, gap = _approximant_gap(model, _local(center, op), time, center,
+                                   radius)
+    assert parity == {"Z": -1, "X": 1, "Z+X": 0}[op]
+    assert gap <= 1.0
+
+
+# the control: without its mirror the top rows' partial trace misses the
+# bottom rows' half, far outside the round-off bound.  A ball holding site
+# 0 needs no mirror in the top rows: they read only the trace's rows at
+# site 0's lower level, which the top rows hold whole.
+@pytest.mark.parametrize("model, op, time, center, radius", [
+    case for case in _TOP_ROW_CASES
+    if case.values[1] != "Z+X" and case.values[3] not in (0, (0, 0))])
+def test_approximant_from_top_rows_needs_the_mirror(monkeypatch, model, op,
+                                                    time, center, radius):
+    monkeypatch.setattr(dynamics, "_mirror_added", lambda s, parity: s)
+    _, gap = _approximant_gap(model, _local(center, op), time, center, radius)
+    assert gap > 1e6
+
+
+def test_approximant_rows_split_inside_the_first_factor():
+    # local dims (3, 2, 2): the top D/2 = 6 rows end inside the first
+    # site's middle level, and J still reverses each factor
+    lat = Lattice((0, 1, 2), np.abs(np.subtract.outer(range(3), range(3))),
+                  (3, 2, 2))
+    rng = np.random.default_rng(7)
+    g = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    for parity in (1, -1):
+        m = (g + parity * g[::-1, ::-1]) / 2
+        for region in ((0,), (1,), (0, 2), (1, 2)):
+            got = dynamics._approximant_rows(m[:6], region, lat, parity)
+            ref = conditional_expectation(EmbeddedOperator(lat.sites, m),
+                                          region, lat).matrix[:6]
+            comp = 12 // lat.window_dim(region)
+            assert np.abs(got - ref).max() <= \
+                2 * comp * np.finfo(float).eps * np.abs(m).max()
+
+
+def _traced_peak(run) -> int:
+    run()  # LAPACK and the allocator are warm
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_locality_scan_holds_under_three_site_matrices():
+    # D = 1024: tau_t(A) and E_r(tau_t(A)) as their top rows beside the
+    # (D/2)-sized blocks; writing both whole took 3.9 D^2 complex entries
+    inter = random_bond_ising(chain_lattice(10), 1.0, 1.0, seed=1)
+    peak = _traced_peak(lambda: locality_scan(
+        inter, single_site(4, "Z"), [1.0, 2.0, 3.0], [0.0, 0.5, 1.0],
+        mu=1.0))
+    assert peak < 3 * 1024 ** 2 * 16
+
+
+def test_lr_scan_sector_route_holds_under_one_and_a_half_site_matrices():
+    # A and B embedded whole took 1.75 D^2 complex entries at D = 1024
+    inter = random_bond_ising(chain_lattice(10), 1.0, 1.0, seed=1)
+    peak = _traced_peak(lambda: lr_commutator_scan(
+        inter, single_site(0, "Z"), single_site(9, "Z"), [0.0, 0.5, 1.0],
+        mu=1.0))
+    assert peak < 1.5 * 1024 ** 2 * 16
 
 
 @pytest.mark.parametrize("op", ["Z", "X"])

@@ -11,6 +11,7 @@ from correlab import (Interaction, Lattice, chain_lattice, grid_lattice,
                       sampled_twirl, build_hamiltonian, eig_hermitian,
                       transverse_field_ising, random_bond_ising,
                       heisenberg_xxz, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
+from correlab import operators
 from correlab.operators import _add_embedded, _embedded_trace
 
 CNOT = np.array([[1, 0, 0, 0],
@@ -334,6 +335,28 @@ def test_partial_trace_product_state():
     assert np.allclose(partial_trace(m, [2, 3], [0]), a * np.trace(b))
     assert np.allclose(partial_trace(m, [2, 3], [1]), b * np.trace(a))
     assert np.allclose(partial_trace(m, [2, 3], [0, 1]), m)
+
+
+@pytest.mark.parametrize("keep", [(), (0,), (1,), (2,), (0, 2), (1, 2),
+                                  (0, 1, 2)])
+def test_partial_trace_matches_an_einsum_reference(monkeypatch, keep):
+    # the reference traces the tensor's repeated factor labels; the sums
+    # run over the C traced states, so each entry may differ from it by
+    # C eps max|m|; gathered a block at a time or at once, the sums are
+    # the same, in the same order
+    dims = [2, 3, 2]
+    rng = np.random.default_rng(13)
+    m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    rows = [2 * s + (s in keep) for s in range(3)]
+    kdim = int(np.prod([dims[s] for s in keep]))
+    ref = np.einsum(m.reshape(dims * 2), list(range(0, 6, 2)) + rows,
+                    [2 * s for s in keep] + [2 * s + 1 for s in keep]
+                    ).reshape(kdim, kdim)
+    got = partial_trace(m, dims, keep)
+    assert np.abs(got - ref).max() <= 12 // kdim * np.finfo(float).eps \
+        * np.abs(m).max()
+    monkeypatch.setattr(operators, "_GATHER_BLOCK", 1)
+    assert np.array_equal(partial_trace(m, dims, keep), got)
 
 
 def test_partial_trace_bell_state():

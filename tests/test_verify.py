@@ -190,6 +190,22 @@ def test_contour_rejects_bad_heights_and_thin_beta():
             contour_grid(st, a, a, nodes=nodes)
 
 
+def test_contour_refuses_a_top_edge_past_the_exponent_cap():
+    # at beta = 29, b = 0 the top edge weighs e^{841 - t^2}: the terms were
+    # NaN; the residue identity's rule refuses the height instead
+    lat, inter, st = setup_state(beta=29.0)
+    a = embed(single_site(0, "Z"), lat)
+    b = embed(single_site(2, "Z"), lat)
+    grid = contour_grid(st, a, b)
+    for height in (0.0, 3.0):
+        with pytest.raises(ValueError, match=r"exp\(beta\^2 - b\^2\) = "
+                           r"exp\(\d+\) exceeds exp\(700\)"):
+            contour_decomposition(grid, height)
+    # inside the cap the terms are numbers
+    dec = contour_decomposition(grid, 14.5)
+    assert math.isfinite(dec.defect)
+
+
 @pytest.mark.parametrize("half_width", [-1.0, 0.0, float("nan"),
                                         float("inf")])
 def test_contour_grid_refuses_half_width_not_finite_and_positive(half_width):
