@@ -33,8 +33,7 @@ import yaml
 from . import __version__
 from .lattice import Interaction, Lattice, _finite_positive, build_model, \
     chain_lattice, grid_lattice
-from .operators import PAULI, LocalOperator, _check_measured, embed, \
-    single_site
+from .operators import PAULI, LocalOperator, _check_measured, single_site
 from .spectral import DIM_CAP, eig_hermitian
 from .thermal import _UnconvergedQuadrature, canonical_correlator, \
     gibbs_state, kms_function, ordinary_correlator
@@ -205,8 +204,9 @@ def _site(x, where: str, lat: Lattice):
 
 
 def _pauli(x, where: str) -> str:
-    """x, a Pauli letter.  The tasks that measure an operator refuse I
-    through the library (operators._check_measured)."""
+    """x, a Pauli letter.  lr_scan, locality_scan and theorem_check refuse
+    I through the library (operators._check_measured); correlators and
+    contour accept it, whose connected values are then exactly zero."""
     if not isinstance(x, str) or x not in PAULI:
         raise ConfigError(f"{where} must be one of {sorted(PAULI)}")
     return x
@@ -459,8 +459,7 @@ def _run_correlators(cfg: dict) -> _Outcome:
     inter, ts = cfg["model"], cfg["times"]
     dec = eig_hermitian(inter)
     # the pair's blocks do not depend on beta: they are read once
-    pair = kms_function(gibbs_state(dec, cfg["beta"][0]),
-                        *(embed(cfg[k], inter.lattice) for k in ("a", "b")))
+    pair = kms_function(gibbs_state(dec, cfg["beta"][0]), cfg["a"], cfg["b"])
     tarr = np.asarray(ts)
     tol = cfg["tolerance"]
 
@@ -504,9 +503,8 @@ def _run_correlators(cfg: dict) -> _Outcome:
 def _run_contour(cfg: dict) -> _Outcome:
     inter = cfg["model"]
     st = gibbs_state(inter, cfg["beta"])
-    a, b = (embed(cfg[k], inter.lattice) for k in ("a", "b"))
     tol = cfg["tolerance"]
-    grid = contour_grid(st, a, b, nodes=cfg["nodes"],
+    grid = contour_grid(st, cfg["a"], cfg["b"], nodes=cfg["nodes"],
                         half_width=cfg.get("half_width"))
 
     results = [contour_decomposition(grid, h) for h in cfg["heights"]]

@@ -36,11 +36,11 @@ import numpy as np
 from .lattice import (Interaction, Lattice, _finite_positive,
                       _hermitian_part, _is_hermitian, ball, certify_locality)
 from .operators import (EmbeddedOperator, _check_measured, _embed_ordered,
-                        _embedded_rows, _hermitian_norm, _on_window,
-                        _traced_rows, spectral_norm)
+                        _hermitian_norm, _traced_rows, spectral_norm)
 from .spectral import (SpectralDecomposition, _block_matrix, _block_parity,
-                       _block_rows, _matmul, _mirror_added, _read_blocks,
-                       _rows_read, _sandwich, _sector_blocks, eig_hermitian)
+                       _block_rows, _matmul, _mirror_added, _on_lattice,
+                       _read_blocks, _rows_read, _sandwich, _sector_blocks,
+                       eig_hermitian)
 from .thermal import _EXP_CAP
 
 _MONO_SLACK = 1e-12  # growth of the largest error in r that still passes
@@ -61,16 +61,6 @@ class EvolutionContext:
 def evolution_context(interaction: Interaction) -> EvolutionContext:
     """The interaction's H on its whole lattice, diagonalized once."""
     return EvolutionContext(interaction.lattice, eig_hermitian(interaction))
-
-
-def _on_lattice(context: EvolutionContext, op, rows: int) -> np.ndarray:
-    """The top rows of op's matrix on the context's lattice, all D of them
-    or fewer: a local operator's embedding (operators._embedded_rows), or
-    an embedded operator's own matrix, which must be of the lattice's
-    dimension (operators._on_window)."""
-    if isinstance(op, EmbeddedOperator):
-        return _on_window(op.matrix, context.decomposition.dim)[:rows]
-    return _embedded_rows(op, context.lattice, rows)
 
 
 def _tau_energy(a_energy: np.ndarray, e_row: np.ndarray, e_col: np.ndarray,
@@ -118,7 +108,7 @@ def evolve(context: EvolutionContext, op, time) -> EmbeddedOperator:
     if abs(z.imag) * max(abs(lo), abs(hi), hi - lo) > _EXP_CAP:
         raise FloatingPointError("imaginary time too large for this spectrum")
     parity = _block_parity(dec, op.matrix)
-    rows = _on_lattice(context, op, _rows_read(dec.dim, parity))
+    rows = _on_lattice(dec, op, _rows_read(dec.dim, parity))
     blocks = _evolution(*_read_blocks(dec, rows, parity, hermitian=False))(z)
     return EmbeddedOperator(context.lattice.sites,
                             _block_matrix(blocks, parity))
@@ -323,8 +313,8 @@ def lr_commutator_scan(interaction: Interaction, a, b,
     levels = (_mirrored_levels(b.matrix) if hermitian
               and _block_parity(dec, a.matrix) < 0 else None)
     if levels is None:  # one product X = B tau_t in the energy basis
-        abar = dec.transform(_on_lattice(context, a, dec.dim))
-        bbar = dec.transform(_on_lattice(context, b, dec.dim))
+        abar = dec.transform(_on_lattice(dec, a, dec.dim))
+        bbar = dec.transform(_on_lattice(dec, b, dec.dim))
         norm, e = _commutator_norm(bbar, hermitian), dec.eigenvalues
         tau = np.empty((dec.dim, dec.dim), dtype=complex)
 
@@ -332,9 +322,9 @@ def lr_commutator_scan(interaction: Interaction, a, b,
             return norm(_tau_energy(abar, e, e, t, out=tau))
     else:  # sector: (l2 - l1) ||i(K - K*)/2||
         half = dec.dim // 2
-        signs = np.where(np.diagonal(_on_lattice(context, b, half))
+        signs = np.where(np.diagonal(_on_lattice(dec, b, half))
                          == levels[0], 1.0, -1.0)
-        bases, blocks = _read_blocks(dec, _on_lattice(context, a, half), -1)
+        bases, blocks = _read_blocks(dec, _on_lattice(dec, a, half), -1)
         w, e = bases[1]
         bases[1] = (signs[:, None] * w, e)
         evolved = _evolution(bases, blocks)
@@ -468,7 +458,7 @@ def locality_scan(interaction: Interaction, a, radii: Sequence[float],
     parity = _block_parity(dec, a.matrix)
     route = {-1: "flip_odd", 1: "flip_even", 0: "dense"}[parity]
     top = _rows_read(dec.dim, parity)
-    evolved = _evolution(*_read_blocks(dec, _on_lattice(context, a, top),
+    evolved = _evolution(*_read_blocks(dec, _on_lattice(dec, a, top),
                                        parity, hermitian=hermitian))
     buf = np.empty((top, dec.dim), dtype=complex) if parity else None
 

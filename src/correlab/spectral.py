@@ -29,6 +29,9 @@ output's rows, all D of them or fewer.  These readers take top rows:
   and given an Interaction whose terms are all reversal-even it sums only
   those rows (_assembled);
 - verify._contraction embeds theorem_check's A in them;
+- _read_pair, behind thermal.kms_function and verify.contour_grid, embeds
+  a local A and then a local B in the rows the pair's block form reads,
+  each dropped once its blocks are read;
 - dynamics.evolve and locality_scan embed A in them, and
   lr_commutator_scan's sector route A and B, B's diagonal there giving
   the signs of its two levels;
@@ -39,9 +42,12 @@ output's rows, all D of them or fewer.  These readers take top rows:
 
 Each rule has one helper:
 
+- _on_lattice: an operator's top rows on a decomposition's lattice, the
+  one reader of the scans and the pair: a local operator's embedding, or
+  an embedded operator's (or array's) own D x D matrix.
 - _block_parity: m's parity on a decomposition, 0 when it has no sectors.
   J is a product of per-site reversals, so an embedded operator has its
-  local matrix's parity.
+  local matrix's parity (_parity_matrix).
 - _half_block: m_TL +- m_TR J, the solver's H+- (_reversal_blocks) and
   every operator's blocks (_sector_blocks).
 - _partnered: N = M* of a Hermitian odd m, for every writer given M alone.
@@ -50,12 +56,13 @@ Each rule has one helper:
 - _read_blocks: the blocks read into them, W_l* m_lr W_r (_read_into), each
   product (D/2)-sized.  _energy_blocks reads every block that can be
   nonzero, an odd m in M alone when N is exactly M's partner.
-- _read_pair: a pair (a, b) read once for its KMS function.  In the energy
-  basis phi(a tau_z(b)) sums a_mn b_nm over m in sector l and n in sector
-  r, so a's (l, r) block pairs with b's (r, l) block alone, through
-  P_lr = a_lr * b_rl^T: two even operators on (+, +) and (-, -), two odd
-  ones on (+, -) and (-, +), a mixed pair on none (its correlation
-  function is zero).  A pair with an operator of no parity is read whole.
+- _read_pair: a pair (a, b) read once for its KMS function, one operator
+  at a time.  In the energy basis phi(a tau_z(b)) sums a_mn b_nm over m in
+  sector l and n in sector r, so a's (l, r) block pairs with b's (r, l)
+  block alone, through P_lr = a_lr * b_rl^T: two even operators on (+, +)
+  and (-, -), two odd ones on (+, -) and (-, +), a mixed pair on none (its
+  correlation function is zero).  A pair with an operator of no parity is
+  read whole.
 - _block_rows, _block_matrix and _block_diagonal: m's top rows, m, or its
   diagonal, from its blocks; transform alone writes the energy-basis
   blocks at their sectors' columns of one zeroed D x D matrix
@@ -70,9 +77,9 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import Interaction, _as_matrix, _is_hermitian
+from .lattice import Interaction, Lattice, _as_matrix, _is_hermitian
 from .operators import (EmbeddedOperator, LocalOperator, _add_embedded,
-                        _on_window, commutator, embed)
+                        _embedded_rows, _on_window, commutator, embed)
 
 DIM_CAP = 4096  # largest lattice dimension we agree to diagonalize (2^12)
 _MIRROR_BLOCK = 1 << 14  # entries per row block of the reversal passes
@@ -88,11 +95,16 @@ class SpectralDecomposition:
     the last bit with D/2 columns in each, and the second field holds the
     blocks' eigenvectors (W+, W-) as the solver returned them.  Otherwise
     sector is None and the second field is V.
+
+    lattice is the lattice of the Interaction eig_hermitian solved, on
+    which a local operator is read (_on_lattice), and None for a matrix
+    given whole.
     """
 
     eigenvalues: np.ndarray
     _vectors: np.ndarray
     sector: Optional[np.ndarray] = None
+    lattice: Optional[Lattice] = None
 
     @property
     def dim(self) -> int:
@@ -192,7 +204,8 @@ def _transform(left: np.ndarray, m: np.ndarray,
 def eig_hermitian(matrix) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix (LAPACK), or of the
     Hamiltonian of an Interaction on its whole lattice, assembled in its
-    top rows when its terms make it reversal-even (_assembled).
+    top rows when its terms make it reversal-even (_assembled); the
+    decomposition of an Interaction keeps its lattice.
 
     The input must be finite and Hermitian within 1e-12 relative, checked
     over mirrored square tiles.  The solver reads one triangle, and a real
@@ -205,8 +218,9 @@ def eig_hermitian(matrix) -> SpectralDecomposition:
     H - H* the entries of theirs and H the entries of both, so the verdict
     is the whole H's.
     """
+    lattice = None
     if isinstance(matrix, Interaction):
-        m = _assembled(matrix, top=True)
+        lattice, m = matrix.lattice, _assembled(matrix, top=True)
     else:
         m = _as_matrix(matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -220,13 +234,14 @@ def eig_hermitian(matrix) -> SpectralDecomposition:
         raise ValueError("matrix is not finite and Hermitian within 1e-12 relative")
     if rows == dim:
         e, v = np.linalg.eigh(m)
-        return SpectralDecomposition(e, v)
+        return SpectralDecomposition(e, v, lattice=lattice)
     blocks = _reversal_blocks(m)
     del m  # assembled rows are freed before the solve
     e, w = np.linalg.eigh(blocks)
     order = np.argsort(e.ravel(), kind="stable")
     return SpectralDecomposition(e.ravel()[order], w,
-                                 np.where(order < dim // 2, 1.0, -1.0))
+                                 np.where(order < dim // 2, 1.0, -1.0),
+                                 lattice=lattice)
 
 
 def _assembled(interaction: Interaction, top: bool) -> np.ndarray:
@@ -359,24 +374,31 @@ def _energy_blocks(bases: list, m: np.ndarray, parity: int) -> dict:
     _partnered: an odd m is read as Hermitian, in M alone, when its N
     equals M* exactly, and in both off-diagonal blocks otherwise."""
     blocks = _sector_blocks(m, parity, hermitian=False)
+    del m  # with a parity, rows no caller holds are freed before the read
     if parity < 0 and np.array_equal(blocks[1][2], blocks[0][2].conj().T):
         blocks = blocks[:1]
     return {(l, r): b for l, r, b in _partnered(_read_into(bases, blocks))}
 
 
-def _read_pair(dec: SpectralDecomposition, a: np.ndarray, b: np.ndarray):
-    """(parity, pairs, diagonals): the pair (a, b) of lattice matrices read
-    once in its block form (module docstring), each in the blocks of its
-    own parity (_energy_blocks), or both whole in one V.  parity is the one
-    the columns split by (_sector_columns), pairs holds (l, r, a_lr, b_rl)
-    for each (l, r) at which both blocks can be nonzero, and diagonals the
+def _read_pair(dec: SpectralDecomposition, a, b):
+    """(parity, pairs, diagonals): the pair (a, b) read once in its block
+    form (module docstring), each in the blocks of its own parity
+    (_energy_blocks), or both whole in one V.  a and b are local operators
+    on dec's lattice, embedded operators or D x D arrays, each with its
+    local matrix's parity (_parity_matrix).  One operator at a time is
+    taken in the top rows the pair's form reads (_rows_read, _on_lattice),
+    read, and dropped before the next.  parity is the one the columns
+    split by (_sector_columns), pairs holds (l, r, a_lr, b_rl) for each
+    (l, r) at which both blocks can be nonzero, and diagonals the
     diagonals of each operator's (l, l) blocks, as ([(l, d)], [(l, d)]).
     """
-    pa, pb = _block_parity(dec, a), _block_parity(dec, b)
+    pa, pb = (_block_parity(dec, _parity_matrix(dec, op)) for op in (a, b))
     parity = pa if pa and pb else 0
     bases = _sector_bases(dec, parity)
-    read = [_energy_blocks(bases, m, p if parity else 0)
-            for m, p in ((a, pa), (b, pb))]
+    rows = _rows_read(dec.dim, parity)
+    read = [_energy_blocks(bases, _on_lattice(dec, op, rows),
+                           p if parity else 0)  # the rows go with the call
+            for op, p in ((a, pa), (b, pb))]
     pairs = [(l, r, block, read[1][r, l]) for (l, r), block in read[0].items()
              if (r, l) in read[1]]
     diagonals = tuple([(l, block.diagonal().copy())
@@ -411,6 +433,33 @@ def _rows_read(dim: int, parity: int) -> int:
     """How many of a D x D operator's top rows its blocks read: D/2 when it
     has a parity, all D when it is read whole."""
     return dim // 2 if parity else dim
+
+
+def _parity_matrix(dec: SpectralDecomposition, op) -> np.ndarray:
+    """The matrix op's parity on dec is read from (_block_parity): a local
+    operator's own, whose embedding has its parity (module docstring), or
+    the matrix of an embedded operator or array, refused unless it is
+    D x D (operators._on_window)."""
+    if isinstance(op, LocalOperator):
+        return op.matrix
+    return _on_window(_as_matrix(op), dec.dim)
+
+
+def _on_lattice(dec: SpectralDecomposition, op, rows: int) -> np.ndarray:
+    """The top rows of op's matrix on dec's lattice, all D of them or
+    fewer: a local operator's embedding on dec.lattice
+    (operators._embedded_rows), or the D x D matrix of any other op
+    (_parity_matrix).  A local operator is refused on a decomposition with
+    no lattice, one eig_hermitian solved from a matrix."""
+    if not isinstance(op, LocalOperator):
+        return _parity_matrix(dec, op)[:rows]
+    if dec.lattice is None:
+        raise ValueError(
+            f"local operator of shape {op.matrix.shape} does not act on the "
+            f"lattice, of shape {(dec.dim, dec.dim)}; embed the operator on "
+            "the lattice first, or solve the Interaction itself, whose "
+            "decomposition keeps its lattice")
+    return _embedded_rows(op, dec.lattice, rows)
 
 
 def _block_rows(blocks: list, parity: int,

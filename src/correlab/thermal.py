@@ -294,10 +294,15 @@ def _joined(parts: np.ndarray) -> np.ndarray:
 def kms_function(state: ThermalState, a: OperatorLike,
                  b: OperatorLike) -> KMSFunction:
     """F(z) = phi(A tau_z(B)) for the site-basis pair (A, B), read once in
-    its blocks (spectral._read_pair)."""
+    its blocks (spectral._read_pair).
+
+    A and B are each a LocalOperator on the lattice of state's
+    decomposition (one solved from an Interaction), embedded in only the
+    rows its blocks read, or an EmbeddedOperator or array of the
+    lattice's dimension.  A LocalOperator on a decomposition solved from a
+    bare matrix, which holds no lattice, is refused."""
     fn = KMSFunction.__new__(KMSFunction)
-    fn._hold(state, *_read_pair(state.decomposition, *(
-        _on_window(_as_matrix(m), state.dim) for m in (a, b))))
+    fn._hold(state, *_read_pair(state.decomposition, a, b))
     return fn
 
 

@@ -204,9 +204,11 @@ def contour_grid(state: ThermalState, a, b, nodes: int = 1024,
                  half_width: Optional[float] = None) -> ContourGrid:
     """The height-independent part of contour_decomposition for the pair
     (A, B) in a site-basis state: the pair's blocks are read once
-    (thermal.kms_function), and F and G are evaluated once on `nodes`
-    symmetric Gauss-Legendre nodes on [-T, T], with T = 8 unless
-    half_width is given; each node pair +-t costs one |t|.
+    (thermal.kms_function, which takes A and B as LocalOperators on the
+    lattice of state's decomposition, EmbeddedOperators or arrays), and F
+    and G are evaluated once on `nodes` symmetric Gauss-Legendre nodes on
+    [-T, T], with T = 8 unless half_width is given; each node pair +-t
+    costs one |t|.
 
     Refuses a run that _check_contour refuses.
     """

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -635,6 +636,51 @@ def test_identity_is_accepted_where_it_is_measured(tmp_path, text):
     cfg = write_config(tmp_path, text.replace("a: {site: 0, op: Z}",
                                               "a: {site: 0, op: I}"))
     assert run_cli(["validate", cfg]) == 0
+
+
+@pytest.mark.parametrize("text, name, first", [
+    (CORRELATOR_CFG, "correlators_summary.csv", "ordinary_re"),
+    (CONTOUR_CFG, "contour.csv", "term_commutator_re")],
+    ids=["correlators", "contour"])
+def test_identity_runs_end_to_end_where_it_is_measured(tmp_path, text, name,
+                                                      first):
+    # I is even and Z odd under the spin flip: no block of the pair can
+    # pair, and phi(Z) = 0, so every value from `first` on is exactly zero
+    cfg = write_config(tmp_path, text.replace("a: {site: 0, op: Z}",
+                                              "a: {site: 0, op: I}"))
+    assert run_cli(["run", cfg, "--outdir", str(tmp_path / "out")]) == 0
+    header, *rows = next((tmp_path / "out").glob(f"*/{name}")).read_text(
+        encoding="utf-8").splitlines()
+    start = header.split(",").index(first)
+    assert rows and all(float(x) == 0.0 for row in rows
+                        for x in row.split(",")[start:])
+
+
+def _traced_peak(run) -> int:
+    run()  # LAPACK and the allocator are warm
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("task, extra", [
+    ("correlators", {"beta": [1.0], "times": [-1.0, -0.5, 0.0, 0.5, 1.0]}),
+    ("contour", {"beta": 1.0, "heights": [0.5], "nodes": 256}),
+], ids=["correlators", "contour"])
+def test_pair_tasks_hold_under_two_and_a_half_site_matrices(task, extra):
+    # D = 1024, Y at sites 2 and 7 of XXZ: A and B embedded whole took
+    # 3.75 D^2 complex entries; each is now embedded in its top D/2 rows
+    # alone and dropped once its blocks are read
+    raw = {"task": task, "a": {"site": 2, "op": "Y"},
+           "b": {"site": 7, "op": "Y"}, "model": {
+               "name": "heisenberg_xxz", "n": 10, "J": 1.0, "delta": 0.5},
+           **extra}
+    inputs = cli.validate_config(raw)[3]
+    peak = _traced_peak(lambda: getattr(cli, f"_run_{task}")(inputs))
+    assert peak < 2.5 * 1024 ** 2 * 16
 
 
 def test_contour_beta_too_thin_for_the_offset_is_a_config_error(tmp_path,

@@ -191,6 +191,17 @@ def test_dense_decomposition_has_no_sector():
         assert dec.sector is None
 
 
+@pytest.mark.parametrize("h", [0.0, 0.3], ids=["sectors", "whole"])
+def test_decomposition_keeps_the_lattice_of_its_interaction(h):
+    # an Interaction's lattice is kept on both routes, so a local operator
+    # can be embedded on it later; a matrix given whole keeps none
+    inter = heisenberg_xxz(chain_lattice(6), 1.0, 0.5, h=h)
+    dec = eig_hermitian(inter)
+    assert (dec.sector is None) == bool(h)
+    assert dec.lattice is inter.lattice
+    assert eig_hermitian(build_hamiltonian(inter).matrix).lattice is None
+
+
 @pytest.mark.parametrize("parity", [1, -1, 0])
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_reversal_matrix_inverts_the_half_blocks(parity, kind):

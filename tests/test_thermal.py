@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from correlab import (chain_lattice, transverse_field_ising, heisenberg_xxz,
-                      embed, single_site, build_hamiltonian, eig_hermitian,
-                      gibbs_state, KMSFunction, kms_function,
+from correlab import (chain_lattice, grid_lattice, transverse_field_ising,
+                      heisenberg_xxz, embed, single_site, build_hamiltonian,
+                      eig_hermitian, gibbs_state, KMSFunction, kms_function,
                       ordinary_correlator, canonical_correlator,
-                      LocalOperator, PAULI_X, PAULI_Y)
-from correlab import thermal
+                      contour_decomposition, contour_grid,
+                      LocalOperator, PAULI_X, PAULI_Y, PAULI_Z)
+from correlab import spectral, thermal
 from correlab.thermal import _duhamel_kernel
 
 
@@ -755,3 +756,75 @@ def test_the_pair_is_shared_across_gibbs_states():
         assert ordinary_correlator(moved) == ordinary_correlator(fresh)
     with pytest.raises(ValueError, match="decomposition"):
         fn._at(gibbs_state(eig_hermitian(dec.reconstruct()), 1.0))
+
+
+_Y_PLUS_IZ = PAULI_Y + 1j * PAULI_Z  # odd under the spin flip, not Hermitian
+
+
+def _local_and_embedded(lat, *ops):
+    """(local, embedded): each (site, op) as a LocalOperator and as its
+    embedding on lat, op a Pauli letter or a 2 x 2 matrix."""
+    local = [single_site(s, op) for s, op in ops]
+    return local, [embed(op, lat) for op in local]
+
+
+@pytest.mark.parametrize("lat, h, a, b, blocks, rows", [
+    (chain_lattice(8), 0.0, (1, "Y"), (6, "Y"), [(0, 1), (1, 0)], 128),
+    (chain_lattice(8), 0.0, (1, "X"), (5, "X"), [(0, 0), (1, 1)], 128),
+    (chain_lattice(8), 0.0, (2, "X"), (6, "Y"), [], 128),
+    (chain_lattice(8), 0.3, (1, "Y"), (6, "Y"), [(0, 0)], 256),
+    (chain_lattice(8), 0.0, (2, _Y_PLUS_IZ), (5, "Y"), [(0, 1), (1, 0)], 128),
+    (chain_lattice(8), 0.0, (0, "I"), (5, "Z"), [], 128),
+    (grid_lattice(3, 3), 0.0, ((0, 0), "Y"), ((2, 1), "Y"),
+     [(0, 1), (1, 0)], 256),
+], ids=["odd-odd", "even-even", "mixed", "no-sectors", "non-hermitian-odd",
+        "identity-z", "grid-3x3"])
+def test_local_pair_reads_the_bits_of_its_embedding(monkeypatch, lat, h, a,
+                                                    b, blocks, rows):
+    # a LocalOperator is embedded in only the rows its pair's blocks read
+    # (D/2 with a parity, all D without), one operator at a time, and the
+    # KMS function, both correlator routes and the contour terms are the
+    # embedded pair's to the last bit
+    st = gibbs_state(heisenberg_xxz(lat, J=1.0, delta=0.5, h=h), 0.8)
+    local, embedded = _local_and_embedded(lat, a, b)
+    embedded_rows = spectral._embedded_rows
+    taken = []
+
+    def spy(op, lattice, count):
+        taken.append(count)
+        return embedded_rows(op, lattice, count)
+
+    monkeypatch.setattr(spectral, "_embedded_rows", spy)
+    fn, ref = kms_function(st, *local), kms_function(st, *embedded)
+    assert taken == [rows, rows]
+    assert [(l, r) for l, r, *_ in fn._blocks] == blocks
+    ts = np.linspace(-2.0, 2.0, 9)
+    for s in (0.0, st.beta):
+        assert np.array_equal(fn.eval_grid(ts, imag=s),
+                              ref.eval_grid(ts, imag=s))
+        assert np.array_equal(fn.conjugate_eval_grid(ts, imag=s),
+                              ref.conjugate_eval_grid(ts, imag=s))
+    assert ordinary_correlator(fn) == ordinary_correlator(ref)
+    for method in ("closed_form", "quadrature"):
+        assert (canonical_correlator(fn, method)
+                == canonical_correlator(ref, method))
+    assert (fn.phi_a, fn.phi_b) == (ref.phi_a, ref.phi_b)
+    grids = [contour_grid(st, *pair, nodes=64) for pair in (local, embedded)]
+    assert (contour_decomposition(grids[0], 0.4)
+            == contour_decomposition(grids[1], 0.4))
+
+
+def test_local_operator_on_a_decomposition_with_no_lattice_is_refused():
+    # a matrix given whole carries no lattice to embed a LocalOperator on
+    lat = chain_lattice(4)
+    inter = heisenberg_xxz(lat, J=1.0, delta=0.5)
+    assert eig_hermitian(inter).lattice is lat
+    st = gibbs_state(build_hamiltonian(inter).matrix, 1.0)
+    assert st.decomposition.lattice is None
+    local, embedded = _local_and_embedded(lat, (0, "Y"), (3, "Y"))
+    for call in (kms_function, contour_grid):
+        with pytest.raises(ValueError, match="solve the Interaction"):
+            call(st, *local)
+        with pytest.raises(ValueError, match="solve the Interaction"):
+            call(st, embedded[0], local[1])
+    kms_function(st, *embedded)
